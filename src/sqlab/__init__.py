@@ -6,15 +6,13 @@ Modules:
 
 * ``fnspace``    -- domains, Boolean/real functions, distributions, classes;
 * ``oracles``    -- statistical-query oracles (exact / adversarial / noisy /
-                    sampled) and the correlational decomposition;
+                    sampled / liar) and the correlational decomposition;
 * ``sqcore``     -- distinguishing-set extraction, the projected iterative
                     learner, baselines, the weak agnostic learner;
 * ``dimensions`` -- pairwise-correlation dimensions, covers, shifted sets,
                     the parity witness;
 * ``evolve``     -- fitness, tolerance-t selection, mutators, evolution runs;
-* ``harness``    -- config, seeded batch runs, deterministic exports;
-* ``kernels``    -- numba-accelerated hot loops with a numpy fallback
-                    (select via SQLAB_BACKEND=auto|numba|numpy).
+* ``harness``    -- config, seeded batch runs, deterministic exports.
 """
 
 __version__ = "0.1.0"

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .errors import (
     InvariantBreachError,
     NormRangeError,
@@ -101,9 +100,47 @@ class DimReport:
 
 
 def _abs_gram(f, d):
-    g = np.abs(kernels.gram(f.matrix, d.weights))
+    g = np.abs((f.matrix * d.weights) @ f.matrix.T)
     np.fill_diagonal(g, 0.0)
     return g
+
+
+def max_clique(adj):
+    """Maximum clique of an undirected graph via branch and bound.
+
+    `adj` is a boolean adjacency matrix (symmetric, hollow).
+    Returns (size, sorted vertex tuple).
+    """
+    n = adj.shape[0]
+    if n == 0:
+        return 0, ()
+    masks = [0] * n
+    for i in range(n):
+        m = 0
+        for j in range(n):
+            if i != j and adj[i, j]:
+                m |= 1 << j
+        masks[i] = m
+    best_size = 0
+    best_mask = 0
+    full = (1 << n) - 1
+    # stack of (clique_mask, clique_size, candidate_mask); binary branching on
+    # the lowest candidate vertex
+    stack = [(0, 0, full)]
+    while stack:
+        r_mask, r_size, p_mask = stack.pop()
+        if r_size + p_mask.bit_count() <= best_size:
+            continue
+        if p_mask == 0:
+            best_size, best_mask = r_size, r_mask
+            continue
+        low = p_mask & -p_mask
+        v = low.bit_length() - 1
+        rest = p_mask ^ low
+        stack.append((r_mask, r_size, rest))
+        stack.append((r_mask | low, r_size + 1, rest & masks[v]))
+    verts = tuple(i for i in range(n) if best_mask >> i & 1)
+    return best_size, verts
 
 
 def _check_pairwise(absgram, witness, threshold):
@@ -138,7 +175,7 @@ def sq_dim(f, d, mode="exact", cap=30):
         for cand in range(k, 1, -1):
             adj = absgram <= 1.0 / cand + ATOL
             np.fill_diagonal(adj, False)
-            size, verts = kernels.max_clique(adj)
+            size, verts = max_clique(adj)
             if size >= cand:
                 witness = list(verts[:cand])
                 break
@@ -210,7 +247,7 @@ def sqd_lower_scaling(f, d, m, M):
     """
     if not (M >= 1 >= m > 0):
         raise UsageError(f"need M >= 1 >= m > 0, got m={m}, M={M}")
-    norms = np.sqrt(np.maximum(np.diag(kernels.gram(f.matrix, d.weights)), 0.0))
+    norms = np.sqrt(np.maximum(np.diag((f.matrix * d.weights) @ f.matrix.T), 0.0))
     for i, nm in enumerate(norms):
         if nm < m - ATOL or nm > M + ATOL:
             raise NormRangeError(

@@ -14,7 +14,6 @@ Conventions fixed here and used everywhere downstream:
 
 import numpy as np
 
-from . import kernels
 from .errors import DomainMismatchError, UsageError
 from .rng import make_rng
 
@@ -209,7 +208,7 @@ def _check_domains(d, *fns):
 def inner_product(phi, psi, d):
     """<phi, psi>_D = E_D[phi * psi]."""
     _check_domains(d, phi, psi)
-    return kernels.weighted_dot(phi.values, psi.values, d.weights)
+    return float(np.dot(phi.values * d.weights, psi.values))
 
 
 def norm(phi, d):

@@ -37,14 +37,14 @@ from .fnspace import (
     parity_class,
     random_real_fn,
 )
-from .oracles import MODES, AgnosticDist, SQOracle, true_query_value
+from .oracles import MODES, AgnosticDist, SQOracle
 from .rng import make_rng
 from .sqcore import ApproxSet, class_pool_generator, projected_learner, weak_agnostic_learner
 
 COMMANDS = ("learn", "evolve", "dim", "agnostic")
 CLASSES = ("parities", "conjunctions", "disjunctions")
 FORMATS = ("csv", "json")
-ORACLES = MODES + ("liar",)
+ORACLES = MODES
 
 LEARN_COLUMNS = ("iteration", "gamma", "potential", "queries")
 EVOLVE_COLUMNS = ("generation", "true_perf", "empirical_perf", "outcome",
@@ -52,26 +52,6 @@ EVOLVE_COLUMNS = ("generation", "true_perf", "empirical_perf", "outcome",
 DIM_COLUMNS = ("value", "certainty", "witness", "params")
 AGNOSTIC_COLUMNS = ("seed", "best_correlation", "achieved_correlation",
                     "guarantee_ok")
-
-
-class LiarOracle(SQOracle):
-    """Diagnostic oracle answering 1.0 to every query regardless of truth.
-
-    No single target is consistent with its answers, so a learner driving it
-    must eventually trip the update-count ledger.
-    """
-
-    def __init__(self, target, dist, keep_log=True):
-        super().__init__(target, dist, mode="exact", keep_log=keep_log)
-        self.mode = "liar"
-
-    def query(self, q):
-        return self._finish(q, 1.0, true_query_value(q, self.target, self.dist))
-
-    def correlational_many(self, mat, tau):
-        values = np.ones(len(mat))
-        self.query_count += len(mat)
-        return values
 
 
 @dataclass
@@ -158,6 +138,10 @@ def make_config(data):
         base = cfg.oracle.split(":", 1)[0]
         if base not in ORACLES:
             raise UsageError(f"oracle must be one of {ORACLES}, got {cfg.oracle!r}")
+        if base == "liar" and command == "agnostic":
+            raise UsageError(
+                "--oracle liar does not apply to agnostic: its pool learner keeps "
+                "no update ledger that a lying oracle could trip")
     if "seeds" in data:
         cfg.seeds = _parse_seeds(data["seeds"])
         if not cfg.seeds:
@@ -274,12 +258,15 @@ def _build_dist(cfg, domain, master, k):
     return dist_from_text(Path(cfg.dist.split(":", 1)[1]).read_text())
 
 
-def _build_oracle(cfg, target, dist, master, k):
+def _oracle_mode(cfg):
+    """(mode, sample size) of the --oracle value."""
     base, _, arg = cfg.oracle.partition(":")
-    if base == "liar":
-        return LiarOracle(target, dist)
-    sample_size = int(arg) if arg else None
-    return SQOracle(target, dist, mode=base, seed=make_rng(master, k, "oracle").integers(2 ** 63),
+    return base, int(arg) if arg else None
+
+
+def _build_oracle(cfg, target, dist, master, k):
+    mode, sample_size = _oracle_mode(cfg)
+    return SQOracle(target, dist, mode=mode, seed=make_rng(master, k, "oracle").integers(2 ** 63),
                     sample_size=sample_size)
 
 
@@ -356,8 +343,9 @@ def _agnostic_one(cfg, k, master):
     phi = random_real_fn(domain, make_rng(master, k, "phi"))
     a = AgnosticDist(dist, phi)
     pool = ApproxSet([m.as_real() for m in cclass], gamma=cfg.tau)
-    mode = cfg.oracle if cfg.oracle in ("exact", "grid_adversary") else "exact"
-    hyp = weak_agnostic_learner(pool, a, cfg.tau, mode=mode)
+    mode, sample_size = _oracle_mode(cfg)
+    hyp = weak_agnostic_learner(pool, a, cfg.tau, mode=mode,
+                                rng=make_rng(master, k, "oracle"), sample_size=sample_size)
     w = dist.weights
     best = max(abs(float(np.dot(w, m.values * phi.values))) for m in cclass)
     achieved = float(np.dot(w, hyp.values * phi.values))
@@ -431,19 +419,3 @@ def rerun_manifest(manifest_path, out=None):
     if out is not None:
         snapshot["out"] = str(out)
     return execute(make_config(snapshot))
-
-
-def run_learn(cfg):
-    return run_config(cfg)
-
-
-def run_evolve(cfg):
-    return run_config(cfg)
-
-
-def run_dim(cfg):
-    return run_config(cfg)
-
-
-def run_agnostic(cfg):
-    return run_config(cfg)

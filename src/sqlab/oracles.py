@@ -1,35 +1,42 @@
 """STAT oracles and the correlational-query decomposition.
 
-An oracle holds a Boolean target f and a distribution D and answers queries
-for E_D[psi(x, f(x))] within the query's tolerance.  Modes:
+An oracle answers queries for E[psi(x, b)] within the query's tolerance, where
+x ~ D and the label b has E[b | x] = y(x): y is the Boolean target f for the
+realizable source (b = f(x)) and phi_A for an agnostic source.  Every answer
+comes from ``answer``, in one of these modes:
 
 * ``exact``          -- returns the true expectation;
 * ``grid_adversary`` -- rounds the true value to the nearest multiple of
   2*tau: provably valid (|v - true| <= tau) while destroying all sub-tau
   information;
 * ``noisy``          -- adds seeded uniform noise in [-tau, tau];
-* ``empirical``      -- averages psi over `sample_size` seeded draws from D
-  (only probabilistically valid; log entries are flagged).
-
-The agnostic counterpart answers with respect to a pair (D, phi_A) where
-phi_A(x) = E[label | x].
+* ``empirical``      -- averages psi over `sample_size` seeded i.i.d. labelled
+  examples (only probabilistically valid; log entries are flagged);
+* ``liar``           -- answers 1.0 to every query regardless of truth.  No
+  single target is consistent with it, so a learner driving it trips the
+  update-count ledger, and the audit of its log shows the lie.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import (
     DomainMismatchError,
     InvalidToleranceError,
     QueryRangeError,
     UsageError,
 )
-from .fnspace import ATOL, BoolFn, Dist, RealFn
+from .fnspace import ATOL, BoolFn, RealFn
 from .rng import make_rng
 
-MODES = ("exact", "grid_adversary", "noisy", "empirical")
+MODES = ("exact", "grid_adversary", "noisy", "empirical", "liar")
+
+
+def _check_tau(tau):
+    # normal floats only: a subnormal tau overflows the grid adversary's 1/(2 tau)
+    if not np.finfo(np.float64).tiny <= tau <= 1:
+        raise InvalidToleranceError(f"tolerance must be in (0, 1], got {tau}")
 
 
 class Query:
@@ -43,8 +50,7 @@ class Query:
     __slots__ = ("kind", "phi", "pos", "neg", "tau", "domain")
 
     def __init__(self, kind, tau, phi=None, pos=None, neg=None, domain=None):
-        if tau <= 0 or tau > 1:
-            raise InvalidToleranceError(f"tolerance must be in (0, 1], got {tau}")
+        _check_tau(tau)
         self.kind = kind
         self.tau = float(tau)
         if kind in ("correlational", "target_independent"):
@@ -93,16 +99,64 @@ def csq_decompose(q):
     return phi1, phi2
 
 
+# The examples (x, b) live on 2m cells: (x, +1) for the first m, (x, -1) for
+# the last m.  A source is the weight of each cell, a query psi its value there.
+
+def _joint(w, y):
+    """Cell weights of x ~ w with E[b | x] = y(x)."""
+    p = (1.0 + y) / 2.0
+    return np.concatenate([w * p, w * (1.0 - p)])
+
+
+def _cells(q):
+    """psi over the 2m cells, as a 1 x 2m table."""
+    if q.kind == "general":
+        return np.concatenate([q.pos, q.neg])[None]
+    phi = q.phi.values
+    return np.concatenate([phi, -phi if q.kind == "correlational" else phi])[None]
+
+
+def _expectation(q, w, y):
+    """E[psi(x, b)] for x ~ w and E[b | x] = y(x)."""
+    if q.kind == "correlational":
+        # the common case, without building the cell tables
+        return float(np.dot(q.phi.values * w, y))
+    return float(np.dot(_joint(w, y), _cells(q)[0]))
+
+
+def answer(truth, tau, mode, rng=None, sample_size=None, joint=None, cells=None):
+    """The oracle's answers, under `mode`, to k queries whose true values are `truth`.
+
+    Empirical mode draws the point counts of `sample_size` i.i.d. examples for
+    all k queries at once, one multinomial row over the cell weights `joint`
+    per query -- the same distribution as averaging psi over that many draws
+    -- and averages the query table `cells()` (k x 2m, built only here) over
+    them.  Answering zero queries draws nothing, so it checks a mode and its
+    inputs.
+    """
+    if mode == "exact":
+        return truth.copy()
+    if mode == "grid_adversary":
+        return np.round(truth / (2 * tau)) * 2 * tau
+    if mode == "liar":
+        return np.ones(len(truth))
+    if mode not in MODES:
+        raise UsageError(f"oracle mode must be one of {MODES}, got {mode!r}")
+    if rng is None:
+        raise UsageError(f"mode {mode!r} needs an rng")
+    if mode == "noisy":
+        return truth + rng.uniform(-tau, tau, len(truth))
+    if not sample_size:
+        raise UsageError("empirical mode needs a sample_size")
+    counts = rng.multinomial(sample_size, joint, size=len(truth))
+    return np.einsum("ij,ij->i", counts, cells()) / sample_size
+
+
 def true_query_value(q, target, dist):
     """Exact E_D[psi(x, f(x))] for a query against a Boolean target."""
     if q.domain != dist.domain or q.domain != target.domain:
         raise DomainMismatchError("query, target and distribution must share a domain")
-    if q.kind == "correlational":
-        return kernels.weighted_dot(q.phi.values, target.values, dist.weights)
-    if q.kind == "target_independent":
-        return float(np.dot(dist.weights, q.phi.values))
-    slices = np.where(target.values > 0, q.pos, q.neg)
-    return float(np.dot(dist.weights, slices))
+    return _expectation(q, dist.weights, target.values)
 
 
 @dataclass
@@ -132,12 +186,8 @@ class SQOracle:
 
     def __init__(self, target, dist, mode="exact", seed=0, sample_size=None,
                  keep_log=True):
-        if mode not in MODES:
-            raise UsageError(f"oracle mode must be one of {MODES}, got {mode!r}")
         if target.domain != dist.domain:
             raise DomainMismatchError("target and distribution must share a domain")
-        if mode == "empirical" and not sample_size:
-            raise UsageError("empirical mode needs a sample_size")
         self.target = target
         self.dist = dist
         self.mode = mode
@@ -146,66 +196,40 @@ class SQOracle:
         self.query_log = []
         self.query_count = 0
         self._rng = make_rng(seed, purpose="oracle")
+        self._joint = _joint(dist.weights, target.values)
+        # rejects a bad mode or a missing sample size now, not at the first query
+        self._answer(np.empty(0), 1.0, lambda: np.empty((0, self._joint.size)))
 
-    def _finish(self, q, value, true_value):
-        self.query_count += 1
+    def _answer(self, truth, tau, cells):
+        return answer(truth, tau, self.mode, self._rng, self.sample_size,
+                      self._joint, cells)
+
+    def _log(self, kind, tau, values, truth):
+        self.query_count += len(values)
         if self.keep_log:
-            self.query_log.append(
-                LogEntry(q.kind, q.tau, float(value), float(true_value),
-                         probabilistic=self.mode == "empirical")
+            probabilistic = self.mode == "empirical"
+            self.query_log.extend(
+                LogEntry(kind, tau, float(v), float(t), probabilistic)
+                for v, t in zip(values, truth)
             )
-        return float(value)
 
     def query(self, q):
-        true_value = true_query_value(q, self.target, self.dist)
-        if self.mode == "exact":
-            value = true_value
-        elif self.mode == "grid_adversary":
-            value = float(np.round(true_value / (2 * q.tau)) * 2 * q.tau)
-        elif self.mode == "noisy":
-            value = true_value + self._rng.uniform(-q.tau, q.tau)
-        else:
-            idx = self._rng.choice(
-                self.dist.domain.size, size=self.sample_size, p=self.dist.weights
-            )
-            if q.kind == "correlational":
-                samples = q.phi.values[idx] * self.target.values[idx]
-            elif q.kind == "target_independent":
-                samples = q.phi.values[idx]
-            else:
-                samples = np.where(self.target.values[idx] > 0, q.pos[idx], q.neg[idx])
-            value = float(samples.mean())
-        return self._finish(q, value, true_value)
+        truth = np.array([true_query_value(q, self.target, self.dist)])
+        values = self._answer(truth, q.tau, lambda: _cells(q))
+        self._log(q.kind, q.tau, values, truth)
+        return float(values[0])
 
     def correlational_many(self, mat, tau):
         """Batch of correlational queries, one per row of `mat`, in row order.
 
-        Semantically identical to issuing len(mat) correlational queries; each
-        row is counted and logged individually.
+        Counts, logs and draws randomness exactly as len(mat) single
+        correlational queries would; the true values are summed in another
+        order, so they can differ from single answers in the last bits.
         """
-        if tau <= 0 or tau > 1:
-            raise InvalidToleranceError(f"tolerance must be in (0, 1], got {tau}")
-        true_values = kernels.weighted_many(mat, self.target.values, self.dist.weights)
-        if self.mode == "exact":
-            values = true_values.copy()
-        elif self.mode == "grid_adversary":
-            values = np.round(true_values / (2 * tau)) * 2 * tau
-        elif self.mode == "noisy":
-            values = true_values + self._rng.uniform(-tau, tau, len(true_values))
-        else:
-            values = np.empty(len(mat))
-            for j in range(len(mat)):
-                idx = self._rng.choice(
-                    self.dist.domain.size, size=self.sample_size, p=self.dist.weights
-                )
-                values[j] = (mat[j, idx] * self.target.values[idx]).mean()
-        self.query_count += len(mat)
-        if self.keep_log:
-            for v, t in zip(values, true_values):
-                self.query_log.append(
-                    LogEntry("correlational", tau, float(v), float(t),
-                             probabilistic=self.mode == "empirical")
-                )
+        _check_tau(tau)
+        truth = mat @ (self.target.values * self.dist.weights)
+        values = self._answer(truth, tau, lambda: np.hstack([mat, -mat]))
+        self._log("correlational", tau, values, truth)
         return values
 
     def audit(self):
@@ -221,7 +245,7 @@ class SQOracle:
 class AgnosticDist:
     """Agnostic example source: marginal D plus phi_A(x) = E[label | x]."""
 
-    __slots__ = ("dist", "phi")
+    __slots__ = ("dist", "phi", "_joint")
 
     def __init__(self, dist, phi):
         if not isinstance(phi, (RealFn, BoolFn)):
@@ -230,46 +254,18 @@ class AgnosticDist:
             raise DomainMismatchError("phi and distribution must share a domain")
         self.dist = dist
         self.phi = phi
+        self._joint = _joint(dist.weights, phi.values)
 
 
 def agnostic_true_value(a, q):
     """Exact E_(x,b)~A[psi(x, b)] using E[b|x] = phi_A(x)."""
     if q.domain != a.dist.domain:
         raise DomainMismatchError("query and agnostic source must share a domain")
-    w = a.dist.weights
-    if q.kind == "correlational":
-        return kernels.weighted_dot(q.phi.values, a.phi.values, w)
-    if q.kind == "target_independent":
-        return float(np.dot(w, q.phi.values))
-    phi1, phi2 = csq_decompose(q)
-    return kernels.weighted_dot(phi1.values, a.phi.values, w) + float(
-        np.dot(w, phi2.values)
-    )
+    return _expectation(q, a.dist.weights, a.phi.values)
 
 
 def agnostic_stat_query(a, q, mode="exact", rng=None, sample_size=None):
     """Answer a query against an agnostic source under the chosen mode."""
-    if mode not in MODES:
-        raise UsageError(f"oracle mode must be one of {MODES}, got {mode!r}")
-    true_value = agnostic_true_value(a, q)
-    if mode == "exact":
-        return true_value
-    if mode == "grid_adversary":
-        return float(np.round(true_value / (2 * q.tau)) * 2 * q.tau)
-    if rng is None:
-        raise UsageError(f"mode {mode!r} needs an rng")
-    if mode == "noisy":
-        return true_value + float(rng.uniform(-q.tau, q.tau))
-    if not sample_size:
-        raise UsageError("empirical mode needs a sample_size")
-    idx = rng.choice(a.dist.domain.size, size=sample_size, p=a.dist.weights)
-    labels = np.where(
-        rng.random(sample_size) < (1.0 + a.phi.values[idx]) / 2.0, 1.0, -1.0
-    )
-    if q.kind == "correlational":
-        samples = q.phi.values[idx] * labels
-    elif q.kind == "target_independent":
-        samples = q.phi.values[idx]
-    else:
-        samples = np.where(labels > 0, q.pos[idx], q.neg[idx])
-    return float(samples.mean())
+    truth = np.array([agnostic_true_value(a, q)])
+    return float(answer(truth, q.tau, mode, rng, sample_size, a._joint,
+                        lambda: _cells(q))[0])

@@ -17,9 +17,3 @@ def make_rng(master_seed, run_index=0, purpose=""):
         entropy=int(master_seed), spawn_key=(int(run_index), tag)
     )
     return np.random.Generator(np.random.Philox(ss))
-
-
-def child_rng(rng, index):
-    """Deterministic sub-stream of an existing generator, by integer index."""
-    seed = int(rng.integers(0, 2**63 - 1))
-    return make_rng(seed, run_index=index, purpose="child")

@@ -21,7 +21,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import kernels
 from .errors import QueryBudgetError, UsageError
 from .fnspace import ATOL, BoolFn, Dist, RealFn, project_unit, sign_of
 from .oracles import agnostic_stat_query, correlational, csq_decompose
@@ -173,7 +172,7 @@ def build_gpsi(alg, psi, d, budget=100_000):
             phi1, phi2 = csq_decompose(q)
             shift = float(np.dot(w, phi2.values))
         members.append(phi1)
-        alg.receive_answer(kernels.weighted_dot(psi.values, phi1.values, w) + shift)
+        alg.receive_answer(float(np.dot(psi.values * w, phi1.values)) + shift)
     members.append(sign_of(psi).as_real())
     members.append(_as_real(alg.output()))
     return ApproxSet(members, gamma=alg.tau, provenance=f"simulated:{alg.name}")
@@ -265,7 +264,7 @@ def projected_learner(gen, oracle, tau, eps, cap=None, audit_target=None,
                 f"generator claims threshold {aset.gamma}, needs >= 4*tau = {4 * tau}")
         mat = aset.matrix
         values = oracle.correlational_many(mat, tau)
-        current = kernels.weighted_many(mat, psi.values, w)
+        current = mat @ (psi.values * w)
         queries += len(aset)
         diffs = values - current
         hits = np.abs(diffs) >= 3 * tau

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from sqlab.dimensions import (
     FnSet,
     default_psi_family,
     extend_witness,
+    max_clique,
     parity_witness,
     shifted_set,
     sq_dim,
@@ -230,3 +233,32 @@ def test_duality_cover_on_maximizer(uniform3, domain3):
     d = len(ext)
     cover = sqd_upper(fs, uniform3, 1.0 / (2 * d), _half_pool(fs, ext, 1.0 / (2 * d)))
     assert cover.value <= d
+
+
+def _brute_clique(adj):
+    n = adj.shape[0]
+    for r in range(n, 0, -1):
+        for combo in itertools.combinations(range(n), r):
+            if all(adj[i, j] for i, j in itertools.combinations(combo, 2)):
+                return r
+    return 0
+
+
+def test_max_clique_matches_brute_force(rng):
+    for trial in range(25):
+        n = int(rng.integers(1, 13))
+        adj = rng.random((n, n)) < 0.5
+        adj = np.triu(adj, 1)
+        adj = adj | adj.T
+        size, verts = max_clique(adj)
+        assert size == _brute_clique(adj)
+        assert len(verts) == size
+        for i, j in itertools.combinations(verts, 2):
+            assert adj[i, j]
+
+
+def test_max_clique_edge_cases():
+    assert max_clique(np.zeros((0, 0), dtype=bool))[0] == 0
+    assert max_clique(np.zeros((1, 1), dtype=bool)) == (1, (0,))
+    full = np.ones((5, 5), dtype=bool)
+    assert max_clique(full)[0] == 5

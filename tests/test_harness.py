@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from sqlab import cli, harness
+from sqlab import cli, harness, sqcore
 from sqlab.errors import InvariantBreachError, UsageError
 
 
@@ -150,10 +150,49 @@ def test_dim_and_agnostic_runs(tmp_path):
     assert all(s["guarantee_ok"] for s in sums)
 
 
-def test_liar_oracle_trips_invariant(tmp_path):
+def test_liar_oracle_trips_invariant(tmp_path, monkeypatch):
+    oracles = []
+
+    def recording(gen, oracle, *args, **kwargs):
+        oracles.append(oracle)
+        return sqcore.projected_learner(gen, oracle, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "projected_learner", recording)
     cfg = _cfg(oracle="liar", n=3, seeds="0", out=str(tmp_path / "l"))
     with pytest.raises(InvariantBreachError, match="update-count ledger"):
         harness.run_config(cfg)
+    (oracle,) = oracles
+    # every lie is logged, so the audit sees it
+    assert oracle.mode == "liar" and oracle.query_count > 0
+    assert len(oracle.query_log) == oracle.query_count
+    assert oracle.audit() > 0
+
+
+@pytest.mark.parametrize("flag, mode, sample_size",
+                         [("noisy", "noisy", None), ("empirical:300", "empirical", 300)])
+def test_agnostic_answers_in_the_oracle_mode(monkeypatch, flag, mode, sample_size):
+    calls = []
+    answer = sqcore.agnostic_stat_query
+
+    def recording(a, q, mode="exact", rng=None, sample_size=None):
+        calls.append((mode, sample_size, rng is not None))
+        return answer(a, q, mode=mode, rng=rng, sample_size=sample_size)
+
+    monkeypatch.setattr(sqcore, "agnostic_stat_query", recording)
+    base = dict(command="agnostic", n=3, tau=0.05, seeds="0..3", out="x")
+    arts, _ = harness.run_config(_cfg(**base, oracle=flag))
+    assert calls and set(calls) == {(mode, sample_size, True)}
+    again, _ = harness.run_config(_cfg(**base, oracle=flag, workers=2))
+    assert again == arts
+
+
+def test_agnostic_rejects_the_liar_oracle(tmp_path):
+    with pytest.raises(UsageError, match="--oracle"):
+        _cfg(command="agnostic", oracle="liar")
+    out = CliRunner().invoke(
+        cli.main, ["agnostic", "--oracle", "liar", "--out", str(tmp_path / "a")])
+    assert out.exit_code == 1
+    assert "--oracle" in out.output
 
 
 def test_execute_writes_manifest_and_rerun_matches(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqlab import make_rng
 from sqlab.errors import (
@@ -10,6 +12,7 @@ from sqlab.errors import (
 )
 from sqlab.fnspace import (
     BoolFn,
+    Dist,
     Domain,
     RealFn,
     dist_random,
@@ -20,6 +23,7 @@ from sqlab.fnspace import (
     random_real_fn,
 )
 from sqlab.oracles import (
+    MODES,
     AgnosticDist,
     SQOracle,
     agnostic_stat_query,
@@ -47,6 +51,11 @@ def test_query_validation():
         correlational(phi, 0.0)
     with pytest.raises(InvalidToleranceError):
         correlational(phi, 1.5)
+    for tau in (float("nan"), 5e-324):  # a subnormal 2*tau overflows the grid
+        with pytest.raises(InvalidToleranceError):
+            correlational(phi, tau)
+        with pytest.raises(InvalidToleranceError):
+            SQOracle(target, dist).correlational_many(np.zeros((1, 8)), tau)
     with pytest.raises(UsageError):
         correlational("not a fn", 0.1)
     with pytest.raises(QueryRangeError):
@@ -135,18 +144,83 @@ def test_query_log_and_audit():
         assert rec["kind"] == "correlational" and rec["tau"] == 0.07
 
 
-def test_correlational_many_matches_single_queries():
-    domain, target, dist, rng = _setup()
-    phis = [random_real_fn(domain, rng) for _ in range(6)]
-    mat = np.stack([p.values for p in phis])
-    for mode in ("exact", "grid_adversary"):
-        batch = SQOracle(target, dist, mode=mode)
-        got = batch.correlational_many(mat, 0.04)
-        single = SQOracle(target, dist, mode=mode)
-        want = [single.query(correlational(p, 0.04)) for p in phis]
-        np.testing.assert_allclose(got, want, atol=1e-12)
-        assert batch.query_count == 6
-        assert len(batch.query_log) == 6
+@st.composite
+def _dyadic_case(draw):
+    """Target, weights a/2^K and query rows in quarters: every product and
+    partial sum is exact, so any summation order gives the same bits."""
+    n = draw(st.integers(1, 3))
+    size = 1 << n
+    units = draw(st.lists(st.integers(0, 7), min_size=size - 1, max_size=size - 1))
+    scale = 1 << sum(units).bit_length()
+    weights = np.array(units + [scale - sum(units)]) / scale
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=size, max_size=size))
+    quarters = st.integers(-4, 4).map(lambda v: v / 4)
+    rows = draw(st.lists(st.lists(quarters, min_size=size, max_size=size),
+                         min_size=1, max_size=6))
+    domain = Domain(n)
+    return BoolFn(domain, signs), Dist(domain, weights), np.array(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_dyadic_case(), tau=st.floats(0.01, 1.0), seed=st.integers(0, 2**32),
+       sample_size=st.integers(1, 50))
+def test_correlational_many_matches_single_queries(case, tau, seed, sample_size):
+    target, dist, mat = case
+    for mode in MODES:
+        batch = SQOracle(target, dist, mode=mode, seed=seed, sample_size=sample_size)
+        got = batch.correlational_many(mat, tau)
+        single = SQOracle(target, dist, mode=mode, seed=seed, sample_size=sample_size)
+        want = [single.query(correlational(RealFn(target.domain, row), tau)) for row in mat]
+        assert got.tolist() == want, mode
+        assert batch.query_count == single.query_count == len(mat)
+        assert [e.as_record() for e in batch.query_log] == \
+            [e.as_record() for e in single.query_log]
+
+
+_unit = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _float_case(draw):
+    n = draw(st.integers(1, 3))
+    size = 1 << n
+    table = st.lists(_unit, min_size=size, max_size=size).map(np.array)
+    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)
+               .filter(lambda v: sum(v) > 1e-3))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=size, max_size=size))
+    rows = draw(st.lists(table, min_size=1, max_size=4))
+    domain = Domain(n)
+    return (domain, Dist(domain, np.array(raw) / sum(raw)), BoolFn(domain, signs),
+            draw(table), rows, draw(table), draw(table))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_float_case(), tau=st.floats(np.finfo(np.float64).tiny, 1.0),
+       seed=st.integers(0, 2**32))
+def test_valid_modes_answer_within_tau_at_every_entry_point(case, tau, seed):
+    domain, dist, target, phi_a, rows, pos, neg = case
+    w = dist.weights
+    agnostic = AgnosticDist(dist, RealFn(domain, phi_a))
+    p = (1.0 + phi_a) / 2.0
+    queries = [correlational(RealFn(domain, r), tau) for r in rows]
+    queries += [target_independent(RealFn(domain, rows[0]), tau),
+                general(domain, pos, neg, tau)]
+    # E[psi(x, b)] written out per kind, for the target and for phi_A
+    truth = [float(np.sum(w * r * target.values)) for r in rows]
+    truth += [float(np.sum(w * rows[0])),
+              float(np.sum(w * np.where(target.values > 0, pos, neg)))]
+    agnostic_truth = [float(np.sum(w * r * phi_a)) for r in rows]
+    agnostic_truth += [truth[len(rows)], float(np.sum(w * (p * pos + (1 - p) * neg)))]
+    for mode in ("exact", "grid_adversary", "noisy"):
+        oracle = SQOracle(target, dist, mode=mode, seed=seed)
+        answers = oracle.correlational_many(np.array(rows), tau).tolist()
+        answers += [oracle.query(q) for q in queries]
+        rng = make_rng(seed, 0, "agnostic")
+        answers += [agnostic_stat_query(agnostic, q, mode=mode, rng=rng) for q in queries]
+        want = truth[:len(rows)] + truth + agnostic_truth
+        gaps = np.abs(np.array(answers) - np.array(want))
+        assert gaps.max() <= tau + 1e-12, (mode, gaps.max(), tau)
+        assert oracle.audit() <= 1e-12
 
 
 def test_csq_decompose_roundtrip():
