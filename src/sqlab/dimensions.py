@@ -29,9 +29,9 @@ from .errors import (
 )
 from .fnspace import (
     ATOL,
-    BoolFn,
     Domain,
     RealFn,
+    check_matrix,
     dist_uniform,
     disagreement,
     l1_distance,
@@ -44,43 +44,21 @@ SHIFT_BOUND = 2.0  # shifted class members live in [-2, 2]
 
 
 class FnSet:
-    """Ordered list of real-valued tables on a shared domain, bounded by 2."""
+    """Ordered set of real-valued functions on a shared domain, bounded by 2.
 
-    __slots__ = ("domain", "tables", "labels", "_matrix")
+    `matrix` is the only storage: a read-only (k, 2^n) table, row i the i-th
+    function; k may be 0.  `labels` name the rows in reports.
+    """
 
-    def __init__(self, domain, tables, allow_empty=False, labels=None):
-        tables = [np.asarray(t, dtype=np.float64) for t in tables]
-        if not tables and not allow_empty:
-            raise UsageError("FnSet needs at least one function")
-        for t in tables:
-            if t.shape != (domain.size,):
-                raise UsageError("table shape must match the domain")
-            if np.abs(t).max(initial=0.0) > SHIFT_BOUND + ATOL:
-                raise UsageError(f"entries must lie in [-{SHIFT_BOUND}, {SHIFT_BOUND}]")
+    __slots__ = ("domain", "matrix", "labels")
+
+    def __init__(self, domain, matrix, labels=None):
         self.domain = domain
-        self.tables = tables
-        self.labels = list(labels) if labels is not None else list(range(len(tables)))
-        self._matrix = None
-
-    @classmethod
-    def from_fns(cls, fns):
-        fns = list(fns)
-        if not fns:
-            raise UsageError("cannot infer a domain from an empty list")
-        return cls(fns[0].domain, [f.values for f in fns])
+        self.matrix = check_matrix(domain, matrix, SHIFT_BOUND)
+        self.labels = list(labels) if labels is not None else list(range(len(self.matrix)))
 
     def __len__(self):
-        return len(self.tables)
-
-    @property
-    def matrix(self):
-        if self._matrix is None:
-            self._matrix = (
-                np.stack(self.tables)
-                if self.tables
-                else np.empty((0, self.domain.size))
-            )
-        return self._matrix
+        return len(self.matrix)
 
 
 @dataclass
@@ -247,7 +225,9 @@ def sqd_lower_scaling(f, d, m, M):
     """
     if not (M >= 1 >= m > 0):
         raise UsageError(f"need M >= 1 >= m > 0, got m={m}, M={M}")
-    norms = np.sqrt(np.maximum(np.diag((f.matrix * d.weights) @ f.matrix.T), 0.0))
+    if len(f) == 0:
+        raise UsageError("sqd_lower_scaling needs a nonempty set: gamma divides by its dimension")
+    norms = np.sqrt(np.maximum((f.matrix * f.matrix) @ d.weights, 0.0))
     for i, nm in enumerate(norms):
         if nm < m - ATOL or nm > M + ATOL:
             raise NormRangeError(
@@ -272,13 +252,9 @@ def shifted_set(c, psi, d, eps):
     """
     if not 0 < eps < 1:
         raise UsageError(f"eps must be in (0, 1), got {eps}")
-    s = sign_of(psi)
-    tables, labels = [], []
-    for i, fn in enumerate(c):
-        if disagreement(fn, s, d) > eps:
-            tables.append(fn.values - psi.values)
-            labels.append(i)
-    return FnSet(psi.domain, tables, allow_empty=True, labels=labels)
+    s = sign_of(psi).values
+    far = np.flatnonzero([d.weights[row != s].sum() > eps for row in c.matrix])
+    return FnSet(psi.domain, c.matrix[far] - psi.values, labels=far.tolist())
 
 
 def sq_sdim_estimate(c, d, eps, psi_family):
@@ -308,7 +284,7 @@ def default_psi_family(c, rng, n_random=5):
     """Zero, every class member, and a few random tables -- shift candidates."""
     domain = c.domain
     family = [RealFn(domain, np.zeros(domain.size))]
-    family.extend(m.as_real() for m in c)
+    family.extend(RealFn(domain, row) for row in c.matrix)
     for _ in range(n_random):
         family.append(RealFn(domain, rng.uniform(-1.0, 1.0, domain.size)))
     return family
@@ -328,7 +304,7 @@ def parity_witness(n, k, gamma_target=None):
         raise UsageError("k must be at least 1")
     domain = Domain(n)
     uniform = dist_uniform(domain)
-    fns = []
+    rows = []
     for bits in range(1, 2 ** n):
         size = int(bin(bits).count("1"))
         if size > k:
@@ -344,8 +320,8 @@ def parity_witness(n, k, gamma_target=None):
         if abs(l1 - (1.0 - 2.0 ** (1 - size))) > ATOL:
             raise InvariantBreachError(
                 f"parity on {subset}: L1 distance {l1} != 1 - 2^(1-{size})")
-        fns.append(chi)
-    fs = FnSet.from_fns(fns)
+        rows.append(chi.values)
+    fs = FnSet(domain, rows)
     absgram = _abs_gram(fs, uniform)
     witness = list(range(len(fs)))
     _check_pairwise(absgram, witness, 1.0 / len(fs))

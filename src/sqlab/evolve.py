@@ -319,8 +319,8 @@ def sq_neighborhood(psi, eps, gpsi_builder, gamma):
     psi = _as_real(psi)
     aset = gpsi_builder(psi, eps / 4.0)
     domain = psi.domain
-    out = [project_unit(psi.values + gamma * g.values, domain) for g in aset.members]
-    out += [project_unit(psi.values - gamma * g.values, domain) for g in aset.members]
+    out = [project_unit(psi.values + gamma * g, domain) for g in aset.matrix]
+    out += [project_unit(psi.values - gamma * g, domain) for g in aset.matrix]
     out.append(sign_of(psi).as_real())
     return out
 

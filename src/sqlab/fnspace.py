@@ -61,9 +61,30 @@ class Domain:
 
 
 def _freeze(values):
-    arr = np.asarray(values, dtype=np.float64).copy()
-    arr.flags.writeable = False
+    """Read-only float64 array of `values`, copied unless it is read-only already."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.flags.writeable = False
     return arr
+
+
+def check_matrix(domain, matrix, bound):
+    """`matrix` as a read-only (k, 2^n) table of finite values in [-bound, bound].
+
+    Row i is the i-th function of a set; k may be 0.  Entries may overshoot
+    the bound by ATOL (rounding) and are kept as given.
+    """
+    mat = _freeze(matrix)
+    if mat.ndim != 2 or mat.shape[1] != domain.size:
+        raise UsageError(
+            f"function matrix has shape {mat.shape}, expected (k, {domain.size})")
+    lo, hi = mat.min(initial=0.0), mat.max(initial=0.0)
+    # min and max are NaN if any entry is, and NaN fails every comparison
+    if not -bound - ATOL <= lo <= hi <= bound + ATOL:
+        raise UsageError(f"function matrix entries must be finite and lie in "
+                         f"[-{bound}, {bound}], got [{lo:.6g}, {hi:.6g}]")
+    return mat
 
 
 class BoolFn:
@@ -111,10 +132,10 @@ class RealFn:
                 f"value table has shape {arr.shape}, expected ({domain.size},)"
             )
         over = np.abs(arr) - 1.0
-        if np.any(over > ATOL):
-            raise UsageError(
-                f"RealFn entries must lie in [-1,1]; worst overshoot {over.max():.3g}"
-            )
+        # NaN fails every comparison, so this test also rejects non-finite entries
+        if not np.all(over <= ATOL):
+            raise UsageError(f"RealFn entries must be finite and lie in [-1,1]; "
+                             f"worst overshoot {over.max():.3g}")
         arr = np.clip(arr, -1.0, 1.0)
         self.domain = domain
         self.values = _freeze(arr)
@@ -144,6 +165,8 @@ class Dist:
             raise UsageError(
                 f"weight table has shape {arr.shape}, expected ({domain.size},)"
             )
+        if not np.isfinite(arr).all():
+            raise UsageError("distribution weights must be finite")
         if np.any(arr < 0):
             raise UsageError("distribution weights must be nonnegative")
         total = arr.sum()
@@ -168,33 +191,34 @@ class Dist:
 
 
 class ConceptClass:
-    """Named, ordered, finite collection of BoolFn over one domain.
+    """Named, ordered, nonempty set of Boolean functions over one domain.
 
-    Member order is deterministic and defines tie-breaking downstream.
+    `matrix` is the only storage: a read-only (k, 2^n) table whose row i is
+    member i, every entry -1 or +1.  Indexing and iteration build the BoolFn
+    of a row on demand.  Member order is deterministic and defines
+    tie-breaking downstream.
     """
 
-    __slots__ = ("name", "members", "domain")
+    __slots__ = ("name", "domain", "matrix")
 
-    def __init__(self, name, members):
-        members = list(members)
-        if not members:
+    def __init__(self, name, domain, matrix):
+        mat = check_matrix(domain, matrix, 1.0)
+        if len(mat) == 0:
             raise UsageError("concept class must be nonempty")
-        domain = members[0].domain
-        for f in members:
-            if f.domain != domain:
-                raise DomainMismatchError("class members must share one domain")
+        if np.count_nonzero(mat == 1.0) + np.count_nonzero(mat == -1.0) != mat.size:
+            raise UsageError("concept class entries must be exactly -1 or +1")
         self.name = str(name)
-        self.members = tuple(members)
         self.domain = domain
+        self.matrix = mat
 
     def __len__(self):
-        return len(self.members)
+        return len(self.matrix)
 
     def __iter__(self):
-        return iter(self.members)
+        return (BoolFn(self.domain, row) for row in self.matrix)
 
     def __getitem__(self, i):
-        return self.members[i]
+        return BoolFn(self.domain, self.matrix[i])
 
 
 def _check_domains(d, *fns):
@@ -252,56 +276,64 @@ def _index_set(domain, T):
     return T
 
 
+# A class over {0,1}^n has one member per index set T, and member t (the
+# bitmask of T) is row t of a table whose entry at (T, x) is a product over the
+# variables i of block[i in T][x_i], mapped to +-1 by scale * product + shift.
+# The whole table is the n-fold Kronecker power of the 2x2 block.
+_CLASS_BLOCKS = {
+    # prod_{i in T}(2 x_i - 1)
+    "parities": (((1.0, 1.0), (-1.0, 1.0)), 1.0, 0.0),
+    # product 1 iff x_i = 1 for all i in T
+    "conjunctions": (((1.0, 1.0), (0.0, 1.0)), 2.0, -1.0),
+    # product 1 iff x_i = 0 for all i in T, i.e. the disjunction is false
+    "disjunctions": (((1.0, 1.0), (1.0, 0.0)), -2.0, 1.0),
+}
+
+
+def _class_table(kind, n, T=None):
+    """Read-only +-1 table of class `kind` over n variables: all 2^n members
+    in order, or (T given) the single row of index set T."""
+    block, scale, shift = _CLASS_BLOCKS[kind]
+    block = np.array(block)
+    out = np.ones((1, 1))
+    for i in range(1, n + 1):
+        # variable i goes on the high bit of both the row and the column index
+        out = np.kron(block if T is None else block[[int(i in T)]], out)
+    out *= scale
+    out += shift
+    out.flags.writeable = False
+    return out
+
+
 def make_parity(domain, T):
     """chi_T(x) = prod_{i in T}(2*x_i - 1); empty T gives the constant +1."""
-    T = _index_set(domain, T)
-    vals = np.ones(domain.size)
-    for i in T:
-        vals *= 2.0 * domain.coordinate(i) - 1.0
-    return BoolFn(domain, vals)
+    return BoolFn(domain, _class_table("parities", domain.n, _index_set(domain, T))[0])
 
 
 def make_conjunction(domain, T):
     """+1 iff x_i = 1 for all i in T; empty T gives the constant +1."""
-    T = _index_set(domain, T)
-    hit = np.ones(domain.size, dtype=bool)
-    for i in T:
-        hit &= domain.coordinate(i) == 1.0
-    return BoolFn(domain, np.where(hit, 1.0, -1.0))
+    return BoolFn(domain, _class_table("conjunctions", domain.n, _index_set(domain, T))[0])
 
 
 def make_disjunction(domain, T):
     """+1 iff x_i = 1 for some i in T; empty T gives the constant -1."""
-    T = _index_set(domain, T)
-    hit = np.zeros(domain.size, dtype=bool)
-    for i in T:
-        hit |= domain.coordinate(i) == 1.0
-    return BoolFn(domain, np.where(hit, 1.0, -1.0))
+    return BoolFn(domain, _class_table("disjunctions", domain.n, _index_set(domain, T))[0])
 
 
-def _subset(bits, n):
-    return [i + 1 for i in range(n) if bits >> i & 1]
+def _make_class(kind, n):
+    return ConceptClass(f"{kind}-{n}", Domain(n), _class_table(kind, n))
 
 
 def parity_class(n):
-    d = Domain(n)
-    return ConceptClass(
-        f"parities-{n}", [make_parity(d, _subset(t, n)) for t in range(1 << n)]
-    )
+    return _make_class("parities", n)
 
 
 def conjunction_class(n):
-    d = Domain(n)
-    return ConceptClass(
-        f"conjunctions-{n}", [make_conjunction(d, _subset(t, n)) for t in range(1 << n)]
-    )
+    return _make_class("conjunctions", n)
 
 
 def disjunction_class(n):
-    d = Domain(n)
-    return ConceptClass(
-        f"disjunctions-{n}", [make_disjunction(d, _subset(t, n)) for t in range(1 << n)]
-    )
+    return _make_class("disjunctions", n)
 
 
 def dist_uniform(domain):

@@ -24,7 +24,7 @@ from .evolve import disjunction_mutator, disjunction_params, evolve_lsq_params, 
 from .evolve import Representation
 from .fnspace import (
     MAX_N,
-    BoolFn,
+    ConceptClass,
     Domain,
     RealFn,
     conjunction_class,
@@ -135,10 +135,7 @@ def make_config(data):
                 f"dist must be uniform, random[:seed] or file:<path>, got {cfg.dist!r}")
     if "oracle" in data:
         cfg.oracle = str(data["oracle"])
-        base = cfg.oracle.split(":", 1)[0]
-        if base not in ORACLES:
-            raise UsageError(f"oracle must be one of {ORACLES}, got {cfg.oracle!r}")
-        if base == "liar" and command == "agnostic":
+        if _oracle_mode(cfg)[0] == "liar" and command == "agnostic":
             raise UsageError(
                 "--oracle liar does not apply to agnostic: its pool learner keeps "
                 "no update ledger that a lying oracle could trip")
@@ -236,16 +233,15 @@ def _build_class(cfg, domain):
     if cfg.cclass == "disjunctions":
         return disjunction_class(domain.n)
     path = cfg.cclass.split(":", 1)[1]
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append(BoolFn(domain, np.array([float(v) for v in line.split()])))
+    rows = [line.split() for line in Path(path).read_text().splitlines()
+            if line.strip() and not line.strip().startswith("#")]
     if not rows:
         raise UsageError(f"class file {path} contains no functions")
-    from .fnspace import ConceptClass
-    return ConceptClass(f"file-{Path(path).stem}", rows)
+    try:
+        mat = np.array(rows, dtype=np.float64)
+    except ValueError as e:
+        raise UsageError(f"class file {path}: {e}") from None
+    return ConceptClass(f"file-{Path(path).stem}", domain, mat)
 
 
 def _build_dist(cfg, domain, master, k):
@@ -259,9 +255,14 @@ def _build_dist(cfg, domain, master, k):
 
 
 def _oracle_mode(cfg):
-    """(mode, sample size) of the --oracle value."""
-    base, _, arg = cfg.oracle.partition(":")
-    return base, int(arg) if arg else None
+    """(mode, sample size) of the --oracle value: a mode, or empirical:<s> with s >= 1."""
+    mode, colon, arg = cfg.oracle.partition(":")
+    if mode == "empirical" and arg.isdecimal() and int(arg) >= 1:
+        return mode, int(arg)
+    if mode not in ORACLES or mode == "empirical" or colon:
+        raise UsageError(f"--oracle must be one of {ORACLES} (empirical as empirical:<s> "
+                         f"with an integer sample size s >= 1), got {cfg.oracle!r}")
+    return mode, None
 
 
 def _build_oracle(cfg, target, dist, master, k):
@@ -277,8 +278,7 @@ def _learn_one(cfg, k, master):
     dist = _build_dist(cfg, domain, master, k)
     oracle = _build_oracle(cfg, target, dist, master, k)
     gen = class_pool_generator(cclass, gamma=4 * cfg.tau)
-    hyp, trace = projected_learner(gen, oracle, cfg.tau, cfg.epsilon,
-                                   audit_target=target)
+    hyp, trace = projected_learner(gen, oracle, cfg.tau, audit_target=target)
     if trace.halt_reason == "oracle-violation":
         raise InvariantBreachError(
             "update-count ledger exhausted: accepted updates exceeded "
@@ -325,7 +325,7 @@ def _dim_one(cfg, k, master):
     domain = Domain(cfg.n)
     cclass = _build_class(cfg, domain)
     dist = _build_dist(cfg, domain, master, k)
-    fs = FnSet.from_fns(list(cclass))
+    fs = FnSet(domain, cclass.matrix)
     mode = "exact" if len(fs) <= 30 else "greedy"
     report = sq_dim(fs, dist, mode=mode)
     rec = report.as_record()
@@ -342,12 +342,12 @@ def _agnostic_one(cfg, k, master):
     dist = _build_dist(cfg, domain, master, k)
     phi = random_real_fn(domain, make_rng(master, k, "phi"))
     a = AgnosticDist(dist, phi)
-    pool = ApproxSet([m.as_real() for m in cclass], gamma=cfg.tau)
+    pool = ApproxSet(domain, cclass.matrix, gamma=cfg.tau)
     mode, sample_size = _oracle_mode(cfg)
     hyp = weak_agnostic_learner(pool, a, cfg.tau, mode=mode,
                                 rng=make_rng(master, k, "oracle"), sample_size=sample_size)
     w = dist.weights
-    best = max(abs(float(np.dot(w, m.values * phi.values))) for m in cclass)
+    best = max(abs(float(np.dot(w, row * phi.values))) for row in cclass.matrix)
     achieved = float(np.dot(w, hyp.values * phi.values))
     rec = {
         "seed": master,

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import QueryBudgetError, UsageError
-from .fnspace import ATOL, BoolFn, Dist, RealFn, project_unit, sign_of
+from .fnspace import ATOL, BoolFn, RealFn, check_matrix, project_unit, sign_of
 from .oracles import agnostic_stat_query, correlational, csq_decompose
 
 
@@ -33,39 +33,27 @@ def _as_real(fn):
 class ApproxSet:
     """Ordered set of candidate step directions, all in the unit sup-norm ball.
 
-    `gamma` is the claimed correlation threshold: for any target f outside the
-    provenance-dependent ball around sign(psi), some member g is claimed to
-    satisfy |<f - psi, g>_D| >= gamma.
+    `matrix` is the only storage: a read-only (k, 2^n) table, row i the i-th
+    direction, k >= 1.  `gamma` is the claimed correlation threshold: for any
+    target f outside the provenance-dependent ball around sign(psi), some
+    member g is claimed to satisfy |<f - psi, g>_D| >= gamma.
     """
 
-    __slots__ = ("members", "gamma", "provenance", "_matrix")
+    __slots__ = ("domain", "matrix", "gamma", "provenance")
 
-    def __init__(self, members, gamma, provenance="user"):
-        members = tuple(_as_real(m) for m in members)
-        if not members:
+    def __init__(self, domain, matrix, gamma, provenance="user"):
+        mat = check_matrix(domain, matrix, 1.0)
+        if len(mat) == 0:
             raise UsageError("ApproxSet needs at least one member")
-        dom = members[0].domain
-        if any(m.domain != dom for m in members):
-            raise UsageError("ApproxSet members must share a domain")
-        if gamma <= 0:
-            raise UsageError("gamma must be positive")
-        self.members = members
+        if not 0 < gamma < math.inf:
+            raise UsageError(f"gamma must be positive and finite, got {gamma}")
+        self.domain = domain
+        self.matrix = mat
         self.gamma = float(gamma)
         self.provenance = provenance
-        self._matrix = None
 
     def __len__(self):
-        return len(self.members)
-
-    @property
-    def domain(self):
-        return self.members[0].domain
-
-    @property
-    def matrix(self):
-        if self._matrix is None:
-            self._matrix = np.stack([m.values for m in self.members])
-        return self._matrix
+        return len(self.matrix)
 
 
 class SQAlgorithm:
@@ -103,8 +91,6 @@ class ExhaustiveCSQ(SQAlgorithm):
     name = "exhaustive-csq"
 
     def __init__(self, cclass, eps):
-        if len(cclass) == 0:
-            raise UsageError("class must be nonempty")
         if not 0 < eps < 1:
             raise UsageError(f"eps must be in (0, 1), got {eps}")
         self.cclass = cclass
@@ -153,11 +139,10 @@ def build_gpsi(alg, psi, d, budget=100_000):
     simulated answer would have been valid for f, forcing the hypothesis (a
     set member) to land within alg.epsilon of f.
     """
-    if not isinstance(psi, RealFn):
-        psi = _as_real(psi)
+    psi = _as_real(psi)
     w = d.weights
     alg.reset()
-    members = []
+    rows = []
     count = 0
     while (q := alg.next_query()) is not None:
         count += 1
@@ -167,15 +152,16 @@ def build_gpsi(alg, psi, d, budget=100_000):
             alg.receive_answer(float(np.dot(w, q.phi.values)))
             continue
         if q.kind == "correlational":
-            phi1, shift = _as_real(q.phi), 0.0
+            phi1, shift = q.phi, 0.0
         else:
             phi1, phi2 = csq_decompose(q)
             shift = float(np.dot(w, phi2.values))
-        members.append(phi1)
+        rows.append(phi1.values)
         alg.receive_answer(float(np.dot(psi.values * w, phi1.values)) + shift)
-    members.append(sign_of(psi).as_real())
-    members.append(_as_real(alg.output()))
-    return ApproxSet(members, gamma=alg.tau, provenance=f"simulated:{alg.name}")
+    rows.append(sign_of(psi).values)
+    rows.append(alg.output().values)
+    return ApproxSet(psi.domain, np.stack(rows), gamma=alg.tau,
+                     provenance=f"simulated:{alg.name}")
 
 
 def gpsi_generator(alg_factory, d, budget=100_000):
@@ -186,9 +172,9 @@ def gpsi_generator(alg_factory, d, budget=100_000):
 
 
 def class_pool_generator(pool, gamma, provenance="class-pool"):
-    """Generator closure returning a fixed pool regardless of psi."""
-    members = [_as_real(m) for m in pool]
-    aset = ApproxSet(members, gamma=gamma, provenance=provenance)
+    """Generator closure returning a fixed pool regardless of psi; the pool's
+    `matrix` (a ConceptClass's, say) is shared, not copied."""
+    aset = ApproxSet(pool.domain, pool.matrix, gamma=gamma, provenance=provenance)
     return lambda psi: aset
 
 
@@ -227,7 +213,7 @@ class LearnerTrace:
         return self.rows[-1].queries if self.rows else 0
 
 
-def projected_learner(gen, oracle, tau, eps, cap=None, audit_target=None,
+def projected_learner(gen, oracle, tau, cap=None, audit_target=None,
                       warm_start=None):
     """Iterative clamped learner driven by candidate-set generation.
 
@@ -246,12 +232,17 @@ def projected_learner(gen, oracle, tau, eps, cap=None, audit_target=None,
     """
     if not 0 < tau < 1 / 3:
         raise UsageError(f"tau must be in (0, 1/3), got {tau}")
+    try:
+        max_updates = math.ceil(1 / (3 * tau * tau))
+    except (ZeroDivisionError, OverflowError):
+        raise UsageError(
+            f"tau={tau} is too small for the update ledger ceil(1/(3*tau^2)): "
+            "3*tau^2 underflows to zero or its inverse overflows") from None
     d = oracle.dist
     w = d.weights
     psi = warm_start if warm_start is not None else RealFn(
         d.domain, np.zeros(d.domain.size))
     psi = _as_real(psi)
-    max_updates = math.ceil(1 / (3 * tau * tau))
     rounds = cap if cap is not None else max_updates + 1
     updates = 0
     queries = 0
@@ -299,13 +290,11 @@ def weak_agnostic_learner(pool, a, tau, mode="exact", rng=None, sample_size=None
     tie-break) and returns sign(v(g'))*g'.  The result h satisfies
     <h, phi_A>_D >= max_g |<g, phi_A>_D| - 2*tau for any valid answers.
     """
-    if len(pool) == 0:
-        raise UsageError("pool must be nonempty")
     values = [
-        agnostic_stat_query(a, correlational(g, tau), mode=mode, rng=rng,
-                            sample_size=sample_size)
-        for g in pool.members
+        agnostic_stat_query(a, correlational(RealFn(pool.domain, g), tau), mode=mode,
+                            rng=rng, sample_size=sample_size)
+        for g in pool.matrix
     ]
     j = int(np.argmax(np.abs(values)))
     orient = 1.0 if values[j] >= 0 else -1.0
-    return RealFn(pool.domain, orient * pool.members[j].values)
+    return RealFn(pool.domain, orient * pool.matrix[j])

@@ -25,7 +25,6 @@ from sqlab.evolve import (
 )
 from sqlab.fnspace import (
     Domain,
-    RealFn,
     conjunction_class,
     disagreement,
     dist_random,
@@ -74,11 +73,9 @@ def test_criterion_01_every_accepted_step_pays_its_potential():
                 for tau in (0.05, 0.02):
                     gen = class_pool_generator(cclass, gamma=4 * tau)
                     cap = math.ceil(1 / (3 * tau * tau))
-                    for f in cclass.members:
+                    for f in cclass:
                         orc = SQOracle(f, d, mode=mode, keep_log=False)
-                        hyp, trace = projected_learner(
-                            gen, orc, tau, 0.1, audit_target=f
-                        )
+                        hyp, trace = projected_learner(gen, orc, tau, audit_target=f)
                         runs += 1
                         assert trace.halt_reason == "converged"
                         assert trace.updates <= cap
@@ -110,10 +107,8 @@ def test_criterion_02_simulated_candidate_sets_feed_the_learner():
     for j in range(10):
         d = dist_random(domain, make_rng(100 + j, 0, "dist"))
         gen = gpsi_generator(lambda: ExhaustiveCSQ(cclass, 1.0 / 15.0), d)
-        for f in cclass.members:
-            hyp, trace = projected_learner(
-                gen, SQOracle(f, d, keep_log=False), tau=1 / 120, eps=0.1
-            )
+        for f in cclass:
+            hyp, trace = projected_learner(gen, SQOracle(f, d, keep_log=False), tau=1 / 120)
             runs += 1
             conv += trace.halt_reason == "converged"
             worst = max(worst, disagreement(f, hyp, d))
@@ -135,12 +130,12 @@ def test_criterion_03_candidate_sets_distinguish_far_targets():
         psi = random_real_fn(domain, make_rng(300 + j, 0, "psi"))
         gset = build_gpsi(alg, psi, u)
         h = sign_of(psi)
-        for f in cclass.members:
+        for f in cclass:
             if disagreement(f, h, u) > 0.1 + tau:
                 checked += 1
                 margin = max(
-                    abs(float(u.weights @ ((f.values - psi.values) * m.values)))
-                    for m in gset.members
+                    abs(float(u.weights @ ((f.values - psi.values) * m)))
+                    for m in gset.matrix
                 )
                 min_margin = min(min_margin, margin)
                 fails += margin < tau - 1e-12
@@ -156,7 +151,7 @@ def test_criterion_03_candidate_sets_distinguish_far_targets():
 def test_criterion_04_parity_dimension_is_the_whole_class():
     values = []
     for n in (1, 2, 3, 4):
-        fs = FnSet.from_fns(list(parity_class(n)))
+        fs = FnSet(Domain(n), parity_class(n).matrix)
         rep = sq_dim(fs, dist_uniform(Domain(n)))
         assert rep.certainty == "exact"
         assert rep.value == 2 ** n
@@ -276,8 +271,8 @@ def test_criterion_07_disjunction_evolution_reaches_target():
 
 
 def _half_pool(fs, idx, gamma):
-    members = [RealFn(fs.domain, row / 2.0) for row in fs.matrix[list(idx)]]
-    return ApproxSet(members, gamma=gamma, provenance="half-witness")
+    return ApproxSet(fs.domain, fs.matrix[list(idx)] / 2.0, gamma=gamma,
+                     provenance="half-witness")
 
 
 def test_criterion_08_witness_pool_covers_the_shifted_set():

@@ -18,6 +18,7 @@ from sqlab.dimensions import (
 )
 from sqlab.errors import NormRangeError, PoolInsufficientError, UsageError
 from sqlab.fnspace import (
+    ConceptClass,
     Domain,
     RealFn,
     conjunction_class,
@@ -32,8 +33,16 @@ from sqlab.sqcore import ApproxSet
 
 
 def _half_pool(fs, idx, gamma):
-    members = [RealFn(fs.domain, row / 2.0) for row in fs.matrix[list(idx)]]
-    return ApproxSet(members, gamma=gamma, provenance="half-witness")
+    return ApproxSet(fs.domain, fs.matrix[list(idx)] / 2.0, gamma=gamma,
+                     provenance="half-witness")
+
+
+def _fnset(fns):
+    return FnSet(fns[0].domain, [f.values for f in fns])
+
+
+def _one_member(cclass, i):
+    return ConceptClass(f"{cclass.name}[{i}]", cclass.domain, cclass.matrix[[i]])
 
 
 def test_fnset_validation(domain3):
@@ -42,16 +51,18 @@ def test_fnset_validation(domain3):
     with pytest.raises(UsageError):
         FnSet(domain3, [np.zeros(4)])
     with pytest.raises(UsageError):
-        FnSet(domain3, [], allow_empty=False)
-    empty = FnSet(domain3, [], allow_empty=True)
+        FnSet(domain3, np.zeros(8))  # one table, not a (k, 2^n) matrix
+    empty = FnSet(domain3, np.empty((0, 8)))
     assert len(empty) == 0 and empty.matrix.shape == (0, 8)
-    with pytest.raises(UsageError):
-        FnSet.from_fns([])
+    cclass = parity_class(3)
+    shared = FnSet(domain3, cclass.matrix)
+    assert shared.matrix is cclass.matrix and not shared.matrix.flags.writeable
 
 
 def test_sq_dim_parities_is_class_size(uniform3):
     for n in (1, 2, 3):
-        fs = FnSet.from_fns(list(parity_class(n)))
+        c = parity_class(n)
+        fs = FnSet(c.domain, c.matrix)
         rep = sq_dim(fs, dist_uniform(Domain(n)))
         assert rep.value == 2**n
         assert rep.certainty == "exact"
@@ -60,16 +71,16 @@ def test_sq_dim_parities_is_class_size(uniform3):
 
 def test_sq_dim_trivial_sets(domain3, uniform3):
     f = random_bool_fn(domain3, make_rng(1, 0, "f"))
-    single = FnSet.from_fns([f])
+    single = _fnset([f])
     assert sq_dim(single, uniform3).value == 1
-    dup = FnSet.from_fns([f, f])
+    dup = _fnset([f, f])
     assert sq_dim(dup, uniform3).value == 1  # |<f,f>| = 1 > 1/2
 
 
 def test_sq_dim_negation_invariance(domain3, uniform3):
     fns = list(parity_class(3))[:5]
-    a = sq_dim(FnSet.from_fns(fns), uniform3).value
-    b = sq_dim(FnSet.from_fns([-f for f in fns]), uniform3).value
+    a = sq_dim(_fnset(fns), uniform3).value
+    b = sq_dim(_fnset([-f for f in fns]), uniform3).value
     assert a == b
 
 
@@ -77,7 +88,7 @@ def test_sq_dim_greedy_never_exceeds_exact(uniform3, domain3):
     rng = make_rng(2, 0, "f")
     for _ in range(10):
         fns = [random_bool_fn(domain3, rng) for _ in range(8)]
-        fs = FnSet.from_fns(fns)
+        fs = _fnset(fns)
         exact = sq_dim(fs, uniform3, mode="exact")
         greedy = sq_dim(fs, uniform3, mode="greedy")
         assert greedy.value <= exact.value
@@ -88,12 +99,12 @@ def test_sq_dim_exact_cap(uniform3, domain3):
     rng = make_rng(3, 0, "f")
     fns = [random_bool_fn(domain3, rng) for _ in range(31)]
     with pytest.raises(UsageError):
-        sq_dim(FnSet.from_fns(fns), uniform3, mode="exact")
-    sq_dim(FnSet.from_fns(fns), uniform3, mode="greedy")  # no cap
+        sq_dim(_fnset(fns), uniform3, mode="exact")
+    sq_dim(_fnset(fns), uniform3, mode="greedy")  # no cap
 
 
-def test_extend_witness_is_inclusion_maximal(uniform3):
-    fs = FnSet.from_fns(list(conjunction_class(3)))
+def test_extend_witness_is_inclusion_maximal(domain3, uniform3):
+    fs = FnSet(domain3, conjunction_class(3).matrix)
     rep = sq_dim(fs, uniform3)
     thr = 1.0 / rep.value
     ext = extend_witness(fs, uniform3, rep.witness, thr)
@@ -106,26 +117,27 @@ def test_extend_witness_is_inclusion_maximal(uniform3):
         assert any(absgram[j, c] > thr for c in ext)
 
 
-def test_sqd_upper_parities_cover_only_themselves(uniform3):
-    fs = FnSet.from_fns(list(parity_class(3)))
-    pool = ApproxSet([f.as_real() for f in parity_class(3)], gamma=0.5)
+def test_sqd_upper_parities_cover_only_themselves(domain3, uniform3):
+    parities = parity_class(3)
+    fs = FnSet(domain3, parities.matrix)
+    pool = ApproxSet(domain3, parities.matrix, gamma=0.5)
     rep = sqd_upper(fs, uniform3, 0.5, pool)
     assert rep.value == len(fs)  # orthogonal members: one pool fn each
-    rep1 = sqd_upper(FnSet.from_fns([parity_class(3)[3]]), uniform3, 0.5, pool)
+    rep1 = sqd_upper(_fnset([parities[3]]), uniform3, 0.5, pool)
     assert rep1.value == 1
 
 
 def test_sqd_upper_insufficient_pool(domain3, uniform3):
-    fs = FnSet.from_fns(list(parity_class(3))[:4])
-    blind = ApproxSet([RealFn(domain3, np.zeros(8))], gamma=0.5)
+    fs = FnSet(domain3, parity_class(3).matrix[:4])
+    blind = ApproxSet(domain3, np.zeros((1, 8)), gamma=0.5)
     with pytest.raises(PoolInsufficientError):
         sqd_upper(fs, uniform3, 0.5, blind)
     with pytest.raises(UsageError):
         sqd_upper(fs, uniform3, 0.0, blind)
 
 
-def test_sqd_lower_scaling_boolean_example(uniform3):
-    fs = FnSet.from_fns(list(parity_class(3)))
+def test_sqd_lower_scaling_boolean_example(domain3, uniform3):
+    fs = FnSet(domain3, parity_class(3).matrix)
     rep = sqd_lower_scaling(fs, uniform3, 1.0, 1.0)
     # base dim 8, unit norms: bound = 8^(1/3)/2 = 1, at gamma = 1/2
     assert rep.value == 1
@@ -140,6 +152,11 @@ def test_sqd_lower_scaling_norm_validation(domain3, uniform3):
         sqd_lower_scaling(small, uniform3, 0.9, 1.0)
     with pytest.raises(UsageError):
         sqd_lower_scaling(small, uniform3, 0.5, 0.9)  # M < 1
+    # no parity is more than 1/2-far from sign(0) = +1: the shifted set is empty
+    empty = shifted_set(parity_class(3), RealFn(domain3, np.zeros(8)), uniform3, 0.9)
+    assert len(empty) == 0
+    with pytest.raises(UsageError, match="nonempty"):
+        sqd_lower_scaling(empty, uniform3, 0.5, 1.0)
 
 
 def test_shifted_set_zero_psi_keeps_far_members(domain3, uniform3):
@@ -149,12 +166,12 @@ def test_shifted_set_zero_psi_keeps_far_members(domain3, uniform3):
     # every nonconstant parity is 1/2-far from sign(0) = +1; chi_empty is not
     assert len(fs) == 7
     assert 0 not in fs.labels
-    np.testing.assert_array_equal(fs.matrix, np.stack([f.values for f in cclass[1:]]))
+    np.testing.assert_array_equal(fs.matrix, cclass.matrix[1:] - zero.values)
 
 
 def test_shifted_set_self_psi_is_empty(domain3, uniform3):
     cclass = parity_class(3)
-    fs = shifted_set([cclass[3]], cclass[3].as_real(), uniform3, 0.1)
+    fs = shifted_set(_one_member(cclass, 3), cclass[3].as_real(), uniform3, 0.1)
     assert len(fs) == 0
     assert sq_dim(fs, uniform3).value == 0
 
@@ -189,7 +206,7 @@ def test_sq_sdim_estimate_monotone_in_family(domain3, uniform3):
     big = sq_sdim_estimate(cclass, uniform3, 0.1, family)
     assert big.value >= small.value
     assert big.params["family_size"] == len(family)
-    single = sq_sdim_estimate([cclass[3]], uniform3, 0.1, [cclass[3].as_real()])
+    single = sq_sdim_estimate(_one_member(cclass, 3), uniform3, 0.1, [cclass[3].as_real()])
     assert single.value == 0 and single.params["psi_index"] is None
 
 

@@ -316,7 +316,7 @@ def test_sq_neighborhood_size_and_membership(domain3, uniform3):
     aset = builder(psi, 0.05)
     assert len(out) == 2 * len(aset) + 1
     np.testing.assert_array_equal(
-        out[0].values, np.clip(psi.values + 0.05 * aset.members[0].values, -1, 1)
+        out[0].values, np.clip(psi.values + 0.05 * aset.matrix[0], -1, 1)
     )
     np.testing.assert_array_equal(out[-1].values, np.where(psi.values >= 0, 1.0, -1.0))
 

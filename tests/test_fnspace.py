@@ -1,9 +1,13 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqlab import make_rng
+from sqlab.dimensions import FnSet
 from sqlab.errors import DomainMismatchError, UsageError
 from sqlab.fnspace import (
     BoolFn,
@@ -33,6 +37,7 @@ from sqlab.fnspace import (
     real_fn_from_text,
     sign_of,
 )
+from sqlab.sqcore import ApproxSet
 
 
 def test_domain_bitstring_roundtrip():
@@ -163,6 +168,68 @@ def test_class_constructors_sizes():
         assert len(disjunction_class(n)) == 2**n
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_class_builders_match_their_definitions(n):
+    # member t is the index set T = {i : bit i-1 of t is set}; x_i is bit i-1 of p
+    d = Domain(n)
+    x = [[(p >> (i - 1)) & 1 for i in range(1, n + 1)] for p in range(d.size)]
+    builders = (
+        (parity_class, make_parity,
+         lambda xs, T: math.prod(2 * xs[i - 1] - 1 for i in T)),
+        (conjunction_class, make_conjunction,
+         lambda xs, T: 1 if all(xs[i - 1] == 1 for i in T) else -1),
+        (disjunction_class, make_disjunction,
+         lambda xs, T: 1 if any(xs[i - 1] == 1 for i in T) else -1),
+    )
+    for build_class, build_member, value in builders:
+        subsets = [[i for i in range(1, n + 1) if t >> (i - 1) & 1] for t in range(d.size)]
+        want = np.array([[value(xs, T) for xs in x] for T in subsets], dtype=np.float64)
+        got = build_class(n).matrix
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        for T, row in zip(subsets, want):
+            assert build_member(d, T).values.tobytes() == row.tobytes()
+
+
+def _text(table):
+    d = Domain(3)
+    return "".join(f"{d.bitstring(p)} {float(v)!r}\n" for p, v in enumerate(table))
+
+
+def _pm1(t):
+    return np.where(t < 0, -1.0, 1.0)
+
+
+def _weights(t):
+    return (np.abs(t) + 1.0) / (np.abs(t) + 1.0).sum()
+
+
+# name -> (valid table made from a draw in [-1, 1]^8, constructor of that table)
+_TABLE_CONSTRUCTORS = {
+    "Dist": (_weights, lambda t: Dist(Domain(3), t)),
+    "dist_from_text": (_weights, lambda t: dist_from_text(_text(t))),
+    "RealFn": (lambda t: t, lambda t: RealFn(Domain(3), t)),
+    "real_fn_from_text": (lambda t: t, lambda t: real_fn_from_text(_text(t))),
+    "BoolFn": (_pm1, lambda t: BoolFn(Domain(3), t)),
+    "ConceptClass": (_pm1, lambda t: ConceptClass("c", Domain(3), [t])),
+    "ApproxSet": (lambda t: t, lambda t: ApproxSet(Domain(3), [t], gamma=0.1)),
+    "FnSet": (lambda t: 2 * t, lambda t: FnSet(Domain(3), [t])),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(_TABLE_CONSTRUCTORS)),
+       draw=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+       where=st.integers(0, 7), bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_constructors_reject_non_finite_values(name, draw, where, bad):
+    valid, construct = _TABLE_CONSTRUCTORS[name]
+    table = valid(np.array(draw))
+    construct(table)
+    table[where] = bad
+    with pytest.raises(UsageError):
+        construct(table)
+
+
 def test_parity_multiplication_group(uniform3, domain3):
     # chi_S * chi_T = chi_{S xor T}; distinct parities are orthogonal under uniform
     subsets = [frozenset(s) for r in range(4) for s in itertools.combinations((1, 2, 3), r)]
@@ -174,14 +241,18 @@ def test_parity_multiplication_group(uniform3, domain3):
         assert inner_product(a, b, uniform3) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_concept_class_rejects_empty_and_mixed_domains():
+def test_concept_class_rejects_empty_and_mixed_domains(domain3):
     with pytest.raises(UsageError):
-        ConceptClass("empty", [])
-    with pytest.raises(DomainMismatchError):
-        ConceptClass(
-            "mixed",
-            [BoolFn(Domain(2), np.ones(4)), BoolFn(Domain(3), np.ones(8))],
-        )
+        ConceptClass("empty", domain3, np.empty((0, 8)))
+    # rows over another domain: a matrix of the wrong width
+    with pytest.raises(UsageError):
+        ConceptClass("mixed", domain3, np.ones((2, 4)))
+    with pytest.raises(UsageError):
+        ConceptClass("real", domain3, np.full((2, 8), 0.5))  # not +-1
+    cclass = ConceptClass("two", domain3, [np.ones(8), -np.ones(8)])
+    assert len(cclass) == 2 and not cclass.matrix.flags.writeable
+    assert cclass[1] == BoolFn(domain3, -np.ones(8))
+    assert [f.values.tolist() for f in cclass] == cclass.matrix.tolist()
 
 
 def test_dist_random_deterministic(domain3):

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from sqlab import cli, harness, sqcore
 from sqlab.errors import InvariantBreachError, UsageError
+from sqlab.fnspace import parity_class
 
 
 def _cfg(**kw):
@@ -150,6 +151,28 @@ def test_dim_and_agnostic_runs(tmp_path):
     assert all(s["guarantee_ok"] for s in sums)
 
 
+def test_class_file_runs_like_the_builtin_class(tmp_path):
+    rows = [" ".join(f"{v:g}" for v in row) for row in parity_class(3).matrix]
+    good = tmp_path / "par3.txt"
+    good.write_text("# the parities on 3 variables\n\n" + "\n".join(rows) + "\n")
+    builtin, _ = harness.run_config(_cfg(command="dim", cclass="parities", n=3, out="x"))
+    from_file, _ = harness.run_config(_cfg(command="dim", cclass=f"file:{good}", n=3, out="x"))
+    assert from_file == builtin
+    for name, text in (
+        ("empty", "# no functions\n"),
+        ("word", rows[0].replace("1", "one", 1) + "\n"),
+        ("ragged", rows[0] + "\n" + rows[1] + " 1\n"),
+        ("real", rows[0].replace("1", "0.5", 1) + "\n"),
+        ("wide", rows[0] + "\n"),  # 8 values, but n = 2 has 4 points
+    ):
+        bad = tmp_path / f"{name}.txt"
+        bad.write_text(text)
+        out = CliRunner().invoke(cli.main, ["dim", "--class", f"file:{bad}", "--n",
+                                            "2" if name == "wide" else "3",
+                                            "--out", str(tmp_path / "o")])
+        assert out.exit_code == 1 and isinstance(out.exception, SystemExit), name
+
+
 def test_liar_oracle_trips_invariant(tmp_path, monkeypatch):
     oracles = []
 
@@ -195,6 +218,19 @@ def test_agnostic_rejects_the_liar_oracle(tmp_path):
     assert "--oracle" in out.output
 
 
+@pytest.mark.parametrize("flag", [
+    "empirical:abc", "empirical:-3", "empirical:0", "empirical:", "empirical",
+    "exact:5", "liar:3", "noisy:1", "grid_adversary:2", "psychic",
+])
+def test_oracle_flag_is_validated_at_the_boundary(tmp_path, flag):
+    for command in ("learn", "agnostic"):
+        out = CliRunner().invoke(
+            cli.main, [command, "--n", "3", "--oracle", flag, "--out", str(tmp_path / "o")])
+        assert out.exit_code == 1, out.output
+        assert isinstance(out.exception, SystemExit)  # a usage error, not a traceback
+        assert "usage error" in out.output and "--oracle" in out.output
+
+
 def test_execute_writes_manifest_and_rerun_matches(tmp_path):
     out1 = tmp_path / "a"
     cfg = harness.make_config(
@@ -224,6 +260,10 @@ def test_cli_exit_codes(tmp_path):
     assert "halt=converged" in ok.output
     usage = runner.invoke(cli.main, ["learn", "--n", "25"])
     assert usage.exit_code == 1
+    # 3*tau^2 underflows to 0: no finite update ledger
+    tiny = runner.invoke(cli.main, ["learn", "--tau", "1e-200", "--out", str(tmp_path / "t")])
+    assert tiny.exit_code == 1 and isinstance(tiny.exception, SystemExit)
+    assert "tau" in tiny.output and "ledger" in tiny.output
     liar = runner.invoke(
         cli.main,
         ["learn", "--oracle", "liar", "--out", str(tmp_path / "liar")],

@@ -8,7 +8,6 @@ from sqlab.errors import QueryBudgetError, UsageError
 from sqlab.fnspace import (
     BoolFn,
     ConceptClass,
-    Domain,
     RealFn,
     conjunction_class,
     disagreement,
@@ -37,17 +36,24 @@ from sqlab.sqcore import (
 )
 
 
+def _single(f):
+    return ConceptClass("single", f.domain, [f.values])
+
+
 def test_approx_set_validation(domain3):
     with pytest.raises(UsageError):
-        ApproxSet([], gamma=0.1)
-    f = RealFn(domain3, np.zeros(8))
+        ApproxSet(domain3, np.empty((0, 8)), gamma=0.1)
+    f = np.zeros(8)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(UsageError):
+            ApproxSet(domain3, [f], gamma=bad)
     with pytest.raises(UsageError):
-        ApproxSet([f], gamma=0.0)
-    g = RealFn(Domain(2), np.zeros(4))
+        ApproxSet(domain3, np.zeros((2, 4)), gamma=0.1)  # rows over another domain
     with pytest.raises(UsageError):
-        ApproxSet([f, g], gamma=0.1)
-    aset = ApproxSet([f, -f], gamma=0.25, provenance="demo")
+        ApproxSet(domain3, np.full((1, 8), 1.5), gamma=0.1)  # outside the unit ball
+    aset = ApproxSet(domain3, [f, -f], gamma=0.25, provenance="demo")
     assert len(aset) == 2 and aset.matrix.shape == (2, 8)
+    assert not aset.matrix.flags.writeable
 
 
 def test_exhaustive_csq_recovers_every_target(domain3, uniform3):
@@ -61,10 +67,12 @@ def test_exhaustive_csq_recovers_every_target(domain3, uniform3):
 
 
 def test_exhaustive_csq_tie_breaks_to_first_index(domain3, uniform3):
-    f = make_parity(domain3, [1])
-    dup = ConceptClass("dup", [f, f, make_parity(domain3, [2])])
-    h = run_with_oracle(ExhaustiveCSQ(dup, 0.1), SQOracle(f, uniform3))
-    assert h is dup[0]
+    # chi_1 and chi_2 both score 0 against chi_{1,2}: the first one wins
+    f = make_parity(domain3, [1, 2])
+    rows = [make_parity(domain3, [1]).values, make_parity(domain3, [2]).values]
+    tie = ConceptClass("tie", domain3, rows)
+    h = run_with_oracle(ExhaustiveCSQ(tie, 0.1), SQOracle(f, uniform3))
+    assert h == tie[0] and h != tie[1]
 
 
 def test_build_gpsi_size_and_order(domain3, uniform3):
@@ -76,9 +84,8 @@ def test_build_gpsi_size_and_order(domain3, uniform3):
     assert len(aset) == len(cclass) + 2
     assert aset.gamma == alg.tau
     assert aset.provenance == "simulated:exhaustive-csq"
-    for g, c in zip(aset.members, cclass):
-        np.testing.assert_array_equal(g.values, c.values)
-    np.testing.assert_array_equal(aset.members[-2].values, sign_of(psi).values)
+    np.testing.assert_array_equal(aset.matrix[:-2], cclass.matrix)
+    np.testing.assert_array_equal(aset.matrix[-2], sign_of(psi).values)
 
 
 def test_build_gpsi_respects_budget(domain3, uniform3):
@@ -122,9 +129,9 @@ def test_build_gpsi_distinguishing_margin(domain3, uniform3):
 
 def test_projected_learner_singleton_generator(domain3, uniform3):
     f = random_bool_fn(domain3, make_rng(4, 0, "f"))
-    gen = class_pool_generator([f], gamma=1.0)
+    gen = class_pool_generator(_single(f), gamma=1.0)
     orc = SQOracle(f, uniform3)
-    hyp, trace = projected_learner(gen, orc, tau=0.05, eps=0.1, audit_target=f)
+    hyp, trace = projected_learner(gen, orc, tau=0.05, audit_target=f)
     assert trace.halt_reason == "converged"
     assert trace.updates == 1  # one jump to the target, then no margin left
     assert disagreement(hyp, f, uniform3) == 0.0
@@ -134,14 +141,18 @@ def test_projected_learner_singleton_generator(domain3, uniform3):
 
 def test_projected_learner_tau_and_claim_validation(domain3, uniform3):
     f = random_bool_fn(domain3, make_rng(5, 0, "f"))
-    gen = class_pool_generator([f], gamma=1.0)
+    gen = class_pool_generator(_single(f), gamma=1.0)
     orc = SQOracle(f, uniform3)
-    for bad in (0.0, 1 / 3, 0.5):
+    for bad in (0.0, 1 / 3, 0.5, math.nan):
         with pytest.raises(UsageError):
-            projected_learner(gen, orc, tau=bad, eps=0.1)
-    weak = class_pool_generator([f], gamma=0.1)
+            projected_learner(gen, orc, tau=bad)
+    # 3*tau^2 underflows to 0, or its inverse overflows: no finite ledger
+    for tiny in (1e-200, 1e-160):
+        with pytest.raises(UsageError, match="ledger"):
+            projected_learner(gen, orc, tau=tiny)
+    weak = class_pool_generator(_single(f), gamma=0.1)
     with pytest.raises(UsageError):
-        projected_learner(weak, orc, tau=0.05, eps=0.1)  # claims 0.1 < 4*tau
+        projected_learner(weak, orc, tau=0.05)  # claims 0.1 < 4*tau
 
 
 def test_projected_learner_iteration_cap(domain3, uniform3):
@@ -149,7 +160,7 @@ def test_projected_learner_iteration_cap(domain3, uniform3):
     f = cclass[5]
     gen = class_pool_generator(cclass, gamma=0.2)
     orc = SQOracle(f, uniform3)
-    hyp, trace = projected_learner(gen, orc, tau=0.05, eps=0.1, cap=1)
+    hyp, trace = projected_learner(gen, orc, tau=0.05, cap=1)
     assert trace.halt_reason == "iteration-cap"
     assert len(trace.rows) == 1
 
@@ -161,10 +172,11 @@ def test_projected_learner_trace_replay(domain3):
     f = cclass[3]
     tau = 0.02
     gen = class_pool_generator(cclass, gamma=4 * tau)
-    hyp, trace = projected_learner(gen, SQOracle(f, dist), tau, 0.1, audit_target=f)
+    hyp, trace = projected_learner(gen, SQOracle(f, dist), tau, audit_target=f)
     assert trace.halt_reason == "converged"
     psi = np.zeros(8)
     mat = gen(None).matrix
+    assert mat is cclass.matrix  # the pool shares the class's matrix
     for row in trace.rows:
         pot = float(np.dot(dist.weights, (f.values - psi) ** 2))
         assert row.potential == pytest.approx(pot, abs=1e-12)
@@ -189,7 +201,7 @@ def test_projected_learner_flags_lying_oracle(domain3, uniform3):
     cclass = conjunction_class(3)
     gen = class_pool_generator(cclass, gamma=0.2)
     orc = Liar(cclass[0], uniform3, keep_log=False)
-    hyp, trace = projected_learner(gen, orc, tau=0.05, eps=0.1)
+    hyp, trace = projected_learner(gen, orc, tau=0.05)
     assert trace.halt_reason == "oracle-violation"
     assert trace.updates == math.ceil(1 / (3 * 0.05**2)) + 1
 
@@ -199,20 +211,19 @@ def test_gpsi_generator_learns_conjunctions(domain3, uniform3):
     eps_alg = 1 / 15
     gen = gpsi_generator(lambda: ExhaustiveCSQ(cclass, eps_alg), uniform3)
     f = cclass[4]
-    hyp, trace = projected_learner(gen, SQOracle(f, uniform3), tau=1 / 120, eps=0.1)
+    hyp, trace = projected_learner(gen, SQOracle(f, uniform3), tau=1 / 120)
     assert trace.halt_reason == "converged"
     assert disagreement(hyp, f, uniform3) <= 0.1
 
 
 def test_weak_agnostic_learner_guarantee(domain3, uniform3):
-    pool = ApproxSet([g.as_real() for g in parity_class(3)], gamma=0.05)
+    parities = parity_class(3)
+    pool = ApproxSet(domain3, parities.matrix, gamma=0.05)
     rng = make_rng(7, 0, "agn")
     for _ in range(10):
         phi_a = random_real_fn(domain3, rng)
         a = AgnosticDist(uniform3, phi_a)
-        best = max(
-            abs(inner_product(g, phi_a, uniform3)) for g in pool.members
-        )
+        best = max(abs(inner_product(g, phi_a, uniform3)) for g in parities)
         for mode in ("exact", "grid_adversary"):
             h = weak_agnostic_learner(pool, a, tau=0.05, mode=mode)
             got = inner_product(h, phi_a, uniform3)
@@ -221,7 +232,7 @@ def test_weak_agnostic_learner_guarantee(domain3, uniform3):
 
 def test_weak_agnostic_learner_orients_by_sign(domain3, uniform3):
     chi = make_parity(domain3, [1, 3])
-    pool = ApproxSet([g.as_real() for g in parity_class(3)], gamma=0.05)
+    pool = ApproxSet(domain3, parity_class(3).matrix, gamma=0.05)
     a = AgnosticDist(uniform3, RealFn(domain3, -0.5 * chi.values))
     h = weak_agnostic_learner(pool, a, tau=0.05)
     np.testing.assert_array_equal(h.values, -chi.values)
