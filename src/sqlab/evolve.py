@@ -209,14 +209,7 @@ class GenRow:
     neut_count: int
 
     def as_record(self):
-        return {
-            "generation": self.generation,
-            "true_perf": self.true_perf,
-            "empirical_perf": self.empirical_perf,
-            "outcome": self.outcome,
-            "bene_count": self.bene_count,
-            "neut_count": self.neut_count,
-        }
+        return dict(vars(self))   # the fields, in order; asdict is slow per generation
 
 
 class EvolutionTrace:

@@ -17,7 +17,7 @@ comes from ``answer``, in one of these modes:
   update-count ledger, and the audit of its log shows the lie.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -168,13 +168,7 @@ class LogEntry:
     probabilistic: bool = False
 
     def as_record(self):
-        return {
-            "kind": self.kind,
-            "tau": self.tau,
-            "value": self.value,
-            "true_value": self.true_value,
-            "probabilistic": self.probabilistic,
-        }
+        return asdict(self)
 
 
 class SQOracle:
@@ -193,8 +187,9 @@ class SQOracle:
         self.mode = mode
         self.sample_size = sample_size
         self.keep_log = keep_log
-        self.query_log = []
         self.query_count = 0
+        self._batches = []      # (kind, tau, answers, truths) of each logged call
+        self._last_batch = None  # (matrix, truths) of the last read-only batch matrix
         self._rng = make_rng(seed, purpose="oracle")
         self._joint = _joint(dist.weights, target.values)
         # rejects a bad mode or a missing sample size now, not at the first query
@@ -207,11 +202,15 @@ class SQOracle:
     def _log(self, kind, tau, values, truth):
         self.query_count += len(values)
         if self.keep_log:
-            probabilistic = self.mode == "empirical"
-            self.query_log.extend(
-                LogEntry(kind, tau, float(v), float(t), probabilistic)
-                for v, t in zip(values, truth)
-            )
+            self._batches.append((kind, tau, np.array(values), truth))
+
+    @property
+    def query_log(self):
+        """One LogEntry per answered query, in answer order (built on each access)."""
+        probabilistic = self.mode == "empirical"
+        return [LogEntry(kind, tau, float(v), float(t), probabilistic)
+                for kind, tau, values, truth in self._batches
+                for v, t in zip(values, truth)]
 
     def query(self, q):
         truth = np.array([true_query_value(q, self.target, self.dist)])
@@ -225,21 +224,26 @@ class SQOracle:
         Counts, logs and draws randomness exactly as len(mat) single
         correlational queries would; the true values are summed in another
         order, so they can differ from single answers in the last bits.
+
+        A read-only `mat` (a function set's) is taken not to change: its true
+        values are reused while the next batches ask about the same matrix.
         """
         _check_tau(tau)
-        truth = mat @ (self.target.values * self.dist.weights)
+        if self._last_batch is not None and self._last_batch[0] is mat:
+            truth = self._last_batch[1]
+        else:
+            truth = mat @ (self.target.values * self.dist.weights)
+            truth.flags.writeable = False
+            self._last_batch = None if mat.flags.writeable else (mat, truth)
         values = self._answer(truth, tau, lambda: np.hstack([mat, -mat]))
         self._log("correlational", tau, values, truth)
         return values
 
     def audit(self):
-        """Max |answer - truth| over all non-probabilistic logged queries."""
-        gaps = [
-            abs(e.value - e.true_value) - e.tau
-            for e in self.query_log
-            if not e.probabilistic
-        ]
-        return max(gaps, default=float("-inf"))
+        """Max |answer - truth| - tau over all non-probabilistic logged queries."""
+        return max((float(np.max(np.abs(values - truth))) - tau
+                    for _, tau, values, truth in self._batches
+                    if len(values) and self.mode != "empirical"), default=float("-inf"))
 
 
 class AgnosticDist:

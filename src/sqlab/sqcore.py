@@ -16,7 +16,7 @@
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -166,9 +166,7 @@ def build_gpsi(alg, psi, d, budget=100_000):
 
 def gpsi_generator(alg_factory, d, budget=100_000):
     """Generator closure: psi -> distinguishing set via a fresh algorithm run."""
-    def gen(psi):
-        return build_gpsi(alg_factory(), psi, d, budget=budget)
-    return gen
+    return lambda psi: build_gpsi(alg_factory(), psi, d, budget=budget)
 
 
 def class_pool_generator(pool, gamma, provenance="class-pool"):
@@ -187,12 +185,7 @@ class TraceRow:
     queries: int
 
     def as_record(self):
-        return {
-            "iteration": self.iteration,
-            "gamma": self.gamma,
-            "potential": self.potential,
-            "queries": self.queries,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "chosen"}
 
 
 class LearnerTrace:
@@ -211,6 +204,22 @@ class LearnerTrace:
     @property
     def queries(self):
         return self.rows[-1].queries if self.rows else 0
+
+
+def _first_hit(mat, values, v, threshold):
+    """(j, gamma) for the first row j with |gamma = values[j] - mat[j] @ v| >=
+    threshold, else (None, None).  Rows go in doubling blocks, so a hit at row
+    j reads about 2j + 64 rows; blocks start at multiples of 64, so a BLAS that
+    sums rows in groups sees the groups of one full product, bit for bit.
+    """
+    lo, size = 0, 64
+    while lo < len(mat):
+        diffs = values[lo:lo + size] - mat[lo:lo + size] @ v
+        hits = np.flatnonzero(np.abs(diffs) >= threshold)
+        if hits.size:
+            return lo + int(hits[0]), float(diffs[hits[0]])
+        lo, size = lo + size, 2 * size
+    return None, None
 
 
 def projected_learner(gen, oracle, tau, cap=None, audit_target=None,
@@ -255,19 +264,15 @@ def projected_learner(gen, oracle, tau, cap=None, audit_target=None,
                 f"generator claims threshold {aset.gamma}, needs >= 4*tau = {4 * tau}")
         mat = aset.matrix
         values = oracle.correlational_many(mat, tau)
-        current = mat @ (psi.values * w)
         queries += len(aset)
-        diffs = values - current
-        hits = np.abs(diffs) >= 3 * tau
+        j, gamma_i = _first_hit(mat, values, psi.values * w, 3 * tau)
         potential = None
         if audit_target is not None:
             potential = float(np.dot(w, (audit_target.values - psi.values) ** 2))
-        if not hits.any():
+        if j is None:
             rows.append(TraceRow(i, None, None, potential, queries))
             halt = "converged"
             break
-        j = int(np.argmax(hits))
-        gamma_i = float(diffs[j])
         rows.append(TraceRow(i, j, gamma_i, potential, queries))
         psi = project_unit(psi.values + gamma_i * mat[j], d.domain)
         updates += 1

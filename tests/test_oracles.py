@@ -144,6 +144,38 @@ def test_query_log_and_audit():
         assert rec["kind"] == "correlational" and rec["tau"] == 0.07
 
 
+
+def test_batch_truth_reused_only_for_a_read_only_matrix():
+    domain, target, dist, rng = _setup()
+    mat = rng.uniform(-1, 1, (5, domain.size))
+    frozen = mat.copy()
+    frozen.flags.writeable = False
+    orc = SQOracle(target, dist)
+    first = orc.correlational_many(frozen, 0.1)
+    np.testing.assert_array_equal(orc.correlational_many(frozen, 0.1), first)
+    assert orc.query_count == 10 and len(orc.query_log) == 10
+    # a writeable matrix may change between batches, so its truth is recomputed
+    orc.correlational_many(mat, 0.1)
+    mat[0] = -mat[0]
+    assert orc.correlational_many(mat, 0.1)[0] == pytest.approx(-first[0], abs=1e-12)
+    assert orc.audit() <= 1e-12
+
+
+def test_audit_is_the_worst_logged_gap():
+    domain, target, dist, rng = _setup()
+    mat = rng.uniform(-1, 1, (6, domain.size))
+    for mode in ("exact", "grid_adversary", "noisy", "liar"):
+        orc = SQOracle(target, dist, mode=mode, seed=2)
+        orc.correlational_many(mat, 0.05)
+        orc.query(correlational(RealFn(domain, mat[0]), 0.2))
+        orc.correlational_many(mat[:0], 0.3)
+        want = max(abs(e.value - e.true_value) - e.tau for e in orc.query_log)
+        assert orc.audit() == want, mode
+    orc = SQOracle(target, dist, mode="empirical", seed=2, sample_size=5)
+    orc.correlational_many(mat, 0.05)
+    assert orc.audit() == float("-inf")
+    assert all(e.probabilistic for e in orc.query_log)
+
 @st.composite
 def _dyadic_case(draw):
     """Target, weights a/2^K and query rows in quarters: every product and

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqlab import make_rng
 from sqlab.errors import QueryBudgetError, UsageError
@@ -30,6 +32,7 @@ from sqlab.sqcore import (
     class_pool_generator,
     exhaustive_csq_learner,
     gpsi_generator,
+    _first_hit,
     projected_learner,
     run_with_oracle,
     weak_agnostic_learner,
@@ -191,6 +194,24 @@ def test_projected_learner_trace_replay(domain3):
         psi = np.clip(psi + row.gamma * mat[row.chosen], -1.0, 1.0)
     np.testing.assert_array_equal(sign_of(project_unit(psi, domain3)).values, hyp.values)
 
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(1, 300), hit=st.one_of(st.none(), st.integers(0, 299)),
+       seed=st.integers(0, 2**32))
+def test_first_hit_matches_a_full_scan(k, hit, seed):
+    # quarter-valued rows and vectors: every sum is exact, so the blocked scan
+    # must return exactly what one product over the whole matrix gives
+    rng = np.random.default_rng(seed)
+    mat = rng.integers(-4, 5, (k, 8)) / 4
+    v = rng.integers(-4, 5, 8) / 4
+    values = mat @ v + rng.integers(-1, 2, k) / 8
+    if hit is not None and hit < k:
+        values[hit] += 1.0
+    diffs = values - mat @ v
+    hits = np.flatnonzero(np.abs(diffs) >= 0.5)
+    want = (int(hits[0]), float(diffs[hits[0]])) if hits.size else (None, None)
+    assert _first_hit(mat, values, v, 0.5) == want
 
 def test_projected_learner_flags_lying_oracle(domain3, uniform3):
     class Liar(SQOracle):
