@@ -65,9 +65,7 @@ from .evolve import (  # noqa: F401
     QUADRATIC,
     EvolutionTrace,
     Loss,
-    MutationAlgorithm,
     NeighborhoodMutator,
-    Representation,
     SelNBParams,
     disjunction_mutator,
     disjunction_neighborhood,

@@ -4,6 +4,9 @@ Fitness of phi against the Boolean ideal f is 1 - 2*E_D[L(f,phi)]/L(-1,1),
 so it lives in [-1,1] and equals 1 exactly at phi = f.  For quadratic loss,
 2*(1 - fitness) = ||f - phi||_D^2.
 
+Evolution works on raw value tables: the hypothesis is one length-2^n array,
+and a neighbourhood is one (k, 2^n) candidate table per generation.
+
 Selection (one generation): draw p candidates from the mutator, estimate
 every distinct candidate's fitness (and the incumbent's) from s fresh draws
 each, call a candidate beneficial when it beats the incumbent's estimate by
@@ -23,8 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ThetaExceedsEpsError, UsageError
-from .fnspace import BoolFn, RealFn, project_unit, sign_of
-from .sqcore import _as_real
+from .fnspace import Domain, sign_of
+from .fnspace import project_unit  # noqa: F401 -- unused here; perfbench's tracer patches it
 
 
 class Loss:
@@ -35,9 +38,6 @@ class Loss:
             raise UsageError(f"loss kind must be linear or quadratic, got {kind!r}")
         self.kind = kind
         self.span = 2.0 if kind == "linear" else 4.0
-
-    def eval(self, y, yp):
-        return abs(yp - y) if self.kind == "linear" else (yp - y) ** 2
 
     def table(self, f_values, phi_values):
         diff = phi_values - f_values
@@ -51,86 +51,55 @@ LINEAR = Loss("linear")
 QUADRATIC = Loss("quadratic")
 
 
-class Representation:
-    """A hypothesis with a provenance tag; identity is the value table."""
-
-    __slots__ = ("hypothesis", "tag", "key")
-
-    def __init__(self, hypothesis, tag="initial"):
-        self.hypothesis = _as_real(hypothesis)
-        self.tag = tag
-        self.key = self.hypothesis.values.tobytes()
-
-    def __repr__(self):
-        return f"Representation(tag={self.tag!r})"
+def _fitness(loss, f, rows, d, s=None, rng=None):
+    """Fitness of each row of the table `rows` against the values f: exact
+    under D (s None), or from s i.i.d. draws per row, drawn as one multinomial
+    point-count row each.  One np.dot per row, because a matrix product sums
+    in another order and moves the last bit.
+    """
+    losses = loss.table(f, rows)
+    if s is None:
+        weights, total = [d.weights] * len(rows), 1
+    else:
+        weights, total = rng.multinomial(s, d.weights, size=len(rows)).astype(np.float64), s
+    return [1.0 - 2.0 * float(np.dot(c, cost)) / (total * loss.span)
+            for c, cost in zip(weights, losses)]
 
 
 def lperf(loss, f, phi, d):
     """Fitness 1 - 2*E_D[L(f, phi)]/span, in [-1, 1]."""
-    phi = _as_real(phi)
-    return 1.0 - 2.0 * float(np.dot(d.weights, loss.table(f.values, phi.values))) / loss.span
+    return _fitness(loss, f.values, phi.values[None], d)[0]
 
 
 def empirical_lperf(loss, f, phi, d, s, rng):
     """Fitness from s seeded i.i.d. draws (via multinomial point counts)."""
     if s < 1:
         raise UsageError(f"sample size must be >= 1, got {s}")
-    phi = _as_real(phi)
-    counts = rng.multinomial(s, d.weights)
-    total = float(np.dot(counts.astype(np.float64), loss.table(f.values, phi.values)))
-    return 1.0 - 2.0 * total / (s * loss.span)
+    return _fitness(loss, f.values, phi.values[None], d, s, rng)[0]
 
 
-class MutationAlgorithm:
-    """Randomized mutator with an enumerable support."""
+class NeighborhoodMutator:
+    """Uniform draw from a neighbourhood table, optionally lazy.
 
-    def support(self, r, eps):
-        raise NotImplementedError
-
-    def sample(self, r, eps, rng):
-        raise NotImplementedError
-
-    def sample_many(self, r, eps, rng, p):
-        return [self.sample(r, eps, rng) for _ in range(p)]
-
-
-class NeighborhoodMutator(MutationAlgorithm):
-    """Uniform draw from a neighborhood function, optionally lazy.
-
-    With probability `delta_self` emits a uniform member of
-    neigh_fn(r, eps); otherwise emits r unchanged.  Support is the
-    neighborhood plus r.
+    neigh_fn(phi, eps) returns the (k, 2^n) table of the neighbours of the
+    incumbent table phi.  A draw is a uniform neighbour, or, with probability
+    1 - delta_self, the incumbent itself.
     """
 
-    def __init__(self, neigh_fn, delta_self=1.0, tag="mutated"):
+    def __init__(self, neigh_fn, delta_self=1.0):
         if not 0 < delta_self <= 1:
             raise UsageError(f"delta_self must be in (0, 1], got {delta_self}")
         self.neigh_fn = neigh_fn
         self.delta_self = delta_self
-        self.tag = tag
 
-    def _neighbors(self, r, eps):
-        return [Representation(fn, tag=self.tag) for fn in self.neigh_fn(r, eps)]
-
-    def support(self, r, eps):
-        out = self._neighbors(r, eps)
-        if all(rep.key != r.key for rep in out):
-            out.append(r)
-        return out
-
-    def sample(self, r, eps, rng):
-        if self.delta_self < 1 and rng.random() >= self.delta_self:
-            return r
-        neigh = self._neighbors(r, eps)
-        return neigh[int(rng.integers(len(neigh)))]
-
-    def sample_many(self, r, eps, rng, p):
-        neigh = self._neighbors(r, eps)
-        idx = rng.integers(0, len(neigh), size=p)
+    def sample(self, phi, eps, rng, p):
+        """(table, rows): the k neighbours of phi with phi appended as row k,
+        and the row indices of p draws (k for a lazy draw)."""
+        neigh = self.neigh_fn(phi, eps)
+        rows = rng.integers(0, len(neigh), size=p)
         if self.delta_self < 1:
-            lazy = rng.random(p) >= self.delta_self
-            return [r if lazy[j] else neigh[idx[j]] for j in range(p)]
-        return [neigh[j] for j in idx]
+            rows[rng.random(p) >= self.delta_self] = len(neigh)
+        return np.vstack([neigh, phi]), rows
 
 
 @dataclass
@@ -158,45 +127,40 @@ class StepInfo:
     distinct: int
 
 
-def _fitness(params, f, phi, d, rng):
-    if params.s is None:
-        return lperf(params.loss, f, phi, d)
-    return empirical_lperf(params.loss, f, phi, d, params.s, rng)
+def selnb_step(params, f, d, a, phi, eps, rng):
+    """One generation of tolerance-t selection from the incumbent table phi;
+    returns (the next table or None, info).
 
-
-def selnb_step(params, f, d, a, r, eps, rng):
-    """One generation of tolerance-t selection; returns (next rep or None, info).
-
-    Candidate frequencies are the observed relative counts among the p draws;
-    each distinct candidate (and the incumbent) gets an independent fitness
-    estimate.  None means both tiers were empty.
+    Rows with identical bytes are one candidate.  Candidate frequencies are
+    the observed relative counts among the p draws; the incumbent and then
+    each distinct candidate, in order of first draw, get an independent
+    fitness estimate.  None means both tiers were empty.
     """
-    draws = a.sample_many(r, eps, rng, params.p)
-    groups = {}
-    order = []
-    for rep in draws:
-        if rep.key in groups:
-            groups[rep.key][1] += 1
-        else:
-            groups[rep.key] = [rep, 1]
-            order.append(rep.key)
-    v_r = _fitness(params, f, r.hypothesis, d, rng)
-    values = {r.key: v_r}
-    for key in order:
-        if key not in values:
-            values[key] = _fitness(params, f, groups[key][0].hypothesis, d, rng)
-    bene = [k for k in order if values[k] >= v_r + params.t]
-    neut = [k for k in order if abs(values[k] - v_r) < params.t]
-    if bene:
+    table, rows = a.sample(phi, eps, rng, params.p)
+    first = {}
+    group = np.array([first.setdefault(row.tobytes(), j) for j, row in enumerate(table)])
+    drawn = group[rows]
+    counts = np.bincount(drawn, minlength=len(table))
+    order = np.array(list(dict.fromkeys(drawn.tolist())))
+    me = group[-1]
+    new = order[order != me]
+    scores = _fitness(params.loss, f.values, table[np.append(me, new)], d, params.s, rng)
+    v_r = scores[0]
+    value = np.empty(len(table))
+    value[me] = v_r
+    value[new] = scores[1:]
+    bene = order[value[order] >= v_r + params.t]
+    neut = order[np.abs(value[order] - v_r) < params.t]
+    if len(bene):
         tier, outcome = bene, "beneficial"
-    elif neut:
+    elif len(neut):
         tier, outcome = neut, "neutral"
     else:
         return None, StepInfo(v_r, "bottom", 0, 0, len(order))
     info = StepInfo(v_r, outcome, len(bene), len(neut), len(order))
-    counts = np.array([groups[k][1] for k in tier], dtype=np.float64)
-    pick = np.searchsorted(np.cumsum(counts / counts.sum()), rng.random(), side="right")
-    return groups[tier[min(int(pick), len(tier) - 1)]][0], info
+    freq = counts[tier].astype(np.float64)
+    pick = np.searchsorted(np.cumsum(freq / freq.sum()), rng.random(), side="right")
+    return table[tier[min(int(pick), len(tier) - 1)]], info
 
 
 @dataclass
@@ -242,21 +206,23 @@ class EvolutionTrace:
 
 
 def evolve_run(a, params, f, d, eps, g, r0, rng):
-    """Evolve for g generations (or until a bottomed step) from r0."""
+    """Evolve for g generations (or until a bottomed step) from the function r0."""
     if g < 1:
         raise UsageError(f"generation count must be >= 1, got {g}")
-    start = lperf(params.loss, f, r0.hypothesis, d)
-    r = r0
+    phi = r0.values + 0.0  # + 0.0 turns -0.0 into 0.0, as a zero step row does
+
+    def true_perf(phi):
+        return _fitness(params.loss, f.values, phi[None], d)[0]
+
+    start = true_perf(phi)
     rows = []
     for gen in range(1, g + 1):
-        nxt, info = selnb_step(params, f, d, a, r, eps, rng)
+        nxt, info = selnb_step(params, f, d, a, phi, eps, rng)
         if nxt is None:
-            rows.append(GenRow(gen, lperf(params.loss, f, r.hypothesis, d),
-                               info.v_incumbent, "bottom", 0, 0))
+            rows.append(GenRow(gen, true_perf(phi), info.v_incumbent, "bottom", 0, 0))
             break
-        r = nxt
-        rows.append(GenRow(gen, lperf(params.loss, f, r.hypothesis, d),
-                           info.v_incumbent, info.outcome,
+        phi = nxt
+        rows.append(GenRow(gen, true_perf(phi), info.v_incumbent, info.outcome,
                            info.bene_count, info.neut_count))
     return EvolutionTrace(rows, start, eps, params.t)
 
@@ -271,51 +237,44 @@ def disjunction_params(n, eps):
     return gamma, gamma ** 4 / (8.0 * n)
 
 
-def disjunction_neighborhood(phi, gamma):
-    """The n+2 step candidates: clamp(phi + gamma*[x_i = 1]) for each
-    coordinate, phi itself, and clamp(phi - gamma)."""
+def _disjunction_steps(domain, gamma):
+    """The (n+2, 2^n) step table: gamma*[x_i = 1] for each coordinate i, a
+    zero row and -gamma."""
     if gamma <= 0:
         raise UsageError(f"gamma must be positive, got {gamma}")
-    phi = _as_real(phi)
-    domain = phi.domain
-    out = [
-        project_unit(phi.values + gamma * domain.coordinate(i), domain)
-        for i in range(1, domain.n + 1)
-    ]
-    out.append(phi)
-    out.append(project_unit(phi.values - gamma, domain))
-    return out
+    ups = [gamma * domain.coordinate(i) for i in range(1, domain.n + 1)]
+    return np.vstack(ups + [np.zeros(domain.size), np.full(domain.size, -gamma)])
+
+
+def disjunction_neighborhood(phi, gamma):
+    """The n+2 step candidates as one table: clamp(phi + gamma*[x_i = 1]) for
+    each coordinate, phi itself, and clamp(phi - gamma)."""
+    return np.clip(phi.values + _disjunction_steps(phi.domain, gamma), -1.0, 1.0)
 
 
 def disjunction_mutator(n, eps, delta_self=1.0):
     """Uniform mutator over the disjunction neighborhood at gamma(n, eps).
 
-    The step size is fixed at construction; the eps passed per-call by the
-    selection loop does not rescale it.
+    The step table is built once, at construction; the eps passed per-call
+    by the selection loop does not rescale it.
     """
     gamma, _ = disjunction_params(n, eps)
-    return NeighborhoodMutator(
-        lambda r, _eps: disjunction_neighborhood(r.hypothesis, gamma),
-        delta_self=delta_self,
-        tag="disjunction-evolver",
-    )
+    steps = _disjunction_steps(Domain(n), gamma)
+    return NeighborhoodMutator(lambda phi, _eps: np.clip(phi + steps, -1.0, 1.0),
+                               delta_self=delta_self)
 
 
 def sq_neighborhood(psi, eps, gpsi_builder, gamma):
     """Step candidates from a distinguishing set built at accuracy eps/4.
 
-    Returns clamp(psi + gamma*g) and clamp(psi - gamma*g) for every member g,
-    plus sign(psi): 2|G| + 1 functions.  For every target f in the covered
-    class, some member improves ||f - .||^2 by gamma^2 unless f is already
-    within eps of sign(psi).
+    Returns one table: clamp(psi + gamma*g) for every member g, then
+    clamp(psi - gamma*g) for every member, then sign(psi): 2|G| + 1 rows.
+    For every target f in the covered class, some row improves
+    ||f - .||^2 by gamma^2 unless f is already within eps of sign(psi).
     """
-    psi = _as_real(psi)
-    aset = gpsi_builder(psi, eps / 4.0)
-    domain = psi.domain
-    out = [project_unit(psi.values + gamma * g, domain) for g in aset.matrix]
-    out += [project_unit(psi.values - gamma * g, domain) for g in aset.matrix]
-    out.append(sign_of(psi).as_real())
-    return out
+    mat = gpsi_builder(psi, eps / 4.0).matrix
+    steps = np.clip(np.vstack([psi.values + gamma * mat, psi.values - gamma * mat]), -1.0, 1.0)
+    return np.vstack([steps, sign_of(psi).values])
 
 
 def evolve_lsq_params(theta, eps, neigh_size, c_hoeffding=128.0):

@@ -19,6 +19,7 @@ from .rng import make_rng
 
 ATOL = 1e-12
 MAX_N = 20  # 2**20 doubles per function; exactness beats sparsity at desk scale
+MAX_CLASS_N = 14  # a built-in class is a dense 2^n x 2^n table: 8*4^n bytes, 2 GiB at n=14
 
 
 class Domain:

@@ -21,8 +21,8 @@ from . import __version__
 from .dimensions import FnSet, sq_dim
 from .errors import InvariantBreachError, UsageError
 from .evolve import disjunction_mutator, disjunction_params, evolve_lsq_params, evolve_run
-from .evolve import Representation
 from .fnspace import (
+    MAX_CLASS_N,
     MAX_N,
     ConceptClass,
     Domain,
@@ -157,6 +157,10 @@ def make_config(data):
         cfg.theta = float(data["theta"])
         if cfg.theta <= 0:
             raise UsageError(f"theta must be positive, got {cfg.theta}")
+    if command != "evolve" and cfg.cclass in CLASSES and cfg.n > MAX_CLASS_N:
+        raise UsageError(
+            f"--n {cfg.n} is too large for the built-in class {cfg.cclass}: its dense "
+            f"table takes 8*4^n = {8 * 4 ** cfg.n} bytes; use n <= {MAX_CLASS_N}")
     return cfg
 
 
@@ -306,7 +310,7 @@ def _evolve_one(cfg, k, master):
     theta = cfg.theta if cfg.theta is not None else gamma / 8.0
     params, g, _delta = evolve_lsq_params(theta, cfg.epsilon, cfg.n + 2)
     mutator = disjunction_mutator(cfg.n, cfg.epsilon)
-    r0 = Representation(RealFn(domain, np.full(domain.size, -1.0)), tag="initial")
+    r0 = RealFn(domain, np.full(domain.size, -1.0))
     trace = evolve_run(mutator, params, target, dist, cfg.epsilon, g, r0,
                        make_rng(master, k, "evolve"))
     summary = {

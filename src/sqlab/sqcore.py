@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import QueryBudgetError, UsageError
 from .fnspace import ATOL, BoolFn, RealFn, check_matrix, project_unit, sign_of
-from .oracles import agnostic_stat_query, correlational, csq_decompose
+from .oracles import _check_tau, answer, correlational, csq_decompose
+from .oracles import agnostic_stat_query  # noqa: F401 -- unused here; perfbench's tracer patches it
 
 
 def _as_real(fn):
@@ -291,15 +292,17 @@ def exhaustive_csq_learner(cclass, oracle, eps):
 def weak_agnostic_learner(pool, a, tau, mode="exact", rng=None, sample_size=None):
     """Best pool member against an agnostic source, oriented by its score sign.
 
-    Queries v(g) for every member, picks g' maximizing |v(g)| (first-index
-    tie-break) and returns sign(v(g'))*g'.  The result h satisfies
-    <h, phi_A>_D >= max_g |<g, phi_A>_D| - 2*tau for any valid answers.
+    Answers one correlational query per member, in one batch that draws
+    randomness as the single queries would (its true values are summed in
+    another order, so they can differ from single answers in the last bits),
+    picks g' maximizing |v(g)| (first-index tie-break) and returns
+    sign(v(g'))*g'.  The result h satisfies <h, phi_A>_D >= max_g
+    |<g, phi_A>_D| - 2*tau for any valid answers.
     """
-    values = [
-        agnostic_stat_query(a, correlational(RealFn(pool.domain, g), tau), mode=mode,
-                            rng=rng, sample_size=sample_size)
-        for g in pool.matrix
-    ]
+    _check_tau(tau)
+    mat = pool.matrix
+    truth = mat @ (a.phi.values * a.dist.weights)
+    values = answer(truth, tau, mode, rng, sample_size, a._joint, lambda: np.hstack([mat, -mat]))
     j = int(np.argmax(np.abs(values)))
     orient = 1.0 if values[j] >= 0 else -1.0
-    return RealFn(pool.domain, orient * pool.matrix[j])
+    return RealFn(pool.domain, orient * mat[j])

@@ -25,6 +25,7 @@ from sqlab.evolve import (
 )
 from sqlab.fnspace import (
     Domain,
+    RealFn,
     conjunction_class,
     disagreement,
     dist_random,
@@ -230,8 +231,8 @@ def test_criterion_06_disjunction_neighborhood_gains_or_is_done():
                 base = lperf(QUADRATIC, f, phi, d)
                 need = min(base + gain, 1.0 - eps)
                 best = max(
-                    lperf(QUADRATIC, f, q, d)
-                    for q in disjunction_neighborhood(phi, gamma)
+                    lperf(QUADRATIC, f, RealFn(domain, row), d)
+                    for row in disjunction_neighborhood(phi, gamma)
                 )
                 total += 1
                 worst_slack = min(worst_slack, best - need)

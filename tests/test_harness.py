@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from sqlab import cli, harness, sqcore
 from sqlab.errors import InvariantBreachError, UsageError
-from sqlab.fnspace import parity_class
+from sqlab.fnspace import MAX_CLASS_N, parity_class
 
 
 def _cfg(**kw):
@@ -195,13 +195,13 @@ def test_liar_oracle_trips_invariant(tmp_path, monkeypatch):
                          [("noisy", "noisy", None), ("empirical:300", "empirical", 300)])
 def test_agnostic_answers_in_the_oracle_mode(monkeypatch, flag, mode, sample_size):
     calls = []
-    answer = sqcore.agnostic_stat_query
+    answer = sqcore.answer
 
-    def recording(a, q, mode="exact", rng=None, sample_size=None):
+    def recording(truth, tau, mode, rng=None, sample_size=None, joint=None, cells=None):
         calls.append((mode, sample_size, rng is not None))
-        return answer(a, q, mode=mode, rng=rng, sample_size=sample_size)
+        return answer(truth, tau, mode, rng, sample_size, joint, cells)
 
-    monkeypatch.setattr(sqcore, "agnostic_stat_query", recording)
+    monkeypatch.setattr(sqcore, "answer", recording)
     base = dict(command="agnostic", n=3, tau=0.05, seeds="0..3", out="x")
     arts, _ = harness.run_config(_cfg(**base, oracle=flag))
     assert calls and set(calls) == {(mode, sample_size, True)}
@@ -229,6 +229,21 @@ def test_oracle_flag_is_validated_at_the_boundary(tmp_path, flag):
         assert out.exit_code == 1, out.output
         assert isinstance(out.exception, SystemExit)  # a usage error, not a traceback
         assert "usage error" in out.output and "--oracle" in out.output
+
+
+def test_builtin_class_tables_beyond_max_class_n_are_refused(tmp_path):
+    n = MAX_CLASS_N + 1
+    for command in ("learn", "dim", "agnostic"):
+        for cls in ("parities", "conjunctions", "disjunctions"):
+            with pytest.raises(UsageError, match=f"--n {n}.*{8 * 4 ** n} bytes"):
+                _cfg(command=command, n=n, cclass=cls)
+        _cfg(command=command, n=MAX_CLASS_N)  # the largest size is still accepted
+        _cfg(command=command, n=n, cclass="file:rows.txt")  # a file class is not refused
+        out = CliRunner().invoke(
+            cli.main, [command, "--n", str(n), "--out", str(tmp_path / "o")])
+        assert out.exit_code == 1 and isinstance(out.exception, SystemExit), out.output
+        assert "--n" in out.output and str(8 * 4 ** n) in out.output
+    _cfg(command="evolve", n=n)  # evolve builds no class table
 
 
 def test_execute_writes_manifest_and_rerun_matches(tmp_path):

@@ -10,6 +10,8 @@ from sqlab.errors import QueryBudgetError, UsageError
 from sqlab.fnspace import (
     BoolFn,
     ConceptClass,
+    Dist,
+    Domain,
     RealFn,
     conjunction_class,
     disagreement,
@@ -23,7 +25,13 @@ from sqlab.fnspace import (
     random_real_fn,
     sign_of,
 )
-from sqlab.oracles import AgnosticDist, SQOracle, agnostic_true_value, correlational
+from sqlab.oracles import (
+    AgnosticDist,
+    SQOracle,
+    agnostic_stat_query,
+    agnostic_true_value,
+    correlational,
+)
 from sqlab.sqcore import (
     ApproxSet,
     ExhaustiveCSQ,
@@ -249,6 +257,38 @@ def test_weak_agnostic_learner_guarantee(domain3, uniform3):
             h = weak_agnostic_learner(pool, a, tau=0.05, mode=mode)
             got = inner_product(h, phi_a, uniform3)
             assert got >= best - 2 * 0.05 - 1e-12
+
+
+@st.composite
+def _agnostic_case(draw):
+    """Weights a/2^K, phi_A and pool rows in quarters: every product and
+    partial sum is exact, so any summation order gives the same bits."""
+    n = draw(st.integers(1, 3))
+    size = 1 << n
+    units = draw(st.lists(st.integers(0, 7), min_size=size - 1, max_size=size - 1))
+    scale = 1 << sum(units).bit_length()
+    row = st.lists(st.integers(-4, 4).map(lambda v: v / 4), min_size=size, max_size=size)
+    domain = Domain(n)
+    dist = Dist(domain, np.array(units + [scale - sum(units)]) / scale)
+    pool = np.array(draw(st.lists(row, min_size=1, max_size=6)))
+    return AgnosticDist(dist, RealFn(domain, draw(row))), ApproxSet(domain, pool, gamma=0.1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_agnostic_case(), tau=st.floats(0.01, 1.0), seed=st.integers(0, 2**32),
+       sample_size=st.integers(1, 50))
+def test_weak_agnostic_learner_matches_single_queries(case, tau, seed, sample_size):
+    a, pool = case
+    for mode in ("exact", "grid_adversary", "noisy", "empirical"):
+        got = weak_agnostic_learner(pool, a, tau, mode=mode, rng=make_rng(seed),
+                                    sample_size=sample_size)
+        rng = make_rng(seed)
+        values = [agnostic_stat_query(a, correlational(RealFn(pool.domain, g), tau),
+                                      mode=mode, rng=rng, sample_size=sample_size)
+                  for g in pool.matrix]
+        j = int(np.argmax(np.abs(values)))
+        want = pool.matrix[j] if values[j] >= 0 else -pool.matrix[j]
+        assert got.values.tobytes() == want.tobytes(), mode
 
 
 def test_weak_agnostic_learner_orients_by_sign(domain3, uniform3):
