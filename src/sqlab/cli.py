@@ -10,7 +10,18 @@ import sys
 import click
 
 from . import __version__, harness
-from .errors import InvariantBreachError, LabError
+from .errors import InvariantBreachError, LabError, UsageError
+
+# Flags a command reads nothing from, with the reason; naming one is a usage
+# error rather than a silent no-op.  (A manifest's config snapshot carries
+# every key, so harness.make_config accepts them.)
+UNUSED = {
+    "evolve": {
+        "class": "the target is a random disjunction of the seed",
+        "tau": "selection uses the tolerance t derived from --epsilon",
+        "oracle": "fitness is estimated from the evolver's own samples",
+    },
+}
 
 
 def common_options(fn):
@@ -45,6 +56,9 @@ def _execute(command, config, n, epsilon, tau, cclass, dist, oracle, seeds,
             "format": fmt,
         }
         data.update({k: v for k, v in overrides.items() if v is not None})
+        for key, why in UNUSED.get(command, {}).items():
+            if key in data:
+                raise UsageError(f"{command} does not use --{key}: {why}")
         data["command"] = command
         cfg = harness.make_config(data)
         paths, summaries = harness.execute(cfg)

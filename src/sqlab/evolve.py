@@ -20,7 +20,10 @@ but costs O(2^n) regardless of s -- the prescribed sample sizes reach 1e9+.
 """
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from collections import Counter
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -51,31 +54,29 @@ LINEAR = Loss("linear")
 QUADRATIC = Loss("quadratic")
 
 
-def _fitness(loss, f, rows, d, s=None, rng=None):
-    """Fitness of each row of the table `rows` against the values f: exact
-    under D (s None), or from s i.i.d. draws per row, drawn as one multinomial
-    point-count row each.  One np.dot per row, because a matrix product sums
-    in another order and moves the last bit.
+def _fitness(loss, costs, d, s=None, rng=None):
+    """Fitness of each loss row in `costs`: exact under D (s None), or from
+    s i.i.d. draws per row, drawn as one multinomial point-count row each.  One np.dot per row, because a matrix product sums in another order
+    and moves the last bit.
     """
-    losses = loss.table(f, rows)
     if s is None:
-        weights, total = [d.weights] * len(rows), 1
+        weights, total = [d.weights] * len(costs), 1
     else:
-        weights, total = rng.multinomial(s, d.weights, size=len(rows)).astype(np.float64), s
-    return [1.0 - 2.0 * float(np.dot(c, cost)) / (total * loss.span)
-            for c, cost in zip(weights, losses)]
+        weights, total = rng.multinomial(s, d.weights, size=len(costs)).astype(np.float64), s
+    scale = total * loss.span
+    return [1.0 - 2.0 * float(np.dot(c, cost)) / scale for c, cost in zip(weights, costs)]
 
 
 def lperf(loss, f, phi, d):
     """Fitness 1 - 2*E_D[L(f, phi)]/span, in [-1, 1]."""
-    return _fitness(loss, f.values, phi.values[None], d)[0]
+    return _fitness(loss, loss.table(f.values, phi.values[None]), d)[0]
 
 
 def empirical_lperf(loss, f, phi, d, s, rng):
     """Fitness from s seeded i.i.d. draws (via multinomial point counts)."""
     if s < 1:
         raise UsageError(f"sample size must be >= 1, got {s}")
-    return _fitness(loss, f.values, phi.values[None], d, s, rng)[0]
+    return _fitness(loss, loss.table(f.values, phi.values[None]), d, s, rng)[0]
 
 
 class NeighborhoodMutator:
@@ -99,7 +100,7 @@ class NeighborhoodMutator:
         rows = rng.integers(0, len(neigh), size=p)
         if self.delta_self < 1:
             rows[rng.random(p) >= self.delta_self] = len(neigh)
-        return np.vstack([neigh, phi]), rows
+        return np.concatenate((neigh, phi[None])), rows
 
 
 @dataclass
@@ -125,6 +126,8 @@ class StepInfo:
     bene_count: int
     neut_count: int
     distinct: int
+    # the loss row of the returned table (of the incumbent when bottomed)
+    cost: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
 
 def selnb_step(params, f, d, a, phi, eps, rng):
@@ -135,32 +138,48 @@ def selnb_step(params, f, d, a, phi, eps, rng):
     the observed relative counts among the p draws; the incumbent and then
     each distinct candidate, in order of first draw, get an independent
     fitness estimate.  None means both tiers were empty.
+
+    Neighbourhoods are a handful of rows, so the bookkeeping runs on Python
+    ints and floats; only the loss rows and the fitness draws are numpy.
     """
     table, rows = a.sample(phi, eps, rng, params.p)
-    first = {}
-    group = np.array([first.setdefault(row.tobytes(), j) for j, row in enumerate(table)])
-    drawn = group[rows]
-    counts = np.bincount(drawn, minlength=len(table))
-    order = np.array(list(dict.fromkeys(drawn.tolist())))
-    me = group[-1]
-    new = order[order != me]
-    scores = _fitness(params.loss, f.values, table[np.append(me, new)], d, params.s, rng)
-    v_r = scores[0]
-    value = np.empty(len(table))
-    value[me] = v_r
-    value[new] = scores[1:]
-    bene = order[value[order] >= v_r + params.t]
-    neut = order[np.abs(value[order] - v_r) < params.t]
-    if len(bene):
+    costs = params.loss.table(f.values, table)  # indexing the drawn rows costs more
+    width = table.shape[1] * table.itemsize
+    raw = table.tobytes()
+    mine = raw[-width:]
+    scored = [costs[-1]]  # the loss rows to score, the incumbent's first
+    groups = {}  # row bytes -> [first row drawn, draws, index into scored]
+    for j, c in Counter(rows.tolist()).items():
+        key = raw[j * width:(j + 1) * width]
+        grp = groups.get(key)
+        if grp is not None:
+            grp[1] += c
+        elif key == mine:
+            groups[key] = [j, c, 0]
+        else:
+            groups[key] = [j, c, len(scored)]
+            scored.append(costs[j])
+    scores = _fitness(params.loss, scored, d, params.s, rng)
+    v_r, t = scores[0], params.t
+    bene, neut = [], []  # two separate tests: rounding can let a row pass both
+    for grp in groups.values():
+        v = scores[grp[2]]
+        if v >= v_r + t:
+            bene.append(grp)
+        if abs(v - v_r) < t:
+            neut.append(grp)
+    if bene:
         tier, outcome = bene, "beneficial"
-    elif len(neut):
+    elif neut:
         tier, outcome = neut, "neutral"
     else:
-        return None, StepInfo(v_r, "bottom", 0, 0, len(order))
-    info = StepInfo(v_r, outcome, len(bene), len(neut), len(order))
-    freq = counts[tier].astype(np.float64)
-    pick = np.searchsorted(np.cumsum(freq / freq.sum()), rng.random(), side="right")
-    return table[tier[min(int(pick), len(tier) - 1)]], info
+        return None, StepInfo(v_r, "bottom", 0, 0, len(groups), scored[0])
+    # integer counts and in-order sums: the same pick as searchsorted over
+    # the cumsum of count/total
+    total = sum([grp[1] for grp in tier])
+    cum = list(accumulate([grp[1] / total for grp in tier]))
+    j, _, k = tier[min(bisect_right(cum, rng.random()), len(tier) - 1)]
+    return table[j], StepInfo(v_r, outcome, len(bene), len(neut), len(groups), scored[k])
 
 
 @dataclass
@@ -183,7 +202,8 @@ class EvolutionTrace:
     at generation i (the incumbent's when the step bottomed out).
     reached_target is judged on the final generation's true fitness;
     monotone_vs_start audits the no-regression clause exactly, while
-    monotone_within_slack allows per-step slack t.
+    monotone_within_slack allows per-step slack t.  `outcomes` counts the
+    beneficial, neutral and bottom generations.
     """
 
     def __init__(self, rows, start_perf, eps, t):
@@ -197,6 +217,8 @@ class EvolutionTrace:
         self.monotone_within_slack = all(
             path[i + 1] >= path[i] - t - 1e-12 for i in range(len(path) - 1))
         self.monotone_vs_start = all(v >= start_perf - 1e-12 for v in trail)
+        tally = Counter(r.outcome for r in rows)
+        self.outcomes = {k: tally[k] for k in ("beneficial", "neutral", "bottom")}
 
     def records(self):
         return [r.as_record() for r in self.rows]
@@ -210,20 +232,21 @@ def evolve_run(a, params, f, d, eps, g, r0, rng):
     if g < 1:
         raise UsageError(f"generation count must be >= 1, got {g}")
     phi = r0.values + 0.0  # + 0.0 turns -0.0 into 0.0, as a zero step row does
+    loss = params.loss
 
-    def true_perf(phi):
-        return _fitness(params.loss, f.values, phi[None], d)[0]
+    def true_perf(cost):
+        # exact fitness from a loss row, as _fitness computes it with s None
+        return 1.0 - 2.0 * float(np.dot(d.weights, cost)) / loss.span
 
-    start = true_perf(phi)
+    start = true_perf(loss.table(f.values, phi))
     rows = []
     for gen in range(1, g + 1):
         nxt, info = selnb_step(params, f, d, a, phi, eps, rng)
+        rows.append(GenRow(gen, true_perf(info.cost), info.v_incumbent, info.outcome,
+                           info.bene_count, info.neut_count))
         if nxt is None:
-            rows.append(GenRow(gen, true_perf(phi), info.v_incumbent, "bottom", 0, 0))
             break
         phi = nxt
-        rows.append(GenRow(gen, true_perf(phi), info.v_incumbent, info.outcome,
-                           info.bene_count, info.neut_count))
     return EvolutionTrace(rows, start, eps, params.t)
 
 
@@ -260,8 +283,13 @@ def disjunction_mutator(n, eps, delta_self=1.0):
     """
     gamma, _ = disjunction_params(n, eps)
     steps = _disjunction_steps(Domain(n), gamma)
-    return NeighborhoodMutator(lambda phi, _eps: np.clip(phi + steps, -1.0, 1.0),
-                               delta_self=delta_self)
+
+    def neighbours(phi, _eps):
+        out = phi + steps  # clamped in place: np.clip's wrapper costs more than the work
+        np.maximum(out, -1.0, out=out)
+        return np.minimum(out, 1.0, out=out)
+
+    return NeighborhoodMutator(neighbours, delta_self=delta_self)
 
 
 def sq_neighborhood(psi, eps, gpsi_builder, gamma):

@@ -11,6 +11,7 @@ from sqlab.evolve import (
     LINEAR,
     QUADRATIC,
     EvolutionTrace,
+    GenRow,
     NeighborhoodMutator,
     SelNBParams,
     StepInfo,
@@ -24,12 +25,15 @@ from sqlab.evolve import (
     selnb_step,
     sq_neighborhood,
 )
+from sqlab.evolve import _disjunction_steps
 from sqlab.fnspace import (
     BoolFn,
     Dist,
     Domain,
     RealFn,
     conjunction_class,
+    dist_random,
+    dist_uniform,
     make_disjunction,
     norm,
     random_bool_fn,
@@ -276,6 +280,48 @@ def test_selnb_step_matches_a_row_by_row_reference(case, delta_self, s, t, p, se
             break
         assert got.tobytes() == want.tobytes()
         phi = got
+
+
+def _reference_run(params, f, d, steps, delta_self, eps, g, phi, rng):
+    """evolve_run as a chain of _reference_step generations."""
+    loss = params.loss
+
+    def true_perf(row):
+        return 1.0 - 2.0 * float(np.dot(d.weights, loss.table(f.values, row))) / loss.span
+
+    start, rows = true_perf(phi), []
+    for gen in range(1, g + 1):
+        nxt, info = _reference_step(params, f, d, steps, delta_self, phi, rng)
+        if nxt is None:
+            rows.append(GenRow(gen, true_perf(phi), info.v_incumbent, "bottom", 0, 0))
+            break
+        phi = nxt
+        rows.append(GenRow(gen, true_perf(phi), info.v_incumbent, info.outcome,
+                           info.bene_count, info.neut_count))
+    return EvolutionTrace(rows, start, eps, params.t)
+
+
+@pytest.mark.parametrize("s", [None, 400])
+@pytest.mark.parametrize("delta_self", [1.0, 0.5])
+@pytest.mark.parametrize("dist", ["uniform", "random"])
+def test_evolve_run_matches_the_chained_reference_steps(dist, delta_self, s):
+    n, eps, g = 3, 0.25, 2000
+    domain = Domain(n)
+    d = dist_uniform(domain) if dist == "uniform" else dist_random(domain, make_rng(3, 0, "d"))
+    f = make_disjunction(domain, [1, 3])
+    gamma, gain = disjunction_params(n, eps)
+    params = SelNBParams(QUADRATIC, t=gain, p=60, s=s)
+    r0 = RealFn(domain, np.full(8, -1.0))
+    rng, ref_rng = make_rng(5, 0, "e"), make_rng(5, 0, "e")
+    trace = evolve_run(disjunction_mutator(n, eps, delta_self), params, f, d, eps, g, r0, rng)
+    want = _reference_run(params, f, d, _disjunction_steps(domain, gamma), delta_self, eps, g,
+                          r0.values + 0.0, ref_rng)
+    assert len(trace) == g
+    assert trace.rows == want.rows
+    for flag in ("start_perf", "final_perf", "bottomed", "reached_target",
+                 "monotone_within_slack", "monotone_vs_start"):
+        assert getattr(trace, flag) == getattr(want, flag), flag
+    assert str(rng.bit_generator.state) == str(ref_rng.bit_generator.state)
 
 
 def test_evolve_run_reaches_target_with_exact_fitness(domain3, uniform3):

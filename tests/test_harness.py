@@ -136,6 +136,20 @@ def test_evolve_run_artifacts(tmp_path):
         assert s["generations"] >= 1
 
 
+def test_evolve_outcome_histogram_in_the_manifest(tmp_path):
+    cfg = _cfg(command="evolve", n=3, epsilon=0.3, dist="random", seeds="0..2",
+               out=str(tmp_path / "e"))
+    paths, summaries = harness.execute(cfg)
+    results = json.loads((tmp_path / "e" / "manifest.json").read_text())["results"]
+    for k, s in enumerate(results):
+        counts = [s["beneficial"], s["neutral"], s["bottom"]]
+        assert sum(counts) == s["generations"] == summaries[k]["generations"]
+        rows = list(csv.DictReader(io.StringIO(
+            (tmp_path / "e" / f"evolve_run{k:03d}.csv").read_text())))
+        assert counts == [sum(r["outcome"] == o for r in rows)
+                          for o in ("beneficial", "neutral", "bottom")]
+
+
 def test_dim_and_agnostic_runs(tmp_path):
     arts, sums = harness.run_config(
         _cfg(command="dim", cclass="parities", n=3, seeds="0", out="x")
@@ -229,6 +243,41 @@ def test_oracle_flag_is_validated_at_the_boundary(tmp_path, flag):
         assert out.exit_code == 1, out.output
         assert isinstance(out.exception, SystemExit)  # a usage error, not a traceback
         assert "usage error" in out.output and "--oracle" in out.output
+
+
+@pytest.mark.parametrize("flag, value", [("--class", "parities"), ("--tau", "0.1"),
+                                         ("--oracle", "noisy")])
+def test_evolve_rejects_the_flags_it_does_not_use(tmp_path, flag, value):
+    out = CliRunner().invoke(cli.main, ["evolve", "--n", "2", "--epsilon", "0.9", flag, value,
+                                        "--out", str(tmp_path / "e")])
+    assert out.exit_code == 1, out.output
+    assert isinstance(out.exception, SystemExit)
+    assert "usage error" in out.output and flag in out.output
+    assert not (tmp_path / "e").exists()
+    conf = tmp_path / "evolve.cfg"
+    conf.write_text(f"n = 2\n{flag[2:]} = {value}\n")
+    out = CliRunner().invoke(cli.main, ["evolve", "--config", str(conf)])
+    assert out.exit_code == 1 and flag in out.output
+    # a manifest's config snapshot names every key; make_config takes it back
+    snap = _cfg(command="evolve", **{flag[2:]: value}).snapshot()
+    assert harness.make_config(snap).snapshot() == snap
+
+
+def test_empirical_ledger_overrun_is_an_honest_halt(tmp_path):
+    # single-draw answers are +-1, far outside tau = 0.3 of the truth; seed 0
+    # accepts a fifth update against the ledger ceil(1/(3*0.3^2)) = 4
+    out_dir = tmp_path / "emp"
+    out = CliRunner().invoke(cli.main, ["learn", "--n", "3", "--tau", "0.3", "--oracle",
+                                        "empirical:1", "--seeds", "0", "--out", str(out_dir)])
+    assert out.exit_code == 0, out.output
+    assert "halt=empirical-overrun" in out.output and "invariant breach" not in out.output
+    (result,) = json.loads((out_dir / "manifest.json").read_text())["results"]
+    assert result["halt"] == "empirical-overrun"
+    assert result["updates"] == 5
+    for part in ("= 4", "tau=0.3", "empirical:1"):
+        assert part in result["overrun"]
+    rows = (out_dir / "learn_run000.csv").read_text().splitlines()
+    assert len(rows) == 1 + 5  # the header and the five accepted steps
 
 
 def test_builtin_class_tables_beyond_max_class_n_are_refused(tmp_path):
