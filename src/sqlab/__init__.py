@@ -15,7 +15,7 @@ Modules:
 * ``harness``    -- config, seeded batch runs, deterministic exports.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .fnspace import (  # noqa: E402,F401
     BoolFn,
@@ -73,6 +73,8 @@ from .evolve import (  # noqa: F401
     empirical_lperf,
     evolve_lsq_params,
     evolve_run,
+    evolve_streams,
+    generation_draws,
     lperf,
     selnb_step,
     sq_neighborhood,

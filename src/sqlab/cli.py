@@ -21,6 +21,17 @@ UNUSED = {
         "tau": "selection uses the tolerance t derived from --epsilon",
         "oracle": "fitness is estimated from the evolver's own samples",
     },
+    "dim": {
+        "tau": "the dimension is computed exactly from the class and D",
+        "oracle": "no query is asked; the Gram matrix is computed exactly",
+        "epsilon": "the dimension has no accuracy parameter",
+    },
+    "learn": {
+        "epsilon": "the learner halts when no pool member moves by 3 * --tau",
+    },
+    "agnostic": {
+        "epsilon": "the pool learner's guarantee is stated in --tau alone",
+    },
 }
 
 

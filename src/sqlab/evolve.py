@@ -14,6 +14,10 @@ the tolerance t and neutral when it is within t, then pick
 frequency-weighted from the beneficial tier if nonempty, else from the
 neutral tier, else fail the run.
 
+A run draws from four streams, one per purpose (mutation rows, laziness
+uniforms, fitness count rows, the pick uniform), each in blocks of
+generations: per-call draws, not arithmetic, dominate a generation's cost.
+
 Empirical fitness draws a multinomial count vector over the (explicit)
 domain, which is distribution-identical to averaging s i.i.d. point draws
 but costs O(2^n) regardless of s -- the prescribed sample sizes reach 1e9+.
@@ -23,7 +27,7 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Optional
 
 import numpy as np
@@ -31,6 +35,7 @@ import numpy as np
 from .errors import ThetaExceedsEpsError, UsageError
 from .fnspace import Domain, sign_of
 from .fnspace import project_unit  # noqa: F401 -- unused here; perfbench's tracer patches it
+from .rng import make_rng
 
 
 class Loss:
@@ -54,53 +59,52 @@ LINEAR = Loss("linear")
 QUADRATIC = Loss("quadratic")
 
 
-def _fitness(loss, costs, d, s=None, rng=None):
-    """Fitness of each loss row in `costs`: exact under D (s None), or from
-    s i.i.d. draws per row, drawn as one multinomial point-count row each.  One np.dot per row, because a matrix product sums in another order
-    and moves the last bit.
+def _fitness(loss, costs, weights, total=1):
+    """Fitness of each loss row of `costs` scored against its own weight row
+    (or all against one weight vector): 1 - 2*<w, cost>/(total*span) as a
+    list.  np.vecdot sums each row as np.dot does, in one call.
     """
-    if s is None:
-        weights, total = [d.weights] * len(costs), 1
-    else:
-        weights, total = rng.multinomial(s, d.weights, size=len(costs)).astype(np.float64), s
     scale = total * loss.span
-    return [1.0 - 2.0 * float(np.dot(c, cost)) / scale for c, cost in zip(weights, costs)]
+    return [1.0 - 2.0 * x / scale for x in np.vecdot(weights, costs).tolist()]
 
 
 def lperf(loss, f, phi, d):
     """Fitness 1 - 2*E_D[L(f, phi)]/span, in [-1, 1]."""
-    return _fitness(loss, loss.table(f.values, phi.values[None]), d)[0]
+    return _fitness(loss, loss.table(f.values, phi.values[None]), d.weights)[0]
 
 
 def empirical_lperf(loss, f, phi, d, s, rng):
     """Fitness from s seeded i.i.d. draws (via multinomial point counts)."""
     if s < 1:
         raise UsageError(f"sample size must be >= 1, got {s}")
-    return _fitness(loss, loss.table(f.values, phi.values[None]), d, s, rng)[0]
+    counts = rng.multinomial(s, d.weights).astype(np.float64)
+    return _fitness(loss, loss.table(f.values, phi.values[None]), counts, s)[0]
 
 
 class NeighborhoodMutator:
-    """Uniform draw from a neighbourhood table, optionally lazy.
+    """Uniform draw from a neighbourhood table of fixed height k, optionally lazy.
 
     neigh_fn(phi, eps) returns the (k, 2^n) table of the neighbours of the
     incumbent table phi.  A draw is a uniform neighbour, or, with probability
     1 - delta_self, the incumbent itself.
     """
 
-    def __init__(self, neigh_fn, delta_self=1.0):
+    def __init__(self, neigh_fn, k, delta_self=1.0):
+        if k < 1:
+            raise UsageError(f"neighbourhood height k must be >= 1, got {k}")
         if not 0 < delta_self <= 1:
             raise UsageError(f"delta_self must be in (0, 1], got {delta_self}")
         self.neigh_fn = neigh_fn
+        self.k = k
         self.delta_self = delta_self
 
-    def sample(self, phi, eps, rng, p):
-        """(table, rows): the k neighbours of phi with phi appended as row k,
-        and the row indices of p draws (k for a lazy draw)."""
+    def table(self, phi, eps):
+        """The (k+1, 2^n) table: the k neighbours of phi, then phi as row k."""
         neigh = self.neigh_fn(phi, eps)
-        rows = rng.integers(0, len(neigh), size=p)
-        if self.delta_self < 1:
-            rows[rng.random(p) >= self.delta_self] = len(neigh)
-        return np.concatenate((neigh, phi[None])), rows
+        if len(neigh) != self.k:
+            raise UsageError(f"the neighbourhood has {len(neigh)} rows; this mutator "
+                             f"was built for k = {self.k}")
+        return np.concatenate((neigh, phi[None]))
 
 
 @dataclass
@@ -119,6 +123,52 @@ class SelNBParams:
             raise UsageError(f"sample size s must be >= 1, got {self.s}")
 
 
+STREAMS = ("mutate", "lazy", "fitness", "pick")
+BLOCK = 256  # generations drawn per block
+BLOCK_BYTES = 1 << 20  # fewer generations per block when one would pass this
+
+
+def evolve_streams(master, k):
+    """The per-purpose random streams of run k: purpose -> Generator."""
+    return {purpose: make_rng(master, k, purpose) for purpose in STREAMS}
+
+
+def _row_counts(a, p, b, streams):
+    """How often each of the k+1 table rows is drawn among p draws, for each
+    of b generations, as lists: lazy draws count toward row k."""
+    rows = a.k + 1
+    idx = streams["mutate"].integers(0, a.k, size=(b, p))
+    if a.delta_self < 1:
+        idx[streams["lazy"].random((b, p)) >= a.delta_self] = a.k
+    idx += np.arange(0, b * rows, rows)[:, None]
+    return np.bincount(idx.ravel(), minlength=b * rows).reshape(b, rows).tolist()
+
+
+def generation_draws(a, params, d, g, streams):
+    """Yield the random draws of g generations, one tuple per generation.
+
+    A tuple is (counts, fitness, pick): the k+1 table rows' draw counts (see
+    _row_counts); the (k+1, 2^n) float64 multinomial point-count rows that
+    score each table row (None for exact fitness); and the pick uniform.
+    Each stream is drawn in blocks of up to BLOCK generations, all with the
+    same block boundaries, so a run's draws depend on (a, params, d, g,
+    streams) alone.
+    """
+    p, s, w = params.p, params.s, d.weights
+    rows = a.k + 1
+    row_bytes = 8 * max(p, 0 if s is None else rows * len(w))
+    block = max(1, min(BLOCK, BLOCK_BYTES // row_bytes))
+    for start in range(0, g, block):
+        b = min(block, g - start)
+        # only one block's arrays live at a time, which keeps the peak
+        # resident set at the per-generation draws' level
+        counts = _row_counts(a, p, b, streams)  # frees its index block on return
+        fitness = None  # frees the last block's rows before the next is drawn
+        fitness = repeat(None, b) if s is None else \
+            streams["fitness"].multinomial(s, w, size=(b, rows)).astype(np.float64)
+        yield from zip(counts, fitness, streams["pick"].random(b).tolist())
+
+
 @dataclass
 class StepInfo:
     v_incumbent: float
@@ -130,37 +180,41 @@ class StepInfo:
     cost: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
 
-def selnb_step(params, f, d, a, phi, eps, rng):
-    """One generation of tolerance-t selection from the incumbent table phi;
-    returns (the next table or None, info).
+def selnb_step(params, f, d, a, phi, eps, draws):
+    """One generation of tolerance-t selection from the incumbent table phi,
+    on that generation's `draws` from generation_draws; returns (the next
+    table or None, info).
 
-    Rows with identical bytes are one candidate.  Candidate frequencies are
-    the observed relative counts among the p draws; the incumbent and then
-    each distinct candidate, in order of first draw, get an independent
-    fitness estimate.  None means both tiers were empty.
+    Every row of the (k+1)-row table is scored against its own count row.
+    Drawn rows with identical bytes are one candidate, scored by its first
+    row; a row equal to the incumbent joins the incumbent's candidate, scored
+    by row k.  Candidate frequencies are the draw counts.  None means both
+    tiers were empty.
 
     Neighbourhoods are a handful of rows, so the bookkeeping runs on Python
-    ints and floats; only the loss rows and the fitness draws are numpy.
+    ints and floats, in table-row order.
     """
-    table, rows = a.sample(phi, eps, rng, params.p)
-    costs = params.loss.table(f.values, table)  # indexing the drawn rows costs more
+    counts, fitness, u = draws
+    table = a.table(phi, eps)
+    costs = params.loss.table(f.values, table)
+    if fitness is None:
+        scores = _fitness(params.loss, costs, d.weights)
+    else:
+        scores = _fitness(params.loss, costs, fitness, params.s)
+    k = a.k
     width = table.shape[1] * table.itemsize
     raw = table.tobytes()
-    mine = raw[-width:]
-    scored = [costs[-1]]  # the loss rows to score, the incumbent's first
-    groups = {}  # row bytes -> [first row drawn, draws, index into scored]
-    for j, c in Counter(rows.tolist()).items():
-        key = raw[j * width:(j + 1) * width]
-        grp = groups.get(key)
-        if grp is not None:
-            grp[1] += c
-        elif key == mine:
-            groups[key] = [j, c, 0]
-        else:
-            groups[key] = [j, c, len(scored)]
-            scored.append(costs[j])
-    scores = _fitness(params.loss, scored, d, params.s, rng)
-    v_r, t = scores[0], params.t
+    mine = raw[k * width:]
+    groups = {}  # row bytes -> [first row drawn, draws, scored row]
+    for j, c in enumerate(counts):
+        if c:
+            key = raw[j * width:(j + 1) * width]
+            grp = groups.get(key)
+            if grp is not None:
+                grp[1] += c
+            else:
+                groups[key] = [j, c, k if key == mine else j]
+    v_r, t = scores[k], params.t
     bene, neut = [], []  # two separate tests: rounding can let a row pass both
     for grp in groups.values():
         v = scores[grp[2]]
@@ -173,13 +227,10 @@ def selnb_step(params, f, d, a, phi, eps, rng):
     elif neut:
         tier, outcome = neut, "neutral"
     else:
-        return None, StepInfo(v_r, "bottom", 0, 0, len(groups), scored[0])
-    # integer counts and in-order sums: the same pick as searchsorted over
-    # the cumsum of count/total
-    total = sum([grp[1] for grp in tier])
-    cum = list(accumulate([grp[1] / total for grp in tier]))
-    j, _, k = tier[min(bisect_right(cum, rng.random()), len(tier) - 1)]
-    return table[j], StepInfo(v_r, outcome, len(bene), len(neut), len(groups), scored[k])
+        return None, StepInfo(v_r, "bottom", 0, 0, len(groups), costs[k])
+    cum = list(accumulate([grp[1] for grp in tier]))
+    j, _, r = tier[min(bisect_right(cum, u * cum[-1]), len(tier) - 1)]
+    return table[j], StepInfo(v_r, outcome, len(bene), len(neut), len(groups), costs[r])
 
 
 @dataclass
@@ -227,21 +278,22 @@ class EvolutionTrace:
         return len(self.rows)
 
 
-def evolve_run(a, params, f, d, eps, g, r0, rng):
-    """Evolve for g generations (or until a bottomed step) from the function r0."""
+def evolve_run(a, params, f, d, eps, g, r0, streams):
+    """Evolve for g generations (or until a bottomed step) from the function
+    r0, on the per-purpose `streams` of evolve_streams."""
     if g < 1:
         raise UsageError(f"generation count must be >= 1, got {g}")
     phi = r0.values + 0.0  # + 0.0 turns -0.0 into 0.0, as a zero step row does
     loss = params.loss
 
     def true_perf(cost):
-        # exact fitness from a loss row, as _fitness computes it with s None
+        # exact fitness from a loss row, as _fitness computes it
         return 1.0 - 2.0 * float(np.dot(d.weights, cost)) / loss.span
 
     start = true_perf(loss.table(f.values, phi))
     rows = []
-    for gen in range(1, g + 1):
-        nxt, info = selnb_step(params, f, d, a, phi, eps, rng)
+    for gen, draws in enumerate(generation_draws(a, params, d, g, streams), 1):
+        nxt, info = selnb_step(params, f, d, a, phi, eps, draws)
         rows.append(GenRow(gen, true_perf(info.cost), info.v_incumbent, info.outcome,
                            info.bene_count, info.neut_count))
         if nxt is None:
@@ -289,7 +341,7 @@ def disjunction_mutator(n, eps, delta_self=1.0):
         np.maximum(out, -1.0, out=out)
         return np.minimum(out, 1.0, out=out)
 
-    return NeighborhoodMutator(neighbours, delta_self=delta_self)
+    return NeighborhoodMutator(neighbours, n + 2, delta_self=delta_self)
 
 
 def sq_neighborhood(psi, eps, gpsi_builder, gamma):

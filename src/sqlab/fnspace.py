@@ -300,8 +300,9 @@ def _class_table(kind, n, T=None):
     for i in range(1, n + 1):
         # variable i goes on the high bit of both the row and the column index
         out = np.kron(block if T is None else block[[int(i in T)]], out)
-    out *= scale
-    out += shift
+    if (scale, shift) != (1.0, 0.0):  # parities are +-1 already; skip two passes
+        out *= scale
+        out += shift
     out.flags.writeable = False
     return out
 

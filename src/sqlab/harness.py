@@ -21,7 +21,8 @@ import numpy as np
 from . import __version__
 from .dimensions import FnSet, sq_dim
 from .errors import InvariantBreachError, UsageError
-from .evolve import disjunction_mutator, disjunction_params, evolve_lsq_params, evolve_run
+from .evolve import (disjunction_mutator, disjunction_params, evolve_lsq_params, evolve_run,
+                     evolve_streams)
 from .fnspace import (
     MAX_CLASS_N,
     MAX_N,
@@ -197,19 +198,56 @@ def _json_value(v):
     return v
 
 
+RENDER_ROWS = 1024  # rows formatted together: whole columns, in bounded memory
+
+
+def _column(records, c):
+    """Column c of `records` and the set of its cell types."""
+    col = [rec.get(c) for rec in records]
+    return col, set(map(type, col))
+
+
+def _csv_lines(records, columns):
+    cells = []
+    for c in columns:
+        col, kinds = _column(records, c)
+        if kinds <= {float}:
+            cells.append(map("{:.12g}".format, col))
+        elif not any(issubclass(k, float) or k is type(None) for k in kinds):
+            cells.append(map(str, col))
+        else:
+            cells.append(map(format_value, col))
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def _json_lines(records, columns, template):
+    cells = []
+    for c in columns:
+        col, kinds = _column(records, c)
+        col = list(map(_json_value, col))
+        if kinds <= {float, int, bool, type(None)}:
+            cells.append(json.dumps(col)[1:-1].split(", "))
+        else:
+            cells.append(map(json.dumps, col))
+    return "\n".join([template % cell for cell in zip(*cells)]) + "\n"
+
+
 def rows_to_csv(records, columns):
-    lines = [",".join(columns)]
-    for rec in records:
-        lines.append(",".join(format_value(rec.get(c)) for c in columns))
-    return ("\n".join(lines) + "\n").encode()
+    """A header line, then one line per record.  Each column is formatted
+    whole, RENDER_ROWS records at a time: a column of floats alone in one
+    pass, one with no float and no None by str, any other cell by cell."""
+    body = [_csv_lines(records[i:i + RENDER_ROWS], columns)
+            for i in range(0, len(records), RENDER_ROWS)]
+    return (",".join(columns) + "\n" + "".join(body)).encode()
 
 
 def rows_to_jsonl(records, columns):
-    lines = [
-        json.dumps({c: _json_value(rec.get(c)) for c in columns})
-        for rec in records
-    ]
-    return ("\n".join(lines) + ("\n" if lines else "")).encode()
+    """One json object per record, as json.dumps writes it.  Each column is
+    encoded whole, RENDER_ROWS records at a time: one json.dumps of the column
+    list when no cell's text can hold the ", " separator, else cell by cell."""
+    template = "{" + ", ".join(json.dumps(c).replace("%", "%%") + ": %s" for c in columns) + "}"
+    return "".join([_json_lines(records[i:i + RENDER_ROWS], columns, template)
+                    for i in range(0, len(records), RENDER_ROWS)]).encode()
 
 
 def render(records, columns, fmt):
@@ -318,7 +356,7 @@ def _evolve_one(cfg, k, master):
     mutator = disjunction_mutator(cfg.n, cfg.epsilon)
     r0 = RealFn(domain, np.full(domain.size, -1.0))
     trace = evolve_run(mutator, params, target, dist, cfg.epsilon, g, r0,
-                       make_rng(master, k, "evolve"))
+                       evolve_streams(master, k))
     summary = {
         "seed": master,
         "reached_target": trace.reached_target,

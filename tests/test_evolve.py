@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from sqlab import make_rng
 from sqlab.errors import ThetaExceedsEpsError, UsageError
 from sqlab.evolve import (
+    BLOCK,
+    BLOCK_BYTES,
     LINEAR,
     QUADRATIC,
     EvolutionTrace,
@@ -21,11 +23,13 @@ from sqlab.evolve import (
     empirical_lperf,
     evolve_lsq_params,
     evolve_run,
+    evolve_streams,
+    generation_draws,
     lperf,
     selnb_step,
     sq_neighborhood,
 )
-from sqlab.evolve import _disjunction_steps
+from sqlab.evolve import STREAMS, _disjunction_steps
 from sqlab.fnspace import (
     BoolFn,
     Dist,
@@ -94,26 +98,90 @@ def test_empirical_lperf_concentrates(domain3, uniform3):
     assert max(abs(v - want) for v in vals) < 0.1
 
 
-def test_neighborhood_mutator_table_and_frequencies(domain3):
+def _draws(mut, params, d, seed):
+    """The draws of one generation on the streams of run (seed, 0)."""
+    return next(generation_draws(mut, params, d, 1, evolve_streams(seed, 0)))
+
+
+def _row_counts(mut, p, d, seed, g):
+    """Draws per table row, summed over g generations of p draws each."""
+    params = SelNBParams(QUADRATIC, t=0.1, p=p, s=None)
+    return np.sum([c for c, _, _ in generation_draws(mut, params, d, g,
+                                                     evolve_streams(seed, 0))], axis=0)
+
+
+def test_neighborhood_mutator_table_and_frequencies(domain3, uniform3):
     base = np.array([np.full(8, v) for v in (-0.5, 0.0, 0.5)])
-    mut = NeighborhoodMutator(lambda phi, eps: base)
+    mut = NeighborhoodMutator(lambda phi, eps: base, 3)
     phi = np.ones(8)
-    table, rows = mut.sample(phi, 0.1, make_rng(5, 0, "m"), 30_000)
     # the three neighbours, then the incumbent as row 3
-    np.testing.assert_array_equal(table, np.vstack([base, phi]))
+    np.testing.assert_array_equal(mut.table(phi, 0.1), np.vstack([base, phi]))
+    counts = _row_counts(mut, 30, uniform3, 5, 1000)
+    assert counts.sum() == 30_000
     for j in range(3):
-        assert abs(np.mean(rows == j) - 1 / 3) < 0.02
-    assert not np.any(rows == 3)  # delta_self = 1 never emits the incumbent
+        assert abs(counts[j] / 30_000 - 1 / 3) < 0.02
+    assert counts[3] == 0  # delta_self = 1 never emits the incumbent
 
 
-def test_neighborhood_mutator_lazy_self(domain3):
+def test_neighborhood_mutator_lazy_self(domain3, uniform3):
     base = np.zeros((1, 8))
-    mut = NeighborhoodMutator(lambda phi, eps: base, delta_self=0.25)
-    table, rows = mut.sample(np.ones(8), 0.1, make_rng(6, 0, "m"), 40_000)
-    assert abs(np.mean(rows == 1) - 0.75) < 0.02
-    np.testing.assert_array_equal(table[1], np.ones(8))
+    mut = NeighborhoodMutator(lambda phi, eps: base, 1, delta_self=0.25)
+    counts = _row_counts(mut, 40, uniform3, 6, 1000)
+    assert abs(counts[1] / 40_000 - 0.75) < 0.02
+    np.testing.assert_array_equal(mut.table(np.ones(8), 0.1)[1], np.ones(8))
     with pytest.raises(UsageError):
-        NeighborhoodMutator(lambda phi, eps: base, delta_self=0.0)
+        NeighborhoodMutator(lambda phi, eps: base, 1, delta_self=0.0)
+
+
+def test_neighborhood_mutator_height_is_fixed():
+    mut = NeighborhoodMutator(lambda phi, eps: np.zeros((len(phi) // 4, 8)), 2)
+    assert mut.table(np.zeros(8), 0.1).shape == (3, 8)
+    with pytest.raises(UsageError, match="3 rows.*k = 2"):
+        mut.table(np.zeros(12), 0.1)
+    with pytest.raises(UsageError):
+        NeighborhoodMutator(lambda phi, eps: np.zeros((0, 8)), 0)
+    assert disjunction_mutator(3, 0.25).k == 5
+
+
+class _Recording:
+    """A Generator stand-in that records the shape of each draw."""
+
+    def __init__(self, rng, log):
+        self.rng, self.log = rng, log
+
+    def __getattr__(self, name):
+        def call(*args, **kwargs):
+            self.log.append((name, kwargs["size"] if "size" in kwargs else args[0]))
+            return getattr(self.rng, name)(*args, **kwargs)
+        return call
+
+
+@pytest.mark.parametrize("n, s", [(3, None), (3, 1000), (10, 1000)])
+def test_generation_draws_come_in_blocks_under_a_megabyte(n, s):
+    domain = Domain(n)
+    mut = disjunction_mutator(n, 0.2, delta_self=0.5)
+    params = SelNBParams(QUADRATIC, t=0.1, p=50, s=s)
+    logs = {purpose: [] for purpose in STREAMS}
+    streams = {purpose: _Recording(rng, logs[purpose])
+               for purpose, rng in evolve_streams(0, 0).items()}
+    g = 600
+    draws = list(generation_draws(mut, params, dist_uniform(domain), g, streams))
+    assert len(draws) == g
+    rows = n + 3
+    for counts, fitness, pick in draws:
+        assert len(counts) == rows and sum(counts) == params.p and 0 <= pick < 1
+        assert fitness is None if s is None else \
+            fitness.shape == (rows, domain.size) and (fitness.sum(axis=1) == s).all()
+    block = min(BLOCK, BLOCK_BYTES // (8 * max(params.p, 0 if s is None else rows * domain.size)))
+    assert block == (256 if n == 3 else 9)
+    lengths = [block] * (g // block) + [g % block] * (g % block > 0)
+    assert logs["mutate"] == [("integers", (b, params.p)) for b in lengths]
+    assert logs["lazy"] == [("random", (b, params.p)) for b in lengths]
+    assert logs["pick"] == [("random", b) for b in lengths]
+    assert logs["fitness"] == ([] if s is None else
+                               [("multinomial", (b, rows)) for b in lengths])
+    for name, size in sum(logs.values(), []):
+        assert 8 * np.prod(size) * (domain.size if name == "multinomial" else 1) < 1 << 20
 
 
 def test_selnb_validation():
@@ -128,11 +196,12 @@ def test_selnb_validation():
 def test_selnb_step_picks_beneficial(domain3, uniform3):
     f = random_bool_fn(domain3, make_rng(8, 0, "f"))
     better, worse = f.values, -f.values * 0.5
-    mut = NeighborhoodMutator(lambda phi, eps: np.array([better, worse]))
+    mut = NeighborhoodMutator(lambda phi, eps: np.array([better, worse]), 2)
     phi0 = np.zeros(8)
     params = SelNBParams(QUADRATIC, t=0.01, p=40, s=None)
     for seed in range(10):
-        nxt, info = selnb_step(params, f, uniform3, mut, phi0, 0.1, make_rng(seed, 0, "s"))
+        nxt, info = selnb_step(params, f, uniform3, mut, phi0, 0.1,
+                               _draws(mut, params, uniform3, seed))
         assert info.outcome == "beneficial"
         assert info.bene_count == 1
         np.testing.assert_array_equal(nxt, better)
@@ -141,9 +210,9 @@ def test_selnb_step_picks_beneficial(domain3, uniform3):
 def test_selnb_step_neutral_keeps_incumbent_reachable(domain3, uniform3):
     f = random_bool_fn(domain3, make_rng(9, 0, "f"))
     phi0 = np.zeros(8)
-    mut = NeighborhoodMutator(lambda phi, eps: phi[None])  # only itself
+    mut = NeighborhoodMutator(lambda phi, eps: phi[None], 1)  # only itself
     params = SelNBParams(QUADRATIC, t=0.05, p=5, s=None)
-    nxt, info = selnb_step(params, f, uniform3, mut, phi0, 0.1, make_rng(0, 0, "s"))
+    nxt, info = selnb_step(params, f, uniform3, mut, phi0, 0.1, _draws(mut, params, uniform3, 0))
     assert info.outcome == "neutral"
     assert info.distinct == 1  # the neighbour and the incumbent are one candidate
     np.testing.assert_array_equal(nxt, phi0)
@@ -154,9 +223,9 @@ def test_selnb_step_bottom_returns_none(domain3, uniform3):
     f = random_bool_fn(domain3, make_rng(10, 0, "f"))
     phi0 = f.values  # already perfect, fitness 1
     drop = -f.values[None]  # fitness -1, below any tolerance
-    mut = NeighborhoodMutator(lambda phi, eps: drop)
+    mut = NeighborhoodMutator(lambda phi, eps: drop, 1)
     params = SelNBParams(QUADRATIC, t=0.1, p=8, s=None)
-    nxt, info = selnb_step(params, f, uniform3, mut, phi0, 0.1, make_rng(0, 0, "s"))
+    nxt, info = selnb_step(params, f, uniform3, mut, phi0, 0.1, _draws(mut, params, uniform3, 0))
     assert nxt is None
     assert info.outcome == "bottom"
     assert info.distinct == 1
@@ -166,11 +235,12 @@ def test_selnb_step_exact_mode_never_drops_beyond_tolerance(domain3, uniform3):
     rng = make_rng(11, 0, "f")
     f = random_bool_fn(domain3, rng)
     neigh = np.array([random_real_fn(domain3, rng).values for _ in range(6)])
-    mut = NeighborhoodMutator(lambda phi, eps: neigh, delta_self=0.5)
+    mut = NeighborhoodMutator(lambda phi, eps: neigh, 6, delta_self=0.5)
     params = SelNBParams(QUADRATIC, t=0.07, p=12, s=None)
     phi = random_real_fn(domain3, rng).values
     for seed in range(50):
-        nxt, info = selnb_step(params, f, uniform3, mut, phi, 0.1, make_rng(seed, 0, "s"))
+        nxt, info = selnb_step(params, f, uniform3, mut, phi, 0.1,
+                               _draws(mut, params, uniform3, seed))
         if nxt is None:
             continue
         got = lperf(QUADRATIC, f, RealFn(domain3, nxt), uniform3)
@@ -187,57 +257,78 @@ def test_selnb_step_weights_by_frequency(domain3, uniform3):
     assert lperf(QUADRATIC, f, RealFn(domain3, va), uniform3) == pytest.approx(
         lperf(QUADRATIC, f, RealFn(domain3, vb), uniform3)
     )
-    skewed = NeighborhoodMutator(lambda phi, eps: np.array([va, va, va, vb]))
+    skewed = NeighborhoodMutator(lambda phi, eps: np.array([va, va, va, vb]), 4)
     phi0 = np.zeros(8)
     # p large enough that both candidates show up in every sample
     params = SelNBParams(QUADRATIC, t=0.05, p=64, s=None)
     picks_a = 0
     trials = 600
     for seed in range(trials):
-        nxt, info = selnb_step(
-            params, f, uniform3, skewed, phi0, 0.1, make_rng(seed, 0, "s")
-        )
+        nxt, info = selnb_step(params, f, uniform3, skewed, phi0, 0.1,
+                               _draws(skewed, params, uniform3, seed))
         assert info.outcome == "beneficial" and info.bene_count == 2
         picks_a += np.array_equal(nxt, va)
     assert abs(picks_a / trials - 0.75) < 0.06
 
 
-def _reference_step(params, f, d, steps, delta_self, phi, rng):
-    """One generation as a dict keyed by row bytes, with one multinomial call
-    per scored candidate: the selection rule written out row by row."""
-    neigh = np.clip(phi + steps, -1.0, 1.0)
-    idx = rng.integers(0, len(neigh), size=params.p)
-    lazy = rng.random(params.p) >= delta_self if delta_self < 1 else np.zeros(params.p, bool)
-    groups, order = {}, []
-    for row in (phi if lazy[j] else neigh[idx[j]] for j in range(params.p)):
-        key = row.tobytes()
-        if key in groups:
-            groups[key][1] += 1
-        else:
-            groups[key] = [row, 1]
-            order.append(key)
+def _reference_draws(k, params, d, delta_self, g, streams):
+    """Each generation's (row counts, fitness count rows, pick): every purpose
+    block drawn with generation_draws' numpy call, then the draws tallied one
+    by one.  Lazy like generation_draws, so a run that stops early leaves the
+    streams where generation_draws leaves them."""
+    p, s = params.p, params.s
+    per_generation = 8 * max(p, 0 if s is None else (k + 1) * len(d.weights))
+    block = max(1, min(BLOCK, BLOCK_BYTES // per_generation))
+    for start in range(0, g, block):
+        b = min(block, g - start)
+        idx = streams["mutate"].integers(0, k, size=(b, p))
+        lazy = streams["lazy"].random((b, p)) >= delta_self if delta_self < 1 else None
+        fitness = None if s is None else streams["fitness"].multinomial(s, d.weights,
+                                                                         size=(b, k + 1))
+        picks = streams["pick"].random(b)
+        for i in range(b):
+            counts = [0] * (k + 1)
+            for j in range(p):
+                counts[k if lazy is not None and lazy[i, j] else int(idx[i, j])] += 1
+            yield counts, None if s is None else fitness[i], float(picks[i])
 
-    def fitness(row):
-        loss = params.loss.table(f.values, row)
+
+def _reference_step(params, f, d, steps, phi, draws):
+    """One generation as a dict keyed by row bytes, each candidate scored on
+    its own: the selection rule written out row by row."""
+    counts, fitness, u = draws
+    k = len(steps)
+    table = list(np.clip(phi + steps, -1.0, 1.0)) + [phi]
+
+    def score(j):
+        loss = params.loss.table(f.values, table[j])
         if params.s is None:
             return 1.0 - 2.0 * float(np.dot(d.weights, loss)) / params.loss.span
-        counts = rng.multinomial(params.s, d.weights).astype(np.float64)
-        return 1.0 - 2.0 * float(np.dot(counts, loss)) / (params.s * params.loss.span)
+        w = fitness[j].astype(np.float64)
+        return 1.0 - 2.0 * float(np.dot(w, loss)) / (params.s * params.loss.span)
 
-    v_r = fitness(phi)
-    values = {phi.tobytes(): v_r}
-    for key in order:
-        if key not in values:
-            values[key] = fitness(groups[key][0])
-    bene = [k for k in order if values[k] >= v_r + params.t]
-    neut = [k for k in order if abs(values[k] - v_r) < params.t]
+    v_r = score(k)
+    groups = {}  # row bytes -> [row, draws, fitness]
+    for j in range(k + 1):
+        if counts[j]:
+            key = table[j].tobytes()
+            if key not in groups:
+                groups[key] = [table[j], 0, v_r if key == phi.tobytes() else score(j)]
+            groups[key][1] += counts[j]
+    bene = [grp for grp in groups.values() if grp[2] >= v_r + params.t]
+    neut = [grp for grp in groups.values() if abs(grp[2] - v_r) < params.t]
     if not bene and not neut:
-        return None, StepInfo(v_r, "bottom", 0, 0, len(order))
+        return None, StepInfo(v_r, "bottom", 0, 0, len(groups))
     tier, outcome = (bene, "beneficial") if bene else (neut, "neutral")
-    counts = np.array([groups[k][1] for k in tier], dtype=np.float64)
-    pick = np.searchsorted(np.cumsum(counts / counts.sum()), rng.random(), side="right")
-    info = StepInfo(v_r, outcome, len(bene), len(neut), len(order))
-    return groups[tier[min(int(pick), len(tier) - 1)]][0], info
+    weights = np.array([grp[1] for grp in tier])
+    pick = np.searchsorted(np.cumsum(weights), u * weights.sum(), side="right")
+    info = StepInfo(v_r, outcome, len(bene), len(neut), len(groups))
+    return tier[min(int(pick), len(tier) - 1)][0], info
+
+
+def _stream_states(streams):
+    # the Philox state holds small arrays, printed in full
+    return {purpose: str(rng.bit_generator.state) for purpose, rng in streams.items()}
 
 
 @st.composite
@@ -267,14 +358,16 @@ def _selection_case(draw):
 def test_selnb_step_matches_a_row_by_row_reference(case, delta_self, s, t, p, seed):
     f, d, phi, steps = case
     params = SelNBParams(QUADRATIC, t=t, p=p, s=s)
-    mut = NeighborhoodMutator(lambda phi, eps: np.clip(phi + steps, -1.0, 1.0), delta_self)
-    rng, ref_rng = make_rng(seed, 0, "sel"), make_rng(seed, 0, "sel")
+    mut = NeighborhoodMutator(lambda phi, eps: np.clip(phi + steps, -1.0, 1.0), len(steps),
+                              delta_self)
+    streams, ref_streams = evolve_streams(seed, 0), evolve_streams(seed, 0)
+    draws = generation_draws(mut, params, d, 3, streams)
+    ref_draws = _reference_draws(len(steps), params, d, delta_self, 3, ref_streams)
     for _ in range(3):
-        got, info = selnb_step(params, f, d, mut, phi, 0.1, rng)
-        want, want_info = _reference_step(params, f, d, steps, delta_self, phi, ref_rng)
+        got, info = selnb_step(params, f, d, mut, phi, 0.1, next(draws))
+        want, want_info = _reference_step(params, f, d, steps, phi, next(ref_draws))
         assert info == want_info
-        # the Philox state holds small arrays, printed in full
-        assert str(rng.bit_generator.state) == str(ref_rng.bit_generator.state)
+        assert _stream_states(streams) == _stream_states(ref_streams)
         if want is None:
             assert got is None
             break
@@ -282,7 +375,7 @@ def test_selnb_step_matches_a_row_by_row_reference(case, delta_self, s, t, p, se
         phi = got
 
 
-def _reference_run(params, f, d, steps, delta_self, eps, g, phi, rng):
+def _reference_run(params, f, d, steps, delta_self, eps, g, phi, streams):
     """evolve_run as a chain of _reference_step generations."""
     loss = params.loss
 
@@ -290,8 +383,9 @@ def _reference_run(params, f, d, steps, delta_self, eps, g, phi, rng):
         return 1.0 - 2.0 * float(np.dot(d.weights, loss.table(f.values, row))) / loss.span
 
     start, rows = true_perf(phi), []
+    draws = _reference_draws(len(steps), params, d, delta_self, g, streams)
     for gen in range(1, g + 1):
-        nxt, info = _reference_step(params, f, d, steps, delta_self, phi, rng)
+        nxt, info = _reference_step(params, f, d, steps, phi, next(draws))
         if nxt is None:
             rows.append(GenRow(gen, true_perf(phi), info.v_incumbent, "bottom", 0, 0))
             break
@@ -312,16 +406,17 @@ def test_evolve_run_matches_the_chained_reference_steps(dist, delta_self, s):
     gamma, gain = disjunction_params(n, eps)
     params = SelNBParams(QUADRATIC, t=gain, p=60, s=s)
     r0 = RealFn(domain, np.full(8, -1.0))
-    rng, ref_rng = make_rng(5, 0, "e"), make_rng(5, 0, "e")
-    trace = evolve_run(disjunction_mutator(n, eps, delta_self), params, f, d, eps, g, r0, rng)
+    streams, ref_streams = evolve_streams(5, 0), evolve_streams(5, 0)
+    trace = evolve_run(disjunction_mutator(n, eps, delta_self), params, f, d, eps, g, r0,
+                       streams)
     want = _reference_run(params, f, d, _disjunction_steps(domain, gamma), delta_self, eps, g,
-                          r0.values + 0.0, ref_rng)
+                          r0.values + 0.0, ref_streams)
     assert len(trace) == g
     assert trace.rows == want.rows
     for flag in ("start_perf", "final_perf", "bottomed", "reached_target",
                  "monotone_within_slack", "monotone_vs_start"):
         assert getattr(trace, flag) == getattr(want, flag), flag
-    assert str(rng.bit_generator.state) == str(ref_rng.bit_generator.state)
+    assert _stream_states(streams) == _stream_states(ref_streams)
 
 
 def test_evolve_run_reaches_target_with_exact_fitness(domain3, uniform3):
@@ -334,7 +429,7 @@ def test_evolve_run_reaches_target_with_exact_fitness(domain3, uniform3):
     params = SelNBParams(QUADRATIC, t=gain / 2.0, p=30, s=None)
     r0 = RealFn(domain3, np.full(8, -1.0))
     g = 5000
-    trace = evolve_run(mut, params, f, uniform3, eps, g, r0, make_rng(0, 0, "e"))
+    trace = evolve_run(mut, params, f, uniform3, eps, g, r0, evolve_streams(0, 0))
     assert trace.reached_target
     assert trace.monotone_vs_start
     assert trace.final_perf > 1 - eps
@@ -345,15 +440,15 @@ def test_evolve_run_bottom_marks_failure(domain3, uniform3):
     f = random_bool_fn(domain3, make_rng(13, 0, "f"))
     r0 = f.as_real()
     drop = -f.values[None]
-    mut = NeighborhoodMutator(lambda phi, eps: drop)
+    mut = NeighborhoodMutator(lambda phi, eps: drop, 1)
     params = SelNBParams(QUADRATIC, t=0.05, p=4, s=None)
-    trace = evolve_run(mut, params, f, uniform3, 0.1, 5, r0, make_rng(0, 0, "e"))
+    trace = evolve_run(mut, params, f, uniform3, 0.1, 5, r0, evolve_streams(0, 0))
     assert trace.bottomed
     assert not trace.reached_target
     assert len(trace) == 1
     assert trace.rows[0].outcome == "bottom"
     with pytest.raises(UsageError):
-        evolve_run(mut, params, f, uniform3, 0.1, 0, r0, make_rng(0, 0, "e"))
+        evolve_run(mut, params, f, uniform3, 0.1, 0, r0, evolve_streams(0, 0))
 
 
 def test_evolution_trace_monotonicity_flags():
@@ -409,7 +504,7 @@ def test_disjunction_mutator_binds_gamma_at_construction(domain3):
     mut = disjunction_mutator(3, 0.25)
     gamma, _ = disjunction_params(3, 0.25)
     phi = np.zeros(8)
-    table, _ = mut.sample(phi, 0.9, make_rng(0, 0, "m"), 1)  # eps must not rescale
+    table = mut.table(phi, 0.9)  # eps must not rescale
     # the n+2 neighbours, then the incumbent
     np.testing.assert_array_equal(
         table[:5], disjunction_neighborhood(RealFn(domain3, phi), gamma))

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqlab import cli, harness, sqcore
 from sqlab.errors import InvariantBreachError, UsageError
@@ -98,6 +100,35 @@ def test_render_formats_agree(tmp_path):
     assert harness.rows_to_jsonl([], columns) == b""
 
 
+_CELL = st.one_of(st.none(), st.booleans(), st.integers(-10 ** 20, 10 ** 20), st.floats(),
+                  st.text(max_size=6), st.sampled_from(["a, b", "%s", "\"q\"", "\u00e9"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.lists(_CELL, min_size=3, max_size=3), max_size=16),
+       uniform=st.sampled_from([None, 1.5, 7, "x"]))
+def test_render_matches_a_cell_by_cell_reference(rows, uniform):
+    # column by column rendering writes the bytes of a per-cell, per-row render
+    columns = ("a", "b%", "c")
+    records = [dict(zip(columns, row)) for row in rows]
+    if uniform is not None:  # one column of a single type, the fast path
+        for i, rec in enumerate(records):
+            rec["c"] = uniform / (i + 1) if type(uniform) is float else uniform
+    for rec in records[::3]:
+        rec.pop("a")  # a missing key renders as None
+    want_csv = [",".join(columns)] + [
+        ",".join(harness.format_value(rec.get(c)) for c in columns) for rec in records]
+    want_json = [json.dumps({c: harness._json_value(rec.get(c)) for c in columns})
+                 for rec in records]
+    for chunk in (harness.RENDER_ROWS, 5):  # a trace of any length is split alike
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "RENDER_ROWS", chunk)
+            assert harness.render(records, columns, "csv") == \
+                ("\n".join(want_csv) + "\n").encode()
+            assert harness.render(records, columns, "json") == \
+                ("\n".join(want_json) + ("\n" if want_json else "")).encode()
+
+
 def test_learn_run_artifacts(tmp_path):
     cfg = _cfg(n=3, tau=0.05, epsilon=0.1, seeds="0..4", out=str(tmp_path / "o"))
     artifacts, summaries = harness.run_config(cfg)
@@ -134,6 +165,21 @@ def test_evolve_run_artifacts(tmp_path):
     for s in summaries:
         assert isinstance(s["reached_target"], bool)
         assert s["generations"] >= 1
+
+
+def test_evolve_artifacts_identical_across_workers_and_reruns(tmp_path):
+    data = {"command": "evolve", "n": 3, "epsilon": 0.3, "theta": 0.01, "dist": "random",
+            "seeds": "0..7", "out": str(tmp_path / "a")}
+    solo, sums = harness.run_config(harness.make_config(data))
+    multi, _ = harness.run_config(harness.make_config({**data, "workers": 8}))
+    assert list(solo) == [f"evolve_run{k:03d}.csv" for k in range(8)]
+    assert multi == solo
+    assert len(set(solo.values())) == 8 and sum(s["beneficial"] for s in sums) > 0
+    harness.execute(harness.make_config(data))
+    harness.rerun_manifest(tmp_path / "a" / "manifest.json", tmp_path / "b")
+    for name, blob in solo.items():
+        assert (tmp_path / "a" / name).read_bytes() == blob
+        assert (tmp_path / "b" / name).read_bytes() == blob
 
 
 def test_evolve_outcome_histogram_in_the_manifest(tmp_path):
@@ -245,22 +291,34 @@ def test_oracle_flag_is_validated_at_the_boundary(tmp_path, flag):
         assert "usage error" in out.output and "--oracle" in out.output
 
 
-@pytest.mark.parametrize("flag, value", [("--class", "parities"), ("--tau", "0.1"),
-                                         ("--oracle", "noisy")])
-def test_evolve_rejects_the_flags_it_does_not_use(tmp_path, flag, value):
-    out = CliRunner().invoke(cli.main, ["evolve", "--n", "2", "--epsilon", "0.9", flag, value,
+def _assert_flag_rejected(tmp_path, command, flag, value):
+    out = CliRunner().invoke(cli.main, [command, "--n", "2", flag, value,
                                         "--out", str(tmp_path / "e")])
     assert out.exit_code == 1, out.output
     assert isinstance(out.exception, SystemExit)
     assert "usage error" in out.output and flag in out.output
     assert not (tmp_path / "e").exists()
-    conf = tmp_path / "evolve.cfg"
+    conf = tmp_path / f"{command}.cfg"
     conf.write_text(f"n = 2\n{flag[2:]} = {value}\n")
-    out = CliRunner().invoke(cli.main, ["evolve", "--config", str(conf)])
+    out = CliRunner().invoke(cli.main, [command, "--config", str(conf)])
     assert out.exit_code == 1 and flag in out.output
     # a manifest's config snapshot names every key; make_config takes it back
-    snap = _cfg(command="evolve", **{flag[2:]: value}).snapshot()
+    snap = _cfg(command=command, **{flag[2:]: value}).snapshot()
     assert harness.make_config(snap).snapshot() == snap
+
+
+@pytest.mark.parametrize("flag, value", [("--class", "parities"), ("--tau", "0.1"),
+                                         ("--oracle", "noisy")])
+def test_evolve_rejects_the_flags_it_does_not_use(tmp_path, flag, value):
+    _assert_flag_rejected(tmp_path, "evolve", flag, value)
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("dim", "--tau", "0.1"), ("dim", "--oracle", "noisy"), ("dim", "--epsilon", "0.5"),
+    ("learn", "--epsilon", "0.5"), ("agnostic", "--epsilon", "0.5"),
+])
+def test_commands_reject_the_flags_they_do_not_use(tmp_path, command, flag, value):
+    _assert_flag_rejected(tmp_path, command, flag, value)
 
 
 def test_empirical_ledger_overrun_is_an_honest_halt(tmp_path):
