@@ -83,28 +83,25 @@ def _abs_gram(f, d):
     return g
 
 
-def max_clique(adj):
+def max_clique(adj, floor=0):
     """Maximum clique of an undirected graph via branch and bound.
 
-    `adj` is a boolean adjacency matrix (symmetric, hollow).
-    Returns (size, sorted vertex tuple).
+    `adj` is a boolean adjacency matrix (symmetric; the diagonal is ignored).
+    The bound starts at `floor`: returns (size, sorted vertex tuple) of the
+    maximum clique when it has more than `floor` vertices, else (0, ()).  A
+    floor below the clique number prunes no ancestor of the first maximum
+    clique in the search order (each has r + |P| >= size > floor), so the
+    clique returned is the one floor=0 returns.
     """
     n = adj.shape[0]
-    if n == 0:
-        return 0, ()
-    masks = [0] * n
-    for i in range(n):
-        m = 0
-        for j in range(n):
-            if i != j and adj[i, j]:
-                m |= 1 << j
-        masks[i] = m
-    best_size = 0
+    packed = np.packbits(adj, axis=1, bitorder="little").tobytes()
+    width = (n + 7) // 8  # bytes per packed row
+    masks = [int.from_bytes(packed[i * width:(i + 1) * width], "little") for i in range(n)]
+    best_size = floor
     best_mask = 0
-    full = (1 << n) - 1
     # stack of (clique_mask, clique_size, candidate_mask); binary branching on
-    # the lowest candidate vertex
-    stack = [(0, 0, full)]
+    # the lowest candidate vertex, which never lies in its own candidate mask
+    stack = [(0, 0, (1 << n) - 1)]
     while stack:
         r_mask, r_size, p_mask = stack.pop()
         if r_size + p_mask.bit_count() <= best_size:
@@ -117,27 +114,33 @@ def max_clique(adj):
         rest = p_mask ^ low
         stack.append((r_mask, r_size, rest))
         stack.append((r_mask | low, r_size + 1, rest & masks[v]))
-    verts = tuple(i for i in range(n) if best_mask >> i & 1)
-    return best_size, verts
+    if best_mask == 0:
+        return 0, ()
+    return best_size, tuple(i for i in range(n) if best_mask >> i & 1)
 
 
 def _check_pairwise(absgram, witness, threshold):
-    for a in range(len(witness)):
-        for b in range(a + 1, len(witness)):
-            v = absgram[witness[a], witness[b]]
-            if v > threshold + ATOL:
-                raise InvariantBreachError(
-                    f"witness pair ({witness[a]}, {witness[b]}) correlates at "
-                    f"{v}, over threshold {threshold}")
+    """Raise on the first witness pair, in row order, over `threshold`."""
+    idx = np.asarray(witness, dtype=np.intp)
+    for a in range(len(idx) - 1):
+        over = np.flatnonzero(absgram[idx[a], idx[a + 1:]] > threshold + ATOL)
+        if over.size:
+            b = a + 1 + int(over[0])
+            raise InvariantBreachError(
+                f"witness pair ({witness[a]}, {witness[b]}) correlates at "
+                f"{absgram[idx[a], idx[b]]}, over threshold {threshold}")
 
 
 def sq_dim(f, d, mode="exact", cap=30):
     """Largest d with d functions pairwise |<.,.>_D| <= 1/d.
 
-    Exact mode scans candidate values downward from |f|, looking for a
-    d-clique in the graph keeping edges with |correlation| <= 1/d; greedy mode
-    inserts functions in set order, re-testing the tightened threshold, and is
-    only a lower bound.
+    Exact mode scans candidate values downward from |f|: at each it asks
+    max_clique, with its bound seeded at cand - 1, whether the graph keeping
+    edges with |correlation| <= 1/cand has a cand-clique, and stops at the
+    first that does; the witness is the first cand vertices of the clique
+    found.  Greedy mode inserts functions in set order while the largest
+    pairwise correlation stays within the tightened threshold, and is only a
+    lower bound.
     """
     if mode not in ("exact", "greedy"):
         raise UsageError(f"mode must be 'exact' or 'greedy', got {mode!r}")
@@ -151,25 +154,25 @@ def sq_dim(f, d, mode="exact", cap=30):
             raise UsageError(f"exact mode handles at most {cap} functions, got {k}")
         witness = [0]
         for cand in range(k, 1, -1):
-            adj = absgram <= 1.0 / cand + ATOL
-            np.fill_diagonal(adj, False)
-            size, verts = max_clique(adj)
-            if size >= cand:
+            adj = absgram <= 1.0 / cand + ATOL  # diagonal True: absgram's is 0
+            # a cand-clique needs cand vertices with cand - 1 neighbours each
+            if np.count_nonzero(adj.sum(axis=1) >= cand) < cand:
+                continue
+            size, verts = max_clique(adj, cand - 1)
+            if size:
                 witness = list(verts[:cand])
                 break
-        value = len(witness)
     else:
-        witness = []
-        for j in range(k):
-            cand = witness + [j]
-            t = 1.0 / len(cand)
-            if all(
-                absgram[cand[a], cand[b]] <= t + ATOL
-                for a in range(len(cand))
-                for b in range(a + 1, len(cand))
-            ):
-                witness = cand
-        value = len(witness)
+        chosen = np.zeros(k, dtype=bool)
+        chosen[0] = True
+        size, worst = 1, 0.0  # worst: largest |correlation| of two chosen rows
+        for j in range(1, k):
+            with_j = max(worst, absgram[j, :j].max(where=chosen[:j], initial=0.0))
+            if with_j <= 1.0 / (size + 1) + ATOL:
+                chosen[j] = True
+                size, worst = size + 1, with_j
+        witness = np.flatnonzero(chosen).tolist()
+    value = len(witness)
     _check_pairwise(absgram, witness, 1.0 / value)
     return DimReport(value, certainty, witness, {"mode": mode})
 

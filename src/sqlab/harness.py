@@ -322,16 +322,20 @@ def _learn_one(cfg, k, master):
     oracle = _build_oracle(cfg, target, dist, master, k)
     gen = class_pool_generator(cclass, gamma=4 * cfg.tau)
     hyp, trace = projected_learner(gen, oracle, cfg.tau, audit_target=target)
+    ledger = math.ceil(1 / (3 * cfg.tau * cfg.tau))
+    gap = oracle.audit()  # -inf when no logged answer is checkable (empirical)
     summary = {
         "seed": master,
         "halt": trace.halt_reason,
         "updates": trace.updates,
         "queries": trace.queries,
         "final_disagreement": disagreement(hyp, target, dist),
+        "ledger": ledger,
+        "audit_gap": gap if gap > -math.inf else None,
     }
     if trace.halt_reason == "oracle-violation":
         overrun = (f"{trace.updates} accepted updates exceed the ledger ceil(1/(3*tau^2)) = "
-                   f"{math.ceil(1 / (3 * cfg.tau * cfg.tau))} at tau={cfg.tau}")
+                   f"{ledger} at tau={cfg.tau}")
         if oracle.mode != "empirical":
             raise InvariantBreachError(
                 f"update-count ledger exhausted: {overrun}; the oracle's answers are "
@@ -396,7 +400,7 @@ def _agnostic_one(cfg, k, master):
     hyp = weak_agnostic_learner(pool, a, cfg.tau, mode=mode,
                                 rng=make_rng(master, k, "oracle"), sample_size=sample_size)
     w = dist.weights
-    best = max(abs(float(np.dot(w, row * phi.values))) for row in cclass.matrix)
+    best = float(np.abs(cclass.matrix @ (w * phi.values)).max())
     achieved = float(np.dot(w, hyp.values * phi.values))
     rec = {
         "seed": master,

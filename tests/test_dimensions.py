@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqlab import make_rng
 from sqlab.dimensions import (
+    DimReport,
     FnSet,
     default_psi_family,
     extend_witness,
@@ -16,12 +19,16 @@ from sqlab.dimensions import (
     sqd_lower_scaling,
     sqd_upper,
 )
-from sqlab.errors import NormRangeError, PoolInsufficientError, UsageError
+from sqlab.dimensions import _abs_gram, _check_pairwise
+from sqlab.errors import (InvariantBreachError, NormRangeError, PoolInsufficientError,
+                          UsageError)
 from sqlab.fnspace import (
+    ATOL,
     ConceptClass,
     Domain,
     RealFn,
     conjunction_class,
+    dist_random,
     dist_uniform,
     norm,
     parity_class,
@@ -279,3 +286,129 @@ def test_max_clique_edge_cases():
     assert max_clique(np.zeros((1, 1), dtype=bool)) == (1, (0,))
     full = np.ones((5, 5), dtype=bool)
     assert max_clique(full)[0] == 5
+
+
+def _reference_clique(adj):
+    """Unfloored reference max_clique: masks from an n^2 loop over a hollow
+    matrix, bound from 0."""
+    n = adj.shape[0]
+    if n == 0:
+        return 0, ()
+    masks = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if i != j and adj[i, j]:
+                masks[i] |= 1 << j
+    best_size, best_mask = 0, 0
+    stack = [(0, 0, (1 << n) - 1)]
+    while stack:
+        r_mask, r_size, p_mask = stack.pop()
+        if r_size + p_mask.bit_count() <= best_size:
+            continue
+        if p_mask == 0:
+            best_size, best_mask = r_size, r_mask
+            continue
+        low = p_mask & -p_mask
+        v = low.bit_length() - 1
+        rest = p_mask ^ low
+        stack.append((r_mask, r_size, rest))
+        stack.append((r_mask | low, r_size + 1, rest & masks[v]))
+    return best_size, tuple(i for i in range(n) if best_mask >> i & 1)
+
+
+def _reference_sq_dim(f, d, mode):
+    """Reference sq_dim: the exact scan solves every threshold's maximum
+    clique from a bound of 0; greedy mode re-tests every witness pair at each
+    insertion."""
+    absgram = _abs_gram(f, d)
+    k = len(f)
+    if mode == "exact":
+        witness = [0]
+        for cand in range(k, 1, -1):
+            adj = absgram <= 1.0 / cand + ATOL
+            np.fill_diagonal(adj, False)
+            size, verts = _reference_clique(adj)
+            if size >= cand:
+                witness = list(verts[:cand])
+                break
+    else:
+        witness = []
+        for j in range(k):
+            cand = witness + [j]
+            t = 1.0 / len(cand)
+            if all(absgram[a, b] <= t + ATOL for a, b in itertools.combinations(cand, 2)):
+                witness = cand
+    certainty = "exact" if mode == "exact" else "lower-bound"
+    return DimReport(len(witness), certainty, witness, {"mode": mode})
+
+
+@st.composite
+def _dim_case(draw):
+    """Up to 30 random +-1 rows, or the same shifted by a psi in [-1, 1] into
+    [-2, 2], under uniform or a random D."""
+    domain = Domain(draw(st.integers(2, 7)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = rng.choice([-1.0, 1.0], size=(draw(st.integers(1, 30)), domain.size))
+    if draw(st.booleans()):
+        rows = rows - rng.uniform(-1.0, 1.0, domain.size)
+    d = dist_random(domain, rng) if draw(st.booleans()) else dist_uniform(domain)
+    return FnSet(domain, rows), d
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_dim_case(), mode=st.sampled_from(["exact", "greedy"]))
+def test_sq_dim_matches_the_unpruned_reference(case, mode):
+    fs, d = case
+    assert sq_dim(fs, d, mode=mode) == _reference_sq_dim(fs, d, mode)
+
+
+@st.composite
+def _graph(draw):
+    """A symmetric boolean matrix on up to 16 vertices, any density, with a
+    True or a False diagonal."""
+    n = draw(st.integers(0, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    adj = np.triu(rng.random((n, n)) < draw(st.sampled_from([0.2, 0.5, 0.8, 0.95])), 1)
+    adj = adj | adj.T
+    np.fill_diagonal(adj, draw(st.booleans()))
+    return adj
+
+
+@settings(max_examples=200, deadline=None)
+@given(adj=_graph(), floor=st.integers(0, 17))
+def test_max_clique_floor_refutes_or_returns_the_unfloored_clique(adj, floor):
+    hollow = adj.copy()
+    np.fill_diagonal(hollow, False)
+    want = _reference_clique(hollow)
+    assert max_clique(adj) == want
+    assert max_clique(adj, floor) == (want if want[0] > floor else (0, ()))
+
+
+def _pairwise_failure(check, absgram, witness, threshold):
+    try:
+        check(absgram, witness, threshold)
+    except InvariantBreachError as e:
+        return str(e)
+    return None
+
+
+def _reference_check_pairwise(absgram, witness, threshold):
+    for a in range(len(witness)):
+        for b in range(a + 1, len(witness)):
+            v = absgram[witness[a], witness[b]]
+            if v > threshold + ATOL:
+                raise InvariantBreachError(
+                    f"witness pair ({witness[a]}, {witness[b]}) correlates at "
+                    f"{v}, over threshold {threshold}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(0, 12),
+       threshold=st.sampled_from([0.05, 0.3, 0.6, 1.0]))
+def test_check_pairwise_names_the_first_pair_over_the_threshold(seed, size, threshold):
+    rng = np.random.default_rng(seed)
+    absgram = np.abs(rng.uniform(-0.7, 0.7, (12, 12)))
+    absgram = np.triu(absgram, 1) + np.triu(absgram, 1).T
+    witness = rng.permutation(12)[:size].tolist()
+    assert _pairwise_failure(_check_pairwise, absgram, witness, threshold) == \
+        _pairwise_failure(_reference_check_pairwise, absgram, witness, threshold)

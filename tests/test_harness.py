@@ -9,9 +9,10 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlab import cli, harness, sqcore
+from sqlab import cli, harness, make_rng, sqcore
 from sqlab.errors import InvariantBreachError, UsageError
-from sqlab.fnspace import MAX_CLASS_N, parity_class
+from sqlab.fnspace import (MAX_CLASS_N, Domain, conjunction_class, dist_random, parity_class,
+                           random_real_fn)
 
 
 def _cfg(**kw):
@@ -211,6 +212,17 @@ def test_dim_and_agnostic_runs(tmp_path):
     assert all(s["guarantee_ok"] for s in sums)
 
 
+def test_agnostic_best_correlation_matches_a_row_by_row_reference():
+    _, sums = harness.run_config(
+        _cfg(command="agnostic", n=4, tau=0.05, dist="random", seeds="0..5", out="x"))
+    domain, cclass = Domain(4), conjunction_class(4)
+    for k, s in enumerate(sums):
+        w = dist_random(domain, make_rng(s["seed"], k, "dist")).weights
+        phi = random_real_fn(domain, make_rng(s["seed"], k, "phi")).values
+        want = max(abs(float(np.dot(w, row * phi))) for row in cclass.matrix)
+        assert s["best_correlation"] == pytest.approx(want, rel=0, abs=1e-12)
+
+
 def test_class_file_runs_like_the_builtin_class(tmp_path):
     rows = [" ".join(f"{v:g}" for v in row) for row in parity_class(3).matrix]
     good = tmp_path / "par3.txt"
@@ -370,6 +382,24 @@ def test_execute_writes_manifest_and_rerun_matches(tmp_path):
         assert (out2 / p.name).read_bytes() == p.read_bytes()
     m2 = json.loads((out2 / "manifest.json").read_text())
     assert m2["results"] == manifest["results"]
+
+
+def test_learn_manifest_reports_the_ledger_and_the_audit_gap(tmp_path):
+    tau = 0.05
+    ledger = math.ceil(1 / (3 * tau * tau))
+    for oracle in ("exact", "empirical:300"):
+        out = tmp_path / oracle.replace(":", "-")
+        harness.execute(_cfg(n=3, tau=tau, oracle=oracle, seeds="0..2", out=str(out)))
+        text = (out / "manifest.json").read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        results = json.loads(text)["results"]
+        assert [s["ledger"] for s in results] == [ledger] * 3
+        if oracle == "exact":
+            assert all(s["audit_gap"] <= 0 for s in results)
+        else:  # sampled answers are valid only with high probability: nothing to audit
+            assert all(s["audit_gap"] is None for s in results)
+        for path in out.glob("learn_run*"):  # the telemetry stays out of the artifacts
+            assert b"ledger" not in path.read_bytes() and b"audit" not in path.read_bytes()
 
 
 def test_cli_exit_codes(tmp_path):
