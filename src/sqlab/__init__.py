@@ -5,8 +5,9 @@ Boolean cube, with distribution-weighted inner products as the core geometry.
 Modules:
 
 * ``fnspace``    -- domains, Boolean/real functions, distributions, classes;
-* ``oracles``    -- statistical-query oracles (exact / adversarial / noisy /
-                    sampled / liar) and the correlational decomposition;
+* ``oracles``    -- the statistical-query oracle for a realizable or agnostic
+                    source (exact / adversarial / noisy / sampled / liar) and
+                    the correlational decomposition;
 * ``sqcore``     -- distinguishing-set extraction, the projected iterative
                     learner, baselines, the weak agnostic learner;
 * ``dimensions`` -- pairwise-correlation dimensions, covers, shifted sets,
@@ -15,7 +16,7 @@ Modules:
 * ``harness``    -- config, seeded batch runs, deterministic exports.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .fnspace import (  # noqa: E402,F401
     BoolFn,
@@ -38,7 +39,7 @@ from .fnspace import (  # noqa: E402,F401
     project_unit,
     sign_of,
 )
-from .oracles import AgnosticDist, Query, SQOracle, agnostic_stat_query, csq_decompose  # noqa: F401
+from .oracles import Query, SQOracle, csq_decompose  # noqa: F401
 from .sqcore import (  # noqa: F401
     ApproxSet,
     ExhaustiveCSQ,

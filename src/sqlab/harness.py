@@ -39,14 +39,13 @@ from .fnspace import (
     parity_class,
     random_real_fn,
 )
-from .oracles import MODES, AgnosticDist, SQOracle
+from .oracles import MODES, SQOracle
 from .rng import make_rng
 from .sqcore import ApproxSet, class_pool_generator, projected_learner, weak_agnostic_learner
 
 COMMANDS = ("learn", "evolve", "dim", "agnostic")
 CLASSES = ("parities", "conjunctions", "disjunctions")
 FORMATS = ("csv", "json")
-ORACLES = MODES
 
 LEARN_COLUMNS = ("iteration", "gamma", "potential", "queries")
 EVOLVE_COLUMNS = ("generation", "true_perf", "empirical_perf", "outcome",
@@ -302,8 +301,8 @@ def _oracle_mode(cfg):
     mode, colon, arg = cfg.oracle.partition(":")
     if mode == "empirical" and arg.isdecimal() and int(arg) >= 1:
         return mode, int(arg)
-    if mode not in ORACLES or mode == "empirical" or colon:
-        raise UsageError(f"--oracle must be one of {ORACLES} (empirical as empirical:<s> "
+    if mode not in MODES or mode == "empirical" or colon:
+        raise UsageError(f"--oracle must be one of {MODES} (empirical as empirical:<s> "
                          f"with an integer sample size s >= 1), got {cfg.oracle!r}")
     return mode, None
 
@@ -394,22 +393,22 @@ def _agnostic_one(cfg, k, master):
     cclass = _build_class(cfg, domain)
     dist = _build_dist(cfg, domain, master, k)
     phi = random_real_fn(domain, make_rng(master, k, "phi"))
-    a = AgnosticDist(dist, phi)
+    oracle = _build_oracle(cfg, phi, dist, master, k)
     pool = ApproxSet(domain, cclass.matrix, gamma=cfg.tau)
-    mode, sample_size = _oracle_mode(cfg)
-    hyp = weak_agnostic_learner(pool, a, cfg.tau, mode=mode,
-                                rng=make_rng(master, k, "oracle"), sample_size=sample_size)
-    w = dist.weights
-    best = float(np.abs(cclass.matrix @ (w * phi.values)).max())
-    achieved = float(np.dot(w, hyp.values * phi.values))
+    hyp = weak_agnostic_learner(pool, oracle, cfg.tau)
+    best = float(np.abs(oracle.true_values(pool.matrix)).max())  # the batch's truth, reused
+    achieved = float(np.dot(dist.weights, hyp.values * phi.values))
     rec = {
         "seed": master,
         "best_correlation": best,
         "achieved_correlation": achieved,
         "guarantee_ok": achieved >= best - 2 * cfg.tau - 1e-12,
     }
+    gap = oracle.audit()  # -inf for empirical answers, as in _learn_one
+    summary = dict(rec, queries=oracle.query_count,
+                   audit_gap=gap if gap > -math.inf else None)
     name = f"agnostic_run{k:03d}.{cfg.fmt}"
-    return name, render([rec], AGNOSTIC_COLUMNS, cfg.fmt), rec
+    return name, render([rec], AGNOSTIC_COLUMNS, cfg.fmt), summary
 
 
 _RUNNERS = {

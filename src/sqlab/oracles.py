@@ -2,8 +2,9 @@
 
 An oracle answers queries for E[psi(x, b)] within the query's tolerance, where
 x ~ D and the label b has E[b | x] = y(x): y is the Boolean target f for the
-realizable source (b = f(x)) and phi_A for an agnostic source.  Every answer
-comes from ``answer``, in one of these modes:
+realizable source (b = f(x)) and phi_A for an agnostic source.  One
+``SQOracle`` serves both sources, and every answer comes from its ``_answer``,
+in one of these modes:
 
 * ``exact``          -- returns the true expectation;
 * ``grid_adversary`` -- rounds the true value to the nearest multiple of
@@ -116,47 +117,14 @@ def _cells(q):
     return np.concatenate([phi, -phi if q.kind == "correlational" else phi])[None]
 
 
-def _expectation(q, w, y):
-    """E[psi(x, b)] for x ~ w and E[b | x] = y(x)."""
-    if q.kind == "correlational":
-        # the common case, without building the cell tables
-        return float(np.dot(q.phi.values * w, y))
-    return float(np.dot(_joint(w, y), _cells(q)[0]))
-
-
-def answer(truth, tau, mode, rng=None, sample_size=None, joint=None, cells=None):
-    """The oracle's answers, under `mode`, to k queries whose true values are `truth`.
-
-    Empirical mode draws the point counts of `sample_size` i.i.d. examples for
-    all k queries at once, one multinomial row over the cell weights `joint`
-    per query -- the same distribution as averaging psi over that many draws
-    -- and averages the query table `cells()` (k x 2m, built only here) over
-    them.  Answering zero queries draws nothing, so it checks a mode and its
-    inputs.
-    """
-    if mode == "exact":
-        return truth.copy()
-    if mode == "grid_adversary":
-        return np.round(truth / (2 * tau)) * 2 * tau
-    if mode == "liar":
-        return np.ones(len(truth))
-    if mode not in MODES:
-        raise UsageError(f"oracle mode must be one of {MODES}, got {mode!r}")
-    if rng is None:
-        raise UsageError(f"mode {mode!r} needs an rng")
-    if mode == "noisy":
-        return truth + rng.uniform(-tau, tau, len(truth))
-    if not sample_size:
-        raise UsageError("empirical mode needs a sample_size")
-    counts = rng.multinomial(sample_size, joint, size=len(truth))
-    return np.einsum("ij,ij->i", counts, cells()) / sample_size
-
-
 def true_query_value(q, target, dist):
-    """Exact E_D[psi(x, f(x))] for a query against a Boolean target."""
+    """Exact E_D[psi(x, b)] with E[b | x] = target(x), for a Boolean or real target."""
     if q.domain != dist.domain or q.domain != target.domain:
         raise DomainMismatchError("query, target and distribution must share a domain")
-    return _expectation(q, dist.weights, target.values)
+    if q.kind == "correlational":
+        # the common case, without building the cell tables
+        return float(np.dot(q.phi.values * dist.weights, target.values))
+    return float(np.dot(_joint(dist.weights, target.values), _cells(q)[0]))
 
 
 @dataclass
@@ -172,37 +140,56 @@ class LogEntry:
 
 
 class SQOracle:
-    """Statistical-query oracle for a fixed target and distribution.
+    """Statistical-query oracle for a fixed source: x ~ dist, E[b | x] = target(x).
+
+    `target` is any label expectation in the unit ball: a BoolFn f for the
+    realizable source (b = f(x)), or a RealFn phi_A for an agnostic one.
 
     Single-owner: the query log and the noise stream are mutable state, so an
     instance must not be shared between concurrent runs.
     """
 
-    def __init__(self, target, dist, mode="exact", seed=0, sample_size=None,
-                 keep_log=True):
+    def __init__(self, target, dist, mode="exact", seed=0, sample_size=None):
         if target.domain != dist.domain:
             raise DomainMismatchError("target and distribution must share a domain")
+        if mode not in MODES:
+            raise UsageError(f"oracle mode must be one of {MODES}, got {mode!r}")
+        if mode == "empirical" and not sample_size:
+            raise UsageError("empirical mode needs a sample_size")
         self.target = target
         self.dist = dist
         self.mode = mode
         self.sample_size = sample_size
-        self.keep_log = keep_log
         self.query_count = 0
-        self._batches = []      # (kind, tau, answers, truths) of each logged call
+        self._batches = []      # (kind, tau, answers, truths) of each call
         self._last_batch = None  # (matrix, truths) of the last read-only batch matrix
         self._rng = make_rng(seed, purpose="oracle")
         self._joint = _joint(dist.weights, target.values)
-        # rejects a bad mode or a missing sample size now, not at the first query
-        self._answer(np.empty(0), 1.0, lambda: np.empty((0, self._joint.size)))
 
     def _answer(self, truth, tau, cells):
-        return answer(truth, tau, self.mode, self._rng, self.sample_size,
-                      self._joint, cells)
+        """The answers, in this oracle's mode, to queries whose true values are `truth`.
+
+        Empirical mode draws the point counts of `sample_size` i.i.d. examples
+        for all queries at once, one multinomial row over the cell weights per
+        query -- the same distribution as averaging psi over that many draws --
+        and averages the query table `cells()` (k x 2m, built only here) over
+        them.
+        """
+        mode = self.mode
+        if mode == "exact":
+            return truth.copy()
+        if mode == "grid_adversary":
+            return np.round(truth / (2 * tau)) * 2 * tau
+        if mode == "liar":
+            return np.ones(len(truth))
+        if mode == "noisy":
+            return truth + self._rng.uniform(-tau, tau, len(truth))
+        counts = self._rng.multinomial(self.sample_size, self._joint, size=len(truth))
+        return np.einsum("ij,ij->i", counts, cells()) / self.sample_size
 
     def _log(self, kind, tau, values, truth):
         self.query_count += len(values)
-        if self.keep_log:
-            self._batches.append((kind, tau, np.array(values), truth))
+        self._batches.append((kind, tau, np.array(values), truth))
 
     @property
     def query_log(self):
@@ -218,23 +205,29 @@ class SQOracle:
         self._log(q.kind, q.tau, values, truth)
         return float(values[0])
 
+    def true_values(self, mat):
+        """<g, target>_D for each row g of `mat`, as a read-only vector.
+
+        A read-only `mat` (a function set's) is taken not to change: its true
+        values are reused while the next calls ask about the same matrix.
+        """
+        if self._last_batch is not None and self._last_batch[0] is mat:
+            return self._last_batch[1]
+        truth = mat @ (self.target.values * self.dist.weights)
+        truth.flags.writeable = False
+        self._last_batch = None if mat.flags.writeable else (mat, truth)
+        return truth
+
     def correlational_many(self, mat, tau):
         """Batch of correlational queries, one per row of `mat`, in row order.
 
         Counts, logs and draws randomness exactly as len(mat) single
-        correlational queries would; the true values are summed in another
-        order, so they can differ from single answers in the last bits.
-
-        A read-only `mat` (a function set's) is taken not to change: its true
-        values are reused while the next batches ask about the same matrix.
+        correlational queries would; the true values (``true_values``) are
+        summed in another order, so they can differ from single answers in
+        the last bits.
         """
         _check_tau(tau)
-        if self._last_batch is not None and self._last_batch[0] is mat:
-            truth = self._last_batch[1]
-        else:
-            truth = mat @ (self.target.values * self.dist.weights)
-            truth.flags.writeable = False
-            self._last_batch = None if mat.flags.writeable else (mat, truth)
+        truth = self.true_values(mat)
         values = self._answer(truth, tau, lambda: np.hstack([mat, -mat]))
         self._log("correlational", tau, values, truth)
         return values
@@ -244,32 +237,3 @@ class SQOracle:
         return max((float(np.max(np.abs(values - truth))) - tau
                     for _, tau, values, truth in self._batches
                     if len(values) and self.mode != "empirical"), default=float("-inf"))
-
-
-class AgnosticDist:
-    """Agnostic example source: marginal D plus phi_A(x) = E[label | x]."""
-
-    __slots__ = ("dist", "phi", "_joint")
-
-    def __init__(self, dist, phi):
-        if not isinstance(phi, (RealFn, BoolFn)):
-            raise UsageError("phi must be a RealFn/BoolFn")
-        if phi.domain != dist.domain:
-            raise DomainMismatchError("phi and distribution must share a domain")
-        self.dist = dist
-        self.phi = phi
-        self._joint = _joint(dist.weights, phi.values)
-
-
-def agnostic_true_value(a, q):
-    """Exact E_(x,b)~A[psi(x, b)] using E[b|x] = phi_A(x)."""
-    if q.domain != a.dist.domain:
-        raise DomainMismatchError("query and agnostic source must share a domain")
-    return _expectation(q, a.dist.weights, a.phi.values)
-
-
-def agnostic_stat_query(a, q, mode="exact", rng=None, sample_size=None):
-    """Answer a query against an agnostic source under the chosen mode."""
-    truth = np.array([agnostic_true_value(a, q)])
-    return float(answer(truth, q.tau, mode, rng, sample_size, a._joint,
-                        lambda: _cells(q))[0])

@@ -11,8 +11,8 @@
   per accepted step, which bounds the number of updates by ceil(1/(3 tau^2)).
 * ``ExhaustiveCSQ`` -- baseline algorithm that scores every class member with
   one correlational query and returns the argmax.
-* ``weak_agnostic_learner`` -- scores a pool against an agnostic source and
-  returns the best member, signed.
+* ``weak_agnostic_learner`` -- scores a pool with one oracle batch (an
+  agnostic source's, say) and returns the best member, signed.
 """
 
 import math
@@ -23,8 +23,9 @@ import numpy as np
 
 from .errors import QueryBudgetError, UsageError
 from .fnspace import ATOL, BoolFn, RealFn, check_matrix, project_unit, sign_of
-from .oracles import _check_tau, answer, correlational, csq_decompose
-from .oracles import agnostic_stat_query  # noqa: F401 -- unused here; perfbench's tracer patches it
+from .oracles import correlational, csq_decompose
+
+agnostic_stat_query = None  # nothing calls it; perfbench's tracer patches this name
 
 
 def _as_real(fn):
@@ -289,20 +290,16 @@ def exhaustive_csq_learner(cclass, oracle, eps):
     return run_with_oracle(ExhaustiveCSQ(cclass, eps), oracle)
 
 
-def weak_agnostic_learner(pool, a, tau, mode="exact", rng=None, sample_size=None):
-    """Best pool member against an agnostic source, oriented by its score sign.
+def weak_agnostic_learner(pool, oracle, tau):
+    """Best pool member against the oracle's source, oriented by its score sign.
 
-    Answers one correlational query per member, in one batch that draws
-    randomness as the single queries would (its true values are summed in
-    another order, so they can differ from single answers in the last bits),
-    picks g' maximizing |v(g)| (first-index tie-break) and returns
-    sign(v(g'))*g'.  The result h satisfies <h, phi_A>_D >= max_g
-    |<g, phi_A>_D| - 2*tau for any valid answers.
+    Asks one correlational query per member in one batch, picks g' maximizing
+    |v(g)| (first-index tie-break) and returns sign(v(g'))*g'.  Against an
+    agnostic source (target phi_A) the result h satisfies <h, phi_A>_D >=
+    max_g |<g, phi_A>_D| - 2*tau for any valid answers.
     """
-    _check_tau(tau)
     mat = pool.matrix
-    truth = mat @ (a.phi.values * a.dist.weights)
-    values = answer(truth, tau, mode, rng, sample_size, a._joint, lambda: np.hstack([mat, -mat]))
+    values = oracle.correlational_many(mat, tau)
     j = int(np.argmax(np.abs(values)))
     orient = 1.0 if values[j] >= 0 else -1.0
     return RealFn(pool.domain, orient * mat[j])

@@ -75,7 +75,7 @@ def test_criterion_01_every_accepted_step_pays_its_potential():
                     gen = class_pool_generator(cclass, gamma=4 * tau)
                     cap = math.ceil(1 / (3 * tau * tau))
                     for f in cclass:
-                        orc = SQOracle(f, d, mode=mode, keep_log=False)
+                        orc = SQOracle(f, d, mode=mode)
                         hyp, trace = projected_learner(gen, orc, tau, audit_target=f)
                         runs += 1
                         assert trace.halt_reason == "converged"
@@ -109,7 +109,7 @@ def test_criterion_02_simulated_candidate_sets_feed_the_learner():
         d = dist_random(domain, make_rng(100 + j, 0, "dist"))
         gen = gpsi_generator(lambda: ExhaustiveCSQ(cclass, 1.0 / 15.0), d)
         for f in cclass:
-            hyp, trace = projected_learner(gen, SQOracle(f, d, keep_log=False), tau=1 / 120)
+            hyp, trace = projected_learner(gen, SQOracle(f, d), tau=1 / 120)
             runs += 1
             conv += trace.halt_reason == "converged"
             worst = max(worst, disagreement(f, hyp, d))

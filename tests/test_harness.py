@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +11,12 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sqlab
 from sqlab import cli, harness, make_rng, sqcore
 from sqlab.errors import InvariantBreachError, UsageError
 from sqlab.fnspace import (MAX_CLASS_N, Domain, conjunction_class, dist_random, parity_class,
                            random_real_fn)
+from sqlab.oracles import SQOracle
 
 
 def _cfg(**kw):
@@ -266,16 +270,16 @@ def test_liar_oracle_trips_invariant(tmp_path, monkeypatch):
 @pytest.mark.parametrize("flag, mode, sample_size",
                          [("noisy", "noisy", None), ("empirical:300", "empirical", 300)])
 def test_agnostic_answers_in_the_oracle_mode(monkeypatch, flag, mode, sample_size):
-    calls = []
-    answer = sqcore.answer
+    oracles = []
 
-    def recording(truth, tau, mode, rng=None, sample_size=None, joint=None, cells=None):
-        calls.append((mode, sample_size, rng is not None))
-        return answer(truth, tau, mode, rng, sample_size, joint, cells)
+    def recording(*args, **kwargs):
+        oracles.append(SQOracle(*args, **kwargs))
+        return oracles[-1]
 
-    monkeypatch.setattr(sqcore, "answer", recording)
+    monkeypatch.setattr(harness, "SQOracle", recording)
     base = dict(command="agnostic", n=3, tau=0.05, seeds="0..3", out="x")
     arts, _ = harness.run_config(_cfg(**base, oracle=flag))
+    calls = [(o.mode, o.sample_size, o.query_count > 0) for o in oracles]
     assert calls and set(calls) == {(mode, sample_size, True)}
     again, _ = harness.run_config(_cfg(**base, oracle=flag, workers=2))
     assert again == arts
@@ -400,6 +404,30 @@ def test_learn_manifest_reports_the_ledger_and_the_audit_gap(tmp_path):
             assert all(s["audit_gap"] is None for s in results)
         for path in out.glob("learn_run*"):  # the telemetry stays out of the artifacts
             assert b"ledger" not in path.read_bytes() and b"audit" not in path.read_bytes()
+
+
+def test_agnostic_manifest_reports_the_queries_and_the_audit_gap(tmp_path):
+    n = 4
+    for oracle in ("exact", "empirical:300"):
+        out = tmp_path / oracle.replace(":", "-")
+        harness.execute(_cfg(command="agnostic", n=n, tau=0.05, oracle=oracle,
+                             seeds="0..2", out=str(out)))
+        text = (out / "manifest.json").read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        results = json.loads(text)["results"]
+        assert [s["queries"] for s in results] == [2 ** n] * 3  # one query per conjunction
+        if oracle == "exact":
+            assert all(s["audit_gap"] <= 0 for s in results)
+        else:  # sampled answers are valid only with high probability: nothing to audit
+            assert all(s["audit_gap"] is None for s in results)
+        for path in out.glob("agnostic_run*"):  # the telemetry stays out of the artifacts
+            assert b"queries" not in path.read_bytes() and b"audit" not in path.read_bytes()
+
+
+def test_version_matches_pyproject():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    (version,) = re.findall(r'^version\s*=\s*"([^"]+)"', text, flags=re.MULTILINE)
+    assert sqlab.__version__ == version
 
 
 def test_cli_exit_codes(tmp_path):

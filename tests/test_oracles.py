@@ -24,10 +24,7 @@ from sqlab.fnspace import (
 )
 from sqlab.oracles import (
     MODES,
-    AgnosticDist,
     SQOracle,
-    agnostic_stat_query,
-    agnostic_true_value,
     correlational,
     csq_decompose,
     general,
@@ -232,7 +229,6 @@ def _float_case(draw):
 def test_valid_modes_answer_within_tau_at_every_entry_point(case, tau, seed):
     domain, dist, target, phi_a, rows, pos, neg = case
     w = dist.weights
-    agnostic = AgnosticDist(dist, RealFn(domain, phi_a))
     p = (1.0 + phi_a) / 2.0
     queries = [correlational(RealFn(domain, r), tau) for r in rows]
     queries += [target_independent(RealFn(domain, rows[0]), tau),
@@ -247,12 +243,14 @@ def test_valid_modes_answer_within_tau_at_every_entry_point(case, tau, seed):
         oracle = SQOracle(target, dist, mode=mode, seed=seed)
         answers = oracle.correlational_many(np.array(rows), tau).tolist()
         answers += [oracle.query(q) for q in queries]
-        rng = make_rng(seed, 0, "agnostic")
-        answers += [agnostic_stat_query(agnostic, q, mode=mode, rng=rng) for q in queries]
-        want = truth[:len(rows)] + truth + agnostic_truth
+        agnostic = SQOracle(RealFn(domain, phi_a), dist, mode=mode, seed=seed)
+        answers += agnostic.correlational_many(np.array(rows), tau).tolist()
+        answers += [agnostic.query(q) for q in queries]
+        want = truth[:len(rows)] + truth + agnostic_truth[:len(rows)] + agnostic_truth
         gaps = np.abs(np.array(answers) - np.array(want))
         assert gaps.max() <= tau + 1e-12, (mode, gaps.max(), tau)
         assert oracle.audit() <= 1e-12
+        assert agnostic.audit() <= 1e-12
 
 
 def test_csq_decompose_roundtrip():
@@ -287,12 +285,15 @@ def test_agnostic_source_basics():
     domain, target, dist, rng = _setup()
     phi = random_real_fn(domain, rng)
     with pytest.raises(DomainMismatchError):
-        AgnosticDist(dist, random_real_fn(Domain(2), rng))
+        SQOracle(random_real_fn(Domain(2), rng), dist)
     # Boolean phi_A reduces to the plain oracle on that target
-    a = AgnosticDist(dist, target)
+    phi_a = RealFn(domain, target.values)
     q = correlational(phi, 0.1)
-    assert agnostic_true_value(a, q) == pytest.approx(
+    assert true_query_value(q, phi_a, dist) == pytest.approx(
         true_query_value(q, target, dist), abs=1e-12
+    )
+    assert SQOracle(phi_a, dist).query(q) == pytest.approx(
+        SQOracle(target, dist).query(q), abs=1e-12
     )
 
 
@@ -301,28 +302,23 @@ def test_agnostic_disagreement_recovery():
     domain, _, dist, rng = _setup(seed=5)
     h = random_bool_fn(domain, rng)
     phi_a = random_real_fn(domain, rng)
-    a = AgnosticDist(dist, phi_a)
     q = general(domain, (1 - h.values) / 2.0, (1 + h.values) / 2.0, 0.1)
-    got = agnostic_true_value(a, q)
+    got = true_query_value(q, phi_a, dist)
     assert got == pytest.approx(l1_distance(phi_a, h, dist) / 2.0, abs=1e-12)
+    assert SQOracle(phi_a, dist).query(q) == pytest.approx(got, abs=1e-12)
 
 
 def test_agnostic_stat_query_modes():
     domain, _, dist, rng = _setup(seed=6)
     phi_a = random_real_fn(domain, rng)
     g = random_real_fn(domain, rng)
-    a = AgnosticDist(dist, phi_a)
     q = correlational(g, 0.05)
-    truth = agnostic_true_value(a, q)
-    assert agnostic_stat_query(a, q) == pytest.approx(truth, abs=1e-12)
-    grid = agnostic_stat_query(a, q, mode="grid_adversary")
+    truth = true_query_value(q, phi_a, dist)
+    assert SQOracle(phi_a, dist).query(q) == pytest.approx(truth, abs=1e-12)
+    grid = SQOracle(phi_a, dist, mode="grid_adversary").query(q)
     assert abs(grid - truth) <= 0.05 + 1e-12
     assert grid == pytest.approx(round(truth / 0.1) * 0.1, abs=1e-12)
-    noisy = agnostic_stat_query(a, q, mode="noisy", rng=make_rng(1, 0, "t"))
+    noisy = SQOracle(phi_a, dist, mode="noisy", seed=1).query(q)
     assert abs(noisy - truth) <= 0.05
-    with pytest.raises(UsageError):
-        agnostic_stat_query(a, q, mode="noisy")  # rng required
-    emp = agnostic_stat_query(
-        a, q, mode="empirical", rng=make_rng(2, 0, "t"), sample_size=200_000
-    )
+    emp = SQOracle(phi_a, dist, mode="empirical", seed=2, sample_size=200_000).query(q)
     assert abs(emp - truth) <= 0.02

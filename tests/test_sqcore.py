@@ -25,13 +25,7 @@ from sqlab.fnspace import (
     random_real_fn,
     sign_of,
 )
-from sqlab.oracles import (
-    AgnosticDist,
-    SQOracle,
-    agnostic_stat_query,
-    agnostic_true_value,
-    correlational,
-)
+from sqlab.oracles import SQOracle, correlational
 from sqlab.sqcore import (
     ApproxSet,
     ExhaustiveCSQ,
@@ -229,7 +223,7 @@ def test_projected_learner_flags_lying_oracle(domain3, uniform3):
 
     cclass = conjunction_class(3)
     gen = class_pool_generator(cclass, gamma=0.2)
-    orc = Liar(cclass[0], uniform3, keep_log=False)
+    orc = Liar(cclass[0], uniform3)
     hyp, trace = projected_learner(gen, orc, tau=0.05)
     assert trace.halt_reason == "oracle-violation"
     assert trace.updates == math.ceil(1 / (3 * 0.05**2)) + 1
@@ -251,10 +245,9 @@ def test_weak_agnostic_learner_guarantee(domain3, uniform3):
     rng = make_rng(7, 0, "agn")
     for _ in range(10):
         phi_a = random_real_fn(domain3, rng)
-        a = AgnosticDist(uniform3, phi_a)
         best = max(abs(inner_product(g, phi_a, uniform3)) for g in parities)
         for mode in ("exact", "grid_adversary"):
-            h = weak_agnostic_learner(pool, a, tau=0.05, mode=mode)
+            h = weak_agnostic_learner(pool, SQOracle(phi_a, uniform3, mode=mode), tau=0.05)
             got = inner_product(h, phi_a, uniform3)
             assert got >= best - 2 * 0.05 - 1e-12
 
@@ -271,20 +264,19 @@ def _agnostic_case(draw):
     domain = Domain(n)
     dist = Dist(domain, np.array(units + [scale - sum(units)]) / scale)
     pool = np.array(draw(st.lists(row, min_size=1, max_size=6)))
-    return AgnosticDist(dist, RealFn(domain, draw(row))), ApproxSet(domain, pool, gamma=0.1)
+    return RealFn(domain, draw(row)), dist, ApproxSet(domain, pool, gamma=0.1)
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=_agnostic_case(), tau=st.floats(0.01, 1.0), seed=st.integers(0, 2**32),
        sample_size=st.integers(1, 50))
 def test_weak_agnostic_learner_matches_single_queries(case, tau, seed, sample_size):
-    a, pool = case
+    phi_a, dist, pool = case
     for mode in ("exact", "grid_adversary", "noisy", "empirical"):
-        got = weak_agnostic_learner(pool, a, tau, mode=mode, rng=make_rng(seed),
-                                    sample_size=sample_size)
-        rng = make_rng(seed)
-        values = [agnostic_stat_query(a, correlational(RealFn(pool.domain, g), tau),
-                                      mode=mode, rng=rng, sample_size=sample_size)
+        batch = SQOracle(phi_a, dist, mode=mode, seed=seed, sample_size=sample_size)
+        got = weak_agnostic_learner(pool, batch, tau)
+        single = SQOracle(phi_a, dist, mode=mode, seed=seed, sample_size=sample_size)
+        values = [single.query(correlational(RealFn(pool.domain, g), tau))
                   for g in pool.matrix]
         j = int(np.argmax(np.abs(values)))
         want = pool.matrix[j] if values[j] >= 0 else -pool.matrix[j]
@@ -294,7 +286,7 @@ def test_weak_agnostic_learner_matches_single_queries(case, tau, seed, sample_si
 def test_weak_agnostic_learner_orients_by_sign(domain3, uniform3):
     chi = make_parity(domain3, [1, 3])
     pool = ApproxSet(domain3, parity_class(3).matrix, gamma=0.05)
-    a = AgnosticDist(uniform3, RealFn(domain3, -0.5 * chi.values))
-    h = weak_agnostic_learner(pool, a, tau=0.05)
+    phi_a = RealFn(domain3, -0.5 * chi.values)
+    h = weak_agnostic_learner(pool, SQOracle(phi_a, uniform3), tau=0.05)
     np.testing.assert_array_equal(h.values, -chi.values)
-    assert inner_product(h, a.phi, uniform3) == pytest.approx(0.5, abs=1e-12)
+    assert inner_product(h, phi_a, uniform3) == pytest.approx(0.5, abs=1e-12)
