@@ -1,16 +1,19 @@
 """Core SQ constructions.
 
-* ``build_gpsi`` -- run any SQ algorithm while answering its correlational
-  query parts with inner products against a reference function psi; the
-  queried functions (plus sign(psi) and the algorithm's output) form a set
-  that can distinguish any learnable target from psi.
+* ``SQAlgorithm`` -- one method, ``run(ask)``: the algorithm asks its
+  queries in rounds of matrix rows and returns its hypothesis.
+  ``run_with_oracle`` answers each round with one oracle batch.
+* ``build_gpsi`` -- run any SQ algorithm while answering the correlational
+  part of each query with its inner product against a reference function
+  psi; the queried rows (plus sign(psi) and the algorithm's output) form a
+  set that can distinguish any learnable target from psi.
 * ``projected_learner`` -- iterative learner that maintains a real-valued
   approximation psi_i, queries the current candidate set, steps along the
   first function whose answer moves by >= 3*tau, and clamps back into the
   unit sup-norm ball.  The squared distance to the target drops by >= 3*tau^2
   per accepted step, which bounds the number of updates by ceil(1/(3 tau^2)).
-* ``ExhaustiveCSQ`` -- baseline algorithm that scores every class member with
-  one correlational query and returns the argmax.
+* ``ExhaustiveCSQ`` -- baseline algorithm: one round of correlational queries,
+  one per class member, then the argmax.
 * ``weak_agnostic_learner`` -- scores a pool with one oracle batch (an
   agnostic source's, say) and returns the best member, signed.
 """
@@ -23,7 +26,6 @@ import numpy as np
 
 from .errors import QueryBudgetError, UsageError
 from .fnspace import ATOL, BoolFn, RealFn, check_matrix, project_unit, sign_of
-from .oracles import correlational, csq_decompose
 
 agnostic_stat_query = None  # nothing calls it; perfbench's tracer patches this name
 
@@ -59,35 +61,32 @@ class ApproxSet:
 
 
 class SQAlgorithm:
-    """Interactive statistical-query algorithm.
+    """Statistical-query algorithm that asks its queries in rounds.
 
-    Subclasses implement ``reset``, ``next_query`` (None when finished),
-    ``receive_answer`` and ``output``, and declare ``tau`` and ``epsilon``.
+    Subclasses declare ``name``, ``tau`` and ``epsilon`` and implement
+    ``run(ask)``, which returns the hypothesis (a BoolFn).  ``ask(phi1, phi2)``
+    answers one round of general queries psi_i(x, b) = phi1_i(x)*b + phi2_i(x),
+    one per row of the (k, 2^n) tables phi1 and phi2, at tolerance ``tau``,
+    and returns the k answers.  phi1 and phi2 are the ``csq_decompose`` parts
+    of the queries, taken row-wise; without phi2 the round is purely
+    correlational.
     """
 
     name = "sq-algorithm"
     tau = None
     epsilon = None
 
-    def reset(self):
-        raise NotImplementedError
-
-    def next_query(self):
-        raise NotImplementedError
-
-    def receive_answer(self, value):
-        raise NotImplementedError
-
-    def output(self):
+    def run(self, ask):
         raise NotImplementedError
 
 
 class ExhaustiveCSQ(SQAlgorithm):
     """Score every class member with one correlational query; return argmax.
 
-    Queries at tolerance eps/2, so if the target is a member and the oracle is
-    valid, the target scores >= 1 - eps/2 while an argmax impostor can beat it
-    only if its true correlation is >= 1 - eps.  First-index tie-break.
+    One round: the class matrix.  Queries at tolerance eps/2, so if the target
+    is a member and the oracle is valid, the target scores >= 1 - eps/2 while
+    an argmax impostor can beat it only if its true correlation is >= 1 - eps.
+    First-index tie-break.
     """
 
     name = "exhaustive-csq"
@@ -98,43 +97,36 @@ class ExhaustiveCSQ(SQAlgorithm):
         self.cclass = cclass
         self.epsilon = float(eps)
         self.tau = eps / 2.0
-        self.reset()
 
-    def reset(self):
-        self._next = 0
-        self._answers = []
-
-    def next_query(self):
-        if self._next >= len(self.cclass):
-            return None
-        q = correlational(self.cclass[self._next], self.tau)
-        self._next += 1
-        return q
-
-    def receive_answer(self, value):
-        self._answers.append(float(value))
-
-    def output(self):
-        if len(self._answers) != len(self.cclass):
-            raise UsageError("algorithm has unanswered queries")
-        return self.cclass[int(np.argmax(self._answers))]
+    def run(self, ask):
+        return self.cclass[int(np.argmax(ask(self.cclass.matrix)))]
 
 
 def run_with_oracle(alg, oracle):
-    """Drive an SQ algorithm against a live oracle and return its hypothesis."""
-    alg.reset()
-    while (q := alg.next_query()) is not None:
-        alg.receive_answer(oracle.query(q))
-    return alg.output()
+    """Run an SQ algorithm against a live oracle and return its hypothesis.
+
+    Each round's correlational parts go to the oracle as one batch at
+    ``alg.tau``.  The target-independent parts do not depend on the target,
+    so their exact values under the oracle's distribution are valid answers
+    in every mode.
+    """
+    w = oracle.dist.weights
+
+    def ask(phi1, phi2=None):
+        values = oracle.correlational_many(phi1, alg.tau)
+        return values if phi2 is None else values + phi2 @ w
+
+    return alg.run(ask)
 
 
 def build_gpsi(alg, psi, d, budget=100_000):
     """Extract a distinguishing set for `psi` by simulating `alg`.
 
-    Each query is split into a target-independent part (answered exactly under
-    `d`) and a correlational part phi_i, which is answered with <psi, phi_i>_D
-    and appended to the set.  After the run, sign(psi) and the algorithm's
-    hypothesis are appended.  Set size = #correlational queries + 2.
+    Each round of queries is answered as if the target were psi: row i gets
+    <phi1_i, psi>_D + E_D[phi2_i].  The rounds' phi1 rows, in order, then
+    sign(psi) and the algorithm's hypothesis form the set, so its size is the
+    number of queries + 2.  A round that would take the query count past
+    `budget` raises QueryBudgetError before it is answered.
 
     If the target f satisfies disagreement(f, sign(psi), d) > alg.epsilon +
     alg.tau, some member g has |<f - psi, g>_D| >= alg.tau: otherwise every
@@ -143,32 +135,29 @@ def build_gpsi(alg, psi, d, budget=100_000):
     """
     psi = _as_real(psi)
     w = d.weights
-    alg.reset()
-    rows = []
-    count = 0
-    while (q := alg.next_query()) is not None:
-        count += 1
-        if count > budget:
+    psi_w = psi.values * w
+    rounds = []
+    asked = 0
+
+    def ask(phi1, phi2=None):
+        nonlocal asked
+        asked += len(phi1)
+        if asked > budget:
             raise QueryBudgetError(f"algorithm exceeded query budget {budget}")
-        if q.kind == "target_independent":
-            alg.receive_answer(float(np.dot(w, q.phi.values)))
-            continue
-        if q.kind == "correlational":
-            phi1, shift = q.phi, 0.0
-        else:
-            phi1, phi2 = csq_decompose(q)
-            shift = float(np.dot(w, phi2.values))
-        rows.append(phi1.values)
-        alg.receive_answer(float(np.dot(psi.values * w, phi1.values)) + shift)
-    rows.append(sign_of(psi).values)
-    rows.append(alg.output().values)
-    return ApproxSet(psi.domain, np.stack(rows), gamma=alg.tau,
+        rounds.append(phi1)
+        values = phi1 @ psi_w
+        return values if phi2 is None else values + phi2 @ w
+
+    hypothesis = alg.run(ask)
+    mat = np.vstack(rounds + [sign_of(psi).values, hypothesis.values])
+    mat.flags.writeable = False  # ours alone: ApproxSet keeps it without a copy
+    return ApproxSet(psi.domain, mat, gamma=alg.tau,
                      provenance=f"simulated:{alg.name}")
 
 
-def gpsi_generator(alg_factory, d, budget=100_000):
-    """Generator closure: psi -> distinguishing set via a fresh algorithm run."""
-    return lambda psi: build_gpsi(alg_factory(), psi, d, budget=budget)
+def gpsi_generator(alg, d, budget=100_000):
+    """Generator closure: psi -> distinguishing set via a run of `alg`."""
+    return lambda psi: build_gpsi(alg, psi, d, budget=budget)
 
 
 def class_pool_generator(pool, gamma, provenance="class-pool"):

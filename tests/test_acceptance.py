@@ -107,7 +107,7 @@ def test_criterion_02_simulated_candidate_sets_feed_the_learner():
     worst = 0.0
     for j in range(10):
         d = dist_random(domain, make_rng(100 + j, 0, "dist"))
-        gen = gpsi_generator(lambda: ExhaustiveCSQ(cclass, 1.0 / 15.0), d)
+        gen = gpsi_generator(ExhaustiveCSQ(cclass, 1.0 / 15.0), d)
         for f in cclass:
             hyp, trace = projected_learner(gen, SQOracle(f, d), tau=1 / 120)
             runs += 1

@@ -133,6 +133,16 @@ def test_project_unit_and_sign(domain3):
     )
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_project_unit_is_idempotent(n, data):
+    raw = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                             min_size=1 << n, max_size=1 << n))
+    once = project_unit(np.array(raw), Domain(n))
+    assert np.all(np.abs(once.values) <= 1.0)
+    assert project_unit(once).values.tobytes() == once.values.tobytes()
+
+
 def test_parity_truth_table():
     d = Domain(2)
     # points ordered by index: bits (x1,x2) = 00, 10, 01, 11
@@ -263,6 +273,21 @@ def test_dist_random_deterministic(domain3):
     assert not np.array_equal(a.weights, c.weights)
     assert a.weights.min() > 0
     assert dist_uniform(domain3).weights[0] == pytest.approx(0.125)
+
+
+_edge_values = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-310, -1.0, 1.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_real_fn_text_roundtrip_is_exact(n, data):
+    # .17g keeps every bit of a finite double, -0.0 and subnormals included
+    value = st.one_of(st.floats(-1.0, 1.0), _edge_values)
+    table = np.array(data.draw(st.lists(value, min_size=1 << n, max_size=1 << n)))
+    phi = RealFn(Domain(n), table)
+    back = real_fn_from_text(fn_to_text(phi))
+    assert back.domain == phi.domain
+    assert back.values.tobytes() == table.tobytes()
 
 
 def test_text_roundtrips(domain3):

@@ -253,6 +253,18 @@ def test_valid_modes_answer_within_tau_at_every_entry_point(case, tau, seed):
         assert agnostic.audit() <= 1e-12
 
 
+@settings(max_examples=100, deadline=None)
+@given(case=_float_case())
+def test_decomposition_identity(case):
+    # E_D[psi(x, b)] = <phi1, y>_D + E_D[phi2] for a Boolean and a real target y
+    domain, dist, target, phi_a, _, pos, neg = case
+    q = general(domain, pos, neg, 0.05)
+    phi1, phi2 = csq_decompose(q)
+    for y in (target, RealFn(domain, phi_a)):
+        want = inner_product(phi1, y, dist) + float(np.dot(dist.weights, phi2.values))
+        assert abs(true_query_value(q, y, dist) - want) <= 1e-12
+
+
 def test_csq_decompose_roundtrip():
     domain, target, dist, rng = _setup()
     pos = rng.uniform(-1, 1, domain.size)

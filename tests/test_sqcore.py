@@ -25,7 +25,14 @@ from sqlab.fnspace import (
     random_real_fn,
     sign_of,
 )
-from sqlab.oracles import SQOracle, correlational
+from sqlab.oracles import (
+    MODES,
+    SQOracle,
+    correlational,
+    csq_decompose,
+    general,
+    true_query_value,
+)
 from sqlab.sqcore import (
     ApproxSet,
     ExhaustiveCSQ,
@@ -95,24 +102,80 @@ def test_build_gpsi_size_and_order(domain3, uniform3):
 
 def test_build_gpsi_respects_budget(domain3, uniform3):
     class Chatty(SQAlgorithm):
+        """Asks `rounds` rounds (None: forever) of `rows` zero rows."""
+
         name = "chatty"
         tau = 0.1
         epsilon = 0.1
 
-        def reset(self):
-            pass
+        def __init__(self, rows, rounds=None):
+            self.rows = rows
+            self.rounds = rounds
 
-        def next_query(self):
-            return correlational(RealFn(domain3, np.zeros(8)), self.tau)
-
-        def receive_answer(self, value):
-            pass
-
-        def output(self):  # pragma: no cover - never reached
+        def run(self, ask):
+            asked = 0
+            while self.rounds is None or asked < self.rounds:
+                ask(np.zeros((self.rows, 8)))
+                asked += 1
             return BoolFn(domain3, np.ones(8))
 
+    psi = RealFn(domain3, np.zeros(8))
     with pytest.raises(QueryBudgetError):
-        build_gpsi(Chatty(), RealFn(domain3, np.zeros(8)), uniform3, budget=10)
+        build_gpsi(Chatty(1), psi, uniform3, budget=10)
+    # one round larger than the whole budget is refused
+    with pytest.raises(QueryBudgetError):
+        build_gpsi(Chatty(11, rounds=1), psi, uniform3, budget=10)
+    assert len(build_gpsi(Chatty(10, rounds=1), psi, uniform3, budget=10)) == 12
+
+
+class GeneralRounds(SQAlgorithm):
+    """Asks the csq_decompose parts of general queries in rounds of the given
+    sizes and keeps the answers; its hypothesis is the sign of the first phi1."""
+
+    name = "general-rounds"
+    tau = 0.05
+    epsilon = 0.1
+
+    def __init__(self, queries, sizes):
+        parts = [csq_decompose(q) for q in queries]
+        self.domain = queries[0].domain
+        self.phi1 = np.array([p1.values for p1, _ in parts])
+        self.phi2 = np.array([p2.values for _, p2 in parts])
+        self.sizes = sizes
+        self.answers = []
+
+    def run(self, ask):
+        lo = 0
+        for k in self.sizes:
+            self.answers.extend(ask(self.phi1[lo:lo + k], self.phi2[lo:lo + k]))
+            lo += k
+        return sign_of(RealFn(self.domain, self.phi1[0]))
+
+
+def test_general_query_rounds(domain3):
+    # no built-in algorithm asks a target-independent part: this one does
+    rng = make_rng(16, 0, "general")
+    d = dist_random(domain3, rng)
+    queries = [general(domain3, rng.uniform(-1, 1, 8), rng.uniform(-1, 1, 8), 0.05)
+               for _ in range(7)]
+    sizes = [3, 1, 0, 3]
+    psi = random_real_fn(domain3, rng)
+    alg = GeneralRounds(queries, sizes)
+    aset = build_gpsi(alg, psi, d)
+    want = [true_query_value(q, psi, d) for q in queries]
+    np.testing.assert_allclose(alg.answers, want, rtol=0, atol=1e-12)
+    # the phi1 rows in asking order, then sign(psi), then the hypothesis
+    np.testing.assert_array_equal(aset.matrix[:-2], alg.phi1)
+    np.testing.assert_array_equal(aset.matrix[-2], sign_of(psi).values)
+    np.testing.assert_array_equal(aset.matrix[-1], np.where(alg.phi1[0] >= 0, 1.0, -1.0))
+
+    f = random_bool_fn(domain3, rng)
+    alg = GeneralRounds(queries, sizes)
+    orc = SQOracle(f, d)
+    run_with_oracle(alg, orc)
+    want = [true_query_value(q, f, d) for q in queries]
+    np.testing.assert_allclose(alg.answers, want, rtol=0, atol=1e-12)
+    assert orc.query_count == len(queries)
 
 
 def test_build_gpsi_distinguishing_margin(domain3, uniform3):
@@ -232,7 +295,7 @@ def test_projected_learner_flags_lying_oracle(domain3, uniform3):
 def test_gpsi_generator_learns_conjunctions(domain3, uniform3):
     cclass = conjunction_class(3)
     eps_alg = 1 / 15
-    gen = gpsi_generator(lambda: ExhaustiveCSQ(cclass, eps_alg), uniform3)
+    gen = gpsi_generator(ExhaustiveCSQ(cclass, eps_alg), uniform3)
     f = cclass[4]
     hyp, trace = projected_learner(gen, SQOracle(f, uniform3), tau=1 / 120)
     assert trace.halt_reason == "converged"
@@ -271,16 +334,32 @@ def _agnostic_case(draw):
 @given(case=_agnostic_case(), tau=st.floats(0.01, 1.0), seed=st.integers(0, 2**32),
        sample_size=st.integers(1, 50))
 def test_weak_agnostic_learner_matches_single_queries(case, tau, seed, sample_size):
+    # also run_with_oracle(ExhaustiveCSQ) on the signs of the same case: +-1
+    # rows and target keep every sum exact, so the one batch must give the
+    # per-member loop's hypothesis, count and log, bit for bit
     phi_a, dist, pool = case
-    for mode in ("exact", "grid_adversary", "noisy", "empirical"):
-        batch = SQOracle(phi_a, dist, mode=mode, seed=seed, sample_size=sample_size)
+    cclass = ConceptClass("signs", pool.domain, np.where(pool.matrix >= 0, 1.0, -1.0))
+    f = sign_of(phi_a)
+    alg = ExhaustiveCSQ(cclass, tau / 2)
+    for mode in MODES:
+        kw = dict(mode=mode, seed=seed, sample_size=sample_size)
+        batch = SQOracle(phi_a, dist, **kw)
         got = weak_agnostic_learner(pool, batch, tau)
-        single = SQOracle(phi_a, dist, mode=mode, seed=seed, sample_size=sample_size)
+        single = SQOracle(phi_a, dist, **kw)
         values = [single.query(correlational(RealFn(pool.domain, g), tau))
                   for g in pool.matrix]
         j = int(np.argmax(np.abs(values)))
         want = pool.matrix[j] if values[j] >= 0 else -pool.matrix[j]
         assert got.values.tobytes() == want.tobytes(), mode
+
+        batch = SQOracle(f, dist, **kw)
+        got = run_with_oracle(alg, batch)
+        single = SQOracle(f, dist, **kw)
+        values = [single.query(correlational(g, alg.tau)) for g in cclass]
+        assert got.values.tobytes() == cclass.matrix[int(np.argmax(values))].tobytes(), mode
+        assert batch.query_count == single.query_count == len(cclass)
+        assert [e.as_record() for e in batch.query_log] == \
+            [e.as_record() for e in single.query_log], mode
 
 
 def test_weak_agnostic_learner_orients_by_sign(domain3, uniform3):
