@@ -39,14 +39,13 @@ from .fnspace import (  # noqa: E402,F401
     project_unit,
     sign_of,
 )
-from .oracles import Query, SQOracle, csq_decompose  # noqa: F401
+from .oracles import SQOracle, decompose  # noqa: F401
 from .sqcore import (  # noqa: F401
     ApproxSet,
     ExhaustiveCSQ,
     LearnerTrace,
     build_gpsi,
     class_pool_generator,
-    exhaustive_csq_learner,
     gpsi_generator,
     projected_learner,
     weak_agnostic_learner,

@@ -90,12 +90,19 @@ class ExperimentConfig:
 KNOWN_KEYS = set(ExperimentConfig("learn").snapshot())
 
 
+def _nonnegative_int(text, what):
+    text = str(text).strip()
+    if not text.isdecimal():
+        raise UsageError(f"{what} must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_seeds(text):
     text = str(text).strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",") if s.strip() != ""]
+        return list(range(_nonnegative_int(lo, "seeds"), _nonnegative_int(hi, "seeds") + 1))
+    return [_nonnegative_int(s, "seeds") for s in text.split(",") if s.strip() != ""]
 
 
 def make_config(data):
@@ -129,9 +136,9 @@ def make_config(data):
                 f"class must be one of {CLASSES} or file:<path>, got {cfg.cclass!r}")
     if "dist" in data:
         cfg.dist = str(data["dist"])
-        ok = cfg.dist == "uniform" or cfg.dist == "random" or \
-            cfg.dist.startswith("random:") or cfg.dist.startswith("file:")
-        if not ok:
+        if cfg.dist.startswith("random:"):
+            _nonnegative_int(cfg.dist[len("random:"):], "the seed of dist random:<seed>")
+        elif cfg.dist not in ("uniform", "random") and not cfg.dist.startswith("file:"):
             raise UsageError(
                 f"dist must be uniform, random[:seed] or file:<path>, got {cfg.dist!r}")
     if "oracle" in data:
@@ -156,8 +163,8 @@ def make_config(data):
             raise UsageError(f"workers must be >= 1, got {cfg.workers}")
     if "theta" in data and str(data["theta"]) != "None":
         cfg.theta = float(data["theta"])
-        if cfg.theta <= 0:
-            raise UsageError(f"theta must be positive, got {cfg.theta}")
+        if not 0 < cfg.theta < math.inf:
+            raise UsageError(f"theta must be positive and finite, got {cfg.theta}")
     if command != "evolve" and cfg.cclass in CLASSES and cfg.n > MAX_CLASS_N:
         raise UsageError(
             f"--n {cfg.n} is too large for the built-in class {cfg.cclass}: its dense "

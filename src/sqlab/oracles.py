@@ -2,9 +2,12 @@
 
 An oracle answers queries for E[psi(x, b)] within the query's tolerance, where
 x ~ D and the label b has E[b | x] = y(x): y is the Boolean target f for the
-realizable source (b = f(x)) and phi_A for an agnostic source.  One
-``SQOracle`` serves both sources, and every answer comes from its ``_answer``,
-in one of these modes:
+realizable source (b = f(x)) and phi_A for an agnostic source.  Queries are
+rows of a matrix.  A general query splits (``decompose``) into a
+correlational part phi1(x)*b and a target-independent part phi2(x); the
+oracle answers the first and adds the exact expectation of the second.  One
+``SQOracle`` serves both sources, and every correlational answer comes from
+its ``_answer``, in one of these modes:
 
 * ``exact``          -- returns the true expectation;
 * ``grid_adversary`` -- rounds the true value to the nearest multiple of
@@ -28,7 +31,7 @@ from .errors import (
     QueryRangeError,
     UsageError,
 )
-from .fnspace import ATOL, BoolFn, RealFn
+from .fnspace import ATOL
 from .rng import make_rng
 
 MODES = ("exact", "grid_adversary", "noisy", "empirical", "liar")
@@ -40,91 +43,27 @@ def _check_tau(tau):
         raise InvalidToleranceError(f"tolerance must be in (0, 1], got {tau}")
 
 
-class Query:
-    """A statistical query: kind, query function, tolerance.
+def decompose(pos, neg):
+    """(phi1, phi2) with psi(x, b) = phi1(x)*b + phi2(x), from the label
+    slices pos = psi(., +1) and neg = psi(., -1) (Bshouty & Feldman 2002).
 
-    kind 'general' carries the two label slices pos = psi(., +1) and
-    neg = psi(., -1); 'correlational' and 'target_independent' carry a single
-    RealFn phi.
+    phi1 = (pos - neg) / 2 is the correlational part and phi2 = (pos + neg) / 2
+    the target-independent one.  Tables or (k, 2^n) matrices of rows both
+    work; for psi in [-1, 1], |phi1| + |phi2| = max(|pos|, |neg|) <= 1.
     """
-
-    __slots__ = ("kind", "phi", "pos", "neg", "tau", "domain")
-
-    def __init__(self, kind, tau, phi=None, pos=None, neg=None, domain=None):
-        _check_tau(tau)
-        self.kind = kind
-        self.tau = float(tau)
-        if kind in ("correlational", "target_independent"):
-            if not isinstance(phi, (RealFn, BoolFn)):
-                raise UsageError(f"{kind} query needs a RealFn/BoolFn")
-            self.phi = phi
-            self.pos = self.neg = None
-            self.domain = phi.domain
-        elif kind == "general":
-            pos = np.asarray(pos, dtype=np.float64)
-            neg = np.asarray(neg, dtype=np.float64)
-            if domain is None or pos.shape != (domain.size,) or neg.shape != (domain.size,):
-                raise UsageError("general query needs a domain and full label slices")
-            if np.abs(pos).max(initial=0.0) > 1 + ATOL or np.abs(neg).max(initial=0.0) > 1 + ATOL:
-                raise QueryRangeError("query function must map into [-1, 1]")
-            self.phi = None
-            self.pos = pos
-            self.neg = neg
-            self.domain = domain
-        else:
-            raise UsageError(f"unknown query kind {kind!r}")
-
-
-def correlational(phi, tau):
-    return Query("correlational", tau, phi=phi)
-
-
-def target_independent(phi, tau):
-    return Query("target_independent", tau, phi=phi)
-
-
-def general(domain, pos, neg, tau):
-    return Query("general", tau, pos=pos, neg=neg, domain=domain)
-
-
-def csq_decompose(q):
-    """Split a general query into (phi1, phi2) with psi(x,l) = phi1(x)*l + phi2(x).
-
-    phi1 = (psi(.,1) - psi(.,-1)) / 2 and phi2 = (psi(.,1) + psi(.,-1)) / 2,
-    both members of the unit sup-norm ball.
-    """
-    if q.kind != "general":
-        raise UsageError("csq_decompose expects a general query")
-    phi1 = RealFn(q.domain, (q.pos - q.neg) / 2.0)
-    phi2 = RealFn(q.domain, (q.pos + q.neg) / 2.0)
-    return phi1, phi2
+    pos = np.asarray(pos, dtype=np.float64)
+    neg = np.asarray(neg, dtype=np.float64)
+    return (pos - neg) / 2.0, (pos + neg) / 2.0
 
 
 # The examples (x, b) live on 2m cells: (x, +1) for the first m, (x, -1) for
-# the last m.  A source is the weight of each cell, a query psi its value there.
+# the last m.  A source is the weight of each cell; a correlational query phi
+# takes the value phi(x)*b there, so its cell table is [phi, -phi].
 
 def _joint(w, y):
     """Cell weights of x ~ w with E[b | x] = y(x)."""
     p = (1.0 + y) / 2.0
     return np.concatenate([w * p, w * (1.0 - p)])
-
-
-def _cells(q):
-    """psi over the 2m cells, as a 1 x 2m table."""
-    if q.kind == "general":
-        return np.concatenate([q.pos, q.neg])[None]
-    phi = q.phi.values
-    return np.concatenate([phi, -phi if q.kind == "correlational" else phi])[None]
-
-
-def true_query_value(q, target, dist):
-    """Exact E_D[psi(x, b)] with E[b | x] = target(x), for a Boolean or real target."""
-    if q.domain != dist.domain or q.domain != target.domain:
-        raise DomainMismatchError("query, target and distribution must share a domain")
-    if q.kind == "correlational":
-        # the common case, without building the cell tables
-        return float(np.dot(q.phi.values * dist.weights, target.values))
-    return float(np.dot(_joint(dist.weights, target.values), _cells(q)[0]))
 
 
 @dataclass
@@ -161,19 +100,19 @@ class SQOracle:
         self.mode = mode
         self.sample_size = sample_size
         self.query_count = 0
-        self._batches = []      # (kind, tau, answers, truths) of each call
+        self._batches = []      # (tau, answers, truths) of each batch
         self._last_batch = None  # (matrix, truths) of the last read-only batch matrix
         self._rng = make_rng(seed, purpose="oracle")
         self._joint = _joint(dist.weights, target.values)
 
-    def _answer(self, truth, tau, cells):
-        """The answers, in this oracle's mode, to queries whose true values are `truth`.
+    def _answer(self, truth, tau, mat):
+        """The answers, in this oracle's mode, to the correlational queries
+        (rows of `mat`) whose true values are `truth`.
 
         Empirical mode draws the point counts of `sample_size` i.i.d. examples
         for all queries at once, one multinomial row over the cell weights per
-        query -- the same distribution as averaging psi over that many draws --
-        and averages the query table `cells()` (k x 2m, built only here) over
-        them.
+        query -- the same distribution as averaging phi(x)*b over that many
+        draws -- and averages the cell tables [phi, -phi] over them.
         """
         mode = self.mode
         if mode == "exact":
@@ -185,25 +124,42 @@ class SQOracle:
         if mode == "noisy":
             return truth + self._rng.uniform(-tau, tau, len(truth))
         counts = self._rng.multinomial(self.sample_size, self._joint, size=len(truth))
-        return np.einsum("ij,ij->i", counts, cells()) / self.sample_size
-
-    def _log(self, kind, tau, values, truth):
-        self.query_count += len(values)
-        self._batches.append((kind, tau, np.array(values), truth))
+        return np.einsum("ij,ij->i", counts, np.hstack([mat, -mat])) / self.sample_size
 
     @property
     def query_log(self):
         """One LogEntry per answered query, in answer order (built on each access)."""
         probabilistic = self.mode == "empirical"
-        return [LogEntry(kind, tau, float(v), float(t), probabilistic)
-                for kind, tau, values, truth in self._batches
+        return [LogEntry("correlational", tau, float(v), float(t), probabilistic)
+                for tau, values, truth in self._batches
                 for v, t in zip(values, truth)]
 
-    def query(self, q):
-        truth = np.array([true_query_value(q, self.target, self.dist)])
-        values = self._answer(truth, q.tau, lambda: _cells(q))
-        self._log(q.kind, q.tau, values, truth)
-        return float(values[0])
+    def query(self, phi1, tau, phi2=None):
+        """General queries psi_i(x, b) = phi1_i(x)*b + phi2_i(x), one per row.
+
+        phi1 (and phi2, if given) are (k, 2^n) tables -- the ``decompose``
+        parts of the queries, row-wise -- with |phi1| + |phi2| <= 1
+        pointwise.  The correlational parts are answered as one
+        ``correlational_many`` batch in this oracle's mode; the
+        target-independent parts do not depend on the target, so their exact
+        values E_D[phi2_i] are valid answers in every mode and are added on.
+        """
+        size = self.dist.domain.size
+        phi1 = np.asarray(phi1, dtype=np.float64)
+        if phi1.ndim != 2 or phi1.shape[1] != size:
+            raise UsageError(f"query rows have shape {phi1.shape}, expected (k, {size})")
+        bound = np.abs(phi1)
+        if phi2 is not None:
+            phi2 = np.asarray(phi2, dtype=np.float64)
+            if phi2.shape != phi1.shape:
+                raise UsageError(
+                    f"phi2 has shape {phi2.shape}, phi1 has {phi1.shape}")
+            bound = bound + np.abs(phi2)
+        # NaN fails the comparison too
+        if not np.all(bound <= 1 + ATOL):
+            raise QueryRangeError("query function must map into [-1, 1]")
+        values = self.correlational_many(phi1, tau)
+        return values if phi2 is None else values + phi2 @ self.dist.weights
 
     def true_values(self, mat):
         """<g, target>_D for each row g of `mat`, as a read-only vector.
@@ -221,19 +177,19 @@ class SQOracle:
     def correlational_many(self, mat, tau):
         """Batch of correlational queries, one per row of `mat`, in row order.
 
-        Counts, logs and draws randomness exactly as len(mat) single
-        correlational queries would; the true values (``true_values``) are
-        summed in another order, so they can differ from single answers in
-        the last bits.
+        Counts, logs and draws randomness exactly as len(mat) correlational
+        queries asked one at a time would.  The rows are taken as given:
+        callers hold them in the unit ball (``query`` checks them).
         """
         _check_tau(tau)
         truth = self.true_values(mat)
-        values = self._answer(truth, tau, lambda: np.hstack([mat, -mat]))
-        self._log("correlational", tau, values, truth)
+        values = self._answer(truth, tau, mat)
+        self.query_count += len(values)
+        self._batches.append((tau, values.copy(), truth))
         return values
 
     def audit(self):
         """Max |answer - truth| - tau over all non-probabilistic logged queries."""
         return max((float(np.max(np.abs(values - truth))) - tau
-                    for _, tau, values, truth in self._batches
+                    for tau, values, truth in self._batches
                     if len(values) and self.mode != "empirical"), default=float("-inf"))

@@ -2,7 +2,7 @@
 
 * ``SQAlgorithm`` -- one method, ``run(ask)``: the algorithm asks its
   queries in rounds of matrix rows and returns its hypothesis.
-  ``run_with_oracle`` answers each round with one oracle batch.
+  ``run_with_oracle`` answers each round with one ``SQOracle.query``.
 * ``build_gpsi`` -- run any SQ algorithm while answering the correlational
   part of each query with its inner product against a reference function
   psi; the queried rows (plus sign(psi) and the algorithm's output) form a
@@ -67,8 +67,8 @@ class SQAlgorithm:
     ``run(ask)``, which returns the hypothesis (a BoolFn).  ``ask(phi1, phi2)``
     answers one round of general queries psi_i(x, b) = phi1_i(x)*b + phi2_i(x),
     one per row of the (k, 2^n) tables phi1 and phi2, at tolerance ``tau``,
-    and returns the k answers.  phi1 and phi2 are the ``csq_decompose`` parts
-    of the queries, taken row-wise; without phi2 the round is purely
+    and returns the k answers.  phi1 and phi2 are the ``oracles.decompose``
+    parts of the queries, taken row-wise; without phi2 the round is purely
     correlational.
     """
 
@@ -105,18 +105,9 @@ class ExhaustiveCSQ(SQAlgorithm):
 def run_with_oracle(alg, oracle):
     """Run an SQ algorithm against a live oracle and return its hypothesis.
 
-    Each round's correlational parts go to the oracle as one batch at
-    ``alg.tau``.  The target-independent parts do not depend on the target,
-    so their exact values under the oracle's distribution are valid answers
-    in every mode.
+    Each round goes to the oracle as one ``query`` at ``alg.tau``.
     """
-    w = oracle.dist.weights
-
-    def ask(phi1, phi2=None):
-        values = oracle.correlational_many(phi1, alg.tau)
-        return values if phi2 is None else values + phi2 @ w
-
-    return alg.run(ask)
+    return alg.run(lambda phi1, phi2=None: oracle.query(phi1, alg.tau, phi2))
 
 
 def build_gpsi(alg, psi, d, budget=100_000):
@@ -272,11 +263,6 @@ def projected_learner(gen, oracle, tau, cap=None, audit_target=None,
             break
     hypothesis = sign_of(psi)
     return hypothesis, LearnerTrace(rows, halt, hypothesis, tau, updates)
-
-
-def exhaustive_csq_learner(cclass, oracle, eps):
-    """One-shot baseline: query every member at tolerance eps/2, return argmax."""
-    return run_with_oracle(ExhaustiveCSQ(cclass, eps), oracle)
 
 
 def weak_agnostic_learner(pool, oracle, tau):

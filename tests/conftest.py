@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sqlab.fnspace import Domain, dist_uniform
+from sqlab.rng import make_rng
 
 
 @pytest.fixture
@@ -17,3 +18,47 @@ def uniform3(domain3):
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)
+
+
+def _cell_mean(pos, neg, y, w):
+    """E[psi(x, b)] summed over the 2^(n+1) cells (x, b), where x ~ w,
+    P(b = +1 | x) = (1 + y(x)) / 2, psi(x, +1) = pos(x) and psi(x, -1) = neg(x)."""
+    p = (1.0 + y) / 2.0
+    return float(np.sum(w * p * pos) + np.sum(w * (1.0 - p) * neg))
+
+
+def _one_by_one(target, dist, mat, tau, mode="exact", seed=0, sample_size=None):
+    """(answers, truths) an SQOracle owes the correlational rows of `mat` asked
+    one at a time: each row's true value, then the mode's rule, drawing from
+    the oracle's own "oracle" stream."""
+    rng = make_rng(seed, purpose="oracle")
+    w, y = dist.weights, target.values
+    p = (1.0 + y) / 2.0
+    joint = np.concatenate([w * p, w * (1.0 - p)])
+    answers, truths = [], []
+    for row in np.asarray(mat, dtype=np.float64):
+        truth = float(np.dot(row * w, y))
+        if mode == "exact":
+            value = truth
+        elif mode == "grid_adversary":
+            value = float(np.round(truth / (2 * tau)) * 2 * tau)
+        elif mode == "liar":
+            value = 1.0
+        elif mode == "noisy":
+            value = truth + float(rng.uniform(-tau, tau))
+        else:
+            counts = rng.multinomial(sample_size, joint)
+            value = float(np.dot(counts, np.concatenate([row, -row]))) / sample_size
+        answers.append(value)
+        truths.append(truth)
+    return answers, truths
+
+
+@pytest.fixture(scope="session")
+def cell_mean():
+    return _cell_mean
+
+
+@pytest.fixture(scope="session")
+def one_by_one():
+    return _one_by_one

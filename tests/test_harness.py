@@ -307,6 +307,27 @@ def test_oracle_flag_is_validated_at_the_boundary(tmp_path, flag):
         assert "usage error" in out.output and "--oracle" in out.output
 
 
+@pytest.mark.parametrize("args, config", [
+    (["--dist", "random:abc"], ""),
+    (["--dist", "random:-1"], ""),
+    (["--dist", "random:"], ""),
+    (["--seeds=-1"], ""),
+    (["--seeds=-3..0"], ""),
+    ([], "theta = nan\n"),
+    ([], "theta = inf\n"),
+], ids=["dist-abc", "dist-negative", "dist-empty", "seed-negative", "seed-range-negative",
+        "theta-nan", "theta-inf"])
+def test_config_values_are_validated_at_the_boundary(tmp_path, args, config):
+    conf = tmp_path / "run.cfg"
+    conf.write_text("n = 2\nepsilon = 0.3\n" + config)
+    out = CliRunner().invoke(
+        cli.main, ["evolve", "--config", str(conf), *args, "--out", str(tmp_path / "o")])
+    assert out.exit_code == 1, out.output
+    assert out.output.startswith("usage error:"), out.output
+    assert "Traceback" not in out.output and isinstance(out.exception, SystemExit)
+    assert not (tmp_path / "o").exists()
+
+
 def _assert_flag_rejected(tmp_path, command, flag, value):
     out = CliRunner().invoke(cli.main, [command, "--n", "2", flag, value,
                                         "--out", str(tmp_path / "e")])

@@ -22,15 +22,7 @@ from sqlab.fnspace import (
     random_bool_fn,
     random_real_fn,
 )
-from sqlab.oracles import (
-    MODES,
-    SQOracle,
-    correlational,
-    csq_decompose,
-    general,
-    target_independent,
-    true_query_value,
-)
+from sqlab.oracles import MODES, SQOracle, decompose
 
 
 def _setup(n=3, seed=0):
@@ -43,29 +35,38 @@ def _setup(n=3, seed=0):
 
 def test_query_validation():
     domain, target, dist, rng = _setup()
-    phi = random_real_fn(domain, rng)
-    with pytest.raises(InvalidToleranceError):
-        correlational(phi, 0.0)
-    with pytest.raises(InvalidToleranceError):
-        correlational(phi, 1.5)
-    for tau in (float("nan"), 5e-324):  # a subnormal 2*tau overflows the grid
+    orc = SQOracle(target, dist)
+    ok = rng.uniform(-0.5, 0.5, (3, domain.size))
+    for bad in (ok[0], ok[:, :4], ok[None], np.zeros((2, 16))):  # not (k, 2^n)
+        with pytest.raises(UsageError):
+            orc.query(bad, 0.1)
+    for bad in (ok[:2], ok[0], ok[:, :4]):  # phi2 shaped unlike phi1
+        with pytest.raises(UsageError):
+            orc.query(ok, 0.1, bad)
+    nan = ok.copy()
+    nan[1, 2] = np.nan
+    for phi1, phi2 in ((np.full((1, 8), 1.2), None), (ok, np.full((3, 8), 0.6)),
+                       (nan, None), (ok, nan), (np.full((1, 8), np.nan), np.zeros((1, 8)))):
+        with pytest.raises(QueryRangeError):
+            orc.query(phi1, 0.1, phi2)
+    for tau in (0.0, -0.1, 1.5, float("nan"), 5e-324):  # a subnormal 2*tau overflows the grid
         with pytest.raises(InvalidToleranceError):
-            correlational(phi, tau)
+            orc.query(ok, tau)
         with pytest.raises(InvalidToleranceError):
-            SQOracle(target, dist).correlational_many(np.zeros((1, 8)), tau)
-    with pytest.raises(UsageError):
-        correlational("not a fn", 0.1)
-    with pytest.raises(QueryRangeError):
-        general(domain, np.full(8, 1.2), np.zeros(8), 0.1)
-    with pytest.raises(UsageError):
-        general(domain, np.zeros(4), np.zeros(8), 0.1)
+            orc.correlational_many(ok, tau)
+    assert orc.query_count == 0 and orc.query_log == []
+    # the unit ball's edge is in range: |phi1| + |phi2| = 1
+    half = np.full((1, 8), 0.5)
+    assert orc.query(half, 1.0, -half)[0] == pytest.approx(
+        0.5 * float(np.dot(dist.weights, target.values)) - 0.5, abs=1e-12)
+    assert orc.query(np.zeros((0, 8)), 0.1, np.zeros((0, 8))).shape == (0,)
 
 
 def test_exact_correlational_matches_inner_product():
     domain, target, dist, rng = _setup()
     phi = random_real_fn(domain, rng)
     orc = SQOracle(target, dist, mode="exact")
-    got = orc.query(correlational(phi, 0.1))
+    (got,) = orc.query(phi.values[None], 0.1)
     assert got == pytest.approx(inner_product(phi, target, dist), abs=1e-12)
     assert orc.query_count == 1
 
@@ -73,9 +74,9 @@ def test_exact_correlational_matches_inner_product():
 def test_target_independent_ignores_target():
     domain, target, dist, rng = _setup()
     phi = random_real_fn(domain, rng)
-    q = target_independent(phi, 0.1)
-    a = SQOracle(target, dist).query(q)
-    b = SQOracle(BoolFn(domain, -target.values), dist).query(q)
+    zero = np.zeros((1, domain.size))
+    (a,) = SQOracle(target, dist).query(zero, 0.1, phi.values[None])
+    (b,) = SQOracle(BoolFn(domain, -target.values), dist).query(zero, 0.1, phi.values[None])
     assert a == b == pytest.approx(float(np.dot(dist.weights, phi.values)), abs=1e-12)
 
 
@@ -86,7 +87,7 @@ def test_grid_adversary_rounds_to_tolerance_grid():
     dist = dist_uniform(domain)
     phi = RealFn(domain, np.full(2, 0.37))
     orc = SQOracle(target, dist, mode="grid_adversary")
-    got = orc.query(correlational(phi, 0.1))
+    (got,) = orc.query(phi.values[None], 0.1)
     assert got == pytest.approx(0.4, abs=1e-12)
     assert abs(got - 0.37) <= 0.1
 
@@ -98,8 +99,8 @@ def test_noisy_mode_bounded_and_seeded():
     a = SQOracle(target, dist, mode="noisy", seed=9)
     b = SQOracle(target, dist, mode="noisy", seed=9)
     truth = inner_product(phi, target, dist)
-    va = [a.query(correlational(phi, tau)) for _ in range(20)]
-    vb = [b.query(correlational(phi, tau)) for _ in range(20)]
+    va = [float(a.query(phi.values[None], tau)[0]) for _ in range(20)]
+    vb = [float(b.query(phi.values[None], tau)[0]) for _ in range(20)]
     assert va == vb
     assert all(abs(v - truth) <= tau for v in va)
     assert len(set(va)) > 1  # fresh noise per query
@@ -113,7 +114,7 @@ def test_empirical_mode_concentrates():
     hits = 0
     for seed in range(50):
         orc = SQOracle(target, dist, mode="empirical", seed=seed, sample_size=s)
-        v = orc.query(correlational(phi, 0.05))
+        (v,) = orc.query(phi.values[None], 0.05)
         hits += abs(v - truth) <= 3.0 / np.sqrt(s)
     assert hits >= 45
     assert orc.query_log[-1].probabilistic
@@ -133,7 +134,7 @@ def test_query_log_and_audit():
     for mode in ("exact", "grid_adversary", "noisy"):
         orc = SQOracle(target, dist, mode=mode, seed=3)
         for phi in phis:
-            orc.query(correlational(phi, 0.07))
+            orc.query(phi.values[None], 0.07)
         assert orc.query_count == 5
         assert len(orc.query_log) == 5
         assert orc.audit() <= 1e-12
@@ -164,7 +165,7 @@ def test_audit_is_the_worst_logged_gap():
     for mode in ("exact", "grid_adversary", "noisy", "liar"):
         orc = SQOracle(target, dist, mode=mode, seed=2)
         orc.correlational_many(mat, 0.05)
-        orc.query(correlational(RealFn(domain, mat[0]), 0.2))
+        orc.query(mat[:1], 0.2)
         orc.correlational_many(mat[:0], 0.3)
         want = max(abs(e.value - e.true_value) - e.tau for e in orc.query_log)
         assert orc.audit() == want, mode
@@ -193,17 +194,18 @@ def _dyadic_case(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=_dyadic_case(), tau=st.floats(0.01, 1.0), seed=st.integers(0, 2**32),
        sample_size=st.integers(1, 50))
-def test_correlational_many_matches_single_queries(case, tau, seed, sample_size):
+def test_correlational_many_matches_single_queries(case, tau, seed, sample_size, one_by_one):
+    # the batch answers, counts and logs as the rows asked one at a time would
     target, dist, mat = case
     for mode in MODES:
         batch = SQOracle(target, dist, mode=mode, seed=seed, sample_size=sample_size)
         got = batch.correlational_many(mat, tau)
-        single = SQOracle(target, dist, mode=mode, seed=seed, sample_size=sample_size)
-        want = [single.query(correlational(RealFn(target.domain, row), tau)) for row in mat]
+        want, truths = one_by_one(target, dist, mat, tau, mode, seed, sample_size)
         assert got.tolist() == want, mode
-        assert batch.query_count == single.query_count == len(mat)
-        assert [e.as_record() for e in batch.query_log] == \
-            [e.as_record() for e in single.query_log]
+        assert batch.query_count == len(mat)
+        assert [(e.kind, e.tau, e.value, e.true_value, e.probabilistic)
+                for e in batch.query_log] == \
+            [("correlational", tau, v, t, mode == "empirical") for v, t in zip(want, truths)]
 
 
 _unit = st.floats(-1.0, 1.0)
@@ -230,9 +232,13 @@ def test_valid_modes_answer_within_tau_at_every_entry_point(case, tau, seed):
     domain, dist, target, phi_a, rows, pos, neg = case
     w = dist.weights
     p = (1.0 + phi_a) / 2.0
-    queries = [correlational(RealFn(domain, r), tau) for r in rows]
-    queries += [target_independent(RealFn(domain, rows[0]), tau),
-                general(domain, pos, neg, tau)]
+    rows = np.array(rows)
+    # the rows, then one target-independent row and one general query, as
+    # (phi1, phi2) tables
+    phi1, phi2 = decompose(pos, neg)
+    zero = np.zeros_like(rows)
+    general1 = np.vstack([rows, np.zeros(domain.size), phi1])
+    general2 = np.vstack([zero, rows[0], phi2])
     # E[psi(x, b)] written out per kind, for the target and for phi_A
     truth = [float(np.sum(w * r * target.values)) for r in rows]
     truth += [float(np.sum(w * rows[0])),
@@ -241,12 +247,14 @@ def test_valid_modes_answer_within_tau_at_every_entry_point(case, tau, seed):
     agnostic_truth += [truth[len(rows)], float(np.sum(w * (p * pos + (1 - p) * neg)))]
     for mode in ("exact", "grid_adversary", "noisy"):
         oracle = SQOracle(target, dist, mode=mode, seed=seed)
-        answers = oracle.correlational_many(np.array(rows), tau).tolist()
-        answers += [oracle.query(q) for q in queries]
+        answers = oracle.correlational_many(rows, tau).tolist()
+        answers += oracle.query(rows, tau).tolist()
+        answers += oracle.query(general1, tau, general2).tolist()
         agnostic = SQOracle(RealFn(domain, phi_a), dist, mode=mode, seed=seed)
-        answers += agnostic.correlational_many(np.array(rows), tau).tolist()
-        answers += [agnostic.query(q) for q in queries]
-        want = truth[:len(rows)] + truth + agnostic_truth[:len(rows)] + agnostic_truth
+        answers += agnostic.correlational_many(rows, tau).tolist()
+        answers += agnostic.query(rows, tau).tolist()
+        answers += agnostic.query(general1, tau, general2).tolist()
+        want = truth[:len(rows)] * 2 + truth + agnostic_truth[:len(rows)] * 2 + agnostic_truth
         gaps = np.abs(np.array(answers) - np.array(want))
         assert gaps.max() <= tau + 1e-12, (mode, gaps.max(), tau)
         assert oracle.audit() <= 1e-12
@@ -255,42 +263,43 @@ def test_valid_modes_answer_within_tau_at_every_entry_point(case, tau, seed):
 
 @settings(max_examples=100, deadline=None)
 @given(case=_float_case())
-def test_decomposition_identity(case):
+def test_decomposition_identity(case, cell_mean):
     # E_D[psi(x, b)] = <phi1, y>_D + E_D[phi2] for a Boolean and a real target y
     domain, dist, target, phi_a, _, pos, neg = case
-    q = general(domain, pos, neg, 0.05)
-    phi1, phi2 = csq_decompose(q)
+    phi1, phi2 = decompose(pos, neg)
     for y in (target, RealFn(domain, phi_a)):
-        want = inner_product(phi1, y, dist) + float(np.dot(dist.weights, phi2.values))
-        assert abs(true_query_value(q, y, dist) - want) <= 1e-12
+        want = float(np.dot(dist.weights, phi1 * y.values)) + float(np.dot(dist.weights, phi2))
+        assert abs(cell_mean(pos, neg, y.values, dist.weights) - want) <= 1e-12
+        (got,) = SQOracle(y, dist).query(phi1[None], 0.05, phi2[None])
+        assert abs(got - want) <= 1e-12
 
 
-def test_csq_decompose_roundtrip():
+def test_decompose_roundtrip(cell_mean):
     domain, target, dist, rng = _setup()
-    pos = rng.uniform(-1, 1, domain.size)
-    neg = rng.uniform(-1, 1, domain.size)
-    q = general(domain, pos, neg, 0.1)
-    phi1, phi2 = csq_decompose(q)
-    np.testing.assert_allclose(phi1.values + phi2.values, pos, atol=1e-12)
-    np.testing.assert_allclose(phi2.values - phi1.values, neg, atol=1e-12)
-    # general value equals correlational part plus target-independent part
-    want = inner_product(phi1, target, dist) + float(
-        np.dot(dist.weights, phi2.values)
-    )
-    assert true_query_value(q, target, dist) == pytest.approx(want, abs=1e-12)
-    with pytest.raises(UsageError):
-        csq_decompose(correlational(phi1, 0.1))
+    pos = rng.uniform(-1, 1, (4, domain.size))
+    neg = rng.uniform(-1, 1, (4, domain.size))
+    phi1, phi2 = decompose(pos, neg)
+    np.testing.assert_allclose(phi1 + phi2, pos, atol=1e-12)
+    np.testing.assert_allclose(phi2 - phi1, neg, atol=1e-12)
+    # each general value is its correlational part plus its target-independent part
+    got = SQOracle(target, dist).query(phi1, 0.1, phi2)
+    want = [cell_mean(a, b, target.values, dist.weights) for a, b in zip(pos, neg)]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    # one row's tables split the same way as the matrix's rows
+    one1, one2 = decompose(pos[2], neg[2])
+    np.testing.assert_array_equal(one1, phi1[2])
+    np.testing.assert_array_equal(one2, phi2[2])
 
 
-def test_csq_decompose_label_only_query():
+def test_decompose_label_only_query():
     # psi(x, l) = l has phi1 = 1 and phi2 = 0: it measures E[f]
     domain, target, dist, _ = _setup()
-    q = general(domain, np.ones(8), -np.ones(8), 0.1)
-    phi1, phi2 = csq_decompose(q)
-    np.testing.assert_array_equal(phi1.values, np.ones(8))
-    np.testing.assert_array_equal(phi2.values, np.zeros(8))
+    phi1, phi2 = decompose(np.ones(8), -np.ones(8))
+    np.testing.assert_array_equal(phi1, np.ones(8))
+    np.testing.assert_array_equal(phi2, np.zeros(8))
     want = float(np.dot(dist.weights, target.values))
-    assert true_query_value(q, target, dist) == pytest.approx(want, abs=1e-12)
+    (got,) = SQOracle(target, dist).query(phi1[None], 0.1, phi2[None])
+    assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_agnostic_source_basics():
@@ -300,37 +309,34 @@ def test_agnostic_source_basics():
         SQOracle(random_real_fn(Domain(2), rng), dist)
     # Boolean phi_A reduces to the plain oracle on that target
     phi_a = RealFn(domain, target.values)
-    q = correlational(phi, 0.1)
-    assert true_query_value(q, phi_a, dist) == pytest.approx(
-        true_query_value(q, target, dist), abs=1e-12
-    )
-    assert SQOracle(phi_a, dist).query(q) == pytest.approx(
-        SQOracle(target, dist).query(q), abs=1e-12
+    assert SQOracle(phi_a, dist).query(phi.values[None], 0.1)[0] == pytest.approx(
+        SQOracle(target, dist).query(phi.values[None], 0.1)[0], abs=1e-12
     )
 
 
-def test_agnostic_disagreement_recovery():
+def test_agnostic_disagreement_recovery(cell_mean):
     # psi(x,l) = (1 - l*h(x))/2 measures half the L1 distance between phi_A and h
     domain, _, dist, rng = _setup(seed=5)
     h = random_bool_fn(domain, rng)
     phi_a = random_real_fn(domain, rng)
-    q = general(domain, (1 - h.values) / 2.0, (1 + h.values) / 2.0, 0.1)
-    got = true_query_value(q, phi_a, dist)
+    pos, neg = (1 - h.values) / 2.0, (1 + h.values) / 2.0
+    got = cell_mean(pos, neg, phi_a.values, dist.weights)
     assert got == pytest.approx(l1_distance(phi_a, h, dist) / 2.0, abs=1e-12)
-    assert SQOracle(phi_a, dist).query(q) == pytest.approx(got, abs=1e-12)
+    phi1, phi2 = decompose(pos, neg)
+    assert SQOracle(phi_a, dist).query(phi1[None], 0.1, phi2[None])[0] == \
+        pytest.approx(got, abs=1e-12)
 
 
 def test_agnostic_stat_query_modes():
     domain, _, dist, rng = _setup(seed=6)
     phi_a = random_real_fn(domain, rng)
-    g = random_real_fn(domain, rng)
-    q = correlational(g, 0.05)
-    truth = true_query_value(q, phi_a, dist)
-    assert SQOracle(phi_a, dist).query(q) == pytest.approx(truth, abs=1e-12)
-    grid = SQOracle(phi_a, dist, mode="grid_adversary").query(q)
+    g = random_real_fn(domain, rng).values[None]
+    truth = inner_product(RealFn(domain, g[0]), phi_a, dist)
+    assert SQOracle(phi_a, dist).query(g, 0.05)[0] == pytest.approx(truth, abs=1e-12)
+    (grid,) = SQOracle(phi_a, dist, mode="grid_adversary").query(g, 0.05)
     assert abs(grid - truth) <= 0.05 + 1e-12
     assert grid == pytest.approx(round(truth / 0.1) * 0.1, abs=1e-12)
-    noisy = SQOracle(phi_a, dist, mode="noisy", seed=1).query(q)
+    (noisy,) = SQOracle(phi_a, dist, mode="noisy", seed=1).query(g, 0.05)
     assert abs(noisy - truth) <= 0.05
-    emp = SQOracle(phi_a, dist, mode="empirical", seed=2, sample_size=200_000).query(q)
+    (emp,) = SQOracle(phi_a, dist, mode="empirical", seed=2, sample_size=200_000).query(g, 0.05)
     assert abs(emp - truth) <= 0.02

@@ -16,7 +16,6 @@ from sqlab.fnspace import (
     conjunction_class,
     disagreement,
     dist_random,
-    dist_uniform,
     inner_product,
     make_parity,
     parity_class,
@@ -25,21 +24,13 @@ from sqlab.fnspace import (
     random_real_fn,
     sign_of,
 )
-from sqlab.oracles import (
-    MODES,
-    SQOracle,
-    correlational,
-    csq_decompose,
-    general,
-    true_query_value,
-)
+from sqlab.oracles import MODES, SQOracle, decompose
 from sqlab.sqcore import (
     ApproxSet,
     ExhaustiveCSQ,
     SQAlgorithm,
     build_gpsi,
     class_pool_generator,
-    exhaustive_csq_learner,
     gpsi_generator,
     _first_hit,
     projected_learner,
@@ -73,7 +64,7 @@ def test_exhaustive_csq_recovers_every_target(domain3, uniform3):
     for mode in ("exact", "grid_adversary"):
         for f in cclass:
             orc = SQOracle(f, uniform3, mode=mode)
-            h = exhaustive_csq_learner(cclass, orc, eps=0.1)
+            h = run_with_oracle(ExhaustiveCSQ(cclass, 0.1), orc)
             assert disagreement(h, f, uniform3) <= 0.1
             assert orc.query_count == len(cclass)
 
@@ -129,18 +120,17 @@ def test_build_gpsi_respects_budget(domain3, uniform3):
 
 
 class GeneralRounds(SQAlgorithm):
-    """Asks the csq_decompose parts of general queries in rounds of the given
-    sizes and keeps the answers; its hypothesis is the sign of the first phi1."""
+    """Asks the decomposed general queries with label slices (pos, neg), in
+    rounds of the given sizes, and keeps the answers; its hypothesis is the
+    sign of the first phi1."""
 
     name = "general-rounds"
     tau = 0.05
     epsilon = 0.1
 
-    def __init__(self, queries, sizes):
-        parts = [csq_decompose(q) for q in queries]
-        self.domain = queries[0].domain
-        self.phi1 = np.array([p1.values for p1, _ in parts])
-        self.phi2 = np.array([p2.values for _, p2 in parts])
+    def __init__(self, domain, pos, neg, sizes):
+        self.domain = domain
+        self.phi1, self.phi2 = decompose(pos, neg)
         self.sizes = sizes
         self.answers = []
 
@@ -152,17 +142,16 @@ class GeneralRounds(SQAlgorithm):
         return sign_of(RealFn(self.domain, self.phi1[0]))
 
 
-def test_general_query_rounds(domain3):
+def test_general_query_rounds(domain3, cell_mean):
     # no built-in algorithm asks a target-independent part: this one does
     rng = make_rng(16, 0, "general")
     d = dist_random(domain3, rng)
-    queries = [general(domain3, rng.uniform(-1, 1, 8), rng.uniform(-1, 1, 8), 0.05)
-               for _ in range(7)]
+    pos, neg = rng.uniform(-1, 1, (7, 8)), rng.uniform(-1, 1, (7, 8))
     sizes = [3, 1, 0, 3]
     psi = random_real_fn(domain3, rng)
-    alg = GeneralRounds(queries, sizes)
+    alg = GeneralRounds(domain3, pos, neg, sizes)
     aset = build_gpsi(alg, psi, d)
-    want = [true_query_value(q, psi, d) for q in queries]
+    want = [cell_mean(a, b, psi.values, d.weights) for a, b in zip(pos, neg)]
     np.testing.assert_allclose(alg.answers, want, rtol=0, atol=1e-12)
     # the phi1 rows in asking order, then sign(psi), then the hypothesis
     np.testing.assert_array_equal(aset.matrix[:-2], alg.phi1)
@@ -170,12 +159,12 @@ def test_general_query_rounds(domain3):
     np.testing.assert_array_equal(aset.matrix[-1], np.where(alg.phi1[0] >= 0, 1.0, -1.0))
 
     f = random_bool_fn(domain3, rng)
-    alg = GeneralRounds(queries, sizes)
+    alg = GeneralRounds(domain3, pos, neg, sizes)
     orc = SQOracle(f, d)
     run_with_oracle(alg, orc)
-    want = [true_query_value(q, f, d) for q in queries]
+    want = [cell_mean(a, b, f.values, d.weights) for a, b in zip(pos, neg)]
     np.testing.assert_allclose(alg.answers, want, rtol=0, atol=1e-12)
-    assert orc.query_count == len(queries)
+    assert orc.query_count == len(pos)
 
 
 def test_build_gpsi_distinguishing_margin(domain3, uniform3):
@@ -333,33 +322,30 @@ def _agnostic_case(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=_agnostic_case(), tau=st.floats(0.01, 1.0), seed=st.integers(0, 2**32),
        sample_size=st.integers(1, 50))
-def test_weak_agnostic_learner_matches_single_queries(case, tau, seed, sample_size):
+def test_weak_agnostic_learner_matches_single_queries(case, tau, seed, sample_size,
+                                                      one_by_one):
     # also run_with_oracle(ExhaustiveCSQ) on the signs of the same case: +-1
     # rows and target keep every sum exact, so the one batch must give the
-    # per-member loop's hypothesis, count and log, bit for bit
+    # hypothesis, count and log of the members asked one at a time, bit for bit
     phi_a, dist, pool = case
     cclass = ConceptClass("signs", pool.domain, np.where(pool.matrix >= 0, 1.0, -1.0))
     f = sign_of(phi_a)
     alg = ExhaustiveCSQ(cclass, tau / 2)
     for mode in MODES:
         kw = dict(mode=mode, seed=seed, sample_size=sample_size)
-        batch = SQOracle(phi_a, dist, **kw)
-        got = weak_agnostic_learner(pool, batch, tau)
-        single = SQOracle(phi_a, dist, **kw)
-        values = [single.query(correlational(RealFn(pool.domain, g), tau))
-                  for g in pool.matrix]
+        got = weak_agnostic_learner(pool, SQOracle(phi_a, dist, **kw), tau)
+        values, _ = one_by_one(phi_a, dist, pool.matrix, tau, mode, seed, sample_size)
         j = int(np.argmax(np.abs(values)))
         want = pool.matrix[j] if values[j] >= 0 else -pool.matrix[j]
         assert got.values.tobytes() == want.tobytes(), mode
 
         batch = SQOracle(f, dist, **kw)
         got = run_with_oracle(alg, batch)
-        single = SQOracle(f, dist, **kw)
-        values = [single.query(correlational(g, alg.tau)) for g in cclass]
+        values, truths = one_by_one(f, dist, cclass.matrix, alg.tau, mode, seed, sample_size)
         assert got.values.tobytes() == cclass.matrix[int(np.argmax(values))].tobytes(), mode
-        assert batch.query_count == single.query_count == len(cclass)
-        assert [e.as_record() for e in batch.query_log] == \
-            [e.as_record() for e in single.query_log], mode
+        assert batch.query_count == len(cclass)
+        assert [(e.value, e.true_value) for e in batch.query_log] == \
+            list(zip(values, truths)), mode
 
 
 def test_weak_agnostic_learner_orients_by_sign(domain3, uniform3):
