@@ -1,7 +1,10 @@
 """Command-line entry point: learn | evolve | dim | agnostic.
 
-Configuration comes from an optional key = value file (--config) overridden
-by flags.  Exit codes: 0 ok, 1 usage error, 2 invariant breach (e.g. an
+Every config key of `harness.ExperimentConfig` (but `command`) is a --flag
+and a key of the optional key = value file given by --config; flags win over
+the file.  A key that the command does not read, named by a flag or by the
+file, is a usage error.  Exit codes: 0 ok, 1 usage error (click's own too:
+an unknown flag or command, a missing value), 2 invariant breach (e.g. an
 oracle whose answers are inconsistent with every target), 3 I/O error.
 """
 
@@ -12,66 +15,27 @@ import click
 from . import __version__, harness
 from .errors import InvariantBreachError, LabError, UsageError
 
-# Flags a command reads nothing from, with the reason; naming one is a usage
-# error rather than a silent no-op.  (A manifest's config snapshot carries
-# every key, so harness.make_config accepts them.)
-UNUSED = {
-    "evolve": {
-        "class": "the target is a random disjunction of the seed",
-        "tau": "selection uses the tolerance t derived from --epsilon",
-        "oracle": "fitness is estimated from the evolver's own samples",
-    },
-    "dim": {
-        "tau": "the dimension is computed exactly from the class and D",
-        "oracle": "no query is asked; the Gram matrix is computed exactly",
-        "epsilon": "the dimension has no accuracy parameter",
-    },
-    "learn": {
-        "epsilon": "the learner halts when no pool member moves by 3 * --tau",
-    },
-    "agnostic": {
-        "epsilon": "the pool learner's guarantee is stated in --tau alone",
-    },
-}
-
 
 def common_options(fn):
-    for opt in (
-        click.option("--config", "config", default=None,
-                     help="key = value config file; flags win"),
-        click.option("--format", "fmt", default=None,
-                     type=click.Choice(["csv", "json"]), help="artifact format"),
-        click.option("--out", default=None, help="output directory"),
-        click.option("--seeds", default=None,
-                     help="comma list (0,1,2) or inclusive range (0..99)"),
-        click.option("--oracle", default=None,
-                     help="exact | grid_adversary | noisy | empirical:<s> | liar"),
-        click.option("--dist", default=None, help="uniform | random[:seed] | file:<path>"),
-        click.option("--class", "cclass", default=None,
-                     help="parities | conjunctions | disjunctions | file:<path>"),
-        click.option("--tau", type=float, default=None, help="oracle tolerance"),
-        click.option("--epsilon", type=float, default=None, help="target accuracy"),
-        click.option("--n", type=int, default=None, help="number of variables"),
-    ):
-        fn = opt(fn)
-    return fn
+    for key, f in reversed(harness.KEYS.items()):
+        if key != "command":
+            readers = f.metadata["readers"]
+            only = "" if readers == harness.COMMANDS else f" ({', '.join(readers)} only)"
+            fn = click.option(f"--{key}", default=None, help=f.metadata["help"] + only)(fn)
+    return click.option("--config", default=None, help="key = value config file; flags win")(fn)
 
 
-def _execute(command, config, n, epsilon, tau, cclass, dist, oracle, seeds,
-             out, fmt):
+def _execute(command, config, **flags):
     try:
         data = harness.parse_config_file(config) if config else {}
-        overrides = {
-            "n": n, "epsilon": epsilon, "tau": tau, "class": cclass,
-            "dist": dist, "oracle": oracle, "seeds": seeds, "out": out,
-            "format": fmt,
-        }
-        data.update({k: v for k, v in overrides.items() if v is not None})
-        for key, why in UNUSED.get(command, {}).items():
-            if key in data:
-                raise UsageError(f"{command} does not use --{key}: {why}")
+        data.update({k: v for k, v in flags.items() if v is not None})
         data["command"] = command
         cfg = harness.make_config(data)
+        for key in data:
+            readers = harness.KEYS[key].metadata["readers"]
+            if command not in readers:
+                raise UsageError(f"{command} does not read --{key}; "
+                                 f"it is read by {', '.join(readers)}")
         paths, summaries = harness.execute(cfg)
     except InvariantBreachError as e:
         click.echo(f"invariant breach: {e}", err=True)
@@ -88,7 +52,22 @@ def _execute(command, config, n, epsilon, tau, cclass, dist, oracle, seeds,
     click.echo(f"wrote {len(paths)} files to {cfg.out}")
 
 
-@click.group()
+class _Main(click.Group):
+    """A group whose usage errors exit 1, not click's 2, which is the exit
+    code of an invariant breach here."""
+
+    def main(self, *args, **kwargs):
+        try:
+            return super().main(*args, standalone_mode=False, **kwargs)
+        except click.UsageError as e:
+            e.show()
+            sys.exit(1)
+        except click.Abort:
+            click.echo("Aborted!", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__, prog_name="sqlab")
 def main():
     """Statistical-query learning and evolvability experiments on explicit

@@ -357,11 +357,14 @@ def sq_neighborhood(psi, eps, gpsi_builder, gamma):
     return np.vstack([steps, sign_of(psi).values])
 
 
-def evolve_lsq_params(theta, eps, neigh_size, c_hoeffding=128.0):
+C_HOEFFDING = 128.0  # the Hoeffding constant of the fitness sample size s
+
+
+def evolve_lsq_params(theta, eps, neigh_size):
     """Selection parameters for quadratic-loss evolution with gain theta.
 
     g = ceil(8/theta) generations, tolerance t = 3*theta/8, pool size
-    p = ceil(neigh_size*ln(4g/eps)), sample size s = ceil(c/theta^2 *
+    p = ceil(neigh_size*ln(4g/eps)), sample size s = ceil(C_HOEFFDING/theta^2 *
     ln(8pg/eps)), laziness delta = eps/(2g).  Natural logarithms.
     """
     if theta <= 0:
@@ -375,6 +378,6 @@ def evolve_lsq_params(theta, eps, neigh_size, c_hoeffding=128.0):
     g = math.ceil(8.0 / theta)
     t = 3.0 * theta / 8.0
     p = math.ceil(neigh_size * math.log(4.0 * g / eps))
-    s = math.ceil(c_hoeffding * theta ** -2 * math.log(8.0 * p * g / eps))
+    s = math.ceil(C_HOEFFDING * theta ** -2 * math.log(8.0 * p * g / eps))
     delta = eps / (2.0 * g)
     return SelNBParams(QUADRATIC, t, p, s), g, delta

@@ -363,18 +363,16 @@ def random_bool_fn(domain, rng):
 # text serialization: one line per point, "bitstring value"
 
 
+def _table_to_text(dom, table):
+    return "\n".join(f"{dom.bitstring(p)} {table[p]:.17g}" for p in range(dom.size)) + "\n"
+
+
 def fn_to_text(fn):
-    dom = fn.domain
-    return "\n".join(
-        f"{dom.bitstring(p)} {fn.values[p]:.17g}" for p in range(dom.size)
-    ) + "\n"
+    return _table_to_text(fn.domain, fn.values)
 
 
 def dist_to_text(d):
-    dom = d.domain
-    return "\n".join(
-        f"{dom.bitstring(p)} {d.weights[p]:.17g}" for p in range(dom.size)
-    ) + "\n"
+    return _table_to_text(d.domain, d.weights)
 
 
 def _table_from_text(text):

@@ -13,7 +13,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -55,117 +55,124 @@ AGNOSTIC_COLUMNS = ("seed", "best_correlation", "achieved_correlation",
                     "guarantee_ok")
 
 
-@dataclass
-class ExperimentConfig:
-    command: str
-    n: int = 3
-    epsilon: float = 0.1
-    tau: float = 0.05
-    cclass: str = "conjunctions"
-    dist: str = "uniform"
-    oracle: str = "exact"
-    seeds: list = field(default_factory=lambda: [0])
-    out: str = "out"
-    fmt: str = "csv"
-    workers: int = 1
-    theta: float = None
-
-    def snapshot(self):
-        return {
-            "command": self.command,
-            "n": self.n,
-            "epsilon": self.epsilon,
-            "tau": self.tau,
-            "class": self.cclass,
-            "dist": self.dist,
-            "oracle": self.oracle,
-            "seeds": ",".join(str(s) for s in self.seeds),
-            "out": self.out,
-            "format": self.fmt,
-            "workers": self.workers,
-            "theta": self.theta,
-        }
+def _checked(convert, ok, rule):
+    """The parser of one config key: `convert` of the value's text, which `ok`
+    must accept; anything else is a usage error that names the key."""
+    def parse(key, value):
+        try:
+            x = convert(str(value))
+            if ok(x):
+                return x
+        except ValueError:
+            pass
+        raise UsageError(f"--{key} must be {rule}, got {value!r}")
+    return parse
 
 
-KNOWN_KEYS = set(ExperimentConfig("learn").snapshot())
+def _text(key, value):
+    return str(value)
 
 
-def _nonnegative_int(text, what):
-    text = str(text).strip()
+def _nonnegative_int(text):
+    text = text.strip()
     if not text.isdecimal():
-        raise UsageError(f"{what} must be a nonnegative integer, got {text!r}")
+        raise ValueError(text)
     return int(text)
 
 
 def _parse_seeds(text):
-    text = str(text).strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(_nonnegative_int(lo, "seeds"), _nonnegative_int(hi, "seeds") + 1))
-    return [_nonnegative_int(s, "seeds") for s in text.split(",") if s.strip() != ""]
+        return list(range(_nonnegative_int(lo), _nonnegative_int(hi) + 1))
+    return [_nonnegative_int(s) for s in text.split(",") if s.strip() != ""]
+
+
+def _dist_ok(d):
+    if d.startswith("random:"):
+        return d[len("random:"):].strip().isdecimal()
+    return d in ("uniform", "random") or d.startswith("file:")
+
+
+def _oracle_mode(oracle):
+    """(mode, sample size) of an --oracle value: a mode, or empirical:<s> with s >= 1."""
+    mode, colon, arg = oracle.partition(":")
+    if mode == "empirical" and arg.isdecimal() and int(arg) >= 1:
+        return mode, int(arg)
+    if mode not in MODES or mode == "empirical" or colon:
+        raise ValueError(oracle)
+    return mode, None
+
+
+def _key(parse, help=None, readers=COMMANDS, **kw):
+    """A config field: its parser, its --help text and the commands that read it."""
+    return field(metadata={"parse": parse, "help": help, "readers": readers}, **kw)
+
+
+@dataclass
+class ExperimentConfig:
+    """One row per config key.  Each key is a --flag and a config-file key of
+    the same name, but `command`, which is the subcommand."""
+
+    command: str = _key(_text)
+    n: int = _key(_checked(int, lambda n: 1 <= n <= MAX_N, f"an integer in [1, {MAX_N}]"),
+                  "number of variables", default=3)
+    epsilon: float = _key(_checked(float, lambda e: 0 < e < 1, "a number in (0, 1)"),
+                          "target accuracy", ("evolve",), default=0.1)
+    tau: float = _key(_checked(float, lambda t: 0 < t < 1, "a number in (0, 1)"),
+                      "oracle tolerance", ("learn", "agnostic"), default=0.05)
+    cclass: str = _key(_checked(str, lambda c: c in CLASSES or c.startswith("file:"),
+                                f"one of {CLASSES} or file:<path>"),
+                       "parities | conjunctions | disjunctions | file:<path>",
+                       ("learn", "dim", "agnostic"), default="conjunctions")
+    dist: str = _key(_checked(str, _dist_ok, "uniform, random[:seed] or file:<path>"),
+                     "uniform | random[:seed] | file:<path>", default="uniform")
+    oracle: str = _key(_checked(str, _oracle_mode, f"one of {MODES}, empirical as "
+                                "empirical:<s> with an integer sample size s >= 1"),
+                       "exact | grid_adversary | noisy | empirical:<s> | liar",
+                       ("learn", "agnostic"), default="exact")
+    seeds: list = _key(_checked(_parse_seeds, bool, "a nonempty list of nonnegative "
+                                "integers, 0,1,2 or 0..99"),
+                       "comma list (0,1,2) or inclusive range (0..99)",
+                       default_factory=lambda: [0])
+    out: str = _key(_text, "output directory", default="out")
+    fmt: str = _key(_checked(str, FORMATS.__contains__, f"one of {FORMATS}"),
+                    "artifact format: csv | json", default="csv")
+    workers: int = _key(_checked(int, lambda w: w >= 1, "an integer >= 1"),
+                        "worker processes; artifacts do not depend on it", default=1)
+    theta: float = _key(_checked(float, lambda t: 0 < t < math.inf,
+                                 "a positive finite number"),
+                        "evolution gain parameter (default gamma/8)", ("evolve",),
+                        default=None)
+
+    def snapshot(self):
+        """key -> value for every key, seeds as text: make_config takes it back."""
+        snap = {key: getattr(self, f.name) for key, f in KEYS.items()}
+        snap["seeds"] = ",".join(map(str, self.seeds))
+        return snap
+
+
+# config key -> field of the table; two keys are not valid Python names
+KEYS = {{"cclass": "class", "fmt": "format"}.get(f.name, f.name): f
+        for f in fields(ExperimentConfig)}
 
 
 def make_config(data):
-    """Validate a key-value mapping into an ExperimentConfig."""
+    """Validate a key -> value mapping (values as text or as numbers) into an
+    ExperimentConfig; a key absent or None takes its default."""
     data = {k: v for k, v in data.items() if v is not None}
-    unknown = set(data) - KNOWN_KEYS
+    unknown = set(data) - set(KEYS)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    if "command" not in data:
-        raise UsageError("config key 'command' is required")
-    command = str(data["command"])
-    if command not in COMMANDS:
-        raise UsageError(f"command must be one of {COMMANDS}, got {command!r}")
-    cfg = ExperimentConfig(command)
-    if "n" in data:
-        cfg.n = int(data["n"])
-        if not 1 <= cfg.n <= MAX_N:
-            raise UsageError(f"n must be in [1, {MAX_N}], got {cfg.n}")
-    if "epsilon" in data:
-        cfg.epsilon = float(data["epsilon"])
-        if not 0 < cfg.epsilon < 1:
-            raise UsageError(f"epsilon must be in (0, 1), got {cfg.epsilon}")
-    if "tau" in data:
-        cfg.tau = float(data["tau"])
-        if not 0 < cfg.tau < 1:
-            raise UsageError(f"tau must be in (0, 1), got {cfg.tau}")
-    if "class" in data:
-        cfg.cclass = str(data["class"])
-        if cfg.cclass not in CLASSES and not cfg.cclass.startswith("file:"):
-            raise UsageError(
-                f"class must be one of {CLASSES} or file:<path>, got {cfg.cclass!r}")
-    if "dist" in data:
-        cfg.dist = str(data["dist"])
-        if cfg.dist.startswith("random:"):
-            _nonnegative_int(cfg.dist[len("random:"):], "the seed of dist random:<seed>")
-        elif cfg.dist not in ("uniform", "random") and not cfg.dist.startswith("file:"):
-            raise UsageError(
-                f"dist must be uniform, random[:seed] or file:<path>, got {cfg.dist!r}")
-    if "oracle" in data:
-        cfg.oracle = str(data["oracle"])
-        if _oracle_mode(cfg)[0] == "liar" and command == "agnostic":
-            raise UsageError(
-                "--oracle liar does not apply to agnostic: its pool learner keeps "
-                "no update ledger that a lying oracle could trip")
-    if "seeds" in data:
-        cfg.seeds = _parse_seeds(data["seeds"])
-        if not cfg.seeds:
-            raise UsageError("seeds must be a nonempty list")
-    if "out" in data:
-        cfg.out = str(data["out"])
-    if "format" in data:
-        cfg.fmt = str(data["format"])
-        if cfg.fmt not in FORMATS:
-            raise UsageError(f"format must be one of {FORMATS}, got {cfg.fmt!r}")
-    if "workers" in data:
-        cfg.workers = int(data["workers"])
-        if cfg.workers < 1:
-            raise UsageError(f"workers must be >= 1, got {cfg.workers}")
-    if "theta" in data and str(data["theta"]) != "None":
-        cfg.theta = float(data["theta"])
-        if not 0 < cfg.theta < math.inf:
-            raise UsageError(f"theta must be positive and finite, got {cfg.theta}")
-    if command != "evolve" and cfg.cclass in CLASSES and cfg.n > MAX_CLASS_N:
+    if data.get("command") not in COMMANDS:
+        raise UsageError(f"config key 'command' must be one of {COMMANDS}, "
+                         f"got {data.get('command')!r}")
+    cfg = ExperimentConfig(**{f.name: f.metadata["parse"](key, data[key])
+                              for key, f in KEYS.items() if key in data})
+    if cfg.oracle == "liar" and cfg.command == "agnostic":
+        raise UsageError(
+            "--oracle liar does not apply to agnostic: its pool learner keeps "
+            "no update ledger that a lying oracle could trip")
+    if cfg.command != "evolve" and cfg.cclass in CLASSES and cfg.n > MAX_CLASS_N:
         raise UsageError(
             f"--n {cfg.n} is too large for the built-in class {cfg.cclass}: its dense "
             f"table takes 8*4^n = {8 * 4 ** cfg.n} bytes; use n <= {MAX_CLASS_N}")
@@ -303,19 +310,8 @@ def _build_dist(cfg, domain, master, k):
     return dist_from_text(Path(cfg.dist.split(":", 1)[1]).read_text())
 
 
-def _oracle_mode(cfg):
-    """(mode, sample size) of the --oracle value: a mode, or empirical:<s> with s >= 1."""
-    mode, colon, arg = cfg.oracle.partition(":")
-    if mode == "empirical" and arg.isdecimal() and int(arg) >= 1:
-        return mode, int(arg)
-    if mode not in MODES or mode == "empirical" or colon:
-        raise UsageError(f"--oracle must be one of {MODES} (empirical as empirical:<s> "
-                         f"with an integer sample size s >= 1), got {cfg.oracle!r}")
-    return mode, None
-
-
 def _build_oracle(cfg, target, dist, master, k):
-    mode, sample_size = _oracle_mode(cfg)
+    mode, sample_size = _oracle_mode(cfg.oracle)
     return SQOracle(target, dist, mode=mode, seed=make_rng(master, k, "oracle").integers(2 ** 63),
                     sample_size=sample_size)
 

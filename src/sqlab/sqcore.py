@@ -173,11 +173,9 @@ class TraceRow:
 class LearnerTrace:
     """Per-round log of a projected_learner run."""
 
-    def __init__(self, rows, halt_reason, hypothesis, tau, updates):
+    def __init__(self, rows, halt_reason, updates):
         self.rows = rows
         self.halt_reason = halt_reason
-        self.hypothesis = hypothesis
-        self.tau = tau
         self.updates = updates
 
     def records(self):
@@ -204,11 +202,10 @@ def _first_hit(mat, values, v, threshold):
     return None, None
 
 
-def projected_learner(gen, oracle, tau, cap=None, audit_target=None,
-                      warm_start=None):
+def projected_learner(gen, oracle, tau, cap=None, audit_target=None):
     """Iterative clamped learner driven by candidate-set generation.
 
-    Starts at psi_0 == 0 (or `warm_start`).  Each round queries every member
+    Starts at psi_0 == 0.  Each round queries every member
     of gen(psi_i) at tolerance `tau` and picks the FIRST g whose answer v(g)
     satisfies |v(g) - <psi_i, g>_D| >= 3*tau; then psi_{i+1} is the clamp of
     psi_i + gamma_i*g with gamma_i = v(g) - <psi_i, g>_D.  Halts with
@@ -231,9 +228,7 @@ def projected_learner(gen, oracle, tau, cap=None, audit_target=None,
             "3*tau^2 underflows to zero or its inverse overflows") from None
     d = oracle.dist
     w = d.weights
-    psi = warm_start if warm_start is not None else RealFn(
-        d.domain, np.zeros(d.domain.size))
-    psi = _as_real(psi)
+    psi = RealFn(d.domain, np.zeros(d.domain.size))
     rounds = cap if cap is not None else max_updates + 1
     updates = 0
     queries = 0
@@ -261,8 +256,7 @@ def projected_learner(gen, oracle, tau, cap=None, audit_target=None,
         if updates > max_updates:
             halt = "oracle-violation"
             break
-    hypothesis = sign_of(psi)
-    return hypothesis, LearnerTrace(rows, halt, hypothesis, tau, updates)
+    return sign_of(psi), LearnerTrace(rows, halt, updates)
 
 
 def weak_agnostic_learner(pool, oracle, tau):

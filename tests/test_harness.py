@@ -59,6 +59,10 @@ def test_make_config_rejects_bad_values():
         ("format", "xml"),
         ("workers", 0),
         ("theta", -1.0),
+        ("n", "abc"),
+        ("n", 3.5),
+        ("tau", "x"),
+        ("workers", "two"),
     ):
         with pytest.raises(UsageError):
             _cfg(**{key: val})
@@ -315,15 +319,26 @@ def test_oracle_flag_is_validated_at_the_boundary(tmp_path, flag):
     (["--seeds=-3..0"], ""),
     ([], "theta = nan\n"),
     ([], "theta = inf\n"),
+    (["--n", "abc"], ""),
+    (["--n", "3.5"], ""),
+    (["--tau", "x"], ""),
+    (["--workers", "two"], ""),
+    (["--theta", "abc"], ""),
+    ([], "n = abc\n"),
+    ([], "tau = x\n"),
+    ([], "workers = two\n"),
+    ([], "theta = abc\n"),
 ], ids=["dist-abc", "dist-negative", "dist-empty", "seed-negative", "seed-range-negative",
-        "theta-nan", "theta-inf"])
+        "theta-nan", "theta-inf", "n-abc", "n-fraction", "tau-word", "workers-word",
+        "theta-word", "file-n-abc", "file-tau-word", "file-workers-word", "file-theta-word"])
 def test_config_values_are_validated_at_the_boundary(tmp_path, args, config):
     conf = tmp_path / "run.cfg"
     conf.write_text("n = 2\nepsilon = 0.3\n" + config)
     out = CliRunner().invoke(
         cli.main, ["evolve", "--config", str(conf), *args, "--out", str(tmp_path / "o")])
     assert out.exit_code == 1, out.output
-    assert out.output.startswith("usage error:"), out.output
+    key = args[0].split("=")[0] if args else "--" + config.split(" =")[0]
+    assert out.output.startswith(f"usage error: {key} "), out.output
     assert "Traceback" not in out.output and isinstance(out.exception, SystemExit)
     assert not (tmp_path / "o").exists()
 
@@ -333,7 +348,8 @@ def _assert_flag_rejected(tmp_path, command, flag, value):
                                         "--out", str(tmp_path / "e")])
     assert out.exit_code == 1, out.output
     assert isinstance(out.exception, SystemExit)
-    assert "usage error" in out.output and flag in out.output
+    readers = ", ".join(harness.KEYS[flag[2:]].metadata["readers"])
+    assert f"usage error: {command} does not read {flag}; it is read by {readers}" in out.output
     assert not (tmp_path / "e").exists()
     conf = tmp_path / f"{command}.cfg"
     conf.write_text(f"n = 2\n{flag[2:]} = {value}\n")
@@ -353,9 +369,17 @@ def test_evolve_rejects_the_flags_it_does_not_use(tmp_path, flag, value):
 @pytest.mark.parametrize("command, flag, value", [
     ("dim", "--tau", "0.1"), ("dim", "--oracle", "noisy"), ("dim", "--epsilon", "0.5"),
     ("learn", "--epsilon", "0.5"), ("agnostic", "--epsilon", "0.5"),
+    ("learn", "--theta", "0.1"), ("dim", "--theta", "0.1"), ("agnostic", "--theta", "0.1"),
 ])
 def test_commands_reject_the_flags_they_do_not_use(tmp_path, command, flag, value):
     _assert_flag_rejected(tmp_path, command, flag, value)
+
+
+def test_every_config_key_but_command_is_a_flag_of_every_command():
+    want = {f"--{key}" for key in harness.KEYS if key != "command"} | {"--config"}
+    for name, command in cli.main.commands.items():
+        flags = {opt for p in command.params for opt in p.opts}
+        assert flags == want, name
 
 
 def test_empirical_ledger_overrun_is_an_honest_halt(tmp_path):
@@ -461,6 +485,12 @@ def test_cli_exit_codes(tmp_path):
     assert "halt=converged" in ok.output
     usage = runner.invoke(cli.main, ["learn", "--n", "25"])
     assert usage.exit_code == 1
+    # click's own usage errors exit 1 too, not its default 2 (an invariant breach here)
+    for args in (["learn", "--nn", "3"], ["learn", "--n"], ["ponder"]):
+        usage = runner.invoke(cli.main, args)
+        assert usage.exit_code == 1 and "Error:" in usage.output, args
+    for args in (["--help"], ["learn", "--help"], ["--version"]):
+        assert runner.invoke(cli.main, args).exit_code == 0, args
     # 3*tau^2 underflows to 0: no finite update ledger
     tiny = runner.invoke(cli.main, ["learn", "--tau", "1e-200", "--out", str(tmp_path / "t")])
     assert tiny.exit_code == 1 and isinstance(tiny.exception, SystemExit)
