@@ -92,22 +92,44 @@ def max_clique(adj, floor=0):
     floor below the clique number prunes no ancestor of the first maximum
     clique in the search order (each has r + |P| >= size > floor), so the
     clique returned is the one floor=0 returns.
+
+    A node (clique R, candidates P) is pruned when |R| plus the number of
+    colours of a greedy colouring of P (candidates in index order, each
+    colour an independent set) cannot beat the best size: a clique takes at
+    most one vertex of each colour.  The bound is sound, so it cuts only
+    subtrees that hold no larger clique; branching and search order are
+    those of the plain |R| + |P| bound, and so are the cliques returned.
     """
     n = adj.shape[0]
     packed = np.packbits(adj, axis=1, bitorder="little").tobytes()
     width = (n + 7) // 8  # bytes per packed row
     masks = [int.from_bytes(packed[i * width:(i + 1) * width], "little") for i in range(n)]
+    full = (1 << n) - 1
+    # vertices a colour class holding v may still take: neither v nor its neighbours
+    free = [full & ~(m | 1 << i) for i, m in enumerate(masks)]
     best_size = floor
     best_mask = 0
     # stack of (clique_mask, clique_size, candidate_mask); binary branching on
     # the lowest candidate vertex, which never lies in its own candidate mask
-    stack = [(0, 0, (1 << n) - 1)]
+    stack = [(0, 0, full)]
     while stack:
         r_mask, r_size, p_mask = stack.pop()
-        if r_size + p_mask.bit_count() <= best_size:
+        room = best_size - r_size  # this node wins only if P needs more colours
+        if p_mask.bit_count() <= room:
             continue
         if p_mask == 0:
             best_size, best_mask = r_size, r_mask
+            continue
+        # greedy colouring of P, stopped once the count passes `room`
+        uncoloured = p_mask
+        while uncoloured and room > 0:
+            room -= 1
+            avail = uncoloured
+            while avail:
+                low = avail & -avail
+                uncoloured ^= low
+                avail &= free[low.bit_length() - 1]
+        if not uncoloured:
             continue
         low = p_mask & -p_mask
         v = low.bit_length() - 1
@@ -134,13 +156,16 @@ def _check_pairwise(absgram, witness, threshold):
 def sq_dim(f, d, mode="exact", cap=30):
     """Largest d with d functions pairwise |<.,.>_D| <= 1/d.
 
-    Exact mode scans candidate values downward from |f|: at each it asks
-    max_clique, with its bound seeded at cand - 1, whether the graph keeping
-    edges with |correlation| <= 1/cand has a cand-clique, and stops at the
-    first that does; the witness is the first cand vertices of the clique
-    found.  Greedy mode inserts functions in set order while the largest
-    pairwise correlation stays within the tightened threshold, and is only a
-    lower bound.
+    Exact mode scans candidate values downward from |f|.  A value is skipped
+    when fewer than cand functions keep cand - 1 others within 1/cand;
+    otherwise max_clique, with its bound seeded at cand - 1, asks whether the
+    graph keeping edges with |correlation| <= 1/cand has a cand-clique.  On
+    random +-1 classes most such values are refuted by the colouring of
+    max_clique's root.  The scan stops at the first value that has one; the
+    witness is the first cand vertices of the clique found, the same clique
+    an unbounded search returns.  Greedy mode inserts functions in set order
+    while the largest pairwise correlation stays within the tightened
+    threshold, and is only a lower bound.
     """
     if mode not in ("exact", "greedy"):
         raise UsageError(f"mode must be 'exact' or 'greedy', got {mode!r}")
@@ -153,12 +178,15 @@ def sq_dim(f, d, mode="exact", cap=30):
         if k > cap:
             raise UsageError(f"exact mode handles at most {cap} functions, got {k}")
         witness = [0]
+        # a cand-clique needs cand rows with cand entries within 1/cand (the
+        # diagonal's 0 and cand - 1 neighbours): with each row sorted, then
+        # each column, entry [cand - 1, cand - 1] must be within 1/cand
+        degree_bound = np.sort(np.sort(absgram, axis=1), axis=0).diagonal()
         for cand in range(k, 1, -1):
-            adj = absgram <= 1.0 / cand + ATOL  # diagonal True: absgram's is 0
-            # a cand-clique needs cand vertices with cand - 1 neighbours each
-            if np.count_nonzero(adj.sum(axis=1) >= cand) < cand:
+            threshold = 1.0 / cand + ATOL
+            if degree_bound[cand - 1] > threshold:
                 continue
-            size, verts = max_clique(adj, cand - 1)
+            size, verts = max_clique(absgram <= threshold, cand - 1)
             if size:
                 witness = list(verts[:cand])
                 break

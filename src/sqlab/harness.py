@@ -289,12 +289,13 @@ def _build_class(cfg, domain):
     if cfg.cclass == "disjunctions":
         return disjunction_class(domain.n)
     path = cfg.cclass.split(":", 1)[1]
-    rows = [line.split() for line in Path(path).read_text().splitlines()
-            if line.strip() and not line.strip().startswith("#")]
-    if not rows:
+    lines = [s for s in map(str.strip, Path(path).read_text().splitlines())
+             if s and not s.startswith("#")]
+    if not lines:
         raise UsageError(f"class file {path} contains no functions")
     try:
-        mat = np.array(rows, dtype=np.float64)
+        # comments=None: a `#` after a value is a bad entry, not a comment
+        mat = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
     except ValueError as e:
         raise UsageError(f"class file {path}: {e}") from None
     return ConceptClass(f"file-{Path(path).stem}", domain, mat)

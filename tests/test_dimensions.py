@@ -364,9 +364,9 @@ def test_sq_dim_matches_the_unpruned_reference(case, mode):
 
 @st.composite
 def _graph(draw):
-    """A symmetric boolean matrix on up to 16 vertices, any density, with a
-    True or a False diagonal."""
-    n = draw(st.integers(0, 16))
+    """A symmetric boolean matrix on up to 30 vertices (sq_dim's exact cap),
+    any density, with a True or a False diagonal."""
+    n = draw(st.integers(0, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     adj = np.triu(rng.random((n, n)) < draw(st.sampled_from([0.2, 0.5, 0.8, 0.95])), 1)
     adj = adj | adj.T
@@ -374,14 +374,38 @@ def _graph(draw):
     return adj
 
 
-@settings(max_examples=200, deadline=None)
-@given(adj=_graph(), floor=st.integers(0, 17))
-def test_max_clique_floor_refutes_or_returns_the_unfloored_clique(adj, floor):
+def _assert_matches_the_reference(adj, floor):
     hollow = adj.copy()
     np.fill_diagonal(hollow, False)
     want = _reference_clique(hollow)
     assert max_clique(adj) == want
     assert max_clique(adj, floor) == (want if want[0] > floor else (0, ()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(adj=_graph(), floor=st.integers(0, 31))
+def test_max_clique_floor_refutes_or_returns_the_unfloored_clique(adj, floor):
+    _assert_matches_the_reference(adj, floor)
+
+
+@st.composite
+def _threshold_graph(draw):
+    """The question sq_dim's exact scan asks at one candidate value: up to 30
+    random +-1 rows at n=8, an edge where |correlation| <= 1/cand (diagonal
+    True), and the floor cand - 1.  Most such graphs have no cand-clique:
+    these are the refutations the colouring bound cuts short."""
+    domain = Domain(8)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = draw(st.integers(2, 30))
+    fs = FnSet(domain, rng.choice([-1.0, 1.0], size=(k, domain.size)))
+    cand = draw(st.integers(2, k))
+    return _abs_gram(fs, dist_uniform(domain)) <= 1.0 / cand + ATOL, cand - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_threshold_graph())
+def test_max_clique_on_sq_dim_threshold_graphs_matches_the_reference(case):
+    _assert_matches_the_reference(*case)
 
 
 def _pairwise_failure(check, absgram, witness, threshold):

@@ -290,6 +290,18 @@ def test_real_fn_text_roundtrip_is_exact(n, data):
     assert back.values.tobytes() == table.tobytes()
 
 
+def test_dist_text_roundtrip_is_within_the_documented_bound():
+    domain = Domain(4)
+    moved = 0
+    for seed in range(200):
+        d = dist_random(domain, make_rng(seed, 0, "test"))
+        w, back = d.weights, dist_from_text(dist_to_text(d)).weights
+        assert np.all(np.abs(back - w) <= 2.0 ** (domain.n + 1) * 2.0 ** -52 * w), seed
+        assert np.all(np.abs(back - w) <= 2 * np.spacing(w)), seed
+        moved += back.tobytes() != w.tobytes()
+    assert 0 < moved < 40  # renormalization moves some weights: not bit-exact
+
+
 def test_text_roundtrips(domain3):
     rng = make_rng(5, 0, "test")
     phi = random_real_fn(domain3, rng)

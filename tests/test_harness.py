@@ -244,6 +244,9 @@ def test_class_file_runs_like_the_builtin_class(tmp_path):
         ("ragged", rows[0] + "\n" + rows[1] + " 1\n"),
         ("real", rows[0].replace("1", "0.5", 1) + "\n"),
         ("wide", rows[0] + "\n"),  # 8 values, but n = 2 has 4 points
+        ("note", rows[0] + " # note\n"),  # only whole lines are comments
+        ("nan", rows[0].replace("1", "nan", 1) + "\n"),
+        ("inf", rows[0].replace("1", "inf", 1) + "\n"),
     ):
         bad = tmp_path / f"{name}.txt"
         bad.write_text(text)
@@ -251,6 +254,29 @@ def test_class_file_runs_like_the_builtin_class(tmp_path):
                                             "2" if name == "wide" else "3",
                                             "--out", str(tmp_path / "o")])
         assert out.exit_code == 1 and isinstance(out.exception, SystemExit), name
+        assert "usage error: " in out.output, name
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_class_file_parse_is_bit_identical_to_parsing_each_entry(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    spellings = np.array(["1", "-1", "1.0", "-1.0", "+1", "1e0", "-1E+00", "1.", "-.1e1"])
+    table = rng.choice(spellings, size=(30, 256))
+    path = tmp_path / "class.txt"
+    path.write_text("\n".join(" ".join(row) for row in table) + "\n")
+    got = harness._build_class(_cfg(command="dim", cclass=f"file:{path}", n=8), Domain(8))
+    want = np.array(table.tolist(), dtype=np.float64)  # one float() per entry
+    assert got.matrix.tobytes() == want.tobytes() and got.matrix.shape == (30, 256)
+
+
+def test_class_file_takes_crlf_tabs_and_whole_line_comments(tmp_path):
+    matrix = parity_class(3).matrix
+    lines = ["# the parities on 3 variables", "", "   # an indented comment"]
+    lines += ["\t".join(f"{v:g}" for v in row) + " \t" for row in matrix]
+    path = tmp_path / "par3.txt"
+    path.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+    got = harness._build_class(_cfg(command="dim", cclass=f"file:{path}", n=3), Domain(3))
+    assert got.matrix.tobytes() == matrix.tobytes()
 
 
 def test_liar_oracle_trips_invariant(tmp_path, monkeypatch):
