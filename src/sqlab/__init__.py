@@ -68,7 +68,6 @@ from .evolve import (  # noqa: F401
     NeighborhoodMutator,
     SelNBParams,
     disjunction_mutator,
-    disjunction_neighborhood,
     disjunction_params,
     empirical_lperf,
     evolve_lsq_params,

@@ -41,6 +41,7 @@ from .fnspace import (
 )
 
 SHIFT_BOUND = 2.0  # shifted class members live in [-2, 2]
+EXACT_CAP = 30  # the most functions an exact sq_dim scan takes; more take the greedy bound
 
 
 class FnSet:
@@ -153,11 +154,12 @@ def _check_pairwise(absgram, witness, threshold):
                 f"{absgram[idx[a], idx[b]]}, over threshold {threshold}")
 
 
-def sq_dim(f, d, mode="exact", cap=30):
+def sq_dim(f, d, mode="exact", cap=EXACT_CAP):
     """Largest d with d functions pairwise |<.,.>_D| <= 1/d.
 
-    Exact mode scans candidate values downward from |f|.  A value is skipped
-    when fewer than cand functions keep cand - 1 others within 1/cand;
+    `f` is an FnSet or a ConceptClass.  Exact mode takes at most `cap`
+    functions and scans candidate values downward from |f|.  A value is
+    skipped when fewer than cand functions keep cand - 1 others within 1/cand;
     otherwise max_clique, with its bound seeded at cand - 1, asks whether the
     graph keeping edges with |correlation| <= 1/cand has a cand-clique.  On
     random +-1 classes most such values are refuted by the colouring of

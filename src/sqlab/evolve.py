@@ -315,20 +315,13 @@ def disjunction_params(n, eps):
 def _disjunction_steps(domain, gamma):
     """The (n+2, 2^n) step table: gamma*[x_i = 1] for each coordinate i, a
     zero row and -gamma."""
-    if gamma <= 0:
-        raise UsageError(f"gamma must be positive, got {gamma}")
     ups = [gamma * domain.coordinate(i) for i in range(1, domain.n + 1)]
     return np.vstack(ups + [np.zeros(domain.size), np.full(domain.size, -gamma)])
 
 
-def disjunction_neighborhood(phi, gamma):
-    """The n+2 step candidates as one table: clamp(phi + gamma*[x_i = 1]) for
-    each coordinate, phi itself, and clamp(phi - gamma)."""
-    return np.clip(phi.values + _disjunction_steps(phi.domain, gamma), -1.0, 1.0)
-
-
 def disjunction_mutator(n, eps, delta_self=1.0):
-    """Uniform mutator over the disjunction neighborhood at gamma(n, eps).
+    """Uniform mutator over the n+2 disjunction neighbours of phi at gamma(n, eps):
+    clamp(phi + gamma*[x_i = 1]) for each i, phi itself and clamp(phi - gamma).
 
     The step table is built once, at construction; the eps passed per-call
     by the selection loop does not rescale it.

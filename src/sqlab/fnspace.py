@@ -117,9 +117,6 @@ class BoolFn:
     def __neg__(self):
         return BoolFn(self.domain, -self.values)
 
-    def as_real(self):
-        return RealFn(self.domain, self.values)
-
 
 class RealFn:
     """Total [-1,1]-valued function (membership in the unit sup-norm ball)."""

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dimensions import FnSet, sq_dim
+from .dimensions import EXACT_CAP, sq_dim
 from .errors import InvariantBreachError, UsageError
 from .evolve import (disjunction_mutator, disjunction_params, evolve_lsq_params, evolve_run,
                      evolve_streams)
@@ -41,18 +41,18 @@ from .fnspace import (
 )
 from .oracles import MODES, SQOracle
 from .rng import make_rng
-from .sqcore import ApproxSet, class_pool_generator, projected_learner, weak_agnostic_learner
+from .sqcore import class_pool_generator, projected_learner, weak_agnostic_learner
 
 COMMANDS = ("learn", "evolve", "dim", "agnostic")
 CLASSES = ("parities", "conjunctions", "disjunctions")
 FORMATS = ("csv", "json")
 
-LEARN_COLUMNS = ("iteration", "gamma", "potential", "queries")
-EVOLVE_COLUMNS = ("generation", "true_perf", "empirical_perf", "outcome",
-                  "bene_count", "neut_count")
-DIM_COLUMNS = ("value", "certainty", "witness", "params")
-AGNOSTIC_COLUMNS = ("seed", "best_correlation", "achieved_correlation",
-                    "guarantee_ok")
+COLUMNS = {  # command -> the columns of its artifacts
+    "learn": ("iteration", "gamma", "potential", "queries"),
+    "evolve": ("generation", "true_perf", "empirical_perf", "outcome", "bene_count", "neut_count"),
+    "dim": ("value", "certainty", "witness", "params"),
+    "agnostic": ("seed", "best_correlation", "achieved_correlation", "guarantee_ok"),
+}
 
 
 def _checked(convert, ok, rule):
@@ -273,12 +273,33 @@ def export(artifacts, out_dir):
     """Write name -> bytes artifacts under out_dir; returns the paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
     for name, blob in artifacts.items():
-        p = out / name
-        p.write_bytes(blob)
-        paths.append(p)
-    return paths
+        (out / name).write_bytes(blob)
+    return [out / name for name in artifacts]
+
+
+def _reads(entries):
+    try:  # one entry per row, so the number of entries does not matter
+        np.loadtxt(entries, dtype=np.float64, comments=None)
+    except ValueError:
+        return False
+    return True
+
+
+def _class_file_fault(raw):
+    """The first line of class file text `raw` (numbered as in the file) with an
+    entry np.loadtxt cannot read, or with another width than the first function's."""
+    width = None
+    for lineno, entries in enumerate(map(str.split, raw), 1):
+        if not entries or entries[0].startswith("#"):
+            continue
+        if not _reads(entries):
+            bad = next(e for e in entries if not _reads([e]))
+            return f"line {lineno}: {bad!r} is not a number"
+        width = width or len(entries)
+        if len(entries) != width:
+            return f"line {lineno} has {len(entries)} entries, not {width} like the first function"
+    return "it is not a table of numbers"
 
 
 def _build_class(cfg, domain):
@@ -289,15 +310,15 @@ def _build_class(cfg, domain):
     if cfg.cclass == "disjunctions":
         return disjunction_class(domain.n)
     path = cfg.cclass.split(":", 1)[1]
-    lines = [s for s in map(str.strip, Path(path).read_text().splitlines())
-             if s and not s.startswith("#")]
+    raw = Path(path).read_text().splitlines()
+    lines = [s for s in map(str.strip, raw) if s and not s.startswith("#")]
     if not lines:
         raise UsageError(f"class file {path} contains no functions")
     try:
         # comments=None: a `#` after a value is a bad entry, not a comment
         mat = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
-    except ValueError as e:
-        raise UsageError(f"class file {path}: {e}") from None
+    except ValueError:
+        raise UsageError(f"class file {path}: {_class_file_fault(raw)}") from None
     return ConceptClass(f"file-{Path(path).stem}", domain, mat)
 
 
@@ -308,13 +329,23 @@ def _build_dist(cfg, domain, master, k):
         return dist_random(domain, make_rng(master, k, "dist"))
     if cfg.dist.startswith("random:"):
         return dist_random(domain, make_rng(int(cfg.dist.split(":", 1)[1]), 0, "dist"))
-    return dist_from_text(Path(cfg.dist.split(":", 1)[1]).read_text())
+    path = cfg.dist.split(":", 1)[1]
+    dist = dist_from_text(Path(path).read_text())
+    if dist.domain != domain:
+        raise UsageError(f"distribution file {path} has n={dist.domain.n}, but --n is {domain.n}")
+    return dist
 
 
 def _build_oracle(cfg, target, dist, master, k):
     mode, sample_size = _oracle_mode(cfg.oracle)
     return SQOracle(target, dist, mode=mode, seed=make_rng(master, k, "oracle").integers(2 ** 63),
                     sample_size=sample_size)
+
+
+def _audit_gap(oracle):
+    """The oracle's audit gap; None when no logged answer is checkable (empirical)."""
+    gap = oracle.audit()
+    return gap if gap > -math.inf else None
 
 
 def _learn_one(cfg, k, master):
@@ -325,20 +356,18 @@ def _learn_one(cfg, k, master):
     oracle = _build_oracle(cfg, target, dist, master, k)
     gen = class_pool_generator(cclass, gamma=4 * cfg.tau)
     hyp, trace = projected_learner(gen, oracle, cfg.tau, audit_target=target)
-    ledger = math.ceil(1 / (3 * cfg.tau * cfg.tau))
-    gap = oracle.audit()  # -inf when no logged answer is checkable (empirical)
     summary = {
         "seed": master,
         "halt": trace.halt_reason,
         "updates": trace.updates,
         "queries": trace.queries,
         "final_disagreement": disagreement(hyp, target, dist),
-        "ledger": ledger,
-        "audit_gap": gap if gap > -math.inf else None,
+        "ledger": trace.ledger,
+        "audit_gap": _audit_gap(oracle),
     }
     if trace.halt_reason == "oracle-violation":
         overrun = (f"{trace.updates} accepted updates exceed the ledger ceil(1/(3*tau^2)) = "
-                   f"{ledger} at tau={cfg.tau}")
+                   f"{trace.ledger} at tau={cfg.tau}")
         if oracle.mode != "empirical":
             raise InvariantBreachError(
                 f"update-count ledger exhausted: {overrun}; the oracle's answers are "
@@ -347,8 +376,7 @@ def _learn_one(cfg, k, master):
         # overrun is a possible outcome of a valid oracle, not a breach
         summary["halt"] = "empirical-overrun"
         summary["overrun"] = f"{overrun} with empirical:{oracle.sample_size} answers"
-    name = f"learn_run{k:03d}.{cfg.fmt}"
-    return name, render(trace.records(), LEARN_COLUMNS, cfg.fmt), summary
+    return trace.records(), summary
 
 
 def _evolve_one(cfg, k, master):
@@ -359,8 +387,8 @@ def _evolve_one(cfg, k, master):
     dist = _build_dist(cfg, domain, master, k)
     gamma, _ = disjunction_params(cfg.n, cfg.epsilon)
     theta = cfg.theta if cfg.theta is not None else gamma / 8.0
-    params, g, _delta = evolve_lsq_params(theta, cfg.epsilon, cfg.n + 2)
     mutator = disjunction_mutator(cfg.n, cfg.epsilon)
+    params, g, _delta = evolve_lsq_params(theta, cfg.epsilon, mutator.k)
     r0 = RealFn(domain, np.full(domain.size, -1.0))
     trace = evolve_run(mutator, params, target, dist, cfg.epsilon, g, r0,
                        evolve_streams(master, k))
@@ -373,23 +401,18 @@ def _evolve_one(cfg, k, master):
         "generations": len(trace),
         **trace.outcomes,
     }
-    name = f"evolve_run{k:03d}.{cfg.fmt}"
-    return name, render(trace.records(), EVOLVE_COLUMNS, cfg.fmt), summary
+    return trace.records(), summary
 
 
 def _dim_one(cfg, k, master):
     domain = Domain(cfg.n)
     cclass = _build_class(cfg, domain)
     dist = _build_dist(cfg, domain, master, k)
-    fs = FnSet(domain, cclass.matrix)
-    mode = "exact" if len(fs) <= 30 else "greedy"
-    report = sq_dim(fs, dist, mode=mode)
+    report = sq_dim(cclass, dist, mode="exact" if len(cclass) <= EXACT_CAP else "greedy")
     rec = report.as_record()
     rec["witness"] = " ".join(str(i) for i in rec["witness"])
     rec["params"] = json.dumps(rec["params"], sort_keys=True).replace(",", ";")
-    summary = {"seed": master, "value": report.value, "certainty": report.certainty}
-    name = f"dim_run{k:03d}.{cfg.fmt}"
-    return name, render([rec], DIM_COLUMNS, cfg.fmt), summary
+    return [rec], {"seed": master, "value": report.value, "certainty": report.certainty}
 
 
 def _agnostic_one(cfg, k, master):
@@ -398,9 +421,8 @@ def _agnostic_one(cfg, k, master):
     dist = _build_dist(cfg, domain, master, k)
     phi = random_real_fn(domain, make_rng(master, k, "phi"))
     oracle = _build_oracle(cfg, phi, dist, master, k)
-    pool = ApproxSet(domain, cclass.matrix, gamma=cfg.tau)
-    hyp = weak_agnostic_learner(pool, oracle, cfg.tau)
-    best = float(np.abs(oracle.true_values(pool.matrix)).max())  # the batch's truth, reused
+    hyp = weak_agnostic_learner(cclass, oracle, cfg.tau)
+    best = float(np.abs(oracle.true_values(cclass.matrix)).max())  # the batch's truth, reused
     achieved = float(np.dot(dist.weights, hyp.values * phi.values))
     rec = {
         "seed": master,
@@ -408,13 +430,10 @@ def _agnostic_one(cfg, k, master):
         "achieved_correlation": achieved,
         "guarantee_ok": achieved >= best - 2 * cfg.tau - 1e-12,
     }
-    gap = oracle.audit()  # -inf for empirical answers, as in _learn_one
-    summary = dict(rec, queries=oracle.query_count,
-                   audit_gap=gap if gap > -math.inf else None)
-    name = f"agnostic_run{k:03d}.{cfg.fmt}"
-    return name, render([rec], AGNOSTIC_COLUMNS, cfg.fmt), summary
+    return [rec], dict(rec, queries=oracle.query_count, audit_gap=_audit_gap(oracle))
 
 
+# command -> runner: (cfg, run index k, master seed) -> (records, manifest summary)
 _RUNNERS = {
     "learn": _learn_one,
     "evolve": _evolve_one,
@@ -424,29 +443,25 @@ _RUNNERS = {
 
 
 def _run_indexed(args):
-    snapshot, k = args
-    cfg = make_config(snapshot)
-    return _RUNNERS[cfg.command](cfg, k, cfg.seeds[k])
+    """(artifact name, artifact bytes, summary) of run k of a validated config."""
+    cfg, k = args
+    records, summary = _RUNNERS[cfg.command](cfg, k, cfg.seeds[k])
+    blob = render(records, COLUMNS[cfg.command], cfg.fmt)
+    return f"{cfg.command}_run{k:03d}.{cfg.fmt}", blob, summary
 
 
 def run_config(cfg):
-    """Execute all runs of a config; returns (artifacts dict, summaries list).
-
-    Artifacts are name -> bytes in run-index order, identical for any worker
-    count.
-    """
-    jobs = [(cfg.snapshot(), k) for k in range(len(cfg.seeds))]
+    """Execute all runs of a config, validated once here (a hand-built one
+    too); returns (artifacts dict, summaries list).  Artifacts are name ->
+    bytes in run-index order, identical for any worker count."""
+    cfg = make_config(cfg.snapshot())
+    jobs = [(cfg, k) for k in range(len(cfg.seeds))]
     if cfg.workers == 1 or len(jobs) == 1:
         results = [_run_indexed(j) for j in jobs]
     else:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_run_indexed, jobs))
-    artifacts = {}
-    summaries = []
-    for name, blob, summary in results:
-        artifacts[name] = blob
-        summaries.append(summary)
-    return artifacts, summaries
+    return {name: blob for name, blob, _ in results}, [summary for *_, summary in results]
 
 
 def execute(cfg):
@@ -457,9 +472,7 @@ def execute(cfg):
     manifest = {
         "config": cfg.snapshot(),
         "version": __version__,
-        "results": [
-            {k: _json_value(v) for k, v in s.items()} for s in summaries
-        ],
+        "results": [{k: _json_value(v) for k, v in s.items()} for s in summaries],
         "wall_clock_s": round(time.monotonic() - t0, 3),
     }
     mpath = Path(cfg.out) / "manifest.json"

@@ -25,13 +25,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import QueryBudgetError, UsageError
-from .fnspace import ATOL, BoolFn, RealFn, check_matrix, project_unit, sign_of
+from .fnspace import ATOL, RealFn, check_matrix, project_unit, sign_of
 
 agnostic_stat_query = None  # nothing calls it; perfbench's tracer patches this name
-
-
-def _as_real(fn):
-    return fn.as_real() if isinstance(fn, BoolFn) else fn
 
 
 class ApproxSet:
@@ -39,13 +35,13 @@ class ApproxSet:
 
     `matrix` is the only storage: a read-only (k, 2^n) table, row i the i-th
     direction, k >= 1.  `gamma` is the claimed correlation threshold: for any
-    target f outside the provenance-dependent ball around sign(psi), some
-    member g is claimed to satisfy |<f - psi, g>_D| >= gamma.
+    target f outside a ball around sign(psi) that depends on how the set was
+    built, some member g is claimed to satisfy |<f - psi, g>_D| >= gamma.
     """
 
-    __slots__ = ("domain", "matrix", "gamma", "provenance")
+    __slots__ = ("domain", "matrix", "gamma")
 
-    def __init__(self, domain, matrix, gamma, provenance="user"):
+    def __init__(self, domain, matrix, gamma):
         mat = check_matrix(domain, matrix, 1.0)
         if len(mat) == 0:
             raise UsageError("ApproxSet needs at least one member")
@@ -54,7 +50,6 @@ class ApproxSet:
         self.domain = domain
         self.matrix = mat
         self.gamma = float(gamma)
-        self.provenance = provenance
 
     def __len__(self):
         return len(self.matrix)
@@ -124,7 +119,6 @@ def build_gpsi(alg, psi, d, budget=100_000):
     simulated answer would have been valid for f, forcing the hypothesis (a
     set member) to land within alg.epsilon of f.
     """
-    psi = _as_real(psi)
     w = d.weights
     psi_w = psi.values * w
     rounds = []
@@ -142,8 +136,7 @@ def build_gpsi(alg, psi, d, budget=100_000):
     hypothesis = alg.run(ask)
     mat = np.vstack(rounds + [sign_of(psi).values, hypothesis.values])
     mat.flags.writeable = False  # ours alone: ApproxSet keeps it without a copy
-    return ApproxSet(psi.domain, mat, gamma=alg.tau,
-                     provenance=f"simulated:{alg.name}")
+    return ApproxSet(psi.domain, mat, gamma=alg.tau)
 
 
 def gpsi_generator(alg, d, budget=100_000):
@@ -151,10 +144,10 @@ def gpsi_generator(alg, d, budget=100_000):
     return lambda psi: build_gpsi(alg, psi, d, budget=budget)
 
 
-def class_pool_generator(pool, gamma, provenance="class-pool"):
+def class_pool_generator(pool, gamma):
     """Generator closure returning a fixed pool regardless of psi; the pool's
     `matrix` (a ConceptClass's, say) is shared, not copied."""
-    aset = ApproxSet(pool.domain, pool.matrix, gamma=gamma, provenance=provenance)
+    aset = ApproxSet(pool.domain, pool.matrix, gamma=gamma)
     return lambda psi: aset
 
 
@@ -171,12 +164,13 @@ class TraceRow:
 
 
 class LearnerTrace:
-    """Per-round log of a projected_learner run."""
+    """Per-round log of a projected_learner run and its update ledger."""
 
-    def __init__(self, rows, halt_reason, updates):
+    def __init__(self, rows, halt_reason, updates, ledger):
         self.rows = rows
         self.halt_reason = halt_reason
         self.updates = updates
+        self.ledger = ledger
 
     def records(self):
         return [r.as_record() for r in self.rows]
@@ -256,13 +250,14 @@ def projected_learner(gen, oracle, tau, cap=None, audit_target=None):
         if updates > max_updates:
             halt = "oracle-violation"
             break
-    return sign_of(psi), LearnerTrace(rows, halt, updates)
+    return sign_of(psi), LearnerTrace(rows, halt, updates, max_updates)
 
 
 def weak_agnostic_learner(pool, oracle, tau):
     """Best pool member against the oracle's source, oriented by its score sign.
 
-    Asks one correlational query per member in one batch, picks g' maximizing
+    Asks one correlational query per member of `pool` (a ConceptClass or an
+    ApproxSet: rows of its `matrix`) in one batch, picks g' maximizing
     |v(g)| (first-index tie-break) and returns sign(v(g'))*g'.  Against an
     agnostic source (target phi_A) the result h satisfies <h, phi_A>_D >=
     max_g |<g, phi_A>_D| - 2*tau for any valid answers.

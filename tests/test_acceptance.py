@@ -19,7 +19,7 @@ from sqlab.dimensions import (
 )
 from sqlab.evolve import (
     QUADRATIC,
-    disjunction_neighborhood,
+    disjunction_mutator,
     disjunction_params,
     lperf,
 )
@@ -221,7 +221,8 @@ def test_criterion_06_disjunction_neighborhood_gains_or_is_done():
     for n in range(1, 7):
         domain = Domain(n)
         for eps in (0.2, 0.1):
-            gamma, gain = disjunction_params(n, eps)
+            _, gain = disjunction_params(n, eps)
+            mutator = disjunction_mutator(n, eps)
             for j in range(200):
                 rng = make_rng(7000 + j, n * 10 + int(eps * 10), "triple")
                 d = dist_random(domain, rng)
@@ -232,7 +233,7 @@ def test_criterion_06_disjunction_neighborhood_gains_or_is_done():
                 need = min(base + gain, 1.0 - eps)
                 best = max(
                     lperf(QUADRATIC, f, RealFn(domain, row), d)
-                    for row in disjunction_neighborhood(phi, gamma)
+                    for row in mutator.table(phi.values, eps)[:-1]  # the last row is phi again
                 )
                 total += 1
                 worst_slack = min(worst_slack, best - need)
@@ -272,8 +273,7 @@ def test_criterion_07_disjunction_evolution_reaches_target():
 
 
 def _half_pool(fs, idx, gamma):
-    return ApproxSet(fs.domain, fs.matrix[list(idx)] / 2.0, gamma=gamma,
-                     provenance="half-witness")
+    return ApproxSet(fs.domain, fs.matrix[list(idx)] / 2.0, gamma=gamma)
 
 
 def test_criterion_08_witness_pool_covers_the_shifted_set():

@@ -40,8 +40,7 @@ from sqlab.sqcore import ApproxSet
 
 
 def _half_pool(fs, idx, gamma):
-    return ApproxSet(fs.domain, fs.matrix[list(idx)] / 2.0, gamma=gamma,
-                     provenance="half-witness")
+    return ApproxSet(fs.domain, fs.matrix[list(idx)] / 2.0, gamma=gamma)
 
 
 def _fnset(fns):
@@ -178,7 +177,7 @@ def test_shifted_set_zero_psi_keeps_far_members(domain3, uniform3):
 
 def test_shifted_set_self_psi_is_empty(domain3, uniform3):
     cclass = parity_class(3)
-    fs = shifted_set(_one_member(cclass, 3), cclass[3].as_real(), uniform3, 0.1)
+    fs = shifted_set(_one_member(cclass, 3), cclass[3], uniform3, 0.1)
     assert len(fs) == 0
     assert sq_dim(fs, uniform3).value == 0
 
@@ -213,7 +212,7 @@ def test_sq_sdim_estimate_monotone_in_family(domain3, uniform3):
     big = sq_sdim_estimate(cclass, uniform3, 0.1, family)
     assert big.value >= small.value
     assert big.params["family_size"] == len(family)
-    single = sq_sdim_estimate(_one_member(cclass, 3), uniform3, 0.1, [cclass[3].as_real()])
+    single = sq_sdim_estimate(_one_member(cclass, 3), uniform3, 0.1, [cclass[3]])
     assert single.value == 0 and single.params["psi_index"] is None
 
 

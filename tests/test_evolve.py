@@ -18,7 +18,6 @@ from sqlab.evolve import (
     SelNBParams,
     StepInfo,
     disjunction_mutator,
-    disjunction_neighborhood,
     disjunction_params,
     empirical_lperf,
     evolve_lsq_params,
@@ -438,7 +437,7 @@ def test_evolve_run_reaches_target_with_exact_fitness(domain3, uniform3):
 
 def test_evolve_run_bottom_marks_failure(domain3, uniform3):
     f = random_bool_fn(domain3, make_rng(13, 0, "f"))
-    r0 = f.as_real()
+    r0 = f
     drop = -f.values[None]
     mut = NeighborhoodMutator(lambda phi, eps: drop, 1)
     params = SelNBParams(QUADRATIC, t=0.05, p=4, s=None)
@@ -477,27 +476,30 @@ def test_disjunction_params_values():
 
 
 def test_disjunction_neighborhood_structure(domain3):
-    gamma = 0.5
-    phi = RealFn(domain3, np.zeros(8))
-    out = disjunction_neighborhood(phi, gamma)
+    eps = 0.25
+    gamma, _ = disjunction_params(3, eps)
+    phi = np.zeros(8)
+    out = disjunction_mutator(3, eps).table(phi, eps)[:-1]  # the last row is phi again
     assert out.shape == (5, 8)  # n coordinate moves, phi itself, the down-shift
     for i in (1, 2, 3):
         lifted = out[i - 1]
         mask = domain3.coordinate(i).astype(bool)
-        np.testing.assert_allclose(lifted[mask], 0.5)
+        np.testing.assert_allclose(lifted[mask], gamma)
         np.testing.assert_allclose(lifted[~mask], 0.0)
-    np.testing.assert_array_equal(out[3], phi.values)
-    np.testing.assert_allclose(out[4], -0.5)
+    np.testing.assert_array_equal(out[3], phi)
+    np.testing.assert_allclose(out[4], -gamma)
     with pytest.raises(UsageError):
-        disjunction_neighborhood(phi, 0.0)
+        disjunction_mutator(3, 0.0)
 
 
 def test_disjunction_neighborhood_saturates(domain3):
-    top = RealFn(domain3, np.ones(8))
-    out = disjunction_neighborhood(top, 0.25)
+    eps = 0.25
+    gamma, _ = disjunction_params(3, eps)
+    top = np.ones(8)
+    out = disjunction_mutator(3, eps).table(top, eps)[:-1]
     for i in range(3):
-        np.testing.assert_array_equal(out[i], top.values)  # clamped
-    np.testing.assert_allclose(out[4], 0.75)
+        np.testing.assert_array_equal(out[i], top)  # clamped
+    np.testing.assert_allclose(out[4], 1.0 - gamma)
 
 
 def test_disjunction_mutator_binds_gamma_at_construction(domain3):
@@ -506,8 +508,9 @@ def test_disjunction_mutator_binds_gamma_at_construction(domain3):
     phi = np.zeros(8)
     table = mut.table(phi, 0.9)  # eps must not rescale
     # the n+2 neighbours, then the incumbent
-    np.testing.assert_array_equal(
-        table[:5], disjunction_neighborhood(RealFn(domain3, phi), gamma))
+    np.testing.assert_array_equal(table[:5], mut.table(phi, 0.25)[:-1])
+    np.testing.assert_array_equal(table[:5], np.clip(phi + _disjunction_steps(domain3, gamma),
+                                                     -1.0, 1.0))
     np.testing.assert_array_equal(table[5], phi)
     assert table.max() == gamma
 

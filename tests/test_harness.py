@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 import sqlab
 from sqlab import cli, harness, make_rng, sqcore
 from sqlab.errors import InvariantBreachError, UsageError
-from sqlab.fnspace import (MAX_CLASS_N, Domain, conjunction_class, dist_random, parity_class,
-                           random_real_fn)
+from sqlab.fnspace import (MAX_CLASS_N, Domain, conjunction_class, dist_random, dist_to_text,
+                           parity_class, random_real_fn)
 from sqlab.oracles import SQOracle
 
 
@@ -238,15 +238,21 @@ def test_class_file_runs_like_the_builtin_class(tmp_path):
     builtin, _ = harness.run_config(_cfg(command="dim", cclass="parities", n=3, out="x"))
     from_file, _ = harness.run_config(_cfg(command="dim", cclass=f"file:{good}", n=3, out="x"))
     assert from_file == builtin
-    for name, text in (
-        ("empty", "# no functions\n"),
-        ("word", rows[0].replace("1", "one", 1) + "\n"),
-        ("ragged", rows[0] + "\n" + rows[1] + " 1\n"),
-        ("real", rows[0].replace("1", "0.5", 1) + "\n"),
-        ("wide", rows[0] + "\n"),  # 8 values, but n = 2 has 4 points
-        ("note", rows[0] + " # note\n"),  # only whole lines are comments
-        ("nan", rows[0].replace("1", "nan", 1) + "\n"),
-        ("inf", rows[0].replace("1", "inf", 1) + "\n"),
+    # the parse errors name the line as numbered in the file, comments and blanks too
+    for name, text, fault in (
+        ("empty", "# no functions\n", None),
+        ("word", rows[0].replace("1", "one", 1) + "\n", "line 1: 'one' is not a number"),
+        ("ragged", rows[0] + "\n" + rows[1] + " 1\n",
+         "line 2 has 9 entries, not 8 like the first function"),
+        ("commented-ragged", "# c\n" + rows[0] + "\n\n# c\n" + rows[1].rsplit(" ", 1)[0] + "\n",
+         "line 5 has 7 entries, not 8 like the first function"),
+        ("commented-word", rows[0] + "\n# c\n" + rows[1].replace("-1", "minus", 1) + "\n",
+         "line 3: 'minus' is not a number"),
+        ("real", rows[0].replace("1", "0.5", 1) + "\n", None),
+        ("wide", rows[0] + "\n", None),  # 8 values, but n = 2 has 4 points
+        ("note", rows[0] + " # note\n", "line 1: '#' is not a number"),  # only whole lines
+        ("nan", rows[0].replace("1", "nan", 1) + "\n", None),
+        ("inf", rows[0].replace("1", "inf", 1) + "\n", None),
     ):
         bad = tmp_path / f"{name}.txt"
         bad.write_text(text)
@@ -255,6 +261,8 @@ def test_class_file_runs_like_the_builtin_class(tmp_path):
                                             "--out", str(tmp_path / "o")])
         assert out.exit_code == 1 and isinstance(out.exception, SystemExit), name
         assert "usage error: " in out.output, name
+        if fault is not None:
+            assert out.output == f"usage error: class file {bad}: {fault}\n", name
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -277,6 +285,30 @@ def test_class_file_takes_crlf_tabs_and_whole_line_comments(tmp_path):
     path.write_bytes("\r\n".join(lines).encode() + b"\r\n")
     got = harness._build_class(_cfg(command="dim", cclass=f"file:{path}", n=3), Domain(3))
     assert got.matrix.tobytes() == matrix.tobytes()
+
+
+@pytest.mark.parametrize("command", harness.COMMANDS)
+def test_a_distribution_file_over_another_n_is_a_usage_error(tmp_path, command):
+    path = tmp_path / "d3.txt"
+    path.write_text(dist_to_text(dist_random(Domain(3), make_rng(1, 0, "dist"))))
+    out = CliRunner().invoke(cli.main, [command, "--n", "4", "--dist", f"file:{path}",
+                                        "--out", str(tmp_path / "o")])
+    assert out.exit_code == 1 and isinstance(out.exception, SystemExit), out.output
+    assert out.output == f"usage error: distribution file {path} has n=3, but --n is 4\n"
+    same = CliRunner().invoke(cli.main, [command, "--n", "3", "--dist", f"file:{path}",
+                                         "--out", str(tmp_path / "o")])
+    assert same.exit_code == 0, same.output
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("bad", [{"n": 0}, {"seeds": [-1]}, {"fmt": "xml"}],
+                         ids=["n-zero", "seed-negative", "format-xml"])
+def test_run_config_validates_a_hand_built_config(tmp_path, workers, bad):
+    fields = dict(command="dim", seeds=[0, 1], workers=workers, out=str(tmp_path / "o"))
+    cfg = harness.ExperimentConfig(**{**fields, **bad})
+    with pytest.raises(UsageError):
+        harness.run_config(cfg)
+    assert not (tmp_path / "o").exists()
 
 
 def test_liar_oracle_trips_invariant(tmp_path, monkeypatch):

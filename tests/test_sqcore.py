@@ -54,7 +54,7 @@ def test_approx_set_validation(domain3):
         ApproxSet(domain3, np.zeros((2, 4)), gamma=0.1)  # rows over another domain
     with pytest.raises(UsageError):
         ApproxSet(domain3, np.full((1, 8), 1.5), gamma=0.1)  # outside the unit ball
-    aset = ApproxSet(domain3, [f, -f], gamma=0.25, provenance="demo")
+    aset = ApproxSet(domain3, [f, -f], gamma=0.25)
     assert len(aset) == 2 and aset.matrix.shape == (2, 8)
     assert not aset.matrix.flags.writeable
 
@@ -86,7 +86,6 @@ def test_build_gpsi_size_and_order(domain3, uniform3):
     # one member per correlational query, then sign(psi), then the hypothesis
     assert len(aset) == len(cclass) + 2
     assert aset.gamma == alg.tau
-    assert aset.provenance == "simulated:exhaustive-csq"
     np.testing.assert_array_equal(aset.matrix[:-2], cclass.matrix)
     np.testing.assert_array_equal(aset.matrix[-2], sign_of(psi).values)
 
