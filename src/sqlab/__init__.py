@@ -4,7 +4,8 @@ Everything operates on functions given as length-2^n value tables over the
 Boolean cube, with distribution-weighted inner products as the core geometry.
 Modules:
 
-* ``fnspace``    -- domains, Boolean/real functions, distributions, classes;
+* ``fnspace``    -- domains, Boolean/real functions, distributions, and
+                    ``FnSet``, the one function-set type (classes among them);
 * ``oracles``    -- the statistical-query oracle for a realizable or agnostic
                     source (exact / adversarial / noisy / sampled / liar) and
                     the correlational decomposition;
@@ -20,9 +21,9 @@ __version__ = "0.3.0"
 
 from .fnspace import (  # noqa: E402,F401
     BoolFn,
-    ConceptClass,
     Dist,
     Domain,
+    FnSet,
     RealFn,
     conjunction_class,
     disagreement,
@@ -41,7 +42,6 @@ from .fnspace import (  # noqa: E402,F401
 )
 from .oracles import SQOracle, decompose  # noqa: F401
 from .sqcore import (  # noqa: F401
-    ApproxSet,
     ExhaustiveCSQ,
     LearnerTrace,
     build_gpsi,
@@ -52,7 +52,6 @@ from .sqcore import (  # noqa: F401
 )
 from .dimensions import (  # noqa: F401
     DimReport,
-    FnSet,
     parity_witness,
     shifted_set,
     sq_dim,

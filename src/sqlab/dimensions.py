@@ -30,8 +30,8 @@ from .errors import (
 from .fnspace import (
     ATOL,
     Domain,
+    FnSet,
     RealFn,
-    check_matrix,
     dist_uniform,
     disagreement,
     l1_distance,
@@ -40,26 +40,7 @@ from .fnspace import (
     sign_of,
 )
 
-SHIFT_BOUND = 2.0  # shifted class members live in [-2, 2]
 EXACT_CAP = 30  # the most functions an exact sq_dim scan takes; more take the greedy bound
-
-
-class FnSet:
-    """Ordered set of real-valued functions on a shared domain, bounded by 2.
-
-    `matrix` is the only storage: a read-only (k, 2^n) table, row i the i-th
-    function; k may be 0.  `labels` name the rows in reports.
-    """
-
-    __slots__ = ("domain", "matrix", "labels")
-
-    def __init__(self, domain, matrix, labels=None):
-        self.domain = domain
-        self.matrix = check_matrix(domain, matrix, SHIFT_BOUND)
-        self.labels = list(labels) if labels is not None else list(range(len(self.matrix)))
-
-    def __len__(self):
-        return len(self.matrix)
 
 
 @dataclass
@@ -157,10 +138,10 @@ def _check_pairwise(absgram, witness, threshold):
 def sq_dim(f, d, mode="exact", cap=EXACT_CAP):
     """Largest d with d functions pairwise |<.,.>_D| <= 1/d.
 
-    `f` is an FnSet or a ConceptClass.  Exact mode takes at most `cap`
-    functions and scans candidate values downward from |f|.  A value is
-    skipped when fewer than cand functions keep cand - 1 others within 1/cand;
-    otherwise max_clique, with its bound seeded at cand - 1, asks whether the
+    `f` is an FnSet.  Exact mode takes at most `cap` functions and scans
+    candidate values downward from |f|.  A value is skipped when fewer than
+    cand functions keep cand - 1 others within 1/cand; otherwise
+    max_clique, with its bound seeded at cand - 1, asks whether the
     graph keeping edges with |correlation| <= 1/cand has a cand-clique.  On
     random +-1 classes most such values are refuted by the colouring of
     max_clique's root.  The scan stops at the first value that has one; the
@@ -227,8 +208,8 @@ def sqd_upper(f, d, gamma, pool):
     """
     if gamma <= 0:
         raise UsageError("gamma must be positive")
-    if np.abs(pool.matrix).max(initial=0.0) > 1 + ATOL:
-        raise UsageError("pool functions must map into [-1, 1]")
+    if pool.sup > 1 + ATOL:
+        raise UsageError(f"pool functions must map into [-1, 1], got sup {pool.sup:.6g}")
     k = len(f)
     if k == 0:
         return DimReport(0, "upper-bound", [], {"gamma": gamma})

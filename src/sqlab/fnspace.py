@@ -1,7 +1,8 @@
 """Function-space core over explicit Boolean domains.
 
 Everything is a dense table over {0,1}^n: Boolean (+/-1) functions, real
-[-1,1]-valued functions, and distributions.  Point index p encodes the bit
+[-1,1]-valued functions, distributions, and sets of functions (an FnSet, one
+row per function: a concept class, a candidate set, a shifted set).  Point index p encodes the bit
 vector with coordinate x_i = (p >> (i-1)) & 1 for i in 1..n (variable 1 is the
 least significant bit).  All values are immutable after construction.
 
@@ -68,24 +69,6 @@ def _freeze(values):
         arr = arr.copy()
         arr.flags.writeable = False
     return arr
-
-
-def check_matrix(domain, matrix, bound):
-    """`matrix` as a read-only (k, 2^n) table of finite values in [-bound, bound].
-
-    Row i is the i-th function of a set; k may be 0.  Entries may overshoot
-    the bound by ATOL (rounding) and are kept as given.
-    """
-    mat = _freeze(matrix)
-    if mat.ndim != 2 or mat.shape[1] != domain.size:
-        raise UsageError(
-            f"function matrix has shape {mat.shape}, expected (k, {domain.size})")
-    lo, hi = mat.min(initial=0.0), mat.max(initial=0.0)
-    # min and max are NaN if any entry is, and NaN fails every comparison
-    if not -bound - ATOL <= lo <= hi <= bound + ATOL:
-        raise UsageError(f"function matrix entries must be finite and lie in "
-                         f"[-{bound}, {bound}], got [{lo:.6g}, {hi:.6g}]")
-    return mat
 
 
 class BoolFn:
@@ -188,26 +171,37 @@ class Dist:
         return hash(("Dist", self.domain.n, self.weights.tobytes()))
 
 
-class ConceptClass:
-    """Named, ordered, nonempty set of Boolean functions over one domain.
+class FnSet:
+    """Ordered set of real-valued functions over one domain.
 
-    `matrix` is the only storage: a read-only (k, 2^n) table whose row i is
-    member i, every entry -1 or +1.  Indexing and iteration build the BoolFn
-    of a row on demand.  Member order is deterministic and defines
-    tie-breaking downstream.
+    `matrix` is the only storage: a read-only (k, 2^n) table, row i the i-th
+    function; k may be 0.  `labels` name the rows in reports (default: the
+    row indices).  `sup` is the largest |entry| (0 for an empty set), measured
+    by the one scan a table from outside gets here: its shape and min/max,
+    which also rejects NaN and +-inf.  A built-in class skips the scan, its
+    table being +-1 by construction.  Indexing and iteration build the BoolFn
+    of a row on demand, so they hold for +-1 rows (a concept class).  Row
+    order is deterministic and defines tie-breaking downstream.
     """
 
-    __slots__ = ("name", "domain", "matrix")
+    __slots__ = ("domain", "matrix", "labels", "sup")
 
-    def __init__(self, name, domain, matrix):
-        mat = check_matrix(domain, matrix, 1.0)
-        if len(mat) == 0:
-            raise UsageError("concept class must be nonempty")
-        if np.count_nonzero(mat == 1.0) + np.count_nonzero(mat == -1.0) != mat.size:
-            raise UsageError("concept class entries must be exactly -1 or +1")
-        self.name = str(name)
+    def __init__(self, domain, matrix, labels=None):
+        mat = _freeze(matrix)
+        if mat.ndim != 2 or mat.shape[1] != domain.size:
+            raise UsageError(
+                f"function matrix has shape {mat.shape}, expected (k, {domain.size})")
+        lo, hi = mat.min(initial=0.0), mat.max(initial=0.0)
+        # min and max are NaN if any entry is, and NaN fails every comparison
+        if not -np.inf < lo <= hi < np.inf:
+            raise UsageError(f"function matrix entries must be finite, got [{lo}, {hi}]")
+        self._fill(domain, mat, max(-lo, hi), labels)
+
+    def _fill(self, domain, matrix, sup, labels):
         self.domain = domain
-        self.matrix = mat
+        self.matrix = matrix
+        self.sup = float(sup)
+        self.labels = list(labels) if labels is not None else list(range(len(matrix)))
 
     def __len__(self):
         return len(self.matrix)
@@ -320,7 +314,9 @@ def make_disjunction(domain, T):
 
 
 def _make_class(kind, n):
-    return ConceptClass(f"{kind}-{n}", Domain(n), _class_table(kind, n))
+    cclass = FnSet.__new__(FnSet)  # no scan: _class_table is +-1 by construction
+    cclass._fill(Domain(n), _class_table(kind, n), 1.0, None)
+    return cclass
 
 
 def parity_class(n):
@@ -379,7 +375,7 @@ def dist_to_text(d):
 def _table_from_text(text):
     rows = {}
     n = None
-    for line in text.splitlines():
+    for line in text.split("\n"):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -26,8 +26,8 @@ from .evolve import (disjunction_mutator, disjunction_params, evolve_lsq_params,
 from .fnspace import (
     MAX_CLASS_N,
     MAX_N,
-    ConceptClass,
     Domain,
+    FnSet,
     RealFn,
     conjunction_class,
     disagreement,
@@ -186,7 +186,7 @@ def parse_config_file(path):
         text = Path(path).read_text()
     except OSError as e:
         raise UsageError(f"cannot read config file {path}: {e}") from e
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -310,7 +310,7 @@ def _build_class(cfg, domain):
     if cfg.cclass == "disjunctions":
         return disjunction_class(domain.n)
     path = cfg.cclass.split(":", 1)[1]
-    raw = Path(path).read_text().splitlines()
+    raw = Path(path).read_text().split("\n")  # read_text makes \r\n one \n
     lines = [s for s in map(str.strip, raw) if s and not s.startswith("#")]
     if not lines:
         raise UsageError(f"class file {path} contains no functions")
@@ -319,7 +319,10 @@ def _build_class(cfg, domain):
         mat = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
         raise UsageError(f"class file {path}: {_class_file_fault(raw)}") from None
-    return ConceptClass(f"file-{Path(path).stem}", domain, mat)
+    cclass = FnSet(domain, mat)
+    if not np.all(np.abs(cclass.matrix) == 1.0):
+        raise UsageError(f"class file {path}: entries must be exactly -1 or +1")
+    return cclass
 
 
 def _build_dist(cfg, domain, master, k):

@@ -1,5 +1,11 @@
 """Core SQ constructions.
 
+Every set of functions here is one ``fnspace.FnSet``: a read-only (k, 2^n)
+table, row i the i-th function, with its measured ``sup``.  A generator
+maps the learner's current approximation psi to ``(rows, gamma)``: an FnSet
+in the unit ball, and the claimed threshold gamma -- any target far enough
+from sign(psi) has some row g with |<f - psi, g>_D| >= gamma.
+
 * ``SQAlgorithm`` -- one method, ``run(ask)``: the algorithm asks its
   queries in rounds of matrix rows and returns its hypothesis.
   ``run_with_oracle`` answers each round with one ``SQOracle.query``.
@@ -7,6 +13,8 @@
   part of each query with its inner product against a reference function
   psi; the queried rows (plus sign(psi) and the algorithm's output) form a
   set that can distinguish any learnable target from psi.
+  ``gpsi_generator`` pairs it with the algorithm's tau;
+  ``class_pool_generator`` gives a fixed pool (a class, itself) and gamma.
 * ``projected_learner`` -- iterative learner that maintains a real-valued
   approximation psi_i, queries the current candidate set, steps along the
   first function whose answer moves by >= 3*tau, and clamps back into the
@@ -25,34 +33,19 @@ from typing import Optional
 import numpy as np
 
 from .errors import QueryBudgetError, UsageError
-from .fnspace import ATOL, RealFn, check_matrix, project_unit, sign_of
+from .fnspace import ATOL, FnSet, RealFn, project_unit, sign_of
 
 agnostic_stat_query = None  # nothing calls it; perfbench's tracer patches this name
 
 
-class ApproxSet:
-    """Ordered set of candidate step directions, all in the unit sup-norm ball.
-
-    `matrix` is the only storage: a read-only (k, 2^n) table, row i the i-th
-    direction, k >= 1.  `gamma` is the claimed correlation threshold: for any
-    target f outside a ball around sign(psi) that depends on how the set was
-    built, some member g is claimed to satisfy |<f - psi, g>_D| >= gamma.
-    """
-
-    __slots__ = ("domain", "matrix", "gamma")
-
-    def __init__(self, domain, matrix, gamma):
-        mat = check_matrix(domain, matrix, 1.0)
-        if len(mat) == 0:
-            raise UsageError("ApproxSet needs at least one member")
-        if not 0 < gamma < math.inf:
-            raise UsageError(f"gamma must be positive and finite, got {gamma}")
-        self.domain = domain
-        self.matrix = mat
-        self.gamma = float(gamma)
-
-    def __len__(self):
-        return len(self.matrix)
+def _unit_rows(rows, what):
+    """`rows` (an FnSet) as a learner's query rows: nonempty, in the unit ball."""
+    if len(rows) == 0:
+        raise UsageError(f"{what} needs at least one function")
+    if rows.sup > 1 + ATOL:
+        raise UsageError(f"{what} functions must map into [-1, 1]; "
+                         f"the largest |entry| is {rows.sup:.6g}")
+    return rows
 
 
 class SQAlgorithm:
@@ -114,6 +107,9 @@ def build_gpsi(alg, psi, d, budget=100_000):
     number of queries + 2.  A round that would take the query count past
     `budget` raises QueryBudgetError before it is answered.
 
+    The rows come from the algorithm, so the set gets the one FnSet scan,
+    and a row outside the unit ball (or holding NaN) is a usage error.
+
     If the target f satisfies disagreement(f, sign(psi), d) > alg.epsilon +
     alg.tau, some member g has |<f - psi, g>_D| >= alg.tau: otherwise every
     simulated answer would have been valid for f, forcing the hypothesis (a
@@ -135,20 +131,23 @@ def build_gpsi(alg, psi, d, budget=100_000):
 
     hypothesis = alg.run(ask)
     mat = np.vstack(rounds + [sign_of(psi).values, hypothesis.values])
-    mat.flags.writeable = False  # ours alone: ApproxSet keeps it without a copy
-    return ApproxSet(psi.domain, mat, gamma=alg.tau)
+    mat.flags.writeable = False  # ours alone: FnSet keeps it without a copy
+    return _unit_rows(FnSet(psi.domain, mat), "a distinguishing set")
 
 
 def gpsi_generator(alg, d, budget=100_000):
-    """Generator closure: psi -> distinguishing set via a run of `alg`."""
-    return lambda psi: build_gpsi(alg, psi, d, budget=budget)
+    """Generator: psi -> (distinguishing set via a run of `alg`, alg.tau)."""
+    return lambda psi: (build_gpsi(alg, psi, d, budget=budget), alg.tau)
 
 
 def class_pool_generator(pool, gamma):
-    """Generator closure returning a fixed pool regardless of psi; the pool's
-    `matrix` (a ConceptClass's, say) is shared, not copied."""
-    aset = ApproxSet(pool.domain, pool.matrix, gamma=gamma)
-    return lambda psi: aset
+    """Generator returning (pool, gamma) for every psi: the pool itself (a
+    class, say; never copied) and its claimed threshold gamma."""
+    _unit_rows(pool, "a pool")
+    if not 0 < gamma < math.inf:
+        raise UsageError(f"gamma must be positive and finite, got {gamma}")
+    claim = (pool, float(gamma))
+    return lambda psi: claim
 
 
 @dataclass
@@ -199,8 +198,9 @@ def _first_hit(mat, values, v, threshold):
 def projected_learner(gen, oracle, tau, cap=None, audit_target=None):
     """Iterative clamped learner driven by candidate-set generation.
 
-    Starts at psi_0 == 0.  Each round queries every member
-    of gen(psi_i) at tolerance `tau` and picks the FIRST g whose answer v(g)
+    Starts at psi_0 == 0.  Each round, gen(psi_i) gives a set (an FnSet in
+    the unit ball) and its claimed threshold gamma >= 4*tau; the round queries
+    every member at tolerance `tau` and picks the FIRST g whose answer v(g)
     satisfies |v(g) - <psi_i, g>_D| >= 3*tau; then psi_{i+1} is the clamp of
     psi_i + gamma_i*g with gamma_i = v(g) - <psi_i, g>_D.  Halts with
     "converged" when no member qualifies, outputting sign(psi_i).
@@ -229,13 +229,13 @@ def projected_learner(gen, oracle, tau, cap=None, audit_target=None):
     rows = []
     halt = "iteration-cap"
     for i in range(rounds):
-        aset = gen(psi)
-        if aset.gamma < 4 * tau - ATOL:
-            raise UsageError(
-                f"generator claims threshold {aset.gamma}, needs >= 4*tau = {4 * tau}")
-        mat = aset.matrix
+        fs, claim = gen(psi)
+        if not 4 * tau - ATOL <= claim < math.inf:
+            raise UsageError(f"generator claims threshold {claim}, needs a finite "
+                             f"value >= 4*tau = {4 * tau}")
+        mat = fs.matrix
         values = oracle.correlational_many(mat, tau)
-        queries += len(aset)
+        queries += len(mat)
         j, gamma_i = _first_hit(mat, values, psi.values * w, 3 * tau)
         potential = None
         if audit_target is not None:
@@ -256,13 +256,13 @@ def projected_learner(gen, oracle, tau, cap=None, audit_target=None):
 def weak_agnostic_learner(pool, oracle, tau):
     """Best pool member against the oracle's source, oriented by its score sign.
 
-    Asks one correlational query per member of `pool` (a ConceptClass or an
-    ApproxSet: rows of its `matrix`) in one batch, picks g' maximizing
+    Asks one correlational query per member of `pool` (a nonempty FnSet in
+    the unit ball: rows of its `matrix`) in one batch, picks g' maximizing
     |v(g)| (first-index tie-break) and returns sign(v(g'))*g'.  Against an
     agnostic source (target phi_A) the result h satisfies <h, phi_A>_D >=
     max_g |<g, phi_A>_D| - 2*tau for any valid answers.
     """
-    mat = pool.matrix
+    mat = _unit_rows(pool, "a pool").matrix
     values = oracle.correlational_many(mat, tau)
     j = int(np.argmax(np.abs(values)))
     orient = 1.0 if values[j] >= 0 else -1.0

@@ -10,7 +10,6 @@ import pytest
 
 from sqlab import harness
 from sqlab.dimensions import (
-    FnSet,
     extend_witness,
     parity_witness,
     shifted_set,
@@ -25,6 +24,7 @@ from sqlab.evolve import (
 )
 from sqlab.fnspace import (
     Domain,
+    FnSet,
     RealFn,
     conjunction_class,
     disagreement,
@@ -42,7 +42,6 @@ from sqlab.fnspace import (
 from sqlab.oracles import SQOracle, decompose
 from sqlab.rng import make_rng
 from sqlab.sqcore import (
-    ApproxSet,
     ExhaustiveCSQ,
     build_gpsi,
     class_pool_generator,
@@ -272,8 +271,8 @@ def test_criterion_07_disjunction_evolution_reaches_target():
     )
 
 
-def _half_pool(fs, idx, gamma):
-    return ApproxSet(fs.domain, fs.matrix[list(idx)] / 2.0, gamma=gamma)
+def _half_pool(fs, idx):
+    return FnSet(fs.domain, fs.matrix[list(idx)] / 2.0)
 
 
 def test_criterion_08_witness_pool_covers_the_shifted_set():
@@ -300,7 +299,7 @@ def test_criterion_08_witness_pool_covers_the_shifted_set():
             fs, rep = best
             ext = extend_witness(fs, u, rep.witness, 1.0 / rep.value)
             d = len(ext)
-            cover = sqd_upper(fs, u, 1.0 / (2 * d), _half_pool(fs, ext, 1.0 / (2 * d)))
+            cover = sqd_upper(fs, u, 1.0 / (2 * d), _half_pool(fs, ext))
             assert cover.value <= d
             covers.append((d, cover.value))
     ok = len(covers) == 6

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from sqlab import make_rng
 from sqlab.dimensions import (
     DimReport,
-    FnSet,
     default_psi_family,
     extend_witness,
     max_clique,
@@ -24,8 +23,8 @@ from sqlab.errors import (InvariantBreachError, NormRangeError, PoolInsufficient
                           UsageError)
 from sqlab.fnspace import (
     ATOL,
-    ConceptClass,
     Domain,
+    FnSet,
     RealFn,
     conjunction_class,
     dist_random,
@@ -36,11 +35,10 @@ from sqlab.fnspace import (
     random_real_fn,
     sign_of,
 )
-from sqlab.sqcore import ApproxSet
 
 
-def _half_pool(fs, idx, gamma):
-    return ApproxSet(fs.domain, fs.matrix[list(idx)] / 2.0, gamma=gamma)
+def _half_pool(fs, idx):
+    return FnSet(fs.domain, fs.matrix[list(idx)] / 2.0)
 
 
 def _fnset(fns):
@@ -48,21 +46,23 @@ def _fnset(fns):
 
 
 def _one_member(cclass, i):
-    return ConceptClass(f"{cclass.name}[{i}]", cclass.domain, cclass.matrix[[i]])
+    return FnSet(cclass.domain, cclass.matrix[[i]])
 
 
 def test_fnset_validation(domain3):
-    with pytest.raises(UsageError):
-        FnSet(domain3, [np.full(8, 2.5)])
+    # no fixed bound: the scan measures the largest |entry|
+    assert FnSet(domain3, [np.full(8, 0.5), np.full(8, -2.5)]).sup == 2.5
     with pytest.raises(UsageError):
         FnSet(domain3, [np.zeros(4)])
     with pytest.raises(UsageError):
         FnSet(domain3, np.zeros(8))  # one table, not a (k, 2^n) matrix
     empty = FnSet(domain3, np.empty((0, 8)))
-    assert len(empty) == 0 and empty.matrix.shape == (0, 8)
+    assert len(empty) == 0 and empty.matrix.shape == (0, 8) and empty.sup == 0.0
     cclass = parity_class(3)
+    assert cclass.sup == 1.0 and cclass.labels == list(range(8))
     shared = FnSet(domain3, cclass.matrix)
     assert shared.matrix is cclass.matrix and not shared.matrix.flags.writeable
+    assert shared.sup == 1.0
 
 
 def test_sq_dim_parities_is_class_size(uniform3):
@@ -126,20 +126,21 @@ def test_extend_witness_is_inclusion_maximal(domain3, uniform3):
 def test_sqd_upper_parities_cover_only_themselves(domain3, uniform3):
     parities = parity_class(3)
     fs = FnSet(domain3, parities.matrix)
-    pool = ApproxSet(domain3, parities.matrix, gamma=0.5)
-    rep = sqd_upper(fs, uniform3, 0.5, pool)
+    rep = sqd_upper(fs, uniform3, 0.5, parities)
     assert rep.value == len(fs)  # orthogonal members: one pool fn each
-    rep1 = sqd_upper(_fnset([parities[3]]), uniform3, 0.5, pool)
+    rep1 = sqd_upper(_fnset([parities[3]]), uniform3, 0.5, parities)
     assert rep1.value == 1
 
 
 def test_sqd_upper_insufficient_pool(domain3, uniform3):
     fs = FnSet(domain3, parity_class(3).matrix[:4])
-    blind = ApproxSet(domain3, np.zeros((1, 8)), gamma=0.5)
+    blind = FnSet(domain3, np.zeros((1, 8)))
     with pytest.raises(PoolInsufficientError):
         sqd_upper(fs, uniform3, 0.5, blind)
     with pytest.raises(UsageError):
         sqd_upper(fs, uniform3, 0.0, blind)
+    with pytest.raises(UsageError, match="1.5"):  # the pool's sup, outside the unit ball
+        sqd_upper(fs, uniform3, 0.5, FnSet(domain3, np.full((1, 8), 1.5)))
 
 
 def test_sqd_lower_scaling_boolean_example(domain3, uniform3):
@@ -254,7 +255,7 @@ def test_duality_cover_on_maximizer(uniform3, domain3):
     fs, rep = best
     ext = extend_witness(fs, uniform3, rep.witness, 1.0 / rep.value)
     d = len(ext)
-    cover = sqd_upper(fs, uniform3, 1.0 / (2 * d), _half_pool(fs, ext, 1.0 / (2 * d)))
+    cover = sqd_upper(fs, uniform3, 1.0 / (2 * d), _half_pool(fs, ext))
     assert cover.value <= d
 
 

@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlab import make_rng
-from sqlab.dimensions import FnSet
 from sqlab.errors import DomainMismatchError, UsageError
 from sqlab.fnspace import (
     BoolFn,
-    ConceptClass,
     Dist,
     Domain,
+    FnSet,
     RealFn,
     bool_fn_from_text,
     conjunction_class,
@@ -37,7 +36,8 @@ from sqlab.fnspace import (
     real_fn_from_text,
     sign_of,
 )
-from sqlab.sqcore import ApproxSet
+from sqlab.oracles import SQOracle
+from sqlab.sqcore import class_pool_generator, weak_agnostic_learner
 
 
 def test_domain_bitstring_roundtrip():
@@ -221,8 +221,6 @@ _TABLE_CONSTRUCTORS = {
     "RealFn": (lambda t: t, lambda t: RealFn(Domain(3), t)),
     "real_fn_from_text": (lambda t: t, lambda t: real_fn_from_text(_text(t))),
     "BoolFn": (_pm1, lambda t: BoolFn(Domain(3), t)),
-    "ConceptClass": (_pm1, lambda t: ConceptClass("c", Domain(3), [t])),
-    "ApproxSet": (lambda t: t, lambda t: ApproxSet(Domain(3), [t], gamma=0.1)),
     "FnSet": (lambda t: 2 * t, lambda t: FnSet(Domain(3), [t])),
 }
 
@@ -251,15 +249,19 @@ def test_parity_multiplication_group(uniform3, domain3):
         assert inner_product(a, b, uniform3) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_concept_class_rejects_empty_and_mixed_domains(domain3):
+def test_concept_class_rejects_empty_and_mixed_domains(domain3, uniform3):
+    # a class is an FnSet of +-1 rows; the learners take no empty one
+    empty = FnSet(domain3, np.empty((0, 8)))
     with pytest.raises(UsageError):
-        ConceptClass("empty", domain3, np.empty((0, 8)))
+        class_pool_generator(empty, gamma=0.2)
+    with pytest.raises(UsageError):
+        weak_agnostic_learner(empty, SQOracle(BoolFn(domain3, np.ones(8)), uniform3), 0.05)
     # rows over another domain: a matrix of the wrong width
     with pytest.raises(UsageError):
-        ConceptClass("mixed", domain3, np.ones((2, 4)))
+        FnSet(domain3, np.ones((2, 4)))
     with pytest.raises(UsageError):
-        ConceptClass("real", domain3, np.full((2, 8), 0.5))  # not +-1
-    cclass = ConceptClass("two", domain3, [np.ones(8), -np.ones(8)])
+        FnSet(domain3, np.full((2, 8), 0.5))[0]  # a member is a BoolFn: not +-1
+    cclass = FnSet(domain3, [np.ones(8), -np.ones(8)])
     assert len(cclass) == 2 and not cclass.matrix.flags.writeable
     assert cclass[1] == BoolFn(domain3, -np.ones(8))
     assert [f.values.tolist() for f in cclass] == cclass.matrix.tolist()
@@ -300,6 +302,14 @@ def test_dist_text_roundtrip_is_within_the_documented_bound():
         assert np.all(np.abs(back - w) <= 2 * np.spacing(w)), seed
         moved += back.tobytes() != w.tobytes()
     assert 0 < moved < 40  # renormalization moves some weights: not bit-exact
+
+
+def test_text_lines_split_at_newline_only():
+    # a form feed or \x85 inside a comment does not start a line "00 1.0"
+    text = "".join(f"{b} 0.25\n" for b in ("00", "10", "01", "11"))
+    for sep in ("\x0b", "\x0c", "\x1c", "\x85"):
+        d = dist_from_text(text + f"# weights{sep}00 1.0\n")
+        np.testing.assert_array_equal(d.weights, np.full(4, 0.25))
 
 
 def test_text_roundtrips(domain3):

@@ -79,6 +79,12 @@ def test_parse_config_file(tmp_path):
     bad.write_text("just words\n")
     with pytest.raises(UsageError, match="bad.cfg:1"):
         harness.parse_config_file(bad)
+    # lines end at \n only: a form feed leaves "n = 5" inside the comment
+    p.write_text("# note\x0cn = 5\ncommand = learn\n")
+    assert harness.parse_config_file(p) == {"command": "learn"}
+    bad.write_text("# note\x0cn = 5\ncommand = learn\njust words\n")
+    with pytest.raises(UsageError, match="bad.cfg:3"):
+        harness.parse_config_file(bad)
     with pytest.raises(UsageError, match="cannot read"):
         harness.parse_config_file(tmp_path / "absent.cfg")
 
@@ -248,7 +254,7 @@ def test_class_file_runs_like_the_builtin_class(tmp_path):
          "line 5 has 7 entries, not 8 like the first function"),
         ("commented-word", rows[0] + "\n# c\n" + rows[1].replace("-1", "minus", 1) + "\n",
          "line 3: 'minus' is not a number"),
-        ("real", rows[0].replace("1", "0.5", 1) + "\n", None),
+        ("real", rows[0].replace("1", "0.5", 1) + "\n", "entries must be exactly -1 or +1"),
         ("wide", rows[0] + "\n", None),  # 8 values, but n = 2 has 4 points
         ("note", rows[0] + " # note\n", "line 1: '#' is not a number"),  # only whole lines
         ("nan", rows[0].replace("1", "nan", 1) + "\n", None),
@@ -263,6 +269,22 @@ def test_class_file_runs_like_the_builtin_class(tmp_path):
         assert "usage error: " in out.output, name
         if fault is not None:
             assert out.output == f"usage error: class file {bad}: {fault}\n", name
+
+
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85"])
+def test_class_file_lines_end_at_newline_only(tmp_path, sep):
+    # a form feed (say) inside a function line is whitespace, not a line break
+    rows = ["1 1 1 1 1 1 1 1", f"1{sep}-1 1 -1 1 -1 1 -1"]
+    path = tmp_path / "class.txt"
+    path.write_text("\n".join(rows) + "\n")
+    cfg = _cfg(command="dim", cclass=f"file:{path}", n=3)
+    got = harness._build_class(cfg, Domain(3))
+    assert got.matrix.tolist() == [[1.0] * 8, [1.0, -1.0] * 4]
+    # and a fault after it is reported at its line in the file
+    path.write_text("\n".join(rows + ["# c", "1 -1 1"]) + "\n")
+    with pytest.raises(UsageError) as e:
+        harness._build_class(cfg, Domain(3))
+    assert str(e.value) == f"class file {path}: line 4 has 3 entries, not 8 like the first function"
 
 
 @pytest.mark.parametrize("seed", range(5))

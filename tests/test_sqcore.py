@@ -9,9 +9,9 @@ from sqlab import make_rng
 from sqlab.errors import QueryBudgetError, UsageError
 from sqlab.fnspace import (
     BoolFn,
-    ConceptClass,
     Dist,
     Domain,
+    FnSet,
     RealFn,
     conjunction_class,
     disagreement,
@@ -26,7 +26,6 @@ from sqlab.fnspace import (
 )
 from sqlab.oracles import MODES, SQOracle, decompose
 from sqlab.sqcore import (
-    ApproxSet,
     ExhaustiveCSQ,
     SQAlgorithm,
     build_gpsi,
@@ -40,23 +39,25 @@ from sqlab.sqcore import (
 
 
 def _single(f):
-    return ConceptClass("single", f.domain, [f.values])
+    return FnSet(f.domain, [f.values])
 
 
-def test_approx_set_validation(domain3):
+def test_class_pool_generator_validation(domain3):
     with pytest.raises(UsageError):
-        ApproxSet(domain3, np.empty((0, 8)), gamma=0.1)
+        class_pool_generator(FnSet(domain3, np.empty((0, 8))), gamma=0.1)
     f = np.zeros(8)
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(UsageError):
-            ApproxSet(domain3, [f], gamma=bad)
+            class_pool_generator(FnSet(domain3, [f]), gamma=bad)
     with pytest.raises(UsageError):
-        ApproxSet(domain3, np.zeros((2, 4)), gamma=0.1)  # rows over another domain
-    with pytest.raises(UsageError):
-        ApproxSet(domain3, np.full((1, 8), 1.5), gamma=0.1)  # outside the unit ball
-    aset = ApproxSet(domain3, [f, -f], gamma=0.25)
-    assert len(aset) == 2 and aset.matrix.shape == (2, 8)
-    assert not aset.matrix.flags.writeable
+        FnSet(domain3, np.zeros((2, 4)))  # rows over another domain
+    with pytest.raises(UsageError):  # outside the unit ball
+        class_pool_generator(FnSet(domain3, np.full((1, 8), 1.5)), gamma=0.1)
+    pool = FnSet(domain3, [f, -f])
+    rows, gamma = class_pool_generator(pool, gamma=0.25)(None)
+    assert rows is pool and gamma == 0.25
+    assert len(rows) == 2 and rows.matrix.shape == (2, 8)
+    assert not rows.matrix.flags.writeable
 
 
 def test_exhaustive_csq_recovers_every_target(domain3, uniform3):
@@ -73,7 +74,7 @@ def test_exhaustive_csq_tie_breaks_to_first_index(domain3, uniform3):
     # chi_1 and chi_2 both score 0 against chi_{1,2}: the first one wins
     f = make_parity(domain3, [1, 2])
     rows = [make_parity(domain3, [1]).values, make_parity(domain3, [2]).values]
-    tie = ConceptClass("tie", domain3, rows)
+    tie = FnSet(domain3, rows)
     h = run_with_oracle(ExhaustiveCSQ(tie, 0.1), SQOracle(f, uniform3))
     assert h == tie[0] and h != tie[1]
 
@@ -85,7 +86,8 @@ def test_build_gpsi_size_and_order(domain3, uniform3):
     aset = build_gpsi(alg, psi, uniform3)
     # one member per correlational query, then sign(psi), then the hypothesis
     assert len(aset) == len(cclass) + 2
-    assert aset.gamma == alg.tau
+    rows, gamma = gpsi_generator(alg, uniform3)(psi)
+    assert gamma == alg.tau and rows.matrix.tobytes() == aset.matrix.tobytes()
     np.testing.assert_array_equal(aset.matrix[:-2], cclass.matrix)
     np.testing.assert_array_equal(aset.matrix[-2], sign_of(psi).values)
 
@@ -116,6 +118,46 @@ def test_build_gpsi_respects_budget(domain3, uniform3):
     with pytest.raises(QueryBudgetError):
         build_gpsi(Chatty(11, rounds=1), psi, uniform3, budget=10)
     assert len(build_gpsi(Chatty(10, rounds=1), psi, uniform3, budget=10)) == 12
+
+
+@pytest.mark.parametrize("bad", [1.5, math.nan])
+def test_build_gpsi_rejects_rows_outside_the_unit_ball(domain3, uniform3, bad):
+    class Wild(SQAlgorithm):
+        """Asks one round whose second row holds `bad`."""
+
+        name = "wild"
+        tau = 0.1
+        epsilon = 0.1
+
+        def run(self, ask):
+            rows = np.zeros((2, 8))
+            rows[1, 3] = bad
+            ask(rows)
+            return BoolFn(domain3, np.ones(8))
+
+    with pytest.raises(UsageError):
+        build_gpsi(Wild(), RealFn(domain3, np.zeros(8)), uniform3)
+
+
+def test_learn_pool_is_the_class_and_its_truths_are_computed_once(domain3):
+    # every round gets the class itself, so the oracle's identity cache
+    # answers every round after the first from the first round's truths
+    dist = dist_random(domain3, make_rng(6, 0, "dist"))
+    cclass = conjunction_class(3)
+    pool_gen = class_pool_generator(cclass, gamma=0.08)
+    seen = []
+
+    def gen(psi):
+        seen.append(pool_gen(psi))
+        return seen[-1]
+
+    oracle = SQOracle(cclass[3], dist)
+    _, trace = projected_learner(gen, oracle, 0.02)
+    assert trace.halt_reason == "converged" and len(trace.rows) >= 3
+    assert all(rows is cclass and rows.matrix is cclass.matrix for rows, _ in seen)
+    truths = [truth for _, _, truth in oracle._batches]
+    assert len(truths) == len(trace.rows)
+    assert all(t is truths[0] for t in truths)
 
 
 class GeneralRounds(SQAlgorithm):
@@ -173,14 +215,15 @@ def test_build_gpsi_distinguishing_margin(domain3, uniform3):
     rng = make_rng(3, 0, "psi")
     for _ in range(10):
         psi = random_real_fn(domain3, rng)
-        aset = build_gpsi(ExhaustiveCSQ(cclass, eps), psi, uniform3)
+        alg = ExhaustiveCSQ(cclass, eps)
+        aset = build_gpsi(alg, psi, uniform3)
         ball = eps + eps / 2.0
         for f in cclass:
             if disagreement(f, sign_of(psi), uniform3) <= ball:
                 continue
             shifted = f.values - psi.values
             margins = np.abs(aset.matrix @ (shifted * uniform3.weights))
-            assert margins.max() >= aset.gamma - 1e-12
+            assert margins.max() >= alg.tau - 1e-12
 
 
 def test_projected_learner_singleton_generator(domain3, uniform3):
@@ -209,6 +252,9 @@ def test_projected_learner_tau_and_claim_validation(domain3, uniform3):
     weak = class_pool_generator(_single(f), gamma=0.1)
     with pytest.raises(UsageError):
         projected_learner(weak, orc, tau=0.05)  # claims 0.1 < 4*tau
+    for bad in (math.nan, math.inf):  # a generator that skips class_pool_generator's check
+        with pytest.raises(UsageError):
+            projected_learner(lambda psi: (_single(f), bad), orc, tau=0.05)
 
 
 def test_projected_learner_iteration_cap(domain3, uniform3):
@@ -231,7 +277,7 @@ def test_projected_learner_trace_replay(domain3):
     hyp, trace = projected_learner(gen, SQOracle(f, dist), tau, audit_target=f)
     assert trace.halt_reason == "converged"
     psi = np.zeros(8)
-    mat = gen(None).matrix
+    mat = gen(None)[0].matrix
     assert mat is cclass.matrix  # the pool shares the class's matrix
     for row in trace.rows:
         pot = float(np.dot(dist.weights, (f.values - psi) ** 2))
@@ -292,7 +338,7 @@ def test_gpsi_generator_learns_conjunctions(domain3, uniform3):
 
 def test_weak_agnostic_learner_guarantee(domain3, uniform3):
     parities = parity_class(3)
-    pool = ApproxSet(domain3, parities.matrix, gamma=0.05)
+    pool = FnSet(domain3, parities.matrix)
     rng = make_rng(7, 0, "agn")
     for _ in range(10):
         phi_a = random_real_fn(domain3, rng)
@@ -315,7 +361,7 @@ def _agnostic_case(draw):
     domain = Domain(n)
     dist = Dist(domain, np.array(units + [scale - sum(units)]) / scale)
     pool = np.array(draw(st.lists(row, min_size=1, max_size=6)))
-    return RealFn(domain, draw(row)), dist, ApproxSet(domain, pool, gamma=0.1)
+    return RealFn(domain, draw(row)), dist, FnSet(domain, pool)
 
 
 @settings(max_examples=60, deadline=None)
@@ -327,7 +373,7 @@ def test_weak_agnostic_learner_matches_single_queries(case, tau, seed, sample_si
     # rows and target keep every sum exact, so the one batch must give the
     # hypothesis, count and log of the members asked one at a time, bit for bit
     phi_a, dist, pool = case
-    cclass = ConceptClass("signs", pool.domain, np.where(pool.matrix >= 0, 1.0, -1.0))
+    cclass = FnSet(pool.domain, np.where(pool.matrix >= 0, 1.0, -1.0))
     f = sign_of(phi_a)
     alg = ExhaustiveCSQ(cclass, tau / 2)
     for mode in MODES:
@@ -349,7 +395,7 @@ def test_weak_agnostic_learner_matches_single_queries(case, tau, seed, sample_si
 
 def test_weak_agnostic_learner_orients_by_sign(domain3, uniform3):
     chi = make_parity(domain3, [1, 3])
-    pool = ApproxSet(domain3, parity_class(3).matrix, gamma=0.05)
+    pool = parity_class(3)
     phi_a = RealFn(domain3, -0.5 * chi.values)
     h = weak_agnostic_learner(pool, SQOracle(phi_a, uniform3), tau=0.05)
     np.testing.assert_array_equal(h.values, -chi.values)
