@@ -65,6 +65,18 @@ def _abs_gram(f, d):
     return g
 
 
+def _row_masks(adj, full):
+    """Row bitmasks of boolean matrix `adj` (bit j of masks[i] is adj[i, j]),
+    and for each vertex v the vertices a colour class holding v may still
+    take: neither v nor its neighbours.  `full` has a bit for every vertex.
+    The packed rows are read as one integer and cut by shifts."""
+    n = adj.shape[0]
+    rows = int.from_bytes(np.packbits(adj, axis=1, bitorder="little").tobytes(), "little")
+    stride = -(-n // 8) * 8  # bits per packed row
+    masks = [rows >> i * stride & full for i in range(n)]
+    return masks, [full ^ (m | 1 << i) for i, m in enumerate(masks)]
+
+
 def max_clique(adj, floor=0):
     """Maximum clique of an undirected graph via branch and bound.
 
@@ -83,12 +95,8 @@ def max_clique(adj, floor=0):
     those of the plain |R| + |P| bound, and so are the cliques returned.
     """
     n = adj.shape[0]
-    packed = np.packbits(adj, axis=1, bitorder="little").tobytes()
-    width = (n + 7) // 8  # bytes per packed row
-    masks = [int.from_bytes(packed[i * width:(i + 1) * width], "little") for i in range(n)]
     full = (1 << n) - 1
-    # vertices a colour class holding v may still take: neither v nor its neighbours
-    free = [full & ~(m | 1 << i) for i, m in enumerate(masks)]
+    masks, free = _row_masks(adj, full)
     best_size = floor
     best_mask = 0
     # stack of (clique_mask, clique_size, candidate_mask); binary branching on
@@ -126,13 +134,12 @@ def max_clique(adj, floor=0):
 def _check_pairwise(absgram, witness, threshold):
     """Raise on the first witness pair, in row order, over `threshold`."""
     idx = np.asarray(witness, dtype=np.intp)
-    for a in range(len(idx) - 1):
-        over = np.flatnonzero(absgram[idx[a], idx[a + 1:]] > threshold + ATOL)
-        if over.size:
-            b = a + 1 + int(over[0])
-            raise InvariantBreachError(
-                f"witness pair ({witness[a]}, {witness[b]}) correlates at "
-                f"{absgram[idx[a], idx[b]]}, over threshold {threshold}")
+    over = np.triu(absgram[np.ix_(idx, idx)] > threshold + ATOL, 1)
+    if over.any():
+        a, b = divmod(int(over.argmax()), len(idx))  # the first True, row by row
+        raise InvariantBreachError(
+            f"witness pair ({witness[a]}, {witness[b]}) correlates at "
+            f"{absgram[idx[a], idx[b]]}, over threshold {threshold}")
 
 
 def sq_dim(f, d, mode="exact", cap=EXACT_CAP):

@@ -18,7 +18,7 @@ from sqlab.dimensions import (
     sqd_lower_scaling,
     sqd_upper,
 )
-from sqlab.dimensions import _abs_gram, _check_pairwise
+from sqlab.dimensions import _abs_gram, _check_pairwise, _row_masks
 from sqlab.errors import (InvariantBreachError, NormRangeError, PoolInsufficientError,
                           UsageError)
 from sqlab.fnspace import (
@@ -436,3 +436,87 @@ def test_check_pairwise_names_the_first_pair_over_the_threshold(seed, size, thre
     witness = rng.permutation(12)[:size].tolist()
     assert _pairwise_failure(_check_pairwise, absgram, witness, threshold) == \
         _pairwise_failure(_reference_check_pairwise, absgram, witness, threshold)
+
+
+def _packbits_row_masks(adj):
+    """Row masks and colour-class masks as max_clique built them before: one
+    int.from_bytes per packed row."""
+    n = adj.shape[0]
+    packed = np.packbits(adj, axis=1, bitorder="little").tobytes()
+    width = (n + 7) // 8
+    masks = [int.from_bytes(packed[i * width:(i + 1) * width], "little") for i in range(n)]
+    full = (1 << n) - 1
+    return masks, [full & ~(m | 1 << i) for i, m in enumerate(masks)]
+
+
+@pytest.mark.parametrize("n", list(range(0, 18)) + [31, 32, 33, 63, 64, 65, 70])
+def test_row_masks_match_one_from_bytes_per_row(n):
+    rng = np.random.default_rng(n)
+    for density in (0.0, 0.3, 0.7, 1.0):
+        adj = rng.random((n, n)) < density
+        adj = np.triu(adj, 1) | np.triu(adj, 1).T
+        np.fill_diagonal(adj, bool(rng.integers(2)))
+        assert _row_masks(adj, (1 << n) - 1) == _packbits_row_masks(adj)
+
+
+def _frozen_max_clique(adj, floor):
+    """max_clique as it was before its masks came from one integer."""
+    n = adj.shape[0]
+    masks, free = _packbits_row_masks(adj)
+    best_size, best_mask = floor, 0
+    stack = [(0, 0, (1 << n) - 1)]
+    while stack:
+        r_mask, r_size, p_mask = stack.pop()
+        room = best_size - r_size
+        if p_mask.bit_count() <= room:
+            continue
+        if p_mask == 0:
+            best_size, best_mask = r_size, r_mask
+            continue
+        uncoloured = p_mask
+        while uncoloured and room > 0:
+            room -= 1
+            avail = uncoloured
+            while avail:
+                low = avail & -avail
+                uncoloured ^= low
+                avail &= free[low.bit_length() - 1]
+        if not uncoloured:
+            continue
+        low = p_mask & -p_mask
+        v = low.bit_length() - 1
+        rest = p_mask ^ low
+        stack.append((r_mask, r_size, rest))
+        stack.append((r_mask | low, r_size + 1, rest & masks[v]))
+    if best_mask == 0:
+        return 0, ()
+    return best_size, tuple(i for i in range(n) if best_mask >> i & 1)
+
+
+def _frozen_sq_dim_exact(f, d):
+    """The exact scan of sq_dim, frozen: degree test, then a floored search."""
+    absgram = _abs_gram(f, d)
+    k = len(f)
+    witness = [0]
+    degree_bound = np.sort(np.sort(absgram, axis=1), axis=0).diagonal()
+    for cand in range(k, 1, -1):
+        threshold = 1.0 / cand + ATOL
+        if degree_bound[cand - 1] > threshold:
+            continue
+        size, verts = _frozen_max_clique(absgram <= threshold, cand - 1)
+        if size:
+            witness = list(verts[:cand])
+            break
+    return len(witness), witness
+
+
+@pytest.mark.parametrize("dist", ["uniform", "random"])
+def test_sq_dim_matches_the_frozen_scan_on_probe_sized_sets(dist):
+    # the probe-mix benchmark's dim sets: 30 random +-1 functions at n = 8
+    domain = Domain(8)
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        fs = FnSet(domain, rng.choice([-1.0, 1.0], size=(30, domain.size)))
+        d = dist_uniform(domain) if dist == "uniform" else dist_random(domain, rng)
+        rep = sq_dim(fs, d)
+        assert (rep.value, rep.witness) == _frozen_sq_dim_exact(fs, d), seed

@@ -309,6 +309,43 @@ def test_class_file_takes_crlf_tabs_and_whole_line_comments(tmp_path):
     assert got.matrix.tobytes() == matrix.tobytes()
 
 
+def _class_from_text(tmp_path, text):
+    path = tmp_path / "class.txt"
+    path.write_text(text)
+    return harness._build_class(_cfg(command="dim", cclass=f"file:{path}", n=3), Domain(3))
+
+
+@pytest.mark.parametrize("one, minus_one", [("1.0", "-1.0"), ("+1", "-1.0"), ("1e0", "-1")])
+def test_class_file_real_spellings_load_the_integer_matrix(tmp_path, one, minus_one):
+    # integer text takes the int8 parse, any other the float parse: same table
+    rows = parity_class(3).matrix
+    ints = "\n".join(" ".join("1" if v > 0 else "-1" for v in row) for row in rows)
+    reals = "\n".join(" ".join(one if v > 0 else minus_one for v in row) for row in rows)
+    want = _class_from_text(tmp_path, ints + "\n").matrix
+    got = _class_from_text(tmp_path, reals + "\n").matrix
+    assert want.dtype == got.dtype == np.float64
+    assert got.tobytes() == want.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("2", "class file {path}: entries must be exactly -1 or +1"),
+    ("-0", "class file {path}: entries must be exactly -1 or +1"),
+    # past int8: the float parse reads them, so 255 and 257 do not wrap to -1 and +1
+    ("300", "class file {path}: entries must be exactly -1 or +1"),
+    ("255", "class file {path}: entries must be exactly -1 or +1"),
+    ("257", "class file {path}: entries must be exactly -1 or +1"),
+    ("-255", "class file {path}: entries must be exactly -1 or +1"),
+    ("0.5", "class file {path}: entries must be exactly -1 or +1"),
+    ("nan", "function matrix entries must be finite, got [nan, nan]"),
+    ("1 1", "class file {path}: line 2 has 9 entries, not 8 like the first function"),
+])
+def test_class_file_faults_keep_their_messages(tmp_path, entry, message):
+    row = "1 -1 1 -1 1 -1 1 -1"
+    with pytest.raises(UsageError) as e:
+        _class_from_text(tmp_path, row + "\n" + row.replace("-1", entry, 1) + "\n")
+    assert str(e.value) == message.format(path=tmp_path / "class.txt")
+
+
 @pytest.mark.parametrize("command", harness.COMMANDS)
 def test_a_distribution_file_over_another_n_is_a_usage_error(tmp_path, command):
     path = tmp_path / "d3.txt"
