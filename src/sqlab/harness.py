@@ -12,6 +12,7 @@ wall-clock field is allowed to differ between re-runs.
 import json
 import math
 import time
+import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -316,9 +317,13 @@ def _build_class(cfg, domain):
     # comments=None: a `#` after a value is a bad entry, not a comment.  Integer
     # text parses about twice as fast in int8, which takes a subset of what the
     # float parse takes, at the same values; the rest ("1.0", "300") goes on to it.
+    # Older numpy reads such text in int8 through a float cast with only a
+    # DeprecationWarning ("1.5" -> 1, "255" -> -1); as an error it fails the parse.
     try:
-        mat = np.loadtxt(lines, dtype=np.int8, comments=None, ndmin=2)
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            mat = np.loadtxt(lines, dtype=np.int8, comments=None, ndmin=2)
+    except (ValueError, DeprecationWarning):
         try:
             mat = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
         except ValueError:

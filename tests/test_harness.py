@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +337,7 @@ def test_class_file_real_spellings_load_the_integer_matrix(tmp_path, one, minus_
     ("257", "class file {path}: entries must be exactly -1 or +1"),
     ("-255", "class file {path}: entries must be exactly -1 or +1"),
     ("0.5", "class file {path}: entries must be exactly -1 or +1"),
+    ("1.5", "class file {path}: entries must be exactly -1 or +1"),
     ("nan", "function matrix entries must be finite, got [nan, nan]"),
     ("1 1", "class file {path}: line 2 has 9 entries, not 8 like the first function"),
 ])
@@ -344,6 +346,33 @@ def test_class_file_faults_keep_their_messages(tmp_path, entry, message):
     with pytest.raises(UsageError) as e:
         _class_from_text(tmp_path, row + "\n" + row.replace("-1", entry, 1) + "\n")
     assert str(e.value) == message.format(path=tmp_path / "class.txt")
+
+
+@pytest.mark.parametrize("entry", ["1.5", "255", "257", "-255"])
+def test_class_file_int_parse_through_a_float_is_refused(tmp_path, monkeypatch, entry):
+    # Older numpy parses non-integer text in int8 through a float cast, with only a
+    # DeprecationWarning; this stand-in does the same, so 1.5 and 257 would read +1.
+    loadtxt = np.loadtxt
+
+    def old_loadtxt(lines, dtype=float, **kwargs):
+        if dtype is not np.int8:
+            return loadtxt(lines, dtype=dtype, **kwargs)
+        try:
+            return loadtxt(lines, dtype=dtype, **kwargs)
+        except ValueError:
+            values = loadtxt(lines, dtype=np.float64, **kwargs)
+        try:
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+        except DeprecationWarning as e:
+            raise ValueError("could not convert string to int8") from e
+        return values.astype(np.int64).astype(np.int8)
+
+    monkeypatch.setattr(np, "loadtxt", old_loadtxt)
+    row = "1 -1 1 -1 1 -1 1 -1"
+    with pytest.raises(UsageError) as e:
+        _class_from_text(tmp_path, row + "\n" + row.replace("1", entry, 1) + "\n")
+    assert str(e.value) == f"class file {tmp_path / 'class.txt'}: entries must be exactly -1 or +1"
 
 
 @pytest.mark.parametrize("command", harness.COMMANDS)
