@@ -66,6 +66,7 @@ from .evolve import (  # noqa: F401
     Loss,
     NeighborhoodMutator,
     SelNBParams,
+    disjunction_lsq_params,
     disjunction_mutator,
     disjunction_params,
     empirical_lperf,

@@ -48,8 +48,10 @@ class Loss:
         self.span = 2.0 if kind == "linear" else 4.0
 
     def table(self, f_values, phi_values):
-        diff = phi_values - f_values
-        return np.abs(diff) if self.kind == "linear" else diff * diff
+        """The loss of each entry of phi_values against f_values, as a fresh array."""
+        diff = phi_values - f_values  # the one allocation; the loss is taken in place
+        return np.abs(diff, out=diff) if self.kind == "linear" else \
+            np.multiply(diff, diff, out=diff)
 
     def __repr__(self):
         return f"Loss({self.kind!r})"
@@ -81,30 +83,56 @@ def empirical_lperf(loss, f, phi, d, s, rng):
     return _fitness(loss, loss.table(f.values, phi.values[None]), counts, s)[0]
 
 
-class NeighborhoodMutator:
-    """Uniform draw from a neighbourhood table of fixed height k, optionally lazy.
+class _Mutator:
+    """A uniform draw from a neighbourhood of fixed height k, optionally lazy:
+    a uniform neighbour or, with probability 1 - delta_self, the incumbent
+    itself.  table(phi, eps) gives the (k+1, 2^n) table: the k neighbours of
+    the incumbent table phi, then phi as row k."""
 
-    neigh_fn(phi, eps) returns the (k, 2^n) table of the neighbours of the
-    incumbent table phi.  A draw is a uniform neighbour, or, with probability
-    1 - delta_self, the incumbent itself.
-    """
-
-    def __init__(self, neigh_fn, k, delta_self=1.0):
+    def __init__(self, k, delta_self):
         if k < 1:
             raise UsageError(f"neighbourhood height k must be >= 1, got {k}")
         if not 0 < delta_self <= 1:
             raise UsageError(f"delta_self must be in (0, 1], got {delta_self}")
-        self.neigh_fn = neigh_fn
         self.k = k
         self.delta_self = delta_self
 
+
+class NeighborhoodMutator(_Mutator):
+    """neigh_fn(phi, eps) returns the (k, 2^n) table of the neighbours of phi."""
+
+    def __init__(self, neigh_fn, k, delta_self=1.0):
+        super().__init__(k, delta_self)
+        self.neigh_fn = neigh_fn
+
     def table(self, phi, eps):
-        """The (k+1, 2^n) table: the k neighbours of phi, then phi as row k."""
         neigh = self.neigh_fn(phi, eps)
         if len(neigh) != self.k:
             raise UsageError(f"the neighbourhood has {len(neigh)} rows; this mutator "
                              f"was built for k = {self.k}")
         return np.concatenate((neigh, phi[None]))
+
+
+class StepMutator(_Mutator):
+    """The neighbours clamp(phi + step), one per row of a (k, 2^n) step table
+    fixed at construction; eps does not rescale it."""
+
+    # 0-d bounds: a Python float costs the ufunc a scalar conversion per call
+    _lo, _hi = np.array(-1.0), np.array(1.0)
+
+    def __init__(self, steps, delta_self=1.0):
+        super().__init__(len(steps), delta_self)
+        # row k adds nothing: table() writes phi over it
+        self.steps = np.vstack((steps, np.zeros(steps.shape[1])))
+
+    def table(self, phi, eps):
+        """One add into a fresh array, clamped in place (np.clip's wrapper
+        costs more than the work), then phi as row k."""
+        out = phi + self.steps
+        np.maximum(out, self._lo, out=out)
+        np.minimum(out, self._hi, out=out)
+        out[self.k] = phi  # phi's own bytes: phi + 0.0 would turn a -0.0 into 0.0
+        return out
 
 
 @dataclass
@@ -133,6 +161,14 @@ def evolve_streams(master, k):
     return {purpose: make_rng(master, k, purpose) for purpose in STREAMS}
 
 
+def _block_size(a, params, d):
+    """Generations per draw block: BLOCK, or fewer when one block's largest
+    array (the index block, or the fitness count rows) would pass BLOCK_BYTES."""
+    s = params.s
+    row_bytes = 8 * max(params.p, 0 if s is None else (a.k + 1) * len(d.weights))
+    return max(1, min(BLOCK, BLOCK_BYTES // row_bytes))
+
+
 def _row_counts(a, p, b, streams):
     """How often each of the k+1 table rows is drawn among p draws, for each
     of b generations, as lists: lazy draws count toward row k."""
@@ -156,8 +192,7 @@ def generation_draws(a, params, d, g, streams):
     """
     p, s, w = params.p, params.s, d.weights
     rows = a.k + 1
-    row_bytes = 8 * max(p, 0 if s is None else rows * len(w))
-    block = max(1, min(BLOCK, BLOCK_BYTES // row_bytes))
+    block = _block_size(a, params, d)
     for start in range(0, g, block):
         b = min(block, g - start)
         # only one block's arrays live at a time, which keeps the peak
@@ -196,32 +231,33 @@ def selnb_step(params, f, d, a, phi, eps, draws):
     """
     counts, fitness, u = draws
     table = a.table(phi, eps)
-    costs = params.loss.table(f.values, table)
-    if fitness is None:
-        scores = _fitness(params.loss, costs, d.weights)
-    else:
-        scores = _fitness(params.loss, costs, fitness, params.s)
-    k = a.k
+    loss, k = params.loss, a.k
+    costs = loss.table(f.values, table)
+    scores = _fitness(loss, costs, d.weights) if fitness is None else \
+        _fitness(loss, costs, fitness, params.s)
     width = table.shape[1] * table.itemsize
     raw = table.tobytes()
     mine = raw[k * width:]
+    v_r, t = scores[k], params.t
+    bar = v_r + t
     groups = {}  # row bytes -> [first row drawn, draws, scored row]
+    # a candidate's tiers follow from its scored row, so it joins them when
+    # first drawn; two separate tests: rounding can let a row pass both
+    bene, neut = [], []
     for j, c in enumerate(counts):
         if c:
             key = raw[j * width:(j + 1) * width]
             grp = groups.get(key)
             if grp is not None:
                 grp[1] += c
-            else:
-                groups[key] = [j, c, k if key == mine else j]
-    v_r, t = scores[k], params.t
-    bene, neut = [], []  # two separate tests: rounding can let a row pass both
-    for grp in groups.values():
-        v = scores[grp[2]]
-        if v >= v_r + t:
-            bene.append(grp)
-        if abs(v - v_r) < t:
-            neut.append(grp)
+                continue
+            r = k if key == mine else j
+            grp = groups[key] = [j, c, r]
+            v = scores[r]
+            if v >= bar:
+                bene.append(grp)
+            if abs(v - v_r) < t:
+                neut.append(grp)
     if bene:
         tier, outcome = bene, "beneficial"
     elif neut:
@@ -233,24 +269,14 @@ def selnb_step(params, f, d, a, phi, eps, draws):
     return table[j], StepInfo(v_r, outcome, len(bene), len(neut), len(groups), costs[r])
 
 
-@dataclass
-class GenRow:
-    generation: int
-    true_perf: float
-    empirical_perf: float
-    outcome: str
-    bene_count: int
-    neut_count: int
-
-    def as_record(self):
-        return dict(vars(self))   # the fields, in order; asdict is slow per generation
-
-
 class EvolutionTrace:
     """Per-generation audit of an evolve_run.
 
-    `true_perf` in row i is the exact fitness of the representation selected
-    at generation i (the incumbent's when the step bottomed out).
+    `rows` holds one artifact record per generation: a dict of generation,
+    true_perf, empirical_perf (the incumbent's fitness estimate), outcome,
+    bene_count and neut_count.  `true_perf` in row i is the exact fitness of
+    the representation selected at generation i (the incumbent's when the
+    step bottomed out).
     reached_target is judged on the final generation's true fitness;
     monotone_vs_start audits the no-regression clause exactly, while
     monotone_within_slack allows per-step slack t.  `outcomes` counts the
@@ -260,19 +286,19 @@ class EvolutionTrace:
     def __init__(self, rows, start_perf, eps, t):
         self.rows = rows
         self.start_perf = start_perf
-        trail = [r.true_perf for r in rows]
-        self.bottomed = bool(rows) and rows[-1].outcome == "bottom"
+        trail = [r["true_perf"] for r in rows]
+        self.bottomed = bool(rows) and rows[-1]["outcome"] == "bottom"
         self.final_perf = trail[-1] if trail else start_perf
         self.reached_target = (not self.bottomed) and self.final_perf > 1 - eps
         path = [start_perf] + trail
         self.monotone_within_slack = all(
             path[i + 1] >= path[i] - t - 1e-12 for i in range(len(path) - 1))
         self.monotone_vs_start = all(v >= start_perf - 1e-12 for v in trail)
-        tally = Counter(r.outcome for r in rows)
+        tally = Counter(r["outcome"] for r in rows)
         self.outcomes = {k: tally[k] for k in ("beneficial", "neutral", "bottom")}
 
     def records(self):
-        return [r.as_record() for r in self.rows]
+        return self.rows  # already the artifact's records
 
     def __len__(self):
         return len(self.rows)
@@ -284,18 +310,24 @@ def evolve_run(a, params, f, d, eps, g, r0, streams):
     if g < 1:
         raise UsageError(f"generation count must be >= 1, got {g}")
     phi = r0.values + 0.0  # + 0.0 turns -0.0 into 0.0, as a zero step row does
-    loss = params.loss
-
-    def true_perf(cost):
-        # exact fitness from a loss row, as _fitness computes it
-        return 1.0 - 2.0 * float(np.dot(d.weights, cost)) / loss.span
-
-    start = true_perf(loss.table(f.values, phi))
+    loss, w = params.loss, d.weights
+    start = lperf(loss, f, r0, d)
+    # the selected loss rows of up to one draw block, within BLOCK_BYTES as well:
+    # _block_size bounds only the draw arrays
+    block = max(1, min(_block_size(a, params, d), BLOCK_BYTES // (8 * len(phi)), g))
+    chosen = np.empty((block, len(phi)))
     rows = []
     for gen, draws in enumerate(generation_draws(a, params, d, g, streams), 1):
         nxt, info = selnb_step(params, f, d, a, phi, eps, draws)
-        rows.append(GenRow(gen, true_perf(info.cost), info.v_incumbent, info.outcome,
-                           info.bene_count, info.neut_count))
+        i = (gen - 1) % block
+        chosen[i] = info.cost
+        rows.append({"generation": gen, "true_perf": None, "empirical_perf": info.v_incumbent,
+                     "outcome": info.outcome, "bene_count": info.bene_count,
+                     "neut_count": info.neut_count})
+        if nxt is None or i == block - 1 or gen == g:
+            # the exact fitness of the block's selected rows, from one vecdot
+            for row, perf in zip(rows[gen - 1 - i:], _fitness(loss, chosen[:i + 1], w)):
+                row["true_perf"] = perf
         if nxt is None:
             break
         phi = nxt
@@ -327,14 +359,7 @@ def disjunction_mutator(n, eps, delta_self=1.0):
     by the selection loop does not rescale it.
     """
     gamma, _ = disjunction_params(n, eps)
-    steps = _disjunction_steps(Domain(n), gamma)
-
-    def neighbours(phi, _eps):
-        out = phi + steps  # clamped in place: np.clip's wrapper costs more than the work
-        np.maximum(out, -1.0, out=out)
-        return np.minimum(out, 1.0, out=out)
-
-    return NeighborhoodMutator(neighbours, n + 2, delta_self=delta_self)
+    return StepMutator(_disjunction_steps(Domain(n), gamma), delta_self=delta_self)
 
 
 def sq_neighborhood(psi, eps, gpsi_builder, gamma):
@@ -351,6 +376,7 @@ def sq_neighborhood(psi, eps, gpsi_builder, gamma):
 
 
 C_HOEFFDING = 128.0  # the Hoeffding constant of the fitness sample size s
+MAX_SAMPLE = 2 ** 63 - 1  # the largest s numpy's multinomial takes: an int64
 
 
 def evolve_lsq_params(theta, eps, neigh_size):
@@ -358,7 +384,8 @@ def evolve_lsq_params(theta, eps, neigh_size):
 
     g = ceil(8/theta) generations, tolerance t = 3*theta/8, pool size
     p = ceil(neigh_size*ln(4g/eps)), sample size s = ceil(C_HOEFFDING/theta^2 *
-    ln(8pg/eps)), laziness delta = eps/(2g).  Natural logarithms.
+    ln(8pg/eps)), laziness delta = eps/(2g).  Natural logarithms.  A theta
+    whose s passes MAX_SAMPLE is a usage error.
     """
     if theta <= 0:
         raise UsageError(f"theta must be positive, got {theta}")
@@ -368,9 +395,25 @@ def evolve_lsq_params(theta, eps, neigh_size):
             "assumed <= eps")
     if neigh_size < 1:
         raise UsageError(f"neigh_size must be >= 1, got {neigh_size}")
-    g = math.ceil(8.0 / theta)
+    try:
+        g = math.ceil(8.0 / theta)
+        p = math.ceil(neigh_size * math.log(4.0 * g / eps))
+        s = math.ceil(C_HOEFFDING * theta ** -2 * math.log(8.0 * p * g / eps))
+    except OverflowError:  # theta ** -2, or a ceil of the inf that 8/theta or 4g/eps became
+        s = None
+    if s is None or s > MAX_SAMPLE:
+        # s >= C_HOEFFDING/theta^2, whose decimal exponent stays finite
+        size = f"= {s}" if s is not None else \
+            f"> 10^{math.floor(math.log10(C_HOEFFDING) - 2 * math.log10(theta))}"
+        raise UsageError(f"theta={theta} gives a fitness sample size s {size}, more than "
+                         f"numpy's multinomial takes (at most {MAX_SAMPLE})")
     t = 3.0 * theta / 8.0
-    p = math.ceil(neigh_size * math.log(4.0 * g / eps))
-    s = math.ceil(C_HOEFFDING * theta ** -2 * math.log(8.0 * p * g / eps))
     delta = eps / (2.0 * g)
     return SelNBParams(QUADRATIC, t, p, s), g, delta
+
+
+def disjunction_lsq_params(n, eps, theta=None):
+    """evolve_lsq_params over the n + 2 neighbours of disjunction_mutator(n, eps),
+    at gain theta or, by default, gamma/8."""
+    gamma, _ = disjunction_params(n, eps)
+    return evolve_lsq_params(gamma / 8.0 if theta is None else theta, eps, n + 2)

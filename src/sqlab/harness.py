@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .dimensions import EXACT_CAP, sq_dim
 from .errors import InvariantBreachError, UsageError
-from .evolve import (disjunction_mutator, disjunction_params, evolve_lsq_params, evolve_run,
+from .evolve import (disjunction_lsq_params, disjunction_mutator, disjunction_params, evolve_run,
                      evolve_streams)
 from .fnspace import (
     MAX_CLASS_N,
@@ -176,6 +176,8 @@ def make_config(data):
         raise UsageError(
             f"--n {cfg.n} is too large for the built-in class {cfg.cclass}: its dense "
             f"table takes 8*4^n = {8 * 4 ** cfg.n} bytes; use n <= {MAX_CLASS_N}")
+    if cfg.command == "evolve":
+        _evolve_params(cfg)
     return cfg
 
 
@@ -391,16 +393,29 @@ def _learn_one(cfg, k, master):
     return trace.records(), summary
 
 
+def _evolve_params(cfg):
+    """(selection params, generations g) of an evolve config.  An --epsilon
+    whose default theta = gamma/8 gives no usable parameters is a usage error
+    that names it."""
+    try:
+        params, g, _delta = disjunction_lsq_params(cfg.n, cfg.epsilon, cfg.theta)
+    except UsageError as e:
+        if cfg.theta is not None:
+            raise
+        gamma, _ = disjunction_params(cfg.n, cfg.epsilon)
+        raise UsageError(f"--epsilon {cfg.epsilon} gives gamma = eps^1.5/21 = {gamma}, and "
+                         f"the default theta = gamma/8 = {gamma / 8.0} is unusable: {e}") from e
+    return params, g
+
+
 def _evolve_one(cfg, k, master):
     domain = Domain(cfg.n)
     rng_t = make_rng(master, k, "target")
     bits = int(rng_t.integers(1, 2 ** cfg.n))
     target = make_disjunction(domain, [i + 1 for i in range(cfg.n) if bits >> i & 1])
     dist = _build_dist(cfg, domain, master, k)
-    gamma, _ = disjunction_params(cfg.n, cfg.epsilon)
-    theta = cfg.theta if cfg.theta is not None else gamma / 8.0
     mutator = disjunction_mutator(cfg.n, cfg.epsilon)
-    params, g, _delta = evolve_lsq_params(theta, cfg.epsilon, mutator.k)
+    params, g = _evolve_params(cfg)
     r0 = RealFn(domain, np.full(domain.size, -1.0))
     trace = evolve_run(mutator, params, target, dist, cfg.epsilon, g, r0,
                        evolve_streams(master, k))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from sqlab.evolve import (
     BLOCK,
     BLOCK_BYTES,
     LINEAR,
+    MAX_SAMPLE,
     QUADRATIC,
     EvolutionTrace,
-    GenRow,
     NeighborhoodMutator,
     SelNBParams,
     StepInfo,
+    disjunction_lsq_params,
     disjunction_mutator,
     disjunction_params,
     empirical_lperf,
@@ -374,6 +376,31 @@ def test_selnb_step_matches_a_row_by_row_reference(case, delta_self, s, t, p, se
         phi = got
 
 
+@pytest.mark.parametrize("s", [None, 400])
+@pytest.mark.parametrize("delta_self", [1.0, 0.5])
+def test_selnb_step_on_a_negative_zero_incumbent_matches_the_reference(delta_self, s):
+    # the zero step row is phi + 0.0, which turns -0.0 into 0.0; the incumbent
+    # row keeps phi's bytes, so the two are separate candidates
+    n, eps = 3, 0.25
+    domain = Domain(n)
+    d = dist_random(domain, make_rng(4, 0, "d"))
+    f = make_disjunction(domain, [2])
+    gamma, gain = disjunction_params(n, eps)
+    mut = disjunction_mutator(n, eps, delta_self)
+    phi = np.array([-0.0, 0.0, -0.0, 0.5, -0.0, -1.0, 1.0, -0.0])
+    table = mut.table(phi, eps)
+    assert table[n + 2].tobytes() == phi.tobytes()
+    assert table[n].tobytes() == (phi + 0.0).tobytes() != phi.tobytes()
+    params = SelNBParams(QUADRATIC, t=gain, p=12, s=s)
+    for seed in range(20):
+        got, info = selnb_step(params, f, d, mut, phi, eps, _draws(mut, params, d, seed))
+        want, want_info = _reference_step(
+            params, f, d, _disjunction_steps(domain, gamma), phi,
+            next(_reference_draws(mut.k, params, d, delta_self, 1, evolve_streams(seed, 0))))
+        assert info == want_info
+        assert (got is None and want is None) or got.tobytes() == want.tobytes()
+
+
 def _reference_run(params, f, d, steps, delta_self, eps, g, phi, streams):
     """evolve_run as a chain of _reference_step generations."""
     loss = params.loss
@@ -381,37 +408,54 @@ def _reference_run(params, f, d, steps, delta_self, eps, g, phi, streams):
     def true_perf(row):
         return 1.0 - 2.0 * float(np.dot(d.weights, loss.table(f.values, row))) / loss.span
 
+    def record(gen, row, info):
+        return {"generation": gen, "true_perf": true_perf(row),
+                "empirical_perf": info.v_incumbent, "outcome": info.outcome,
+                "bene_count": info.bene_count, "neut_count": info.neut_count}
+
     start, rows = true_perf(phi), []
     draws = _reference_draws(len(steps), params, d, delta_self, g, streams)
     for gen in range(1, g + 1):
         nxt, info = _reference_step(params, f, d, steps, phi, next(draws))
         if nxt is None:
-            rows.append(GenRow(gen, true_perf(phi), info.v_incumbent, "bottom", 0, 0))
+            rows.append(record(gen, phi, info))
             break
         phi = nxt
-        rows.append(GenRow(gen, true_perf(phi), info.v_incumbent, info.outcome,
-                           info.bene_count, info.neut_count))
+        rows.append(record(gen, phi, info))
     return EvolutionTrace(rows, start, eps, params.t)
 
 
-@pytest.mark.parametrize("s", [None, 400])
-@pytest.mark.parametrize("delta_self", [1.0, 0.5])
-@pytest.mark.parametrize("dist", ["uniform", "random"])
-def test_evolve_run_matches_the_chained_reference_steps(dist, delta_self, s):
-    n, eps, g = 3, 0.25, 2000
+@pytest.mark.parametrize("n, eps, g, pool, delta_self, dist, bottoms", [
+    *[pytest.param(3, 0.25, 2000, (60, s), delta_self, dist, False,
+                   id=f"{dist}-{delta_self}-{s}")
+      for s in (None, 400) for delta_self in (1.0, 0.5) for dist in ("uniform", "random")],
+    # two draws of five rows often miss the incumbent's: the run bottoms early
+    pytest.param(3, 0.25, 2000, (2, 400), 1.0, "uniform", True, id="bottoms-early"),
+    # the benchmark's shape: the harness's parameters, theta = gamma/8
+    pytest.param(4, 0.2, 300, "lsq", 1.0, "uniform", False, id="benchmark-shape"),
+])
+def test_evolve_run_matches_the_chained_reference_steps(n, eps, g, pool, delta_self, dist,
+                                                        bottoms):
     domain = Domain(n)
     d = dist_uniform(domain) if dist == "uniform" else dist_random(domain, make_rng(3, 0, "d"))
     f = make_disjunction(domain, [1, 3])
     gamma, gain = disjunction_params(n, eps)
-    params = SelNBParams(QUADRATIC, t=gain, p=60, s=s)
-    r0 = RealFn(domain, np.full(8, -1.0))
+    if pool == "lsq":
+        params, _, _ = disjunction_lsq_params(n, eps)
+        assert (params.p, params.s) == (76, 7964684847)
+    else:
+        params = SelNBParams(QUADRATIC, t=gain, p=pool[0], s=pool[1])
+    r0 = RealFn(domain, np.full(domain.size, -1.0))
     streams, ref_streams = evolve_streams(5, 0), evolve_streams(5, 0)
     trace = evolve_run(disjunction_mutator(n, eps, delta_self), params, f, d, eps, g, r0,
                        streams)
     want = _reference_run(params, f, d, _disjunction_steps(domain, gamma), delta_self, eps, g,
                           r0.values + 0.0, ref_streams)
-    assert len(trace) == g
     assert trace.rows == want.rows
+    if bottoms:
+        assert want.bottomed and len(trace) < g
+    else:
+        assert not want.bottomed and len(trace) == g
     for flag in ("start_perf", "final_perf", "bottomed", "reached_target",
                  "monotone_within_slack", "monotone_vs_start"):
         assert getattr(trace, flag) == getattr(want, flag), flag
@@ -445,16 +489,33 @@ def test_evolve_run_bottom_marks_failure(domain3, uniform3):
     assert trace.bottomed
     assert not trace.reached_target
     assert len(trace) == 1
-    assert trace.rows[0].outcome == "bottom"
+    assert trace.rows[0]["outcome"] == "bottom"
     with pytest.raises(UsageError):
         evolve_run(mut, params, f, uniform3, 0.1, 0, r0, evolve_streams(0, 0))
 
 
+
+def test_evolve_run_keeps_its_loss_row_buffer_within_block_bytes():
+    # exact fitness at p=1 draws BLOCK generations per block, but at n=16 one
+    # block of selected loss rows would be BLOCK * 512 KiB
+    domain = Domain(16)
+    d, f = dist_uniform(domain), make_disjunction(domain, [1])
+    r0 = RealFn(domain, np.full(domain.size, -1.0))
+    mut = NeighborhoodMutator(lambda phi, eps: phi[None], 1)  # only itself: all neutral
+    params = SelNBParams(QUADRATIC, t=0.05, p=1, s=None)
+    tracemalloc.start()
+    try:
+        trace = evolve_run(mut, params, f, d, 0.1, 64, r0, evolve_streams(0, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 64 and trace.outcomes["neutral"] == 64
+    # about 8 MiB: the step's table, its bytes and loss rows, the buffer and a
+    # few 2^n vectors; a buffer of all 64 generations would alone take 32 MiB
+    assert peak < 16 * BLOCK_BYTES
+
 def test_evolution_trace_monotonicity_flags():
-    rows = [
-        type("R", (), {"true_perf": v, "outcome": "beneficial"})()
-        for v in (0.2, 0.4, 0.35)
-    ]
+    rows = [{"true_perf": v, "outcome": "beneficial"} for v in (0.2, 0.4, 0.35)]
     tr = EvolutionTrace(rows, start_perf=0.1, eps=0.5, t=0.06)
     assert tr.monotone_vs_start  # never below the start
     assert tr.monotone_within_slack  # 0.4 -> 0.35 within t
@@ -562,3 +623,16 @@ def test_evolve_lsq_params_arithmetic():
         evolve_lsq_params(0.2, 0.1, neigh_size=4)
     with pytest.raises(UsageError):
         evolve_lsq_params(0.0, 0.1, neigh_size=4)
+    # s past numpy's multinomial (int64), or theta ** -2 past the float range
+    assert evolve_lsq_params(1e-7, 0.5, neigh_size=5)[0].s < MAX_SAMPLE
+    for theta in (1e-8, 1e-200, 5e-324):
+        with pytest.raises(UsageError, match=f"theta={theta} gives a fitness sample size"):
+            evolve_lsq_params(theta, 0.5, neigh_size=5)
+
+
+@pytest.mark.parametrize("n, eps, theta", [(3, 0.5, None), (4, 0.2, None), (5, 0.3, 0.001)])
+def test_disjunction_lsq_params_use_the_mutator_height(n, eps, theta):
+    gamma, _ = disjunction_params(n, eps)
+    k = disjunction_mutator(n, eps).k
+    assert disjunction_lsq_params(n, eps, theta) == \
+        evolve_lsq_params(gamma / 8.0 if theta is None else theta, eps, k)

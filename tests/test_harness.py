@@ -457,6 +457,27 @@ def test_oracle_flag_is_validated_at_the_boundary(tmp_path, flag):
         assert "usage error" in out.output and "--oracle" in out.output
 
 
+@pytest.mark.parametrize("args, names", [
+    # theta ** -2 overflows a float
+    (["--theta", "1e-200"], ("theta=1e-200", "s > 10^402")),
+    # s = 35840126498027933696 does not fit the int64 numpy's multinomial takes
+    (["--theta", "1e-8"], ("theta=1e-08", "s = 35840126498027933696")),
+    # gamma = eps^1.5/21 underflows to 0, so the default theta = gamma/8 is 0
+    (["--epsilon", "1e-300"], ("--epsilon 1e-300", "gamma = eps^1.5/21 = 0.0")),
+    # the default theta's 4g/eps overflows a float
+    (["--epsilon", "1e-150"], ("--epsilon 1e-150", "gamma = eps^1.5/21 = 4.76")),
+], ids=["theta-1e-200", "theta-1e-8", "epsilon-1e-300", "epsilon-1e-150"])
+def test_evolve_parameters_past_numeric_range_are_usage_errors(tmp_path, args, names):
+    out = CliRunner().invoke(cli.main, ["evolve", "--n", "3", "--epsilon", "0.5", *args,
+                                        "--out", str(tmp_path / "o")])
+    assert out.exit_code == 1, out.output
+    assert isinstance(out.exception, SystemExit)  # a usage error, not a traceback
+    assert out.output.startswith("usage error: ")
+    for name in names:
+        assert name in out.output
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("args, config", [
     (["--dist", "random:abc"], ""),
     (["--dist", "random:-1"], ""),
