@@ -20,7 +20,9 @@ from .rng import make_rng
 
 ATOL = 1e-12
 MAX_N = 20  # 2**20 doubles per function; exactness beats sparsity at desk scale
-MAX_CLASS_N = 14  # a built-in class is a dense 2^n x 2^n table: 8*4^n bytes, 2 GiB at n=14
+# a built-in class is a dense 2^n x 2^n table of 8*4^n bytes, 2 GiB at n=14, and its
+# build needs only that table and a few rows of 2^n doubles besides
+MAX_CLASS_N = 14
 
 
 class Domain:
@@ -261,56 +263,72 @@ def sign_of(phi):
 
 
 def _index_set(domain, T):
-    T = sorted(set(int(i) for i in T))
+    """The distinct variable indices in T, each an int (not a bool) in [1, n]."""
+    out = set()
     for i in T:
+        # int(i) would read 1.7 as 1, and '2' or True as indices
+        if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+            raise UsageError(f"variable index {i!r} is not an integer")
         if not 1 <= i <= domain.n:
             raise UsageError(f"variable index {i} out of range [1, {domain.n}]")
-    return T
+        out.add(int(i))
+    return out
 
 
-# A class over {0,1}^n has one member per index set T, and member t (the
-# bitmask of T) is row t of a table whose entry at (T, x) is a product over the
-# variables i of block[i in T][x_i], mapped to +-1 by scale * product + shift.
-# The whole table is the n-fold Kronecker power of the 2x2 block.
-_CLASS_BLOCKS = {
-    # prod_{i in T}(2 x_i - 1)
-    "parities": (((1.0, 1.0), (-1.0, 1.0)), 1.0, 0.0),
-    # product 1 iff x_i = 1 for all i in T
-    "conjunctions": (((1.0, 1.0), (0.0, 1.0)), 2.0, -1.0),
-    # product 1 iff x_i = 0 for all i in T, i.e. the disjunction is false
-    "disjunctions": (((1.0, 1.0), (1.0, 0.0)), -2.0, 1.0),
+# A class over {0,1}^n has one member per index set T; member t (the bitmask of
+# T) is row t of its table.  In the +-1 domain, with literal lit_i = +1 iff
+# x_i = 1, each member folds one op over the literals of T from a start row:
+# the product for parities, the minimum for conjunctions (+1 iff every x_i = 1)
+# and the maximum for disjunctions (+1 iff some x_i = 1).  So for t < 2^(i-1),
+# member t | 2^(i-1) is op(member t, lit_i): n doublings of the table, each
+# writing its new rows once from the old ones, fill the whole table in place.
+_CLASS_OPS = {
+    "parities": (np.multiply, 1.0),
+    "conjunctions": (np.minimum, 1.0),
+    "disjunctions": (np.maximum, -1.0),
 }
 
 
-def _class_table(kind, n, T=None):
-    """Read-only +-1 table of class `kind` over n variables: all 2^n members
-    in order, or (T given) the single row of index set T."""
-    block, scale, shift = _CLASS_BLOCKS[kind]
-    block = np.array(block)
-    out = np.ones((1, 1))
+def _literal(n, i):
+    """+-1 row of variable i over {0,1}^n: +1 iff x_i = 1."""
+    return np.where(np.arange(1 << n) >> (i - 1) & 1, 1.0, -1.0)
+
+
+def _class_table(kind, n):
+    """Read-only +-1 table of class `kind` over n variables, all 2^n members in order."""
+    op, start = _CLASS_OPS[kind]
+    out = np.empty((1 << n, 1 << n))
+    out[0] = start
     for i in range(1, n + 1):
-        # variable i goes on the high bit of both the row and the column index
-        out = np.kron(block if T is None else block[[int(i in T)]], out)
-    if (scale, shift) != (1.0, 0.0):  # parities are +-1 already; skip two passes
-        out *= scale
-        out += shift
+        m = 1 << (i - 1)
+        op(out[:m], _literal(n, i), out=out[m:2 * m])
     out.flags.writeable = False
     return out
 
 
+def _class_member(kind, domain, T):
+    """BoolFn of the one member of class `kind` with index set T."""
+    op, start = _CLASS_OPS[kind]
+    row = np.full(domain.size, start)
+    for i in _index_set(domain, T):
+        op(row, _literal(domain.n, i), out=row)
+    row.flags.writeable = False
+    return BoolFn(domain, row)
+
+
 def make_parity(domain, T):
     """chi_T(x) = prod_{i in T}(2*x_i - 1); empty T gives the constant +1."""
-    return BoolFn(domain, _class_table("parities", domain.n, _index_set(domain, T))[0])
+    return _class_member("parities", domain, T)
 
 
 def make_conjunction(domain, T):
     """+1 iff x_i = 1 for all i in T; empty T gives the constant +1."""
-    return BoolFn(domain, _class_table("conjunctions", domain.n, _index_set(domain, T))[0])
+    return _class_member("conjunctions", domain, T)
 
 
 def make_disjunction(domain, T):
     """+1 iff x_i = 1 for some i in T; empty T gives the constant -1."""
-    return BoolFn(domain, _class_table("disjunctions", domain.n, _index_set(domain, T))[0])
+    return _class_member("disjunctions", domain, T)
 
 
 def _make_class(kind, n):

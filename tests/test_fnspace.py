@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +173,21 @@ def test_index_set_validation():
         make_parity(d, [4])
 
 
+@pytest.mark.parametrize("bad", [1.7, math.nan, math.inf, "2", True, np.float64(2.0), np.bool_(True)],
+                         ids=repr)
+@pytest.mark.parametrize("build", [make_parity, make_conjunction, make_disjunction])
+def test_index_set_rejects_non_integer_indices(build, bad):
+    with pytest.raises(UsageError, match=f"index {re.escape(repr(bad))} is not an integer"):
+        build(Domain(3), [1, bad])
+
+
+def test_index_set_takes_numpy_integers_and_duplicates():
+    d = Domain(3)
+    want = make_parity(d, [1, 3]).values.tobytes()
+    assert make_parity(d, [np.int64(3), np.uint8(1)]).values.tobytes() == want
+    assert make_parity(d, (i for i in [3, 1, 3])).values.tobytes() == want
+
+
 def test_class_constructors_sizes():
     for n in (1, 2, 3):
         assert len(parity_class(n)) == 2**n
@@ -199,6 +216,59 @@ def test_class_builders_match_their_definitions(n):
         assert got.tobytes() == want.tobytes()
         for T, row in zip(subsets, want):
             assert build_member(d, T).values.tobytes() == row.tobytes()
+
+
+# The Kronecker build that the doubling recurrence replaced, frozen here as a
+# byte-level reference: entry (T, x) is a product over the variables i of
+# block[i in T][x_i], mapped to +-1 by scale * product + shift.
+_KRON_BLOCKS = {
+    "parities": (((1.0, 1.0), (-1.0, 1.0)), 1.0, 0.0),
+    "conjunctions": (((1.0, 1.0), (0.0, 1.0)), 2.0, -1.0),
+    "disjunctions": (((1.0, 1.0), (1.0, 0.0)), -2.0, 1.0),
+}
+_BUILDERS = {
+    "parities": (parity_class, make_parity),
+    "conjunctions": (conjunction_class, make_conjunction),
+    "disjunctions": (disjunction_class, make_disjunction),
+}
+
+
+def _kron_reference(kind, n, T=None):
+    block, scale, shift = _KRON_BLOCKS[kind]
+    block = np.array(block)
+    out = np.ones((1, 1))
+    for i in range(1, n + 1):
+        out = np.kron(block if T is None else block[[int(i in T)]], out)
+    return out * scale + shift
+
+
+@pytest.mark.parametrize("n", [9, 10])
+@pytest.mark.parametrize("kind", sorted(_BUILDERS))
+def test_class_tables_are_byte_identical_to_the_kronecker_build(kind, n):
+    build_class, build_member = _BUILDERS[kind]
+    got = build_class(n).matrix
+    assert got.flags.c_contiguous and not got.flags.writeable
+    assert got.dtype == np.float64 and got.tobytes() == _kron_reference(kind, n).tobytes()
+    if n == 10:
+        rng = make_rng(20, 0, "test")
+        d = Domain(n)
+        for _ in range(8):
+            T = [i for i in range(1, n + 1) if rng.random() < 0.5]
+            row = build_member(d, T).values
+            assert row.tobytes() == _kron_reference(kind, n, T)[0].tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_BUILDERS))
+def test_class_build_allocates_little_beyond_its_table(kind):
+    # the table itself is 8*4^n bytes; the Kronecker build peaked at 1.27x that
+    build_class, _ = _BUILDERS[kind]
+    tracemalloc.start()
+    try:
+        build_class(10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 8 * 4 ** 10
 
 
 def _text(table):
