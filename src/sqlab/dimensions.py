@@ -31,7 +31,6 @@ from .fnspace import (
     ATOL,
     Domain,
     FnSet,
-    RealFn,
     dist_uniform,
     disagreement,
     l1_distance,
@@ -142,10 +141,10 @@ def _check_pairwise(absgram, witness, threshold):
             f"{absgram[idx[a], idx[b]]}, over threshold {threshold}")
 
 
-def sq_dim(f, d, mode="exact", cap=EXACT_CAP):
+def sq_dim(f, d, mode="exact"):
     """Largest d with d functions pairwise |<.,.>_D| <= 1/d.
 
-    `f` is an FnSet.  Exact mode takes at most `cap` functions and scans
+    `f` is an FnSet.  Exact mode takes at most EXACT_CAP functions and scans
     candidate values downward from |f|.  A value is skipped when fewer than
     cand functions keep cand - 1 others within 1/cand; otherwise
     max_clique, with its bound seeded at cand - 1, asks whether the
@@ -165,8 +164,8 @@ def sq_dim(f, d, mode="exact", cap=EXACT_CAP):
         return DimReport(0, certainty, [], {"mode": mode})
     absgram = _abs_gram(f, d)
     if mode == "exact":
-        if k > cap:
-            raise UsageError(f"exact mode handles at most {cap} functions, got {k}")
+        if k > EXACT_CAP:
+            raise UsageError(f"exact mode handles at most {EXACT_CAP} functions, got {k}")
         witness = [0]
         # a cand-clique needs cand rows with cand entries within 1/cand (the
         # diagonal's 0 and cand - 1 neighbours): with each row sorted, then
@@ -193,18 +192,6 @@ def sq_dim(f, d, mode="exact", cap=EXACT_CAP):
     value = len(witness)
     _check_pairwise(absgram, witness, 1.0 / value)
     return DimReport(value, certainty, witness, {"mode": mode})
-
-
-def extend_witness(f, d, witness, threshold):
-    """Greedily extend an index set to inclusion-maximal at a fixed threshold."""
-    absgram = _abs_gram(f, d)
-    out = list(witness)
-    for j in range(len(f)):
-        if j in out:
-            continue
-        if all(absgram[j, c] <= threshold + ATOL for c in out):
-            out.append(j)
-    return out
 
 
 def sqd_upper(f, d, gamma, pool):
@@ -299,16 +286,6 @@ def sq_sdim_estimate(c, d, eps, psi_family):
         best_witness,
         {"eps": eps, "psi_index": best_idx, "family_size": len(psi_family)},
     )
-
-
-def default_psi_family(c, rng, n_random=5):
-    """Zero, every class member, and a few random tables -- shift candidates."""
-    domain = c.domain
-    family = [RealFn(domain, np.zeros(domain.size))]
-    family.extend(RealFn(domain, row) for row in c.matrix)
-    for _ in range(n_random):
-        family.append(RealFn(domain, rng.uniform(-1.0, 1.0, domain.size)))
-    return family
 
 
 def parity_witness(n, k, gamma_target=None):

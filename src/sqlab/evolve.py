@@ -75,14 +75,6 @@ def lperf(loss, f, phi, d):
     return _fitness(loss, loss.table(f.values, phi.values[None]), d.weights)[0]
 
 
-def empirical_lperf(loss, f, phi, d, s, rng):
-    """Fitness from s seeded i.i.d. draws (via multinomial point counts)."""
-    if s < 1:
-        raise UsageError(f"sample size must be >= 1, got {s}")
-    counts = rng.multinomial(s, d.weights).astype(np.float64)
-    return _fitness(loss, loss.table(f.values, phi.values[None]), counts, s)[0]
-
-
 class _Mutator:
     """A uniform draw from a neighbourhood of fixed height k, optionally lazy:
     a uniform neighbour or, with probability 1 - delta_self, the incumbent
@@ -143,8 +135,9 @@ class SelNBParams:
     s: Optional[int]  # None = exact fitness (the s -> infinity mode)
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise UsageError(f"tolerance t must be positive, got {self.t}")
+        # NaN fails the comparison too
+        if not 0 < self.t < math.inf:
+            raise UsageError(f"tolerance t must be positive and finite, got {self.t}")
         if self.p < 1:
             raise UsageError(f"pool size p must be >= 1, got {self.p}")
         if self.s is not None and self.s < 1:
@@ -385,10 +378,15 @@ def evolve_lsq_params(theta, eps, neigh_size):
     g = ceil(8/theta) generations, tolerance t = 3*theta/8, pool size
     p = ceil(neigh_size*ln(4g/eps)), sample size s = ceil(C_HOEFFDING/theta^2 *
     ln(8pg/eps)), laziness delta = eps/(2g).  Natural logarithms.  A theta
-    whose s passes MAX_SAMPLE is a usage error.
+    whose s passes MAX_SAMPLE is a usage error, and so is any value outside
+    0 < theta <= eps <= 1 (NaN included); theta in (eps, 1] is a
+    ThetaExceedsEpsError.
     """
-    if theta <= 0:
-        raise UsageError(f"theta must be positive, got {theta}")
+    # NaN fails every comparison
+    if not 0 < eps <= 1:
+        raise UsageError(f"eps must be in (0, 1], got {eps}")
+    if not 0 < theta <= 1:
+        raise UsageError(f"theta must be in (0, 1], got {theta}")
     if theta > eps:
         raise ThetaExceedsEpsError(
             f"theta={theta} exceeds eps={eps}; the gain parameter may be "

@@ -229,12 +229,6 @@ def inner_product(phi, psi, d):
     return float(np.dot(phi.values * d.weights, psi.values))
 
 
-def norm(phi, d):
-    """||phi||_D = sqrt(E_D[phi^2])."""
-    _check_domains(d, phi)
-    return float(np.sqrt(max(0.0, inner_product(phi, phi, d))))
-
-
 def disagreement(f, g, d):
     """Pr_D[f != g]; satisfies <f,g>_D = 1 - 2*disagreement."""
     _check_domains(d, f, g)
@@ -247,13 +241,8 @@ def l1_distance(phi, psi, d):
     return float(np.dot(d.weights, np.abs(phi.values - psi.values)))
 
 
-def project_unit(values, domain=None):
-    """Pointwise clamp into [-1, 1] (idempotent)."""
-    if isinstance(values, (RealFn, BoolFn)):
-        domain = values.domain
-        values = values.values
-    if domain is None:
-        raise UsageError("project_unit needs a domain for a raw table")
+def project_unit(values, domain):
+    """RealFn of the table `values` clamped pointwise into [-1, 1] (idempotent)."""
     return RealFn(domain, np.clip(np.asarray(values, dtype=np.float64), -1.0, 1.0))
 
 
@@ -366,20 +355,8 @@ def random_real_fn(domain, rng):
     return RealFn(domain, rng.uniform(-1.0, 1.0, domain.size))
 
 
-def random_bool_fn(domain, rng):
-    return BoolFn(domain, np.where(rng.random(domain.size) < 0.5, -1.0, 1.0))
-
-
 # ---------------------------------------------------------------------------
-# text serialization: one line per point, "bitstring value"
-
-
-def _table_to_text(dom, table):
-    return "\n".join(f"{dom.bitstring(p)} {table[p]:.17g}" for p in range(dom.size)) + "\n"
-
-
-def fn_to_text(fn):
-    return _table_to_text(fn.domain, fn.values)
+# distribution text: one line per point, "bitstring weight"
 
 
 def dist_to_text(d):
@@ -387,46 +364,13 @@ def dist_to_text(d):
 
     The round trip through dist_from_text is not bit-exact; see there.
     """
-    return _table_to_text(d.domain, d.weights)
-
-
-def _table_from_text(text):
-    rows = {}
-    n = None
-    for line in text.split("\n"):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        bits, _, val = line.partition(" ")
-        if n is None:
-            n = len(bits)
-        try:
-            rows[bits] = float(val)
-        except ValueError as e:
-            raise UsageError(f"bad table line {line!r}: {e}") from e
-    if n is None:
-        raise UsageError("empty function text")
-    dom = Domain(n)
-    if len(rows) != dom.size:
-        raise UsageError(f"expected {dom.size} points for n={n}, got {len(rows)}")
-    vals = np.empty(dom.size)
-    for bits, v in rows.items():
-        vals[dom.point_index(bits)] = v
-    return dom, vals
-
-
-def real_fn_from_text(text):
-    dom, vals = _table_from_text(text)
-    return RealFn(dom, vals)
-
-
-def bool_fn_from_text(text):
-    dom, vals = _table_from_text(text)
-    return BoolFn(dom, vals)
+    dom, w = d.domain, d.weights
+    return "\n".join(f"{dom.bitstring(p)} {w[p]:.17g}" for p in range(dom.size)) + "\n"
 
 
 def dist_from_text(text):
-    """Dist of `bitstring weight` lines.
+    """Dist of `bitstring weight` lines; blank lines and # comments are skipped,
+    and a point given twice is a usage error.
 
     Like every Dist, the weights read are divided by their floating-point sum,
     which for weights written by dist_to_text lies within about 2^n ulp of 1.
@@ -434,5 +378,25 @@ def dist_from_text(text):
     written, not bit for bit; distributions from dist_random come back within
     2 ulp, and about one in ten moves at all.
     """
-    dom, vals = _table_from_text(text)
-    return Dist(dom, vals)
+    rows = {}  # bitstring -> (line number, weight)
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        bits, _, val = line.partition(" ")
+        if bits in rows:
+            raise UsageError(f"point {bits} on line {lineno} is given already on "
+                             f"line {rows[bits][0]}")
+        try:
+            rows[bits] = lineno, float(val)
+        except ValueError as e:
+            raise UsageError(f"bad distribution line {line!r}: {e}") from e
+    if not rows:
+        raise UsageError("empty distribution text")
+    dom = Domain(len(next(iter(rows))))
+    if len(rows) != dom.size:
+        raise UsageError(f"expected {dom.size} points for n={dom.n}, got {len(rows)}")
+    weights = np.empty(dom.size)
+    for bits, (_, w) in rows.items():
+        weights[dom.point_index(bits)] = w
+    return Dist(dom, weights)

@@ -93,7 +93,12 @@ class SQOracle:
             raise DomainMismatchError("target and distribution must share a domain")
         if mode not in MODES:
             raise UsageError(f"oracle mode must be one of {MODES}, got {mode!r}")
-        if mode == "empirical" and not sample_size:
+        if sample_size is not None and (
+                not isinstance(sample_size, (int, np.integer)) or isinstance(sample_size, bool)
+                or sample_size < 1):
+            # a float size would divide integer counts, a bool would pass as 1
+            raise UsageError(f"sample_size must be an integer >= 1, got {sample_size!r}")
+        if mode == "empirical" and sample_size is None:
             raise UsageError("empirical mode needs a sample_size")
         self.target = target
         self.dist = dist

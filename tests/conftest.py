@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sqlab.fnspace import Domain, dist_uniform
+from sqlab.fnspace import ATOL, BoolFn, Domain, dist_uniform
 from sqlab.rng import make_rng
 
 
@@ -18,6 +18,23 @@ def uniform3(domain3):
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)
+
+
+def random_bool_fn(domain, rng):
+    """A uniform random +-1 table: each point -1 with probability 1/2."""
+    return BoolFn(domain, np.where(rng.random(domain.size) < 0.5, -1.0, 1.0))
+
+
+def greedy_extension(fs, d, witness, threshold):
+    """`witness` extended in row order by each row of the FnSet `fs` whose
+    |correlation| under `d` with every row taken so far is within `threshold`:
+    an index set inclusion-maximal at that threshold."""
+    absgram = np.abs((fs.matrix * d.weights) @ fs.matrix.T)
+    out = list(witness)
+    for j in range(len(fs)):
+        if j not in out and all(absgram[j, c] <= threshold + ATOL for c in out):
+            out.append(j)
+    return out
 
 
 def _cell_mean(pos, neg, y, w):

@@ -10,7 +10,6 @@ import pytest
 
 from sqlab import harness
 from sqlab.dimensions import (
-    extend_witness,
     parity_witness,
     shifted_set,
     sq_dim,
@@ -35,7 +34,6 @@ from sqlab.fnspace import (
     make_disjunction,
     make_parity,
     parity_class,
-    random_bool_fn,
     random_real_fn,
     sign_of,
 )
@@ -48,6 +46,8 @@ from sqlab.sqcore import (
     gpsi_generator,
     projected_learner,
 )
+
+from conftest import greedy_extension, random_bool_fn
 
 
 def _report(num, ok, detail):
@@ -297,7 +297,7 @@ def test_criterion_08_witness_pool_covers_the_shifted_set():
                 if best is None or rep.value > best[1].value:
                     best = (fs, rep)
             fs, rep = best
-            ext = extend_witness(fs, u, rep.witness, 1.0 / rep.value)
+            ext = greedy_extension(fs, u, rep.witness, 1.0 / rep.value)
             d = len(ext)
             cover = sqd_upper(fs, u, 1.0 / (2 * d), _half_pool(fs, ext))
             assert cover.value <= d

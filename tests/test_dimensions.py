@@ -5,11 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlab import make_rng
 from sqlab.dimensions import (
     DimReport,
-    default_psi_family,
-    extend_witness,
     max_clique,
     parity_witness,
     shifted_set,
@@ -29,12 +26,13 @@ from sqlab.fnspace import (
     conjunction_class,
     dist_random,
     dist_uniform,
-    norm,
     parity_class,
-    random_bool_fn,
     random_real_fn,
     sign_of,
 )
+from sqlab.rng import make_rng
+
+from conftest import greedy_extension, random_bool_fn
 
 
 def _half_pool(fs, idx):
@@ -107,20 +105,6 @@ def test_sq_dim_exact_cap(uniform3, domain3):
     with pytest.raises(UsageError):
         sq_dim(_fnset(fns), uniform3, mode="exact")
     sq_dim(_fnset(fns), uniform3, mode="greedy")  # no cap
-
-
-def test_extend_witness_is_inclusion_maximal(domain3, uniform3):
-    fs = FnSet(domain3, conjunction_class(3).matrix)
-    rep = sq_dim(fs, uniform3)
-    thr = 1.0 / rep.value
-    ext = extend_witness(fs, uniform3, rep.witness, thr)
-    assert set(rep.witness) <= set(ext)
-    absgram = np.abs(fs.matrix * uniform3.weights @ fs.matrix.T)
-    np.fill_diagonal(absgram, 0.0)
-    for j in range(len(fs)):
-        if j in ext:
-            continue
-        assert any(absgram[j, c] > thr for c in ext)
 
 
 def test_sqd_upper_parities_cover_only_themselves(domain3, uniform3):
@@ -208,7 +192,9 @@ def test_sq_sdim_estimate_zero_family(domain3, uniform3):
 def test_sq_sdim_estimate_monotone_in_family(domain3, uniform3):
     cclass = parity_class(3)
     rng = make_rng(5, 0, "psi")
-    family = default_psi_family(cclass, rng, n_random=3)
+    # shift candidates: zero, every class member, and three random tables
+    family = [RealFn(domain3, np.zeros(8))] + [RealFn(domain3, row) for row in cclass.matrix]
+    family += [RealFn(domain3, rng.uniform(-1.0, 1.0, 8)) for _ in range(3)]
     small = sq_sdim_estimate(cclass, uniform3, 0.1, family[:2])
     big = sq_sdim_estimate(cclass, uniform3, 0.1, family)
     assert big.value >= small.value
@@ -253,7 +239,7 @@ def test_duality_cover_on_maximizer(uniform3, domain3):
         if best is None or rep.value > best[1].value:
             best = (fs, rep)
     fs, rep = best
-    ext = extend_witness(fs, uniform3, rep.witness, 1.0 / rep.value)
+    ext = greedy_extension(fs, uniform3, rep.witness, 1.0 / rep.value)
     d = len(ext)
     cover = sqd_upper(fs, uniform3, 1.0 / (2 * d), _half_pool(fs, ext))
     assert cover.value <= d

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlab import make_rng
 from sqlab.errors import ThetaExceedsEpsError, UsageError
 from sqlab.evolve import (
     BLOCK,
@@ -21,7 +20,6 @@ from sqlab.evolve import (
     disjunction_lsq_params,
     disjunction_mutator,
     disjunction_params,
-    empirical_lperf,
     evolve_lsq_params,
     evolve_run,
     evolve_streams,
@@ -40,11 +38,12 @@ from sqlab.fnspace import (
     dist_random,
     dist_uniform,
     make_disjunction,
-    norm,
-    random_bool_fn,
     random_real_fn,
 )
+from sqlab.rng import make_rng
 from sqlab.sqcore import ExhaustiveCSQ, build_gpsi
+
+from conftest import random_bool_fn
 
 
 def test_loss_tables_and_spans():
@@ -73,30 +72,6 @@ def test_lperf_quadratic_distance_identity(domain3, uniform3):
         gap = 2.0 * (1.0 - lperf(QUADRATIC, f, phi, uniform3))
         diff = f.values - phi.values
         assert gap == pytest.approx(float(uniform3.weights @ (diff * diff)), abs=1e-12)
-
-
-def test_empirical_lperf_exact_on_perfect_fit(domain3, uniform3):
-    f = random_bool_fn(domain3, make_rng(3, 0, "f"))
-    v = empirical_lperf(QUADRATIC, f, f, uniform3, 100, make_rng(0, 0, "s"))
-    assert v == pytest.approx(1.0)
-    with pytest.raises(UsageError):
-        empirical_lperf(QUADRATIC, f, f, uniform3, 0, make_rng(0, 0, "s"))
-
-
-def test_empirical_lperf_concentrates(domain3, uniform3):
-    rng = make_rng(4, 0, "f")
-    f = random_bool_fn(domain3, rng)
-    phi = random_real_fn(domain3, rng)
-    want = lperf(QUADRATIC, f, phi, uniform3)
-    vals = [
-        empirical_lperf(QUADRATIC, f, phi, uniform3, 10_000, make_rng(s, 0, "e"))
-        for s in range(50)
-    ]
-    assert empirical_lperf(
-        QUADRATIC, f, phi, uniform3, 10_000, make_rng(1, 0, "e")
-    ) == vals[1]  # seeded draws are reproducible
-    assert abs(np.mean(vals) - want) < 0.01
-    assert max(abs(v - want) for v in vals) < 0.1
 
 
 def _draws(mut, params, d, seed):
@@ -628,6 +603,19 @@ def test_evolve_lsq_params_arithmetic():
     for theta in (1e-8, 1e-200, 5e-324):
         with pytest.raises(UsageError, match=f"theta={theta} gives a fitness sample size"):
             evolve_lsq_params(theta, 0.5, neigh_size=5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, 2.0])
+def test_evolve_parameters_reject_non_finite_and_out_of_range_values(bad):
+    # 0 < theta <= eps <= 1 and 0 < t < inf: NaN used to reach math.ceil as a
+    # bare ValueError, and with t = NaN every step bottomed
+    with pytest.raises(UsageError, match="theta must be in"):
+        evolve_lsq_params(bad, 0.1, 5)
+    with pytest.raises(UsageError, match="eps must be in"):
+        evolve_lsq_params(0.01, bad, 5)
+    if bad != 2.0:  # a tolerance of 2 is valid
+        with pytest.raises(UsageError, match="tolerance t must be positive and finite"):
+            SelNBParams(QUADRATIC, t=bad, p=10, s=None)
 
 
 @pytest.mark.parametrize("n, eps, theta", [(3, 0.5, None), (4, 0.2, None), (5, 0.3, 0.001)])

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlab import make_rng
 from sqlab.errors import DomainMismatchError, UsageError
 from sqlab.fnspace import (
     BoolFn,
@@ -16,7 +15,6 @@ from sqlab.fnspace import (
     Domain,
     FnSet,
     RealFn,
-    bool_fn_from_text,
     conjunction_class,
     disagreement,
     disjunction_class,
@@ -24,22 +22,21 @@ from sqlab.fnspace import (
     dist_random,
     dist_to_text,
     dist_uniform,
-    fn_to_text,
     inner_product,
     l1_distance,
     make_conjunction,
     make_disjunction,
     make_parity,
-    norm,
     parity_class,
     project_unit,
-    random_bool_fn,
     random_real_fn,
-    real_fn_from_text,
     sign_of,
 )
 from sqlab.oracles import SQOracle
+from sqlab.rng import make_rng
 from sqlab.sqcore import class_pool_generator, weak_agnostic_learner
+
+from conftest import random_bool_fn
 
 
 def test_domain_bitstring_roundtrip():
@@ -105,8 +102,9 @@ def test_norm_and_l1(domain3, uniform3):
     rng = make_rng(4, 0, "test")
     phi = random_real_fn(domain3, rng)
     psi = random_real_fn(domain3, rng)
-    assert norm(phi, uniform3) == pytest.approx(
-        np.sqrt(np.dot(uniform3.weights, phi.values**2)), abs=1e-12
+    # the squared D-norm of phi is <phi, phi>_D
+    assert inner_product(phi, phi, uniform3) == pytest.approx(
+        np.dot(uniform3.weights, phi.values**2), abs=1e-12
     )
     assert l1_distance(phi, psi, uniform3) == pytest.approx(
         np.dot(uniform3.weights, np.abs(phi.values - psi.values)), abs=1e-12
@@ -127,7 +125,7 @@ def test_project_unit_and_sign(domain3):
     np.testing.assert_array_equal(
         proj.values, np.array([-1.0, -1.0, -0.2, 0.0, 0.4, 1.0, 1.0, 1.0])
     )
-    again = project_unit(proj)
+    again = project_unit(proj.values, domain3)
     np.testing.assert_array_equal(again.values, proj.values)
     s = sign_of(proj)
     np.testing.assert_array_equal(
@@ -142,7 +140,7 @@ def test_project_unit_is_idempotent(n, data):
                              min_size=1 << n, max_size=1 << n))
     once = project_unit(np.array(raw), Domain(n))
     assert np.all(np.abs(once.values) <= 1.0)
-    assert project_unit(once).values.tobytes() == once.values.tobytes()
+    assert project_unit(once.values, Domain(n)).values.tobytes() == once.values.tobytes()
 
 
 def test_parity_truth_table():
@@ -289,7 +287,6 @@ _TABLE_CONSTRUCTORS = {
     "Dist": (_weights, lambda t: Dist(Domain(3), t)),
     "dist_from_text": (_weights, lambda t: dist_from_text(_text(t))),
     "RealFn": (lambda t: t, lambda t: RealFn(Domain(3), t)),
-    "real_fn_from_text": (lambda t: t, lambda t: real_fn_from_text(_text(t))),
     "BoolFn": (_pm1, lambda t: BoolFn(Domain(3), t)),
     "FnSet": (lambda t: 2 * t, lambda t: FnSet(Domain(3), [t])),
 }
@@ -347,21 +344,6 @@ def test_dist_random_deterministic(domain3):
     assert dist_uniform(domain3).weights[0] == pytest.approx(0.125)
 
 
-_edge_values = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-310, -1.0, 1.0])
-
-
-@settings(max_examples=100, deadline=None)
-@given(n=st.integers(1, 4), data=st.data())
-def test_real_fn_text_roundtrip_is_exact(n, data):
-    # .17g keeps every bit of a finite double, -0.0 and subnormals included
-    value = st.one_of(st.floats(-1.0, 1.0), _edge_values)
-    table = np.array(data.draw(st.lists(value, min_size=1 << n, max_size=1 << n)))
-    phi = RealFn(Domain(n), table)
-    back = real_fn_from_text(fn_to_text(phi))
-    assert back.domain == phi.domain
-    assert back.values.tobytes() == table.tobytes()
-
-
 def test_dist_text_roundtrip_is_within_the_documented_bound():
     domain = Domain(4)
     moved = 0
@@ -384,16 +366,22 @@ def test_text_lines_split_at_newline_only():
 
 def test_text_roundtrips(domain3):
     rng = make_rng(5, 0, "test")
-    phi = random_real_fn(domain3, rng)
-    assert real_fn_from_text(fn_to_text(phi)) == phi
-    f = random_bool_fn(domain3, rng)
-    assert bool_fn_from_text(fn_to_text(f)) == f
     d = dist_random(domain3, rng)
     got = dist_from_text(dist_to_text(d))
     np.testing.assert_allclose(got.weights, d.weights, atol=1e-12)
     with pytest.raises(UsageError):
-        real_fn_from_text("1 2 3")  # malformed value field
+        dist_from_text("1 2 3")  # malformed value field
     with pytest.raises(UsageError):
-        real_fn_from_text("00 0.5\n01 0.5\n10 0.5")  # missing a point
+        dist_from_text("00 0.5\n01 0.25\n10 0.25")  # missing a point
     with pytest.raises(UsageError):
-        real_fn_from_text("# nothing\n")
+        dist_from_text("# nothing\n")
+
+
+def test_dist_text_rejects_a_repeated_point():
+    # the last line would overwrite the first: 00's 0.7 would read as 0.25
+    text = "00 0.7\n10 0.25\n01 0.25\n11 0.25\n00 0.25\n"
+    with pytest.raises(UsageError, match="^point 00 on line 5 is given already on line 1$"):
+        dist_from_text(text)
+    # a comment line counts toward the line numbers
+    with pytest.raises(UsageError, match="^point 11 on line 5 is given already on line 3$"):
+        dist_from_text("# w\n00 0.25\n11 0.25\n10 0.25\n11 0.25\n01 0.25\n")

@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sqlab
-from sqlab import cli, harness, make_rng, sqcore
+from sqlab import cli, harness, sqcore
 from sqlab.errors import InvariantBreachError, UsageError
 from sqlab.fnspace import (MAX_CLASS_N, Domain, conjunction_class, dist_random, dist_to_text,
                            parity_class, random_real_fn)
 from sqlab.oracles import SQOracle
+from sqlab.rng import make_rng
 
 
 def _cfg(**kw):
@@ -386,6 +387,16 @@ def test_a_distribution_file_over_another_n_is_a_usage_error(tmp_path, command):
     same = CliRunner().invoke(cli.main, [command, "--n", "3", "--dist", f"file:{path}",
                                          "--out", str(tmp_path / "o")])
     assert same.exit_code == 0, same.output
+
+
+def test_a_distribution_file_that_repeats_a_point_is_a_usage_error(tmp_path):
+    path = tmp_path / "d2.txt"
+    path.write_text("00 0.7\n10 0.25\n01 0.25\n11 0.25\n00 0.25\n")
+    out = CliRunner().invoke(cli.main, ["learn", "--n", "2", "--dist", f"file:{path}",
+                                        "--out", str(tmp_path / "o")])
+    assert out.exit_code == 1 and isinstance(out.exception, SystemExit), out.output
+    assert out.output == "usage error: point 00 on line 5 is given already on line 1\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("workers", [1, 2])

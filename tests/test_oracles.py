@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlab import make_rng
 from sqlab.errors import (
     DomainMismatchError,
     InvalidToleranceError,
@@ -19,10 +18,12 @@ from sqlab.fnspace import (
     dist_uniform,
     inner_product,
     l1_distance,
-    random_bool_fn,
     random_real_fn,
 )
 from sqlab.oracles import MODES, SQOracle, decompose
+from sqlab.rng import make_rng
+
+from conftest import random_bool_fn
 
 
 def _setup(n=3, seed=0):
@@ -124,8 +125,21 @@ def test_empirical_mode_requires_sample_size():
     _, target, dist, _ = _setup()
     with pytest.raises(UsageError):
         SQOracle(target, dist, mode="empirical")
+    for size in (1, np.int64(7), np.uint8(7)):  # numpy integers are sizes too
+        orc = SQOracle(target, dist, mode="empirical", seed=3, sample_size=size)
+        assert orc.query(target.values[None], 0.05)[0] == 1.0  # every draw agrees
     with pytest.raises(UsageError):
         SQOracle(target, dist, mode="psychic")
+
+
+@pytest.mark.parametrize("size", [2.5, 2.0, 0, -3, True, np.True_, "2", np.float64(4.0)])
+def test_sample_size_must_be_an_integer_of_at_least_one(size):
+    # a float size would divide the counts of int(size) draws by size: at 2.5,
+    # 2 draws read +-0.8 where the truth is +-1
+    _, target, dist, _ = _setup()
+    for mode in MODES:
+        with pytest.raises(UsageError, match="sample_size must be an integer >= 1"):
+            SQOracle(target, dist, mode=mode, sample_size=size)
 
 
 def test_query_log_and_audit():

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlab import make_rng
 from sqlab.errors import QueryBudgetError, UsageError
 from sqlab.fnspace import (
     BoolFn,
@@ -20,11 +19,11 @@ from sqlab.fnspace import (
     make_parity,
     parity_class,
     project_unit,
-    random_bool_fn,
     random_real_fn,
     sign_of,
 )
 from sqlab.oracles import MODES, SQOracle, decompose
+from sqlab.rng import make_rng
 from sqlab.sqcore import (
     ExhaustiveCSQ,
     SQAlgorithm,
@@ -36,6 +35,8 @@ from sqlab.sqcore import (
     run_with_oracle,
     weak_agnostic_learner,
 )
+
+from conftest import random_bool_fn
 
 
 def _single(f):
