@@ -2,7 +2,8 @@
 
 The central quantity is the largest d such that d of the supplied functions
 have pairwise |<f_i, f_j>_D| <= 1/d ("weak dimension", computed exactly via
-max-clique on a threshold graph, or greedily as a lower bound).  On top of it:
+max-clique on a threshold graph for up to EXACT_CAP functions, and greedily
+as a lower bound beyond).  On top of it:
 
 * greedy covering numbers (upper bounds on the size of a set of bounded
   functions gamma-correlating with every member);
@@ -141,31 +142,43 @@ def _check_pairwise(absgram, witness, threshold):
             f"{absgram[idx[a], idx[b]]}, over threshold {threshold}")
 
 
-def sq_dim(f, d, mode="exact"):
+def _greedy_witness(absgram):
+    """Rows inserted in set order while the largest pairwise correlation
+    stays within the tightened threshold 1/(size + 1): a lower bound."""
+    k = len(absgram)
+    chosen = np.zeros(k, dtype=bool)
+    chosen[0] = True
+    size, worst = 1, 0.0  # worst: largest |correlation| of two chosen rows
+    for j in range(1, k):
+        with_j = max(worst, absgram[j, :j].max(where=chosen[:j], initial=0.0))
+        if with_j <= 1.0 / (size + 1) + ATOL:
+            chosen[j] = True
+            size, worst = size + 1, with_j
+    return np.flatnonzero(chosen).tolist()
+
+
+def sq_dim(f, d):
     """Largest d with d functions pairwise |<.,.>_D| <= 1/d.
 
-    `f` is an FnSet.  Exact mode takes at most EXACT_CAP functions and scans
-    candidate values downward from |f|.  A value is skipped when fewer than
-    cand functions keep cand - 1 others within 1/cand; otherwise
-    max_clique, with its bound seeded at cand - 1, asks whether the
-    graph keeping edges with |correlation| <= 1/cand has a cand-clique.  On
-    random +-1 classes most such values are refuted by the colouring of
-    max_clique's root.  The scan stops at the first value that has one; the
-    witness is the first cand vertices of the clique found, the same clique
-    an unbounded search returns.  Greedy mode inserts functions in set order
-    while the largest pairwise correlation stays within the tightened
-    threshold, and is only a lower bound.
+    `f` is an FnSet.  A set of at most EXACT_CAP functions gets the exact
+    scan, which scans candidate values downward from |f|.  A value is
+    skipped when fewer than cand functions keep cand - 1 others within
+    1/cand; otherwise max_clique, with its bound seeded at cand - 1, asks
+    whether the graph keeping edges with |correlation| <= 1/cand has a
+    cand-clique.  On random +-1 classes most such values are refuted by the
+    colouring of max_clique's root.  The scan stops at the first value that
+    has one; the witness is the first cand vertices of the clique found, the
+    same clique an unbounded search returns.  A larger set gets
+    _greedy_witness, only a lower bound.  params["mode"] names the mode used.
     """
-    if mode not in ("exact", "greedy"):
-        raise UsageError(f"mode must be 'exact' or 'greedy', got {mode!r}")
-    certainty = "exact" if mode == "exact" else "lower-bound"
     k = len(f)
+    mode, certainty = ("exact", "exact") if k <= EXACT_CAP else ("greedy", "lower-bound")
     if k == 0:
         return DimReport(0, certainty, [], {"mode": mode})
     absgram = _abs_gram(f, d)
-    if mode == "exact":
-        if k > EXACT_CAP:
-            raise UsageError(f"exact mode handles at most {EXACT_CAP} functions, got {k}")
+    if mode == "greedy":
+        witness = _greedy_witness(absgram)
+    else:
         witness = [0]
         # a cand-clique needs cand rows with cand entries within 1/cand (the
         # diagonal's 0 and cand - 1 neighbours): with each row sorted, then
@@ -179,16 +192,6 @@ def sq_dim(f, d, mode="exact"):
             if size:
                 witness = list(verts[:cand])
                 break
-    else:
-        chosen = np.zeros(k, dtype=bool)
-        chosen[0] = True
-        size, worst = 1, 0.0  # worst: largest |correlation| of two chosen rows
-        for j in range(1, k):
-            with_j = max(worst, absgram[j, :j].max(where=chosen[:j], initial=0.0))
-            if with_j <= 1.0 / (size + 1) + ATOL:
-                chosen[j] = True
-                size, worst = size + 1, with_j
-        witness = np.flatnonzero(chosen).tolist()
     value = len(witness)
     _check_pairwise(absgram, witness, 1.0 / value)
     return DimReport(value, certainty, witness, {"mode": mode})
@@ -216,9 +219,8 @@ def sqd_upper(f, d, gamma, pool):
         counts = cov[:, uncovered].sum(axis=1)
         j = int(np.argmax(counts))
         if counts[j] == 0:
-            missing = [f.labels[i] for i in np.where(uncovered)[0]]
-            raise PoolInsufficientError(
-                f"pool cannot cover members {missing} at gamma={gamma}")
+            raise PoolInsufficientError(f"pool cannot cover rows "
+                                        f"{np.flatnonzero(uncovered).tolist()} at gamma={gamma}")
         chosen.append(j)
         uncovered &= ~cov[j]
     return DimReport(len(chosen), "upper-bound", chosen, {"gamma": gamma})
@@ -227,9 +229,10 @@ def sqd_upper(f, d, gamma, pool):
 def sqd_lower_scaling(f, d, m, M):
     """Covering lower bound for sets with norms in [m, M].
 
-    With dim the exact weak dimension, a set of functions gamma-correlating
-    with every member needs >= (dim*m^2)^(1/3)/2 members at
-    gamma = M*(dim*m^2)^(-1/3).
+    With dim the size of any verified weak-dimension witness (sq_dim's:
+    exact up to EXACT_CAP functions, greedy beyond), a set of functions
+    gamma-correlating with every member needs >= (dim*m^2)^(1/3)/2 members
+    at gamma = M*(dim*m^2)^(-1/3).
     """
     if not (M >= 1 >= m > 0):
         raise UsageError(f"need M >= 1 >= m > 0, got m={m}, M={M}")
@@ -238,9 +241,8 @@ def sqd_lower_scaling(f, d, m, M):
     norms = np.sqrt(np.maximum((f.matrix * f.matrix) @ d.weights, 0.0))
     for i, nm in enumerate(norms):
         if nm < m - ATOL or nm > M + ATOL:
-            raise NormRangeError(
-                f"member {f.labels[i]} has norm {nm}, outside [{m}, {M}]")
-    base = sq_dim(f, d, mode="exact")
+            raise NormRangeError(f"row {i} has norm {nm}, outside [{m}, {M}]")
+    base = sq_dim(f, d)
     scale = (base.value * m * m) ** (1.0 / 3.0)
     bound = scale / 2.0
     return DimReport(
@@ -252,7 +254,8 @@ def sqd_lower_scaling(f, d, m, M):
 
 
 def shifted_set(c, psi, d, eps):
-    """Members of c disagreeing with sign(psi) on > eps mass, shifted by -psi.
+    """(members of c disagreeing with sign(psi) on > eps mass, shifted by
+    -psi; the list of their row indices in c).
 
     May be empty (that is a signal, not an error).  Every member keeps norm
     >= sqrt(eps): each point of disagreement contributes at least 1 to the
@@ -262,24 +265,26 @@ def shifted_set(c, psi, d, eps):
         raise UsageError(f"eps must be in (0, 1), got {eps}")
     s = sign_of(psi).values
     far = np.flatnonzero([d.weights[row != s].sum() > eps for row in c.matrix])
-    return FnSet(psi.domain, c.matrix[far] - psi.values, labels=far.tolist())
+    return FnSet(psi.domain, c.matrix[far] - psi.values), far.tolist()
 
 
 def sq_sdim_estimate(c, d, eps, psi_family):
-    """Max over supplied psi of the shifted set's weak dimension (lower bound)."""
+    """Max over supplied psi of the shifted set's weak dimension: a lower
+    bound, as the size of any verified witness is; the witness is row
+    indices of c."""
     psi_family = list(psi_family)
     if not psi_family:
         raise UsageError("psi_family must be nonempty")
     best_value, best_idx, best_witness = 0, None, []
     for idx, psi in enumerate(psi_family):
-        fs = shifted_set(c, psi, d, eps)
+        fs, kept = shifted_set(c, psi, d, eps)
         if len(fs) == 0:
             continue
-        rep = sq_dim(fs, d, mode="exact")
+        rep = sq_dim(fs, d)
         if rep.value > best_value:
             best_value = rep.value
             best_idx = idx
-            best_witness = [fs.labels[j] for j in rep.witness]
+            best_witness = [kept[j] for j in rep.witness]
     return DimReport(
         best_value,
         "lower-bound",
@@ -288,13 +293,14 @@ def sq_sdim_estimate(c, d, eps, psi_family):
     )
 
 
-def parity_witness(n, k, gamma_target=None):
+def parity_witness(n, k):
     """All parities on 1..k of n variables, with their conjunction-distance check.
 
     Each parity chi_T sits at L1 distance exactly 1 - 2^(1-|T|) from the
     monotone conjunction on T (disagreement 1/2 - 2^(-|T|)), and distinct
     parities are orthogonal under uniform, so the whole set is its own
-    dimension witness: value = sum_{1<=i<=k} C(n, i).
+    dimension witness: value = sum_{1<=i<=k} C(n, i).  Every pair is checked
+    to correlate within ATOL of 0.
     """
     if k > n:
         raise UsageError(f"k must be at most n, got k={k} > n={n}")
@@ -322,9 +328,7 @@ def parity_witness(n, k, gamma_target=None):
     fs = FnSet(domain, rows)
     absgram = _abs_gram(fs, uniform)
     witness = list(range(len(fs)))
-    _check_pairwise(absgram, witness, 1.0 / len(fs))
-    if gamma_target is not None:
-        _check_pairwise(absgram, witness, gamma_target)
+    _check_pairwise(absgram, witness, 0.0)
     report = DimReport(
         len(fs),
         "exact",

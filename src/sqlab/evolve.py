@@ -1,8 +1,8 @@
 """Fitness-driven evolution of real-valued hypotheses.
 
-Fitness of phi against the Boolean ideal f is 1 - 2*E_D[L(f,phi)]/L(-1,1),
-so it lives in [-1,1] and equals 1 exactly at phi = f.  For quadratic loss,
-2*(1 - fitness) = ||f - phi||_D^2.
+Fitness of phi against the Boolean ideal f is 1 - 2*E_D[L(f,phi)]/L(-1,1)
+for the square loss L(y, z) = (y - z)^2, so it lives in [-1,1], equals 1
+exactly at phi = f, and 2*(1 - fitness) = ||f - phi||_D^2.
 
 Evolution works on raw value tables: the hypothesis is one length-2^n array,
 and a neighbourhood is one (k, 2^n) candidate table per generation.
@@ -33,46 +33,30 @@ from typing import Optional
 import numpy as np
 
 from .errors import ThetaExceedsEpsError, UsageError
-from .fnspace import Domain, sign_of
+from .fnspace import Domain, is_int, sign_of
 from .fnspace import project_unit  # noqa: F401 -- unused here; perfbench's tracer patches it
 from .rng import make_rng
 
 
-class Loss:
-    __slots__ = ("kind", "span")
-
-    def __init__(self, kind):
-        if kind not in ("linear", "quadratic"):
-            raise UsageError(f"loss kind must be linear or quadratic, got {kind!r}")
-        self.kind = kind
-        self.span = 2.0 if kind == "linear" else 4.0
-
-    def table(self, f_values, phi_values):
-        """The loss of each entry of phi_values against f_values, as a fresh array."""
-        diff = phi_values - f_values  # the one allocation; the loss is taken in place
-        return np.abs(diff, out=diff) if self.kind == "linear" else \
-            np.multiply(diff, diff, out=diff)
-
-    def __repr__(self):
-        return f"Loss({self.kind!r})"
+def _loss(f_values, phi_values):
+    """The square loss of each entry of phi_values against f_values, as a fresh array."""
+    diff = phi_values - f_values  # the one allocation; the loss is taken in place
+    return np.multiply(diff, diff, out=diff)
 
 
-LINEAR = Loss("linear")
-QUADRATIC = Loss("quadratic")
-
-
-def _fitness(loss, costs, weights, total=1):
+def _fitness(costs, weights, total=1):
     """Fitness of each loss row of `costs` scored against its own weight row
-    (or all against one weight vector): 1 - 2*<w, cost>/(total*span) as a
-    list.  np.vecdot sums each row as np.dot does, in one call.
+    (or all against one weight vector): 1 - 2*<w, cost>/(total*4) as a list,
+    4 being the square loss of -1 against 1.  np.vecdot sums each row as
+    np.dot does, in one call.
     """
-    scale = total * loss.span
+    scale = total * 4.0
     return [1.0 - 2.0 * x / scale for x in np.vecdot(weights, costs).tolist()]
 
 
-def lperf(loss, f, phi, d):
-    """Fitness 1 - 2*E_D[L(f, phi)]/span, in [-1, 1]."""
-    return _fitness(loss, loss.table(f.values, phi.values[None]), d.weights)[0]
+def lperf(f, phi, d):
+    """Fitness 1 - 2*E_D[(f - phi)^2]/4, in [-1, 1]."""
+    return _fitness(_loss(f.values, phi.values[None]), d.weights)[0]
 
 
 class _Mutator:
@@ -129,7 +113,6 @@ class StepMutator(_Mutator):
 
 @dataclass
 class SelNBParams:
-    loss: Loss
     t: float
     p: int
     s: Optional[int]  # None = exact fitness (the s -> infinity mode)
@@ -138,10 +121,11 @@ class SelNBParams:
         # NaN fails the comparison too
         if not 0 < self.t < math.inf:
             raise UsageError(f"tolerance t must be positive and finite, got {self.t}")
-        if self.p < 1:
-            raise UsageError(f"pool size p must be >= 1, got {self.p}")
-        if self.s is not None and self.s < 1:
-            raise UsageError(f"sample size s must be >= 1, got {self.s}")
+        # a float would divide the integer draw counts, a bool would pass as 1
+        if not (is_int(self.p) and self.p >= 1):
+            raise UsageError(f"pool size p must be an integer >= 1, got {self.p!r}")
+        if self.s is not None and not (is_int(self.s) and self.s >= 1):
+            raise UsageError(f"sample size s must be an integer >= 1, got {self.s!r}")
 
 
 STREAMS = ("mutate", "lazy", "fitness", "pick")
@@ -224,10 +208,10 @@ def selnb_step(params, f, d, a, phi, eps, draws):
     """
     counts, fitness, u = draws
     table = a.table(phi, eps)
-    loss, k = params.loss, a.k
-    costs = loss.table(f.values, table)
-    scores = _fitness(loss, costs, d.weights) if fitness is None else \
-        _fitness(loss, costs, fitness, params.s)
+    k = a.k
+    costs = _loss(f.values, table)
+    scores = _fitness(costs, d.weights) if fitness is None else \
+        _fitness(costs, fitness, params.s)
     width = table.shape[1] * table.itemsize
     raw = table.tobytes()
     mine = raw[k * width:]
@@ -303,8 +287,8 @@ def evolve_run(a, params, f, d, eps, g, r0, streams):
     if g < 1:
         raise UsageError(f"generation count must be >= 1, got {g}")
     phi = r0.values + 0.0  # + 0.0 turns -0.0 into 0.0, as a zero step row does
-    loss, w = params.loss, d.weights
-    start = lperf(loss, f, r0, d)
+    w = d.weights
+    start = lperf(f, r0, d)
     # the selected loss rows of up to one draw block, within BLOCK_BYTES as well:
     # _block_size bounds only the draw arrays
     block = max(1, min(_block_size(a, params, d), BLOCK_BYTES // (8 * len(phi)), g))
@@ -319,7 +303,7 @@ def evolve_run(a, params, f, d, eps, g, r0, streams):
                      "neut_count": info.neut_count})
         if nxt is None or i == block - 1 or gen == g:
             # the exact fitness of the block's selected rows, from one vecdot
-            for row, perf in zip(rows[gen - 1 - i:], _fitness(loss, chosen[:i + 1], w)):
+            for row, perf in zip(rows[gen - 1 - i:], _fitness(chosen[:i + 1], w)):
                 row["true_perf"] = perf
         if nxt is None:
             break
@@ -373,7 +357,7 @@ MAX_SAMPLE = 2 ** 63 - 1  # the largest s numpy's multinomial takes: an int64
 
 
 def evolve_lsq_params(theta, eps, neigh_size):
-    """Selection parameters for quadratic-loss evolution with gain theta.
+    """Selection parameters for square-loss evolution with gain theta.
 
     g = ceil(8/theta) generations, tolerance t = 3*theta/8, pool size
     p = ceil(neigh_size*ln(4g/eps)), sample size s = ceil(C_HOEFFDING/theta^2 *
@@ -407,7 +391,7 @@ def evolve_lsq_params(theta, eps, neigh_size):
                          f"numpy's multinomial takes (at most {MAX_SAMPLE})")
     t = 3.0 * theta / 8.0
     delta = eps / (2.0 * g)
-    return SelNBParams(QUADRATIC, t, p, s), g, delta
+    return SelNBParams(t, p, s), g, delta
 
 
 def disjunction_lsq_params(n, eps, theta=None):

@@ -16,7 +16,6 @@ Conventions fixed here and used everywhere downstream:
 import numpy as np
 
 from .errors import DomainMismatchError, UsageError
-from .rng import make_rng
 
 ATOL = 1e-12
 MAX_N = 20  # 2**20 doubles per function; exactness beats sparsity at desk scale
@@ -25,17 +24,23 @@ MAX_N = 20  # 2**20 doubles per function; exactness beats sparsity at desk scale
 MAX_CLASS_N = 14
 
 
+def is_int(x):
+    """Whether x is an integer: an int or a numpy integer, but not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 class Domain:
     """The hypercube {0,1}^n, points indexed 0 .. 2^n - 1."""
 
     __slots__ = ("n", "size")
 
     def __init__(self, n):
-        n = int(n)
+        if not is_int(n):  # int(n) would read 2.7 as 2 and True as 1
+            raise UsageError(f"domain size n must be an integer, got {n!r}")
         if not 1 <= n <= MAX_N:
             raise UsageError(f"domain size n must be in [1, {MAX_N}], got {n}")
-        self.n = n
-        self.size = 1 << n
+        self.n = int(n)
+        self.size = 1 << self.n
 
     def __eq__(self, other):
         return isinstance(other, Domain) and other.n == self.n
@@ -177,18 +182,18 @@ class FnSet:
     """Ordered set of real-valued functions over one domain.
 
     `matrix` is the only storage: a read-only (k, 2^n) table, row i the i-th
-    function; k may be 0.  `labels` name the rows in reports (default: the
-    row indices).  `sup` is the largest |entry| (0 for an empty set), measured
-    by the one scan a table from outside gets here: its shape and min/max,
-    which also rejects NaN and +-inf.  A built-in class skips the scan, its
-    table being +-1 by construction.  Indexing and iteration build the BoolFn
-    of a row on demand, so they hold for +-1 rows (a concept class).  Row
-    order is deterministic and defines tie-breaking downstream.
+    function; k may be 0.  `sup` is the largest |entry| (0 for an empty
+    set), measured by the one scan a table from outside gets here: its shape
+    and min/max, which also rejects NaN and +-inf.  A built-in class skips
+    the scan, its table being +-1 by construction.  Indexing and iteration
+    build the BoolFn of a row on demand, so they hold for +-1 rows (a concept
+    class).  Row order is deterministic and defines tie-breaking downstream;
+    reports name a row by its index.
     """
 
-    __slots__ = ("domain", "matrix", "labels", "sup")
+    __slots__ = ("domain", "matrix", "sup")
 
-    def __init__(self, domain, matrix, labels=None):
+    def __init__(self, domain, matrix):
         mat = _freeze(matrix)
         if mat.ndim != 2 or mat.shape[1] != domain.size:
             raise UsageError(
@@ -197,13 +202,12 @@ class FnSet:
         # min and max are NaN if any entry is, and NaN fails every comparison
         if not -np.inf < lo <= hi < np.inf:
             raise UsageError(f"function matrix entries must be finite, got [{lo}, {hi}]")
-        self._fill(domain, mat, max(-lo, hi), labels)
+        self._fill(domain, mat, max(-lo, hi))
 
-    def _fill(self, domain, matrix, sup, labels):
+    def _fill(self, domain, matrix, sup):
         self.domain = domain
         self.matrix = matrix
         self.sup = float(sup)
-        self.labels = list(labels) if labels is not None else list(range(len(matrix)))
 
     def __len__(self):
         return len(self.matrix)
@@ -256,7 +260,7 @@ def _index_set(domain, T):
     out = set()
     for i in T:
         # int(i) would read 1.7 as 1, and '2' or True as indices
-        if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+        if not is_int(i):
             raise UsageError(f"variable index {i!r} is not an integer")
         if not 1 <= i <= domain.n:
             raise UsageError(f"variable index {i} out of range [1, {domain.n}]")
@@ -322,7 +326,7 @@ def make_disjunction(domain, T):
 
 def _make_class(kind, n):
     cclass = FnSet.__new__(FnSet)  # no scan: _class_table is +-1 by construction
-    cclass._fill(Domain(n), _class_table(kind, n), 1.0, None)
+    cclass._fill(Domain(n), _class_table(kind, n), 1.0)
     return cclass
 
 
@@ -342,9 +346,8 @@ def dist_uniform(domain):
     return Dist(domain, np.full(domain.size, 1.0 / domain.size))
 
 
-def dist_random(domain, seed):
-    """I.i.d. exponential weights, normalized; deterministic in the seed."""
-    rng = seed if isinstance(seed, np.random.Generator) else make_rng(seed, purpose="dist")
+def dist_random(domain, rng):
+    """I.i.d. exponential weights, normalized; deterministic in the Generator's state."""
     w = rng.exponential(1.0, domain.size)
     w = np.maximum(w, 1e-300)
     return Dist(domain, w / w.sum())

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dimensions import EXACT_CAP, sq_dim
+from .dimensions import sq_dim
 from .errors import InvariantBreachError, UsageError
 from .evolve import (disjunction_lsq_params, disjunction_mutator, disjunction_params, evolve_run,
                      evolve_streams)
@@ -344,7 +344,10 @@ def _build_dist(cfg, domain, master, k):
     if cfg.dist.startswith("random:"):
         return dist_random(domain, make_rng(int(cfg.dist.split(":", 1)[1]), 0, "dist"))
     path = cfg.dist.split(":", 1)[1]
-    dist = dist_from_text(Path(path).read_text())
+    try:
+        dist = dist_from_text(Path(path).read_text())
+    except UsageError as e:
+        raise UsageError(f"distribution file {path}: {e}") from None
     if dist.domain != domain:
         raise UsageError(f"distribution file {path} has n={dist.domain.n}, but --n is {domain.n}")
     return dist
@@ -435,7 +438,7 @@ def _dim_one(cfg, k, master):
     domain = Domain(cfg.n)
     cclass = _build_class(cfg, domain)
     dist = _build_dist(cfg, domain, master, k)
-    report = sq_dim(cclass, dist, mode="exact" if len(cclass) <= EXACT_CAP else "greedy")
+    report = sq_dim(cclass, dist)
     rec = report.as_record()
     rec["witness"] = " ".join(str(i) for i in rec["witness"])
     rec["params"] = json.dumps(rec["params"], sort_keys=True).replace(",", ";")

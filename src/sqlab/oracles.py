@@ -31,7 +31,7 @@ from .errors import (
     QueryRangeError,
     UsageError,
 )
-from .fnspace import ATOL
+from .fnspace import ATOL, is_int
 from .rng import make_rng
 
 MODES = ("exact", "grid_adversary", "noisy", "empirical", "liar")
@@ -68,7 +68,6 @@ def _joint(w, y):
 
 @dataclass
 class LogEntry:
-    kind: str
     tau: float
     value: float
     true_value: float
@@ -93,9 +92,7 @@ class SQOracle:
             raise DomainMismatchError("target and distribution must share a domain")
         if mode not in MODES:
             raise UsageError(f"oracle mode must be one of {MODES}, got {mode!r}")
-        if sample_size is not None and (
-                not isinstance(sample_size, (int, np.integer)) or isinstance(sample_size, bool)
-                or sample_size < 1):
+        if sample_size is not None and not (is_int(sample_size) and sample_size >= 1):
             # a float size would divide integer counts, a bool would pass as 1
             raise UsageError(f"sample_size must be an integer >= 1, got {sample_size!r}")
         if mode == "empirical" and sample_size is None:
@@ -135,7 +132,7 @@ class SQOracle:
     def query_log(self):
         """One LogEntry per answered query, in answer order (built on each access)."""
         probabilistic = self.mode == "empirical"
-        return [LogEntry("correlational", tau, float(v), float(t), probabilistic)
+        return [LogEntry(tau, float(v), float(t), probabilistic)
                 for tau, values, truth in self._batches
                 for v, t in zip(values, truth)]
 

@@ -195,7 +195,7 @@ def _first_hit(mat, values, v, threshold):
     return None, None
 
 
-def projected_learner(gen, oracle, tau, cap=None, audit_target=None):
+def projected_learner(gen, oracle, tau, audit_target=None):
     """Iterative clamped learner driven by candidate-set generation.
 
     Starts at psi_0 == 0.  Each round, gen(psi_i) gives a set (an FnSet in
@@ -207,7 +207,8 @@ def projected_learner(gen, oracle, tau, cap=None, audit_target=None):
 
     A valid oracle admits at most ceil(1/(3*tau^2)) accepted updates; one more
     means the oracle lied or the generator's threshold claim is false, and the
-    run halts with "oracle-violation".
+    run halts with "oracle-violation".  Every round that does not converge
+    accepts an update, so these are the only two halts.
 
     `audit_target` (optional, supplied by the harness, never read for
     learning) enables the potential column ||f - psi_i||_D^2 in the trace.
@@ -223,12 +224,11 @@ def projected_learner(gen, oracle, tau, cap=None, audit_target=None):
     d = oracle.dist
     w = d.weights
     psi = RealFn(d.domain, np.zeros(d.domain.size))
-    rounds = cap if cap is not None else max_updates + 1
     updates = 0
     queries = 0
     rows = []
-    halt = "iteration-cap"
-    for i in range(rounds):
+    halt = "oracle-violation"  # unless a round converges first
+    for i in range(max_updates + 1):
         fs, claim = gen(psi)
         if not 4 * tau - ATOL <= claim < math.inf:
             raise UsageError(f"generator claims threshold {claim}, needs a finite "
@@ -247,9 +247,6 @@ def projected_learner(gen, oracle, tau, cap=None, audit_target=None):
         rows.append(TraceRow(i, j, gamma_i, potential, queries))
         psi = project_unit(psi.values + gamma_i * mat[j], d.domain)
         updates += 1
-        if updates > max_updates:
-            halt = "oracle-violation"
-            break
     return sign_of(psi), LearnerTrace(rows, halt, updates, max_updates)
 
 

@@ -16,7 +16,6 @@ from sqlab.dimensions import (
     sqd_upper,
 )
 from sqlab.evolve import (
-    QUADRATIC,
     disjunction_mutator,
     disjunction_params,
     lperf,
@@ -228,10 +227,10 @@ def test_criterion_06_disjunction_neighborhood_gains_or_is_done():
                 subset = [i + 1 for i in range(n) if rng.random() < 0.5]
                 f = make_disjunction(domain, subset)
                 phi = random_real_fn(domain, rng)
-                base = lperf(QUADRATIC, f, phi, d)
+                base = lperf(f, phi, d)
                 need = min(base + gain, 1.0 - eps)
                 best = max(
-                    lperf(QUADRATIC, f, RealFn(domain, row), d)
+                    lperf(f, RealFn(domain, row), d)
                     for row in mutator.table(phi.values, eps)[:-1]  # the last row is phi again
                 )
                 total += 1
@@ -287,7 +286,7 @@ def test_criterion_08_witness_pool_covers_the_shifted_set():
             best = None
             for j in range(20):
                 psi = random_real_fn(domain, make_rng(100 + j, 0, "psi"))
-                fs = shifted_set(cclass, psi, u, eps)
+                fs, _ = shifted_set(cclass, psi, u, eps)
                 if len(fs) == 0:
                     continue
                 norms = np.sqrt(fs.matrix ** 2 @ u.weights)

@@ -15,7 +15,7 @@ from sqlab.dimensions import (
     sqd_lower_scaling,
     sqd_upper,
 )
-from sqlab.dimensions import _abs_gram, _check_pairwise, _row_masks
+from sqlab.dimensions import EXACT_CAP, _abs_gram, _check_pairwise, _greedy_witness, _row_masks
 from sqlab.errors import (InvariantBreachError, NormRangeError, PoolInsufficientError,
                           UsageError)
 from sqlab.fnspace import (
@@ -57,7 +57,7 @@ def test_fnset_validation(domain3):
     empty = FnSet(domain3, np.empty((0, 8)))
     assert len(empty) == 0 and empty.matrix.shape == (0, 8) and empty.sup == 0.0
     cclass = parity_class(3)
-    assert cclass.sup == 1.0 and cclass.labels == list(range(8))
+    assert cclass.sup == 1.0
     shared = FnSet(domain3, cclass.matrix)
     assert shared.matrix is cclass.matrix and not shared.matrix.flags.writeable
     assert shared.sup == 1.0
@@ -91,20 +91,24 @@ def test_sq_dim_negation_invariance(domain3, uniform3):
 def test_sq_dim_greedy_never_exceeds_exact(uniform3, domain3):
     rng = make_rng(2, 0, "f")
     for _ in range(10):
-        fns = [random_bool_fn(domain3, rng) for _ in range(8)]
-        fs = _fnset(fns)
-        exact = sq_dim(fs, uniform3, mode="exact")
-        greedy = sq_dim(fs, uniform3, mode="greedy")
-        assert greedy.value <= exact.value
-        assert greedy.certainty == "lower-bound"
+        fs = _fnset([random_bool_fn(domain3, rng) for _ in range(8)])
+        exact = sq_dim(fs, uniform3)
+        assert exact.certainty == "exact"
+        assert len(_greedy_witness(_abs_gram(fs, uniform3))) <= exact.value
 
 
 def test_sq_dim_exact_cap(uniform3, domain3):
+    # sq_dim scans exactly up to EXACT_CAP functions and bounds greedily beyond
     rng = make_rng(3, 0, "f")
-    fns = [random_bool_fn(domain3, rng) for _ in range(31)]
-    with pytest.raises(UsageError):
-        sq_dim(_fnset(fns), uniform3, mode="exact")
-    sq_dim(_fnset(fns), uniform3, mode="greedy")  # no cap
+    fs = _fnset([random_bool_fn(domain3, rng) for _ in range(EXACT_CAP + 1)])
+    absgram = _abs_gram(fs, uniform3)
+    for k, mode, certainty in ((EXACT_CAP, "exact", "exact"),
+                               (EXACT_CAP + 1, "greedy", "lower-bound")):
+        rep = sq_dim(FnSet(domain3, fs.matrix[:k]), uniform3)
+        assert (rep.certainty, rep.params) == (certainty, {"mode": mode})
+        assert rep.value == len(rep.witness) >= 1
+        _check_pairwise(absgram[:k, :k], rep.witness, 1.0 / rep.value)
+    assert rep.witness == _greedy_witness(absgram)
 
 
 def test_sqd_upper_parities_cover_only_themselves(domain3, uniform3):
@@ -138,14 +142,14 @@ def test_sqd_lower_scaling_boolean_example(domain3, uniform3):
 
 
 def test_sqd_lower_scaling_norm_validation(domain3, uniform3):
-    small = FnSet(domain3, [np.full(8, 0.5)], labels=["tiny"])
-    with pytest.raises(NormRangeError, match="tiny"):
+    small = FnSet(domain3, [np.ones(8), np.full(8, 0.5)])
+    with pytest.raises(NormRangeError, match="^row 1 has norm 0.5, outside"):
         sqd_lower_scaling(small, uniform3, 0.9, 1.0)
     with pytest.raises(UsageError):
         sqd_lower_scaling(small, uniform3, 0.5, 0.9)  # M < 1
     # no parity is more than 1/2-far from sign(0) = +1: the shifted set is empty
-    empty = shifted_set(parity_class(3), RealFn(domain3, np.zeros(8)), uniform3, 0.9)
-    assert len(empty) == 0
+    empty, kept = shifted_set(parity_class(3), RealFn(domain3, np.zeros(8)), uniform3, 0.9)
+    assert len(empty) == 0 and kept == []
     with pytest.raises(UsageError, match="nonempty"):
         sqd_lower_scaling(empty, uniform3, 0.5, 1.0)
 
@@ -153,16 +157,16 @@ def test_sqd_lower_scaling_norm_validation(domain3, uniform3):
 def test_shifted_set_zero_psi_keeps_far_members(domain3, uniform3):
     cclass = parity_class(3)
     zero = RealFn(domain3, np.zeros(8))
-    fs = shifted_set(cclass, zero, uniform3, 0.1)
+    fs, kept = shifted_set(cclass, zero, uniform3, 0.1)
     # every nonconstant parity is 1/2-far from sign(0) = +1; chi_empty is not
     assert len(fs) == 7
-    assert 0 not in fs.labels
+    assert kept == list(range(1, 8))
     np.testing.assert_array_equal(fs.matrix, cclass.matrix[1:] - zero.values)
 
 
 def test_shifted_set_self_psi_is_empty(domain3, uniform3):
     cclass = parity_class(3)
-    fs = shifted_set(_one_member(cclass, 3), cclass[3], uniform3, 0.1)
+    fs, _ = shifted_set(_one_member(cclass, 3), cclass[3], uniform3, 0.1)
     assert len(fs) == 0
     assert sq_dim(fs, uniform3).value == 0
 
@@ -172,7 +176,7 @@ def test_shifted_set_member_norms(domain3, uniform3):
     eps = 0.2
     for _ in range(10):
         psi = random_real_fn(domain3, rng)
-        fs = shifted_set(parity_class(3), psi, uniform3, eps)
+        fs, _ = shifted_set(parity_class(3), psi, uniform3, eps)
         if len(fs) == 0:
             continue
         norms = np.sqrt((fs.matrix**2 * uniform3.weights).sum(axis=1))
@@ -220,8 +224,8 @@ def test_parity_witness_validation():
         parity_witness(3, 4)
     with pytest.raises(UsageError):
         parity_witness(3, 0)
-    # pairwise-zero correlations satisfy any positive separation target
-    _, rep = parity_witness(4, 2, gamma_target=1e-6)
+    # parities are orthogonal under uniform: every pair passes the check at 0
+    _, rep = parity_witness(4, 2)
     assert rep.value == 10
 
 
@@ -232,7 +236,7 @@ def test_duality_cover_on_maximizer(uniform3, domain3):
     best = None
     for j in range(20):
         psi = random_real_fn(domain3, make_rng(100 + j, 0, "psi"))
-        fs = shifted_set(cclass, psi, uniform3, eps)
+        fs, _ = shifted_set(cclass, psi, uniform3, eps)
         if len(fs) == 0:
             continue
         rep = sq_dim(fs, uniform3)
@@ -342,10 +346,14 @@ def _dim_case(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(case=_dim_case(), mode=st.sampled_from(["exact", "greedy"]))
-def test_sq_dim_matches_the_unpruned_reference(case, mode):
+@given(case=_dim_case(), greedy=st.booleans())
+def test_sq_dim_matches_the_unpruned_reference(case, greedy):
+    # sq_dim scans exactly at these sizes; its greedy witness is compared directly
     fs, d = case
-    assert sq_dim(fs, d, mode=mode) == _reference_sq_dim(fs, d, mode)
+    if greedy:
+        assert _greedy_witness(_abs_gram(fs, d)) == _reference_sq_dim(fs, d, "greedy").witness
+    else:
+        assert sq_dim(fs, d) == _reference_sq_dim(fs, d, "exact")
 
 
 @st.composite

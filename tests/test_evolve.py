@@ -10,9 +10,7 @@ from sqlab.errors import ThetaExceedsEpsError, UsageError
 from sqlab.evolve import (
     BLOCK,
     BLOCK_BYTES,
-    LINEAR,
     MAX_SAMPLE,
-    QUADRATIC,
     EvolutionTrace,
     NeighborhoodMutator,
     SelNBParams,
@@ -28,7 +26,7 @@ from sqlab.evolve import (
     selnb_step,
     sq_neighborhood,
 )
-from sqlab.evolve import STREAMS, _disjunction_steps
+from sqlab.evolve import STREAMS, _disjunction_steps, _loss
 from sqlab.fnspace import (
     BoolFn,
     Dist,
@@ -46,22 +44,18 @@ from sqlab.sqcore import ExhaustiveCSQ, build_gpsi
 from conftest import random_bool_fn
 
 
-def test_loss_tables_and_spans():
-    assert LINEAR.span == 2.0 and QUADRATIC.span == 4.0
-    assert LINEAR.table(np.array([1.0]), np.array([-0.5])) == pytest.approx(1.5)
-    assert QUADRATIC.table(np.array([1.0]), np.array([-0.5])) == pytest.approx(2.25)
-    got = QUADRATIC.table(np.array([1.0, -1.0]), np.array([0.0, -1.0]))
+def test_square_loss_table():
+    assert _loss(np.array([1.0]), np.array([-0.5])) == pytest.approx(2.25)
+    got = _loss(np.array([1.0, -1.0]), np.array([0.0, -1.0]))
     np.testing.assert_allclose(got, [1.0, 0.0])
 
 
 def test_lperf_endpoints(domain3, uniform3):
     f = random_bool_fn(domain3, make_rng(1, 0, "f"))
-    assert lperf(QUADRATIC, f, f, uniform3) == pytest.approx(1.0)
-    assert lperf(LINEAR, f, f, uniform3) == pytest.approx(1.0)
-    assert lperf(QUADRATIC, f, -f, uniform3) == pytest.approx(-1.0)
+    assert lperf(f, f, uniform3) == pytest.approx(1.0)
+    assert lperf(f, -f, uniform3) == pytest.approx(-1.0)
     zero = RealFn(domain3, np.zeros(8))
-    assert lperf(QUADRATIC, f, zero, uniform3) == pytest.approx(0.5)
-    assert lperf(LINEAR, f, zero, uniform3) == pytest.approx(0.0)
+    assert lperf(f, zero, uniform3) == pytest.approx(0.5)
 
 
 def test_lperf_quadratic_distance_identity(domain3, uniform3):
@@ -69,7 +63,7 @@ def test_lperf_quadratic_distance_identity(domain3, uniform3):
     for _ in range(20):
         f = random_bool_fn(domain3, rng)
         phi = random_real_fn(domain3, rng)
-        gap = 2.0 * (1.0 - lperf(QUADRATIC, f, phi, uniform3))
+        gap = 2.0 * (1.0 - lperf(f, phi, uniform3))
         diff = f.values - phi.values
         assert gap == pytest.approx(float(uniform3.weights @ (diff * diff)), abs=1e-12)
 
@@ -81,7 +75,7 @@ def _draws(mut, params, d, seed):
 
 def _row_counts(mut, p, d, seed, g):
     """Draws per table row, summed over g generations of p draws each."""
-    params = SelNBParams(QUADRATIC, t=0.1, p=p, s=None)
+    params = SelNBParams(t=0.1, p=p, s=None)
     return np.sum([c for c, _, _ in generation_draws(mut, params, d, g,
                                                      evolve_streams(seed, 0))], axis=0)
 
@@ -136,7 +130,7 @@ class _Recording:
 def test_generation_draws_come_in_blocks_under_a_megabyte(n, s):
     domain = Domain(n)
     mut = disjunction_mutator(n, 0.2, delta_self=0.5)
-    params = SelNBParams(QUADRATIC, t=0.1, p=50, s=s)
+    params = SelNBParams(t=0.1, p=50, s=s)
     logs = {purpose: [] for purpose in STREAMS}
     streams = {purpose: _Recording(rng, logs[purpose])
                for purpose, rng in evolve_streams(0, 0).items()}
@@ -162,11 +156,17 @@ def test_generation_draws_come_in_blocks_under_a_megabyte(n, s):
 
 def test_selnb_validation():
     with pytest.raises(UsageError):
-        SelNBParams(QUADRATIC, t=0.0, p=10, s=None)
+        SelNBParams(t=0.0, p=10, s=None)
     with pytest.raises(UsageError):
-        SelNBParams(QUADRATIC, t=0.1, p=0, s=None)
+        SelNBParams(t=0.1, p=0, s=None)
     with pytest.raises(UsageError):
-        SelNBParams(QUADRATIC, t=0.1, p=10, s=0)
+        SelNBParams(t=0.1, p=10, s=0)
+    # a float p or s would divide the integer draw counts, a bool would pass as 1 or 0
+    for p, s in [(2.5, None), (2.0, None), (True, None), ("3", None),
+                 (10, 2.5), (10, 7.0), (10, True), (10, False)]:
+        with pytest.raises(UsageError, match="must be an integer >= 1"):
+            SelNBParams(t=0.1, p=p, s=s)
+    assert SelNBParams(t=0.1, p=np.int64(10), s=np.int64(7)).s == 7
 
 
 def test_selnb_step_picks_beneficial(domain3, uniform3):
@@ -174,7 +174,7 @@ def test_selnb_step_picks_beneficial(domain3, uniform3):
     better, worse = f.values, -f.values * 0.5
     mut = NeighborhoodMutator(lambda phi, eps: np.array([better, worse]), 2)
     phi0 = np.zeros(8)
-    params = SelNBParams(QUADRATIC, t=0.01, p=40, s=None)
+    params = SelNBParams(t=0.01, p=40, s=None)
     for seed in range(10):
         nxt, info = selnb_step(params, f, uniform3, mut, phi0, 0.1,
                                _draws(mut, params, uniform3, seed))
@@ -187,7 +187,7 @@ def test_selnb_step_neutral_keeps_incumbent_reachable(domain3, uniform3):
     f = random_bool_fn(domain3, make_rng(9, 0, "f"))
     phi0 = np.zeros(8)
     mut = NeighborhoodMutator(lambda phi, eps: phi[None], 1)  # only itself
-    params = SelNBParams(QUADRATIC, t=0.05, p=5, s=None)
+    params = SelNBParams(t=0.05, p=5, s=None)
     nxt, info = selnb_step(params, f, uniform3, mut, phi0, 0.1, _draws(mut, params, uniform3, 0))
     assert info.outcome == "neutral"
     assert info.distinct == 1  # the neighbour and the incumbent are one candidate
@@ -200,7 +200,7 @@ def test_selnb_step_bottom_returns_none(domain3, uniform3):
     phi0 = f.values  # already perfect, fitness 1
     drop = -f.values[None]  # fitness -1, below any tolerance
     mut = NeighborhoodMutator(lambda phi, eps: drop, 1)
-    params = SelNBParams(QUADRATIC, t=0.1, p=8, s=None)
+    params = SelNBParams(t=0.1, p=8, s=None)
     nxt, info = selnb_step(params, f, uniform3, mut, phi0, 0.1, _draws(mut, params, uniform3, 0))
     assert nxt is None
     assert info.outcome == "bottom"
@@ -212,14 +212,14 @@ def test_selnb_step_exact_mode_never_drops_beyond_tolerance(domain3, uniform3):
     f = random_bool_fn(domain3, rng)
     neigh = np.array([random_real_fn(domain3, rng).values for _ in range(6)])
     mut = NeighborhoodMutator(lambda phi, eps: neigh, 6, delta_self=0.5)
-    params = SelNBParams(QUADRATIC, t=0.07, p=12, s=None)
+    params = SelNBParams(t=0.07, p=12, s=None)
     phi = random_real_fn(domain3, rng).values
     for seed in range(50):
         nxt, info = selnb_step(params, f, uniform3, mut, phi, 0.1,
                                _draws(mut, params, uniform3, seed))
         if nxt is None:
             continue
-        got = lperf(QUADRATIC, f, RealFn(domain3, nxt), uniform3)
+        got = lperf(f, RealFn(domain3, nxt), uniform3)
         assert got >= info.v_incumbent - params.t
 
 
@@ -230,13 +230,13 @@ def test_selnb_step_weights_by_frequency(domain3, uniform3):
     va[0] = 0.8
     vb = np.zeros(8)
     vb[1] = 0.8
-    assert lperf(QUADRATIC, f, RealFn(domain3, va), uniform3) == pytest.approx(
-        lperf(QUADRATIC, f, RealFn(domain3, vb), uniform3)
+    assert lperf(f, RealFn(domain3, va), uniform3) == pytest.approx(
+        lperf(f, RealFn(domain3, vb), uniform3)
     )
     skewed = NeighborhoodMutator(lambda phi, eps: np.array([va, va, va, vb]), 4)
     phi0 = np.zeros(8)
     # p large enough that both candidates show up in every sample
-    params = SelNBParams(QUADRATIC, t=0.05, p=64, s=None)
+    params = SelNBParams(t=0.05, p=64, s=None)
     picks_a = 0
     trials = 600
     for seed in range(trials):
@@ -277,11 +277,11 @@ def _reference_step(params, f, d, steps, phi, draws):
     table = list(np.clip(phi + steps, -1.0, 1.0)) + [phi]
 
     def score(j):
-        loss = params.loss.table(f.values, table[j])
+        loss = (table[j] - f.values) ** 2
         if params.s is None:
-            return 1.0 - 2.0 * float(np.dot(d.weights, loss)) / params.loss.span
+            return 1.0 - 2.0 * float(np.dot(d.weights, loss)) / 4.0
         w = fitness[j].astype(np.float64)
-        return 1.0 - 2.0 * float(np.dot(w, loss)) / (params.s * params.loss.span)
+        return 1.0 - 2.0 * float(np.dot(w, loss)) / (params.s * 4.0)
 
     v_r = score(k)
     groups = {}  # row bytes -> [row, draws, fitness]
@@ -333,7 +333,7 @@ def _selection_case(draw):
        p=st.integers(1, 40), seed=st.integers(0, 2 ** 32))
 def test_selnb_step_matches_a_row_by_row_reference(case, delta_self, s, t, p, seed):
     f, d, phi, steps = case
-    params = SelNBParams(QUADRATIC, t=t, p=p, s=s)
+    params = SelNBParams(t=t, p=p, s=s)
     mut = NeighborhoodMutator(lambda phi, eps: np.clip(phi + steps, -1.0, 1.0), len(steps),
                               delta_self)
     streams, ref_streams = evolve_streams(seed, 0), evolve_streams(seed, 0)
@@ -366,7 +366,7 @@ def test_selnb_step_on_a_negative_zero_incumbent_matches_the_reference(delta_sel
     table = mut.table(phi, eps)
     assert table[n + 2].tobytes() == phi.tobytes()
     assert table[n].tobytes() == (phi + 0.0).tobytes() != phi.tobytes()
-    params = SelNBParams(QUADRATIC, t=gain, p=12, s=s)
+    params = SelNBParams(t=gain, p=12, s=s)
     for seed in range(20):
         got, info = selnb_step(params, f, d, mut, phi, eps, _draws(mut, params, d, seed))
         want, want_info = _reference_step(
@@ -378,10 +378,8 @@ def test_selnb_step_on_a_negative_zero_incumbent_matches_the_reference(delta_sel
 
 def _reference_run(params, f, d, steps, delta_self, eps, g, phi, streams):
     """evolve_run as a chain of _reference_step generations."""
-    loss = params.loss
-
     def true_perf(row):
-        return 1.0 - 2.0 * float(np.dot(d.weights, loss.table(f.values, row))) / loss.span
+        return 1.0 - 2.0 * float(np.dot(d.weights, (row - f.values) ** 2)) / 4.0
 
     def record(gen, row, info):
         return {"generation": gen, "true_perf": true_perf(row),
@@ -419,7 +417,7 @@ def test_evolve_run_matches_the_chained_reference_steps(n, eps, g, pool, delta_s
         params, _, _ = disjunction_lsq_params(n, eps)
         assert (params.p, params.s) == (76, 7964684847)
     else:
-        params = SelNBParams(QUADRATIC, t=gain, p=pool[0], s=pool[1])
+        params = SelNBParams(t=gain, p=pool[0], s=pool[1])
     r0 = RealFn(domain, np.full(domain.size, -1.0))
     streams, ref_streams = evolve_streams(5, 0), evolve_streams(5, 0)
     trace = evolve_run(disjunction_mutator(n, eps, delta_self), params, f, d, eps, g, r0,
@@ -444,7 +442,7 @@ def test_evolve_run_reaches_target_with_exact_fitness(domain3, uniform3):
     f = make_disjunction(domain3, [1, 3])
     mut = disjunction_mutator(n, eps)
     gamma, gain = disjunction_params(n, eps)
-    params = SelNBParams(QUADRATIC, t=gain / 2.0, p=30, s=None)
+    params = SelNBParams(t=gain / 2.0, p=30, s=None)
     r0 = RealFn(domain3, np.full(8, -1.0))
     g = 5000
     trace = evolve_run(mut, params, f, uniform3, eps, g, r0, evolve_streams(0, 0))
@@ -459,7 +457,7 @@ def test_evolve_run_bottom_marks_failure(domain3, uniform3):
     r0 = f
     drop = -f.values[None]
     mut = NeighborhoodMutator(lambda phi, eps: drop, 1)
-    params = SelNBParams(QUADRATIC, t=0.05, p=4, s=None)
+    params = SelNBParams(t=0.05, p=4, s=None)
     trace = evolve_run(mut, params, f, uniform3, 0.1, 5, r0, evolve_streams(0, 0))
     assert trace.bottomed
     assert not trace.reached_target
@@ -477,7 +475,7 @@ def test_evolve_run_keeps_its_loss_row_buffer_within_block_bytes():
     d, f = dist_uniform(domain), make_disjunction(domain, [1])
     r0 = RealFn(domain, np.full(domain.size, -1.0))
     mut = NeighborhoodMutator(lambda phi, eps: phi[None], 1)  # only itself: all neutral
-    params = SelNBParams(QUADRATIC, t=0.05, p=1, s=None)
+    params = SelNBParams(t=0.05, p=1, s=None)
     tracemalloc.start()
     try:
         trace = evolve_run(mut, params, f, d, 0.1, 64, r0, evolve_streams(0, 0))
@@ -615,7 +613,7 @@ def test_evolve_parameters_reject_non_finite_and_out_of_range_values(bad):
         evolve_lsq_params(0.01, bad, 5)
     if bad != 2.0:  # a tolerance of 2 is valid
         with pytest.raises(UsageError, match="tolerance t must be positive and finite"):
-            SelNBParams(QUADRATIC, t=bad, p=10, s=None)
+            SelNBParams(t=bad, p=10, s=None)
 
 
 @pytest.mark.parametrize("n, eps, theta", [(3, 0.5, None), (4, 0.2, None), (5, 0.3, 0.001)])

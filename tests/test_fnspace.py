@@ -57,6 +57,11 @@ def test_domain_rejects_bad_n():
         Domain(0)
     with pytest.raises(UsageError):
         Domain(21)
+    # int(n) would read 2.7 as 2 and True as 1
+    for bad in (2.7, 3.0, True, False, "3", None):
+        with pytest.raises(UsageError, match="domain size n must be an integer"):
+            Domain(bad)
+    assert Domain(np.int64(3)) == Domain(3) and type(Domain(np.int64(3)).n) is int
 
 
 def test_boolfn_requires_pm1(domain3):

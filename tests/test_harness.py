@@ -395,7 +395,19 @@ def test_a_distribution_file_that_repeats_a_point_is_a_usage_error(tmp_path):
     out = CliRunner().invoke(cli.main, ["learn", "--n", "2", "--dist", f"file:{path}",
                                         "--out", str(tmp_path / "o")])
     assert out.exit_code == 1 and isinstance(out.exception, SystemExit), out.output
-    assert out.output == "usage error: point 00 on line 5 is given already on line 1\n"
+    assert out.output == (f"usage error: distribution file {path}: "
+                          "point 00 on line 5 is given already on line 1\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_distribution_file_short_of_points_names_its_path(tmp_path):
+    path = tmp_path / "d2.txt"
+    path.write_text("00 0.5\n10 0.5\n")
+    out = CliRunner().invoke(cli.main, ["learn", "--n", "2", "--dist", f"file:{path}",
+                                        "--out", str(tmp_path / "o")])
+    assert out.exit_code == 1 and isinstance(out.exception, SystemExit), out.output
+    assert out.output == (f"usage error: distribution file {path}: "
+                          "expected 4 points for n=2, got 2\n")
     assert not (tmp_path / "o").exists()
 
 

@@ -153,7 +153,7 @@ def test_query_log_and_audit():
         assert len(orc.query_log) == 5
         assert orc.audit() <= 1e-12
         rec = orc.query_log[0].as_record()
-        assert rec["kind"] == "correlational" and rec["tau"] == 0.07
+        assert rec["tau"] == 0.07 and rec["probabilistic"] is False
 
 
 
@@ -217,9 +217,9 @@ def test_correlational_many_matches_single_queries(case, tau, seed, sample_size,
         want, truths = one_by_one(target, dist, mat, tau, mode, seed, sample_size)
         assert got.tolist() == want, mode
         assert batch.query_count == len(mat)
-        assert [(e.kind, e.tau, e.value, e.true_value, e.probabilistic)
+        assert [(e.tau, e.value, e.true_value, e.probabilistic)
                 for e in batch.query_log] == \
-            [("correlational", tau, v, t, mode == "empirical") for v, t in zip(want, truths)]
+            [(tau, v, t, mode == "empirical") for v, t in zip(want, truths)]
 
 
 _unit = st.floats(-1.0, 1.0)

@@ -258,16 +258,6 @@ def test_projected_learner_tau_and_claim_validation(domain3, uniform3):
             projected_learner(lambda psi: (_single(f), bad), orc, tau=0.05)
 
 
-def test_projected_learner_iteration_cap(domain3, uniform3):
-    cclass = conjunction_class(3)
-    f = cclass[5]
-    gen = class_pool_generator(cclass, gamma=0.2)
-    orc = SQOracle(f, uniform3)
-    hyp, trace = projected_learner(gen, orc, tau=0.05, cap=1)
-    assert trace.halt_reason == "iteration-cap"
-    assert len(trace.rows) == 1
-
-
 def test_projected_learner_trace_replay(domain3):
     # the trace determines the full psi path: replaying it reproduces the run
     dist = dist_random(domain3, make_rng(6, 0, "dist"))
@@ -324,7 +314,8 @@ def test_projected_learner_flags_lying_oracle(domain3, uniform3):
     orc = Liar(cclass[0], uniform3)
     hyp, trace = projected_learner(gen, orc, tau=0.05)
     assert trace.halt_reason == "oracle-violation"
-    assert trace.updates == math.ceil(1 / (3 * 0.05**2)) + 1
+    # every round accepted an update, and the one past the ledger ended the run
+    assert trace.updates == len(trace.rows) == math.ceil(1 / (3 * 0.05**2)) + 1
 
 
 def test_gpsi_generator_learns_conjunctions(domain3, uniform3):
