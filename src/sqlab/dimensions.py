@@ -77,6 +77,21 @@ def _row_masks(adj, full):
     return masks, [full ^ (m | 1 << i) for i, m in enumerate(masks)]
 
 
+def _threshold_masks(absgram, thresholds):
+    """For each threshold t, the masks _row_masks gives the graph `absgram <= t`,
+    as (row masks per threshold, colour-class masks per threshold).  One
+    comparison and one np.packbits serve every threshold: each row is padded
+    with +inf to 32 entries, one uint32 of the packed bytes, so it takes at
+    most 32 vertices (EXACT_CAP or fewer)."""
+    t, k = len(thresholds), len(absgram)
+    padded = np.full((k, 32), np.inf)
+    padded[:, :k] = absgram
+    adj = padded <= np.reshape(thresholds, (t, 1, 1))
+    masks = np.packbits(adj, bitorder="little").view("<u4").reshape(t, k).astype(np.int64)
+    free = ((1 << k) - 1) ^ (masks | 1 << np.arange(k))
+    return masks.tolist(), free.tolist()
+
+
 def max_clique(adj, floor=0):
     """Maximum clique of an undirected graph via branch and bound.
 
@@ -86,6 +101,13 @@ def max_clique(adj, floor=0):
     floor below the clique number prunes no ancestor of the first maximum
     clique in the search order (each has r + |P| >= size > floor), so the
     clique returned is the one floor=0 returns.
+    """
+    return _clique_search(*_row_masks(adj, (1 << adj.shape[0]) - 1), floor)
+
+
+def _clique_search(masks, free, floor):
+    """max_clique's search over the graph of row masks `masks` and colour-class
+    masks `free` (as _row_masks builds them).
 
     A node (clique R, candidates P) is pruned when |R| plus the number of
     colours of a greedy colouring of P (candidates in index order, each
@@ -94,9 +116,8 @@ def max_clique(adj, floor=0):
     subtrees that hold no larger clique; branching and search order are
     those of the plain |R| + |P| bound, and so are the cliques returned.
     """
-    n = adj.shape[0]
+    n = len(masks)
     full = (1 << n) - 1
-    masks, free = _row_masks(adj, full)
     best_size = floor
     best_mask = 0
     # stack of (clique_mask, clique_size, candidate_mask); binary branching on
@@ -163,13 +184,15 @@ def sq_dim(f, d):
     `f` is an FnSet.  A set of at most EXACT_CAP functions gets the exact
     scan, which scans candidate values downward from |f|.  A value is
     skipped when fewer than cand functions keep cand - 1 others within
-    1/cand; otherwise max_clique, with its bound seeded at cand - 1, asks
-    whether the graph keeping edges with |correlation| <= 1/cand has a
-    cand-clique.  On random +-1 classes most such values are refuted by the
-    colouring of max_clique's root.  The scan stops at the first value that
-    has one; the witness is the first cand vertices of the clique found, the
-    same clique an unbounded search returns.  A larger set gets
-    _greedy_witness, only a lower bound.  params["mode"] names the mode used.
+    1/cand; otherwise max_clique's search, with its bound seeded at
+    cand - 1, asks whether the graph keeping edges with |correlation| <=
+    1/cand has a cand-clique.  The masks of every value not skipped are
+    built once, before the scan.  On random +-1 classes most such values are
+    refuted by the colouring of the search's root.  The scan stops at the
+    first value that has one; the witness is the first cand vertices of the
+    clique found, the same clique an unbounded search returns.  A larger set
+    gets _greedy_witness, only a lower bound.  params["mode"] names the mode
+    used.
     """
     k = len(f)
     mode, certainty = ("exact", "exact") if k <= EXACT_CAP else ("greedy", "lower-bound")
@@ -184,11 +207,12 @@ def sq_dim(f, d):
         # diagonal's 0 and cand - 1 neighbours): with each row sorted, then
         # each column, entry [cand - 1, cand - 1] must be within 1/cand
         degree_bound = np.sort(np.sort(absgram, axis=1), axis=0).diagonal()
-        for cand in range(k, 1, -1):
-            threshold = 1.0 / cand + ATOL
-            if degree_bound[cand - 1] > threshold:
-                continue
-            size, verts = max_clique(absgram <= threshold, cand - 1)
+        cands = np.arange(k, 1, -1)
+        thresholds = 1.0 / cands + ATOL
+        searched = degree_bound[cands - 1] <= thresholds
+        cands = cands[searched].tolist()
+        for cand, masks, free in zip(cands, *_threshold_masks(absgram, thresholds[searched])):
+            size, verts = _clique_search(masks, free, cand - 1)
             if size:
                 witness = list(verts[:cand])
                 break

@@ -184,11 +184,12 @@ class FnSet:
     `matrix` is the only storage: a read-only (k, 2^n) table, row i the i-th
     function; k may be 0.  `sup` is the largest |entry| (0 for an empty
     set), measured by the one scan a table from outside gets here: its shape
-    and min/max, which also rejects NaN and +-inf.  A built-in class skips
-    the scan, its table being +-1 by construction.  Indexing and iteration
-    build the BoolFn of a row on demand, so they hold for +-1 rows (a concept
-    class).  Row order is deterministic and defines tie-breaking downstream;
-    reports name a row by its index.
+    and min/max, which also rejects NaN and +-inf.  A table that is +-1 by
+    construction (a built-in class, a class file of 1 and -1 entries) skips
+    the scan through from_signs.  Indexing and iteration build the BoolFn of
+    a row on demand, so they hold for +-1 rows (a concept class).  Row order
+    is deterministic and defines tie-breaking downstream; reports name a row
+    by its index.
     """
 
     __slots__ = ("domain", "matrix", "sup")
@@ -203,6 +204,14 @@ class FnSet:
         if not -np.inf < lo <= hi < np.inf:
             raise UsageError(f"function matrix entries must be finite, got [{lo}, {hi}]")
         self._fill(domain, mat, max(-lo, hi))
+
+    @classmethod
+    def from_signs(cls, domain, table):
+        """FnSet of a read-only float64 (k, 2^n) table of +-1 entries, taken as
+        it is: the caller's construction stands for the scan."""
+        fs = cls.__new__(cls)
+        fs._fill(domain, table, 1.0)
+        return fs
 
     def _fill(self, domain, matrix, sup):
         self.domain = domain
@@ -325,9 +334,7 @@ def make_disjunction(domain, T):
 
 
 def _make_class(kind, n):
-    cclass = FnSet.__new__(FnSet)  # no scan: _class_table is +-1 by construction
-    cclass._fill(Domain(n), _class_table(kind, n), 1.0)
-    return cclass
+    return FnSet.from_signs(Domain(n), _class_table(kind, n))
 
 
 def parity_class(n):

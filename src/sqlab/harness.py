@@ -12,7 +12,6 @@ wall-clock field is allowed to differ between re-runs.
 import json
 import math
 import time
-import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -304,6 +303,36 @@ def _class_file_fault(raw):
     return "it is not a table of numbers"
 
 
+# the value of a class file entry by the byte before its `1`: -1 after a `-`
+_SIGN_AFTER = np.where(np.arange(256) == ord("-"), -1.0, 1.0)
+
+
+def _sign_table(lines):
+    """The float64 table of class file lines `lines` (stripped, no comments) when
+    every entry is exactly `1` or `-1`, entries are separated by spaces or tabs
+    and every line has as many entries as the first; else None.  Vectorised
+    byte tests over the joined lines stand in for np.loadtxt's parse of each
+    entry: the table is the one the float parse returns, +-1 by construction."""
+    b = np.frombuffer(("\n" + "\n".join(lines) + "\n").encode(), dtype=np.uint8)
+    one, minus, newline = b == ord("1"), b == ord("-"), b == ord("\n")
+    sep = newline | (b == ord(" ")) | (b == ord("\t"))
+    ones, minuses = np.count_nonzero(one), np.count_nonzero(minus)
+    # every byte is 1, - or a separator, every - comes right before a 1 and every
+    # 1 right before a separator: so each run between separators is 1 or -1
+    if (ones + minuses + np.count_nonzero(sep) != len(b)
+            or np.count_nonzero(minus[:-1] & one[1:]) != minuses
+            or np.count_nonzero(one[:-1] & sep[1:]) != ones):
+        return None
+    before = np.flatnonzero(one[1:])  # the byte before each entry's 1
+    width = ones // len(lines)  # at least 1: every line holds a 1
+    # entries before each line break: 0, width, 2 * width, ...
+    if np.searchsorted(before, np.flatnonzero(newline)).tolist() != list(range(0, ones + 1, width)):
+        return None
+    table = _SIGN_AFTER.take(b.take(before)).reshape(len(lines), width)
+    table.flags.writeable = False
+    return table
+
+
 def _build_class(cfg, domain):
     if cfg.cclass == "parities":
         return parity_class(domain.n)
@@ -312,25 +341,29 @@ def _build_class(cfg, domain):
     if cfg.cclass == "disjunctions":
         return disjunction_class(domain.n)
     path = cfg.cclass.split(":", 1)[1]
-    raw = Path(path).read_text().split("\n")  # read_text makes \r\n one \n
+    raw = Path(path).read_text().split("\n")  # read_text makes \r\n and \r one \n
     lines = [s for s in map(str.strip, raw) if s and not s.startswith("#")]
     if not lines:
         raise UsageError(f"class file {path} contains no functions")
-    # comments=None: a `#` after a value is a bad entry, not a comment.  Integer
-    # text parses about twice as fast in int8, which takes a subset of what the
-    # float parse takes, at the same values; the rest ("1.0", "300") goes on to it.
-    # Older numpy reads such text in int8 through a float cast with only a
-    # DeprecationWarning ("1.5" -> 1, "255" -> -1); as an error it fails the parse.
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            mat = np.loadtxt(lines, dtype=np.int8, comments=None, ndmin=2)
-    except (ValueError, DeprecationWarning):
+    # A file of 1 and -1 entries takes the vectorised pass; any other text goes
+    # to the float64 parse, which decides its values and messages.  comments=None:
+    # a `#` after a value is a bad entry, not a comment.
+    signs = _sign_table(lines)
+    mat = signs
+    if signs is None:
         try:
             mat = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
         except ValueError:
             raise UsageError(f"class file {path}: {_class_file_fault(raw)}") from None
-    cclass = FnSet(domain, mat)
+    if mat.shape[1] != domain.size:
+        raise UsageError(f"class file {path}: its lines have {mat.shape[1]} entries, but "
+                         f"--n {domain.n} needs 2^{domain.n} = {domain.size}")
+    if signs is not None:
+        return FnSet.from_signs(domain, signs)
+    try:
+        cclass = FnSet(domain, mat)
+    except UsageError as e:
+        raise UsageError(f"class file {path}: {e}") from None
     if not np.all(np.abs(cclass.matrix) == 1.0):
         raise UsageError(f"class file {path}: entries must be exactly -1 or +1")
     return cclass

@@ -15,7 +15,8 @@ from sqlab.dimensions import (
     sqd_lower_scaling,
     sqd_upper,
 )
-from sqlab.dimensions import EXACT_CAP, _abs_gram, _check_pairwise, _greedy_witness, _row_masks
+from sqlab.dimensions import (EXACT_CAP, _abs_gram, _check_pairwise, _clique_search,
+                              _greedy_witness, _row_masks, _threshold_masks)
 from sqlab.errors import (InvariantBreachError, NormRangeError, PoolInsufficientError,
                           UsageError)
 from sqlab.fnspace import (
@@ -514,3 +515,31 @@ def test_sq_dim_matches_the_frozen_scan_on_probe_sized_sets(dist):
         d = dist_uniform(domain) if dist == "uniform" else dist_random(domain, rng)
         rep = sq_dim(fs, d)
         assert (rep.value, rep.witness) == _frozen_sq_dim_exact(fs, d), seed
+
+
+@st.composite
+def _gram_and_thresholds(draw):
+    """A symmetric matrix on up to 30 vertices (sq_dim's exact cap) with
+    entries from nine levels in [0, 1], so that entries fall on thresholds,
+    and any diagonal; thresholds on the levels and between them, ascending as
+    sq_dim's scan takes them, each with a floor."""
+    n = draw(st.integers(0, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    levels = np.linspace(0.0, 1.0, 9)
+    g = np.triu(rng.choice(levels, size=(n, n)), 1)
+    g = g + g.T + np.diag(rng.choice(levels, n) if draw(st.booleans()) else np.zeros(n))
+    thresholds = np.sort(rng.choice(np.concatenate([levels, levels + 1 / 16]),
+                                    draw(st.integers(0, 8))))
+    return g, thresholds, [draw(st.integers(0, 31)) for _ in thresholds]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_gram_and_thresholds())
+def test_masks_built_once_per_scan_search_like_max_clique(case):
+    g, thresholds, floors = case
+    masks, free = _threshold_masks(g, thresholds)
+    assert len(masks) == len(free) == len(thresholds)
+    for t, m, f, floor in zip(thresholds, masks, free, floors):
+        adj = g <= t
+        assert (m, f) == _row_masks(adj, (1 << len(g)) - 1)
+        assert _clique_search(m, f, floor) == _frozen_max_clique(adj, floor)

@@ -3,7 +3,6 @@ import io
 import json
 import math
 import re
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -319,7 +318,7 @@ def _class_from_text(tmp_path, text):
 
 @pytest.mark.parametrize("one, minus_one", [("1.0", "-1.0"), ("+1", "-1.0"), ("1e0", "-1")])
 def test_class_file_real_spellings_load_the_integer_matrix(tmp_path, one, minus_one):
-    # integer text takes the int8 parse, any other the float parse: same table
+    # 1 and -1 take the vectorised sign pass, any other spelling the float parse: same table
     rows = parity_class(3).matrix
     ints = "\n".join(" ".join("1" if v > 0 else "-1" for v in row) for row in rows)
     reals = "\n".join(" ".join(one if v > 0 else minus_one for v in row) for row in rows)
@@ -339,7 +338,7 @@ def test_class_file_real_spellings_load_the_integer_matrix(tmp_path, one, minus_
     ("-255", "class file {path}: entries must be exactly -1 or +1"),
     ("0.5", "class file {path}: entries must be exactly -1 or +1"),
     ("1.5", "class file {path}: entries must be exactly -1 or +1"),
-    ("nan", "function matrix entries must be finite, got [nan, nan]"),
+    ("nan", "class file {path}: function matrix entries must be finite, got [nan, nan]"),
     ("1 1", "class file {path}: line 2 has 9 entries, not 8 like the first function"),
 ])
 def test_class_file_faults_keep_their_messages(tmp_path, entry, message):
@@ -351,29 +350,128 @@ def test_class_file_faults_keep_their_messages(tmp_path, entry, message):
 
 @pytest.mark.parametrize("entry", ["1.5", "255", "257", "-255"])
 def test_class_file_int_parse_through_a_float_is_refused(tmp_path, monkeypatch, entry):
-    # Older numpy parses non-integer text in int8 through a float cast, with only a
-    # DeprecationWarning; this stand-in does the same, so 1.5 and 257 would read +1.
+    # No integer parse reads a class file, so none can read 1.5 or 257 as +1
+    # through a float cast: text other than 1 and -1 goes to the float64 parse alone.
     loadtxt = np.loadtxt
 
-    def old_loadtxt(lines, dtype=float, **kwargs):
-        if dtype is not np.int8:
-            return loadtxt(lines, dtype=dtype, **kwargs)
-        try:
-            return loadtxt(lines, dtype=dtype, **kwargs)
-        except ValueError:
-            values = loadtxt(lines, dtype=np.float64, **kwargs)
-        try:
-            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
-                          DeprecationWarning)
-        except DeprecationWarning as e:
-            raise ValueError("could not convert string to int8") from e
-        return values.astype(np.int64).astype(np.int8)
+    def float_only(lines, dtype=float, **kwargs):
+        assert dtype is np.float64, f"a class file parsed as {dtype}"
+        return loadtxt(lines, dtype=dtype, **kwargs)
 
-    monkeypatch.setattr(np, "loadtxt", old_loadtxt)
+    monkeypatch.setattr(np, "loadtxt", float_only)
     row = "1 -1 1 -1 1 -1 1 -1"
     with pytest.raises(UsageError) as e:
         _class_from_text(tmp_path, row + "\n" + row.replace("1", entry, 1) + "\n")
     assert str(e.value) == f"class file {tmp_path / 'class.txt'}: entries must be exactly -1 or +1"
+
+
+@pytest.mark.parametrize("text", ["1 -1 1 -1\n1 1 1 1\n", "1.0 -1 1 -1\n1 1 1 1\n"],
+                         ids=["sign-pass", "float-parse"])
+def test_class_file_of_another_width_names_its_width_and_2_to_the_n(tmp_path, text):
+    # the sign pass and the float parse give one message, naming the file
+    path = tmp_path / "w4.txt"
+    path.write_text(text)
+    out = CliRunner().invoke(cli.main, ["dim", "--n", "3", "--class", f"file:{path}",
+                                        "--out", str(tmp_path / "o")])
+    assert out.exit_code == 1
+    assert out.output == (f"usage error: class file {path}: its lines have 4 entries, "
+                          "but --n 3 needs 2^3 = 8\n")
+
+
+def _lines_of(path):
+    """The lines of class file `path`, and those that hold functions."""
+    raw = path.read_text().split("\n")
+    return raw, [s for s in map(str.strip, raw) if s and not s.startswith("#")]
+
+
+def _float_parse_of(path, domain):
+    """What the float64 parse alone makes of class file `path` over `domain`:
+    its table, or the text of the UsageError it raises (no sign pass runs)."""
+    raw, lines = _lines_of(path)
+    if not lines:
+        return f"class file {path} contains no functions"
+    try:
+        mat = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return f"class file {path}: {harness._class_file_fault(raw)}"
+    if mat.shape[1] != domain.size:
+        return (f"class file {path}: its lines have {mat.shape[1]} entries, but "
+                f"--n {domain.n} needs 2^{domain.n} = {domain.size}")
+    if not np.all(np.abs(mat) == 1.0):
+        return f"class file {path}: entries must be exactly -1 or +1"
+    return mat
+
+
+def _build_class_of(path, domain):
+    """_build_class's table of class file `path`, or the text of its UsageError."""
+    try:
+        got = harness._build_class(_cfg(command="dim", cclass=f"file:{path}", n=domain.n), domain)
+    except UsageError as e:
+        return str(e)
+    assert not got.matrix.flags.writeable
+    return got.matrix
+
+
+_RUN = st.text(alphabet=" \t", min_size=1, max_size=3)  # a separator: spaces and tabs
+
+
+@st.composite
+def _sign_class_file(draw):
+    """A class file of 1 and -1 entries over n = 1..4: entries parted by runs
+    of spaces and tabs, lines padded with them and ending in \\n or \\r\\n,
+    blank and whole-line comment lines between them.  Returns n, the data
+    lines as token lists (entry, separator, entry, ...), and a function
+    that writes the file's text from such lists."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(k):
+        tokens = []
+        for j in range(1 << n):
+            if j:
+                tokens.append(draw(_RUN))
+            tokens.append(draw(st.sampled_from(["1", "-1"])))
+        rows.append(tokens)
+    pads = [(draw(st.sampled_from(["", " ", "\t "])), draw(st.sampled_from(["", "\t", "  "])))
+            for _ in rows]
+    notes = [draw(st.sampled_from([None, "", "# a comment", "  # 1 -1 1", "\t"])) for _ in rows]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+
+    def text(rows):
+        out = []
+        for tokens, (lead, trail), note in zip(rows, pads, notes):
+            if note is not None:
+                out.append(note)
+            out.append(lead + "".join(tokens) + trail)
+        return end.join(out) + end
+
+    return n, rows, text
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_sign_class_file(), at=st.data(),
+       spelling=st.sampled_from(["+1", "1.0", "01", "-0", "11", "--1", "1-", "2", "\x0c"]))
+def test_the_sign_pass_gives_what_the_float_parse_gives(tmp_path_factory, case, at, spelling):
+    n, rows, text = case
+    domain, path = Domain(n), tmp_path_factory.mktemp("signs") / "class.txt"
+    path.write_bytes(text(rows).encode())
+    assert harness._sign_table(_lines_of(path)[1]) is not None  # the sign pass takes it
+    got, want = _build_class_of(path, domain), _float_parse_of(path, domain)
+    assert isinstance(want, np.ndarray)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # respell one entry, or join two with no separator between them: the outcome
+    # is the float parse's, table or message
+    i = at.draw(st.integers(0, len(rows) - 1))
+    for j, token in ((2 * at.draw(st.integers(0, len(rows[i]) // 2)), spelling),  # an entry
+                     (2 * at.draw(st.integers(0, len(rows[i]) // 2 - 1)) + 1, "")):  # a separator
+        changed = [list(r) for r in rows]
+        changed[i][j] = token
+        path.write_bytes(text(changed).encode())
+        got, want = _build_class_of(path, domain), _float_parse_of(path, domain)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("command", harness.COMMANDS)
