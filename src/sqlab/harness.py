@@ -172,9 +172,10 @@ def make_config(data):
             "--oracle liar does not apply to agnostic: its pool learner keeps "
             "no update ledger that a lying oracle could trip")
     if cfg.command != "evolve" and cfg.cclass in CLASSES and cfg.n > MAX_CLASS_N:
-        raise UsageError(
-            f"--n {cfg.n} is too large for the built-in class {cfg.cclass}: its dense "
-            f"table takes 8*4^n = {8 * 4 ** cfg.n} bytes; use n <= {MAX_CLASS_N}")
+        cost = (f"its Gram takes 8*4^n = {8 * 4 ** cfg.n} bytes" if cfg.command == "dim" else
+                f"each pass over its 2^n members takes 4^n = {4 ** cfg.n} multiply-adds")
+        raise UsageError(f"--n {cfg.n} is too large for {cfg.command} on the built-in class "
+                         f"{cfg.cclass}: {cost}; use n <= {MAX_CLASS_N}")
     if cfg.command == "evolve":
         _evolve_params(cfg)
     return cfg
@@ -485,7 +486,7 @@ def _agnostic_one(cfg, k, master):
     phi = random_real_fn(domain, make_rng(master, k, "phi"))
     oracle = _build_oracle(cfg, phi, dist, master, k)
     hyp = weak_agnostic_learner(cclass, oracle, cfg.tau)
-    best = float(np.abs(oracle.true_values(cclass.matrix)).max())  # the batch's truth, reused
+    best = float(np.abs(oracle.true_values(cclass)).max())  # the batch's truth, reused
     achieved = float(np.dot(dist.weights, hyp.values * phi.values))
     rec = {
         "seed": master,
@@ -524,7 +525,8 @@ def run_config(cfg):
     else:
         # imported here: a process pool's modules take about 30 ms to load
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        # no more workers than runs: a fork pool starts every worker at once
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs))) as pool:
             results = list(pool.map(_run_indexed, jobs))
     return {name: blob for name, blob, _ in results}, [summary for *_, summary in results]
 

@@ -3,9 +3,10 @@
 An oracle answers queries for E[psi(x, b)] within the query's tolerance, where
 x ~ D and the label b has E[b | x] = y(x): y is the Boolean target f for the
 realizable source (b = f(x)) and phi_A for an agnostic source.  Queries are
-rows of a matrix.  A general query splits (``decompose``) into a
-correlational part phi1(x)*b and a target-independent part phi2(x); the
-oracle answers the first and adds the exact expectation of the second.  One
+rows of a matrix, and a batch of correlational queries is an ``fnspace.FnSet``.
+A general query splits (``decompose``) into a correlational part phi1(x)*b and
+a target-independent part phi2(x); the oracle answers the first and adds the
+exact expectation of the second.  One
 ``SQOracle`` serves both sources, and every correlational answer comes from
 its ``_answer``, in one of these modes:
 
@@ -31,7 +32,7 @@ from .errors import (
     QueryRangeError,
     UsageError,
 )
-from .fnspace import ATOL, is_int
+from .fnspace import ATOL, FnSet, is_int
 from .rng import make_rng
 
 MODES = ("exact", "grid_adversary", "noisy", "empirical", "liar")
@@ -107,9 +108,9 @@ class SQOracle:
         self._rng = make_rng(seed, purpose="oracle")
         self._joint = _joint(dist.weights, target.values)
 
-    def _answer(self, truth, tau, mat):
+    def _answer(self, truth, tau, fs):
         """The answers, in this oracle's mode, to the correlational queries
-        (rows of `mat`) whose true values are `truth`.
+        (the functions of the FnSet `fs`) whose true values are `truth`.
 
         Empirical mode draws the point counts of `sample_size` i.i.d. examples
         for all queries at once, one multinomial row over the cell weights per
@@ -126,6 +127,7 @@ class SQOracle:
         if mode == "noisy":
             return truth + self._rng.uniform(-tau, tau, len(truth))
         counts = self._rng.multinomial(self.sample_size, self._joint, size=len(truth))
+        mat = fs.matrix
         return np.einsum("ij,ij->i", counts, np.hstack([mat, -mat])) / self.sample_size
 
     @property
@@ -160,32 +162,32 @@ class SQOracle:
         # NaN fails the comparison too
         if not np.all(bound <= 1 + ATOL):
             raise QueryRangeError("query function must map into [-1, 1]")
-        values = self.correlational_many(phi1, tau)
+        values = self.correlational_many(FnSet(self.dist.domain, phi1), tau)
         return values if phi2 is None else values + phi2 @ self.dist.weights
 
-    def true_values(self, mat):
-        """<g, target>_D for each row g of `mat`, as a read-only vector.
-
-        A read-only `mat` (a function set's) is taken not to change: its true
-        values are reused while the next calls ask about the same matrix.
+    def true_values(self, fs):
+        """<g, target>_D for each function g of the FnSet `fs`, as a read-only
+        vector.  An FnSet does not change: its true values are reused while the
+        next calls ask about the same set.
         """
-        if self._last_batch is not None and self._last_batch[0] is mat:
+        if self._last_batch is not None and self._last_batch[0] is fs:
             return self._last_batch[1]
-        truth = mat @ (self.target.values * self.dist.weights)
+        truth = fs.correlate(self.target.values * self.dist.weights)
         truth.flags.writeable = False
-        self._last_batch = None if mat.flags.writeable else (mat, truth)
+        self._last_batch = (fs, truth)
         return truth
 
-    def correlational_many(self, mat, tau):
-        """Batch of correlational queries, one per row of `mat`, in row order.
+    def correlational_many(self, fs, tau):
+        """Batch of correlational queries, one per function of the FnSet `fs`,
+        in row order.
 
-        Counts, logs and draws randomness exactly as len(mat) correlational
-        queries asked one at a time would.  The rows are taken as given:
+        Counts, logs and draws randomness exactly as len(fs) correlational
+        queries asked one at a time would.  The functions are taken as given:
         callers hold them in the unit ball (``query`` checks them).
         """
         _check_tau(tau)
-        truth = self.true_values(mat)
-        values = self._answer(truth, tau, mat)
+        truth = self.true_values(fs)
+        values = self._answer(truth, tau, fs)
         self.query_count += len(values)
         self._batches.append((tau, values.copy(), truth))
         return values

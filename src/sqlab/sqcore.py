@@ -1,10 +1,11 @@
 """Core SQ constructions.
 
 Every set of functions here is one ``fnspace.FnSet``: a read-only (k, 2^n)
-table, row i the i-th function, with its measured ``sup``.  A generator
-maps the learner's current approximation psi to ``(rows, gamma)``: an FnSet
-in the unit ball, and the claimed threshold gamma -- any target far enough
-from sign(psi) has some row g with |<f - psi, g>_D| >= gamma.
+table, row i the i-th function, with its measured ``sup``; the learners read
+it through ``correlate`` and ``row``.  A generator maps the learner's current
+approximation psi to ``(rows, gamma)``: an FnSet in the unit ball, and the
+claimed threshold gamma -- any target far enough from sign(psi) has some row g
+with |<f - psi, g>_D| >= gamma.
 
 * ``SQAlgorithm`` -- one method, ``run(ask)``: the algorithm asks its
   queries in rounds of matrix rows and returns its hypothesis.
@@ -179,15 +180,16 @@ class LearnerTrace:
         return self.rows[-1].queries if self.rows else 0
 
 
-def _first_hit(mat, values, v, threshold):
-    """(j, gamma) for the first row j with |gamma = values[j] - mat[j] @ v| >=
-    threshold, else (None, None).  Rows go in doubling blocks, so a hit at row
-    j reads about 2j + 64 rows; blocks start at multiples of 64, so a BLAS that
-    sums rows in groups sees the groups of one full product, bit for bit.
+def _first_hit(fs, values, v, threshold):
+    """(j, gamma) for the first row j of the FnSet `fs` with |gamma = values[j] -
+    row j @ v| >= threshold, else (None, None).  Rows go in doubling blocks, so
+    a hit at row j reads about 2j + 64 rows; blocks start at multiples of 64, so
+    a BLAS that sums rows in groups sees the groups of one full product, bit for
+    bit.
     """
     lo, size = 0, 64
-    while lo < len(mat):
-        diffs = values[lo:lo + size] - mat[lo:lo + size] @ v
+    while lo < len(fs):
+        diffs = values[lo:lo + size] - fs.correlate(v, lo, lo + size)
         hits = np.flatnonzero(np.abs(diffs) >= threshold)
         if hits.size:
             return lo + int(hits[0]), float(diffs[hits[0]])
@@ -233,10 +235,9 @@ def projected_learner(gen, oracle, tau, audit_target=None):
         if not 4 * tau - ATOL <= claim < math.inf:
             raise UsageError(f"generator claims threshold {claim}, needs a finite "
                              f"value >= 4*tau = {4 * tau}")
-        mat = fs.matrix
-        values = oracle.correlational_many(mat, tau)
-        queries += len(mat)
-        j, gamma_i = _first_hit(mat, values, psi.values * w, 3 * tau)
+        values = oracle.correlational_many(fs, tau)
+        queries += len(fs)
+        j, gamma_i = _first_hit(fs, values, psi.values * w, 3 * tau)
         potential = None
         if audit_target is not None:
             potential = float(np.dot(w, (audit_target.values - psi.values) ** 2))
@@ -245,7 +246,7 @@ def projected_learner(gen, oracle, tau, audit_target=None):
             halt = "converged"
             break
         rows.append(TraceRow(i, j, gamma_i, potential, queries))
-        psi = project_unit(psi.values + gamma_i * mat[j], d.domain)
+        psi = project_unit(psi.values + gamma_i * fs.row(j), d.domain)
         updates += 1
     return sign_of(psi), LearnerTrace(rows, halt, updates, max_updates)
 
@@ -254,13 +255,12 @@ def weak_agnostic_learner(pool, oracle, tau):
     """Best pool member against the oracle's source, oriented by its score sign.
 
     Asks one correlational query per member of `pool` (a nonempty FnSet in
-    the unit ball: rows of its `matrix`) in one batch, picks g' maximizing
-    |v(g)| (first-index tie-break) and returns sign(v(g'))*g'.  Against an
-    agnostic source (target phi_A) the result h satisfies <h, phi_A>_D >=
-    max_g |<g, phi_A>_D| - 2*tau for any valid answers.
+    the unit ball) in one batch, picks g' maximizing |v(g)| (first-index
+    tie-break) and returns sign(v(g'))*g'.  Against an agnostic source (target
+    phi_A) the result h satisfies <h, phi_A>_D >= max_g |<g, phi_A>_D| - 2*tau
+    for any valid answers.
     """
-    mat = _unit_rows(pool, "a pool").matrix
-    values = oracle.correlational_many(mat, tau)
+    values = oracle.correlational_many(_unit_rows(pool, "a pool"), tau)
     j = int(np.argmax(np.abs(values)))
     orient = 1.0 if values[j] >= 0 else -1.0
-    return RealFn(pool.domain, orient * mat[j])
+    return RealFn(pool.domain, orient * pool.row(j))

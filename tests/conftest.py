@@ -25,6 +25,28 @@ def random_bool_fn(domain, rng):
     return BoolFn(domain, np.where(rng.random(domain.size) < 0.5, -1.0, 1.0))
 
 
+# The dense recurrence that built every built-in class table before the factor
+# tables, kept as the reference their products are checked against: member
+# t | 2^(i-1) is op(member t, lit_i) for t < 2^(i-1), with lit_i = +1 iff x_i = 1.
+_CLASS_OPS = {
+    "parities": (np.multiply, 1.0),
+    "conjunctions": (np.minimum, 1.0),
+    "disjunctions": (np.maximum, -1.0),
+}
+
+
+def class_table(kind, n):
+    """Read-only +-1 (2^n, 2^n) table of class `kind` over n variables, all members in order."""
+    op, start = _CLASS_OPS[kind]
+    out = np.empty((1 << n, 1 << n))
+    out[0] = start
+    for i in range(1, n + 1):
+        m = 1 << (i - 1)
+        op(out[:m], np.where(np.arange(1 << n) >> (i - 1) & 1, 1.0, -1.0), out=out[m:2 * m])
+    out.flags.writeable = False
+    return out
+
+
 def greedy_extension(fs, d, witness, threshold):
     """`witness` extended in row order by each row of the FnSet `fs` whose
     |correlation| under `d` with every row taken so far is within `threshold`:

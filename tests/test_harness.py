@@ -169,6 +169,34 @@ def test_run_config_deterministic_across_workers(tmp_path):
     assert again == solo
 
 
+def test_run_config_starts_no_more_workers_than_runs(monkeypatch):
+    # a fork pool starts all its workers at the first submit, so --workers 5000
+    # on two runs must ask for two; the stand-in pool maps in this process
+    import concurrent.futures
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    base = dict(n=3, seeds="0,1", tau=0.05, out="x")
+    solo, _ = harness.run_config(_cfg(**base))
+    for workers in (2, 3, 5000):
+        got, _ = harness.run_config(_cfg(**base, workers=workers))
+        assert got == solo
+    assert sizes == [2, 2, 2]
+
+
 def test_evolve_run_artifacts(tmp_path):
     cfg = _cfg(
         command="evolve", n=2, epsilon=0.3, theta=0.29, seeds="0,1",
@@ -689,16 +717,21 @@ def test_empirical_ledger_overrun_is_an_honest_halt(tmp_path):
 
 def test_builtin_class_tables_beyond_max_class_n_are_refused(tmp_path):
     n = MAX_CLASS_N + 1
-    for command in ("learn", "dim", "agnostic"):
+    # what binds: dim's Gram in bytes, a learner pass over the members in multiply-adds
+    costs = {"learn": f"4^n = {4 ** n} multiply-adds", "dim": f"8*4^n = {8 * 4 ** n} bytes",
+             "agnostic": f"4^n = {4 ** n} multiply-adds"}
+    for command, cost in costs.items():
         for cls in ("parities", "conjunctions", "disjunctions"):
-            with pytest.raises(UsageError, match=f"--n {n}.*{8 * 4 ** n} bytes"):
+            with pytest.raises(UsageError, match=re.escape(f"--n {n} is too large for "
+                                                           f"{command} on the built-in class "
+                                                           f"{cls}: ") + ".*" + re.escape(cost)):
                 _cfg(command=command, n=n, cclass=cls)
         _cfg(command=command, n=MAX_CLASS_N)  # the largest size is still accepted
         _cfg(command=command, n=n, cclass="file:rows.txt")  # a file class is not refused
         out = CliRunner().invoke(
             cli.main, [command, "--n", str(n), "--out", str(tmp_path / "o")])
         assert out.exit_code == 1 and isinstance(out.exception, SystemExit), out.output
-        assert "--n" in out.output and str(8 * 4 ** n) in out.output
+        assert "--n" in out.output and cost in out.output
     _cfg(command="evolve", n=n)  # evolve builds no class table
 
 

@@ -13,6 +13,7 @@ from sqlab.fnspace import (
     BoolFn,
     Dist,
     Domain,
+    FnSet,
     RealFn,
     dist_random,
     dist_uniform,
@@ -54,7 +55,7 @@ def test_query_validation():
         with pytest.raises(InvalidToleranceError):
             orc.query(ok, tau)
         with pytest.raises(InvalidToleranceError):
-            orc.correlational_many(ok, tau)
+            orc.correlational_many(FnSet(domain, ok), tau)
     assert orc.query_count == 0 and orc.query_log == []
     # the unit ball's edge is in range: |phi1| + |phi2| = 1
     half = np.full((1, 8), 0.5)
@@ -157,19 +158,20 @@ def test_query_log_and_audit():
 
 
 
-def test_batch_truth_reused_only_for_a_read_only_matrix():
+def test_batch_truth_reused_for_the_same_fn_set():
     domain, target, dist, rng = _setup()
     mat = rng.uniform(-1, 1, (5, domain.size))
-    frozen = mat.copy()
-    frozen.flags.writeable = False
+    fs = FnSet(domain, mat)
     orc = SQOracle(target, dist)
-    first = orc.correlational_many(frozen, 0.1)
-    np.testing.assert_array_equal(orc.correlational_many(frozen, 0.1), first)
+    first = orc.correlational_many(fs, 0.1)
+    assert orc.true_values(fs) is orc.true_values(fs)
+    np.testing.assert_array_equal(orc.correlational_many(fs, 0.1), first)
     assert orc.query_count == 10 and len(orc.query_log) == 10
-    # a writeable matrix may change between batches, so its truth is recomputed
-    orc.correlational_many(mat, 0.1)
+    # an FnSet copies a writeable table, so a change to it makes another set
     mat[0] = -mat[0]
-    assert orc.correlational_many(mat, 0.1)[0] == pytest.approx(-first[0], abs=1e-12)
+    assert orc.correlational_many(FnSet(domain, mat), 0.1)[0] == pytest.approx(
+        -first[0], abs=1e-12)
+    np.testing.assert_array_equal(orc.correlational_many(fs, 0.1), first)
     assert orc.audit() <= 1e-12
 
 
@@ -178,13 +180,13 @@ def test_audit_is_the_worst_logged_gap():
     mat = rng.uniform(-1, 1, (6, domain.size))
     for mode in ("exact", "grid_adversary", "noisy", "liar"):
         orc = SQOracle(target, dist, mode=mode, seed=2)
-        orc.correlational_many(mat, 0.05)
+        orc.correlational_many(FnSet(domain, mat), 0.05)
         orc.query(mat[:1], 0.2)
-        orc.correlational_many(mat[:0], 0.3)
+        orc.correlational_many(FnSet(domain, mat[:0]), 0.3)
         want = max(abs(e.value - e.true_value) - e.tau for e in orc.query_log)
         assert orc.audit() == want, mode
     orc = SQOracle(target, dist, mode="empirical", seed=2, sample_size=5)
-    orc.correlational_many(mat, 0.05)
+    orc.correlational_many(FnSet(domain, mat), 0.05)
     assert orc.audit() == float("-inf")
     assert all(e.probabilistic for e in orc.query_log)
 
@@ -213,7 +215,7 @@ def test_correlational_many_matches_single_queries(case, tau, seed, sample_size,
     target, dist, mat = case
     for mode in MODES:
         batch = SQOracle(target, dist, mode=mode, seed=seed, sample_size=sample_size)
-        got = batch.correlational_many(mat, tau)
+        got = batch.correlational_many(FnSet(dist.domain, mat), tau)
         want, truths = one_by_one(target, dist, mat, tau, mode, seed, sample_size)
         assert got.tolist() == want, mode
         assert batch.query_count == len(mat)
@@ -261,11 +263,11 @@ def test_valid_modes_answer_within_tau_at_every_entry_point(case, tau, seed):
     agnostic_truth += [truth[len(rows)], float(np.sum(w * (p * pos + (1 - p) * neg)))]
     for mode in ("exact", "grid_adversary", "noisy"):
         oracle = SQOracle(target, dist, mode=mode, seed=seed)
-        answers = oracle.correlational_many(rows, tau).tolist()
+        answers = oracle.correlational_many(FnSet(domain, rows), tau).tolist()
         answers += oracle.query(rows, tau).tolist()
         answers += oracle.query(general1, tau, general2).tolist()
         agnostic = SQOracle(RealFn(domain, phi_a), dist, mode=mode, seed=seed)
-        answers += agnostic.correlational_many(rows, tau).tolist()
+        answers += agnostic.correlational_many(FnSet(domain, rows), tau).tolist()
         answers += agnostic.query(rows, tau).tolist()
         answers += agnostic.query(general1, tau, general2).tolist()
         want = truth[:len(rows)] * 2 + truth + agnostic_truth[:len(rows)] * 2 + agnostic_truth

@@ -301,7 +301,7 @@ def test_first_hit_matches_a_full_scan(k, hit, seed):
     diffs = values - mat @ v
     hits = np.flatnonzero(np.abs(diffs) >= 0.5)
     want = (int(hits[0]), float(diffs[hits[0]])) if hits.size else (None, None)
-    assert _first_hit(mat, values, v, 0.5) == want
+    assert _first_hit(FnSet(Domain(3), mat), values, v, 0.5) == want
 
 def test_projected_learner_flags_lying_oracle(domain3, uniform3):
     class Liar(SQOracle):
