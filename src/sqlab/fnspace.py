@@ -19,8 +19,9 @@ from .errors import DomainMismatchError, UsageError
 
 ATOL = 1e-12
 MAX_N = 20  # 2**20 doubles per function; exactness beats sparsity at desk scale
-# a built-in class has 2^n members of 2^n entries: learn and agnostic read it at 4^n
-# multiply-adds per pass, and dim's Gram of it takes 8*4^n bytes, 2 GiB at n=14
+# a built-in class has 2^n members of 2^n entries.  learn and agnostic read it through
+# O(n 2^n) transforms up to MAX_N, but dim's Gram of it takes 8*4^n bytes, 2 GiB at
+# n=14, and an empirical oracle's counts over it 2*4^n int64, 4 GiB at n=14
 MAX_CLASS_N = 14
 
 
@@ -182,13 +183,13 @@ class FnSet:
     """Ordered set of real-valued functions over one domain.
 
     A read-only (k, 2^n) table, row i the i-th function; k may be 0.  Its
-    consumers read it through `shape`, `row(i)` and `correlate(x, lo, hi)`
-    (rows lo..hi-1 times the vector x), and through `matrix`, the whole table,
-    where they need every row at once.  `sup` is the largest |entry| (0 for an
-    empty set), measured by the one scan a table from outside gets here: its
-    shape and min/max, which also rejects NaN and +-inf.  A table that is +-1
-    by construction (a class file of 1 and -1 entries) skips the scan through
-    from_signs, and a built-in class keeps two factor tables (ClassSet).
+    consumers read it through `shape`, `row(i)` and `correlate(x)` (every row
+    times the vector x), and through `matrix`, the whole table, where they
+    need every row at once.  `sup` is the largest |entry| (0 for an empty
+    set), measured by the one scan a table from outside gets here: its shape
+    and min/max, which also rejects NaN and +-inf.  A table that is +-1 by
+    construction (a class file of 1 and -1 entries) skips the scan through
+    from_signs, and a built-in class keeps no table (ClassSet).
     Indexing and iteration build the BoolFn of a row on demand, so they hold
     for +-1 rows (a concept class).  Row order is deterministic and defines
     tie-breaking downstream; reports name a row by its index.
@@ -232,9 +233,9 @@ class FnSet:
         """Row i, read-only."""
         return self._matrix[i]
 
-    def correlate(self, x, lo=0, hi=None):
-        """Rows lo..hi-1 (all rows by default) times the vector x."""
-        return self._matrix[lo:hi] @ x
+    def correlate(self, x):
+        """Every row times the vector x."""
+        return self._matrix @ x
 
     def __len__(self):
         return self.shape[0]
@@ -308,145 +309,115 @@ _CLASS_OPS = {
     "disjunctions": (np.maximum, -1.0),
 }
 
-# Rows a ClassSet builds at once for a product: a 16-row block is at most 2 MB
-# (n = 14), so it is written and read back in cache, and 16 divides the 64-row
-# block starts of sqcore._first_hit, so a BLAS that sums rows in groups sees the
-# groups of the dense product.  Fixed by measurement; see BENCH_25.json.
-_BLOCK = 16
-# A class over at most this many variables is its own low factor: its table takes
-# at most 512 KB, and one gemv reads it faster than blocks of it cost in calls.
-_WHOLE_N = 8
-
 
 def _literal(n, i):
     """+-1 row of variable i over {0,1}^n: +1 iff x_i = 1."""
     return np.where(np.arange(1 << n) >> (i - 1) & 1, 1.0, -1.0)
 
 
-def _members(op, start, n, variables):
-    """Read-only +-1 table over {0,1}^n of the class members whose index sets lie
-    in `variables`: row r is the member {variables[k] : bit k of r is set}.
-    Member r | 2^k is op(member r, lit of variables[k]) for r < 2^k, so each
-    variable doubles the table with one ufunc that writes the new rows once."""
-    out = np.empty((1 << len(variables), 1 << n))
+def _fold(kind, n, variables):
+    """Read-only +-1 row over {0,1}^n of the member of class `kind` whose index
+    set is `variables`."""
+    op, start = _CLASS_OPS[kind]
+    row = np.full(1 << n, start)
+    for i in variables:
+        op(row, _literal(n, i), out=row)
+    row.flags.writeable = False
+    return row
+
+
+def _members(kind, n):
+    """Read-only +-1 (2^n, 2^n) table of class `kind`, all members in order.
+    Member t | 2^(i-1) is op(member t, lit_i) for t < 2^(i-1), so each variable
+    doubles the table with one ufunc that writes the new rows once."""
+    op, start = _CLASS_OPS[kind]
+    out = np.empty((1 << n, 1 << n))
     out[0] = start
-    for k, i in enumerate(variables):
-        m = 1 << k
+    for i in range(1, n + 1):
+        m = 1 << (i - 1)
         op(out[:m], _literal(n, i), out=out[m:2 * m])
     out.flags.writeable = False
     return out
 
 
-class ClassSet(FnSet):
-    """A built-in class as two +-1 factor tables in place of its 2^n x 2^n one.
+def _butterflies(x, step):
+    """A float64 copy of the vector x over the points after step(a, b) at each
+    variable in turn, in place: a and b are the entries whose point has that
+    variable's bit clear and set, paired by the other bits."""
+    v = np.array(x, dtype=np.float64)
+    for i in range(v.size.bit_length() - 1):
+        halves = v.reshape(-1, 2, 1 << i)
+        step(halves[:, 0], halves[:, 1])
+    return v
 
-    `low` holds the 2^b members over variables 1..b and `high` the 2^(n-b)
-    members over variables b+1..n, so member t is op(low[t mod 2^b], high[t >>
-    b]): 2 MB each at n = 12.  b is ceil(n/2), so past n = 8 every 16 rows
-    from a multiple of 16 share one high member; up to n = 8, b is n and `low`
-    is the whole table, with `high` the one member `start`.  `row(i)` holds the
-    dense table's entries, and `correlate` the dense product's bits when lo is
-    a multiple of 16: it hands the same rows, or for parities the same terms,
-    to the same gemv.  Past n = 8, `matrix` builds the dense table from the
-    factors on first read, for the consumers that need every row at once
-    (dim's Gram, the empirical oracle's counts).
+
+def _signed_hadamard(a, b):
+    # a, b <- a + b, b - a: the Walsh-Hadamard butterfly with chi_T's sign
+    # folded in, as a member with i in T takes lit_i = -1 where x_i = 0
+    diff = b - a
+    a += b
+    b[...] = diff
+
+
+def _superset_sum(a, b):
+    a += b
+
+
+def _subset_sum(a, b):
+    b += a
+
+
+class ClassSet(FnSet):
+    """A built-in class read through one add-only transform of the vector, in
+    place of its 2^n x 2^n table.
+
+    `correlate(x)` gives all 2^n members' products with x from O(n 2^n) adds:
+    the Walsh-Hadamard transform for parities (Kushilevitz & Mansour 1993),
+    the superset sum for conjunctions and the subset sum for disjunctions
+    (Bjorklund, Husfeldt, Kaski & Koivisto 2007).  Sums go in another order
+    than a dense product's, so they agree with it to rounding, and exactly on
+    integer vectors small enough to sum exactly.  `row(i)` folds the op over
+    member i's literals, as make_parity and its siblings do.  `matrix` builds
+    the dense table on first read, for the consumers that need every row at
+    once (dim's Gram, the empirical oracle's counts).
     """
 
-    __slots__ = ("_low", "_high", "_op", "_absorb", "_turns")
+    __slots__ = ("_kind",)
 
     def __init__(self, kind, n):
-        op, start = _CLASS_OPS[kind]
         self._fill(Domain(n), None, 1.0)
-        b = n if n <= _WHOLE_N else (n + 1) // 2
-        self._low = _members(op, start, n, range(1, b + 1))
-        self._high = _members(op, start, n, range(b + 1, n + 1))
-        self._op = op
-        if b == n:  # high is the one member start: low is the table
-            self._matrix = self._low
-        if op is not np.multiply:
-            # A high member is constant on each run of 2^b points.  Where it is
-            # the op's identity (start) a member shows its low member, elsewhere
-            # the absorbing value -start.  turns[h - 1]: the runs on which high
-            # member h turns from h - 1's value to the identity, and those on
-            # which it turns away from it.
-            self._absorb = -start
-            runs = self._high[:, ::1 << b]
-            self._turns = [(np.flatnonzero((now != was) & (now == start)),
-                            np.flatnonzero((now != was) & (now != start)))
-                           for was, now in zip(runs[:-1], runs[1:])]
+        self._kind = kind
 
     @property
     def shape(self):
-        return len(self._low) * len(self._high), self.domain.size
+        return self.domain.size, self.domain.size
 
     @property
     def matrix(self):
         if self._matrix is None:
-            low, high = self._low, self._high
-            table = np.empty((len(high), len(low), self.domain.size))
-            self._op(low, high[:, None], out=table)
-            table = table.reshape(self.shape)
-            table.flags.writeable = False
-            self._matrix = table
+            self._matrix = _members(self._kind, self.domain.n)
         return self._matrix
 
     def row(self, i):
-        h, l = divmod(range(len(self))[i], len(self._low))
-        out = self._op(self._low[l], self._high[h])
-        out.flags.writeable = False
-        return out
+        t, n = range(len(self))[i], self.domain.n
+        return _fold(self._kind, n, [k + 1 for k in range(n) if t >> k & 1])
 
-    def correlate(self, x, lo=0, hi=None):
-        hi = len(self) if hi is None else min(hi, len(self))
-        low, high, step = self._low, self._high, len(self._low)
-        out = np.empty(max(hi - lo, 0))
-        if self._op is np.multiply:
-            # chi_{S u U} = chi_S * chi_U, and a +-1 factor only flips a sign: each
-            # term low[l, j] * (high[h, j] * x[j]) is the dense term, bit for bit
-            s = lo
-            while s < hi:
-                h = s // step
-                e = min(hi, (h + 1) * step)
-                out[s - lo:e - lo] = low[s - h * step:e - h * step] @ (high[h] * x)
-                s = e
-            return out
-        # high member 0 is the op's identity, so its rows are low's rows
-        if lo < step:
-            out[:min(hi, step) - lo] = low[lo:hi] @ x
-        if hi <= step:
-            return out
-        # The rows h * step + l0 .. + 15 of consecutive h >= 1, for each l0, go
-        # through one buffer: the first is built by one ufunc, and each next one
-        # by rewriting only the runs on which its high member differs from the
-        # last.  One gemv reads each block.  (Here n > 8, so step >= 32.)
-        rows = _BLOCK
-        buf = np.empty((rows, self.domain.size))
-        runs = buf.reshape(rows, -1, step)
-        for l0 in range(0, step, rows):
-            shown = low[l0:l0 + rows, None, :step]
-            # the h >= 1 whose rows h * step + l0 .. + rows - 1 meet [lo, hi)
-            first = max(lo - l0 - rows + step, step) // step
-            for h in range(first, (hi - l0 + step - 1) // step):
-                if h == first:
-                    self._op(low[l0:l0 + rows], high[h], out=buf)
-                else:
-                    to_low, to_absorb = self._turns[h - 1]
-                    runs[:, to_low] = shown
-                    runs[:, to_absorb] = self._absorb
-                t = h * step + l0
-                a, e = max(t, lo), min(t + rows, hi)
-                out[a - lo:e - lo] = buf[a - t:e - t] @ x
-        return out
+    def correlate(self, x):
+        if self._kind == "parities":
+            return _butterflies(x, _signed_hadamard)
+        # with Z(x)[U] the sum of x over the points p >= U (bitwise) and S(x)[U]
+        # that over p <= U: a conjunction c_T is +1 on T's supersets and a
+        # disjunction d_T is -1 on ~T's subsets, the points that miss T
+        if self._kind == "conjunctions":
+            z = _butterflies(x, _superset_sum)
+            return 2.0 * z - z[0]
+        s = _butterflies(x, _subset_sum)
+        return s[-1] - 2.0 * s[::-1]
 
 
 def _class_member(kind, domain, T):
     """BoolFn of the one member of class `kind` with index set T."""
-    op, start = _CLASS_OPS[kind]
-    row = np.full(domain.size, start)
-    for i in _index_set(domain, T):
-        op(row, _literal(domain.n, i), out=row)
-    row.flags.writeable = False
-    return BoolFn(domain, row)
+    return BoolFn(domain, _fold(kind, domain.n, _index_set(domain, T)))
 
 
 def make_parity(domain, T):

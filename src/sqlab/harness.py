@@ -171,10 +171,14 @@ def make_config(data):
         raise UsageError(
             "--oracle liar does not apply to agnostic: its pool learner keeps "
             "no update ledger that a lying oracle could trip")
-    if cfg.command != "evolve" and cfg.cclass in CLASSES and cfg.n > MAX_CLASS_N:
-        cost = (f"its Gram takes 8*4^n = {8 * 4 ** cfg.n} bytes" if cfg.command == "dim" else
-                f"each pass over its 2^n members takes 4^n = {4 ** cfg.n} multiply-adds")
-        raise UsageError(f"--n {cfg.n} is too large for {cfg.command} on the built-in class "
+    # learn and agnostic read a built-in class through transforms, up to MAX_N; dim's
+    # Gram and an empirical oracle's counts read its dense (2^n, 2^n) table
+    empirical = cfg.command in ("learn", "agnostic") and cfg.oracle.startswith("empirical:")
+    if cfg.cclass in CLASSES and cfg.n > MAX_CLASS_N and (cfg.command == "dim" or empirical):
+        user, cost = ((f"{cfg.command} --oracle {cfg.oracle}",
+                       f"its counts take 2*4^n int64 = {16 * 4 ** cfg.n} bytes") if empirical
+                      else ("dim", f"its Gram takes 8*4^n = {8 * 4 ** cfg.n} bytes"))
+        raise UsageError(f"--n {cfg.n} is too large for {user} on the built-in class "
                          f"{cfg.cclass}: {cost}; use n <= {MAX_CLASS_N}")
     if cfg.command == "evolve":
         _evolve_params(cfg)

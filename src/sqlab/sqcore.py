@@ -182,18 +182,11 @@ class LearnerTrace:
 
 def _first_hit(fs, values, v, threshold):
     """(j, gamma) for the first row j of the FnSet `fs` with |gamma = values[j] -
-    row j @ v| >= threshold, else (None, None).  Rows go in doubling blocks, so
-    a hit at row j reads about 2j + 64 rows; blocks start at multiples of 64, so
-    a BLAS that sums rows in groups sees the groups of one full product, bit for
-    bit.
-    """
-    lo, size = 0, 64
-    while lo < len(fs):
-        diffs = values[lo:lo + size] - fs.correlate(v, lo, lo + size)
-        hits = np.flatnonzero(np.abs(diffs) >= threshold)
-        if hits.size:
-            return lo + int(hits[0]), float(diffs[hits[0]])
-        lo, size = lo + size, 2 * size
+    row j @ v| >= threshold, else (None, None).  One pass reads every row."""
+    diffs = values - fs.correlate(v)
+    hits = np.flatnonzero(np.abs(diffs) >= threshold)
+    if hits.size:
+        return int(hits[0]), float(diffs[hits[0]])
     return None, None
 
 

@@ -1,9 +1,11 @@
-"""Built-in classes read through their factor tables give the dense table's bits.
+"""Built-in classes read through their transforms agree with the dense table.
 
-The reference is the dense recurrence in conftest.class_table.  Every
-comparison is of bytes, not within a tolerance: a summation order that moved
-would change a learner's first hit at a 3*tau boundary, and the golden grid's
-dyadic configs cannot see it.
+The reference is the dense recurrence in conftest.class_table.  A transform
+sums in another order than a dense product, so on float vectors the two agree
+to rounding, within 1e-12 * sum|x|.  Where both sides are exact they agree
+byte for byte: on integer vectors whose every partial sum is an integer
+below 2^53, and on unit vectors, whose products are the table's columns.
+`row` and `matrix` hold the table's own entries, byte for byte.
 """
 
 import tracemalloc
@@ -12,6 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqlab import harness
 from sqlab.fnspace import (
     Domain,
     FnSet,
@@ -33,6 +36,7 @@ BUILDERS = {
     "conjunctions": conjunction_class,
     "disjunctions": disjunction_class,
 }
+TOL = 1e-12
 
 
 def _same_bits(a, b):
@@ -45,45 +49,64 @@ def _same_bits(a, b):
 def test_class_products_equal_the_dense_reference_bit_for_bit(n, kind, seed):
     rng = np.random.default_rng(seed)
     size = 1 << n
-    # mixed signs, magnitudes 16 decades apart and zeros of both signs: a
-    # summation order that moved would show in the low bits
-    x = rng.normal(size=size) * 10.0 ** rng.integers(-8, 9, size)
-    x[rng.random(size) < 0.2] = 0.0
-    x[rng.random(size) < 0.2] *= -1.0
     ref = class_table(kind, n)
     fs = BUILDERS[kind](n)
     assert len(fs) == size and fs.shape == (size, size) and fs.sup == 1.0
+    # integers of mixed signs below 2^40: at n <= 11 every partial sum on
+    # either side is an integer below 2^51, so both are exact
+    x = rng.integers(-2**40 + 1, 2**40, size).astype(np.float64)
+    x[rng.random(size) < 0.2] = 0.0
     assert _same_bits(fs.correlate(x), ref @ x)
-    for lo in range(0, size, 64):
-        for hi in (lo + 64, lo + 128, size):
-            assert _same_bits(fs.correlate(x, lo, hi), ref[lo:hi] @ x), (lo, hi)
-    # any other range holds the same rows, if not every bit of their sums
-    lo, hi = sorted(rng.integers(0, size + 1, 2).tolist())
-    got = fs.correlate(x, lo, hi)
-    assert got.shape == (hi - lo,)
-    assert np.all(np.abs(got - ref[lo:hi] @ x) <= 1e-12 * np.abs(x).sum())
+    for p in rng.integers(0, size, 4).tolist() + [0, size - 1]:
+        assert _same_bits(fs.correlate(np.eye(1, size, p)[0]), ref[:, p]), p
     for i in rng.integers(0, size, 8).tolist() + [0, size - 1]:
         row = fs.row(i)
         assert _same_bits(row, ref[i]) and not row.flags.writeable
     assert _same_bits(fs.matrix, ref) and not fs.matrix.flags.writeable
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 10), kind=st.sampled_from(sorted(BUILDERS)),
+       seed=st.integers(0, 2**32 - 1))
+def test_class_products_are_within_1e_12_of_the_dense_reference(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    size = 1 << n
+    # mixed signs, magnitudes 16 decades apart and zeros of both signs
+    x = rng.normal(size=size) * 10.0 ** rng.integers(-8, 9, size)
+    x[rng.random(size) < 0.2] = 0.0
+    x[rng.random(size) < 0.2] *= -1.0
+    got = BUILDERS[kind](n).correlate(x)
+    assert got.shape == (size,) and got.dtype == np.float64
+    assert np.all(np.abs(got - class_table(kind, n) @ x) <= TOL * np.abs(x).sum())
+
+
 def _learn(fs, target, dist, tau):
     gen = class_pool_generator(fs, gamma=4 * tau)
     oracle = SQOracle(target, dist)
     hyp, trace = projected_learner(gen, oracle, tau, audit_target=target)
-    return hyp.values.tobytes(), trace.rows, trace.halt_reason, oracle.query_log
+    return hyp.values.tobytes(), trace, oracle.query_log
 
 
 def _agnostic(fs, phi, dist, tau, mode):
     oracle = SQOracle(phi, dist, mode=mode, seed=5)
     hyp = weak_agnostic_learner(fs, oracle, tau)
-    return hyp.values.tobytes(), oracle.true_values(fs).tobytes(), oracle.query_log
+    return hyp.values.tobytes(), oracle.true_values(fs), oracle.query_log
 
 
-def test_learners_on_factor_tables_match_the_dense_table_run_for_run():
-    # random D makes every weight and correlation a full-precision float; at
-    # n=8 the low factor is the whole table, at n=9 and 10 rows go in blocks
+def _close(a, b):
+    return a is b is None or abs(a - b) <= TOL
+
+
+def _same_log(got, want):
+    return len(got) == len(want) and all(
+        g.tau == w.tau and g.probabilistic == w.probabilistic
+        and _close(g.value, w.value) and _close(g.true_value, w.true_value)
+        for g, w in zip(got, want))
+
+
+def test_learners_on_class_transforms_match_the_dense_table_run_for_run():
+    # random D makes every weight and correlation a full-precision float: the
+    # steps taken, the halt and the hypothesis match exactly, the values to 1e-12
     for n in (8, 9, 10):
         domain = Domain(n)
         for kind, build in BUILDERS.items():
@@ -91,27 +114,50 @@ def test_learners_on_factor_tables_match_the_dense_table_run_for_run():
             for seed in range(2):
                 dist = dist_random(domain, make_rng(seed, n, "dist"))
                 target = dense[int(make_rng(seed, n, "target").integers(len(dense)))]
-                got = _learn(fs, target, dist, 0.02)
-                assert got == _learn(dense, target, dist, 0.02), (kind, n, seed)
-                assert len(got[1]) > 1 and got[2] == "converged"
+                hyp, trace, log = _learn(fs, target, dist, 0.02)
+                want_hyp, want, want_log = _learn(dense, target, dist, 0.02)
+                where = (kind, n, seed)
+                assert hyp == want_hyp, where
+                assert (trace.halt_reason, trace.updates) == (want.halt_reason, want.updates)
+                assert trace.halt_reason == "converged" and len(trace.rows) > 1, where
+                assert [(r.iteration, r.chosen, r.queries) for r in trace.rows] == \
+                    [(r.iteration, r.chosen, r.queries) for r in want.rows], where
+                assert all(_close(r.gamma, w.gamma) and _close(r.potential, w.potential)
+                           for r, w in zip(trace.rows, want.rows)), where
+                assert _same_log(log, want_log), where
                 phi = random_real_fn(domain, make_rng(seed, n, "phi"))
                 for mode in ("exact", "grid_adversary", "noisy"):
-                    assert _agnostic(fs, phi, dist, 0.05, mode) == \
-                        _agnostic(dense, phi, dist, 0.05, mode), (kind, n, seed, mode)
-            if n > 8:  # neither learner built the dense table
-                assert fs._matrix is None
+                    hyp, truth, log = _agnostic(fs, phi, dist, 0.05, mode)
+                    want_hyp, want_truth, want_log = _agnostic(dense, phi, dist, 0.05, mode)
+                    assert hyp == want_hyp, where + (mode,)
+                    assert np.all(np.abs(truth - want_truth) <= TOL), where + (mode,)
+                    assert _same_log(log, want_log), where + (mode,)
+            assert fs._matrix is None  # neither learner built the dense table
 
 
-def test_learn_and_agnostic_on_builtin_classes_allocate_no_dense_table(tmp_path):
-    # the (2^12, 2^12) table alone is 128 MB
+def test_learn_and_agnostic_on_builtin_classes_allocate_no_dense_table(tmp_path, monkeypatch):
+    # the (2^14, 2^14) table alone is 2 GiB; what the runs hold grows with 2^n,
+    # about 4x per two more variables
+    built, build = [], harness._build_class
+
+    def build_class(cfg, domain):
+        built.append(build(cfg, domain))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "_build_class", build_class)
     for command in ("learn", "agnostic"):
         for kind in BUILDERS:
-            cfg = make_config({"command": command, "n": 12, "class": kind, "dist": "random",
-                               "tau": 0.02, "seeds": "3", "out": str(tmp_path)})
-            tracemalloc.start()
-            try:
-                run_config(cfg)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 32 * 2**20, (command, kind, peak)
+            peaks = []
+            for n in (14, 16):
+                cfg = make_config({"command": command, "n": n, "class": kind, "dist": "random",
+                                   "tau": 0.02, "seeds": "3", "out": str(tmp_path)})
+                tracemalloc.start()
+                try:
+                    run_config(cfg)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                peaks.append(peak)
+                assert built[-1]._matrix is None, (command, kind, n)
+            assert peaks[1] <= 4.5 * peaks[0], (command, kind, peaks)
+            assert peaks[1] < 32 * 2**20, (command, kind, peaks)

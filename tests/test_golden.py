@@ -11,7 +11,9 @@ which refuses to overwrite an entry that exists.
 
 The learn and agnostic configs run under uniform D at n=4 with tau = 1/16
 (so the grid adversary's step 2*tau is dyadic too); their floats are printed
-at 12 significant digits.
+at 12 significant digits.  Two learn configs run at n=12 under random D, where
+every weight and correlation is a full-precision float, on the class
+transforms of parities and conjunctions.
 """
 
 import hashlib
@@ -48,6 +50,9 @@ GRID = {
     **{f"dim-{c}-{d}": dict(_DIM, **{"class": c, "dist": d})
        for c in ("parities", "conjunctions", "file") for d in ("uniform", "random")},
     "evolve": dict(command="evolve", n=3, epsilon=0.4, seeds="0,1"),
+    **{f"learn-{c}-12-random": dict(command="learn", n=12, tau=0.02, dist="random",
+                                    seeds="0..5", **{"class": c})
+       for c in ("parities", "conjunctions")},
 }
 LIAR = dict(_LEARN, oracle="liar")
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import sqlab
 from sqlab import cli, harness, sqcore
 from sqlab.errors import InvariantBreachError, UsageError
-from sqlab.fnspace import (MAX_CLASS_N, Domain, conjunction_class, dist_random, dist_to_text,
+from sqlab.fnspace import (MAX_CLASS_N, MAX_N, Domain, conjunction_class, dist_random, dist_to_text,
                            parity_class, random_real_fn)
 from sqlab.oracles import SQOracle
 from sqlab.rng import make_rng
@@ -717,21 +717,26 @@ def test_empirical_ledger_overrun_is_an_honest_halt(tmp_path):
 
 def test_builtin_class_tables_beyond_max_class_n_are_refused(tmp_path):
     n = MAX_CLASS_N + 1
-    # what binds: dim's Gram in bytes, a learner pass over the members in multiply-adds
-    costs = {"learn": f"4^n = {4 ** n} multiply-adds", "dim": f"8*4^n = {8 * 4 ** n} bytes",
-             "agnostic": f"4^n = {4 ** n} multiply-adds"}
-    for command, cost in costs.items():
+    # what binds is the dense table: dim's Gram, or an empirical oracle's counts
+    refused = [("dim", {}, "dim", f"its Gram takes 8*4^n = {8 * 4 ** n} bytes")] + [
+        (command, {"oracle": "empirical:100"}, f"{command} --oracle empirical:100",
+         f"its counts take 2*4^n int64 = {16 * 4 ** n} bytes") for command in ("learn", "agnostic")]
+    for command, flags, user, cost in refused:
         for cls in ("parities", "conjunctions", "disjunctions"):
-            with pytest.raises(UsageError, match=re.escape(f"--n {n} is too large for "
-                                                           f"{command} on the built-in class "
-                                                           f"{cls}: ") + ".*" + re.escape(cost)):
-                _cfg(command=command, n=n, cclass=cls)
-        _cfg(command=command, n=MAX_CLASS_N)  # the largest size is still accepted
-        _cfg(command=command, n=n, cclass="file:rows.txt")  # a file class is not refused
-        out = CliRunner().invoke(
-            cli.main, [command, "--n", str(n), "--out", str(tmp_path / "o")])
+            with pytest.raises(UsageError, match=re.escape(f"--n {n} is too large for {user} on "
+                                                           f"the built-in class {cls}: {cost}; "
+                                                           f"use n <= {MAX_CLASS_N}")):
+                _cfg(command=command, n=n, cclass=cls, **flags)
+        _cfg(command=command, n=MAX_CLASS_N, **flags)  # the largest size is still accepted
+        _cfg(command=command, n=n, cclass="file:rows.txt", **flags)  # a file class is not refused
+        args = [command, "--n", str(n), "--out", str(tmp_path / "o")]
+        out = CliRunner().invoke(cli.main, args + [f"--{k}={v}" for k, v in flags.items()])
         assert out.exit_code == 1 and isinstance(out.exception, SystemExit), out.output
         assert "--n" in out.output and cost in out.output
+    # learn and agnostic read the class through transforms, up to MAX_N
+    for command in ("learn", "agnostic"):
+        for oracle in ("exact", "grid_adversary", "noisy"):
+            _cfg(command=command, n=MAX_N, oracle=oracle)
     _cfg(command="evolve", n=n)  # evolve builds no class table
 
 

@@ -290,8 +290,8 @@ def test_projected_learner_trace_replay(domain3):
 @given(k=st.integers(1, 300), hit=st.one_of(st.none(), st.integers(0, 299)),
        seed=st.integers(0, 2**32))
 def test_first_hit_matches_a_full_scan(k, hit, seed):
-    # quarter-valued rows and vectors: every sum is exact, so the blocked scan
-    # must return exactly what one product over the whole matrix gives
+    # quarter-valued rows and vectors: every sum is exact, so the scan must
+    # return exactly the first hit of the full product
     rng = np.random.default_rng(seed)
     mat = rng.integers(-4, 5, (k, 8)) / 4
     v = rng.integers(-4, 5, 8) / 4
