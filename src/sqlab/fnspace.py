@@ -1,10 +1,11 @@
 """Function-space core over explicit Boolean domains.
 
-Everything is a dense table over {0,1}^n: Boolean (+/-1) functions, real
-[-1,1]-valued functions, distributions, and sets of functions (an FnSet, one
-row per function: a concept class, a candidate set, a shifted set).  Point index p encodes the bit
-vector with coordinate x_i = (p >> (i-1)) & 1 for i in 1..n (variable 1 is the
-least significant bit).  All values are immutable after construction.
+Boolean (+/-1) functions, real [-1,1]-valued functions, distributions and
+sets of functions (an FnSet, one row per function: a concept class, a
+candidate set, a shifted set) are dense tables over {0,1}^n, but for a built-in
+class (ClassSet), which keeps none.  Point index p encodes the bit vector with
+coordinate x_i = (p >> (i-1)) & 1 for i in 1..n (variable 1 is the least
+significant bit).  All values are immutable after construction.
 
 Conventions fixed here and used everywhere downstream:
   * sign(0) = +1;
@@ -125,9 +126,9 @@ class RealFn:
         if not np.all(over <= ATOL):
             raise UsageError(f"RealFn entries must be finite and lie in [-1,1]; "
                              f"worst overshoot {over.max():.3g}")
-        arr = np.clip(arr, -1.0, 1.0)
         self.domain = domain
-        self.values = _freeze(arr)
+        self.values = np.clip(arr, -1.0, 1.0)  # a fresh array: no copy to freeze
+        self.values.flags.writeable = False
 
     def __eq__(self, other):
         return (
@@ -166,7 +167,8 @@ class Dist:
                 f"distribution weights sum to {total:.9g}, beyond renormalization drift"
             )
         self.domain = domain
-        self.weights = _freeze(arr / total)
+        self.weights = arr / total  # a fresh array: no copy to freeze
+        self.weights.flags.writeable = False
 
     def __eq__(self, other):
         return (
@@ -280,7 +282,9 @@ def project_unit(values, domain):
 
 def sign_of(phi):
     """Pointwise sign; sign(0) = +1."""
-    return BoolFn(phi.domain, np.where(phi.values >= 0, 1.0, -1.0))
+    signs = np.where(phi.values >= 0, 1.0, -1.0)
+    signs.flags.writeable = False  # ours alone: BoolFn keeps it without a copy
+    return BoolFn(phi.domain, signs)
 
 
 def _index_set(domain, T):

@@ -397,12 +397,6 @@ def _build_oracle(cfg, target, dist, master, k):
                     sample_size=sample_size)
 
 
-def _audit_gap(oracle):
-    """The oracle's audit gap; None when no logged answer is checkable (empirical)."""
-    gap = oracle.audit()
-    return gap if gap > -math.inf else None
-
-
 def _learn_one(cfg, k, master):
     domain = Domain(cfg.n)
     cclass = _build_class(cfg, domain)
@@ -418,12 +412,12 @@ def _learn_one(cfg, k, master):
         "queries": trace.queries,
         "final_disagreement": disagreement(hyp, target, dist),
         "ledger": trace.ledger,
-        "audit_gap": _audit_gap(oracle),
+        "audit_gap": oracle.audit(),
     }
     if trace.halt_reason == "oracle-violation":
         overrun = (f"{trace.updates} accepted updates exceed the ledger ceil(1/(3*tau^2)) = "
                    f"{trace.ledger} at tau={cfg.tau}")
-        if oracle.mode != "empirical":
+        if not oracle.probabilistic:
             raise InvariantBreachError(
                 f"update-count ledger exhausted: {overrun}; the oracle's answers are "
                 "inconsistent with any single target")
@@ -498,7 +492,7 @@ def _agnostic_one(cfg, k, master):
         "achieved_correlation": achieved,
         "guarantee_ok": achieved >= best - 2 * cfg.tau - 1e-12,
     }
-    return [rec], dict(rec, queries=oracle.query_count, audit_gap=_audit_gap(oracle))
+    return [rec], dict(rec, queries=oracle.query_count, audit_gap=oracle.audit())
 
 
 # command -> runner: (cfg, run index k, master seed) -> (records, manifest summary)

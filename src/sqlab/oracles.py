@@ -6,9 +6,9 @@ realizable source (b = f(x)) and phi_A for an agnostic source.  Queries are
 rows of a matrix, and a batch of correlational queries is an ``fnspace.FnSet``.
 A general query splits (``decompose``) into a correlational part phi1(x)*b and
 a target-independent part phi2(x); the oracle answers the first and adds the
-exact expectation of the second.  One
-``SQOracle`` serves both sources, and every correlational answer comes from
-its ``_answer``, in one of these modes:
+exact expectation of the second.  One ``SQOracle`` serves both sources, and
+every correlational answer comes from its ``_answer``, in one of these modes
+(a batch's answers are one read-only array, which the log keeps as it is):
 
 * ``exact``          -- returns the true expectation;
 * ``grid_adversary`` -- rounds the true value to the nearest multiple of
@@ -16,7 +16,8 @@ its ``_answer``, in one of these modes:
   information;
 * ``noisy``          -- adds seeded uniform noise in [-tau, tau];
 * ``empirical``      -- averages psi over `sample_size` seeded i.i.d. labelled
-  examples (only probabilistically valid; log entries are flagged);
+  examples (only probabilistically valid: log entries are flagged, and the
+  audit checks none of them);
 * ``liar``           -- answers 1.0 to every query regardless of truth.  No
   single target is consistent with it, so a learner driving it trips the
   update-count ledger, and the audit of its log shows the lie.
@@ -57,16 +58,6 @@ def decompose(pos, neg):
     return (pos - neg) / 2.0, (pos + neg) / 2.0
 
 
-# The examples (x, b) live on 2m cells: (x, +1) for the first m, (x, -1) for
-# the last m.  A source is the weight of each cell; a correlational query phi
-# takes the value phi(x)*b there, so its cell table is [phi, -phi].
-
-def _joint(w, y):
-    """Cell weights of x ~ w with E[b | x] = y(x)."""
-    p = (1.0 + y) / 2.0
-    return np.concatenate([w * p, w * (1.0 - p)])
-
-
 @dataclass
 class LogEntry:
     tau: float
@@ -101,40 +92,44 @@ class SQOracle:
         self.target = target
         self.dist = dist
         self.mode = mode
+        self.probabilistic = mode == "empirical"  # valid only w.h.p.: not audited
         self.sample_size = sample_size
         self.query_count = 0
-        self._batches = []      # (tau, answers, truths) of each batch
-        self._last_batch = None  # (matrix, truths) of the last read-only batch matrix
+        self._batches = []      # (tau, answers, truths) of each batch, read-only
+        self._last_batch = None  # (fs, truths) of the last FnSet asked
         self._rng = make_rng(seed, purpose="oracle")
-        self._joint = _joint(dist.weights, target.values)
 
     def _answer(self, truth, tau, fs):
         """The answers, in this oracle's mode, to the correlational queries
         (the functions of the FnSet `fs`) whose true values are `truth`.
 
-        Empirical mode draws the point counts of `sample_size` i.i.d. examples
-        for all queries at once, one multinomial row over the cell weights per
-        query -- the same distribution as averaging phi(x)*b over that many
-        draws -- and averages the cell tables [phi, -phi] over them.
+        Exact answers are `truth` itself.  Empirical mode draws the counts of
+        `sample_size` i.i.d. examples (x, b) for all queries at once, one
+        multinomial row per query over the 2m cells: (x, +1) for the first m,
+        with weight D(x) * (1 + y(x))/2, and (x, -1) for the last m -- the same
+        distribution as averaging phi(x)*b over that many draws.  A query phi
+        scores phi times the +1 counts minus the -1 counts, whose every term
+        is an integer for +-1 rows.
         """
         mode = self.mode
         if mode == "exact":
-            return truth.copy()
+            return truth
         if mode == "grid_adversary":
             return np.round(truth / (2 * tau)) * 2 * tau
         if mode == "liar":
             return np.ones(len(truth))
         if mode == "noisy":
             return truth + self._rng.uniform(-tau, tau, len(truth))
-        counts = self._rng.multinomial(self.sample_size, self._joint, size=len(truth))
-        mat = fs.matrix
-        return np.einsum("ij,ij->i", counts, np.hstack([mat, -mat])) / self.sample_size
+        w, p = self.dist.weights, (1.0 + self.target.values) / 2.0
+        cells = np.concatenate([w * p, w * (1.0 - p)])
+        counts = self._rng.multinomial(self.sample_size, cells, size=len(truth))
+        signed = counts[:, :len(w)] - counts[:, len(w):]
+        return np.einsum("ij,ij->i", signed, fs.matrix) / self.sample_size
 
     @property
     def query_log(self):
         """One LogEntry per answered query, in answer order (built on each access)."""
-        probabilistic = self.mode == "empirical"
-        return [LogEntry(tau, float(v), float(t), probabilistic)
+        return [LogEntry(tau, float(v), float(t), self.probabilistic)
                 for tau, values, truth in self._batches
                 for v, t in zip(values, truth)]
 
@@ -179,7 +174,7 @@ class SQOracle:
 
     def correlational_many(self, fs, tau):
         """Batch of correlational queries, one per function of the FnSet `fs`,
-        in row order.
+        in row order, as a read-only vector: the log holds this same array.
 
         Counts, logs and draws randomness exactly as len(fs) correlational
         queries asked one at a time would.  The functions are taken as given:
@@ -188,12 +183,14 @@ class SQOracle:
         _check_tau(tau)
         truth = self.true_values(fs)
         values = self._answer(truth, tau, fs)
+        values.flags.writeable = False
         self.query_count += len(values)
-        self._batches.append((tau, values.copy(), truth))
+        self._batches.append((tau, values, truth))
         return values
 
     def audit(self):
-        """Max |answer - truth| - tau over all non-probabilistic logged queries."""
+        """Max |answer - truth| - tau over the logged queries, or None when no
+        logged answer is checkable: none was asked, or they are probabilistic."""
         return max((float(np.max(np.abs(values - truth))) - tau
                     for tau, values, truth in self._batches
-                    if len(values) and self.mode != "empirical"), default=float("-inf"))
+                    if len(values) and not self.probabilistic), default=None)

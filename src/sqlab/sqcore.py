@@ -1,11 +1,12 @@
 """Core SQ constructions.
 
-Every set of functions here is one ``fnspace.FnSet``: a read-only (k, 2^n)
-table, row i the i-th function, with its measured ``sup``; the learners read
-it through ``correlate`` and ``row``.  A generator maps the learner's current
-approximation psi to ``(rows, gamma)``: an FnSet in the unit ball, and the
-claimed threshold gamma -- any target far enough from sign(psi) has some row g
-with |<f - psi, g>_D| >= gamma.
+Every set of functions here is one ``fnspace.FnSet``, row i the i-th
+function, with its ``sup``: a read-only (k, 2^n) table, or a built-in class
+that keeps none (``ClassSet``); the learners read it through ``correlate``
+and ``row``.  A generator maps the learner's current approximation psi to
+``(rows, gamma)``: an FnSet in the unit ball, and the claimed threshold gamma
+-- any target far enough from sign(psi) has some row g with
+|<f - psi, g>_D| >= gamma.
 
 * ``SQAlgorithm`` -- one method, ``run(ask)``: the algorithm asks its
   queries in rounds of matrix rows and returns its hypothesis.

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -793,6 +794,26 @@ def test_agnostic_manifest_reports_the_queries_and_the_audit_gap(tmp_path):
             assert all(s["audit_gap"] is None for s in results)
         for path in out.glob("agnostic_run*"):  # the telemetry stays out of the artifacts
             assert b"queries" not in path.read_bytes() and b"audit" not in path.read_bytes()
+
+
+def test_a_learn_runs_memory_does_not_grow_with_its_rounds():
+    # the oracle logs each round's answers by reference, and exact answers are
+    # the class's cached true values, so 14 updates at n=16 peak as one does;
+    # a copy of each round's answers would add 0.5 MiB a round
+    def run(seed):
+        cfg = _cfg(n=16, cclass="conjunctions", dist="random", tau=0.02, seeds=str(seed))
+        tracemalloc.start()
+        try:
+            (summary,) = harness.run_config(cfg)[1]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return summary["updates"], peak
+
+    run(1)  # the first run allocates what later runs reuse
+    (few, one_update), (many, fourteen_updates) = run(1), run(3)
+    assert (few, many) == (1, 14)
+    assert fourteen_updates <= one_update + 2**20, (one_update, fourteen_updates)
 
 
 def test_version_matches_pyproject():

@@ -187,8 +187,25 @@ def test_audit_is_the_worst_logged_gap():
         assert orc.audit() == want, mode
     orc = SQOracle(target, dist, mode="empirical", seed=2, sample_size=5)
     orc.correlational_many(FnSet(domain, mat), 0.05)
-    assert orc.audit() == float("-inf")
+    assert orc.audit() is None
     assert all(e.probabilistic for e in orc.query_log)
+
+
+def test_answers_are_read_only_and_kept_once():
+    # the log holds the returned array itself, and an exact answer is the
+    # cached truth: no mode keeps a second copy of a batch's answers
+    domain, target, dist, rng = _setup()
+    fs = FnSet(domain, rng.uniform(-1, 1, (4, domain.size)))
+    for mode in MODES:
+        orc = SQOracle(target, dist, mode=mode, seed=1, sample_size=20)
+        values = orc.correlational_many(fs, 0.1)
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+        assert orc._batches[-1][1] is values, mode
+        if mode == "exact":
+            assert values is orc.true_values(fs)
+    assert SQOracle(target, dist).audit() is None  # nothing asked: nothing to check
+
 
 @st.composite
 def _dyadic_case(draw):
