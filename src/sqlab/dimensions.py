@@ -41,6 +41,13 @@ from .fnspace import (
 )
 
 EXACT_CAP = 30  # the most functions an exact sq_dim scan takes; more take the greedy bound
+# an exact scan builds the masks of this many candidate values at a time: a build
+# costs about 10 us plus 2.3 us per value, and on 30 random +-1 functions at n = 8
+# the scan stops after searching 6 to 9 of the 15 to 17 values that pass the
+# degree test
+MASK_SLICE = 8
+# search nodes _clique_search has coloured in this process; sq_dim reads its growth
+_nodes_coloured = 0
 
 
 @dataclass
@@ -49,6 +56,8 @@ class DimReport:
     certainty: str  # exact | lower-bound | upper-bound
     witness: list
     params: dict = field(default_factory=dict)
+    # sq_dim's clique_searches and clique_nodes: run statistics, not part of the result
+    search: dict = field(default_factory=dict, compare=False)
 
     def as_record(self):
         return {
@@ -97,10 +106,11 @@ def max_clique(adj, floor=0):
 
     `adj` is a boolean adjacency matrix (symmetric; the diagonal is ignored).
     The bound starts at `floor`: returns (size, sorted vertex tuple) of the
-    maximum clique when it has more than `floor` vertices, else (0, ()).  A
-    floor below the clique number prunes no ancestor of the first maximum
-    clique in the search order (each has r + |P| >= size > floor), so the
-    clique returned is the one floor=0 returns.
+    lexicographically first maximum clique when it has more than `floor`
+    vertices, else (0, ()).  A floor below the clique number prunes no
+    ancestor of that clique (at each, |R| plus the suffix class count is at
+    least its size), so the clique returned is the one floor=0 returns.  The general-
+    graph entry to _clique_search; sq_dim builds its masks itself.
     """
     return _clique_search(*_row_masks(adj, (1 << adj.shape[0]) - 1), floor)
 
@@ -109,44 +119,63 @@ def _clique_search(masks, free, floor):
     """max_clique's search over the graph of row masks `masks` and colour-class
     masks `free` (as _row_masks builds them).
 
-    A node (clique R, candidates P) is pruned when |R| plus the number of
-    colours of a greedy colouring of P (candidates in index order, each
-    colour an independent set) cannot beat the best size: a clique takes at
-    most one vertex of each colour.  The bound is sound, so it cuts only
-    subtrees that hold no larger clique; branching and search order are
-    those of the plain |R| + |P| bound, and so are the cliques returned.
+    A node (clique R, candidates P) colours P once, greedily: each colour
+    class (an independent set) starts at the highest uncoloured vertex and
+    takes lower ones in descending order, so the classes that meet the suffix
+    {u in P : u >= v} are those whose top vertex is >= v, and a clique in
+    that suffix takes at most one vertex of each.  The node's children are
+    the vertices v of P in ascending index order: child v has clique R + v
+    and candidates {u in P : u > v} that are neighbours of v.  The node stops
+    at the first v where |R| plus the suffix class count cannot beat the best
+    size, which it re-reads after each child returns.  This is the include-first order
+    of branching on the lowest candidate, and the bound is sound, so the
+    clique returned is the lexicographically first maximum clique.  The
+    search keeps its own stack, so its depth is not Python's recursion limit.
     """
+    global _nodes_coloured
     n = len(masks)
-    full = (1 << n) - 1
     best_size = floor
     best_mask = 0
-    # stack of (clique_mask, clique_size, candidate_mask); binary branching on
-    # the lowest candidate vertex, which never lies in its own candidate mask
-    stack = [(0, 0, full)]
-    while stack:
-        r_mask, r_size, p_mask = stack.pop()
-        room = best_size - r_size  # this node wins only if P needs more colours
-        if p_mask.bit_count() <= room:
-            continue
-        if p_mask == 0:
+    nodes = 0
+    # stack of (clique_mask, clique_size, candidates not yet branched on, the
+    # top vertices of the node's colour classes as a mask); with no candidate
+    # left, low = 0 and -low has no bit set
+    stack = []
+    r_mask, r_size, p_mask = 0, 0, (1 << n) - 1
+    while True:
+        if r_size > best_size:
             best_size, best_mask = r_size, r_mask
-            continue
-        # greedy colouring of P, stopped once the count passes `room`
-        uncoloured = p_mask
-        while uncoloured and room > 0:
-            room -= 1
-            avail = uncoloured
-            while avail:
-                low = avail & -avail
-                uncoloured ^= low
-                avail &= free[low.bit_length() - 1]
-        if not uncoloured:
-            continue
-        low = p_mask & -p_mask
-        v = low.bit_length() - 1
-        rest = p_mask ^ low
-        stack.append((r_mask, r_size, rest))
-        stack.append((r_mask | low, r_size + 1, rest & masks[v]))
+        if r_size + p_mask.bit_count() > best_size:
+            nodes += 1
+            tops = 0
+            uncoloured = p_mask
+            while uncoloured:
+                v = uncoloured.bit_length() - 1
+                top = 1 << v
+                tops |= top
+                uncoloured ^= top
+                avail = uncoloured & free[v]
+                while avail:
+                    v = avail.bit_length() - 1
+                    uncoloured ^= 1 << v
+                    avail &= free[v]
+            if r_size + tops.bit_count() > best_size:
+                stack.append((r_mask, r_size, p_mask, tops))
+        # the next child: the lowest unbranched candidate of the top node, while
+        # the classes whose tops are at or above it can still beat the best
+        while stack:
+            r_mask, r_size, rest, tops = stack[-1]
+            low = rest & -rest
+            if (tops & -low).bit_count() > best_size - r_size:
+                rest ^= low
+                stack[-1] = (r_mask, r_size, rest, tops)
+                p_mask = rest & masks[low.bit_length() - 1]
+                r_mask, r_size = r_mask | low, r_size + 1
+                break
+            stack.pop()
+        else:
+            break
+    _nodes_coloured += nodes
     if best_mask == 0:
         return 0, ()
     return best_size, tuple(i for i in range(n) if best_mask >> i & 1)
@@ -184,20 +213,23 @@ def sq_dim(f, d):
     `f` is an FnSet.  A set of at most EXACT_CAP functions gets the exact
     scan, which scans candidate values downward from |f|.  A value is
     skipped when fewer than cand functions keep cand - 1 others within
-    1/cand; otherwise max_clique's search, with its bound seeded at
-    cand - 1, asks whether the graph keeping edges with |correlation| <=
-    1/cand has a cand-clique.  The masks of every value not skipped are
-    built once, before the scan.  On random +-1 classes most such values are
-    refuted by the colouring of the search's root.  The scan stops at the
-    first value that has one; the witness is the first cand vertices of the
-    clique found, the same clique an unbounded search returns.  A larger set
-    gets _greedy_witness, only a lower bound.  params["mode"] names the mode
-    used.
+    1/cand; otherwise _clique_search, with its bound seeded at cand - 1,
+    asks whether the graph keeping edges with |correlation| <= 1/cand has a
+    cand-clique.  The masks of these graphs are built MASK_SLICE values at a
+    time, from the top.  On random +-1 classes most such values are refuted by the
+    colouring of the search's root.  The scan stops at the first value that
+    has one; the witness is the first cand vertices of the clique found, the
+    lexicographically first maximum clique, which an unbounded search
+    returns too.  A larger set gets _greedy_witness, only a lower bound.
+    params["mode"] names the mode used; `search` counts the values searched
+    and the search nodes coloured.
     """
     k = len(f)
     mode, certainty = ("exact", "exact") if k <= EXACT_CAP else ("greedy", "lower-bound")
+    searches, nodes = 0, _nodes_coloured
     if k == 0:
-        return DimReport(0, certainty, [], {"mode": mode})
+        return DimReport(0, certainty, [], {"mode": mode},
+                         {"clique_searches": 0, "clique_nodes": 0})
     absgram = _abs_gram(f, d)
     if mode == "greedy":
         witness = _greedy_witness(absgram)
@@ -209,16 +241,21 @@ def sq_dim(f, d):
         degree_bound = np.sort(np.sort(absgram, axis=1), axis=0).diagonal()
         cands = np.arange(k, 1, -1)
         thresholds = 1.0 / cands + ATOL
-        searched = degree_bound[cands - 1] <= thresholds
-        cands = cands[searched].tolist()
-        for cand, masks, free in zip(cands, *_threshold_masks(absgram, thresholds[searched])):
+        kept = degree_bound[cands - 1] <= thresholds
+        cands, thresholds = cands[kept].tolist(), thresholds[kept]
+        # a slice's masks are built only once the scan reaches it
+        sliced = (pair for lo in range(0, len(cands), MASK_SLICE)
+                  for pair in zip(*_threshold_masks(absgram, thresholds[lo:lo + MASK_SLICE])))
+        for cand, (masks, free) in zip(cands, sliced):
+            searches += 1
             size, verts = _clique_search(masks, free, cand - 1)
             if size:
                 witness = list(verts[:cand])
                 break
     value = len(witness)
     _check_pairwise(absgram, witness, 1.0 / value)
-    return DimReport(value, certainty, witness, {"mode": mode})
+    return DimReport(value, certainty, witness, {"mode": mode},
+                     {"clique_searches": searches, "clique_nodes": _nodes_coloured - nodes})
 
 
 def sqd_upper(f, d, gamma, pool):

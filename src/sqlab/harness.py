@@ -474,7 +474,8 @@ def _dim_one(cfg, k, master):
     rec = report.as_record()
     rec["witness"] = " ".join(str(i) for i in rec["witness"])
     rec["params"] = json.dumps(rec["params"], sort_keys=True).replace(",", ";")
-    return [rec], {"seed": master, "value": report.value, "certainty": report.certainty}
+    return [rec], {"seed": master, "value": report.value, "certainty": report.certainty,
+                   **report.search}
 
 
 def _agnostic_one(cfg, k, master):

@@ -279,6 +279,13 @@ def test_max_clique_edge_cases():
     assert max_clique(full)[0] == 5
 
 
+def test_max_clique_of_a_complete_graph_deeper_than_the_recursion_limit():
+    # one search node per clique vertex, on the search's own stack
+    n = 1200
+    assert max_clique(np.ones((n, n), dtype=bool)) == (n, tuple(range(n)))
+    assert max_clique(np.ones((n, n), dtype=bool), n) == (0, ())
+
+
 def _reference_clique(adj):
     """Unfloored reference max_clique: masks from an n^2 loop over a hollow
     matrix, bound from 0."""
@@ -359,11 +366,13 @@ def test_sq_dim_matches_the_unpruned_reference(case, greedy):
 
 @st.composite
 def _graph(draw):
-    """A symmetric boolean matrix on up to 30 vertices (sq_dim's exact cap),
-    any density, with a True or a False diagonal."""
-    n = draw(st.integers(0, 30))
+    """A symmetric boolean matrix on up to 64 vertices, with a True or a
+    False diagonal.  Density 0.95 stops at 40 vertices: past that the
+    unpruned reference search takes seconds to minutes a graph."""
+    n = draw(st.integers(0, 64))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    adj = np.triu(rng.random((n, n)) < draw(st.sampled_from([0.2, 0.5, 0.8, 0.95])), 1)
+    density = draw(st.sampled_from([0.2, 0.5, 0.8, 0.95] if n <= 40 else [0.2, 0.5, 0.8]))
+    adj = np.triu(rng.random((n, n)) < density, 1)
     adj = adj | adj.T
     np.fill_diagonal(adj, draw(st.booleans()))
     return adj
@@ -454,8 +463,9 @@ def test_row_masks_match_one_from_bytes_per_row(n):
         assert _row_masks(adj, (1 << n) - 1) == _packbits_row_masks(adj)
 
 
-def _frozen_max_clique(adj, floor):
-    """max_clique as it was before its masks came from one integer."""
+def _frozen_max_clique(adj, floor, tally=None):
+    """max_clique as it was before its masks came from one integer.  Each
+    colouring it starts adds 1 to tally[0], if a tally is given."""
     n = adj.shape[0]
     masks, free = _packbits_row_masks(adj)
     best_size, best_mask = floor, 0
@@ -468,6 +478,8 @@ def _frozen_max_clique(adj, floor):
         if p_mask == 0:
             best_size, best_mask = r_size, r_mask
             continue
+        if tally is not None:
+            tally[0] += 1
         uncoloured = p_mask
         while uncoloured and room > 0:
             room -= 1
@@ -488,8 +500,9 @@ def _frozen_max_clique(adj, floor):
     return best_size, tuple(i for i in range(n) if best_mask >> i & 1)
 
 
-def _frozen_sq_dim_exact(f, d):
-    """The exact scan of sq_dim, frozen: degree test, then a floored search."""
+def _frozen_sq_dim_exact(f, d, tally=None):
+    """The exact scan of sq_dim, frozen: degree test, then a floored search.
+    With a tally, tally[0] counts colourings and tally[1] searches."""
     absgram = _abs_gram(f, d)
     k = len(f)
     witness = [0]
@@ -498,7 +511,9 @@ def _frozen_sq_dim_exact(f, d):
         threshold = 1.0 / cand + ATOL
         if degree_bound[cand - 1] > threshold:
             continue
-        size, verts = _frozen_max_clique(absgram <= threshold, cand - 1)
+        if tally is not None:
+            tally[1] += 1
+        size, verts = _frozen_max_clique(absgram <= threshold, cand - 1, tally)
         if size:
             witness = list(verts[:cand])
             break
@@ -515,6 +530,36 @@ def test_sq_dim_matches_the_frozen_scan_on_probe_sized_sets(dist):
         d = dist_uniform(domain) if dist == "uniform" else dist_random(domain, rng)
         rep = sq_dim(fs, d)
         assert (rep.value, rep.witness) == _frozen_sq_dim_exact(fs, d), seed
+
+
+def test_sq_dim_colours_at_most_0_7x_the_nodes_of_the_frozen_scan():
+    # the probe-mix sets under uniform D: the frozen search recolours P at every
+    # exclude node, the index-order search colours each node once
+    domain = Domain(8)
+    uniform = dist_uniform(domain)
+    frozen, nodes = [0, 0], 0
+    for seed in range(200):
+        fs = FnSet(domain, np.random.default_rng(seed).choice([-1.0, 1.0], size=(30, domain.size)))
+        rep = sq_dim(fs, uniform)
+        searched = frozen[1]
+        assert (rep.value, rep.witness) == _frozen_sq_dim_exact(fs, uniform, frozen), seed
+        assert rep.search["clique_searches"] == frozen[1] - searched, seed
+        nodes += rep.search["clique_nodes"]
+    assert 0 < nodes <= 0.7 * frozen[0]
+
+
+def test_search_counts_stay_out_of_the_result():
+    domain = Domain(3)
+    fs = FnSet(domain, parity_class(3).matrix)
+    rep = sq_dim(fs, dist_uniform(domain))
+    # the complete graph on 8 vertices: one search, a colouring per clique prefix
+    assert rep.search == {"clique_searches": 1, "clique_nodes": 8}
+    assert rep == DimReport(rep.value, rep.certainty, rep.witness, rep.params)
+    assert "search" not in rep.as_record()
+    assert sq_dim(FnSet(domain, np.empty((0, 8))), dist_uniform(domain)).search == \
+        {"clique_searches": 0, "clique_nodes": 0}
+    greedy = sq_dim(FnSet(domain, np.ones((EXACT_CAP + 1, 8))), dist_uniform(domain))
+    assert greedy.search == {"clique_searches": 0, "clique_nodes": 0}
 
 
 @st.composite

@@ -256,6 +256,13 @@ def test_dim_and_agnostic_runs(tmp_path):
     assert all(s["guarantee_ok"] for s in sums)
 
 
+def test_dim_summaries_count_the_clique_search():
+    # the 8 parities on 3 variables: one search, which colours 8 nodes
+    _, sums = harness.run_config(_cfg(command="dim", cclass="parities", n=3, out="x"))
+    assert sums == [{"seed": 0, "value": 8, "certainty": "exact",
+                     "clique_searches": 1, "clique_nodes": 8}]
+
+
 def test_agnostic_best_correlation_matches_a_row_by_row_reference():
     _, sums = harness.run_config(
         _cfg(command="agnostic", n=4, tau=0.05, dist="random", seeds="0..5", out="x"))
