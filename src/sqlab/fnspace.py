@@ -21,8 +21,8 @@ from .errors import DomainMismatchError, UsageError
 ATOL = 1e-12
 MAX_N = 20  # 2**20 doubles per function; exactness beats sparsity at desk scale
 # a built-in class has 2^n members of 2^n entries.  learn and agnostic read it through
-# O(n 2^n) transforms up to MAX_N, but dim's Gram of it takes 8*4^n bytes, 2 GiB at
-# n=14, and an empirical oracle's counts over it 2*4^n int64, 4 GiB at n=14
+# O(n 2^n) transforms up to MAX_N, under every oracle, but dim's Gram of it takes
+# 8*4^n bytes, 2 GiB at n=14
 MAX_CLASS_N = 14
 
 
@@ -383,7 +383,7 @@ class ClassSet(FnSet):
     integer vectors small enough to sum exactly.  `row(i)` folds the op over
     member i's literals, as make_parity and its siblings do.  `matrix` builds
     the dense table on first read, for the consumers that need every row at
-    once (dim's Gram, the empirical oracle's counts).
+    once (dim's Gram).
     """
 
     __slots__ = ("_kind",)

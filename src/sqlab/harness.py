@@ -172,14 +172,11 @@ def make_config(data):
             "--oracle liar does not apply to agnostic: its pool learner keeps "
             "no update ledger that a lying oracle could trip")
     # learn and agnostic read a built-in class through transforms, up to MAX_N; dim's
-    # Gram and an empirical oracle's counts read its dense (2^n, 2^n) table
-    empirical = cfg.command in ("learn", "agnostic") and cfg.oracle.startswith("empirical:")
-    if cfg.cclass in CLASSES and cfg.n > MAX_CLASS_N and (cfg.command == "dim" or empirical):
-        user, cost = ((f"{cfg.command} --oracle {cfg.oracle}",
-                       f"its counts take 2*4^n int64 = {16 * 4 ** cfg.n} bytes") if empirical
-                      else ("dim", f"its Gram takes 8*4^n = {8 * 4 ** cfg.n} bytes"))
-        raise UsageError(f"--n {cfg.n} is too large for {user} on the built-in class "
-                         f"{cfg.cclass}: {cost}; use n <= {MAX_CLASS_N}")
+    # Gram reads its dense (2^n, 2^n) table
+    if cfg.cclass in CLASSES and cfg.n > MAX_CLASS_N and cfg.command == "dim":
+        raise UsageError(f"--n {cfg.n} is too large for dim on the built-in class "
+                         f"{cfg.cclass}: its Gram takes 8*4^n = {8 * 4 ** cfg.n} bytes; "
+                         f"use n <= {MAX_CLASS_N}")
     if cfg.command == "evolve":
         _evolve_params(cfg)
     return cfg
@@ -413,6 +410,7 @@ def _learn_one(cfg, k, master):
         "final_disagreement": disagreement(hyp, target, dist),
         "ledger": trace.ledger,
         "audit_gap": oracle.audit(),
+        "examples": oracle.examples,
     }
     if trace.halt_reason == "oracle-violation":
         overrun = (f"{trace.updates} accepted updates exceed the ledger ceil(1/(3*tau^2)) = "
@@ -493,7 +491,8 @@ def _agnostic_one(cfg, k, master):
         "achieved_correlation": achieved,
         "guarantee_ok": achieved >= best - 2 * cfg.tau - 1e-12,
     }
-    return [rec], dict(rec, queries=oracle.query_count, audit_gap=oracle.audit())
+    return [rec], dict(rec, queries=oracle.query_count, audit_gap=oracle.audit(),
+                       examples=oracle.examples)
 
 
 # command -> runner: (cfg, run index k, master seed) -> (records, manifest summary)

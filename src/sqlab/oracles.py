@@ -16,8 +16,9 @@ every correlational answer comes from its ``_answer``, in one of these modes
   information;
 * ``noisy``          -- adds seeded uniform noise in [-tau, tau];
 * ``empirical``      -- averages psi over `sample_size` seeded i.i.d. labelled
-  examples (only probabilistically valid: log entries are flagged, and the
-  audit checks none of them);
+  examples, one sample per batch that all its queries share (Kearns 1998:
+  the queries are fixed before the sample is drawn); only probabilistically
+  valid: log entries are flagged, and the audit checks none of them;
 * ``liar``           -- answers 1.0 to every query regardless of truth.  No
   single target is consistent with it, so a learner driving it trips the
   update-count ledger, and the audit of its log shows the lie.
@@ -103,13 +104,16 @@ class SQOracle:
         """The answers, in this oracle's mode, to the correlational queries
         (the functions of the FnSet `fs`) whose true values are `truth`.
 
-        Exact answers are `truth` itself.  Empirical mode draws the counts of
-        `sample_size` i.i.d. examples (x, b) for all queries at once, one
-        multinomial row per query over the 2m cells: (x, +1) for the first m,
-        with weight D(x) * (1 + y(x))/2, and (x, -1) for the last m -- the same
-        distribution as averaging phi(x)*b over that many draws.  A query phi
-        scores phi times the +1 counts minus the -1 counts, whose every term
-        is an integer for +-1 rows.
+        Exact answers are `truth` itself.  Empirical mode draws one sample of
+        `sample_size` i.i.d. examples (x, b) for the whole batch, as one
+        multinomial count vector over the 2m cells: (x, +1) for the first m,
+        with weight D(x) * (1 + y(x))/2, and (x, -1) for the last m.  With c
+        the +1 counts minus the -1 counts, every query phi scores
+        fs.correlate(c) / sample_size, the mean of phi(x)*b over the sample:
+        one class transform or one product, exact in any summation order for
+        +-1 rows, as c is integer.  The batch is fixed before any answer, so
+        the union bound over its queries holds for the shared sample.  An
+        empty batch draws nothing.
         """
         mode = self.mode
         if mode == "exact":
@@ -120,11 +124,12 @@ class SQOracle:
             return np.ones(len(truth))
         if mode == "noisy":
             return truth + self._rng.uniform(-tau, tau, len(truth))
+        if not len(truth):
+            return np.zeros(0)
         w, p = self.dist.weights, (1.0 + self.target.values) / 2.0
-        cells = np.concatenate([w * p, w * (1.0 - p)])
-        counts = self._rng.multinomial(self.sample_size, cells, size=len(truth))
-        signed = counts[:, :len(w)] - counts[:, len(w):]
-        return np.einsum("ij,ij->i", signed, fs.matrix) / self.sample_size
+        counts = self._rng.multinomial(self.sample_size, np.concatenate([w * p, w * (1.0 - p)]))
+        signed = (counts[:len(w)] - counts[len(w):]).astype(np.float64)
+        return fs.correlate(signed) / self.sample_size
 
     @property
     def query_log(self):
@@ -132,6 +137,14 @@ class SQOracle:
         return [LogEntry(tau, float(v), float(t), self.probabilistic)
                 for tau, values, truth in self._batches
                 for v, t in zip(values, truth)]
+
+    @property
+    def examples(self):
+        """Labelled examples drawn so far: sample_size per nonempty batch in
+        empirical mode, None in the modes that sample none."""
+        if self.mode != "empirical":
+            return None
+        return self.sample_size * sum(1 for _, values, _ in self._batches if len(values))
 
     def query(self, phi1, tau, phi2=None):
         """General queries psi_i(x, b) = phi1_i(x)*b + phi2_i(x), one per row.
@@ -176,8 +189,9 @@ class SQOracle:
         """Batch of correlational queries, one per function of the FnSet `fs`,
         in row order, as a read-only vector: the log holds this same array.
 
-        Counts, logs and draws randomness exactly as len(fs) correlational
-        queries asked one at a time would.  The functions are taken as given:
+        Counts and logs as len(fs) correlational queries asked one at a time
+        would, and noisy mode draws their noise as they would; empirical mode
+        answers the whole batch from one sample.  The functions are taken as given:
         callers hold them in the unit ball (``query`` checks them).
         """
         _check_tau(tau)

@@ -68,14 +68,19 @@ def _cell_mean(pos, neg, y, w):
 
 def _one_by_one(target, dist, mat, tau, mode="exact", seed=0, sample_size=None):
     """(answers, truths) an SQOracle owes the correlational rows of `mat` asked
-    one at a time: each row's true value, then the mode's rule, drawing from
-    the oracle's own "oracle" stream."""
+    as one batch, row by row: each row's true value, then the mode's rule,
+    drawing from the oracle's own "oracle" stream.  The empirical rule draws
+    one sample of `sample_size` examples for the batch, and scores each row
+    by its dense dot with the counts over the cells (x, +1) and (x, -1)."""
     rng = make_rng(seed, purpose="oracle")
     w, y = dist.weights, target.values
     p = (1.0 + y) / 2.0
     joint = np.concatenate([w * p, w * (1.0 - p)])
+    mat = np.asarray(mat, dtype=np.float64)
+    if mode == "empirical" and len(mat):
+        counts = rng.multinomial(sample_size, joint)
     answers, truths = [], []
-    for row in np.asarray(mat, dtype=np.float64):
+    for row in mat:
         truth = float(np.dot(row * w, y))
         if mode == "exact":
             value = truth
@@ -86,7 +91,6 @@ def _one_by_one(target, dist, mat, tau, mode="exact", seed=0, sample_size=None):
         elif mode == "noisy":
             value = truth + float(rng.uniform(-tau, tau))
         else:
-            counts = rng.multinomial(sample_size, joint)
             value = float(np.dot(counts, np.concatenate([row, -row]))) / sample_size
         answers.append(value)
         truths.append(truth)

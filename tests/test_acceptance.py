@@ -1,4 +1,4 @@
-"""Acceptance suite: ten end-to-end guarantees, one test (and one printed
+"""Acceptance suite: eleven end-to-end guarantees, one test (and one printed
 PASS/FAIL line) each.  Run with `pytest tests/test_acceptance.py -v -s` to see
 the detail lines; the slowest test is the 100-seed evolution sweep (criterion
 7, a few minutes on 8 workers)."""
@@ -370,3 +370,31 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
         f"8 artifacts byte-identical across 1 vs 8 workers ({same_workers}) "
         f"and across manifest re-run ({same_rerun})",
     )
+
+
+def test_criterion_11_empirical_learn_converges_at_the_hoeffding_size(monkeypatch):
+    # s = ceil(2 ln(2 m R / delta) / tau^2) = 2880 for m = 256 queries a round, at
+    # most R = ceil(1/(3 tau^2)) + 1 = 35 rounds and delta = 0.01: each answer of
+    # a run is within tau with probability >= 1 - delta / (m R), whether or not
+    # the answers of one round share their sample.  Both bounds were fixed before
+    # the first run: every run converges within its ledger, and at most 1% of
+    # all answers are off by more than tau.
+    tau, size = 0.1, 2880
+    oracles = []
+
+    class Kept(SQOracle):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            oracles.append(self)
+
+    monkeypatch.setattr(harness, "SQOracle", Kept)
+    cfg = harness.make_config({"command": "learn", "n": 8, "class": "conjunctions",
+                               "tau": tau, "oracle": f"empirical:{size}", "seeds": "0..99"})
+    _, summaries = harness.run_config(cfg)
+    converged = sum(s["halt"] == "converged" and s["updates"] <= s["ledger"] for s in summaries)
+    gaps = np.array([abs(e.value - e.true_value) for o in oracles for e in o.query_log])
+    off = float(np.mean(gaps > tau))
+    ok = converged == len(summaries) == len(oracles) == 100 and off <= 0.01
+    _report(11, ok, f"{converged}/100 empirical:{size} runs converged within the ledger; "
+                    f"{np.count_nonzero(gaps > tau)} of {len(gaps)} answers off by more than "
+                    f"tau = {tau} ({off:.2e}, bound 0.01)")

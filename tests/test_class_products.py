@@ -23,6 +23,7 @@ from sqlab.fnspace import (
     dist_random,
     parity_class,
     random_real_fn,
+    sign_of,
 )
 from sqlab.harness import make_config, run_config
 from sqlab.oracles import SQOracle
@@ -78,6 +79,25 @@ def test_class_products_are_within_1e_12_of_the_dense_reference(n, kind, seed):
     got = BUILDERS[kind](n).correlate(x)
     assert got.shape == (size,) and got.dtype == np.float64
     assert np.all(np.abs(got - class_table(kind, n) @ x) <= TOL * np.abs(x).sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), kind=st.sampled_from(sorted(BUILDERS)),
+       seed=st.integers(0, 2**32 - 1), sample_size=st.integers(1, 10**6),
+       agnostic=st.booleans())
+def test_empirical_answers_on_a_class_equal_its_dense_table_bit_for_bit(
+        n, kind, seed, sample_size, agnostic, one_by_one):
+    # the sample's signed counts are integers, so the class transform and each
+    # row's dense dot with the counts sum them exactly, in any order
+    domain = Domain(n)
+    dist = dist_random(domain, make_rng(seed, n, "dist"))
+    phi = random_real_fn(domain, make_rng(seed, n, "phi"))
+    target = phi if agnostic else sign_of(phi)
+    ref = class_table(kind, n)
+    want, _ = one_by_one(target, dist, ref, 0.1, "empirical", seed, sample_size)
+    for fs in (BUILDERS[kind](n), FnSet.from_signs(domain, ref)):
+        oracle = SQOracle(target, dist, mode="empirical", seed=seed, sample_size=sample_size)
+        assert _same_bits(oracle.correlational_many(fs, 0.1), np.array(want)), type(fs)
 
 
 def _learn(fs, target, dist, tau):
@@ -137,7 +157,8 @@ def test_learners_on_class_transforms_match_the_dense_table_run_for_run():
 
 def test_learn_and_agnostic_on_builtin_classes_allocate_no_dense_table(tmp_path, monkeypatch):
     # the (2^14, 2^14) table alone is 2 GiB; what the runs hold grows with 2^n,
-    # about 4x per two more variables
+    # about 4x per two more variables, under either oracle (an empirical run's
+    # log adds one 2^n answer vector a round)
     built, build = [], harness._build_class
 
     def build_class(cfg, domain):
@@ -147,17 +168,19 @@ def test_learn_and_agnostic_on_builtin_classes_allocate_no_dense_table(tmp_path,
     monkeypatch.setattr(harness, "_build_class", build_class)
     for command in ("learn", "agnostic"):
         for kind in BUILDERS:
-            peaks = []
-            for n in (14, 16):
-                cfg = make_config({"command": command, "n": n, "class": kind, "dist": "random",
-                                   "tau": 0.02, "seeds": "3", "out": str(tmp_path)})
-                tracemalloc.start()
-                try:
-                    run_config(cfg)
-                    _, peak = tracemalloc.get_traced_memory()
-                finally:
-                    tracemalloc.stop()
-                peaks.append(peak)
-                assert built[-1]._matrix is None, (command, kind, n)
-            assert peaks[1] <= 4.5 * peaks[0], (command, kind, peaks)
-            assert peaks[1] < 32 * 2**20, (command, kind, peaks)
+            for oracle in ("exact", "empirical:20000"):
+                where, peaks = (command, kind, oracle), []
+                for n in (14, 16):
+                    cfg = make_config({"command": command, "n": n, "class": kind, "dist": "random",
+                                       "tau": 0.02, "oracle": oracle, "seeds": "3",
+                                       "out": str(tmp_path)})
+                    tracemalloc.start()
+                    try:
+                        run_config(cfg)
+                        _, peak = tracemalloc.get_traced_memory()
+                    finally:
+                        tracemalloc.stop()
+                    peaks.append(peak)
+                    assert built[-1]._matrix is None, where + (n,)
+                assert peaks[1] <= 4.5 * peaks[0], where + (peaks,)
+                assert peaks[1] < 16 * 2**20, where + (peaks,)

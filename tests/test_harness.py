@@ -725,25 +725,23 @@ def test_empirical_ledger_overrun_is_an_honest_halt(tmp_path):
 
 def test_builtin_class_tables_beyond_max_class_n_are_refused(tmp_path):
     n = MAX_CLASS_N + 1
-    # what binds is the dense table: dim's Gram, or an empirical oracle's counts
-    refused = [("dim", {}, "dim", f"its Gram takes 8*4^n = {8 * 4 ** n} bytes")] + [
-        (command, {"oracle": "empirical:100"}, f"{command} --oracle empirical:100",
-         f"its counts take 2*4^n int64 = {16 * 4 ** n} bytes") for command in ("learn", "agnostic")]
-    for command, flags, user, cost in refused:
-        for cls in ("parities", "conjunctions", "disjunctions"):
-            with pytest.raises(UsageError, match=re.escape(f"--n {n} is too large for {user} on "
-                                                           f"the built-in class {cls}: {cost}; "
-                                                           f"use n <= {MAX_CLASS_N}")):
-                _cfg(command=command, n=n, cclass=cls, **flags)
-        _cfg(command=command, n=MAX_CLASS_N, **flags)  # the largest size is still accepted
-        _cfg(command=command, n=n, cclass="file:rows.txt", **flags)  # a file class is not refused
-        args = [command, "--n", str(n), "--out", str(tmp_path / "o")]
-        out = CliRunner().invoke(cli.main, args + [f"--{k}={v}" for k, v in flags.items()])
-        assert out.exit_code == 1 and isinstance(out.exception, SystemExit), out.output
-        assert "--n" in out.output and cost in out.output
-    # learn and agnostic read the class through transforms, up to MAX_N
+    # what binds is the dense table, which only dim's Gram reads
+    cost = f"its Gram takes 8*4^n = {8 * 4 ** n} bytes"
+    for cls in ("parities", "conjunctions", "disjunctions"):
+        with pytest.raises(UsageError, match=re.escape(f"--n {n} is too large for dim on "
+                                                       f"the built-in class {cls}: {cost}; "
+                                                       f"use n <= {MAX_CLASS_N}")):
+            _cfg(command="dim", n=n, cclass=cls)
+    _cfg(command="dim", n=MAX_CLASS_N)  # the largest size is still accepted
+    _cfg(command="dim", n=n, cclass="file:rows.txt")  # a file class is not refused
+    out = CliRunner().invoke(cli.main, ["dim", "--n", str(n), "--out", str(tmp_path / "o")])
+    assert out.exit_code == 1 and isinstance(out.exception, SystemExit), out.output
+    assert "--n" in out.output and cost in out.output
+    # learn and agnostic read the class through transforms, up to MAX_N, and an
+    # empirical oracle answers a batch from one transform of its sample's counts
     for command in ("learn", "agnostic"):
-        for oracle in ("exact", "grid_adversary", "noisy"):
+        _cfg(command=command, n=n, oracle="empirical:100")
+        for oracle in ("exact", "grid_adversary", "noisy", "empirical:100"):
             _cfg(command=command, n=MAX_N, oracle=oracle)
     _cfg(command="evolve", n=n)  # evolve builds no class table
 
@@ -779,8 +777,11 @@ def test_learn_manifest_reports_the_ledger_and_the_audit_gap(tmp_path):
         assert [s["ledger"] for s in results] == [ledger] * 3
         if oracle == "exact":
             assert all(s["audit_gap"] <= 0 for s in results)
+            assert all(s["examples"] is None for s in results)
         else:  # sampled answers are valid only with high probability: nothing to audit
             assert all(s["audit_gap"] is None for s in results)
+            # one sample of 300 examples per round, and a round asks all 8 conjunctions
+            assert [s["examples"] for s in results] == [300 * s["queries"] // 8 for s in results]
         for path in out.glob("learn_run*"):  # the telemetry stays out of the artifacts
             assert b"ledger" not in path.read_bytes() and b"audit" not in path.read_bytes()
 
@@ -797,8 +798,10 @@ def test_agnostic_manifest_reports_the_queries_and_the_audit_gap(tmp_path):
         assert [s["queries"] for s in results] == [2 ** n] * 3  # one query per conjunction
         if oracle == "exact":
             assert all(s["audit_gap"] <= 0 for s in results)
+            assert all(s["examples"] is None for s in results)
         else:  # sampled answers are valid only with high probability: nothing to audit
             assert all(s["audit_gap"] is None for s in results)
+            assert [s["examples"] for s in results] == [300] * 3  # one batch, one sample
         for path in out.glob("agnostic_run*"):  # the telemetry stays out of the artifacts
             assert b"queries" not in path.read_bytes() and b"audit" not in path.read_bytes()
 

@@ -207,6 +207,24 @@ def test_answers_are_read_only_and_kept_once():
     assert SQOracle(target, dist).audit() is None  # nothing asked: nothing to check
 
 
+def test_an_empty_batch_advances_the_stream_by_nothing():
+    # an empty batch draws no sample and no noise: the next batch's answers are
+    # those of an oracle that never saw it
+    domain, target, dist, rng = _setup()
+    fs = FnSet(domain, rng.uniform(-1, 1, (4, domain.size)))
+    empty = FnSet(domain, np.zeros((0, domain.size)))
+    for mode in MODES:
+        asked, fresh = (SQOracle(target, dist, mode=mode, seed=3, sample_size=50)
+                        for _ in range(2))
+        assert asked.correlational_many(empty, 0.1).shape == (0,)
+        # Philox's state holds arrays: its repr compares them whole
+        assert repr(asked._rng.bit_generator.state) == repr(fresh._rng.bit_generator.state), mode
+        assert asked.examples == fresh.examples == (0 if mode == "empirical" else None)
+        got, want = asked.correlational_many(fs, 0.1), fresh.correlational_many(fs, 0.1)
+        assert got.tobytes() == want.tobytes(), mode
+        assert asked.examples == fresh.examples == (50 if mode == "empirical" else None)
+
+
 @st.composite
 def _dyadic_case(draw):
     """Target, weights a/2^K and query rows in quarters: every product and
@@ -228,7 +246,7 @@ def _dyadic_case(draw):
 @given(case=_dyadic_case(), tau=st.floats(0.01, 1.0), seed=st.integers(0, 2**32),
        sample_size=st.integers(1, 50))
 def test_correlational_many_matches_single_queries(case, tau, seed, sample_size, one_by_one):
-    # the batch answers, counts and logs as the rows asked one at a time would
+    # the batch answers, counts and logs as the reference that takes its rows one by one
     target, dist, mat = case
     for mode in MODES:
         batch = SQOracle(target, dist, mode=mode, seed=seed, sample_size=sample_size)
