@@ -69,7 +69,8 @@ class DimReport:
 
 
 def _abs_gram(f, d):
-    g = np.abs((f.matrix * d.weights) @ f.matrix.T)
+    g = f.gram(d.weights)
+    np.abs(g, out=g)
     np.fill_diagonal(g, 0.0)
     return g
 
@@ -262,10 +263,10 @@ def sqd_upper(f, d, gamma, pool):
     """Greedy covering number: pool functions gamma-correlating with all of f.
 
     Returns the chosen pool indices as an upper bound on the smallest
-    approximating set restricted to the pool.
+    approximating set restricted to the pool.  `f` and `pool` are table FnSets.
     """
-    if gamma <= 0:
-        raise UsageError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise UsageError(f"gamma must be positive and finite, got {gamma}")
     if pool.sup > 1 + ATOL:
         raise UsageError(f"pool functions must map into [-1, 1], got sup {pool.sup:.6g}")
     k = len(f)
@@ -293,7 +294,7 @@ def sqd_lower_scaling(f, d, m, M):
     With dim the size of any verified weak-dimension witness (sq_dim's:
     exact up to EXACT_CAP functions, greedy beyond), a set of functions
     gamma-correlating with every member needs >= (dim*m^2)^(1/3)/2 members
-    at gamma = M*(dim*m^2)^(-1/3).
+    at gamma = M*(dim*m^2)^(-1/3).  `f` is a table FnSet.
     """
     if not (M >= 1 >= m > 0):
         raise UsageError(f"need M >= 1 >= m > 0, got m={m}, M={M}")
@@ -320,7 +321,7 @@ def shifted_set(c, psi, d, eps):
 
     May be empty (that is a signal, not an error).  Every member keeps norm
     >= sqrt(eps): each point of disagreement contributes at least 1 to the
-    squared difference.
+    squared difference.  `c` is a table FnSet: its rows are read at once.
     """
     if not 0 < eps < 1:
         raise UsageError(f"eps must be in (0, 1), got {eps}")
@@ -332,7 +333,7 @@ def shifted_set(c, psi, d, eps):
 def sq_sdim_estimate(c, d, eps, psi_family):
     """Max over supplied psi of the shifted set's weak dimension: a lower
     bound, as the size of any verified witness is; the witness is row
-    indices of c."""
+    indices of c, a table FnSet (see shifted_set)."""
     psi_family = list(psi_family)
     if not psi_family:
         raise UsageError("psi_family must be nonempty")

@@ -3,9 +3,9 @@
 Boolean (+/-1) functions, real [-1,1]-valued functions, distributions and
 sets of functions (an FnSet, one row per function: a concept class, a
 candidate set, a shifted set) are dense tables over {0,1}^n, but for a built-in
-class (ClassSet), which keeps none.  Point index p encodes the bit vector with
-coordinate x_i = (p >> (i-1)) & 1 for i in 1..n (variable 1 is the least
-significant bit).  All values are immutable after construction.
+class (ClassSet), which keeps none: no code builds one.  Point index p encodes
+the bit vector with coordinate x_i = (p >> (i-1)) & 1 for i in 1..n (variable
+1 is the least significant bit).  All values are immutable after construction.
 
 Conventions fixed here and used everywhere downstream:
   * sign(0) = +1;
@@ -20,9 +20,8 @@ from .errors import DomainMismatchError, UsageError
 
 ATOL = 1e-12
 MAX_N = 20  # 2**20 doubles per function; exactness beats sparsity at desk scale
-# a built-in class has 2^n members of 2^n entries.  learn and agnostic read it through
-# O(n 2^n) transforms up to MAX_N, under every oracle, but dim's Gram of it takes
-# 8*4^n bytes, 2 GiB at n=14
+# a built-in class has 2^n members of 2^n entries, read through O(n 2^n) transforms up to
+# MAX_N; dim's Gram of it, one lookup per entry, is still 8*4^n bytes, 2 GiB at n=14
 MAX_CLASS_N = 14
 
 
@@ -184,20 +183,20 @@ class Dist:
 class FnSet:
     """Ordered set of real-valued functions over one domain.
 
-    A read-only (k, 2^n) table, row i the i-th function; k may be 0.  Its
-    consumers read it through `shape`, `row(i)` and `correlate(x)` (every row
-    times the vector x), and through `matrix`, the whole table, where they
-    need every row at once.  `sup` is the largest |entry| (0 for an empty
-    set), measured by the one scan a table from outside gets here: its shape
-    and min/max, which also rejects NaN and +-inf.  A table that is +-1 by
-    construction (a class file of 1 and -1 entries) skips the scan through
-    from_signs, and a built-in class keeps no table (ClassSet).
+    A read-only (k, 2^n) table `matrix`, row i the i-th function; k may be 0.
+    Its consumers read it through `shape`, `row(i)`, `correlate(x)` (every
+    row times the vector x) and `gram(w)`; those that need every row at once
+    read `matrix`, so they take a table FnSet.  `sup` is the largest |entry|
+    (0 for an empty set), measured by the one scan a table from outside gets
+    here: its shape and min/max, which also rejects NaN and +-inf.  A table
+    that is +-1 by construction (a class file of 1 and -1 entries) skips the
+    scan through from_signs, and a built-in class keeps no table (ClassSet).
     Indexing and iteration build the BoolFn of a row on demand, so they hold
     for +-1 rows (a concept class).  Row order is deterministic and defines
     tie-breaking downstream; reports name a row by its index.
     """
 
-    __slots__ = ("domain", "sup", "_matrix")
+    __slots__ = ("domain", "sup", "matrix")
 
     def __init__(self, domain, matrix):
         mat = _freeze(matrix)
@@ -220,24 +219,24 @@ class FnSet:
 
     def _fill(self, domain, matrix, sup):
         self.domain = domain
-        self._matrix = matrix
+        self.matrix = matrix
         self.sup = float(sup)
 
     @property
-    def matrix(self):
-        return self._matrix
-
-    @property
     def shape(self):
-        return self._matrix.shape
+        return self.matrix.shape
 
     def row(self, i):
         """Row i, read-only."""
-        return self._matrix[i]
+        return self.matrix[i]
 
     def correlate(self, x):
         """Every row times the vector x."""
-        return self._matrix @ x
+        return self.matrix @ x
+
+    def gram(self, w):
+        """A new (k, k) array: sum_x w(x) g_S(x) g_T(x) for every pair of rows S, T."""
+        return (self.matrix * w) @ self.matrix.T
 
     def __len__(self):
         return self.shape[0]
@@ -301,7 +300,7 @@ def _index_set(domain, T):
 
 
 # A class over {0,1}^n has one member per index set T; member t (the bitmask of
-# T) is row t of its table.  In the +-1 domain, with literal lit_i = +1 iff
+# T) is its row t.  In the +-1 domain, with literal lit_i = +1 iff
 # x_i = 1, each member folds one op over the literals of T from a start row:
 # the product for parities, the minimum for conjunctions (+1 iff every x_i = 1)
 # and the maximum for disjunctions (+1 iff some x_i = 1).  The start row is the
@@ -314,34 +313,16 @@ _CLASS_OPS = {
 }
 
 
-def _literal(n, i):
-    """+-1 row of variable i over {0,1}^n: +1 iff x_i = 1."""
-    return np.where(np.arange(1 << n) >> (i - 1) & 1, 1.0, -1.0)
-
-
 def _fold(kind, n, variables):
     """Read-only +-1 row over {0,1}^n of the member of class `kind` whose index
     set is `variables`."""
     op, start = _CLASS_OPS[kind]
+    points = np.arange(1 << n)
     row = np.full(1 << n, start)
     for i in variables:
-        op(row, _literal(n, i), out=row)
+        op(row, np.where(points >> (i - 1) & 1, 1.0, -1.0), out=row)  # lit_i
     row.flags.writeable = False
     return row
-
-
-def _members(kind, n):
-    """Read-only +-1 (2^n, 2^n) table of class `kind`, all members in order.
-    Member t | 2^(i-1) is op(member t, lit_i) for t < 2^(i-1), so each variable
-    doubles the table with one ufunc that writes the new rows once."""
-    op, start = _CLASS_OPS[kind]
-    out = np.empty((1 << n, 1 << n))
-    out[0] = start
-    for i in range(1, n + 1):
-        m = 1 << (i - 1)
-        op(out[:m], _literal(n, i), out=out[m:2 * m])
-    out.flags.writeable = False
-    return out
 
 
 def _butterflies(x, step):
@@ -373,17 +354,18 @@ def _subset_sum(a, b):
 
 class ClassSet(FnSet):
     """A built-in class read through one add-only transform of the vector, in
-    place of its 2^n x 2^n table.
+    place of its 2^n x 2^n table: its `matrix` is None.
 
     `correlate(x)` gives all 2^n members' products with x from O(n 2^n) adds:
     the Walsh-Hadamard transform for parities (Kushilevitz & Mansour 1993),
     the superset sum for conjunctions and the subset sum for disjunctions
     (Bjorklund, Husfeldt, Kaski & Koivisto 2007).  Sums go in another order
     than a dense product's, so they agree with it to rounding, and exactly on
-    integer vectors small enough to sum exactly.  `row(i)` folds the op over
-    member i's literals, as make_parity and its siblings do.  `matrix` builds
-    the dense table on first read, for the consumers that need every row at
-    once (dim's Gram).
+    integer vectors small enough to sum exactly.  `gram(w)` reads every
+    entry from c = correlate(w), c[U] = E_D[member U], with one lookup:
+    c[S ^ T] for parities, 1 + 2c[S | T] - c[S] - c[T] for conjunctions and
+    1 - 2c[S | T] + c[S] + c[T] for disjunctions.  `row(i)` folds the op
+    over member i's literals, as make_parity and its siblings do.
     """
 
     __slots__ = ("_kind",)
@@ -396,15 +378,26 @@ class ClassSet(FnSet):
     def shape(self):
         return self.domain.size, self.domain.size
 
-    @property
-    def matrix(self):
-        if self._matrix is None:
-            self._matrix = _members(self._kind, self.domain.n)
-        return self._matrix
-
     def row(self, i):
         t, n = range(len(self))[i], self.domain.n
         return _fold(self._kind, n, [k + 1 for k in range(n) if t >> k & 1])
+
+    def gram(self, w):
+        # chi_S chi_T = chi_{S ^ T}.  A conjunction, or a disjunction negated (which
+        # leaves its pairs' products as they are), is 2a_S - 1 with a_S a_T = a_{S | T};
+        # with e = +-c their means, a pair's mean is 2e[S | T] - e[S] - e[T] + e[0]
+        e = self.correlate(w) * (-1.0 if self._kind == "disjunctions" else 1.0)
+        pair = np.bitwise_xor if self._kind == "parities" else np.bitwise_or
+        idx = np.arange(e.size)
+        g = np.empty((e.size, e.size))
+        for s, row in enumerate(g):
+            np.take(e, pair(idx, s), out=row)
+        if self._kind != "parities":
+            g *= 2.0
+            g -= e[:, None]
+            g -= e
+            g += e[0]
+        return g
 
     def correlate(self, x):
         if self._kind == "parities":

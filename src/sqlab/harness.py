@@ -38,7 +38,7 @@ from .fnspace import (
     parity_class,
     random_real_fn,
 )
-from .oracles import MODES, SQOracle
+from .oracles import MAX_SAMPLE_SIZE, MODES, SQOracle
 from .rng import make_rng
 from .sqcore import class_pool_generator, projected_learner, weak_agnostic_learner
 
@@ -93,9 +93,9 @@ def _dist_ok(d):
 
 
 def _oracle_mode(oracle):
-    """(mode, sample size) of an --oracle value: a mode, or empirical:<s> with s >= 1."""
+    """(mode, sample size) of an --oracle value: a mode, or empirical:<s>, 1 <= s <= 2^53."""
     mode, colon, arg = oracle.partition(":")
-    if mode == "empirical" and arg.isdecimal() and int(arg) >= 1:
+    if mode == "empirical" and arg.isdecimal() and 1 <= int(arg) <= MAX_SAMPLE_SIZE:
         return mode, int(arg)
     if mode not in MODES or mode == "empirical" or colon:
         raise ValueError(oracle)
@@ -126,7 +126,7 @@ class ExperimentConfig:
     dist: str = _key(_checked(str, _dist_ok, "uniform, random[:seed] or file:<path>"),
                      "uniform | random[:seed] | file:<path>", default="uniform")
     oracle: str = _key(_checked(str, _oracle_mode, f"one of {MODES}, empirical as "
-                                "empirical:<s> with an integer sample size s >= 1"),
+                                "empirical:<s> with an integer sample size 1 <= s <= 2^53"),
                        "exact | grid_adversary | noisy | empirical:<s> | liar",
                        ("learn", "agnostic"), default="exact")
     seeds: list = _key(_checked(_parse_seeds, bool, "a nonempty list of nonnegative "
@@ -172,7 +172,7 @@ def make_config(data):
             "--oracle liar does not apply to agnostic: its pool learner keeps "
             "no update ledger that a lying oracle could trip")
     # learn and agnostic read a built-in class through transforms, up to MAX_N; dim's
-    # Gram reads its dense (2^n, 2^n) table
+    # Gram reads one transform of D, but is itself a dense (2^n, 2^n) array
     if cfg.cclass in CLASSES and cfg.n > MAX_CLASS_N and cfg.command == "dim":
         raise UsageError(f"--n {cfg.n} is too large for dim on the built-in class "
                          f"{cfg.cclass}: its Gram takes 8*4^n = {8 * 4 ** cfg.n} bytes; "

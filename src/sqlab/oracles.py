@@ -38,6 +38,7 @@ from .fnspace import ATOL, FnSet, is_int
 from .rng import make_rng
 
 MODES = ("exact", "grid_adversary", "noisy", "empirical", "liar")
+MAX_SAMPLE_SIZE = 2 ** 53  # the largest s whose counts' sums with +-1 rows are exact floats
 
 
 def _check_tau(tau):
@@ -85,9 +86,11 @@ class SQOracle:
             raise DomainMismatchError("target and distribution must share a domain")
         if mode not in MODES:
             raise UsageError(f"oracle mode must be one of {MODES}, got {mode!r}")
-        if sample_size is not None and not (is_int(sample_size) and sample_size >= 1):
+        if sample_size is not None and not (is_int(sample_size)
+                                            and 1 <= sample_size <= MAX_SAMPLE_SIZE):
             # a float size would divide integer counts, a bool would pass as 1
-            raise UsageError(f"sample_size must be an integer >= 1, got {sample_size!r}")
+            raise UsageError(
+                f"sample_size must be an integer >= 1 and <= 2^53, got {sample_size!r}")
         if mode == "empirical" and sample_size is None:
             raise UsageError("empirical mode needs a sample_size")
         self.target = target

@@ -73,10 +73,10 @@ class SQAlgorithm:
 class ExhaustiveCSQ(SQAlgorithm):
     """Score every class member with one correlational query; return argmax.
 
-    One round: the class matrix.  Queries at tolerance eps/2, so if the target
-    is a member and the oracle is valid, the target scores >= 1 - eps/2 while
-    an argmax impostor can beat it only if its true correlation is >= 1 - eps.
-    First-index tie-break.
+    One round: the class matrix, so `cclass` is a table FnSet.  Queries at
+    tolerance eps/2, so if the target is a member and the oracle is valid,
+    the target scores >= 1 - eps/2 while an argmax impostor can beat it only
+    if its true correlation is >= 1 - eps.  First-index tie-break.
     """
 
     name = "exhaustive-csq"

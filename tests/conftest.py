@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sqlab.fnspace import ATOL, BoolFn, Domain, dist_uniform
+from sqlab.fnspace import ATOL, BoolFn, Domain, FnSet, dist_uniform
 from sqlab.rng import make_rng
 
 
@@ -47,11 +47,17 @@ def class_table(kind, n):
     return out
 
 
+def dense_class(kind, n):
+    """The table FnSet of class `kind` over n variables (class_table), for the
+    helpers that read every row at once: a built-in ClassSet keeps no table."""
+    return FnSet.from_signs(Domain(n), class_table(kind, n))
+
+
 def greedy_extension(fs, d, witness, threshold):
     """`witness` extended in row order by each row of the FnSet `fs` whose
     |correlation| under `d` with every row taken so far is within `threshold`:
     an index set inclusion-maximal at that threshold."""
-    absgram = np.abs((fs.matrix * d.weights) @ fs.matrix.T)
+    absgram = np.abs(fs.gram(d.weights))
     out = list(witness)
     for j in range(len(fs)):
         if j not in out and all(absgram[j, c] <= threshold + ATOL for c in out):

@@ -46,7 +46,7 @@ from sqlab.sqcore import (
     projected_learner,
 )
 
-from conftest import greedy_extension, random_bool_fn
+from conftest import dense_class, greedy_extension, random_bool_fn
 
 
 def _report(num, ok, detail):
@@ -100,7 +100,7 @@ def test_criterion_02_simulated_candidate_sets_feed_the_learner():
     # candidate sets produced by simulating the exhaustive baseline are good
     # enough for the projected learner to recover every n=4 conjunction
     domain = Domain(4)
-    cclass = conjunction_class(4)
+    cclass = dense_class("conjunctions", 4)
     runs = conv = 0
     worst = 0.0
     for j in range(10):
@@ -120,7 +120,7 @@ def test_criterion_03_candidate_sets_distinguish_far_targets():
     # candidate at the advertised threshold
     domain = Domain(3)
     u = dist_uniform(domain)
-    cclass = parity_class(3)
+    cclass = dense_class("parities", 3)
     alg = ExhaustiveCSQ(cclass, 0.1)
     tau = alg.tau
     checked = fails = 0
@@ -150,8 +150,7 @@ def test_criterion_03_candidate_sets_distinguish_far_targets():
 def test_criterion_04_parity_dimension_is_the_whole_class():
     values = []
     for n in (1, 2, 3, 4):
-        fs = FnSet(Domain(n), parity_class(n).matrix)
-        rep = sq_dim(fs, dist_uniform(Domain(n)))
+        rep = sq_dim(parity_class(n), dist_uniform(Domain(n)))
         assert rep.certainty == "exact"
         assert rep.value == 2 ** n
         values.append(rep.value)
@@ -278,11 +277,11 @@ def test_criterion_08_witness_pool_covers_the_shifted_set():
     eps = 0.4
     norm_floor = math.inf
     covers = []
-    for make_class in (parity_class, conjunction_class):
+    for kind in ("parities", "conjunctions"):
         for n in (2, 3, 4):
             domain = Domain(n)
             u = dist_uniform(domain)
-            cclass = make_class(n)
+            cclass = dense_class(kind, n)
             best = None
             for j in range(20):
                 psi = random_real_fn(domain, make_rng(100 + j, 0, "psi"))

@@ -5,7 +5,9 @@ sums in another order than a dense product, so on float vectors the two agree
 to rounding, within 1e-12 * sum|x|.  Where both sides are exact they agree
 byte for byte: on integer vectors whose every partial sum is an integer
 below 2^53, and on unit vectors, whose products are the table's columns.
-`row` and `matrix` hold the table's own entries, byte for byte.
+`row` holds the table's own entries, byte for byte; a class keeps no
+`matrix`.  `gram` and `sq_dim` on it agree with the dense Gram and its
+sq_dim.
 """
 
 import tracemalloc
@@ -15,12 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlab import harness
+from sqlab.dimensions import sq_dim
 from sqlab.fnspace import (
+    ATOL,
     Domain,
     FnSet,
     conjunction_class,
     disjunction_class,
+    dist_from_text,
     dist_random,
+    dist_to_text,
+    dist_uniform,
     parity_class,
     random_real_fn,
     sign_of,
@@ -30,7 +37,7 @@ from sqlab.oracles import SQOracle
 from sqlab.rng import make_rng
 from sqlab.sqcore import class_pool_generator, projected_learner, weak_agnostic_learner
 
-from conftest import class_table
+from conftest import class_table, dense_class
 
 BUILDERS = {
     "parities": parity_class,
@@ -60,10 +67,10 @@ def test_class_products_equal_the_dense_reference_bit_for_bit(n, kind, seed):
     assert _same_bits(fs.correlate(x), ref @ x)
     for p in rng.integers(0, size, 4).tolist() + [0, size - 1]:
         assert _same_bits(fs.correlate(np.eye(1, size, p)[0]), ref[:, p]), p
-    for i in rng.integers(0, size, 8).tolist() + [0, size - 1]:
+    for i in range(size):
         row = fs.row(i)
         assert _same_bits(row, ref[i]) and not row.flags.writeable
-    assert _same_bits(fs.matrix, ref) and not fs.matrix.flags.writeable
+    assert fs.matrix is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -98,6 +105,50 @@ def test_empirical_answers_on_a_class_equal_its_dense_table_bit_for_bit(
     for fs in (BUILDERS[kind](n), FnSet.from_signs(domain, ref)):
         oracle = SQOracle(target, dist, mode="empirical", seed=seed, sample_size=sample_size)
         assert _same_bits(oracle.correlational_many(fs, 0.1), np.array(want)), type(fs)
+
+
+def _dist(kind, domain, seed):
+    """Uniform D, a random D, or a random D through the text of a --dist file:."""
+    if kind == "uniform":
+        return dist_uniform(domain)
+    dist = dist_random(domain, make_rng(seed, domain.n, "dist"))
+    return dist if kind == "random" else dist_from_text(dist_to_text(dist))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 8), kind=st.sampled_from(sorted(BUILDERS)),
+       dist=st.sampled_from(["uniform", "random", "file", "signed"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_class_gram_is_within_1e_12_of_the_dense_gram(n, kind, dist, seed):
+    # under uniform D every correlation is a multiple of 2^-n that both sides sum
+    # exactly, so |G| agrees byte for byte; "signed" weights sum to no fixed total
+    if dist == "signed":
+        w = np.random.default_rng(seed).normal(size=1 << n)
+    else:
+        w = _dist(dist, Domain(n), seed).weights
+    ref = class_table(kind, n)
+    want = (ref * w) @ ref.T
+    got = BUILDERS[kind](n).gram(w)
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert np.all(np.abs(got - want) <= TOL * np.abs(w).sum())
+    if dist == "uniform":
+        assert _same_bits(np.abs(got), np.abs(want))
+
+
+def test_sq_dim_on_a_class_equals_sq_dim_on_its_dense_table():
+    for n in range(1, 9):
+        domain = Domain(n)
+        for kind, build in BUILDERS.items():
+            dense = dense_class(kind, n)
+            for seed in [None] + list(range(10)):
+                d = _dist("uniform" if seed is None else "random", domain, seed)
+                got, want = sq_dim(build(n), d), sq_dim(dense, d)
+                where = (kind, n, seed)
+                assert got.as_record() == want.as_record(), where
+                absgram = np.abs((dense.matrix * d.weights) @ dense.matrix.T)
+                w = got.witness
+                assert all(absgram[a, b] <= 1.0 / got.value + ATOL
+                           for a in w for b in w if a != b), where
 
 
 def _learn(fs, target, dist, tau):
@@ -152,7 +203,7 @@ def test_learners_on_class_transforms_match_the_dense_table_run_for_run():
                     assert hyp == want_hyp, where + (mode,)
                     assert np.all(np.abs(truth - want_truth) <= TOL), where + (mode,)
                     assert _same_log(log, want_log), where + (mode,)
-            assert fs._matrix is None  # neither learner built the dense table
+            assert fs.matrix is None  # the class keeps no dense table
 
 
 def test_learn_and_agnostic_on_builtin_classes_allocate_no_dense_table(tmp_path, monkeypatch):
@@ -181,6 +232,6 @@ def test_learn_and_agnostic_on_builtin_classes_allocate_no_dense_table(tmp_path,
                     finally:
                         tracemalloc.stop()
                     peaks.append(peak)
-                    assert built[-1]._matrix is None, where + (n,)
+                    assert built[-1].matrix is None, where + (n,)
                 assert peaks[1] <= 4.5 * peaks[0], where + (peaks,)
                 assert peaks[1] < 16 * 2**20, where + (peaks,)

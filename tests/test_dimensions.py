@@ -24,7 +24,6 @@ from sqlab.fnspace import (
     Domain,
     FnSet,
     RealFn,
-    conjunction_class,
     dist_random,
     dist_uniform,
     parity_class,
@@ -33,7 +32,7 @@ from sqlab.fnspace import (
 )
 from sqlab.rng import make_rng
 
-from conftest import greedy_extension, random_bool_fn
+from conftest import class_table, dense_class, greedy_extension, random_bool_fn
 
 
 def _half_pool(fs, idx):
@@ -58,20 +57,20 @@ def test_fnset_validation(domain3):
     empty = FnSet(domain3, np.empty((0, 8)))
     assert len(empty) == 0 and empty.matrix.shape == (0, 8) and empty.sup == 0.0
     cclass = parity_class(3)
-    assert cclass.sup == 1.0
-    shared = FnSet(domain3, cclass.matrix)
-    assert shared.matrix is cclass.matrix and not shared.matrix.flags.writeable
+    assert cclass.sup == 1.0 and cclass.matrix is None  # a built-in class keeps no table
+    table = class_table("parities", 3)
+    shared = FnSet(domain3, table)
+    assert shared.matrix is table and not shared.matrix.flags.writeable
     assert shared.sup == 1.0
 
 
 def test_sq_dim_parities_is_class_size(uniform3):
     for n in (1, 2, 3):
-        c = parity_class(n)
-        fs = FnSet(c.domain, c.matrix)
-        rep = sq_dim(fs, dist_uniform(Domain(n)))
-        assert rep.value == 2**n
-        assert rep.certainty == "exact"
-        assert sorted(rep.witness) == list(range(2**n))
+        for fs in (parity_class(n), FnSet(Domain(n), class_table("parities", n))):
+            rep = sq_dim(fs, dist_uniform(Domain(n)))
+            assert rep.value == 2**n
+            assert rep.certainty == "exact"
+            assert sorted(rep.witness) == list(range(2**n))
 
 
 def test_sq_dim_trivial_sets(domain3, uniform3):
@@ -113,7 +112,7 @@ def test_sq_dim_exact_cap(uniform3, domain3):
 
 
 def test_sqd_upper_parities_cover_only_themselves(domain3, uniform3):
-    parities = parity_class(3)
+    parities = dense_class("parities", 3)
     fs = FnSet(domain3, parities.matrix)
     rep = sqd_upper(fs, uniform3, 0.5, parities)
     assert rep.value == len(fs)  # orthogonal members: one pool fn each
@@ -122,18 +121,19 @@ def test_sqd_upper_parities_cover_only_themselves(domain3, uniform3):
 
 
 def test_sqd_upper_insufficient_pool(domain3, uniform3):
-    fs = FnSet(domain3, parity_class(3).matrix[:4])
+    fs = FnSet(domain3, class_table("parities", 3)[:4])
     blind = FnSet(domain3, np.zeros((1, 8)))
     with pytest.raises(PoolInsufficientError):
         sqd_upper(fs, uniform3, 0.5, blind)
-    with pytest.raises(UsageError):
-        sqd_upper(fs, uniform3, 0.0, blind)
+    for gamma in (0.0, -0.5, float("nan"), float("inf")):
+        with pytest.raises(UsageError, match="gamma must be positive and finite"):
+            sqd_upper(fs, uniform3, gamma, blind)
     with pytest.raises(UsageError, match="1.5"):  # the pool's sup, outside the unit ball
         sqd_upper(fs, uniform3, 0.5, FnSet(domain3, np.full((1, 8), 1.5)))
 
 
 def test_sqd_lower_scaling_boolean_example(domain3, uniform3):
-    fs = FnSet(domain3, parity_class(3).matrix)
+    fs = FnSet(domain3, class_table("parities", 3))
     rep = sqd_lower_scaling(fs, uniform3, 1.0, 1.0)
     # base dim 8, unit norms: bound = 8^(1/3)/2 = 1, at gamma = 1/2
     assert rep.value == 1
@@ -149,14 +149,15 @@ def test_sqd_lower_scaling_norm_validation(domain3, uniform3):
     with pytest.raises(UsageError):
         sqd_lower_scaling(small, uniform3, 0.5, 0.9)  # M < 1
     # no parity is more than 1/2-far from sign(0) = +1: the shifted set is empty
-    empty, kept = shifted_set(parity_class(3), RealFn(domain3, np.zeros(8)), uniform3, 0.9)
+    empty, kept = shifted_set(dense_class("parities", 3), RealFn(domain3, np.zeros(8)), uniform3,
+                              0.9)
     assert len(empty) == 0 and kept == []
     with pytest.raises(UsageError, match="nonempty"):
         sqd_lower_scaling(empty, uniform3, 0.5, 1.0)
 
 
 def test_shifted_set_zero_psi_keeps_far_members(domain3, uniform3):
-    cclass = parity_class(3)
+    cclass = dense_class("parities", 3)
     zero = RealFn(domain3, np.zeros(8))
     fs, kept = shifted_set(cclass, zero, uniform3, 0.1)
     # every nonconstant parity is 1/2-far from sign(0) = +1; chi_empty is not
@@ -166,7 +167,7 @@ def test_shifted_set_zero_psi_keeps_far_members(domain3, uniform3):
 
 
 def test_shifted_set_self_psi_is_empty(domain3, uniform3):
-    cclass = parity_class(3)
+    cclass = dense_class("parities", 3)
     fs, _ = shifted_set(_one_member(cclass, 3), cclass[3], uniform3, 0.1)
     assert len(fs) == 0
     assert sq_dim(fs, uniform3).value == 0
@@ -177,7 +178,7 @@ def test_shifted_set_member_norms(domain3, uniform3):
     eps = 0.2
     for _ in range(10):
         psi = random_real_fn(domain3, rng)
-        fs, _ = shifted_set(parity_class(3), psi, uniform3, eps)
+        fs, _ = shifted_set(dense_class("parities", 3), psi, uniform3, eps)
         if len(fs) == 0:
             continue
         norms = np.sqrt((fs.matrix**2 * uniform3.weights).sum(axis=1))
@@ -186,7 +187,7 @@ def test_shifted_set_member_norms(domain3, uniform3):
 
 def test_sq_sdim_estimate_zero_family(domain3, uniform3):
     zero = RealFn(domain3, np.zeros(8))
-    rep = sq_sdim_estimate(parity_class(3), uniform3, 0.1, [zero])
+    rep = sq_sdim_estimate(dense_class("parities", 3), uniform3, 0.1, [zero])
     # sign(0) = +1 coincides with chi_empty, so only the 7 others survive
     assert rep.value == 7
     assert rep.certainty == "lower-bound"
@@ -195,7 +196,7 @@ def test_sq_sdim_estimate_zero_family(domain3, uniform3):
 
 
 def test_sq_sdim_estimate_monotone_in_family(domain3, uniform3):
-    cclass = parity_class(3)
+    cclass = dense_class("parities", 3)
     rng = make_rng(5, 0, "psi")
     # shift candidates: zero, every class member, and three random tables
     family = [RealFn(domain3, np.zeros(8))] + [RealFn(domain3, row) for row in cclass.matrix]
@@ -233,7 +234,7 @@ def test_parity_witness_validation():
 def test_duality_cover_on_maximizer(uniform3, domain3):
     # the witness pool, halved, covers the shifted set it came from
     eps = 0.4
-    cclass = conjunction_class(3)
+    cclass = dense_class("conjunctions", 3)
     best = None
     for j in range(20):
         psi = random_real_fn(domain3, make_rng(100 + j, 0, "psi"))
@@ -550,7 +551,7 @@ def test_sq_dim_colours_at_most_0_7x_the_nodes_of_the_frozen_scan():
 
 def test_search_counts_stay_out_of_the_result():
     domain = Domain(3)
-    fs = FnSet(domain, parity_class(3).matrix)
+    fs = FnSet(domain, class_table("parities", 3))
     rep = sq_dim(fs, dist_uniform(domain))
     # the complete graph on 8 vertices: one search, a colouring per clique prefix
     assert rep.search == {"clique_searches": 1, "clique_nodes": 8}

@@ -32,7 +32,6 @@ from sqlab.fnspace import (
     Dist,
     Domain,
     RealFn,
-    conjunction_class,
     dist_random,
     dist_uniform,
     make_disjunction,
@@ -41,7 +40,7 @@ from sqlab.fnspace import (
 from sqlab.rng import make_rng
 from sqlab.sqcore import ExhaustiveCSQ, build_gpsi
 
-from conftest import random_bool_fn
+from conftest import dense_class, random_bool_fn
 
 
 def test_square_loss_table():
@@ -550,7 +549,7 @@ def test_disjunction_mutator_binds_gamma_at_construction(domain3):
 
 
 def test_sq_neighborhood_size_and_membership(domain3, uniform3):
-    cclass = conjunction_class(3)
+    cclass = dense_class("conjunctions", 3)
     psi = random_real_fn(domain3, make_rng(14, 0, "psi"))
     builder = lambda p, acc: build_gpsi(ExhaustiveCSQ(cclass, acc * 2 / 3), p, uniform3)
     out = sq_neighborhood(psi, 0.2, builder, gamma=0.05)
@@ -568,7 +567,7 @@ def test_sq_neighborhood_size_and_membership(domain3, uniform3):
 def test_sq_neighborhood_improvement_property(domain3, uniform3):
     # either sign(psi) is already eps-close, or some candidate cuts the
     # squared distance by gamma^2
-    cclass = conjunction_class(3)
+    cclass = dense_class("conjunctions", 3)
     eps = 0.2
     gamma = eps / 12.0
     builder = lambda p, acc: build_gpsi(ExhaustiveCSQ(cclass, acc * 2 / 3), p, uniform3)

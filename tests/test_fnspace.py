@@ -36,7 +36,7 @@ from sqlab.oracles import SQOracle
 from sqlab.rng import make_rng
 from sqlab.sqcore import class_pool_generator, weak_agnostic_learner
 
-from conftest import random_bool_fn
+from conftest import class_table, random_bool_fn
 
 
 def test_domain_bitstring_roundtrip():
@@ -214,9 +214,11 @@ def test_class_builders_match_their_definitions(n):
     for build_class, build_member, value in builders:
         subsets = [[i for i in range(1, n + 1) if t >> (i - 1) & 1] for t in range(d.size)]
         want = np.array([[value(xs, T) for xs in x] for T in subsets], dtype=np.float64)
-        got = build_class(n).matrix
-        assert got.dtype == np.float64 and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        cclass = build_class(n)
+        assert cclass.matrix is None and cclass.shape == want.shape
+        for i, want_row in enumerate(want):
+            got = cclass.row(i)
+            assert got.dtype == np.float64 and got.tobytes() == want_row.tobytes()
         for T, row in zip(subsets, want):
             assert build_member(d, T).values.tobytes() == row.tobytes()
 
@@ -249,9 +251,13 @@ def _kron_reference(kind, n, T=None):
 @pytest.mark.parametrize("kind", sorted(_BUILDERS))
 def test_class_tables_are_byte_identical_to_the_kronecker_build(kind, n):
     build_class, build_member = _BUILDERS[kind]
-    got = build_class(n).matrix
-    assert got.flags.c_contiguous and not got.flags.writeable
-    assert got.dtype == np.float64 and got.tobytes() == _kron_reference(kind, n).tobytes()
+    want = _kron_reference(kind, n)
+    assert class_table(kind, n).tobytes() == want.tobytes()
+    cclass = build_class(n)
+    for i, want_row in enumerate(want):
+        got = cclass.row(i)
+        assert got.flags.c_contiguous and not got.flags.writeable
+        assert got.dtype == np.float64 and got.tobytes() == want_row.tobytes()
     if n == 10:
         rng = make_rng(20, 0, "test")
         d = Domain(n)

@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 import sqlab
 from sqlab import cli, harness, sqcore
 from sqlab.errors import InvariantBreachError, UsageError
-from sqlab.fnspace import (MAX_CLASS_N, MAX_N, Domain, conjunction_class, dist_random, dist_to_text,
-                           parity_class, random_real_fn)
-from sqlab.oracles import SQOracle
+from sqlab.fnspace import MAX_CLASS_N, MAX_N, Domain, dist_random, dist_to_text, random_real_fn
+from sqlab.oracles import MAX_SAMPLE_SIZE, SQOracle
 from sqlab.rng import make_rng
+
+from conftest import class_table
 
 
 def _cfg(**kw):
@@ -266,16 +267,16 @@ def test_dim_summaries_count_the_clique_search():
 def test_agnostic_best_correlation_matches_a_row_by_row_reference():
     _, sums = harness.run_config(
         _cfg(command="agnostic", n=4, tau=0.05, dist="random", seeds="0..5", out="x"))
-    domain, cclass = Domain(4), conjunction_class(4)
+    domain, table = Domain(4), class_table("conjunctions", 4)
     for k, s in enumerate(sums):
         w = dist_random(domain, make_rng(s["seed"], k, "dist")).weights
         phi = random_real_fn(domain, make_rng(s["seed"], k, "phi")).values
-        want = max(abs(float(np.dot(w, row * phi))) for row in cclass.matrix)
+        want = max(abs(float(np.dot(w, row * phi))) for row in table)
         assert s["best_correlation"] == pytest.approx(want, rel=0, abs=1e-12)
 
 
 def test_class_file_runs_like_the_builtin_class(tmp_path):
-    rows = [" ".join(f"{v:g}" for v in row) for row in parity_class(3).matrix]
+    rows = [" ".join(f"{v:g}" for v in row) for row in class_table("parities", 3)]
     good = tmp_path / "par3.txt"
     good.write_text("# the parities on 3 variables\n\n" + "\n".join(rows) + "\n")
     builtin, _ = harness.run_config(_cfg(command="dim", cclass="parities", n=3, out="x"))
@@ -337,7 +338,7 @@ def test_class_file_parse_is_bit_identical_to_parsing_each_entry(tmp_path, seed)
 
 
 def test_class_file_takes_crlf_tabs_and_whole_line_comments(tmp_path):
-    matrix = parity_class(3).matrix
+    matrix = class_table("parities", 3)
     lines = ["# the parities on 3 variables", "", "   # an indented comment"]
     lines += ["\t".join(f"{v:g}" for v in row) + " \t" for row in matrix]
     path = tmp_path / "par3.txt"
@@ -355,7 +356,7 @@ def _class_from_text(tmp_path, text):
 @pytest.mark.parametrize("one, minus_one", [("1.0", "-1.0"), ("+1", "-1.0"), ("1e0", "-1")])
 def test_class_file_real_spellings_load_the_integer_matrix(tmp_path, one, minus_one):
     # 1 and -1 take the vectorised sign pass, any other spelling the float parse: same table
-    rows = parity_class(3).matrix
+    rows = class_table("parities", 3)
     ints = "\n".join(" ".join("1" if v > 0 else "-1" for v in row) for row in rows)
     reals = "\n".join(" ".join(one if v > 0 else minus_one for v in row) for row in rows)
     want = _class_from_text(tmp_path, ints + "\n").matrix
@@ -572,6 +573,20 @@ def test_liar_oracle_trips_invariant(tmp_path, monkeypatch):
     assert oracle.mode == "liar" and oracle.query_count > 0
     assert len(oracle.query_log) == oracle.query_count
     assert oracle.audit() > 0
+
+
+def test_empirical_sample_size_is_at_most_2_to_the_53(tmp_path):
+    assert _cfg(oracle=f"empirical:{MAX_SAMPLE_SIZE}").oracle == "empirical:9007199254740992"
+    for size in (MAX_SAMPLE_SIZE + 1, 2**64):
+        flag = f"empirical:{size}"
+        with pytest.raises(UsageError, match=r"1 <= s <= 2\^53, got"):
+            _cfg(oracle=flag)
+        for command in ("learn", "agnostic"):
+            out = CliRunner().invoke(
+                cli.main, [command, "--n", "3", "--oracle", flag, "--out", str(tmp_path / "o")])
+            assert out.exit_code == 1, out.output
+            assert isinstance(out.exception, SystemExit)  # a usage error, not a traceback
+            assert "usage error" in out.output and "1 <= s <= 2^53" in out.output
 
 
 @pytest.mark.parametrize("flag, mode, sample_size",

@@ -21,7 +21,7 @@ from sqlab.fnspace import (
     l1_distance,
     random_real_fn,
 )
-from sqlab.oracles import MODES, SQOracle, decompose
+from sqlab.oracles import MAX_SAMPLE_SIZE, MODES, SQOracle, decompose
 from sqlab.rng import make_rng
 
 from conftest import random_bool_fn
@@ -131,6 +131,20 @@ def test_empirical_mode_requires_sample_size():
         assert orc.query(target.values[None], 0.05)[0] == 1.0  # every draw agrees
     with pytest.raises(UsageError):
         SQOracle(target, dist, mode="psychic")
+
+
+def test_sample_size_is_at_most_2_to_the_53():
+    # past 2^53 the signed counts, and their sums with +-1 rows, stop being
+    # exact in float64
+    _, target, dist, _ = _setup()
+    assert MAX_SAMPLE_SIZE == 2**53
+    orc = SQOracle(target, dist, mode="empirical", sample_size=2**53)
+    fs = FnSet(dist.domain, [target.values, -target.values])
+    assert orc.correlational_many(fs, 0.05).tolist() == [1.0, -1.0]
+    for size in (2**53 + 1, 2**64):
+        for mode in MODES:
+            with pytest.raises(UsageError, match=r"<= 2\^53, got"):
+                SQOracle(target, dist, mode=mode, sample_size=size)
 
 
 @pytest.mark.parametrize("size", [2.5, 2.0, 0, -3, True, np.True_, "2", np.float64(4.0)])

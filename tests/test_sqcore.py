@@ -36,7 +36,7 @@ from sqlab.sqcore import (
     weak_agnostic_learner,
 )
 
-from conftest import random_bool_fn
+from conftest import class_table, dense_class, random_bool_fn
 
 
 def _single(f):
@@ -62,7 +62,7 @@ def test_class_pool_generator_validation(domain3):
 
 
 def test_exhaustive_csq_recovers_every_target(domain3, uniform3):
-    cclass = conjunction_class(3)
+    cclass = dense_class("conjunctions", 3)
     for mode in ("exact", "grid_adversary"):
         for f in cclass:
             orc = SQOracle(f, uniform3, mode=mode)
@@ -81,7 +81,7 @@ def test_exhaustive_csq_tie_breaks_to_first_index(domain3, uniform3):
 
 
 def test_build_gpsi_size_and_order(domain3, uniform3):
-    cclass = parity_class(3)
+    cclass = dense_class("parities", 3)
     alg = ExhaustiveCSQ(cclass, 0.1)
     psi = random_real_fn(domain3, make_rng(2, 0, "psi"))
     aset = build_gpsi(alg, psi, uniform3)
@@ -211,7 +211,7 @@ def test_general_query_rounds(domain3, cell_mean):
 
 def test_build_gpsi_distinguishing_margin(domain3, uniform3):
     # any target far from sign(psi) correlates with some set member by >= tau
-    cclass = parity_class(3)
+    cclass = dense_class("parities", 3)
     eps = 0.1
     rng = make_rng(3, 0, "psi")
     for _ in range(10):
@@ -268,8 +268,8 @@ def test_projected_learner_trace_replay(domain3):
     hyp, trace = projected_learner(gen, SQOracle(f, dist), tau, audit_target=f)
     assert trace.halt_reason == "converged"
     psi = np.zeros(8)
-    mat = gen(None)[0].matrix
-    assert mat is cclass.matrix  # the pool shares the class's matrix
+    pool = gen(None)[0]
+    assert pool is cclass  # the pool is the class itself
     for row in trace.rows:
         pot = float(np.dot(dist.weights, (f.values - psi) ** 2))
         assert row.potential == pytest.approx(pot, abs=1e-12)
@@ -277,11 +277,11 @@ def test_projected_learner_trace_replay(domain3):
             continue
         # accepted step: margin vs current psi at least 3*tau, sign preserved
         true_gap = inner_product(f, cclass[row.chosen], dist) - float(
-            np.dot(dist.weights, psi * mat[row.chosen])
+            np.dot(dist.weights, psi * pool.row(row.chosen))
         )
         assert abs(row.gamma) >= 3 * tau
         assert math.copysign(1, row.gamma) == math.copysign(1, true_gap)
-        psi = np.clip(psi + row.gamma * mat[row.chosen], -1.0, 1.0)
+        psi = np.clip(psi + row.gamma * pool.row(row.chosen), -1.0, 1.0)
     np.testing.assert_array_equal(sign_of(project_unit(psi, domain3)).values, hyp.values)
 
 
@@ -319,7 +319,7 @@ def test_projected_learner_flags_lying_oracle(domain3, uniform3):
 
 
 def test_gpsi_generator_learns_conjunctions(domain3, uniform3):
-    cclass = conjunction_class(3)
+    cclass = dense_class("conjunctions", 3)
     eps_alg = 1 / 15
     gen = gpsi_generator(ExhaustiveCSQ(cclass, eps_alg), uniform3)
     f = cclass[4]
@@ -330,7 +330,7 @@ def test_gpsi_generator_learns_conjunctions(domain3, uniform3):
 
 def test_weak_agnostic_learner_guarantee(domain3, uniform3):
     parities = parity_class(3)
-    pool = FnSet(domain3, parities.matrix)
+    pool = FnSet(domain3, class_table("parities", 3))
     rng = make_rng(7, 0, "agn")
     for _ in range(10):
         phi_a = random_real_fn(domain3, rng)
