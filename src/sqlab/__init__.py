@@ -9,7 +9,7 @@ the package itself holds only ``__version__``.  Modules:
                     ``FnSet``, the one function-set type (classes among them);
 * ``oracles``    -- the statistical-query oracle for a realizable or agnostic
                     source (modes exact / grid_adversary / noisy / empirical /
-                    liar) and the correlational decomposition;
+                    liar) and the one check of a round of queries;
 * ``sqcore``     -- distinguishing-set extraction, the projected iterative
                     learner, baselines, the weak agnostic learner;
 * ``dimensions`` -- pairwise-correlation dimensions, covers, shifted sets,

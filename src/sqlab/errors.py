@@ -22,7 +22,7 @@ class InvalidToleranceError(LabError):
     code = "invalid-tolerance"
 
 
-class QueryRangeError(LabError):
+class QueryRangeError(UsageError):
     code = "query-out-of-range"
 
 

@@ -347,9 +347,9 @@ def sq_neighborhood(psi, eps, gpsi_builder, gamma):
     For every target f in the covered class, some row improves
     ||f - .||^2 by gamma^2 unless f is already within eps of sign(psi).
     """
-    mat = gpsi_builder(psi, eps / 4.0).matrix
-    steps = np.clip(np.vstack([psi.values + gamma * mat, psi.values - gamma * mat]), -1.0, 1.0)
-    return np.vstack([steps, sign_of(psi).values])
+    gset = gpsi_builder(psi, eps / 4.0)
+    steps = [psi.values + s * gamma * gset.row(i) for s in (1.0, -1.0) for i in range(len(gset))]
+    return np.vstack([np.clip(steps, -1.0, 1.0), sign_of(psi).values])
 
 
 C_HOEFFDING = 128.0  # the Hoeffding constant of the fitness sample size s

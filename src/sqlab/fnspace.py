@@ -3,9 +3,9 @@
 Boolean (+/-1) functions, real [-1,1]-valued functions, distributions and
 sets of functions (an FnSet, one row per function: a concept class, a
 candidate set, a shifted set) are dense tables over {0,1}^n, but for a built-in
-class (ClassSet), which keeps none: no code builds one.  Point index p encodes
-the bit vector with coordinate x_i = (p >> (i-1)) & 1 for i in 1..n (variable
-1 is the least significant bit).  All values are immutable after construction.
+class (ClassSet) and a stack of sets (StackSet), which keep none.  Point index
+p encodes the bit vector with coordinate x_i = (p >> (i-1)) & 1 for i in 1..n
+(variable 1 is the least significant bit).  All values are immutable after construction.
 
 Conventions fixed here and used everywhere downstream:
   * sign(0) = +1;
@@ -190,7 +190,7 @@ class FnSet:
     (0 for an empty set), measured by the one scan a table from outside gets
     here: its shape and min/max, which also rejects NaN and +-inf.  A table
     that is +-1 by construction (a class file of 1 and -1 entries) skips the
-    scan through from_signs, and a built-in class keeps no table (ClassSet).
+    scan through from_signs; a ClassSet and a StackSet keep no table.
     Indexing and iteration build the BoolFn of a row on demand, so they hold
     for +-1 rows (a concept class).  Row order is deterministic and defines
     tie-breaking downstream; reports name a row by its index.
@@ -410,6 +410,31 @@ class ClassSet(FnSet):
             return 2.0 * z - z[0]
         s = _butterflies(x, _subset_sum)
         return s[-1] - 2.0 * s[::-1]
+
+
+class StackSet(FnSet):
+    """The rows of `parts`, a nonempty list of FnSets over one domain, in order,
+    read through the parts: `correlate` joins theirs, `sup` is their largest.
+    It keeps no table (`matrix` is None) and has no gram."""
+
+    __slots__ = ("_parts", "_starts")
+
+    def __init__(self, parts):
+        self._fill(parts[0].domain, None, max(p.sup for p in parts))
+        self._parts = parts
+        self._starts = np.cumsum([0] + [len(p) for p in parts])
+
+    @property
+    def shape(self):
+        return int(self._starts[-1]), self.domain.size
+
+    def row(self, i):
+        i = range(len(self))[i]
+        j = int(np.searchsorted(self._starts, i, side="right")) - 1
+        return self._parts[j].row(i - int(self._starts[j]))
+
+    def correlate(self, x):
+        return np.concatenate([p.correlate(x) for p in self._parts])
 
 
 def _class_member(kind, domain, T):

@@ -1,14 +1,15 @@
-"""STAT oracles and the correlational-query decomposition.
+"""STAT oracles and the one check of a round of queries.
 
 An oracle answers queries for E[psi(x, b)] within the query's tolerance, where
 x ~ D and the label b has E[b | x] = y(x): y is the Boolean target f for the
-realizable source (b = f(x)) and phi_A for an agnostic source.  Queries are
-rows of a matrix, and a batch of correlational queries is an ``fnspace.FnSet``.
-A general query splits (``decompose``) into a correlational part phi1(x)*b and
-a target-independent part phi2(x); the oracle answers the first and adds the
-exact expectation of the second.  One ``SQOracle`` serves both sources, and
-every correlational answer comes from its ``_answer``, in one of these modes
-(a batch's answers are one read-only array, which the log keeps as it is):
+realizable source (b = f(x)) and phi_A for an agnostic one.  A round of
+queries psi_i(x, b) = phi1_i(x)*b + phi2_i(x) is an ``fnspace.FnSet`` of the
+correlational parts phi1 and, optionally, a (k, 2^n) table of the
+target-independent parts phi2 (Bshouty & Feldman 2002), held to the unit ball
+by ``check_round`` for a live oracle and a simulated one alike.  One
+``SQOracle`` serves both sources, and every correlational answer comes from
+its ``_answer``, in one of these modes (a batch's answers are one read-only
+array, which the log keeps as it is):
 
 * ``exact``          -- returns the true expectation;
 * ``grid_adversary`` -- rounds the true value to the nearest multiple of
@@ -34,7 +35,7 @@ from .errors import (
     QueryRangeError,
     UsageError,
 )
-from .fnspace import ATOL, FnSet, is_int
+from .fnspace import ATOL, is_int
 from .rng import make_rng
 
 MODES = ("exact", "grid_adversary", "noisy", "empirical", "liar")
@@ -47,17 +48,26 @@ def _check_tau(tau):
         raise InvalidToleranceError(f"tolerance must be in (0, 1], got {tau}")
 
 
-def decompose(pos, neg):
-    """(phi1, phi2) with psi(x, b) = phi1(x)*b + phi2(x), from the label
-    slices pos = psi(., +1) and neg = psi(., -1) (Bshouty & Feldman 2002).
-
-    phi1 = (pos - neg) / 2 is the correlational part and phi2 = (pos + neg) / 2
-    the target-independent one.  Tables or (k, 2^n) matrices of rows both
-    work; for psi in [-1, 1], |phi1| + |phi2| = max(|pos|, |neg|) <= 1.
-    """
-    pos = np.asarray(pos, dtype=np.float64)
-    neg = np.asarray(neg, dtype=np.float64)
-    return (pos - neg) / 2.0, (pos + neg) / 2.0
+def check_round(fs, domain, phi2=None):
+    """`phi2` as a float array (or None), once the round (fs, phi2) over
+    `domain` is in the unit ball: fs.sup <= 1 without phi2, else a phi2 of
+    fs's shape with |fs_i| + |phi2_i| <= 1 at every point, read a row of fs
+    at a time.  A range fault (NaN too) is a QueryRangeError."""
+    if fs.domain != domain:
+        raise DomainMismatchError(
+            f"queries over n={fs.domain.n} asked under a distribution over n={domain.n}")
+    if phi2 is None:
+        if fs.sup <= 1 + ATOL:
+            return None
+        raise QueryRangeError(f"queries must map into [-1, 1]; the largest |entry| is {fs.sup:.6g}")
+    phi2 = np.asarray(phi2, dtype=np.float64)
+    if phi2.shape != fs.shape:
+        raise UsageError(f"phi2 has shape {phi2.shape}, the round has {fs.shape}")
+    for i, part in enumerate(phi2):
+        # NaN fails the comparison too
+        if not np.all(np.abs(fs.row(i)) + np.abs(part) <= 1 + ATOL):
+            raise QueryRangeError(f"query {i} must map into [-1, 1]: |phi1| + |phi2| > 1")
+    return phi2
 
 
 @dataclass
@@ -149,31 +159,12 @@ class SQOracle:
             return None
         return self.sample_size * sum(1 for _, values, _ in self._batches if len(values))
 
-    def query(self, phi1, tau, phi2=None):
-        """General queries psi_i(x, b) = phi1_i(x)*b + phi2_i(x), one per row.
-
-        phi1 (and phi2, if given) are (k, 2^n) tables -- the ``decompose``
-        parts of the queries, row-wise -- with |phi1| + |phi2| <= 1
-        pointwise.  The correlational parts are answered as one
-        ``correlational_many`` batch in this oracle's mode; the
-        target-independent parts do not depend on the target, so their exact
-        values E_D[phi2_i] are valid answers in every mode and are added on.
-        """
-        size = self.dist.domain.size
-        phi1 = np.asarray(phi1, dtype=np.float64)
-        if phi1.ndim != 2 or phi1.shape[1] != size:
-            raise UsageError(f"query rows have shape {phi1.shape}, expected (k, {size})")
-        bound = np.abs(phi1)
-        if phi2 is not None:
-            phi2 = np.asarray(phi2, dtype=np.float64)
-            if phi2.shape != phi1.shape:
-                raise UsageError(
-                    f"phi2 has shape {phi2.shape}, phi1 has {phi1.shape}")
-            bound = bound + np.abs(phi2)
-        # NaN fails the comparison too
-        if not np.all(bound <= 1 + ATOL):
-            raise QueryRangeError("query function must map into [-1, 1]")
-        values = self.correlational_many(FnSet(self.dist.domain, phi1), tau)
+    def query(self, fs, tau, phi2=None):
+        """The answers to a round that passes ``check_round``: its FnSet `fs`
+        as one ``correlational_many`` batch in this oracle's mode, plus the
+        exact E_D[phi2_i], valid in every mode as phi2 ignores the target."""
+        phi2 = check_round(fs, self.dist.domain, phi2)
+        values = self.correlational_many(fs, tau)
         return values if phi2 is None else values + phi2 @ self.dist.weights
 
     def true_values(self, fs):

@@ -1,20 +1,20 @@
 """Core SQ constructions.
 
 Every set of functions here is one ``fnspace.FnSet``, row i the i-th
-function, with its ``sup``: a read-only (k, 2^n) table, or a built-in class
-that keeps none (``ClassSet``); the learners read it through ``correlate``
-and ``row``.  A generator maps the learner's current approximation psi to
-``(rows, gamma)``: an FnSet in the unit ball, and the claimed threshold gamma
--- any target far enough from sign(psi) has some row g with
-|<f - psi, g>_D| >= gamma.
+function, with its ``sup``: a read-only (k, 2^n) table, a built-in class
+that keeps none (``ClassSet``) or a stack of sets (``StackSet``); the
+learners read it through ``correlate`` and ``row``.  A generator maps the
+learner's current approximation psi to ``(rows, gamma)``: an FnSet in the
+unit ball, and the claimed threshold gamma -- any target far enough from
+sign(psi) has some row g with |<f - psi, g>_D| >= gamma.
 
 * ``SQAlgorithm`` -- one method, ``run(ask)``: the algorithm asks its
-  queries in rounds of matrix rows and returns its hypothesis.
+  queries in rounds, each an FnSet, and returns its hypothesis.
   ``run_with_oracle`` answers each round with one ``SQOracle.query``.
 * ``build_gpsi`` -- run any SQ algorithm while answering the correlational
   part of each query with its inner product against a reference function
-  psi; the queried rows (plus sign(psi) and the algorithm's output) form a
-  set that can distinguish any learnable target from psi.
+  psi; the rounds' sets (plus sign(psi) and the algorithm's output) stack
+  into a set that can distinguish any learnable target from psi.
   ``gpsi_generator`` pairs it with the algorithm's tau;
   ``class_pool_generator`` gives a fixed pool (a class, itself) and gamma.
 * ``projected_learner`` -- iterative learner that maintains a real-valued
@@ -23,7 +23,7 @@ and ``row``.  A generator maps the learner's current approximation psi to
   unit sup-norm ball.  The squared distance to the target drops by >= 3*tau^2
   per accepted step, which bounds the number of updates by ceil(1/(3 tau^2)).
 * ``ExhaustiveCSQ`` -- baseline algorithm: one round of correlational queries,
-  one per class member, then the argmax.
+  the class itself, then the argmax.
 * ``weak_agnostic_learner`` -- scores a pool with one oracle batch (an
   agnostic source's, say) and returns the best member, signed.
 """
@@ -35,34 +35,35 @@ from typing import Optional
 import numpy as np
 
 from .errors import QueryBudgetError, UsageError
-from .fnspace import ATOL, FnSet, RealFn, project_unit, sign_of
+from .fnspace import ATOL, FnSet, RealFn, StackSet, is_int, project_unit, sign_of
+from .oracles import check_round
 
 agnostic_stat_query = None  # nothing calls it; perfbench's tracer patches this name
 
 
-def _unit_rows(rows, what):
-    """`rows` (an FnSet) as a learner's query rows: nonempty, in the unit ball."""
-    if len(rows) == 0:
-        raise UsageError(f"{what} needs at least one function")
-    if rows.sup > 1 + ATOL:
-        raise UsageError(f"{what} functions must map into [-1, 1]; "
-                         f"the largest |entry| is {rows.sup:.6g}")
-    return rows
+def _pool(pool):
+    """`pool` (an FnSet), once it is nonempty and in the unit ball."""
+    if len(pool) == 0:
+        raise UsageError("a pool needs at least one function")
+    check_round(pool, pool.domain)
+    return pool
+
+
+def _check_budget(budget):
+    if not (is_int(budget) and budget >= 0):
+        raise UsageError(f"query budget must be an integer >= 0, got {budget!r}")
 
 
 class SQAlgorithm:
     """Statistical-query algorithm that asks its queries in rounds.
 
-    Subclasses declare ``name``, ``tau`` and ``epsilon`` and implement
-    ``run(ask)``, which returns the hypothesis (a BoolFn).  ``ask(phi1, phi2)``
-    answers one round of general queries psi_i(x, b) = phi1_i(x)*b + phi2_i(x),
-    one per row of the (k, 2^n) tables phi1 and phi2, at tolerance ``tau``,
-    and returns the k answers.  phi1 and phi2 are the ``oracles.decompose``
-    parts of the queries, taken row-wise; without phi2 the round is purely
-    correlational.
+    Subclasses declare ``tau`` and ``epsilon`` and implement ``run(ask)``,
+    which returns the hypothesis (a BoolFn).  ``ask(fs, phi2=None)`` returns
+    the answers, at tolerance ``tau``, to a round of general queries
+    psi_i(x, b) = fs_i(x)*b + phi2_i(x) that passes ``oracles.check_round``:
+    `fs` an FnSet, phi2 None (a correlational round) or a (k, 2^n) table.
     """
 
-    name = "sq-algorithm"
     tau = None
     epsilon = None
 
@@ -73,13 +74,11 @@ class SQAlgorithm:
 class ExhaustiveCSQ(SQAlgorithm):
     """Score every class member with one correlational query; return argmax.
 
-    One round: the class matrix, so `cclass` is a table FnSet.  Queries at
-    tolerance eps/2, so if the target is a member and the oracle is valid,
-    the target scores >= 1 - eps/2 while an argmax impostor can beat it only
-    if its true correlation is >= 1 - eps.  First-index tie-break.
+    One round: `cclass`, any FnSet of +-1 rows (a built-in class: one transform).
+    Queries at tolerance eps/2, so if the target is a member and the oracle is
+    valid, the target scores >= 1 - eps/2 while an argmax impostor can beat it
+    only if its true correlation is >= 1 - eps.  First-index tie-break.
     """
-
-    name = "exhaustive-csq"
 
     def __init__(self, cclass, eps):
         if not 0 < eps < 1:
@@ -89,7 +88,7 @@ class ExhaustiveCSQ(SQAlgorithm):
         self.tau = eps / 2.0
 
     def run(self, ask):
-        return self.cclass[int(np.argmax(ask(self.cclass.matrix)))]
+        return self.cclass[int(np.argmax(ask(self.cclass)))]
 
 
 def run_with_oracle(alg, oracle):
@@ -97,55 +96,55 @@ def run_with_oracle(alg, oracle):
 
     Each round goes to the oracle as one ``query`` at ``alg.tau``.
     """
-    return alg.run(lambda phi1, phi2=None: oracle.query(phi1, alg.tau, phi2))
+    return alg.run(lambda fs, phi2=None: oracle.query(fs, alg.tau, phi2))
 
 
 def build_gpsi(alg, psi, d, budget=100_000):
     """Extract a distinguishing set for `psi` by simulating `alg`.
 
     Each round of queries is answered as if the target were psi: row i gets
-    <phi1_i, psi>_D + E_D[phi2_i].  The rounds' phi1 rows, in order, then
-    sign(psi) and the algorithm's hypothesis form the set, so its size is the
-    number of queries + 2.  A round that would take the query count past
-    `budget` raises QueryBudgetError before it is answered.
-
-    The rows come from the algorithm, so the set gets the one FnSet scan,
-    and a row outside the unit ball (or holding NaN) is a usage error.
+    <fs_i, psi>_D + E_D[phi2_i], once it passes ``oracles.check_round`` as
+    against a live oracle; one that would take the query count past `budget`
+    (an integer >= 0) raises QueryBudgetError.  The set is a StackSet of the
+    rounds' sets, uncopied, then a +-1 table of sign(psi) and the hypothesis.
 
     If the target f satisfies disagreement(f, sign(psi), d) > alg.epsilon +
     alg.tau, some member g has |<f - psi, g>_D| >= alg.tau: otherwise every
     simulated answer would have been valid for f, forcing the hypothesis (a
     set member) to land within alg.epsilon of f.
     """
+    _check_budget(budget)
     w = d.weights
     psi_w = psi.values * w
     rounds = []
     asked = 0
 
-    def ask(phi1, phi2=None):
+    def ask(fs, phi2=None):
         nonlocal asked
-        asked += len(phi1)
+        phi2 = check_round(fs, d.domain, phi2)
+        asked += len(fs)
         if asked > budget:
             raise QueryBudgetError(f"algorithm exceeded query budget {budget}")
-        rounds.append(phi1)
-        values = phi1 @ psi_w
+        rounds.append(fs)
+        values = fs.correlate(psi_w)
         return values if phi2 is None else values + phi2 @ w
 
     hypothesis = alg.run(ask)
-    mat = np.vstack(rounds + [sign_of(psi).values, hypothesis.values])
-    mat.flags.writeable = False  # ours alone: FnSet keeps it without a copy
-    return _unit_rows(FnSet(psi.domain, mat), "a distinguishing set")
+    ends = np.vstack([sign_of(psi).values, hypothesis.values])
+    ends.flags.writeable = False  # ours alone: FnSet keeps it without a copy
+    return StackSet(rounds + [FnSet.from_signs(d.domain, ends)])
 
 
 def gpsi_generator(alg, d, budget=100_000):
     """Generator: psi -> (distinguishing set via a run of `alg`, alg.tau)."""
+    _check_budget(budget)
     return lambda psi: (build_gpsi(alg, psi, d, budget=budget), alg.tau)
 
 
 def class_pool_generator(pool, gamma):
     """Generator returning (pool, gamma) for every psi: the pool itself (a
     class, say; never copied) and its claimed threshold gamma."""
-    _unit_rows(pool, "a pool")
+    _pool(pool)
     if not 0 < gamma < math.inf:
         raise UsageError(f"gamma must be positive and finite, got {gamma}")
     claim = (pool, float(gamma))
@@ -254,7 +253,7 @@ def weak_agnostic_learner(pool, oracle, tau):
     phi_A) the result h satisfies <h, phi_A>_D >= max_g |<g, phi_A>_D| - 2*tau
     for any valid answers.
     """
-    values = oracle.correlational_many(_unit_rows(pool, "a pool"), tau)
+    values = oracle.correlational_many(_pool(pool), tau)
     j = int(np.argmax(np.abs(values)))
     orient = 1.0 if values[j] >= 0 else -1.0
     return RealFn(pool.domain, orient * pool.row(j))

@@ -53,6 +53,33 @@ def dense_class(kind, n):
     return FnSet.from_signs(Domain(n), class_table(kind, n))
 
 
+def table_set(table):
+    """The table FnSet of a (k, 2^n) table, or of one function's 2^n table,
+    over the domain that its width gives."""
+    table = np.asarray(table, dtype=np.float64)
+    table = table.reshape(-1, table.shape[-1])
+    return FnSet(Domain(table.shape[1].bit_length() - 1), table)
+
+
+def rows_of(fs):
+    """Every row of the FnSet `fs`, in order, as one new (k, 2^n) array: the
+    dense copy of a set that keeps no table (a ClassSet or a StackSet)."""
+    return np.array([fs.row(i) for i in range(len(fs))]).reshape(len(fs), fs.domain.size)
+
+
+def decompose(pos, neg):
+    """(phi1, phi2) with psi(x, b) = phi1(x)*b + phi2(x), from the label
+    slices pos = psi(., +1) and neg = psi(., -1) (Bshouty & Feldman 2002).
+
+    phi1 = (pos - neg) / 2 is the correlational part and phi2 = (pos + neg) / 2
+    the target-independent one.  Tables or (k, 2^n) matrices of rows both
+    work; for psi in [-1, 1], |phi1| + |phi2| = max(|pos|, |neg|) <= 1.
+    """
+    pos = np.asarray(pos, dtype=np.float64)
+    neg = np.asarray(neg, dtype=np.float64)
+    return (pos - neg) / 2.0, (pos + neg) / 2.0
+
+
 def greedy_extension(fs, d, witness, threshold):
     """`witness` extended in row order by each row of the FnSet `fs` whose
     |correlation| under `d` with every row taken so far is within `threshold`:

@@ -36,7 +36,7 @@ from sqlab.fnspace import (
     random_real_fn,
     sign_of,
 )
-from sqlab.oracles import SQOracle, decompose
+from sqlab.oracles import SQOracle
 from sqlab.rng import make_rng
 from sqlab.sqcore import (
     ExhaustiveCSQ,
@@ -46,7 +46,7 @@ from sqlab.sqcore import (
     projected_learner,
 )
 
-from conftest import dense_class, greedy_extension, random_bool_fn
+from conftest import decompose, dense_class, greedy_extension, random_bool_fn, rows_of, table_set
 
 
 def _report(num, ok, detail):
@@ -134,7 +134,7 @@ def test_criterion_03_candidate_sets_distinguish_far_targets():
                 checked += 1
                 margin = max(
                     abs(float(u.weights @ ((f.values - psi.values) * m)))
-                    for m in gset.matrix
+                    for m in rows_of(gset)
                 )
                 min_margin = min(min_margin, margin)
                 fails += margin < tau - 1e-12
@@ -325,7 +325,7 @@ def test_criterion_09_decomposition_identity_and_oracle_audit(cell_mean):
         bad_id += abs(lhs - rhs) > 1e-12
         for mode in ("exact", "grid_adversary", "noisy"):
             orc = SQOracle(f, d, mode=mode, seed=j)
-            (answer,) = orc.query(phi1[None], 0.05, phi2[None])
+            (answer,) = orc.query(table_set(phi1), 0.05, phi2[None])
             # the log audits the correlational part; the answer is checked whole
             bound = 1e-12 if mode == "exact" else 0.05 + 1e-12
             bad_audit += orc.audit() > bound or abs(answer - lhs) > bound

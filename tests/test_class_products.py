@@ -7,7 +7,8 @@ byte for byte: on integer vectors whose every partial sum is an integer
 below 2^53, and on unit vectors, whose products are the table's columns.
 `row` holds the table's own entries, byte for byte; a class keeps no
 `matrix`.  `gram` and `sq_dim` on it agree with the dense Gram and its
-sq_dim.
+sq_dim, and a distinguishing set G(psi) built on it, and the learner that
+it drives, with those built on the dense table.
 """
 
 import tracemalloc
@@ -23,6 +24,7 @@ from sqlab.fnspace import (
     Domain,
     FnSet,
     conjunction_class,
+    disagreement,
     disjunction_class,
     dist_from_text,
     dist_random,
@@ -35,9 +37,16 @@ from sqlab.fnspace import (
 from sqlab.harness import make_config, run_config
 from sqlab.oracles import SQOracle
 from sqlab.rng import make_rng
-from sqlab.sqcore import class_pool_generator, projected_learner, weak_agnostic_learner
+from sqlab.sqcore import (
+    ExhaustiveCSQ,
+    build_gpsi,
+    class_pool_generator,
+    gpsi_generator,
+    projected_learner,
+    weak_agnostic_learner,
+)
 
-from conftest import class_table, dense_class
+from conftest import class_table, dense_class, rows_of
 
 BUILDERS = {
     "parities": parity_class,
@@ -235,3 +244,64 @@ def test_learn_and_agnostic_on_builtin_classes_allocate_no_dense_table(tmp_path,
                     assert built[-1].matrix is None, where + (n,)
                 assert peaks[1] <= 4.5 * peaks[0], where + (peaks,)
                 assert peaks[1] < 16 * 2**20, where + (peaks,)
+
+
+def test_gpsi_on_a_class_equals_gpsi_on_its_dense_table_row_for_row():
+    # the simulated answers are sums in another order than the dense table's,
+    # yet every case picks the same hypothesis
+    for n in range(1, 9):
+        domain = Domain(n)
+        for kind, build in BUILDERS.items():
+            fs, dense = ExhaustiveCSQ(build(n), 0.1), ExhaustiveCSQ(dense_class(kind, n), 0.1)
+            for seed in [None, 0, 1, 2]:
+                d = _dist("uniform" if seed is None else "random", domain, seed)
+                for j in range(5):
+                    psi = random_real_fn(domain, make_rng(j, n, "psi"))
+                    got, want = build_gpsi(fs, psi, d), build_gpsi(dense, psi, d)
+                    assert got.matrix is None and len(got) == (1 << n) + 2
+                    assert _same_bits(rows_of(got), rows_of(want)), (kind, n, seed, j)
+
+
+def test_gpsi_learner_on_a_class_traces_the_dense_run():
+    # every round chooses the same row, and every run takes as many rounds;
+    # gamma moves by rounding only
+    for n in range(1, 7):
+        domain = Domain(n)
+        for kind, build in BUILDERS.items():
+            for seed in (None, 0):
+                d = _dist("uniform" if seed is None else "random", domain, seed)
+                for t in make_rng(seed or 0, n, "target").integers(1 << n, size=2).tolist():
+                    target = build(n)[t]
+                    got, want = (projected_learner(gpsi_generator(ExhaustiveCSQ(fs, 1 / 15), d),
+                                                   SQOracle(target, d), 1 / 120)[1]
+                                 for fs in (build(n), dense_class(kind, n)))
+                    where = (kind, n, seed, t)
+                    assert got.halt_reason == want.halt_reason == "converged", where
+                    assert [(r.chosen, r.queries) for r in got.rows] == \
+                        [(r.chosen, r.queries) for r in want.rows], where
+                    assert all(r.gamma is w.gamma is None or abs(r.gamma - w.gamma) <= 1e-15
+                               for r, w in zip(got.rows, want.rows)), where
+
+
+def test_gpsi_of_a_class_at_n16_is_a_stack_not_a_table():
+    # the dense table alone would be 32 GiB: G(psi) is the class and two rows,
+    # and the learner it drives converges, here on x1 x2 x3 in 51 updates
+    domain = Domain(16)
+    d = dist_random(domain, make_rng(0, 16, "dist"))
+    psi = random_real_fn(domain, make_rng(0, 16, "psi"))
+    for kind, build in BUILDERS.items():
+        alg = ExhaustiveCSQ(build(16), 0.1)
+        tracemalloc.start()
+        try:
+            gset = build_gpsi(alg, psi, d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(gset) == 2**16 + 2 and gset.matrix is None, kind
+        assert peak < 8 * 2**20, (kind, peak)
+    cclass = conjunction_class(16)
+    target = cclass[0b111]
+    gen = gpsi_generator(ExhaustiveCSQ(cclass, 1 / 15), d)
+    hyp, trace = projected_learner(gen, SQOracle(target, d), 1 / 120)
+    assert trace.halt_reason == "converged" and trace.updates > 10
+    assert disagreement(hyp, target, d) <= 0.1

@@ -556,10 +556,10 @@ def test_sq_neighborhood_size_and_membership(domain3, uniform3):
     aset = builder(psi, 0.05)
     assert out.shape == (2 * len(aset) + 1, 8)
     np.testing.assert_array_equal(
-        out[0], np.clip(psi.values + 0.05 * aset.matrix[0], -1, 1)
+        out[0], np.clip(psi.values + 0.05 * aset.row(0), -1, 1)
     )
     np.testing.assert_array_equal(
-        out[len(aset)], np.clip(psi.values - 0.05 * aset.matrix[0], -1, 1)
+        out[len(aset)], np.clip(psi.values - 0.05 * aset.row(0), -1, 1)
     )
     np.testing.assert_array_equal(out[-1], np.where(psi.values >= 0, 1.0, -1.0))
 

@@ -15,6 +15,7 @@ from sqlab.fnspace import (
     Domain,
     FnSet,
     RealFn,
+    StackSet,
     conjunction_class,
     disagreement,
     disjunction_class,
@@ -36,7 +37,7 @@ from sqlab.oracles import SQOracle
 from sqlab.rng import make_rng
 from sqlab.sqcore import class_pool_generator, weak_agnostic_learner
 
-from conftest import class_table, random_bool_fn
+from conftest import class_table, random_bool_fn, rows_of
 
 
 def test_domain_bitstring_roundtrip():
@@ -343,6 +344,51 @@ def test_concept_class_rejects_empty_and_mixed_domains(domain3, uniform3):
     assert len(cclass) == 2 and not cclass.matrix.flags.writeable
     assert cclass[1] == BoolFn(domain3, -np.ones(8))
     assert [f.values.tolist() for f in cclass] == cclass.matrix.tolist()
+
+
+@st.composite
+def _stack_parts(draw):
+    """A list of FnSets over one domain: tables of +-1 or of real entries,
+    empty tables and built-in classes, with a vector to correlate."""
+    n = draw(st.integers(1, 4))
+    domain, size = Domain(n), 1 << n
+    parts = []
+    for kind in draw(st.lists(st.sampled_from(["signs", "reals", "empty", "class"]),
+                              min_size=1, max_size=4)):
+        if kind == "class":
+            parts.append(_BUILDERS[draw(st.sampled_from(sorted(_BUILDERS)))][0](n))
+            continue
+        entry = st.sampled_from([-1.0, 1.0]) if kind == "signs" else st.floats(-2.0, 2.0)
+        k = 0 if kind == "empty" else draw(st.integers(1, 3))
+        rows = draw(st.lists(st.lists(entry, min_size=size, max_size=size),
+                             min_size=k, max_size=k))
+        parts.append(FnSet(domain, np.array(rows).reshape(k, size)))
+    x = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size)))
+    return parts, x
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_stack_parts())
+def test_a_stack_reads_as_the_vstack_of_its_parts(case):
+    parts, x = case
+    dense = np.vstack([rows_of(p) for p in parts])
+    fs = StackSet(parts)
+    k = len(dense)
+    assert fs.shape == dense.shape and len(fs) == k and fs.matrix is None
+    for i in range(-k, k):
+        assert fs.row(i).tobytes() == dense[i].tobytes(), i
+    for i in (k, -k - 1):
+        with pytest.raises(IndexError):
+            fs.row(i)
+    got = fs.correlate(x)
+    assert got.tobytes() == np.concatenate([p.correlate(x) for p in parts]).tobytes()
+    assert np.all(np.abs(got - dense @ x) <= 1e-12 * 2 * np.abs(x).sum())
+    assert fs.sup == np.abs(dense).max(initial=0.0)
+    if np.all(np.abs(dense) == 1.0):
+        assert [f.values.tobytes() for f in fs] == [row.tobytes() for row in dense]
+    else:
+        with pytest.raises(UsageError):
+            list(fs)  # a member is a BoolFn: not +-1
 
 
 def test_dist_random_deterministic(domain3):

@@ -21,10 +21,10 @@ from sqlab.fnspace import (
     l1_distance,
     random_real_fn,
 )
-from sqlab.oracles import MAX_SAMPLE_SIZE, MODES, SQOracle, decompose
+from sqlab.oracles import MAX_SAMPLE_SIZE, MODES, SQOracle
 from sqlab.rng import make_rng
 
-from conftest import random_bool_fn
+from conftest import decompose, random_bool_fn, table_set
 
 
 def _setup(n=3, seed=0):
@@ -39,36 +39,41 @@ def test_query_validation():
     domain, target, dist, rng = _setup()
     orc = SQOracle(target, dist)
     ok = rng.uniform(-0.5, 0.5, (3, domain.size))
-    for bad in (ok[0], ok[:, :4], ok[None], np.zeros((2, 16))):  # not (k, 2^n)
+    for bad in (ok[0], ok[None]):  # not (k, 2^n): no set at all
         with pytest.raises(UsageError):
-            orc.query(bad, 0.1)
+            FnSet(domain, bad)
+    for bad in (ok[:, :4], np.zeros((2, 16))):  # a set over another domain
+        with pytest.raises(DomainMismatchError):
+            orc.query(table_set(bad), 0.1)
     for bad in (ok[:2], ok[0], ok[:, :4]):  # phi2 shaped unlike phi1
         with pytest.raises(UsageError):
-            orc.query(ok, 0.1, bad)
+            orc.query(table_set(ok), 0.1, bad)
     nan = ok.copy()
     nan[1, 2] = np.nan
-    for phi1, phi2 in ((np.full((1, 8), 1.2), None), (ok, np.full((3, 8), 0.6)),
-                       (nan, None), (ok, nan), (np.full((1, 8), np.nan), np.zeros((1, 8)))):
+    for phi1 in (nan, np.full((1, 8), np.nan)):  # a set holds no NaN
+        with pytest.raises(UsageError):
+            table_set(phi1)
+    for phi1, phi2 in ((np.full((1, 8), 1.2), None), (ok, np.full((3, 8), 0.6)), (ok, nan)):
         with pytest.raises(QueryRangeError):
-            orc.query(phi1, 0.1, phi2)
+            orc.query(table_set(phi1), 0.1, phi2)
     for tau in (0.0, -0.1, 1.5, float("nan"), 5e-324):  # a subnormal 2*tau overflows the grid
         with pytest.raises(InvalidToleranceError):
-            orc.query(ok, tau)
+            orc.query(table_set(ok), tau)
         with pytest.raises(InvalidToleranceError):
             orc.correlational_many(FnSet(domain, ok), tau)
     assert orc.query_count == 0 and orc.query_log == []
     # the unit ball's edge is in range: |phi1| + |phi2| = 1
     half = np.full((1, 8), 0.5)
-    assert orc.query(half, 1.0, -half)[0] == pytest.approx(
+    assert orc.query(table_set(half), 1.0, -half)[0] == pytest.approx(
         0.5 * float(np.dot(dist.weights, target.values)) - 0.5, abs=1e-12)
-    assert orc.query(np.zeros((0, 8)), 0.1, np.zeros((0, 8))).shape == (0,)
+    assert orc.query(table_set(np.zeros((0, 8))), 0.1, np.zeros((0, 8))).shape == (0,)
 
 
 def test_exact_correlational_matches_inner_product():
     domain, target, dist, rng = _setup()
     phi = random_real_fn(domain, rng)
     orc = SQOracle(target, dist, mode="exact")
-    (got,) = orc.query(phi.values[None], 0.1)
+    (got,) = orc.query(table_set(phi.values), 0.1)
     assert got == pytest.approx(inner_product(phi, target, dist), abs=1e-12)
     assert orc.query_count == 1
 
@@ -77,8 +82,8 @@ def test_target_independent_ignores_target():
     domain, target, dist, rng = _setup()
     phi = random_real_fn(domain, rng)
     zero = np.zeros((1, domain.size))
-    (a,) = SQOracle(target, dist).query(zero, 0.1, phi.values[None])
-    (b,) = SQOracle(BoolFn(domain, -target.values), dist).query(zero, 0.1, phi.values[None])
+    (a,) = SQOracle(target, dist).query(table_set(zero), 0.1, phi.values[None])
+    (b,) = SQOracle(BoolFn(domain, -target.values), dist).query(table_set(zero), 0.1, phi.values[None])
     assert a == b == pytest.approx(float(np.dot(dist.weights, phi.values)), abs=1e-12)
 
 
@@ -89,7 +94,7 @@ def test_grid_adversary_rounds_to_tolerance_grid():
     dist = dist_uniform(domain)
     phi = RealFn(domain, np.full(2, 0.37))
     orc = SQOracle(target, dist, mode="grid_adversary")
-    (got,) = orc.query(phi.values[None], 0.1)
+    (got,) = orc.query(table_set(phi.values), 0.1)
     assert got == pytest.approx(0.4, abs=1e-12)
     assert abs(got - 0.37) <= 0.1
 
@@ -101,8 +106,8 @@ def test_noisy_mode_bounded_and_seeded():
     a = SQOracle(target, dist, mode="noisy", seed=9)
     b = SQOracle(target, dist, mode="noisy", seed=9)
     truth = inner_product(phi, target, dist)
-    va = [float(a.query(phi.values[None], tau)[0]) for _ in range(20)]
-    vb = [float(b.query(phi.values[None], tau)[0]) for _ in range(20)]
+    va = [float(a.query(table_set(phi.values), tau)[0]) for _ in range(20)]
+    vb = [float(b.query(table_set(phi.values), tau)[0]) for _ in range(20)]
     assert va == vb
     assert all(abs(v - truth) <= tau for v in va)
     assert len(set(va)) > 1  # fresh noise per query
@@ -116,7 +121,7 @@ def test_empirical_mode_concentrates():
     hits = 0
     for seed in range(50):
         orc = SQOracle(target, dist, mode="empirical", seed=seed, sample_size=s)
-        (v,) = orc.query(phi.values[None], 0.05)
+        (v,) = orc.query(table_set(phi.values), 0.05)
         hits += abs(v - truth) <= 3.0 / np.sqrt(s)
     assert hits >= 45
     assert orc.query_log[-1].probabilistic
@@ -128,7 +133,7 @@ def test_empirical_mode_requires_sample_size():
         SQOracle(target, dist, mode="empirical")
     for size in (1, np.int64(7), np.uint8(7)):  # numpy integers are sizes too
         orc = SQOracle(target, dist, mode="empirical", seed=3, sample_size=size)
-        assert orc.query(target.values[None], 0.05)[0] == 1.0  # every draw agrees
+        assert orc.query(table_set(target.values), 0.05)[0] == 1.0  # every draw agrees
     with pytest.raises(UsageError):
         SQOracle(target, dist, mode="psychic")
 
@@ -163,7 +168,7 @@ def test_query_log_and_audit():
     for mode in ("exact", "grid_adversary", "noisy"):
         orc = SQOracle(target, dist, mode=mode, seed=3)
         for phi in phis:
-            orc.query(phi.values[None], 0.07)
+            orc.query(table_set(phi.values), 0.07)
         assert orc.query_count == 5
         assert len(orc.query_log) == 5
         assert orc.audit() <= 1e-12
@@ -195,7 +200,7 @@ def test_audit_is_the_worst_logged_gap():
     for mode in ("exact", "grid_adversary", "noisy", "liar"):
         orc = SQOracle(target, dist, mode=mode, seed=2)
         orc.correlational_many(FnSet(domain, mat), 0.05)
-        orc.query(mat[:1], 0.2)
+        orc.query(table_set(mat[:1]), 0.2)
         orc.correlational_many(FnSet(domain, mat[:0]), 0.3)
         want = max(abs(e.value - e.true_value) - e.tau for e in orc.query_log)
         assert orc.audit() == want, mode
@@ -313,12 +318,12 @@ def test_valid_modes_answer_within_tau_at_every_entry_point(case, tau, seed):
     for mode in ("exact", "grid_adversary", "noisy"):
         oracle = SQOracle(target, dist, mode=mode, seed=seed)
         answers = oracle.correlational_many(FnSet(domain, rows), tau).tolist()
-        answers += oracle.query(rows, tau).tolist()
-        answers += oracle.query(general1, tau, general2).tolist()
+        answers += oracle.query(FnSet(domain, rows), tau).tolist()
+        answers += oracle.query(FnSet(domain, general1), tau, general2).tolist()
         agnostic = SQOracle(RealFn(domain, phi_a), dist, mode=mode, seed=seed)
         answers += agnostic.correlational_many(FnSet(domain, rows), tau).tolist()
-        answers += agnostic.query(rows, tau).tolist()
-        answers += agnostic.query(general1, tau, general2).tolist()
+        answers += agnostic.query(FnSet(domain, rows), tau).tolist()
+        answers += agnostic.query(FnSet(domain, general1), tau, general2).tolist()
         want = truth[:len(rows)] * 2 + truth + agnostic_truth[:len(rows)] * 2 + agnostic_truth
         gaps = np.abs(np.array(answers) - np.array(want))
         assert gaps.max() <= tau + 1e-12, (mode, gaps.max(), tau)
@@ -335,7 +340,7 @@ def test_decomposition_identity(case, cell_mean):
     for y in (target, RealFn(domain, phi_a)):
         want = float(np.dot(dist.weights, phi1 * y.values)) + float(np.dot(dist.weights, phi2))
         assert abs(cell_mean(pos, neg, y.values, dist.weights) - want) <= 1e-12
-        (got,) = SQOracle(y, dist).query(phi1[None], 0.05, phi2[None])
+        (got,) = SQOracle(y, dist).query(table_set(phi1), 0.05, phi2[None])
         assert abs(got - want) <= 1e-12
 
 
@@ -347,7 +352,7 @@ def test_decompose_roundtrip(cell_mean):
     np.testing.assert_allclose(phi1 + phi2, pos, atol=1e-12)
     np.testing.assert_allclose(phi2 - phi1, neg, atol=1e-12)
     # each general value is its correlational part plus its target-independent part
-    got = SQOracle(target, dist).query(phi1, 0.1, phi2)
+    got = SQOracle(target, dist).query(table_set(phi1), 0.1, phi2)
     want = [cell_mean(a, b, target.values, dist.weights) for a, b in zip(pos, neg)]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     # one row's tables split the same way as the matrix's rows
@@ -363,7 +368,7 @@ def test_decompose_label_only_query():
     np.testing.assert_array_equal(phi1, np.ones(8))
     np.testing.assert_array_equal(phi2, np.zeros(8))
     want = float(np.dot(dist.weights, target.values))
-    (got,) = SQOracle(target, dist).query(phi1[None], 0.1, phi2[None])
+    (got,) = SQOracle(target, dist).query(table_set(phi1), 0.1, phi2[None])
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -374,8 +379,8 @@ def test_agnostic_source_basics():
         SQOracle(random_real_fn(Domain(2), rng), dist)
     # Boolean phi_A reduces to the plain oracle on that target
     phi_a = RealFn(domain, target.values)
-    assert SQOracle(phi_a, dist).query(phi.values[None], 0.1)[0] == pytest.approx(
-        SQOracle(target, dist).query(phi.values[None], 0.1)[0], abs=1e-12
+    assert SQOracle(phi_a, dist).query(table_set(phi.values), 0.1)[0] == pytest.approx(
+        SQOracle(target, dist).query(table_set(phi.values), 0.1)[0], abs=1e-12
     )
 
 
@@ -388,15 +393,15 @@ def test_agnostic_disagreement_recovery(cell_mean):
     got = cell_mean(pos, neg, phi_a.values, dist.weights)
     assert got == pytest.approx(l1_distance(phi_a, h, dist) / 2.0, abs=1e-12)
     phi1, phi2 = decompose(pos, neg)
-    assert SQOracle(phi_a, dist).query(phi1[None], 0.1, phi2[None])[0] == \
+    assert SQOracle(phi_a, dist).query(table_set(phi1), 0.1, phi2[None])[0] == \
         pytest.approx(got, abs=1e-12)
 
 
 def test_agnostic_stat_query_modes():
     domain, _, dist, rng = _setup(seed=6)
     phi_a = random_real_fn(domain, rng)
-    g = random_real_fn(domain, rng).values[None]
-    truth = inner_product(RealFn(domain, g[0]), phi_a, dist)
+    g = table_set(random_real_fn(domain, rng).values)
+    truth = inner_product(RealFn(domain, g.row(0)), phi_a, dist)
     assert SQOracle(phi_a, dist).query(g, 0.05)[0] == pytest.approx(truth, abs=1e-12)
     (grid,) = SQOracle(phi_a, dist, mode="grid_adversary").query(g, 0.05)
     assert abs(grid - truth) <= 0.05 + 1e-12

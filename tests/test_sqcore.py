@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlab.errors import QueryBudgetError, UsageError
+from sqlab.errors import QueryBudgetError, QueryRangeError, UsageError
 from sqlab.fnspace import (
     BoolFn,
     Dist,
@@ -22,7 +22,7 @@ from sqlab.fnspace import (
     random_real_fn,
     sign_of,
 )
-from sqlab.oracles import MODES, SQOracle, decompose
+from sqlab.oracles import MODES, SQOracle
 from sqlab.rng import make_rng
 from sqlab.sqcore import (
     ExhaustiveCSQ,
@@ -36,7 +36,7 @@ from sqlab.sqcore import (
     weak_agnostic_learner,
 )
 
-from conftest import class_table, dense_class, random_bool_fn
+from conftest import class_table, decompose, dense_class, random_bool_fn, rows_of
 
 
 def _single(f):
@@ -88,16 +88,15 @@ def test_build_gpsi_size_and_order(domain3, uniform3):
     # one member per correlational query, then sign(psi), then the hypothesis
     assert len(aset) == len(cclass) + 2
     rows, gamma = gpsi_generator(alg, uniform3)(psi)
-    assert gamma == alg.tau and rows.matrix.tobytes() == aset.matrix.tobytes()
-    np.testing.assert_array_equal(aset.matrix[:-2], cclass.matrix)
-    np.testing.assert_array_equal(aset.matrix[-2], sign_of(psi).values)
+    assert gamma == alg.tau and rows_of(rows).tobytes() == rows_of(aset).tobytes()
+    np.testing.assert_array_equal(rows_of(aset)[:-2], cclass.matrix)
+    np.testing.assert_array_equal(aset.row(-2), sign_of(psi).values)
 
 
 def test_build_gpsi_respects_budget(domain3, uniform3):
     class Chatty(SQAlgorithm):
         """Asks `rounds` rounds (None: forever) of `rows` zero rows."""
 
-        name = "chatty"
         tau = 0.1
         epsilon = 0.1
 
@@ -108,7 +107,7 @@ def test_build_gpsi_respects_budget(domain3, uniform3):
         def run(self, ask):
             asked = 0
             while self.rounds is None or asked < self.rounds:
-                ask(np.zeros((self.rows, 8)))
+                ask(FnSet(domain3, np.zeros((self.rows, 8))))
                 asked += 1
             return BoolFn(domain3, np.ones(8))
 
@@ -119,6 +118,13 @@ def test_build_gpsi_respects_budget(domain3, uniform3):
     with pytest.raises(QueryBudgetError):
         build_gpsi(Chatty(11, rounds=1), psi, uniform3, budget=10)
     assert len(build_gpsi(Chatty(10, rounds=1), psi, uniform3, budget=10)) == 12
+    assert len(build_gpsi(Chatty(3, rounds=0), psi, uniform3, budget=np.int64(0))) == 2
+    # a budget that is not an integer >= 0 is refused up front, naming the value
+    for bad in (math.nan, 2.5, True, -1):
+        with pytest.raises(UsageError, match=f"budget must be an integer >= 0, got {bad!r}"):
+            build_gpsi(Chatty(0, rounds=0), psi, uniform3, budget=bad)
+        with pytest.raises(UsageError, match=f"budget must be an integer >= 0, got {bad!r}"):
+            gpsi_generator(Chatty(0, rounds=0), uniform3, budget=bad)
 
 
 @pytest.mark.parametrize("bad", [1.5, math.nan])
@@ -126,18 +132,48 @@ def test_build_gpsi_rejects_rows_outside_the_unit_ball(domain3, uniform3, bad):
     class Wild(SQAlgorithm):
         """Asks one round whose second row holds `bad`."""
 
-        name = "wild"
         tau = 0.1
         epsilon = 0.1
 
         def run(self, ask):
             rows = np.zeros((2, 8))
             rows[1, 3] = bad
-            ask(rows)
+            ask(FnSet(domain3, rows))
             return BoolFn(domain3, np.ones(8))
 
     with pytest.raises(UsageError):
         build_gpsi(Wild(), RealFn(domain3, np.zeros(8)), uniform3)
+
+
+@pytest.mark.parametrize("fault, error", [
+    ("phi2 2.0", QueryRangeError), ("phi2 NaN", QueryRangeError),
+    ("phi2 (k+1, 2^n)", UsageError), ("phi1 1.5", QueryRangeError)])
+def test_the_oracle_and_the_simulation_refuse_the_same_rounds(domain3, uniform3, fault, error):
+    # one round check serves both entry points: a round that the live oracle
+    # refuses is not answered in simulation either
+    phi1, phi2 = np.zeros((2, 8)), np.zeros((2, 8))
+    if fault == "phi1 1.5":
+        phi1[1, 3], phi2 = 1.5, None
+    elif fault == "phi2 (k+1, 2^n)":
+        phi2 = np.zeros((3, 8))
+    else:
+        phi2[1, 3] = 2.0 if fault == "phi2 2.0" else math.nan
+
+    class OneRound(SQAlgorithm):
+        tau = 0.1
+        epsilon = 0.1
+
+        def run(self, ask):
+            ask(FnSet(domain3, phi1), phi2)
+            return BoolFn(domain3, np.ones(8))
+
+    oracle = SQOracle(BoolFn(domain3, np.ones(8)), uniform3)
+    with pytest.raises(UsageError) as live:
+        run_with_oracle(OneRound(), oracle)
+    with pytest.raises(UsageError) as simulated:
+        build_gpsi(OneRound(), RealFn(domain3, np.zeros(8)), uniform3)
+    assert type(live.value) is type(simulated.value) is error
+    assert oracle.query_count == 0
 
 
 def test_learn_pool_is_the_class_and_its_truths_are_computed_once(domain3):
@@ -166,7 +202,6 @@ class GeneralRounds(SQAlgorithm):
     rounds of the given sizes, and keeps the answers; its hypothesis is the
     sign of the first phi1."""
 
-    name = "general-rounds"
     tau = 0.05
     epsilon = 0.1
 
@@ -179,7 +214,8 @@ class GeneralRounds(SQAlgorithm):
     def run(self, ask):
         lo = 0
         for k in self.sizes:
-            self.answers.extend(ask(self.phi1[lo:lo + k], self.phi2[lo:lo + k]))
+            self.answers.extend(ask(FnSet(self.domain, self.phi1[lo:lo + k]),
+                                    self.phi2[lo:lo + k]))
             lo += k
         return sign_of(RealFn(self.domain, self.phi1[0]))
 
@@ -196,9 +232,9 @@ def test_general_query_rounds(domain3, cell_mean):
     want = [cell_mean(a, b, psi.values, d.weights) for a, b in zip(pos, neg)]
     np.testing.assert_allclose(alg.answers, want, rtol=0, atol=1e-12)
     # the phi1 rows in asking order, then sign(psi), then the hypothesis
-    np.testing.assert_array_equal(aset.matrix[:-2], alg.phi1)
-    np.testing.assert_array_equal(aset.matrix[-2], sign_of(psi).values)
-    np.testing.assert_array_equal(aset.matrix[-1], np.where(alg.phi1[0] >= 0, 1.0, -1.0))
+    np.testing.assert_array_equal(rows_of(aset)[:-2], alg.phi1)
+    np.testing.assert_array_equal(aset.row(-2), sign_of(psi).values)
+    np.testing.assert_array_equal(aset.row(-1), np.where(alg.phi1[0] >= 0, 1.0, -1.0))
 
     f = random_bool_fn(domain3, rng)
     alg = GeneralRounds(domain3, pos, neg, sizes)
@@ -223,7 +259,7 @@ def test_build_gpsi_distinguishing_margin(domain3, uniform3):
             if disagreement(f, sign_of(psi), uniform3) <= ball:
                 continue
             shifted = f.values - psi.values
-            margins = np.abs(aset.matrix @ (shifted * uniform3.weights))
+            margins = np.abs(aset.correlate(shifted * uniform3.weights))
             assert margins.max() >= alg.tau - 1e-12
 
 
