@@ -1,9 +1,11 @@
-"""Hardness dimensions for SQ learning, computed on explicit truth tables.
+"""Hardness dimensions for SQ learning.
 
-The central quantity is the largest d such that d of the supplied functions
-have pairwise |<f_i, f_j>_D| <= 1/d ("weak dimension", computed exactly via
-max-clique on a threshold graph for up to EXACT_CAP functions, and greedily
-as a lower bound beyond).  On top of it:
+Each helper takes any fnspace.FnSet (a table, a built-in class, a shifted set
+or a distinguishing set G(psi)) and reads it through its row, correlate and
+gram.  The central quantity is the largest d such that d of the supplied
+functions have pairwise |<f_i, f_j>_D| <= 1/d ("weak dimension", computed
+exactly via max-clique on a threshold graph for up to EXACT_CAP functions,
+and greedily as a lower bound beyond).  On top of it:
 
 * greedy covering numbers (upper bounds on the size of a set of bounded
   functions gamma-correlating with every member);
@@ -46,8 +48,6 @@ EXACT_CAP = 30  # the most functions an exact sq_dim scan takes; more take the g
 # the scan stops after searching 6 to 9 of the 15 to 17 values that pass the
 # degree test
 MASK_SLICE = 8
-# search nodes _clique_search has coloured in this process; sq_dim reads its growth
-_nodes_coloured = 0
 
 
 @dataclass
@@ -75,24 +75,14 @@ def _abs_gram(f, d):
     return g
 
 
-def _row_masks(adj, full):
-    """Row bitmasks of boolean matrix `adj` (bit j of masks[i] is adj[i, j]),
-    and for each vertex v the vertices a colour class holding v may still
-    take: neither v nor its neighbours.  `full` has a bit for every vertex.
-    The packed rows are read as one integer and cut by shifts."""
-    n = adj.shape[0]
-    rows = int.from_bytes(np.packbits(adj, axis=1, bitorder="little").tobytes(), "little")
-    stride = -(-n // 8) * 8  # bits per packed row
-    masks = [rows >> i * stride & full for i in range(n)]
-    return masks, [full ^ (m | 1 << i) for i, m in enumerate(masks)]
-
-
 def _threshold_masks(absgram, thresholds):
-    """For each threshold t, the masks _row_masks gives the graph `absgram <= t`,
-    as (row masks per threshold, colour-class masks per threshold).  One
-    comparison and one np.packbits serve every threshold: each row is padded
-    with +inf to 32 entries, one uint32 of the packed bytes, so it takes at
-    most 32 vertices (EXACT_CAP or fewer)."""
+    """For each threshold t, the graph `absgram <= t` as (row masks per
+    threshold, colour-class masks per threshold): bit j of a row mask masks[i]
+    is absgram[i, j] <= t, and free[i] has the vertices a colour class holding
+    i may still take, neither i nor its neighbours.  One comparison and one
+    np.packbits serve every threshold: each row is padded with +inf to 32
+    entries, one uint32 of the packed bytes, so it takes at most 32 vertices
+    (EXACT_CAP or fewer)."""
     t, k = len(thresholds), len(absgram)
     padded = np.full((k, 32), np.inf)
     padded[:, :k] = absgram
@@ -102,23 +92,16 @@ def _threshold_masks(absgram, thresholds):
     return masks.tolist(), free.tolist()
 
 
-def max_clique(adj, floor=0):
-    """Maximum clique of an undirected graph via branch and bound.
-
-    `adj` is a boolean adjacency matrix (symmetric; the diagonal is ignored).
-    The bound starts at `floor`: returns (size, sorted vertex tuple) of the
-    lexicographically first maximum clique when it has more than `floor`
-    vertices, else (0, ()).  A floor below the clique number prunes no
-    ancestor of that clique (at each, |R| plus the suffix class count is at
-    least its size), so the clique returned is the one floor=0 returns.  The general-
-    graph entry to _clique_search; sq_dim builds its masks itself.
-    """
-    return _clique_search(*_row_masks(adj, (1 << adj.shape[0]) - 1), floor)
-
-
 def _clique_search(masks, free, floor):
-    """max_clique's search over the graph of row masks `masks` and colour-class
-    masks `free` (as _row_masks builds them).
+    """Maximum clique, by branch and bound, of the graph of row masks `masks`
+    and colour-class masks `free` (as _threshold_masks builds them).
+
+    The bound starts at `floor`: returns (size, sorted vertex tuple, nodes)
+    with the lexicographically first maximum clique when it has more than
+    `floor` vertices, else (0, (), nodes); `nodes` counts the search nodes
+    coloured.  A floor below the clique number prunes no ancestor of that
+    clique (at each, |R| plus the suffix class count is at least its size),
+    so the clique returned is the one floor=0 returns.
 
     A node (clique R, candidates P) colours P once, greedily: each colour
     class (an independent set) starts at the highest uncoloured vertex and
@@ -133,7 +116,6 @@ def _clique_search(masks, free, floor):
     clique returned is the lexicographically first maximum clique.  The
     search keeps its own stack, so its depth is not Python's recursion limit.
     """
-    global _nodes_coloured
     n = len(masks)
     best_size = floor
     best_mask = 0
@@ -176,10 +158,8 @@ def _clique_search(masks, free, floor):
             stack.pop()
         else:
             break
-    _nodes_coloured += nodes
-    if best_mask == 0:
-        return 0, ()
-    return best_size, tuple(i for i in range(n) if best_mask >> i & 1)
+    clique = tuple(i for i in range(n) if best_mask >> i & 1)
+    return (best_size if best_mask else 0), clique, nodes
 
 
 def _check_pairwise(absgram, witness, threshold):
@@ -227,7 +207,7 @@ def sq_dim(f, d):
     """
     k = len(f)
     mode, certainty = ("exact", "exact") if k <= EXACT_CAP else ("greedy", "lower-bound")
-    searches, nodes = 0, _nodes_coloured
+    searches, nodes = 0, 0
     if k == 0:
         return DimReport(0, certainty, [], {"mode": mode},
                          {"clique_searches": 0, "clique_nodes": 0})
@@ -249,21 +229,23 @@ def sq_dim(f, d):
                   for pair in zip(*_threshold_masks(absgram, thresholds[lo:lo + MASK_SLICE])))
         for cand, (masks, free) in zip(cands, sliced):
             searches += 1
-            size, verts = _clique_search(masks, free, cand - 1)
+            size, verts, coloured = _clique_search(masks, free, cand - 1)
+            nodes += coloured
             if size:
                 witness = list(verts[:cand])
                 break
     value = len(witness)
     _check_pairwise(absgram, witness, 1.0 / value)
     return DimReport(value, certainty, witness, {"mode": mode},
-                     {"clique_searches": searches, "clique_nodes": _nodes_coloured - nodes})
+                     {"clique_searches": searches, "clique_nodes": nodes})
 
 
 def sqd_upper(f, d, gamma, pool):
     """Greedy covering number: pool functions gamma-correlating with all of f.
 
     Returns the chosen pool indices as an upper bound on the smallest
-    approximating set restricted to the pool.  `f` and `pool` are table FnSets.
+    approximating set restricted to the pool.  Member i's coverage is one
+    pool.correlate of its row times D's weights.
     """
     if not 0 < gamma < math.inf:
         raise UsageError(f"gamma must be positive and finite, got {gamma}")
@@ -274,17 +256,18 @@ def sqd_upper(f, d, gamma, pool):
         return DimReport(0, "upper-bound", [], {"gamma": gamma})
     if len(pool) == 0:
         raise PoolInsufficientError(f"empty pool cannot cover {k} members")
-    cov = np.abs(pool.matrix @ (f.matrix * d.weights).T) >= gamma - ATOL
+    # cov[i, j]: pool member j gamma-correlates with member i
+    cov = np.abs([pool.correlate(f.row(i) * d.weights) for i in range(k)]) >= gamma - ATOL
     uncovered = np.ones(k, dtype=bool)
     chosen = []
     while uncovered.any():
-        counts = cov[:, uncovered].sum(axis=1)
+        counts = cov[uncovered].sum(axis=0)
         j = int(np.argmax(counts))
         if counts[j] == 0:
             raise PoolInsufficientError(f"pool cannot cover rows "
                                         f"{np.flatnonzero(uncovered).tolist()} at gamma={gamma}")
         chosen.append(j)
-        uncovered &= ~cov[j]
+        uncovered &= ~cov[:, j]
     return DimReport(len(chosen), "upper-bound", chosen, {"gamma": gamma})
 
 
@@ -294,13 +277,13 @@ def sqd_lower_scaling(f, d, m, M):
     With dim the size of any verified weak-dimension witness (sq_dim's:
     exact up to EXACT_CAP functions, greedy beyond), a set of functions
     gamma-correlating with every member needs >= (dim*m^2)^(1/3)/2 members
-    at gamma = M*(dim*m^2)^(-1/3).  `f` is a table FnSet.
+    at gamma = M*(dim*m^2)^(-1/3).  The norms are the diagonal of f's Gram.
     """
     if not (M >= 1 >= m > 0):
         raise UsageError(f"need M >= 1 >= m > 0, got m={m}, M={M}")
     if len(f) == 0:
         raise UsageError("sqd_lower_scaling needs a nonempty set: gamma divides by its dimension")
-    norms = np.sqrt(np.maximum((f.matrix * f.matrix) @ d.weights, 0.0))
+    norms = np.sqrt(np.maximum(f.gram(d.weights).diagonal(), 0.0))
     for i, nm in enumerate(norms):
         if nm < m - ATOL or nm > M + ATOL:
             raise NormRangeError(f"row {i} has norm {nm}, outside [{m}, {M}]")
@@ -321,19 +304,20 @@ def shifted_set(c, psi, d, eps):
 
     May be empty (that is a signal, not an error).  Every member keeps norm
     >= sqrt(eps): each point of disagreement contributes at least 1 to the
-    squared difference.  `c` is a table FnSet: its rows are read at once.
+    squared difference.  The rows of `c` are read one at a time.
     """
     if not 0 < eps < 1:
         raise UsageError(f"eps must be in (0, 1), got {eps}")
     s = sign_of(psi).values
-    far = np.flatnonzero([d.weights[row != s].sum() > eps for row in c.matrix])
-    return FnSet(psi.domain, c.matrix[far] - psi.values), far.tolist()
+    far = [j for j in range(len(c)) if d.weights[c.row(j) != s].sum() > eps]
+    rows = [c.row(j) - psi.values for j in far]
+    return FnSet(psi.domain, np.reshape(rows, (len(far), psi.domain.size))), far
 
 
 def sq_sdim_estimate(c, d, eps, psi_family):
     """Max over supplied psi of the shifted set's weak dimension: a lower
     bound, as the size of any verified witness is; the witness is row
-    indices of c, a table FnSet (see shifted_set)."""
+    indices of c (see shifted_set)."""
     psi_family = list(psi_family)
     if not psi_family:
         raise UsageError("psi_family must be nonempty")

@@ -284,8 +284,8 @@ class EvolutionTrace:
 def evolve_run(a, params, f, d, eps, g, r0, streams):
     """Evolve for g generations (or until a bottomed step) from the function
     r0, on the per-purpose `streams` of evolve_streams."""
-    if g < 1:
-        raise UsageError(f"generation count must be >= 1, got {g}")
+    if not (is_int(g) and g >= 1):  # a bool would pass as 1
+        raise UsageError(f"generation count g must be an integer >= 1, got {g!r}")
     phi = r0.values + 0.0  # + 0.0 turns -0.0 into 0.0, as a zero step row does
     w = d.weights
     start = lperf(f, r0, d)
@@ -375,8 +375,8 @@ def evolve_lsq_params(theta, eps, neigh_size):
         raise ThetaExceedsEpsError(
             f"theta={theta} exceeds eps={eps}; the gain parameter may be "
             "assumed <= eps")
-    if neigh_size < 1:
-        raise UsageError(f"neigh_size must be >= 1, got {neigh_size}")
+    if not (is_int(neigh_size) and neigh_size >= 1):
+        raise UsageError(f"neigh_size must be an integer >= 1, got {neigh_size!r}")
     try:
         g = math.ceil(8.0 / theta)
         p = math.ceil(neigh_size * math.log(4.0 * g / eps))

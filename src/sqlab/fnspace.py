@@ -184,11 +184,11 @@ class FnSet:
     """Ordered set of real-valued functions over one domain.
 
     A read-only (k, 2^n) table `matrix`, row i the i-th function; k may be 0.
-    Its consumers read it through `shape`, `row(i)`, `correlate(x)` (every
-    row times the vector x) and `gram(w)`; those that need every row at once
-    read `matrix`, so they take a table FnSet.  `sup` is the largest |entry|
-    (0 for an empty set), measured by the one scan a table from outside gets
-    here: its shape and min/max, which also rejects NaN and +-inf.  A table
+    Its consumers read any FnSet one way, through `shape`, `row(i)`,
+    `correlate(x)` (every row times the vector x) and `gram(w)`; only this
+    module reads `matrix`.  `sup` is the largest |entry| (0 for an empty
+    set), measured by the one scan a table from outside gets here: its
+    shape and min/max, which also rejects NaN and +-inf.  A table
     that is +-1 by construction (a class file of 1 and -1 entries) skips the
     scan through from_signs; a ClassSet and a StackSet keep no table.
     Indexing and iteration build the BoolFn of a row on demand, so they hold
@@ -414,8 +414,9 @@ class ClassSet(FnSet):
 
 class StackSet(FnSet):
     """The rows of `parts`, a nonempty list of FnSets over one domain, in order,
-    read through the parts: `correlate` joins theirs, `sup` is their largest.
-    It keeps no table (`matrix` is None) and has no gram."""
+    read through the parts: `correlate` joins theirs, `sup` is their largest,
+    and row i of `gram(w)` is one `correlate` of row i times w.  It keeps no
+    table (`matrix` is None)."""
 
     __slots__ = ("_parts", "_starts")
 
@@ -435,6 +436,10 @@ class StackSet(FnSet):
 
     def correlate(self, x):
         return np.concatenate([p.correlate(x) for p in self._parts])
+
+    def gram(self, w):
+        k = len(self)
+        return np.reshape([self.correlate(self.row(i) * w) for i in range(k)], (k, k))
 
 
 def _class_member(kind, domain, T):

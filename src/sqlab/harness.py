@@ -366,7 +366,7 @@ def _build_class(cfg, domain):
         cclass = FnSet(domain, mat)
     except UsageError as e:
         raise UsageError(f"class file {path}: {e}") from None
-    if not np.all(np.abs(cclass.matrix) == 1.0):
+    if not np.all(np.abs(mat) == 1.0):
         raise UsageError(f"class file {path}: entries must be exactly -1 or +1")
     return cclass
 

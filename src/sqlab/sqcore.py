@@ -11,10 +11,10 @@ sign(psi) has some row g with |<f - psi, g>_D| >= gamma.
 * ``SQAlgorithm`` -- one method, ``run(ask)``: the algorithm asks its
   queries in rounds, each an FnSet, and returns its hypothesis.
   ``run_with_oracle`` answers each round with one ``SQOracle.query``.
-* ``build_gpsi`` -- run any SQ algorithm while answering the correlational
-  part of each query with its inner product against a reference function
-  psi; the rounds' sets (plus sign(psi) and the algorithm's output) stack
-  into a set that can distinguish any learnable target from psi.
+* ``build_gpsi`` -- run any SQ algorithm against an exact oracle whose
+  target is a reference function psi; the rounds' sets (plus sign(psi) and
+  the algorithm's output) stack into a set that can distinguish any
+  learnable target from psi.
   ``gpsi_generator`` pairs it with the algorithm's tau;
   ``class_pool_generator`` gives a fixed pool (a class, itself) and gamma.
 * ``projected_learner`` -- iterative learner that maintains a real-valued
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import QueryBudgetError, UsageError
 from .fnspace import ATOL, FnSet, RealFn, StackSet, is_int, project_unit, sign_of
-from .oracles import check_round
+from .oracles import SQOracle, check_round
 
 agnostic_stat_query = None  # nothing calls it; perfbench's tracer patches this name
 
@@ -102,11 +102,11 @@ def run_with_oracle(alg, oracle):
 def build_gpsi(alg, psi, d, budget=100_000):
     """Extract a distinguishing set for `psi` by simulating `alg`.
 
-    Each round of queries is answered as if the target were psi: row i gets
-    <fs_i, psi>_D + E_D[phi2_i], once it passes ``oracles.check_round`` as
-    against a live oracle; one that would take the query count past `budget`
-    (an integer >= 0) raises QueryBudgetError.  The set is a StackSet of the
-    rounds' sets, uncopied, then a +-1 table of sign(psi) and the hypothesis.
+    Each round of queries is answered as if the target were psi: by an exact
+    SQOracle(psi, d), whose ``query`` checks it as a live oracle does; a round
+    that takes the query count past `budget` (an integer >= 0) raises
+    QueryBudgetError.  The set is a StackSet of the rounds' sets, uncopied,
+    then a +-1 table of sign(psi) and the hypothesis.
 
     If the target f satisfies disagreement(f, sign(psi), d) > alg.epsilon +
     alg.tau, some member g has |<f - psi, g>_D| >= alg.tau: otherwise every
@@ -114,20 +114,15 @@ def build_gpsi(alg, psi, d, budget=100_000):
     set member) to land within alg.epsilon of f.
     """
     _check_budget(budget)
-    w = d.weights
-    psi_w = psi.values * w
+    oracle = SQOracle(psi, d)
     rounds = []
-    asked = 0
 
     def ask(fs, phi2=None):
-        nonlocal asked
-        phi2 = check_round(fs, d.domain, phi2)
-        asked += len(fs)
-        if asked > budget:
+        values = oracle.query(fs, alg.tau, phi2)
+        if oracle.query_count > budget:
             raise QueryBudgetError(f"algorithm exceeded query budget {budget}")
         rounds.append(fs)
-        values = fs.correlate(psi_w)
-        return values if phi2 is None else values + phi2 @ w
+        return values
 
     hypothesis = alg.run(ask)
     ends = np.vstack([sign_of(psi).values, hypothesis.values])

@@ -48,8 +48,8 @@ def class_table(kind, n):
 
 
 def dense_class(kind, n):
-    """The table FnSet of class `kind` over n variables (class_table), for the
-    helpers that read every row at once: a built-in ClassSet keeps no table."""
+    """The table FnSet of class `kind` over n variables (class_table): the
+    dense reference for a built-in ClassSet, which keeps no table."""
     return FnSet.from_signs(Domain(n), class_table(kind, n))
 
 

@@ -6,9 +6,10 @@ to rounding, within 1e-12 * sum|x|.  Where both sides are exact they agree
 byte for byte: on integer vectors whose every partial sum is an integer
 below 2^53, and on unit vectors, whose products are the table's columns.
 `row` holds the table's own entries, byte for byte; a class keeps no
-`matrix`.  `gram` and `sq_dim` on it agree with the dense Gram and its
-sq_dim, and a distinguishing set G(psi) built on it, and the learner that
-it drives, with those built on the dense table.
+`matrix`.  `gram` and the dimension helpers on it agree with the dense Gram
+and the helpers on the dense table, and a distinguishing set G(psi) built on
+it, its Gram and the learner that it drives, with those built on the dense
+table.
 """
 
 import tracemalloc
@@ -18,11 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlab import harness
-from sqlab.dimensions import sq_dim
+from sqlab.dimensions import (shifted_set, sq_dim, sq_sdim_estimate, sqd_lower_scaling,
+                               sqd_upper)
 from sqlab.fnspace import (
     ATOL,
     Domain,
     FnSet,
+    RealFn,
     conjunction_class,
     disagreement,
     disjunction_class,
@@ -46,7 +49,7 @@ from sqlab.sqcore import (
     weak_agnostic_learner,
 )
 
-from conftest import class_table, dense_class, rows_of
+from conftest import class_table, dense_class, rows_of, table_set
 
 BUILDERS = {
     "parities": parity_class,
@@ -158,6 +161,37 @@ def test_sq_dim_on_a_class_equals_sq_dim_on_its_dense_table():
                 w = got.witness
                 assert all(absgram[a, b] <= 1.0 / got.value + ATOL
                            for a in w for b in w if a != b), where
+
+
+def test_dimension_helpers_on_a_class_or_a_stack_equal_them_on_the_dense_table():
+    for n in (3, 4, 5):
+        domain = Domain(n)
+        for kind, build in BUILDERS.items():
+            fs, dense = build(n), table_set(class_table(kind, n))
+            for seed in (None, 0, 1):
+                d = _dist("uniform" if seed is None else "random", domain, seed)
+                where = (kind, n, seed)
+                psis = [random_real_fn(domain, make_rng(j, n, "psi")) for j in range(3)]
+                # the reports' float params derive from integers and the inputs alone,
+                # so they are equal, not only within 1e-12
+                for call in (lambda s: sq_dim(s, d), lambda s: sqd_upper(s, d, 0.4, s),
+                             lambda s: sqd_lower_scaling(s, d, 0.5, 1.0),
+                             lambda s: sq_sdim_estimate(s, d, 0.2, psis)):
+                    assert call(fs).as_record() == call(dense).as_record(), where
+                for psi in psis:
+                    (got, got_kept), (want, want_kept) = (shifted_set(c, psi, d, 0.2)
+                                                          for c in (fs, dense))
+                    assert got_kept == want_kept and len(got_kept) > 0, where
+                    assert _same_bits(got.matrix, want.matrix), where
+                gset = build_gpsi(ExhaustiveCSQ(fs, 0.1), psis[0], d)
+                rows = rows_of(gset)
+                assert sq_dim(gset, d).as_record() == sq_dim(table_set(rows), d).as_record()
+                assert np.all(np.abs(gset.gram(d.weights) - (rows * d.weights) @ rows.T) <= TOL)
+            # every parity but the constant disagrees with +1 on half the mass
+            if kind == "parities":
+                empty, kept = shifted_set(fs, RealFn(domain, np.ones(1 << n)), dist_uniform(domain),
+                                          0.5)
+                assert kept == [] and empty.matrix.shape == (0, 1 << n)
 
 
 def _learn(fs, target, dist, tau):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -613,6 +614,21 @@ def test_evolve_parameters_reject_non_finite_and_out_of_range_values(bad):
     if bad != 2.0:  # a tolerance of 2 is valid
         with pytest.raises(UsageError, match="tolerance t must be positive and finite"):
             SelNBParams(t=bad, p=10, s=None)
+
+
+@pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, True, "3"])
+def test_evolve_counts_must_be_integers_at_least_1(bad, domain3, uniform3):
+    # a float or a string used to die as a bare TypeError or ValueError (or, at inf,
+    # as a sample-size error), and True ran one generation
+    message = f"neigh_size must be an integer >= 1, got {bad!r}"
+    with pytest.raises(UsageError, match=re.escape(message)):
+        evolve_lsq_params(0.01, 0.1, bad)
+    f = random_bool_fn(domain3, make_rng(13, 0, "f"))
+    mut = NeighborhoodMutator(lambda phi, eps: -f.values[None], 1)
+    params = SelNBParams(t=0.05, p=4, s=None)
+    message = f"generation count g must be an integer >= 1, got {bad!r}"
+    with pytest.raises(UsageError, match=re.escape(message)):
+        evolve_run(mut, params, f, uniform3, 0.1, bad, f, evolve_streams(0, 0))
 
 
 @pytest.mark.parametrize("n, eps, theta", [(3, 0.5, None), (4, 0.2, None), (5, 0.3, 0.001)])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlab.errors import QueryBudgetError, QueryRangeError, UsageError
+from sqlab.errors import InvalidToleranceError, QueryBudgetError, QueryRangeError, UsageError
 from sqlab.fnspace import (
     BoolFn,
     Dist,
@@ -174,6 +174,24 @@ def test_the_oracle_and_the_simulation_refuse_the_same_rounds(domain3, uniform3,
         build_gpsi(OneRound(), RealFn(domain3, np.zeros(8)), uniform3)
     assert type(live.value) is type(simulated.value) is error
     assert oracle.query_count == 0
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.5, math.nan])
+def test_the_simulation_refuses_a_tolerance_the_oracle_refuses(domain3, uniform3, tau):
+    # a simulated round is an exact oracle's round, tolerance check included
+    class Loose(SQAlgorithm):
+        epsilon = 0.1
+
+        def run(self, ask):
+            ask(FnSet(domain3, np.zeros((1, 8))))
+            return BoolFn(domain3, np.ones(8))
+
+    alg = Loose()
+    alg.tau = tau
+    with pytest.raises(InvalidToleranceError):
+        run_with_oracle(alg, SQOracle(BoolFn(domain3, np.ones(8)), uniform3))
+    with pytest.raises(InvalidToleranceError):
+        build_gpsi(alg, RealFn(domain3, np.zeros(8)), uniform3)
 
 
 def test_learn_pool_is_the_class_and_its_truths_are_computed_once(domain3):
