@@ -9,7 +9,7 @@ target-independent parts phi2 (Bshouty & Feldman 2002), held to the unit ball
 by ``check_round`` for a live oracle and a simulated one alike.  One
 ``SQOracle`` serves both sources, and every correlational answer comes from
 its ``_answer``, in one of these modes (a batch's answers are one read-only
-array, which the log keeps as it is):
+array, which the oracle does not keep: its log keeps four numbers, a ``Batch``):
 
 * ``exact``          -- returns the true expectation;
 * ``grid_adversary`` -- rounds the true value to the nearest multiple of
@@ -19,13 +19,13 @@ array, which the log keeps as it is):
 * ``empirical``      -- averages psi over `sample_size` seeded i.i.d. labelled
   examples, one sample per batch that all its queries share (Kearns 1998:
   the queries are fixed before the sample is drawn); only probabilistically
-  valid: log entries are flagged, and the audit checks none of them;
+  valid (``SQOracle.probabilistic``): the audit checks none of its batches;
 * ``liar``           -- answers 1.0 to every query regardless of truth.  No
   single target is consistent with it, so a learner driving it trips the
   update-count ledger, and the audit of its log shows the lie.
 """
 
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,14 +48,18 @@ def _check_tau(tau):
         raise InvalidToleranceError(f"tolerance must be in (0, 1], got {tau}")
 
 
+def _check_domain(fs, domain):
+    if fs.domain != domain:
+        raise DomainMismatchError(
+            f"queries over n={fs.domain.n} asked under a distribution over n={domain.n}")
+
+
 def check_round(fs, domain, phi2=None):
     """`phi2` as a float array (or None), once the round (fs, phi2) over
     `domain` is in the unit ball: fs.sup <= 1 without phi2, else a phi2 of
     fs's shape with |fs_i| + |phi2_i| <= 1 at every point, read a row of fs
     at a time.  A range fault (NaN too) is a QueryRangeError."""
-    if fs.domain != domain:
-        raise DomainMismatchError(
-            f"queries over n={fs.domain.n} asked under a distribution over n={domain.n}")
+    _check_domain(fs, domain)
     if phi2 is None:
         if fs.sup <= 1 + ATOL:
             return None
@@ -70,15 +74,13 @@ def check_round(fs, domain, phi2=None):
     return phi2
 
 
-@dataclass
-class LogEntry:
+class Batch(NamedTuple):
+    """A nonempty batch's tolerance, query count, largest |answer - truth|
+    and count of answers with |answer - truth| > tau."""
     tau: float
-    value: float
-    true_value: float
-    probabilistic: bool = False
-
-    def as_record(self):
-        return asdict(self)
+    queries: int
+    worst_gap: float
+    over_tau: int
 
 
 class SQOracle:
@@ -109,7 +111,7 @@ class SQOracle:
         self.probabilistic = mode == "empirical"  # valid only w.h.p.: not audited
         self.sample_size = sample_size
         self.query_count = 0
-        self._batches = []      # (tau, answers, truths) of each batch, read-only
+        self.query_log = []     # a Batch per nonempty batch, in order
         self._last_batch = None  # (fs, truths) of the last FnSet asked
         self._rng = make_rng(seed, purpose="oracle")
 
@@ -145,19 +147,12 @@ class SQOracle:
         return fs.correlate(signed) / self.sample_size
 
     @property
-    def query_log(self):
-        """One LogEntry per answered query, in answer order (built on each access)."""
-        return [LogEntry(tau, float(v), float(t), self.probabilistic)
-                for tau, values, truth in self._batches
-                for v, t in zip(values, truth)]
-
-    @property
     def examples(self):
         """Labelled examples drawn so far: sample_size per nonempty batch in
         empirical mode, None in the modes that sample none."""
         if self.mode != "empirical":
             return None
-        return self.sample_size * sum(1 for _, values, _ in self._batches if len(values))
+        return self.sample_size * len(self.query_log)
 
     def query(self, fs, tau, phi2=None):
         """The answers to a round that passes ``check_round``: its FnSet `fs`
@@ -174,18 +169,20 @@ class SQOracle:
         """
         if self._last_batch is not None and self._last_batch[0] is fs:
             return self._last_batch[1]
+        _check_domain(fs, self.dist.domain)
         truth = fs.correlate(self.target.values * self.dist.weights)
         truth.flags.writeable = False
         self._last_batch = (fs, truth)
         return truth
 
     def correlational_many(self, fs, tau):
-        """Batch of correlational queries, one per function of the FnSet `fs`,
-        in row order, as a read-only vector: the log holds this same array.
+        """Batch of correlational queries, one per function of the FnSet `fs`
+        over the oracle's domain, in row order, as a read-only vector; the log
+        keeps its ``Batch``, not the answers.
 
-        Counts and logs as len(fs) correlational queries asked one at a time
-        would, and noisy mode draws their noise as they would; empirical mode
-        answers the whole batch from one sample.  The functions are taken as given:
+        Counts as len(fs) correlational queries asked one at a time would, and
+        noisy mode draws their noise as they would; empirical mode answers the
+        whole batch from one sample.  The functions are taken as given:
         callers hold them in the unit ball (``query`` checks them).
         """
         _check_tau(tau)
@@ -193,12 +190,14 @@ class SQOracle:
         values = self._answer(truth, tau, fs)
         values.flags.writeable = False
         self.query_count += len(values)
-        self._batches.append((tau, values, truth))
+        if len(values):
+            gaps = np.abs(values - truth)
+            self.query_log.append(Batch(tau, len(values), float(np.max(gaps)),
+                                        int(np.count_nonzero(gaps > tau))))
         return values
 
     def audit(self):
-        """Max |answer - truth| - tau over the logged queries, or None when no
+        """Max |answer - truth| - tau over the logged batches, or None when no
         logged answer is checkable: none was asked, or they are probabilistic."""
-        return max((float(np.max(np.abs(values - truth))) - tau
-                    for tau, values, truth in self._batches
-                    if len(values) and not self.probabilistic), default=None)
+        return max((b.worst_gap - b.tau for b in self.query_log if not self.probabilistic),
+                   default=None)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sqlab.fnspace import ATOL, BoolFn, Domain, FnSet, dist_uniform
+from sqlab.oracles import SQOracle
 from sqlab.rng import make_rng
 
 
@@ -128,6 +129,26 @@ def _one_by_one(target, dist, mat, tau, mode="exact", seed=0, sample_size=None):
         answers.append(value)
         truths.append(truth)
     return answers, truths
+
+
+class RecordingOracle(SQOracle):
+    """An SQOracle that also keeps every batch it answers, as (tau, answers,
+    truths): the per-answer record that SQOracle itself reduces to a Batch."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.batches = []
+
+    def correlational_many(self, fs, tau):
+        values = super().correlational_many(fs, tau)
+        self.batches.append((tau, values, self.true_values(fs)))
+        return values
+
+    @property
+    def answers(self):
+        """(tau, answer, truth) of every answer, in answer order."""
+        return [(tau, float(v), float(t)) for tau, values, truths in self.batches
+                for v, t in zip(values, truths)]
 
 
 @pytest.fixture(scope="session")

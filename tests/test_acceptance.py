@@ -46,7 +46,15 @@ from sqlab.sqcore import (
     projected_learner,
 )
 
-from conftest import decompose, dense_class, greedy_extension, random_bool_fn, rows_of, table_set
+from conftest import (
+    RecordingOracle,
+    decompose,
+    dense_class,
+    greedy_extension,
+    random_bool_fn,
+    rows_of,
+    table_set,
+)
 
 
 def _report(num, ok, detail):
@@ -381,7 +389,7 @@ def test_criterion_11_empirical_learn_converges_at_the_hoeffding_size(monkeypatc
     tau, size = 0.1, 2880
     oracles = []
 
-    class Kept(SQOracle):
+    class Kept(RecordingOracle):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             oracles.append(self)
@@ -391,7 +399,7 @@ def test_criterion_11_empirical_learn_converges_at_the_hoeffding_size(monkeypatc
                                "tau": tau, "oracle": f"empirical:{size}", "seeds": "0..99"})
     _, summaries = harness.run_config(cfg)
     converged = sum(s["halt"] == "converged" and s["updates"] <= s["ledger"] for s in summaries)
-    gaps = np.array([abs(e.value - e.true_value) for o in oracles for e in o.query_log])
+    gaps = np.array([abs(value - truth) for o in oracles for _, value, truth in o.answers])
     off = float(np.mean(gaps > tau))
     ok = converged == len(summaries) == len(oracles) == 100 and off <= 0.01
     _report(11, ok, f"{converged}/100 empirical:{size} runs converged within the ledger; "

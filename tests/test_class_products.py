@@ -49,7 +49,7 @@ from sqlab.sqcore import (
     weak_agnostic_learner,
 )
 
-from conftest import class_table, dense_class, rows_of, table_set
+from conftest import RecordingOracle, class_table, dense_class, rows_of, table_set
 
 BUILDERS = {
     "parities": parity_class,
@@ -196,15 +196,15 @@ def test_dimension_helpers_on_a_class_or_a_stack_equal_them_on_the_dense_table()
 
 def _learn(fs, target, dist, tau):
     gen = class_pool_generator(fs, gamma=4 * tau)
-    oracle = SQOracle(target, dist)
+    oracle = RecordingOracle(target, dist)
     hyp, trace = projected_learner(gen, oracle, tau, audit_target=target)
-    return hyp.values.tobytes(), trace, oracle.query_log
+    return hyp.values.tobytes(), trace, oracle
 
 
 def _agnostic(fs, phi, dist, tau, mode):
-    oracle = SQOracle(phi, dist, mode=mode, seed=5)
+    oracle = RecordingOracle(phi, dist, mode=mode, seed=5)
     hyp = weak_agnostic_learner(fs, oracle, tau)
-    return hyp.values.tobytes(), oracle.true_values(fs), oracle.query_log
+    return hyp.values.tobytes(), oracle.true_values(fs), oracle
 
 
 def _close(a, b):
@@ -212,10 +212,11 @@ def _close(a, b):
 
 
 def _same_log(got, want):
-    return len(got) == len(want) and all(
-        g.tau == w.tau and g.probabilistic == w.probabilistic
-        and _close(g.value, w.value) and _close(g.true_value, w.true_value)
-        for g, w in zip(got, want))
+    """Whether two RecordingOracles answered alike: the same taus and flag,
+    and every answer and truth within TOL."""
+    return got.probabilistic == want.probabilistic and len(got.answers) == len(want.answers) \
+        and all(g_tau == w_tau and _close(g, w) and _close(g_truth, w_truth)
+                for (g_tau, g, g_truth), (w_tau, w, w_truth) in zip(got.answers, want.answers))
 
 
 def test_learners_on_class_transforms_match_the_dense_table_run_for_run():
@@ -228,8 +229,8 @@ def test_learners_on_class_transforms_match_the_dense_table_run_for_run():
             for seed in range(2):
                 dist = dist_random(domain, make_rng(seed, n, "dist"))
                 target = dense[int(make_rng(seed, n, "target").integers(len(dense)))]
-                hyp, trace, log = _learn(fs, target, dist, 0.02)
-                want_hyp, want, want_log = _learn(dense, target, dist, 0.02)
+                hyp, trace, oracle = _learn(fs, target, dist, 0.02)
+                want_hyp, want, want_oracle = _learn(dense, target, dist, 0.02)
                 where = (kind, n, seed)
                 assert hyp == want_hyp, where
                 assert (trace.halt_reason, trace.updates) == (want.halt_reason, want.updates)
@@ -238,14 +239,14 @@ def test_learners_on_class_transforms_match_the_dense_table_run_for_run():
                     [(r.iteration, r.chosen, r.queries) for r in want.rows], where
                 assert all(_close(r.gamma, w.gamma) and _close(r.potential, w.potential)
                            for r, w in zip(trace.rows, want.rows)), where
-                assert _same_log(log, want_log), where
+                assert _same_log(oracle, want_oracle), where
                 phi = random_real_fn(domain, make_rng(seed, n, "phi"))
                 for mode in ("exact", "grid_adversary", "noisy"):
-                    hyp, truth, log = _agnostic(fs, phi, dist, 0.05, mode)
-                    want_hyp, want_truth, want_log = _agnostic(dense, phi, dist, 0.05, mode)
+                    hyp, truth, oracle = _agnostic(fs, phi, dist, 0.05, mode)
+                    want_hyp, want_truth, want_oracle = _agnostic(dense, phi, dist, 0.05, mode)
                     assert hyp == want_hyp, where + (mode,)
                     assert np.all(np.abs(truth - want_truth) <= TOL), where + (mode,)
-                    assert _same_log(log, want_log), where + (mode,)
+                    assert _same_log(oracle, want_oracle), where + (mode,)
             assert fs.matrix is None  # the class keeps no dense table
 
 

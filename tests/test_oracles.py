@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,12 +22,14 @@ from sqlab.fnspace import (
     dist_uniform,
     inner_product,
     l1_distance,
+    parity_class,
     random_real_fn,
 )
-from sqlab.oracles import MAX_SAMPLE_SIZE, MODES, SQOracle
+from sqlab.oracles import MAX_SAMPLE_SIZE, MODES, Batch, SQOracle
 from sqlab.rng import make_rng
+from sqlab.sqcore import weak_agnostic_learner
 
-from conftest import decompose, random_bool_fn, table_set
+from conftest import RecordingOracle, decompose, random_bool_fn, table_set
 
 
 def _setup(n=3, seed=0):
@@ -124,7 +129,7 @@ def test_empirical_mode_concentrates():
         (v,) = orc.query(table_set(phi.values), 0.05)
         hits += abs(v - truth) <= 3.0 / np.sqrt(s)
     assert hits >= 45
-    assert orc.query_log[-1].probabilistic
+    assert orc.probabilistic and orc.query_log[-1].queries == 1
 
 
 def test_empirical_mode_requires_sample_size():
@@ -172,9 +177,8 @@ def test_query_log_and_audit():
         assert orc.query_count == 5
         assert len(orc.query_log) == 5
         assert orc.audit() <= 1e-12
-        rec = orc.query_log[0].as_record()
-        assert rec["tau"] == 0.07 and rec["probabilistic"] is False
-
+        first = orc.query_log[0]
+        assert (first.tau, first.queries) == (0.07, 1) and orc.probabilistic is False
 
 
 def test_batch_truth_reused_for_the_same_fn_set():
@@ -185,7 +189,7 @@ def test_batch_truth_reused_for_the_same_fn_set():
     first = orc.correlational_many(fs, 0.1)
     assert orc.true_values(fs) is orc.true_values(fs)
     np.testing.assert_array_equal(orc.correlational_many(fs, 0.1), first)
-    assert orc.query_count == 10 and len(orc.query_log) == 10
+    assert orc.query_count == 10 and [b.queries for b in orc.query_log] == [5, 5]
     # an FnSet copies a writeable table, so a change to it makes another set
     mat[0] = -mat[0]
     assert orc.correlational_many(FnSet(domain, mat), 0.1)[0] == pytest.approx(
@@ -198,21 +202,23 @@ def test_audit_is_the_worst_logged_gap():
     domain, target, dist, rng = _setup()
     mat = rng.uniform(-1, 1, (6, domain.size))
     for mode in ("exact", "grid_adversary", "noisy", "liar"):
-        orc = SQOracle(target, dist, mode=mode, seed=2)
+        orc = RecordingOracle(target, dist, mode=mode, seed=2)
         orc.correlational_many(FnSet(domain, mat), 0.05)
         orc.query(table_set(mat[:1]), 0.2)
         orc.correlational_many(FnSet(domain, mat[:0]), 0.3)
-        want = max(abs(e.value - e.true_value) - e.tau for e in orc.query_log)
+        want = max(abs(value - truth) - tau for tau, value, truth in orc.answers)
         assert orc.audit() == want, mode
-    orc = SQOracle(target, dist, mode="empirical", seed=2, sample_size=5)
+        # the empty batch leaves no record
+        assert [(b.tau, b.queries) for b in orc.query_log] == [(0.05, 6), (0.2, 1)], mode
+    orc = RecordingOracle(target, dist, mode="empirical", seed=2, sample_size=5)
     orc.correlational_many(FnSet(domain, mat), 0.05)
     assert orc.audit() is None
-    assert all(e.probabilistic for e in orc.query_log)
+    assert orc.probabilistic and len(orc.answers) == 6
 
 
 def test_answers_are_read_only_and_kept_once():
-    # the log holds the returned array itself, and an exact answer is the
-    # cached truth: no mode keeps a second copy of a batch's answers
+    # no mode's oracle keeps a reference to the answers it returns, save the
+    # exact mode's, whose answers are the cached truth
     domain, target, dist, rng = _setup()
     fs = FnSet(domain, rng.uniform(-1, 1, (4, domain.size)))
     for mode in MODES:
@@ -220,10 +226,29 @@ def test_answers_are_read_only_and_kept_once():
         values = orc.correlational_many(fs, 0.1)
         with pytest.raises(ValueError):
             values[0] = 0.0
-        assert orc._batches[-1][1] is values, mode
+        answers = weakref.ref(values)
+        del values
+        gc.collect()
         if mode == "exact":
-            assert values is orc.true_values(fs)
+            assert answers() is orc.true_values(fs)
+        else:
+            assert answers() is None, mode
     assert SQOracle(target, dist).audit() is None  # nothing asked: nothing to check
+
+
+def test_a_set_over_another_domain_is_refused():
+    # a class over n=3 asked of an oracle over n=4 has 8 members, not 16 answers
+    domain, target, dist, rng = _setup(n=4)
+    for fs in (parity_class(3), table_set(rng.uniform(-1, 1, (2, 8)))):
+        for mode in MODES:
+            orc = SQOracle(target, dist, mode=mode, sample_size=20)
+            with pytest.raises(DomainMismatchError, match="over n=3 asked under"):
+                orc.correlational_many(fs, 0.1)
+            with pytest.raises(DomainMismatchError):
+                orc.true_values(fs)
+            with pytest.raises(DomainMismatchError):
+                weak_agnostic_learner(fs, orc, 0.1)
+            assert orc.query_count == 0 and orc.query_log == [], mode
 
 
 def test_an_empty_batch_advances_the_stream_by_nothing():
@@ -268,14 +293,16 @@ def test_correlational_many_matches_single_queries(case, tau, seed, sample_size,
     # the batch answers, counts and logs as the reference that takes its rows one by one
     target, dist, mat = case
     for mode in MODES:
-        batch = SQOracle(target, dist, mode=mode, seed=seed, sample_size=sample_size)
+        batch = RecordingOracle(target, dist, mode=mode, seed=seed, sample_size=sample_size)
         got = batch.correlational_many(FnSet(dist.domain, mat), tau)
         want, truths = one_by_one(target, dist, mat, tau, mode, seed, sample_size)
         assert got.tolist() == want, mode
         assert batch.query_count == len(mat)
-        assert [(e.tau, e.value, e.true_value, e.probabilistic)
-                for e in batch.query_log] == \
-            [(tau, v, t, mode == "empirical") for v, t in zip(want, truths)]
+        assert batch.answers == [(tau, v, t) for v, t in zip(want, truths)]
+        assert batch.probabilistic == (mode == "empirical")
+        gaps = [abs(v - t) for v, t in zip(want, truths)]
+        assert batch.query_log == \
+            [Batch(tau, len(mat), max(gaps), sum(g > tau for g in gaps))], mode
 
 
 _unit = st.floats(-1.0, 1.0)

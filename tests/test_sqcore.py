@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +37,14 @@ from sqlab.sqcore import (
     weak_agnostic_learner,
 )
 
-from conftest import class_table, decompose, dense_class, random_bool_fn, rows_of
+from conftest import (
+    RecordingOracle,
+    class_table,
+    decompose,
+    dense_class,
+    random_bool_fn,
+    rows_of,
+)
 
 
 def _single(f):
@@ -91,6 +99,41 @@ def test_build_gpsi_size_and_order(domain3, uniform3):
     assert gamma == alg.tau and rows_of(rows).tobytes() == rows_of(aset).tobytes()
     np.testing.assert_array_equal(rows_of(aset)[:-2], cclass.matrix)
     np.testing.assert_array_equal(aset.row(-2), sign_of(psi).values)
+
+
+def test_build_gpsi_memory_does_not_grow_with_its_rounds():
+    # the simulating oracle logs four numbers a round, not the round's answers:
+    # 20 rounds of distinct n=16 classes, each with its own 0.5 MiB of true
+    # values, peak as one round does
+    class Distinct(SQAlgorithm):
+        """Asks `rounds` rounds, each a new conjunction_class(16)."""
+
+        tau = 0.05
+        epsilon = 0.1
+
+        def __init__(self, rounds):
+            self.rounds = rounds
+
+        def run(self, ask):
+            for _ in range(self.rounds):
+                cclass = conjunction_class(16)
+                values = ask(cclass)
+            return cclass[int(np.argmax(values))]
+
+    domain = Domain(16)
+    d = dist_random(domain, make_rng(0, 16, "dist"))
+    psi = random_real_fn(domain, make_rng(0, 16, "psi"))
+    peaks = []
+    for rounds in (1, 1, 10, 20):  # the first run allocates what later runs reuse
+        tracemalloc.start()
+        try:
+            gset = build_gpsi(Distinct(rounds), psi, d, budget=20 * 2**16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(gset) == rounds * 2**16 + 2 and gset.matrix is None
+        peaks.append(peak)
+    assert max(peaks[2:]) <= peaks[1] + 2**20, peaks
 
 
 def test_build_gpsi_respects_budget(domain3, uniform3):
@@ -206,11 +249,11 @@ def test_learn_pool_is_the_class_and_its_truths_are_computed_once(domain3):
         seen.append(pool_gen(psi))
         return seen[-1]
 
-    oracle = SQOracle(cclass[3], dist)
+    oracle = RecordingOracle(cclass[3], dist)
     _, trace = projected_learner(gen, oracle, 0.02)
     assert trace.halt_reason == "converged" and len(trace.rows) >= 3
     assert all(rows is cclass and rows.matrix is cclass.matrix for rows, _ in seen)
-    truths = [truth for _, _, truth in oracle._batches]
+    truths = [truth for _, _, truth in oracle.batches]
     assert len(truths) == len(trace.rows)
     assert all(t is truths[0] for t in truths)
 
@@ -430,12 +473,12 @@ def test_weak_agnostic_learner_matches_single_queries(case, tau, seed, sample_si
         want = pool.matrix[j] if values[j] >= 0 else -pool.matrix[j]
         assert got.values.tobytes() == want.tobytes(), mode
 
-        batch = SQOracle(f, dist, **kw)
+        batch = RecordingOracle(f, dist, **kw)
         got = run_with_oracle(alg, batch)
         values, truths = one_by_one(f, dist, cclass.matrix, alg.tau, mode, seed, sample_size)
         assert got.values.tobytes() == cclass.matrix[int(np.argmax(values))].tobytes(), mode
         assert batch.query_count == len(cclass)
-        assert [(e.value, e.true_value) for e in batch.query_log] == \
+        assert [(value, truth) for _, value, truth in batch.answers] == \
             list(zip(values, truths)), mode
 
 
