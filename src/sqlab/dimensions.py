@@ -59,14 +59,6 @@ class DimReport:
     # sq_dim's clique_searches and clique_nodes: run statistics, not part of the result
     search: dict = field(default_factory=dict, compare=False)
 
-    def as_record(self):
-        return {
-            "value": self.value,
-            "certainty": self.certainty,
-            "witness": list(self.witness),
-            "params": dict(self.params),
-        }
-
 
 def _abs_gram(f, d):
     g = f.gram(d.weights)

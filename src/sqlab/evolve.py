@@ -274,9 +274,6 @@ class EvolutionTrace:
         tally = Counter(r["outcome"] for r in rows)
         self.outcomes = {k: tally[k] for k in ("beneficial", "neutral", "bottom")}
 
-    def records(self):
-        return self.rows  # already the artifact's records
-
     def __len__(self):
         return len(self.rows)
 

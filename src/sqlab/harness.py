@@ -2,11 +2,12 @@
 
 A run is fully determined by (per-run master seed, run index, purpose tag):
 every random stream is derived from those three, so results do not depend on
-worker scheduling.  Artifacts (CSV / JSON lines) are rendered to bytes before
-writing, with floats at 12 significant digits and fixed column order, making
-re-runs byte-identical.  The manifest (config snapshot, code version,
-per-run summaries, wall clock) is written alongside the artifacts; only the
-wall-clock field is allowed to differ between re-runs.
+worker scheduling.  Each run returns plain row dicts, and ``COLUMNS`` alone
+decides which of their keys an artifact (CSV / JSON lines) holds, in a fixed
+order; artifacts are rendered to bytes before writing, with floats at 12
+significant digits, making re-runs byte-identical.  The manifest (config
+snapshot, code version, per-run summaries, wall clock) is written alongside
+the artifacts; only the wall-clock field is allowed to differ between re-runs.
 """
 
 import json
@@ -46,7 +47,7 @@ COMMANDS = ("learn", "evolve", "dim", "agnostic")
 CLASSES = ("parities", "conjunctions", "disjunctions")
 FORMATS = ("csv", "json")
 
-COLUMNS = {  # command -> the columns of its artifacts
+COLUMNS = {  # command -> the columns of its artifacts: the row keys written
     "learn": ("iteration", "gamma", "potential", "queries"),
     "evolve": ("generation", "true_perf", "empirical_perf", "outcome", "bene_count", "neut_count"),
     "dim": ("value", "certainty", "witness", "params"),
@@ -214,19 +215,14 @@ def _json_value(v):
     return v
 
 
-RENDER_ROWS = 1024  # rows formatted together: whole columns, in bounded memory
-
-
-def _column(records, c):
-    """Column c of `records` and the set of its cell types."""
-    col = [rec.get(c) for rec in records]
-    return col, set(map(type, col))
+RENDER_ROWS = 1024  # CSV rows formatted together: whole columns, in bounded memory
 
 
 def _csv_lines(records, columns):
     cells = []
     for c in columns:
-        col, kinds = _column(records, c)
+        col = [rec.get(c) for rec in records]
+        kinds = set(map(type, col))
         if kinds <= {float}:
             cells.append(map("{:.12g}".format, col))
         elif not any(issubclass(k, float) or k is type(None) for k in kinds):
@@ -234,18 +230,6 @@ def _csv_lines(records, columns):
         else:
             cells.append(map(format_value, col))
     return "\n".join(map(",".join, zip(*cells))) + "\n"
-
-
-def _json_lines(records, columns, template):
-    cells = []
-    for c in columns:
-        col, kinds = _column(records, c)
-        col = list(map(_json_value, col))
-        if kinds <= {float, int, bool, type(None)}:
-            cells.append(json.dumps(col)[1:-1].split(", "))
-        else:
-            cells.append(map(json.dumps, col))
-    return "\n".join([template % cell for cell in zip(*cells)]) + "\n"
 
 
 def rows_to_csv(records, columns):
@@ -258,12 +242,9 @@ def rows_to_csv(records, columns):
 
 
 def rows_to_jsonl(records, columns):
-    """One json object per record, as json.dumps writes it.  Each column is
-    encoded whole, RENDER_ROWS records at a time: one json.dumps of the column
-    list when no cell's text can hold the ", " separator, else cell by cell."""
-    template = "{" + ", ".join(json.dumps(c).replace("%", "%%") + ": %s" for c in columns) + "}"
-    return "".join([_json_lines(records[i:i + RENDER_ROWS], columns, template)
-                    for i in range(0, len(records), RENDER_ROWS)]).encode()
+    """One json object per record, as json.dumps writes it; a missing key is null."""
+    return "".join([json.dumps({c: _json_value(rec.get(c)) for c in columns}) + "\n"
+                    for rec in records]).encode()
 
 
 def render(records, columns, fmt):
@@ -401,7 +382,7 @@ def _learn_one(cfg, k, master):
     dist = _build_dist(cfg, domain, master, k)
     oracle = _build_oracle(cfg, target, dist, master, k)
     gen = class_pool_generator(cclass, gamma=4 * cfg.tau)
-    hyp, trace = projected_learner(gen, oracle, cfg.tau, audit_target=target)
+    hyp, trace = projected_learner(gen, oracle, cfg.tau)
     summary = {
         "seed": master,
         "halt": trace.halt_reason,
@@ -423,7 +404,7 @@ def _learn_one(cfg, k, master):
         # overrun is a possible outcome of a valid oracle, not a breach
         summary["halt"] = "empirical-overrun"
         summary["overrun"] = f"{overrun} with empirical:{oracle.sample_size} answers"
-    return trace.records(), summary
+    return trace.rows, summary
 
 
 def _evolve_params(cfg):
@@ -461,7 +442,7 @@ def _evolve_one(cfg, k, master):
         "generations": len(trace),
         **trace.outcomes,
     }
-    return trace.records(), summary
+    return trace.rows, summary
 
 
 def _dim_one(cfg, k, master):
@@ -469,9 +450,12 @@ def _dim_one(cfg, k, master):
     cclass = _build_class(cfg, domain)
     dist = _build_dist(cfg, domain, master, k)
     report = sq_dim(cclass, dist)
-    rec = report.as_record()
-    rec["witness"] = " ".join(str(i) for i in rec["witness"])
-    rec["params"] = json.dumps(rec["params"], sort_keys=True).replace(",", ";")
+    rec = {
+        "value": report.value,
+        "certainty": report.certainty,
+        "witness": " ".join(map(str, report.witness)),
+        "params": json.dumps(report.params, sort_keys=True).replace(",", ";"),
+    }
     return [rec], {"seed": master, "value": report.value, "certainty": report.certainty,
                    **report.search}
 
@@ -495,7 +479,7 @@ def _agnostic_one(cfg, k, master):
                        examples=oracle.examples)
 
 
-# command -> runner: (cfg, run index k, master seed) -> (records, manifest summary)
+# command -> runner: (cfg, run index k, master seed) -> (row dicts, manifest summary)
 _RUNNERS = {
     "learn": _learn_one,
     "evolve": _evolve_one,

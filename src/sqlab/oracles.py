@@ -13,8 +13,9 @@ array, which the oracle does not keep: its log keeps four numbers, a ``Batch``):
 
 * ``exact``          -- returns the true expectation;
 * ``grid_adversary`` -- rounds the true value to the nearest multiple of
-  2*tau: provably valid (|v - true| <= tau) while destroying all sub-tau
-  information;
+  2*tau, stepped a float at a time toward the truth where rounding lands it
+  past tau: valid (|v - true| <= tau, in floats as the audit checks) while
+  destroying all sub-tau information;
 * ``noisy``          -- adds seeded uniform noise in [-tau, tau];
 * ``empirical``      -- averages psi over `sample_size` seeded i.i.d. labelled
   examples, one sample per batch that all its queries share (Kearns 1998:
@@ -134,7 +135,14 @@ class SQOracle:
         if mode == "exact":
             return truth
         if mode == "grid_adversary":
-            return np.round(truth / (2 * tau)) * 2 * tau
+            grid = np.round(truth / (2 * tau)) * 2 * tau
+            # float rounding can land a grid point just past tau: step each such
+            # answer toward its truth, a float at a time, until the audit's test passes
+            over = np.abs(grid - truth) > tau
+            while over.any():
+                grid[over] = np.nextafter(grid[over], truth[over])
+                over = np.abs(grid - truth) > tau
+            return grid
         if mode == "liar":
             return np.ones(len(truth))
         if mode == "noisy":

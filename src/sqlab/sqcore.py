@@ -4,9 +4,10 @@ Every set of functions here is one ``fnspace.FnSet``, row i the i-th
 function, with its ``sup``: a read-only (k, 2^n) table, a built-in class
 that keeps none (``ClassSet``) or a stack of sets (``StackSet``); the
 learners read it through ``correlate`` and ``row``.  A generator maps the
-learner's current approximation psi to ``(rows, gamma)``: an FnSet in the
-unit ball, and the claimed threshold gamma -- any target far enough from
-sign(psi) has some row g with |<f - psi, g>_D| >= gamma.
+learner's current approximation psi, a read-only float64 table, to
+``(rows, gamma)``: an FnSet in the unit ball, and the claimed threshold
+gamma -- any target far enough from sign(psi) has some row g with
+|<f - psi, g>_D| >= gamma.
 
 * ``SQAlgorithm`` -- one method, ``run(ask)``: the algorithm asks its
   queries in rounds, each an FnSet, and returns its hypothesis.
@@ -20,8 +21,9 @@ sign(psi) has some row g with |<f - psi, g>_D| >= gamma.
 * ``projected_learner`` -- iterative learner that maintains a real-valued
   approximation psi_i, queries the current candidate set, steps along the
   first function whose answer moves by >= 3*tau, and clamps back into the
-  unit sup-norm ball.  The squared distance to the target drops by >= 3*tau^2
-  per accepted step, which bounds the number of updates by ceil(1/(3 tau^2)).
+  unit sup-norm ball, all on one float64 table.  The squared distance to the
+  target drops by >= 3*tau^2 per accepted step, which bounds the number of
+  updates by ceil(1/(3 tau^2)); each round logs one plain dict row.
 * ``ExhaustiveCSQ`` -- baseline algorithm: one round of correlational queries,
   the class itself, then the argmax.
 * ``weak_agnostic_learner`` -- scores a pool with one oracle batch (an
@@ -29,8 +31,6 @@ sign(psi) has some row g with |<f - psi, g>_D| >= gamma.
 """
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -131,9 +131,9 @@ def build_gpsi(alg, psi, d, budget=100_000):
 
 
 def gpsi_generator(alg, d, budget=100_000):
-    """Generator: psi -> (distinguishing set via a run of `alg`, alg.tau)."""
+    """Generator: psi's table -> (distinguishing set via a run of `alg`, alg.tau)."""
     _check_budget(budget)
-    return lambda psi: (build_gpsi(alg, psi, d, budget=budget), alg.tau)
+    return lambda psi: (build_gpsi(alg, RealFn(d.domain, psi), d, budget=budget), alg.tau)
 
 
 def class_pool_generator(pool, gamma):
@@ -146,20 +146,13 @@ def class_pool_generator(pool, gamma):
     return lambda psi: claim
 
 
-@dataclass
-class TraceRow:
-    iteration: int
-    chosen: Optional[int]
-    gamma: Optional[float]
-    potential: Optional[float]
-    queries: int
-
-    def as_record(self):
-        return {k: v for k, v in asdict(self).items() if k != "chosen"}
-
-
 class LearnerTrace:
-    """Per-round log of a projected_learner run and its update ledger."""
+    """Per-round log of a projected_learner run and its update ledger.
+
+    `rows` holds one artifact row per round: a dict of iteration, chosen (the
+    stepped row's index, None on the converged round), gamma (its step, None
+    likewise), potential ||f - psi_i||_D^2 and the queries asked so far.
+    """
 
     def __init__(self, rows, halt_reason, updates, ledger):
         self.rows = rows
@@ -167,12 +160,9 @@ class LearnerTrace:
         self.updates = updates
         self.ledger = ledger
 
-    def records(self):
-        return [r.as_record() for r in self.rows]
-
     @property
     def queries(self):
-        return self.rows[-1].queries if self.rows else 0
+        return self.rows[-1]["queries"] if self.rows else 0
 
 
 def _first_hit(fs, values, v, threshold):
@@ -185,7 +175,7 @@ def _first_hit(fs, values, v, threshold):
     return None, None
 
 
-def projected_learner(gen, oracle, tau, audit_target=None):
+def projected_learner(gen, oracle, tau):
     """Iterative clamped learner driven by candidate-set generation.
 
     Starts at psi_0 == 0.  Each round, gen(psi_i) gives a set (an FnSet in
@@ -195,13 +185,15 @@ def projected_learner(gen, oracle, tau, audit_target=None):
     psi_i + gamma_i*g with gamma_i = v(g) - <psi_i, g>_D.  Halts with
     "converged" when no member qualifies, outputting sign(psi_i).
 
-    A valid oracle admits at most ceil(1/(3*tau^2)) accepted updates; one more
-    means the oracle lied or the generator's threshold claim is false, and the
-    run halts with "oracle-violation".  Every round that does not converge
+    psi is a read-only float64 table from start to end, and the generator
+    gets it as one; the output alone is a validated function.  A valid oracle
+    admits at most ceil(1/(3*tau^2)) accepted updates; one more means the
+    oracle lied or the generator's threshold claim is false, and the run
+    halts with "oracle-violation".  Every round that does not converge
     accepts an update, so these are the only two halts.
 
-    `audit_target` (optional, supplied by the harness, never read for
-    learning) enables the potential column ||f - psi_i||_D^2 in the trace.
+    The potential column ||f - psi_i||_D^2 reads the oracle's target f, which
+    no learning decision reads.
     """
     if not 0 < tau < 1 / 3:
         raise UsageError(f"tau must be in (0, 1/3), got {tau}")
@@ -213,30 +205,29 @@ def projected_learner(gen, oracle, tau, audit_target=None):
             "3*tau^2 underflows to zero or its inverse overflows") from None
     d = oracle.dist
     w = d.weights
-    psi = RealFn(d.domain, np.zeros(d.domain.size))
+    f = oracle.target.values
+    psi = np.zeros(d.domain.size)
     updates = 0
     queries = 0
     rows = []
     halt = "oracle-violation"  # unless a round converges first
     for i in range(max_updates + 1):
+        psi.flags.writeable = False  # the generator may keep it
         fs, claim = gen(psi)
         if not 4 * tau - ATOL <= claim < math.inf:
             raise UsageError(f"generator claims threshold {claim}, needs a finite "
                              f"value >= 4*tau = {4 * tau}")
         values = oracle.correlational_many(fs, tau)
         queries += len(fs)
-        j, gamma_i = _first_hit(fs, values, psi.values * w, 3 * tau)
-        potential = None
-        if audit_target is not None:
-            potential = float(np.dot(w, (audit_target.values - psi.values) ** 2))
+        j, gamma_i = _first_hit(fs, values, psi * w, 3 * tau)
+        rows.append({"iteration": i, "chosen": j, "gamma": gamma_i,
+                     "potential": float(np.dot(w, (f - psi) ** 2)), "queries": queries})
         if j is None:
-            rows.append(TraceRow(i, None, None, potential, queries))
             halt = "converged"
             break
-        rows.append(TraceRow(i, j, gamma_i, potential, queries))
-        psi = project_unit(psi.values + gamma_i * fs.row(j), d.domain)
+        psi = np.clip(psi + gamma_i * fs.row(j), -1.0, 1.0)
         updates += 1
-    return sign_of(psi), LearnerTrace(rows, halt, updates, max_updates)
+    return sign_of(project_unit(psi, d.domain)), LearnerTrace(rows, halt, updates, max_updates)
 
 
 def weak_agnostic_learner(pool, oracle, tau):

@@ -120,6 +120,8 @@ def _one_by_one(target, dist, mat, tau, mode="exact", seed=0, sample_size=None):
             value = truth
         elif mode == "grid_adversary":
             value = float(np.round(truth / (2 * tau)) * 2 * tau)
+            while abs(value - truth) > tau:  # a float past tau: step toward the truth
+                value = float(np.nextafter(value, truth))
         elif mode == "liar":
             value = 1.0
         elif mode == "noisy":

@@ -82,15 +82,15 @@ def test_criterion_01_every_accepted_step_pays_its_potential():
                     cap = math.ceil(1 / (3 * tau * tau))
                     for f in cclass:
                         orc = SQOracle(f, d, mode=mode)
-                        hyp, trace = projected_learner(gen, orc, tau, audit_target=f)
+                        hyp, trace = projected_learner(gen, orc, tau)
                         runs += 1
                         assert trace.halt_reason == "converged"
                         assert trace.updates <= cap
                         max_updates_seen = max(max_updates_seen, trace.updates)
                         rows = trace.rows
                         for a, b in zip(rows, rows[1:]):
-                            if a.gamma is not None:
-                                drop = a.potential - b.potential
+                            if a["gamma"] is not None:
+                                drop = a["potential"] - b["potential"]
                                 assert drop >= 3 * tau * tau - 1e-9
                                 drop_floor = min(drop_floor, drop)
                         worst_dis = max(worst_dis, disagreement(f, hyp, d))

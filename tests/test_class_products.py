@@ -156,7 +156,7 @@ def test_sq_dim_on_a_class_equals_sq_dim_on_its_dense_table():
                 d = _dist("uniform" if seed is None else "random", domain, seed)
                 got, want = sq_dim(build(n), d), sq_dim(dense, d)
                 where = (kind, n, seed)
-                assert got.as_record() == want.as_record(), where
+                assert got == want, where
                 absgram = np.abs((dense.matrix * d.weights) @ dense.matrix.T)
                 w = got.witness
                 assert all(absgram[a, b] <= 1.0 / got.value + ATOL
@@ -177,7 +177,7 @@ def test_dimension_helpers_on_a_class_or_a_stack_equal_them_on_the_dense_table()
                 for call in (lambda s: sq_dim(s, d), lambda s: sqd_upper(s, d, 0.4, s),
                              lambda s: sqd_lower_scaling(s, d, 0.5, 1.0),
                              lambda s: sq_sdim_estimate(s, d, 0.2, psis)):
-                    assert call(fs).as_record() == call(dense).as_record(), where
+                    assert call(fs) == call(dense), where
                 for psi in psis:
                     (got, got_kept), (want, want_kept) = (shifted_set(c, psi, d, 0.2)
                                                           for c in (fs, dense))
@@ -185,7 +185,7 @@ def test_dimension_helpers_on_a_class_or_a_stack_equal_them_on_the_dense_table()
                     assert _same_bits(got.matrix, want.matrix), where
                 gset = build_gpsi(ExhaustiveCSQ(fs, 0.1), psis[0], d)
                 rows = rows_of(gset)
-                assert sq_dim(gset, d).as_record() == sq_dim(table_set(rows), d).as_record()
+                assert sq_dim(gset, d) == sq_dim(table_set(rows), d)
                 assert np.all(np.abs(gset.gram(d.weights) - (rows * d.weights) @ rows.T) <= TOL)
             # every parity but the constant disagrees with +1 on half the mass
             if kind == "parities":
@@ -197,7 +197,7 @@ def test_dimension_helpers_on_a_class_or_a_stack_equal_them_on_the_dense_table()
 def _learn(fs, target, dist, tau):
     gen = class_pool_generator(fs, gamma=4 * tau)
     oracle = RecordingOracle(target, dist)
-    hyp, trace = projected_learner(gen, oracle, tau, audit_target=target)
+    hyp, trace = projected_learner(gen, oracle, tau)
     return hyp.values.tobytes(), trace, oracle
 
 
@@ -235,9 +235,9 @@ def test_learners_on_class_transforms_match_the_dense_table_run_for_run():
                 assert hyp == want_hyp, where
                 assert (trace.halt_reason, trace.updates) == (want.halt_reason, want.updates)
                 assert trace.halt_reason == "converged" and len(trace.rows) > 1, where
-                assert [(r.iteration, r.chosen, r.queries) for r in trace.rows] == \
-                    [(r.iteration, r.chosen, r.queries) for r in want.rows], where
-                assert all(_close(r.gamma, w.gamma) and _close(r.potential, w.potential)
+                assert [(r["iteration"], r["chosen"], r["queries"]) for r in trace.rows] == \
+                    [(r["iteration"], r["chosen"], r["queries"]) for r in want.rows], where
+                assert all(_close(r["gamma"], w["gamma"]) and _close(r["potential"], w["potential"])
                            for r, w in zip(trace.rows, want.rows)), where
                 assert _same_log(oracle, want_oracle), where
                 phi = random_real_fn(domain, make_rng(seed, n, "phi"))
@@ -312,9 +312,10 @@ def test_gpsi_learner_on_a_class_traces_the_dense_run():
                                  for fs in (build(n), dense_class(kind, n)))
                     where = (kind, n, seed, t)
                     assert got.halt_reason == want.halt_reason == "converged", where
-                    assert [(r.chosen, r.queries) for r in got.rows] == \
-                        [(r.chosen, r.queries) for r in want.rows], where
-                    assert all(r.gamma is w.gamma is None or abs(r.gamma - w.gamma) <= 1e-15
+                    assert [(r["chosen"], r["queries"]) for r in got.rows] == \
+                        [(r["chosen"], r["queries"]) for r in want.rows], where
+                    assert all(r["gamma"] is w["gamma"] is None
+                               or abs(r["gamma"] - w["gamma"]) <= 1e-15
                                for r, w in zip(got.rows, want.rows)), where
 
 

@@ -160,6 +160,31 @@ def test_learn_run_artifacts(tmp_path):
         assert s["final_disagreement"] <= 0.1
         last = lines[-1].split(",")
         assert last[1] == ""  # converged row has no accepted step
+    # the learner's rows carry the stepped row's index; COLUMNS leaves it out
+    rows, _ = harness._learn_one(cfg, 0, cfg.seeds[0])
+    assert [r["chosen"] is None for r in rows] == [False] * (len(rows) - 1) + [True]
+
+
+def test_a_learn_run_builds_as_many_realfns_for_one_update_as_for_many(tmp_path, monkeypatch):
+    # psi stays one float64 table through every round: the only RealFn a
+    # learn run builds is the learner's validated output
+    built = []
+    init = harness.RealFn.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(harness.RealFn, "__init__", counted)
+    path = tmp_path / "one.txt"
+    path.write_text("1 -1 1 -1 1 -1 1 -1\n")  # the target alone: one step reaches it
+    runs = []
+    for cclass in (f"file:{path}", "conjunctions"):
+        built.clear()
+        _, (summary,) = harness.run_config(_cfg(n=3, tau=0.05, cclass=cclass))
+        runs.append((summary["updates"], len(built)))
+    (one, one_built), (many, many_built) = runs
+    assert one == 1 < many and one_built == many_built == 1
 
 
 def test_run_config_deterministic_across_workers(tmp_path):

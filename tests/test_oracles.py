@@ -104,6 +104,25 @@ def test_grid_adversary_rounds_to_tolerance_grid():
     assert abs(got - 0.37) <= 0.1
 
 
+def test_grid_adversary_never_lands_past_tau():
+    # truths at the odd multiples of tau = 0.07, halfway between grid points:
+    # in floats, the grid point of each of +-0.63, +-0.77 and +-0.91 lands
+    # 5.6e-17 past tau from it, so those answers step a float toward their
+    # truths and the audit finds no gap
+    domain = Domain(1)
+    tau = 0.07
+    truths = np.arange(-13, 14, 2) * tau
+    orc = SQOracle(BoolFn(domain, np.ones(2)), dist_uniform(domain), mode="grid_adversary")
+    fs = FnSet(domain, np.repeat(truths[:, None], 2, axis=1))
+    got = orc.correlational_many(fs, tau)
+    np.testing.assert_array_equal(orc.true_values(fs), truths)
+    assert np.all(np.abs(got - truths) <= tau)
+    assert orc.audit() <= 0
+    grid = np.round(truths / (2 * tau)) * 2 * tau
+    np.testing.assert_array_equal(np.flatnonzero(got != grid), [0, 1, 2, 11, 12, 13])
+    np.testing.assert_allclose(got, grid, rtol=0, atol=1e-15)
+
+
 def test_noisy_mode_bounded_and_seeded():
     domain, target, dist, rng = _setup()
     phi = random_real_fn(domain, rng)

@@ -95,7 +95,7 @@ def test_build_gpsi_size_and_order(domain3, uniform3):
     aset = build_gpsi(alg, psi, uniform3)
     # one member per correlational query, then sign(psi), then the hypothesis
     assert len(aset) == len(cclass) + 2
-    rows, gamma = gpsi_generator(alg, uniform3)(psi)
+    rows, gamma = gpsi_generator(alg, uniform3)(psi.values)
     assert gamma == alg.tau and rows_of(rows).tobytes() == rows_of(aset).tobytes()
     np.testing.assert_array_equal(rows_of(aset)[:-2], cclass.matrix)
     np.testing.assert_array_equal(aset.row(-2), sign_of(psi).values)
@@ -328,12 +328,12 @@ def test_projected_learner_singleton_generator(domain3, uniform3):
     f = random_bool_fn(domain3, make_rng(4, 0, "f"))
     gen = class_pool_generator(_single(f), gamma=1.0)
     orc = SQOracle(f, uniform3)
-    hyp, trace = projected_learner(gen, orc, tau=0.05, audit_target=f)
+    hyp, trace = projected_learner(gen, orc, tau=0.05)
     assert trace.halt_reason == "converged"
     assert trace.updates == 1  # one jump to the target, then no margin left
     assert disagreement(hyp, f, uniform3) == 0.0
-    assert trace.rows[0].gamma == pytest.approx(1.0)
-    assert trace.rows[-1].potential <= 4 * 0.05
+    assert trace.rows[0]["gamma"] == pytest.approx(1.0)
+    assert trace.rows[-1]["potential"] <= 4 * 0.05
 
 
 def test_projected_learner_tau_and_claim_validation(domain3, uniform3):
@@ -362,23 +362,23 @@ def test_projected_learner_trace_replay(domain3):
     f = cclass[3]
     tau = 0.02
     gen = class_pool_generator(cclass, gamma=4 * tau)
-    hyp, trace = projected_learner(gen, SQOracle(f, dist), tau, audit_target=f)
+    hyp, trace = projected_learner(gen, SQOracle(f, dist), tau)
     assert trace.halt_reason == "converged"
     psi = np.zeros(8)
     pool = gen(None)[0]
     assert pool is cclass  # the pool is the class itself
     for row in trace.rows:
         pot = float(np.dot(dist.weights, (f.values - psi) ** 2))
-        assert row.potential == pytest.approx(pot, abs=1e-12)
-        if row.chosen is None:
+        assert row["potential"] == pytest.approx(pot, abs=1e-12)
+        if row["chosen"] is None:
             continue
         # accepted step: margin vs current psi at least 3*tau, sign preserved
-        true_gap = inner_product(f, cclass[row.chosen], dist) - float(
-            np.dot(dist.weights, psi * pool.row(row.chosen))
+        true_gap = inner_product(f, cclass[row["chosen"]], dist) - float(
+            np.dot(dist.weights, psi * pool.row(row["chosen"]))
         )
-        assert abs(row.gamma) >= 3 * tau
-        assert math.copysign(1, row.gamma) == math.copysign(1, true_gap)
-        psi = np.clip(psi + row.gamma * pool.row(row.chosen), -1.0, 1.0)
+        assert abs(row["gamma"]) >= 3 * tau
+        assert math.copysign(1, row["gamma"]) == math.copysign(1, true_gap)
+        psi = np.clip(psi + row["gamma"] * pool.row(row["chosen"]), -1.0, 1.0)
     np.testing.assert_array_equal(sign_of(project_unit(psi, domain3)).values, hyp.values)
 
 
