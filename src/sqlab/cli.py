@@ -2,7 +2,8 @@
 
 Every config key of `harness.ExperimentConfig` (but `command`) is a --flag
 and a key of the optional key = value file given by --config; flags win over
-the file.  A key that the command does not read, named by a flag or by the
+the file.  A file may name `command` only as the subcommand run, and a key
+only once.  A key that the command does not read, named by a flag or by the
 file, is a usage error.  Exit codes: 0 ok, 1 usage error (click's own too:
 an unknown flag or command, a missing value), 2 invariant breach (e.g. an
 oracle whose answers are inconsistent with every target), 3 I/O error.
@@ -28,6 +29,9 @@ def common_options(fn):
 def _execute(command, config, **flags):
     try:
         data = harness.parse_config_file(config) if config else {}
+        if data.get("command", command) != command:
+            raise UsageError(f"config file {config} says command = {data['command']}, "
+                             f"but the subcommand is {command}")
         data.update({k: v for k, v in flags.items() if v is not None})
         data["command"] = command
         cfg = harness.make_config(data)

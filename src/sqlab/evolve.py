@@ -14,9 +14,9 @@ the tolerance t and neutral when it is within t, then pick
 frequency-weighted from the beneficial tier if nonempty, else from the
 neutral tier, else fail the run.
 
-A run draws from four streams, one per purpose (mutation rows, laziness
-uniforms, fitness count rows, the pick uniform), each in blocks of
-generations: per-call draws, not arithmetic, dominate a generation's cost.
+A run draws from three streams, one per purpose (mutation rows, fitness
+count rows, the pick uniform), each in blocks of generations: per-call
+draws, not arithmetic, dominate a generation's cost.
 
 Empirical fitness draws a multinomial count vector over the (explicit)
 domain, which is distribution-identical to averaging s i.i.d. point draws
@@ -60,25 +60,21 @@ def lperf(f, phi, d):
 
 
 class _Mutator:
-    """A uniform draw from a neighbourhood of fixed height k, optionally lazy:
-    a uniform neighbour or, with probability 1 - delta_self, the incumbent
-    itself.  table(phi, eps) gives the (k+1, 2^n) table: the k neighbours of
-    the incumbent table phi, then phi as row k."""
+    """A uniform draw from a neighbourhood of fixed height k.  table(phi, eps)
+    gives the (k+1, 2^n) table: the k neighbours of the incumbent table phi,
+    then phi as row k, which is scored but never drawn."""
 
-    def __init__(self, k, delta_self):
+    def __init__(self, k):
         if k < 1:
             raise UsageError(f"neighbourhood height k must be >= 1, got {k}")
-        if not 0 < delta_self <= 1:
-            raise UsageError(f"delta_self must be in (0, 1], got {delta_self}")
         self.k = k
-        self.delta_self = delta_self
 
 
 class NeighborhoodMutator(_Mutator):
     """neigh_fn(phi, eps) returns the (k, 2^n) table of the neighbours of phi."""
 
-    def __init__(self, neigh_fn, k, delta_self=1.0):
-        super().__init__(k, delta_self)
+    def __init__(self, neigh_fn, k):
+        super().__init__(k)
         self.neigh_fn = neigh_fn
 
     def table(self, phi, eps):
@@ -96,8 +92,8 @@ class StepMutator(_Mutator):
     # 0-d bounds: a Python float costs the ufunc a scalar conversion per call
     _lo, _hi = np.array(-1.0), np.array(1.0)
 
-    def __init__(self, steps, delta_self=1.0):
-        super().__init__(len(steps), delta_self)
+    def __init__(self, steps):
+        super().__init__(len(steps))
         # row k adds nothing: table() writes phi over it
         self.steps = np.vstack((steps, np.zeros(steps.shape[1])))
 
@@ -128,7 +124,7 @@ class SelNBParams:
             raise UsageError(f"sample size s must be an integer >= 1, got {self.s!r}")
 
 
-STREAMS = ("mutate", "lazy", "fitness", "pick")
+STREAMS = ("mutate", "fitness", "pick")
 BLOCK = 256  # generations drawn per block
 BLOCK_BYTES = 1 << 20  # fewer generations per block when one would pass this
 
@@ -139,30 +135,28 @@ def evolve_streams(master, k):
 
 
 def _block_size(a, params, d):
-    """Generations per draw block: BLOCK, or fewer when one block's largest
-    array (the index block, or the fitness count rows) would pass BLOCK_BYTES."""
-    s = params.s
-    row_bytes = 8 * max(params.p, 0 if s is None else (a.k + 1) * len(d.weights))
-    return max(1, min(BLOCK, BLOCK_BYTES // row_bytes))
+    """Generations per block: BLOCK, or fewer when one block's largest array
+    (the index block, the fitness count rows, or evolve_run's selected loss
+    rows) would pass BLOCK_BYTES."""
+    rows = 1 if params.s is None else a.k + 1
+    return max(1, min(BLOCK, BLOCK_BYTES // (8 * max(params.p, rows * len(d.weights)))))
 
 
 def _row_counts(a, p, b, streams):
-    """How often each of the k+1 table rows is drawn among p draws, for each
-    of b generations, as lists: lazy draws count toward row k."""
-    rows = a.k + 1
-    idx = streams["mutate"].integers(0, a.k, size=(b, p))
-    if a.delta_self < 1:
-        idx[streams["lazy"].random((b, p)) >= a.delta_self] = a.k
-    idx += np.arange(0, b * rows, rows)[:, None]
-    return np.bincount(idx.ravel(), minlength=b * rows).reshape(b, rows).tolist()
+    """How often each of the k neighbours is drawn among p draws, for each of
+    b generations, as lists."""
+    k = a.k
+    idx = streams["mutate"].integers(0, k, size=(b, p))
+    idx += np.arange(0, b * k, k)[:, None]
+    return np.bincount(idx.ravel(), minlength=b * k).reshape(b, k).tolist()
 
 
 def generation_draws(a, params, d, g, streams):
     """Yield the random draws of g generations, one tuple per generation.
 
-    A tuple is (counts, fitness, pick): the k+1 table rows' draw counts (see
-    _row_counts); the (k+1, 2^n) float64 multinomial point-count rows that
-    score each table row (None for exact fitness); and the pick uniform.
+    A tuple is (counts, fitness, pick): the k neighbours' draw counts; the
+    (k+1, 2^n) float64 multinomial point-count rows that score each table
+    row (None for exact fitness); and the pick uniform.
     Each stream is drawn in blocks of up to BLOCK generations, all with the
     same block boundaries, so a run's draws depend on (a, params, d, g,
     streams) alone.
@@ -286,9 +280,8 @@ def evolve_run(a, params, f, d, eps, g, r0, streams):
     phi = r0.values + 0.0  # + 0.0 turns -0.0 into 0.0, as a zero step row does
     w = d.weights
     start = lperf(f, r0, d)
-    # the selected loss rows of up to one draw block, within BLOCK_BYTES as well:
-    # _block_size bounds only the draw arrays
-    block = max(1, min(_block_size(a, params, d), BLOCK_BYTES // (8 * len(phi)), g))
+    # the selected loss rows of up to one draw block
+    block = min(_block_size(a, params, d), g)
     chosen = np.empty((block, len(phi)))
     rows = []
     for gen, draws in enumerate(generation_draws(a, params, d, g, streams), 1):
@@ -325,7 +318,7 @@ def _disjunction_steps(domain, gamma):
     return np.vstack(ups + [np.zeros(domain.size), np.full(domain.size, -gamma)])
 
 
-def disjunction_mutator(n, eps, delta_self=1.0):
+def disjunction_mutator(n, eps):
     """Uniform mutator over the n+2 disjunction neighbours of phi at gamma(n, eps):
     clamp(phi + gamma*[x_i = 1]) for each i, phi itself and clamp(phi - gamma).
 
@@ -333,7 +326,7 @@ def disjunction_mutator(n, eps, delta_self=1.0):
     by the selection loop does not rescale it.
     """
     gamma, _ = disjunction_params(n, eps)
-    return StepMutator(_disjunction_steps(Domain(n), gamma), delta_self=delta_self)
+    return StepMutator(_disjunction_steps(Domain(n), gamma))
 
 
 def sq_neighborhood(psi, eps, gpsi_builder, gamma):
@@ -358,7 +351,7 @@ def evolve_lsq_params(theta, eps, neigh_size):
 
     g = ceil(8/theta) generations, tolerance t = 3*theta/8, pool size
     p = ceil(neigh_size*ln(4g/eps)), sample size s = ceil(C_HOEFFDING/theta^2 *
-    ln(8pg/eps)), laziness delta = eps/(2g).  Natural logarithms.  A theta
+    ln(8pg/eps)).  Natural logarithms; returns (params, g).  A theta
     whose s passes MAX_SAMPLE is a usage error, and so is any value outside
     0 < theta <= eps <= 1 (NaN included); theta in (eps, 1] is a
     ThetaExceedsEpsError.
@@ -386,9 +379,7 @@ def evolve_lsq_params(theta, eps, neigh_size):
             f"> 10^{math.floor(math.log10(C_HOEFFDING) - 2 * math.log10(theta))}"
         raise UsageError(f"theta={theta} gives a fitness sample size s {size}, more than "
                          f"numpy's multinomial takes (at most {MAX_SAMPLE})")
-    t = 3.0 * theta / 8.0
-    delta = eps / (2.0 * g)
-    return SelNBParams(t, p, s), g, delta
+    return SelNBParams(3.0 * theta / 8.0, p, s), g
 
 
 def disjunction_lsq_params(n, eps, theta=None):

@@ -184,8 +184,9 @@ def make_config(data):
 
 
 def parse_config_file(path):
-    """Key = value lines; # comments and blank lines ignored."""
-    data = {}
+    """Key = value lines; # comments and blank lines ignored, and a key given
+    twice is a usage error."""
+    data, lines = {}, {}  # key -> value, key -> line number
     try:
         text = Path(path).read_text()
     except OSError as e:
@@ -196,8 +197,11 @@ def parse_config_file(path):
             continue
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        data[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in lines:
+            raise UsageError(f"{path}:{lineno}: key {key!r} is given already on "
+                             f"line {lines[key]}")
+        data[key], lines[key] = value, lineno
     return data
 
 
@@ -412,14 +416,13 @@ def _evolve_params(cfg):
     whose default theta = gamma/8 gives no usable parameters is a usage error
     that names it."""
     try:
-        params, g, _delta = disjunction_lsq_params(cfg.n, cfg.epsilon, cfg.theta)
+        return disjunction_lsq_params(cfg.n, cfg.epsilon, cfg.theta)
     except UsageError as e:
         if cfg.theta is not None:
             raise
         gamma, _ = disjunction_params(cfg.n, cfg.epsilon)
         raise UsageError(f"--epsilon {cfg.epsilon} gives gamma = eps^1.5/21 = {gamma}, and "
                          f"the default theta = gamma/8 = {gamma / 8.0} is unusable: {e}") from e
-    return params, g
 
 
 def _evolve_one(cfg, k, master):

@@ -27,7 +27,7 @@ from sqlab.evolve import (
     selnb_step,
     sq_neighborhood,
 )
-from sqlab.evolve import STREAMS, _disjunction_steps, _loss
+from sqlab.evolve import STREAMS, _block_size, _disjunction_steps, _loss
 from sqlab.fnspace import (
     BoolFn,
     Dist,
@@ -87,20 +87,10 @@ def test_neighborhood_mutator_table_and_frequencies(domain3, uniform3):
     # the three neighbours, then the incumbent as row 3
     np.testing.assert_array_equal(mut.table(phi, 0.1), np.vstack([base, phi]))
     counts = _row_counts(mut, 30, uniform3, 5, 1000)
+    assert len(counts) == 3  # the incumbent, row 3, is never drawn
     assert counts.sum() == 30_000
     for j in range(3):
         assert abs(counts[j] / 30_000 - 1 / 3) < 0.02
-    assert counts[3] == 0  # delta_self = 1 never emits the incumbent
-
-
-def test_neighborhood_mutator_lazy_self(domain3, uniform3):
-    base = np.zeros((1, 8))
-    mut = NeighborhoodMutator(lambda phi, eps: base, 1, delta_self=0.25)
-    counts = _row_counts(mut, 40, uniform3, 6, 1000)
-    assert abs(counts[1] / 40_000 - 0.75) < 0.02
-    np.testing.assert_array_equal(mut.table(np.ones(8), 0.1)[1], np.ones(8))
-    with pytest.raises(UsageError):
-        NeighborhoodMutator(lambda phi, eps: base, 1, delta_self=0.0)
 
 
 def test_neighborhood_mutator_height_is_fixed():
@@ -126,32 +116,58 @@ class _Recording:
         return call
 
 
+def _block(k, params, d):
+    """The block rule: BLOCK generations, or fewer when the index block, the
+    fitness count rows or the selected loss rows would pass BLOCK_BYTES."""
+    rows = 1 if params.s is None else k + 1
+    return max(1, min(BLOCK, BLOCK_BYTES // (8 * max(params.p, rows * len(d.weights)))))
+
+
 @pytest.mark.parametrize("n, s", [(3, None), (3, 1000), (10, 1000)])
 def test_generation_draws_come_in_blocks_under_a_megabyte(n, s):
     domain = Domain(n)
-    mut = disjunction_mutator(n, 0.2, delta_self=0.5)
+    mut = disjunction_mutator(n, 0.2)
     params = SelNBParams(t=0.1, p=50, s=s)
     logs = {purpose: [] for purpose in STREAMS}
     streams = {purpose: _Recording(rng, logs[purpose])
                for purpose, rng in evolve_streams(0, 0).items()}
+    assert tuple(streams) == STREAMS == ("mutate", "fitness", "pick")
     g = 600
     draws = list(generation_draws(mut, params, dist_uniform(domain), g, streams))
     assert len(draws) == g
-    rows = n + 3
+    k, rows = n + 2, n + 3
     for counts, fitness, pick in draws:
-        assert len(counts) == rows and sum(counts) == params.p and 0 <= pick < 1
+        assert len(counts) == k and sum(counts) == params.p and 0 <= pick < 1
         assert fitness is None if s is None else \
             fitness.shape == (rows, domain.size) and (fitness.sum(axis=1) == s).all()
-    block = min(BLOCK, BLOCK_BYTES // (8 * max(params.p, 0 if s is None else rows * domain.size)))
+    block = _block(k, params, dist_uniform(domain))
     assert block == (256 if n == 3 else 9)
     lengths = [block] * (g // block) + [g % block] * (g % block > 0)
     assert logs["mutate"] == [("integers", (b, params.p)) for b in lengths]
-    assert logs["lazy"] == [("random", (b, params.p)) for b in lengths]
     assert logs["pick"] == [("random", b) for b in lengths]
     assert logs["fitness"] == ([] if s is None else
                                [("multinomial", (b, rows)) for b in lengths])
     for name, size in sum(logs.values(), []):
         assert 8 * np.prod(size) * (domain.size if name == "multinomial" else 1) < 1 << 20
+
+
+def test_block_size_bounds_the_selected_loss_rows_at_exact_fitness():
+    # at n = 12 one selected loss row is 32 KiB, past p = 50 draws of 8 bytes:
+    # the rows of one block, not its index block, set its size
+    domain = Domain(12)
+    d = dist_uniform(domain)
+    mut = disjunction_mutator(12, 0.2)
+    params = SelNBParams(t=0.1, p=50, s=None)
+    assert _block_size(mut, params, d) == _block(mut.k, params, d) == \
+        BLOCK_BYTES // (8 * domain.size) == 32
+    log = []
+    streams = evolve_streams(0, 0)
+    streams["mutate"] = _Recording(streams["mutate"], log)
+    assert len(list(generation_draws(mut, params, d, 70, streams))) == 70
+    assert log == [("integers", (b, params.p)) for b in (32, 32, 6)]
+    # a sampled s scores k + 1 rows a generation, which bound the block already
+    sampled = SelNBParams(t=0.1, p=50, s=1000)
+    assert _block_size(mut, sampled, d) == BLOCK_BYTES // (8 * (mut.k + 1) * domain.size) == 2
 
 
 def test_selnb_validation():
@@ -211,7 +227,7 @@ def test_selnb_step_exact_mode_never_drops_beyond_tolerance(domain3, uniform3):
     rng = make_rng(11, 0, "f")
     f = random_bool_fn(domain3, rng)
     neigh = np.array([random_real_fn(domain3, rng).values for _ in range(6)])
-    mut = NeighborhoodMutator(lambda phi, eps: neigh, 6, delta_self=0.5)
+    mut = NeighborhoodMutator(lambda phi, eps: neigh, 6)
     params = SelNBParams(t=0.07, p=12, s=None)
     phi = random_real_fn(domain3, rng).values
     for seed in range(50):
@@ -247,25 +263,23 @@ def test_selnb_step_weights_by_frequency(domain3, uniform3):
     assert abs(picks_a / trials - 0.75) < 0.06
 
 
-def _reference_draws(k, params, d, delta_self, g, streams):
-    """Each generation's (row counts, fitness count rows, pick): every purpose
-    block drawn with generation_draws' numpy call, then the draws tallied one
-    by one.  Lazy like generation_draws, so a run that stops early leaves the
-    streams where generation_draws leaves them."""
+def _reference_draws(k, params, d, g, streams):
+    """Each generation's (neighbour counts, fitness count rows, pick): every
+    purpose block drawn with generation_draws' numpy call, then the draws
+    tallied one by one.  A generator like generation_draws, so a run that
+    stops early leaves the streams where generation_draws leaves them."""
     p, s = params.p, params.s
-    per_generation = 8 * max(p, 0 if s is None else (k + 1) * len(d.weights))
-    block = max(1, min(BLOCK, BLOCK_BYTES // per_generation))
+    block = _block(k, params, d)
     for start in range(0, g, block):
         b = min(block, g - start)
         idx = streams["mutate"].integers(0, k, size=(b, p))
-        lazy = streams["lazy"].random((b, p)) >= delta_self if delta_self < 1 else None
         fitness = None if s is None else streams["fitness"].multinomial(s, d.weights,
                                                                          size=(b, k + 1))
         picks = streams["pick"].random(b)
         for i in range(b):
-            counts = [0] * (k + 1)
+            counts = [0] * k
             for j in range(p):
-                counts[k if lazy is not None and lazy[i, j] else int(idx[i, j])] += 1
+                counts[int(idx[i, j])] += 1
             yield counts, None if s is None else fitness[i], float(picks[i])
 
 
@@ -285,7 +299,7 @@ def _reference_step(params, f, d, steps, phi, draws):
 
     v_r = score(k)
     groups = {}  # row bytes -> [row, draws, fitness]
-    for j in range(k + 1):
+    for j in range(k):
         if counts[j]:
             key = table[j].tobytes()
             if key not in groups:
@@ -328,17 +342,15 @@ def _selection_case(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(case=_selection_case(), delta_self=st.sampled_from([1.0, 0.5]),
-       s=st.one_of(st.none(), st.integers(1, 10 ** 6)), t=st.floats(1e-3, 1.0),
-       p=st.integers(1, 40), seed=st.integers(0, 2 ** 32))
-def test_selnb_step_matches_a_row_by_row_reference(case, delta_self, s, t, p, seed):
+@given(case=_selection_case(), s=st.one_of(st.none(), st.integers(1, 10 ** 6)),
+       t=st.floats(1e-3, 1.0), p=st.integers(1, 40), seed=st.integers(0, 2 ** 32))
+def test_selnb_step_matches_a_row_by_row_reference(case, s, t, p, seed):
     f, d, phi, steps = case
     params = SelNBParams(t=t, p=p, s=s)
-    mut = NeighborhoodMutator(lambda phi, eps: np.clip(phi + steps, -1.0, 1.0), len(steps),
-                              delta_self)
+    mut = NeighborhoodMutator(lambda phi, eps: np.clip(phi + steps, -1.0, 1.0), len(steps))
     streams, ref_streams = evolve_streams(seed, 0), evolve_streams(seed, 0)
     draws = generation_draws(mut, params, d, 3, streams)
-    ref_draws = _reference_draws(len(steps), params, d, delta_self, 3, ref_streams)
+    ref_draws = _reference_draws(len(steps), params, d, 3, ref_streams)
     for _ in range(3):
         got, info = selnb_step(params, f, d, mut, phi, 0.1, next(draws))
         want, want_info = _reference_step(params, f, d, steps, phi, next(ref_draws))
@@ -351,9 +363,9 @@ def test_selnb_step_matches_a_row_by_row_reference(case, delta_self, s, t, p, se
         phi = got
 
 
-@pytest.mark.parametrize("s", [None, 400])
-@pytest.mark.parametrize("delta_self", [1.0, 0.5])
-def test_selnb_step_on_a_negative_zero_incumbent_matches_the_reference(delta_self, s):
+# the 1.0 in the ids is the share of draws that go to a neighbour: all of them
+@pytest.mark.parametrize("s", [pytest.param(s, id=f"1.0-{s}") for s in (None, 400)])
+def test_selnb_step_on_a_negative_zero_incumbent_matches_the_reference(s):
     # the zero step row is phi + 0.0, which turns -0.0 into 0.0; the incumbent
     # row keeps phi's bytes, so the two are separate candidates
     n, eps = 3, 0.25
@@ -361,7 +373,7 @@ def test_selnb_step_on_a_negative_zero_incumbent_matches_the_reference(delta_sel
     d = dist_random(domain, make_rng(4, 0, "d"))
     f = make_disjunction(domain, [2])
     gamma, gain = disjunction_params(n, eps)
-    mut = disjunction_mutator(n, eps, delta_self)
+    mut = disjunction_mutator(n, eps)
     phi = np.array([-0.0, 0.0, -0.0, 0.5, -0.0, -1.0, 1.0, -0.0])
     table = mut.table(phi, eps)
     assert table[n + 2].tobytes() == phi.tobytes()
@@ -371,12 +383,12 @@ def test_selnb_step_on_a_negative_zero_incumbent_matches_the_reference(delta_sel
         got, info = selnb_step(params, f, d, mut, phi, eps, _draws(mut, params, d, seed))
         want, want_info = _reference_step(
             params, f, d, _disjunction_steps(domain, gamma), phi,
-            next(_reference_draws(mut.k, params, d, delta_self, 1, evolve_streams(seed, 0))))
+            next(_reference_draws(mut.k, params, d, 1, evolve_streams(seed, 0))))
         assert info == want_info
         assert (got is None and want is None) or got.tobytes() == want.tobytes()
 
 
-def _reference_run(params, f, d, steps, delta_self, eps, g, phi, streams):
+def _reference_run(params, f, d, steps, eps, g, phi, streams):
     """evolve_run as a chain of _reference_step generations."""
     def true_perf(row):
         return 1.0 - 2.0 * float(np.dot(d.weights, (row - f.values) ** 2)) / 4.0
@@ -387,7 +399,7 @@ def _reference_run(params, f, d, steps, delta_self, eps, g, phi, streams):
                 "bene_count": info.bene_count, "neut_count": info.neut_count}
 
     start, rows = true_perf(phi), []
-    draws = _reference_draws(len(steps), params, d, delta_self, g, streams)
+    draws = _reference_draws(len(steps), params, d, g, streams)
     for gen in range(1, g + 1):
         nxt, info = _reference_step(params, f, d, steps, phi, next(draws))
         if nxt is None:
@@ -398,31 +410,29 @@ def _reference_run(params, f, d, steps, delta_self, eps, g, phi, streams):
     return EvolutionTrace(rows, start, eps, params.t)
 
 
-@pytest.mark.parametrize("n, eps, g, pool, delta_self, dist, bottoms", [
-    *[pytest.param(3, 0.25, 2000, (60, s), delta_self, dist, False,
-                   id=f"{dist}-{delta_self}-{s}")
-      for s in (None, 400) for delta_self in (1.0, 0.5) for dist in ("uniform", "random")],
+@pytest.mark.parametrize("n, eps, g, pool, dist, bottoms", [
+    # the 1.0 in the ids is the share of draws that go to a neighbour: all of them
+    *[pytest.param(3, 0.25, 2000, (60, s), dist, False, id=f"{dist}-1.0-{s}")
+      for s in (None, 400) for dist in ("uniform", "random")],
     # two draws of five rows often miss the incumbent's: the run bottoms early
-    pytest.param(3, 0.25, 2000, (2, 400), 1.0, "uniform", True, id="bottoms-early"),
+    pytest.param(3, 0.25, 2000, (2, 400), "uniform", True, id="bottoms-early"),
     # the benchmark's shape: the harness's parameters, theta = gamma/8
-    pytest.param(4, 0.2, 300, "lsq", 1.0, "uniform", False, id="benchmark-shape"),
+    pytest.param(4, 0.2, 300, "lsq", "uniform", False, id="benchmark-shape"),
 ])
-def test_evolve_run_matches_the_chained_reference_steps(n, eps, g, pool, delta_self, dist,
-                                                        bottoms):
+def test_evolve_run_matches_the_chained_reference_steps(n, eps, g, pool, dist, bottoms):
     domain = Domain(n)
     d = dist_uniform(domain) if dist == "uniform" else dist_random(domain, make_rng(3, 0, "d"))
     f = make_disjunction(domain, [1, 3])
     gamma, gain = disjunction_params(n, eps)
     if pool == "lsq":
-        params, _, _ = disjunction_lsq_params(n, eps)
+        params, _ = disjunction_lsq_params(n, eps)
         assert (params.p, params.s) == (76, 7964684847)
     else:
         params = SelNBParams(t=gain, p=pool[0], s=pool[1])
     r0 = RealFn(domain, np.full(domain.size, -1.0))
     streams, ref_streams = evolve_streams(5, 0), evolve_streams(5, 0)
-    trace = evolve_run(disjunction_mutator(n, eps, delta_self), params, f, d, eps, g, r0,
-                       streams)
-    want = _reference_run(params, f, d, _disjunction_steps(domain, gamma), delta_self, eps, g,
+    trace = evolve_run(disjunction_mutator(n, eps), params, f, d, eps, g, r0, streams)
+    want = _reference_run(params, f, d, _disjunction_steps(domain, gamma), eps, g,
                           r0.values + 0.0, ref_streams)
     assert trace.rows == want.rows
     if bottoms:
@@ -584,13 +594,12 @@ def test_sq_neighborhood_improvement_property(domain3, uniform3):
 
 
 def test_evolve_lsq_params_arithmetic():
-    params, g, delta = evolve_lsq_params(0.01, 0.1, neigh_size=6)
+    params, g = evolve_lsq_params(0.01, 0.1, neigh_size=6)
     assert g == 800
     assert params.t == pytest.approx(0.00375)
-    assert delta == pytest.approx(6.25e-5)
     assert params.p == math.ceil(6 * math.log(4 * 800 / 0.1))
     assert params.s == math.ceil(128.0 * 1e4 * math.log(8 * params.p * 800 / 0.1))
-    params2, g2, _ = evolve_lsq_params(1.0, 1.0, neigh_size=4)
+    params2, g2 = evolve_lsq_params(1.0, 1.0, neigh_size=4)
     assert g2 == 8 and params2.t == pytest.approx(0.375)
     with pytest.raises(ThetaExceedsEpsError):
         evolve_lsq_params(0.2, 0.1, neigh_size=4)

@@ -92,6 +92,31 @@ def test_parse_config_file(tmp_path):
         harness.parse_config_file(tmp_path / "absent.cfg")
 
 
+def test_a_config_file_key_given_twice_is_a_usage_error(tmp_path):
+    p = tmp_path / "run.cfg"
+    p.write_text("n = 3\n# again\nseeds = 0\nn = 5\n")
+    with pytest.raises(UsageError, match="run.cfg:4: key 'n' is given already on line 1"):
+        harness.parse_config_file(p)
+    out = CliRunner().invoke(cli.main, ["learn", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert out.exit_code == 1 and isinstance(out.exception, SystemExit), out.output
+    assert out.output.startswith("usage error: ") and "line 1" in out.output
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_config_file_command_must_be_the_subcommand(tmp_path):
+    p = tmp_path / "run.cfg"
+    p.write_text("command = evolve\nn = 3\nseeds = 0\n")
+    out = CliRunner().invoke(cli.main, ["learn", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert out.exit_code == 1 and isinstance(out.exception, SystemExit), out.output
+    assert out.output.startswith("usage error: ")
+    assert "command = evolve" in out.output and "subcommand is learn" in out.output
+    assert not (tmp_path / "o").exists()
+    p.write_text("command = learn\nn = 3\nseeds = 0\n")
+    out = CliRunner().invoke(cli.main, ["learn", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert out.exit_code == 0, out.output
+    assert (tmp_path / "o" / "learn_run000.csv").exists()
+
+
 def test_format_value_twelve_digits():
     assert harness.format_value(None) == ""
     assert harness.format_value(1 / 3) == "0.333333333333"
@@ -697,7 +722,10 @@ def test_evolve_parameters_past_numeric_range_are_usage_errors(tmp_path, args, n
         "theta-word", "file-n-abc", "file-tau-word", "file-workers-word", "file-theta-word"])
 def test_config_values_are_validated_at_the_boundary(tmp_path, args, config):
     conf = tmp_path / "run.cfg"
-    conf.write_text("n = 2\nepsilon = 0.3\n" + config)
+    # the file gives a key once: the case's own line replaces the base's
+    base = [line for line in ("n = 2\n", "epsilon = 0.3\n")
+            if line.split(" =")[0] != config.split(" =")[0]]
+    conf.write_text("".join(base) + config)
     out = CliRunner().invoke(
         cli.main, ["evolve", "--config", str(conf), *args, "--out", str(tmp_path / "o")])
     assert out.exit_code == 1, out.output
