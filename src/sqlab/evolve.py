@@ -24,10 +24,9 @@ but costs O(2^n) regardless of s -- the prescribed sample sizes reach 1e9+.
 """
 
 import math
-from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -44,19 +43,16 @@ def _loss(f_values, phi_values):
     return np.multiply(diff, diff, out=diff)
 
 
-def _fitness(costs, weights, total=1):
-    """Fitness of each loss row of `costs` scored against its own weight row
-    (or all against one weight vector): 1 - 2*<w, cost>/(total*4) as a list,
-    4 being the square loss of -1 against 1.  np.vecdot sums each row as
-    np.dot does, in one call.
-    """
-    scale = total * 4.0
-    return [1.0 - 2.0 * x / scale for x in np.vecdot(weights, costs).tolist()]
+def _fitness(x, scale):
+    """Fitness 1 - 2x/scale of a weighted square-loss sum x (a float or an
+    array of them), with scale = 4*total for weights that add up to total:
+    4 is the square loss of -1 against 1."""
+    return 1.0 - 2.0 * x / scale
 
 
 def lperf(f, phi, d):
     """Fitness 1 - 2*E_D[(f - phi)^2]/4, in [-1, 1]."""
-    return _fitness(_loss(f.values, phi.values[None]), d.weights)[0]
+    return _fitness(np.vecdot(d.weights, _loss(f.values, phi.values[None])).item(), 4.0)
 
 
 class _Mutator:
@@ -98,9 +94,13 @@ class StepMutator(_Mutator):
         self.steps = np.vstack((steps, np.zeros(steps.shape[1])))
 
     def table(self, phi, eps):
-        """One add into a fresh array, clamped in place (np.clip's wrapper
-        costs more than the work), then phi as row k."""
-        out = phi + self.steps
+        """phi copied into every row of a fresh array, the steps added, the
+        sums clamped in place (np.clip's wrapper costs more than the work),
+        then phi as row k.  A broadcast add costs about twice a same-shape
+        one, and the broadcast copy much less."""
+        out = np.empty(self.steps.shape)
+        out[...] = phi
+        np.add(out, self.steps, out=out)
         np.maximum(out, self._lo, out=out)
         np.minimum(out, self._hi, out=out)
         out[self.k] = phi  # phi's own bytes: phi + 0.0 would turn a -0.0 into 0.0
@@ -175,78 +175,94 @@ def generation_draws(a, params, d, g, streams):
         yield from zip(counts, fitness, streams["pick"].random(b).tolist())
 
 
-@dataclass
-class StepInfo:
-    v_incumbent: float
-    outcome: str  # beneficial | neutral | bottom
-    bene_count: int
-    neut_count: int
-    distinct: int
-    # the loss row of the returned table (of the incumbent when bottomed)
-    cost: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+def selnb(params, f, d, a, eps):
+    """Tolerance-t selection for one run towards the ideal f under D, on the
+    mutator a at eps: returns that run's selnb_step, with the run's constants
+    (f's values, the weights, the fitness scale, k, the row width, t and a's
+    table) read once here."""
+    fv, w, t, k, table_of = f.values, d.weights, params.t, a.k, a.table
+    # f's values in every table row: a broadcast subtract costs about twice
+    # a same-shape one
+    fv_rows = np.tile(fv, (k + 1, 1))
+    scale = 4.0 if params.s is None else params.s * 4.0  # see _fitness
+    row_bytes = np.dtype((np.void, fv.nbytes))  # one table row as one bytes object
 
+    def selnb_step(phi, draws):
+        """One generation from the incumbent table phi, on that generation's
+        `draws` from generation_draws: (the next table or None, the
+        incumbent's fitness estimate, outcome, beneficial and neutral
+        candidates, distinct candidates, the loss row of the next table or,
+        when bottomed, of the incumbent).
 
-def selnb_step(params, f, d, a, phi, eps, draws):
-    """One generation of tolerance-t selection from the incumbent table phi,
-    on that generation's `draws` from generation_draws; returns (the next
-    table or None, info).
+        Every row of the (k+1)-row table gets its weighted loss against its
+        own count row (against D's weights for exact fitness).  Drawn rows
+        with identical bytes are one candidate, scored by its first row; a
+        row equal to the incumbent joins the incumbent's candidate, scored
+        by row k.  A candidate is beneficial when its fitness beats the
+        incumbent's by t and neutral when it is within t.  The next table is
+        picked frequency-weighted, by draw count, from the beneficial tier
+        if nonempty, else from the neutral tier; outcome is "beneficial",
+        "neutral" or, with both tiers empty, "bottom".
 
-    Every row of the (k+1)-row table is scored against its own count row.
-    Drawn rows with identical bytes are one candidate, scored by its first
-    row; a row equal to the incumbent joins the incumbent's candidate, scored
-    by row k.  Candidate frequencies are the draw counts.  None means both
-    tiers were empty.
+        Neighbourhoods are a handful of rows, so the bookkeeping runs on
+        Python ints and floats, in table-row order.
+        """
+        counts, fitness, u = draws
+        table = table_of(phi, eps)
+        costs = _loss(fv_rows, table)
+        sums = np.vecdot(w if fitness is None else fitness, costs).tolist()
+        keys = table.view(row_bytes).ravel().tolist()
+        mine = keys[k]
+        v_r = _fitness(sums[k], scale)
+        bar = v_r + t
+        groups = {}  # row bytes -> [first row drawn, draws, scored row]
+        # a candidate's tiers follow from its fitness, so it joins them when
+        # first drawn; two separate tests: rounding can let a row pass both
+        bene, neut = [], []
+        for j, c, key in zip(range(k), counts, keys):
+            if c:
+                grp = groups.get(key)
+                if grp is not None:
+                    grp[1] += c
+                    continue
+                if key == mine:
+                    grp = groups[key] = [j, c, k]
+                    v = v_r
+                else:
+                    grp = groups[key] = [j, c, j]
+                    v = _fitness(sums[j], scale)
+                if v >= bar:
+                    bene.append(grp)
+                if abs(v - v_r) < t:
+                    neut.append(grp)
+        if bene:
+            tier, outcome = bene, "beneficial"
+        elif neut:
+            tier, outcome = neut, "neutral"
+        else:
+            return None, v_r, "bottom", 0, 0, len(groups), costs[k]
+        # the first candidate whose running draw count passes u times the
+        # tier's, or the last if rounding lets none pass
+        x, drawn = u * sum([grp[1] for grp in tier]), 0
+        for grp in tier:
+            drawn += grp[1]
+            if drawn > x:
+                break
+        j, _, r = grp
+        return table[j], v_r, outcome, len(bene), len(neut), len(groups), costs[r]
 
-    Neighbourhoods are a handful of rows, so the bookkeeping runs on Python
-    ints and floats, in table-row order.
-    """
-    counts, fitness, u = draws
-    table = a.table(phi, eps)
-    k = a.k
-    costs = _loss(f.values, table)
-    scores = _fitness(costs, d.weights) if fitness is None else \
-        _fitness(costs, fitness, params.s)
-    width = table.shape[1] * table.itemsize
-    raw = table.tobytes()
-    mine = raw[k * width:]
-    v_r, t = scores[k], params.t
-    bar = v_r + t
-    groups = {}  # row bytes -> [first row drawn, draws, scored row]
-    # a candidate's tiers follow from its scored row, so it joins them when
-    # first drawn; two separate tests: rounding can let a row pass both
-    bene, neut = [], []
-    for j, c in enumerate(counts):
-        if c:
-            key = raw[j * width:(j + 1) * width]
-            grp = groups.get(key)
-            if grp is not None:
-                grp[1] += c
-                continue
-            r = k if key == mine else j
-            grp = groups[key] = [j, c, r]
-            v = scores[r]
-            if v >= bar:
-                bene.append(grp)
-            if abs(v - v_r) < t:
-                neut.append(grp)
-    if bene:
-        tier, outcome = bene, "beneficial"
-    elif neut:
-        tier, outcome = neut, "neutral"
-    else:
-        return None, StepInfo(v_r, "bottom", 0, 0, len(groups), costs[k])
-    cum = list(accumulate([grp[1] for grp in tier]))
-    j, _, r = tier[min(bisect_right(cum, u * cum[-1]), len(tier) - 1)]
-    return table[j], StepInfo(v_r, outcome, len(bene), len(neut), len(groups), costs[r])
+    return selnb_step
 
 
 class EvolutionTrace:
-    """Per-generation audit of an evolve_run.
+    """Per-generation audit of an evolve_run, one column per field.
 
-    `rows` holds one artifact record per generation: a dict of generation,
-    true_perf, empirical_perf (the incumbent's fitness estimate), outcome,
-    bene_count and neut_count.  `true_perf` in row i is the exact fitness of
-    the representation selected at generation i (the incumbent's when the
+    `columns` maps generation (a range), true_perf, empirical_perf (the
+    incumbent's fitness estimate), outcome, bene_count and neut_count to
+    equal-length sequences, entry i for generation i + 1; the constructor
+    takes the mapping without generation, and needs true_perf (a list or
+    an array) and outcome.  `true_perf` is the exact fitness of the
+    representation selected at that generation (the incumbent's when the
     step bottomed out).
     reached_target is judged on the final generation's true fitness;
     monotone_vs_start audits the no-regression clause exactly, while
@@ -254,22 +270,23 @@ class EvolutionTrace:
     beneficial, neutral and bottom generations.
     """
 
-    def __init__(self, rows, start_perf, eps, t):
-        self.rows = rows
+    def __init__(self, columns, start_perf, eps, t):
+        trail = np.asarray(columns["true_perf"], dtype=np.float64)
+        outcome = columns["outcome"]
+        self.columns = {"generation": range(1, len(trail) + 1), **columns,
+                        "true_perf": trail.tolist()}
         self.start_perf = start_perf
-        trail = [r["true_perf"] for r in rows]
-        self.bottomed = bool(rows) and rows[-1]["outcome"] == "bottom"
-        self.final_perf = trail[-1] if trail else start_perf
+        self.bottomed = bool(outcome) and outcome[-1] == "bottom"
+        self.final_perf = float(trail[-1]) if len(trail) else start_perf
         self.reached_target = (not self.bottomed) and self.final_perf > 1 - eps
-        path = [start_perf] + trail
-        self.monotone_within_slack = all(
-            path[i + 1] >= path[i] - t - 1e-12 for i in range(len(path) - 1))
-        self.monotone_vs_start = all(v >= start_perf - 1e-12 for v in trail)
-        tally = Counter(r["outcome"] for r in rows)
+        path = np.concatenate(([start_perf], trail))
+        self.monotone_within_slack = bool(np.all(path[1:] >= path[:-1] - t - 1e-12))
+        self.monotone_vs_start = bool(np.all(trail >= start_perf - 1e-12))
+        tally = Counter(outcome)
         self.outcomes = {k: tally[k] for k in ("beneficial", "neutral", "bottom")}
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.columns["generation"])
 
 
 def evolve_run(a, params, f, d, eps, g, r0, streams):
@@ -280,25 +297,30 @@ def evolve_run(a, params, f, d, eps, g, r0, streams):
     phi = r0.values + 0.0  # + 0.0 turns -0.0 into 0.0, as a zero step row does
     w = d.weights
     start = lperf(f, r0, d)
+    step = selnb(params, f, d, a, eps)
     # the selected loss rows of up to one draw block
     block = min(_block_size(a, params, d), g)
     chosen = np.empty((block, len(phi)))
-    rows = []
+    true_perf = np.empty(g)
+    empirical, outcomes, bene, neut = [], [], [], []
+    done = 0  # generations whose true_perf is filled
     for gen, draws in enumerate(generation_draws(a, params, d, g, streams), 1):
-        nxt, info = selnb_step(params, f, d, a, phi, eps, draws)
-        i = (gen - 1) % block
-        chosen[i] = info.cost
-        rows.append({"generation": gen, "true_perf": None, "empirical_perf": info.v_incumbent,
-                     "outcome": info.outcome, "bene_count": info.bene_count,
-                     "neut_count": info.neut_count})
-        if nxt is None or i == block - 1 or gen == g:
+        nxt, v_r, outcome, b, nt, _, cost = step(phi, draws)
+        chosen[gen - done - 1] = cost
+        empirical.append(v_r)
+        outcomes.append(outcome)
+        bene.append(b)
+        neut.append(nt)
+        if nxt is None or gen - done == block or gen == g:
             # the exact fitness of the block's selected rows, from one vecdot
-            for row, perf in zip(rows[gen - 1 - i:], _fitness(chosen[:i + 1], w)):
-                row["true_perf"] = perf
+            true_perf[done:gen] = _fitness(np.vecdot(w, chosen[:gen - done]), 4.0)
+            done = gen
         if nxt is None:
             break
         phi = nxt
-    return EvolutionTrace(rows, start, eps, params.t)
+    return EvolutionTrace({"true_perf": true_perf[:done], "empirical_perf": empirical,
+                           "outcome": outcomes, "bene_count": bene, "neut_count": neut},
+                          start, eps, params.t)
 
 
 def disjunction_params(n, eps):

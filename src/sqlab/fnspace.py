@@ -325,12 +325,29 @@ def _fold(kind, n, variables):
     return row
 
 
+LOW_STAGES = 4  # butterfly stages run on the transposed copy
+
+
 def _butterflies(x, step):
     """A float64 copy of the vector x over the points after step(a, b) at each
     variable in turn, in place: a and b are the entries whose point has that
-    variable's bit clear and set, paired by the other bits."""
+    variable's bit clear and set, paired by the other bits.
+
+    The first L = LOW_STAGES variables pair entries 1 to 8 apart, in short
+    strided operands.  Past n = 2L their stages run on one transposed copy,
+    of shape (2^L, 2^(n-L)), where each pair is two contiguous rows, and the
+    result is copied back; up to n = 2L the two copies cost about what they
+    save.  The pairs and the ops are the same, so every bit is."""
     v = np.array(x, dtype=np.float64)
-    for i in range(v.size.bit_length() - 1):
+    n = v.size.bit_length() - 1
+    low = LOW_STAGES if n > 2 * LOW_STAGES else 0
+    if low:
+        t = v.reshape(-1, 1 << low).T.copy()  # t[lo, hi] = v[hi * 2^L + lo]
+        for i in range(low):
+            halves = t.reshape(-1, 2, 1 << i, t.shape[1])
+            step(halves[:, 0], halves[:, 1])
+        v.reshape(-1, 1 << low)[...] = t.T
+    for i in range(low, n):
         halves = v.reshape(-1, 2, 1 << i)
         step(halves[:, 0], halves[:, 1])
     return v

@@ -2,10 +2,11 @@
 
 A run is fully determined by (per-run master seed, run index, purpose tag):
 every random stream is derived from those three, so results do not depend on
-worker scheduling.  Each run returns plain row dicts, and ``COLUMNS`` alone
-decides which of their keys an artifact (CSV / JSON lines) holds, in a fixed
-order; artifacts are rendered to bytes before writing, with floats at 12
-significant digits, making re-runs byte-identical.  The manifest (config
+worker scheduling.  Each run returns its artifact's cells as ``Columns``,
+name -> an equal-length column, and ``COLUMNS`` alone decides which of them
+an artifact (CSV / JSON lines) holds, in a fixed order; artifacts are
+rendered to bytes before writing, with floats at 12 significant digits,
+making re-runs byte-identical.  The manifest (config
 snapshot, code version, per-run summaries, wall clock) is written alongside
 the artifacts; only the wall-clock field is allowed to differ between re-runs.
 """
@@ -47,7 +48,7 @@ COMMANDS = ("learn", "evolve", "dim", "agnostic")
 CLASSES = ("parities", "conjunctions", "disjunctions")
 FORMATS = ("csv", "json")
 
-COLUMNS = {  # command -> the columns of its artifacts: the row keys written
+COLUMNS = {  # command -> the columns of its artifacts: the ones written, in order
     "learn": ("iteration", "gamma", "potential", "queries"),
     "evolve": ("generation", "true_perf", "empirical_perf", "outcome", "bene_count", "neut_count"),
     "dim": ("value", "certainty", "witness", "params"),
@@ -219,42 +220,65 @@ def _json_value(v):
     return v
 
 
+class Columns(dict):
+    """An artifact's cells by column: name -> a sequence (a list or a range),
+    all of one length.  As for a data frame, len() is that length, the
+    number of rows, not the number of names: render's callers and
+    perfbench's tracer count an artifact's rows as len() of its cells."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        lengths = set(map(len, self.values()))
+        if len(lengths) > 1:
+            raise ValueError(f"columns of unequal lengths: {sorted(lengths)}")
+        self.rows = lengths.pop() if lengths else 0
+
+    def __len__(self):
+        return self.rows
+
+    @classmethod
+    def of_rows(cls, rows):
+        """The Columns of a nonempty list of row dicts, keyed as the first."""
+        return cls({key: [row[key] for row in rows] for key in rows[0]})
+
+
 RENDER_ROWS = 1024  # CSV rows formatted together: whole columns, in bounded memory
 
 
-def _csv_lines(records, columns):
-    cells = []
-    for c in columns:
-        col = [rec.get(c) for rec in records]
-        kinds = set(map(type, col))
-        if kinds <= {float}:
-            cells.append(map("{:.12g}".format, col))
-        elif not any(issubclass(k, float) or k is type(None) for k in kinds):
-            cells.append(map(str, col))
-        else:
-            cells.append(map(format_value, col))
-    return "\n".join(map(",".join, zip(*cells))) + "\n"
+def _csv_cells(chunk):
+    """The CSV text of each cell of a column chunk: a chunk of floats alone in
+    one pass, one with no float and no None by str, any other cell by cell."""
+    kinds = set(map(type, chunk))
+    if kinds <= {float}:
+        return map("{:.12g}".format, chunk)
+    if not any(issubclass(k, float) or k is type(None) for k in kinds):
+        return map(str, chunk)
+    return map(format_value, chunk)
 
 
-def rows_to_csv(records, columns):
-    """A header line, then one line per record.  Each column is formatted
-    whole, RENDER_ROWS records at a time: a column of floats alone in one
-    pass, one with no float and no None by str, any other cell by cell."""
-    body = [_csv_lines(records[i:i + RENDER_ROWS], columns)
-            for i in range(0, len(records), RENDER_ROWS)]
-    return (",".join(columns) + "\n" + "".join(body)).encode()
+def rows_to_csv(columns, names):
+    """A header line of `names`, then one line per row of the Columns
+    `columns`, each column formatted RENDER_ROWS cells at a time."""
+    cols = [columns[c] for c in names]
+    body = []
+    for i in range(0, len(columns), RENDER_ROWS):
+        cells = [_csv_cells(col[i:i + RENDER_ROWS]) for col in cols]
+        body.append("\n".join(map(",".join, zip(*cells))) + "\n")
+    return (",".join(names) + "\n" + "".join(body)).encode()
 
 
-def rows_to_jsonl(records, columns):
-    """One json object per record, as json.dumps writes it; a missing key is null."""
-    return "".join([json.dumps({c: _json_value(rec.get(c)) for c in columns}) + "\n"
-                    for rec in records]).encode()
+def rows_to_jsonl(columns, names):
+    """One json object per row of the Columns `columns`, keyed by `names`,
+    as json.dumps writes it."""
+    cols = [list(map(_json_value, columns[c])) for c in names]
+    return "".join([json.dumps(dict(zip(names, row))) + "\n" for row in zip(*cols)]).encode()
 
 
-def render(records, columns, fmt):
+def render(columns, names, fmt):
+    """The artifact bytes of the Columns `columns`: the columns `names`, in order."""
     if fmt == "csv":
-        return rows_to_csv(records, columns)
-    return rows_to_jsonl(records, columns)
+        return rows_to_csv(columns, names)
+    return rows_to_jsonl(columns, names)
 
 
 def export(artifacts, out_dir):
@@ -408,7 +432,7 @@ def _learn_one(cfg, k, master):
         # overrun is a possible outcome of a valid oracle, not a breach
         summary["halt"] = "empirical-overrun"
         summary["overrun"] = f"{overrun} with empirical:{oracle.sample_size} answers"
-    return trace.rows, summary
+    return Columns.of_rows(trace.rows), summary
 
 
 def _evolve_params(cfg):
@@ -445,7 +469,7 @@ def _evolve_one(cfg, k, master):
         "generations": len(trace),
         **trace.outcomes,
     }
-    return trace.rows, summary
+    return Columns(trace.columns), summary
 
 
 def _dim_one(cfg, k, master):
@@ -459,8 +483,9 @@ def _dim_one(cfg, k, master):
         "witness": " ".join(map(str, report.witness)),
         "params": json.dumps(report.params, sort_keys=True).replace(",", ";"),
     }
-    return [rec], {"seed": master, "value": report.value, "certainty": report.certainty,
-                   **report.search}
+    summary = {"seed": master, "value": report.value, "certainty": report.certainty,
+               **report.search}
+    return Columns.of_rows([rec]), summary
 
 
 def _agnostic_one(cfg, k, master):
@@ -478,11 +503,11 @@ def _agnostic_one(cfg, k, master):
         "achieved_correlation": achieved,
         "guarantee_ok": achieved >= best - 2 * cfg.tau - 1e-12,
     }
-    return [rec], dict(rec, queries=oracle.query_count, audit_gap=oracle.audit(),
-                       examples=oracle.examples)
+    return Columns.of_rows([rec]), dict(rec, queries=oracle.query_count,
+                                        audit_gap=oracle.audit(), examples=oracle.examples)
 
 
-# command -> runner: (cfg, run index k, master seed) -> (row dicts, manifest summary)
+# command -> runner: (cfg, run index k, master seed) -> (Columns, manifest summary)
 _RUNNERS = {
     "learn": _learn_one,
     "evolve": _evolve_one,
@@ -494,8 +519,8 @@ _RUNNERS = {
 def _run_indexed(args):
     """(artifact name, artifact bytes, summary) of run k of a validated config."""
     cfg, k = args
-    records, summary = _RUNNERS[cfg.command](cfg, k, cfg.seeds[k])
-    blob = render(records, COLUMNS[cfg.command], cfg.fmt)
+    columns, summary = _RUNNERS[cfg.command](cfg, k, cfg.seeds[k])
+    blob = render(columns, COLUMNS[cfg.command], cfg.fmt)
     return f"{cfg.command}_run{k:03d}.{cfg.fmt}", blob, summary
 
 

@@ -48,6 +48,16 @@ def class_table(kind, n):
     return out
 
 
+def butterflies_in_place(x, step):
+    """fnspace._butterflies with every stage on the vector itself, in place,
+    pairs 2^i apart at stage i: the reference for its transposed low stages."""
+    v = np.array(x, dtype=np.float64)
+    for i in range(v.size.bit_length() - 1):
+        halves = v.reshape(-1, 2, 1 << i)
+        step(halves[:, 0], halves[:, 1])
+    return v
+
+
 def dense_class(kind, n):
     """The table FnSet of class `kind` over n variables (class_table): the
     dense reference for a built-in ClassSet, which keeps no table."""

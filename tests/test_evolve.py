@@ -15,7 +15,6 @@ from sqlab.evolve import (
     EvolutionTrace,
     NeighborhoodMutator,
     SelNBParams,
-    StepInfo,
     disjunction_lsq_params,
     disjunction_mutator,
     disjunction_params,
@@ -24,7 +23,7 @@ from sqlab.evolve import (
     evolve_streams,
     generation_draws,
     lperf,
-    selnb_step,
+    selnb,
     sq_neighborhood,
 )
 from sqlab.evolve import STREAMS, _block_size, _disjunction_steps, _loss
@@ -192,10 +191,10 @@ def test_selnb_step_picks_beneficial(domain3, uniform3):
     phi0 = np.zeros(8)
     params = SelNBParams(t=0.01, p=40, s=None)
     for seed in range(10):
-        nxt, info = selnb_step(params, f, uniform3, mut, phi0, 0.1,
-                               _draws(mut, params, uniform3, seed))
-        assert info.outcome == "beneficial"
-        assert info.bene_count == 1
+        nxt, _, outcome, bene, _, _, _ = selnb(params, f, uniform3, mut, 0.1)(
+            phi0, _draws(mut, params, uniform3, seed))
+        assert outcome == "beneficial"
+        assert bene == 1
         np.testing.assert_array_equal(nxt, better)
 
 
@@ -204,11 +203,12 @@ def test_selnb_step_neutral_keeps_incumbent_reachable(domain3, uniform3):
     phi0 = np.zeros(8)
     mut = NeighborhoodMutator(lambda phi, eps: phi[None], 1)  # only itself
     params = SelNBParams(t=0.05, p=5, s=None)
-    nxt, info = selnb_step(params, f, uniform3, mut, phi0, 0.1, _draws(mut, params, uniform3, 0))
-    assert info.outcome == "neutral"
-    assert info.distinct == 1  # the neighbour and the incumbent are one candidate
+    nxt, v_incumbent, outcome, _, _, distinct, _ = selnb(params, f, uniform3, mut, 0.1)(
+        phi0, _draws(mut, params, uniform3, 0))
+    assert outcome == "neutral"
+    assert distinct == 1  # the neighbour and the incumbent are one candidate
     np.testing.assert_array_equal(nxt, phi0)
-    assert info.v_incumbent == pytest.approx(0.5)
+    assert v_incumbent == pytest.approx(0.5)
 
 
 def test_selnb_step_bottom_returns_none(domain3, uniform3):
@@ -217,10 +217,12 @@ def test_selnb_step_bottom_returns_none(domain3, uniform3):
     drop = -f.values[None]  # fitness -1, below any tolerance
     mut = NeighborhoodMutator(lambda phi, eps: drop, 1)
     params = SelNBParams(t=0.1, p=8, s=None)
-    nxt, info = selnb_step(params, f, uniform3, mut, phi0, 0.1, _draws(mut, params, uniform3, 0))
+    nxt, _, outcome, _, _, distinct, cost = selnb(params, f, uniform3, mut, 0.1)(
+        phi0, _draws(mut, params, uniform3, 0))
     assert nxt is None
-    assert info.outcome == "bottom"
-    assert info.distinct == 1
+    assert outcome == "bottom"
+    assert distinct == 1
+    assert not cost.any()  # the incumbent's loss row: phi0 is f
 
 
 def test_selnb_step_exact_mode_never_drops_beyond_tolerance(domain3, uniform3):
@@ -230,13 +232,13 @@ def test_selnb_step_exact_mode_never_drops_beyond_tolerance(domain3, uniform3):
     mut = NeighborhoodMutator(lambda phi, eps: neigh, 6)
     params = SelNBParams(t=0.07, p=12, s=None)
     phi = random_real_fn(domain3, rng).values
+    step = selnb(params, f, uniform3, mut, 0.1)
     for seed in range(50):
-        nxt, info = selnb_step(params, f, uniform3, mut, phi, 0.1,
-                               _draws(mut, params, uniform3, seed))
+        nxt, v_incumbent, *_ = step(phi, _draws(mut, params, uniform3, seed))
         if nxt is None:
             continue
         got = lperf(f, RealFn(domain3, nxt), uniform3)
-        assert got >= info.v_incumbent - params.t
+        assert got >= v_incumbent - params.t
 
 
 def test_selnb_step_weights_by_frequency(domain3, uniform3):
@@ -255,10 +257,10 @@ def test_selnb_step_weights_by_frequency(domain3, uniform3):
     params = SelNBParams(t=0.05, p=64, s=None)
     picks_a = 0
     trials = 600
+    step = selnb(params, f, uniform3, skewed, 0.1)
     for seed in range(trials):
-        nxt, info = selnb_step(params, f, uniform3, skewed, phi0, 0.1,
-                               _draws(skewed, params, uniform3, seed))
-        assert info.outcome == "beneficial" and info.bene_count == 2
+        nxt, _, outcome, bene, *_ = step(phi0, _draws(skewed, params, uniform3, seed))
+        assert outcome == "beneficial" and bene == 2
         picks_a += np.array_equal(nxt, va)
     assert abs(picks_a / trials - 0.75) < 0.06
 
@@ -285,7 +287,9 @@ def _reference_draws(k, params, d, g, streams):
 
 def _reference_step(params, f, d, steps, phi, draws):
     """One generation as a dict keyed by row bytes, each candidate scored on
-    its own: the selection rule written out row by row."""
+    its own: the selection rule written out row by row.  Returns (the next
+    table or None, (the incumbent's fitness, outcome, beneficial, neutral and
+    distinct candidates))."""
     counts, fitness, u = draws
     k = len(steps)
     table = list(np.clip(phi + steps, -1.0, 1.0)) + [phi]
@@ -308,11 +312,11 @@ def _reference_step(params, f, d, steps, phi, draws):
     bene = [grp for grp in groups.values() if grp[2] >= v_r + params.t]
     neut = [grp for grp in groups.values() if abs(grp[2] - v_r) < params.t]
     if not bene and not neut:
-        return None, StepInfo(v_r, "bottom", 0, 0, len(groups))
+        return None, (v_r, "bottom", 0, 0, len(groups))
     tier, outcome = (bene, "beneficial") if bene else (neut, "neutral")
     weights = np.array([grp[1] for grp in tier])
     pick = np.searchsorted(np.cumsum(weights), u * weights.sum(), side="right")
-    info = StepInfo(v_r, outcome, len(bene), len(neut), len(groups))
+    info = (v_r, outcome, len(bene), len(neut), len(groups))
     return tier[min(int(pick), len(tier) - 1)][0], info
 
 
@@ -351,11 +355,14 @@ def test_selnb_step_matches_a_row_by_row_reference(case, s, t, p, seed):
     streams, ref_streams = evolve_streams(seed, 0), evolve_streams(seed, 0)
     draws = generation_draws(mut, params, d, 3, streams)
     ref_draws = _reference_draws(len(steps), params, d, 3, ref_streams)
+    step = selnb(params, f, d, mut, 0.1)
     for _ in range(3):
-        got, info = selnb_step(params, f, d, mut, phi, 0.1, next(draws))
+        got, *info, cost = step(phi, next(draws))
         want, want_info = _reference_step(params, f, d, steps, phi, next(ref_draws))
-        assert info == want_info
+        assert tuple(info) == want_info
         assert _stream_states(streams) == _stream_states(ref_streams)
+        # the loss row of the next table, or of the incumbent when bottomed
+        assert cost.tobytes() == (((phi if want is None else want) - f.values) ** 2).tobytes()
         if want is None:
             assert got is None
             break
@@ -379,35 +386,34 @@ def test_selnb_step_on_a_negative_zero_incumbent_matches_the_reference(s):
     assert table[n + 2].tobytes() == phi.tobytes()
     assert table[n].tobytes() == (phi + 0.0).tobytes() != phi.tobytes()
     params = SelNBParams(t=gain, p=12, s=s)
+    step = selnb(params, f, d, mut, eps)
     for seed in range(20):
-        got, info = selnb_step(params, f, d, mut, phi, eps, _draws(mut, params, d, seed))
+        got, *info, _ = step(phi, _draws(mut, params, d, seed))
         want, want_info = _reference_step(
             params, f, d, _disjunction_steps(domain, gamma), phi,
             next(_reference_draws(mut.k, params, d, 1, evolve_streams(seed, 0))))
-        assert info == want_info
+        assert tuple(info) == want_info
         assert (got is None and want is None) or got.tobytes() == want.tobytes()
 
 
 def _reference_run(params, f, d, steps, eps, g, phi, streams):
-    """evolve_run as a chain of _reference_step generations."""
+    """evolve_run as a chain of _reference_step generations, each appended
+    to the columns as it is taken."""
     def true_perf(row):
         return 1.0 - 2.0 * float(np.dot(d.weights, (row - f.values) ** 2)) / 4.0
 
-    def record(gen, row, info):
-        return {"generation": gen, "true_perf": true_perf(row),
-                "empirical_perf": info.v_incumbent, "outcome": info.outcome,
-                "bene_count": info.bene_count, "neut_count": info.neut_count}
-
-    start, rows = true_perf(phi), []
+    names = ("true_perf", "empirical_perf", "outcome", "bene_count", "neut_count")
+    start, columns = true_perf(phi), {name: [] for name in names}
     draws = _reference_draws(len(steps), params, d, g, streams)
     for gen in range(1, g + 1):
-        nxt, info = _reference_step(params, f, d, steps, phi, next(draws))
+        nxt, (v_r, outcome, bene, neut, _) = _reference_step(params, f, d, steps, phi,
+                                                              next(draws))
+        phi = phi if nxt is None else nxt
+        for name, value in zip(names, (true_perf(phi), v_r, outcome, bene, neut)):
+            columns[name].append(value)
         if nxt is None:
-            rows.append(record(gen, phi, info))
             break
-        phi = nxt
-        rows.append(record(gen, phi, info))
-    return EvolutionTrace(rows, start, eps, params.t)
+    return EvolutionTrace(columns, start, eps, params.t)
 
 
 @pytest.mark.parametrize("n, eps, g, pool, dist, bottoms", [
@@ -434,7 +440,10 @@ def test_evolve_run_matches_the_chained_reference_steps(n, eps, g, pool, dist, b
     trace = evolve_run(disjunction_mutator(n, eps), params, f, d, eps, g, r0, streams)
     want = _reference_run(params, f, d, _disjunction_steps(domain, gamma), eps, g,
                           r0.values + 0.0, ref_streams)
-    assert trace.rows == want.rows
+    assert list(trace.columns) == list(want.columns) == [
+        "generation", "true_perf", "empirical_perf", "outcome", "bene_count", "neut_count"]
+    for name, column in want.columns.items():
+        assert trace.columns[name] == column, name
     if bottoms:
         assert want.bottomed and len(trace) < g
     else:
@@ -472,7 +481,7 @@ def test_evolve_run_bottom_marks_failure(domain3, uniform3):
     assert trace.bottomed
     assert not trace.reached_target
     assert len(trace) == 1
-    assert trace.rows[0]["outcome"] == "bottom"
+    assert trace.columns["outcome"] == ["bottom"]
     with pytest.raises(UsageError):
         evolve_run(mut, params, f, uniform3, 0.1, 0, r0, evolve_streams(0, 0))
 
@@ -498,14 +507,65 @@ def test_evolve_run_keeps_its_loss_row_buffer_within_block_bytes():
     assert peak < 16 * BLOCK_BYTES
 
 def test_evolution_trace_monotonicity_flags():
-    rows = [{"true_perf": v, "outcome": "beneficial"} for v in (0.2, 0.4, 0.35)]
-    tr = EvolutionTrace(rows, start_perf=0.1, eps=0.5, t=0.06)
+    columns = {"true_perf": [0.2, 0.4, 0.35], "outcome": ["beneficial"] * 3}
+    tr = EvolutionTrace(columns, start_perf=0.1, eps=0.5, t=0.06)
     assert tr.monotone_vs_start  # never below the start
     assert tr.monotone_within_slack  # 0.4 -> 0.35 within t
-    tr2 = EvolutionTrace(rows, start_perf=0.1, eps=0.5, t=0.01)
+    tr2 = EvolutionTrace(columns, start_perf=0.1, eps=0.5, t=0.01)
     assert not tr2.monotone_within_slack
-    tr3 = EvolutionTrace(rows, start_perf=0.39, eps=0.5, t=0.06)
+    tr3 = EvolutionTrace(columns, start_perf=0.39, eps=0.5, t=0.06)
     assert not tr3.monotone_vs_start
+
+
+def _reference_flags(trail, outcome, start_perf, eps, t):
+    """EvolutionTrace's flags and tallies from plain Python lists, one
+    generation at a time."""
+    bottomed = bool(outcome) and outcome[-1] == "bottom"
+    final = trail[-1] if trail else start_perf
+    path = [start_perf] + trail
+    return {
+        "bottomed": bottomed,
+        "final_perf": final,
+        "reached_target": (not bottomed) and final > 1 - eps,
+        "monotone_within_slack": all(path[i + 1] >= path[i] - t - 1e-12
+                                     for i in range(len(path) - 1)),
+        "monotone_vs_start": all(v >= start_perf - 1e-12 for v in trail),
+        "outcomes": {o: outcome.count(o) for o in ("beneficial", "neutral", "bottom")},
+    }
+
+
+def _flag_cases():
+    """(true_perf, outcome, start_perf, t) at the edges of every flag: a drop
+    of exactly t + 1e-12 below the previous perf and one float more, a perf of
+    exactly start - 1e-12 and one float less, and runs that bottom at
+    generation 1 or end on a perf at 1 - eps."""
+    start, t, eps = 0.3, 0.0625, 0.25
+    edge = 0.55 - t - 1e-12  # the float the slack test computes from 0.55
+    below = math.nextafter(edge, -1.0)
+    floor = start - 1e-12
+    return [
+        ([0.55, edge, 0.8], ["beneficial", "neutral", "beneficial"], start, t),
+        ([0.55, below, 0.8], ["beneficial", "neutral", "beneficial"], start, t),
+        ([floor, 0.8], ["neutral", "beneficial"], start, t),
+        ([math.nextafter(floor, -1.0), 0.8], ["neutral", "beneficial"], start, t),
+        ([start], ["bottom"], start, t),
+        ([start - 0.5], ["bottom"], start, t),
+        ([0.5, 1 - eps], ["beneficial", "neutral"], start, t),
+        ([0.5, math.nextafter(1 - eps, 2.0)], ["beneficial", "neutral"], start, t),
+        ([], [], start, t),
+    ]
+
+
+@pytest.mark.parametrize("trail, outcome, start_perf, t", _flag_cases())
+def test_evolution_trace_flags_match_a_python_reference_at_their_edges(
+        trail, outcome, start_perf, t):
+    eps = 0.25
+    trace = EvolutionTrace({"true_perf": trail, "outcome": outcome}, start_perf, eps, t)
+    want = _reference_flags(trail, outcome, start_perf, eps, t)
+    for flag, value in want.items():
+        got = getattr(trace, flag)
+        assert got == value and type(got) is type(value), flag
+    assert len(trace) == len(trail) and trace.columns["generation"] == range(1, len(trail) + 1)
 
 
 def test_disjunction_params_values():

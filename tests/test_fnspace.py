@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqlab import fnspace
 from sqlab.errors import DomainMismatchError, UsageError
 from sqlab.fnspace import (
     BoolFn,
@@ -37,7 +38,7 @@ from sqlab.oracles import SQOracle
 from sqlab.rng import make_rng
 from sqlab.sqcore import class_pool_generator, weak_agnostic_learner
 
-from conftest import class_table, random_bool_fn, rows_of
+from conftest import butterflies_in_place, class_table, random_bool_fn, rows_of
 
 
 def test_domain_bitstring_roundtrip():
@@ -442,3 +443,23 @@ def test_dist_text_rejects_a_repeated_point():
     # a comment line counts toward the line numbers
     with pytest.raises(UsageError, match="^point 11 on line 5 is given already on line 3$"):
         dist_from_text("# w\n00 0.25\n11 0.25\n10 0.25\n11 0.25\n01 0.25\n")
+
+
+# the butterfly of each built-in class's transform
+_STEPS = {"parities": fnspace._signed_hadamard, "conjunctions": fnspace._superset_sum,
+          "disjunctions": fnspace._subset_sum}
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([1.0, 2.0 ** -40, 1e300]),
+       zeros=st.floats(0.0, 1.0))
+def test_transforms_match_the_in_place_stages_bit_for_bit(seed, scale, zeros):
+    # the low stages run on a transposed copy past n = 2 * LOW_STAGES; the
+    # pairs and ops are those of the in-place stages, so every bit is too
+    rng = np.random.default_rng(seed)
+    for n in range(1, 17):
+        x = rng.standard_normal(1 << n) * scale
+        x[rng.random(1 << n) < zeros] = -0.0
+        for kind, step in _STEPS.items():
+            want = butterflies_in_place(x, step)
+            assert fnspace._butterflies(x, step).tobytes() == want.tobytes(), (kind, n)

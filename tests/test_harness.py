@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sqlab
@@ -125,22 +125,24 @@ def test_format_value_twelve_digits():
 
 
 def test_render_formats_agree(tmp_path):
-    records = [
-        {"a": 1, "b": 0.1 + 0.2, "c": None},
-        {"a": 2, "b": -1.5, "c": "word"},
-    ]
-    columns = ("a", "b", "c")
-    blob = harness.rows_to_csv(records, columns)
+    columns = harness.Columns(a=[1, 2], b=[0.1 + 0.2, -1.5], c=[None, "word"])
+    names = ("a", "b", "c")
+    assert len(columns) == 2  # rows, not names
+    blob = harness.rows_to_csv(columns, names)
     rows = list(csv.DictReader(io.StringIO(blob.decode())))
-    jl = [json.loads(line) for line in harness.rows_to_jsonl(records, columns).decode().splitlines()]
+    jl = [json.loads(line) for line in harness.rows_to_jsonl(columns, names).decode().splitlines()]
     assert len(rows) == len(jl) == 2
     for r_csv, r_json in zip(rows, jl):
         assert float(r_csv["b"]) == r_json["b"]
         assert r_csv["a"] == str(r_json["a"])
     assert rows[0]["c"] == ""
     # empty trace still renders a header line
-    assert harness.rows_to_csv([], columns) == b"a,b,c\n"
-    assert harness.rows_to_jsonl([], columns) == b""
+    empty = harness.Columns(a=[], b=range(0), c=[])
+    assert len(empty) == 0
+    assert harness.rows_to_csv(empty, names) == b"a,b,c\n"
+    assert harness.rows_to_jsonl(empty, names) == b""
+    with pytest.raises(ValueError, match="unequal lengths"):
+        harness.Columns(a=[1, 2], b=[0.5])
 
 
 _CELL = st.one_of(st.none(), st.booleans(), st.integers(-10 ** 20, 10 ** 20), st.floats(),
@@ -150,25 +152,29 @@ _CELL = st.one_of(st.none(), st.booleans(), st.integers(-10 ** 20, 10 ** 20), st
 @settings(max_examples=150, deadline=None)
 @given(rows=st.lists(st.lists(_CELL, min_size=3, max_size=3), max_size=16),
        uniform=st.sampled_from([None, 1.5, 7, "x"]))
+# learn's gamma: floats, then None on the converged row; ints among floats
+@example(rows=[[0, 0.25, 1], [1, 0.5, 2.5], [2, None, 3]], uniform=None)
 def test_render_matches_a_cell_by_cell_reference(rows, uniform):
     # column by column rendering writes the bytes of a per-cell, per-row render
-    columns = ("a", "b%", "c")
-    records = [dict(zip(columns, row)) for row in rows]
+    names = ("a", "b%", "c")
+    records = [dict(zip(names, row)) for row in rows]
     if uniform is not None:  # one column of a single type, the fast path
         for i, rec in enumerate(records):
             rec["c"] = uniform / (i + 1) if type(uniform) is float else uniform
-    for rec in records[::3]:
-        rec.pop("a")  # a missing key renders as None
-    want_csv = [",".join(columns)] + [
-        ",".join(harness.format_value(rec.get(c)) for c in columns) for rec in records]
-    want_json = [json.dumps({c: harness._json_value(rec.get(c)) for c in columns})
+    for rec in records[1::3]:
+        rec["a"] = None  # a None cell renders empty in CSV, null in JSON
+    want_csv = [",".join(names)] + [
+        ",".join(harness.format_value(rec[c]) for c in names) for rec in records]
+    want_json = [json.dumps({c: harness._json_value(rec[c]) for c in names})
                  for rec in records]
+    columns = harness.Columns({c: [rec[c] for rec in records] for c in names})
+    assert len(columns) == len(records)
     for chunk in (harness.RENDER_ROWS, 5):  # a trace of any length is split alike
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(harness, "RENDER_ROWS", chunk)
-            assert harness.render(records, columns, "csv") == \
+            assert harness.render(columns, names, "csv") == \
                 ("\n".join(want_csv) + "\n").encode()
-            assert harness.render(records, columns, "json") == \
+            assert harness.render(columns, names, "json") == \
                 ("\n".join(want_json) + ("\n" if want_json else "")).encode()
 
 
@@ -185,9 +191,10 @@ def test_learn_run_artifacts(tmp_path):
         assert s["final_disagreement"] <= 0.1
         last = lines[-1].split(",")
         assert last[1] == ""  # converged row has no accepted step
-    # the learner's rows carry the stepped row's index; COLUMNS leaves it out
-    rows, _ = harness._learn_one(cfg, 0, cfg.seeds[0])
-    assert [r["chosen"] is None for r in rows] == [False] * (len(rows) - 1) + [True]
+    # the learner's columns carry the stepped row's index; COLUMNS leaves it out
+    columns, _ = harness._learn_one(cfg, 0, cfg.seeds[0])
+    assert "chosen" not in harness.COLUMNS["learn"]
+    assert [c is None for c in columns["chosen"]] == [False] * (len(columns) - 1) + [True]
 
 
 def test_a_learn_run_builds_as_many_realfns_for_one_update_as_for_many(tmp_path, monkeypatch):
