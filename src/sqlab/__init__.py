@@ -18,4 +18,4 @@ the package itself holds only ``__version__``.  Modules:
 * ``harness``    -- config, seeded batch runs, deterministic exports.
 """
 
-__version__ = "0.3.2"
+__version__ = "0.3.3"

@@ -1,48 +1,42 @@
-"""Semantic error hierarchy; every error carries a stable short code."""
+"""Semantic error hierarchy: the class names the kind of failure, the
+message says what failed."""
 
 
 class LabError(Exception):
-    """Base error. `code` is the stable machine-readable identifier."""
-
-    code = "error"
-
-    def __init__(self, message=""):
-        super().__init__(message or self.code)
+    """Base error."""
 
 
 class UsageError(LabError):
-    code = "usage"
+    pass
 
 
 class DomainMismatchError(LabError):
-    code = "domain-mismatch"
+    pass
 
 
 class InvalidToleranceError(LabError):
-    code = "invalid-tolerance"
+    pass
 
 
 class QueryRangeError(UsageError):
-    code = "query-out-of-range"
+    pass
 
 
 class QueryBudgetError(LabError):
-    code = "query-budget-exceeded"
+    pass
 
 
 class PoolInsufficientError(LabError):
-    code = "pool-insufficient"
+    pass
 
 
 class NormRangeError(LabError):
-    code = "norm-out-of-range"
+    pass
 
 
 class ThetaExceedsEpsError(LabError):
-    code = "theta-exceeds-eps"
+    pass
 
 
 class InvariantBreachError(LabError):
     """A quantitative guarantee that should hold was observed violated."""
-
-    code = "invariant-breach"

@@ -5,14 +5,15 @@ for the square loss L(y, z) = (y - z)^2, so it lives in [-1,1], equals 1
 exactly at phi = f, and 2*(1 - fitness) = ||f - phi||_D^2.
 
 Evolution works on raw value tables: the hypothesis is one length-2^n array,
-and a neighbourhood is one (k, 2^n) candidate table per generation.
+and a neighbourhood is one (k, 2^n) candidate table per generation, built
+from the incumbent alone and holding it once, as its last row.
 
-Selection (one generation): draw p candidates from the mutator, estimate
-every distinct candidate's fitness (and the incumbent's) from s fresh draws
-each, call a candidate beneficial when it beats the incumbent's estimate by
-the tolerance t and neutral when it is within t, then pick
-frequency-weighted from the beneficial tier if nonempty, else from the
-neutral tier, else fail the run.
+Selection (one generation): draw p candidates uniformly from the k rows,
+estimate every distinct candidate's fitness (and the incumbent's) from s
+fresh draws each, call a candidate beneficial when it beats the
+incumbent's estimate by the tolerance t and neutral when it is within t,
+then pick frequency-weighted from the beneficial tier if nonempty, else
+from the neutral tier, else fail the run.
 
 A run draws from three streams, one per purpose (mutation rows, fitness
 count rows, the pick uniform), each in blocks of generations: per-call
@@ -56,9 +57,9 @@ def lperf(f, phi, d):
 
 
 class _Mutator:
-    """A uniform draw from a neighbourhood of fixed height k.  table(phi, eps)
-    gives the (k+1, 2^n) table: the k neighbours of the incumbent table phi,
-    then phi as row k, which is scored but never drawn."""
+    """A uniform draw from a neighbourhood of fixed height k.  table(phi)
+    gives the (k, 2^n) table of the neighbours of the incumbent table phi,
+    the incumbent itself as the last row."""
 
     def __init__(self, k):
         if k < 1:
@@ -67,43 +68,42 @@ class _Mutator:
 
 
 class NeighborhoodMutator(_Mutator):
-    """neigh_fn(phi, eps) returns the (k, 2^n) table of the neighbours of phi."""
+    """neigh_fn(phi) returns the (k-1, 2^n) table of the other neighbours of
+    phi, and phi follows them as row k-1."""
 
     def __init__(self, neigh_fn, k):
         super().__init__(k)
         self.neigh_fn = neigh_fn
 
-    def table(self, phi, eps):
-        neigh = self.neigh_fn(phi, eps)
-        if len(neigh) != self.k:
-            raise UsageError(f"the neighbourhood has {len(neigh)} rows; this mutator "
-                             f"was built for k = {self.k}")
-        return np.concatenate((neigh, phi[None]))
+    def table(self, phi):
+        table = np.concatenate((self.neigh_fn(phi), phi[None]))
+        if len(table) != self.k:
+            raise UsageError(f"the neighbourhood has {len(table)} rows with phi; this "
+                             f"mutator was built for k = {self.k}")
+        return table
 
 
 class StepMutator(_Mutator):
     """The neighbours clamp(phi + step), one per row of a (k, 2^n) step table
-    fixed at construction; eps does not rescale it."""
+    fixed at construction, whose last row is zero: phi itself."""
 
     # 0-d bounds: a Python float costs the ufunc a scalar conversion per call
     _lo, _hi = np.array(-1.0), np.array(1.0)
 
     def __init__(self, steps):
         super().__init__(len(steps))
-        # row k adds nothing: table() writes phi over it
-        self.steps = np.vstack((steps, np.zeros(steps.shape[1])))
+        self.steps = steps
 
-    def table(self, phi, eps):
-        """phi copied into every row of a fresh array, the steps added, the
-        sums clamped in place (np.clip's wrapper costs more than the work),
-        then phi as row k.  A broadcast add costs about twice a same-shape
-        one, and the broadcast copy much less."""
+    def table(self, phi):
+        """phi copied into every row of a fresh array, the steps added and the
+        sums clamped in place (np.clip's wrapper costs more than the work).
+        A broadcast add costs about twice a same-shape one, and the broadcast
+        copy much less."""
         out = np.empty(self.steps.shape)
         out[...] = phi
         np.add(out, self.steps, out=out)
         np.maximum(out, self._lo, out=out)
         np.minimum(out, self._hi, out=out)
-        out[self.k] = phi  # phi's own bytes: phi + 0.0 would turn a -0.0 into 0.0
         return out
 
 
@@ -138,12 +138,12 @@ def _block_size(a, params, d):
     """Generations per block: BLOCK, or fewer when one block's largest array
     (the index block, the fitness count rows, or evolve_run's selected loss
     rows) would pass BLOCK_BYTES."""
-    rows = 1 if params.s is None else a.k + 1
+    rows = 1 if params.s is None else a.k
     return max(1, min(BLOCK, BLOCK_BYTES // (8 * max(params.p, rows * len(d.weights)))))
 
 
 def _row_counts(a, p, b, streams):
-    """How often each of the k neighbours is drawn among p draws, for each of
+    """How often each of the k table rows is drawn among p draws, for each of
     b generations, as lists."""
     k = a.k
     idx = streams["mutate"].integers(0, k, size=(b, p))
@@ -154,15 +154,14 @@ def _row_counts(a, p, b, streams):
 def generation_draws(a, params, d, g, streams):
     """Yield the random draws of g generations, one tuple per generation.
 
-    A tuple is (counts, fitness, pick): the k neighbours' draw counts; the
-    (k+1, 2^n) float64 multinomial point-count rows that score each table
-    row (None for exact fitness); and the pick uniform.
+    A tuple is (counts, fitness, pick): the k table rows' draw counts; the
+    (k, 2^n) float64 multinomial point-count rows that score each table row
+    (None for exact fitness); and the pick uniform.
     Each stream is drawn in blocks of up to BLOCK generations, all with the
     same block boundaries, so a run's draws depend on (a, params, d, g,
     streams) alone.
     """
-    p, s, w = params.p, params.s, d.weights
-    rows = a.k + 1
+    p, s, w, k = params.p, params.s, d.weights, a.k
     block = _block_size(a, params, d)
     for start in range(0, g, block):
         b = min(block, g - start)
@@ -171,19 +170,19 @@ def generation_draws(a, params, d, g, streams):
         counts = _row_counts(a, p, b, streams)  # frees its index block on return
         fitness = None  # frees the last block's rows before the next is drawn
         fitness = repeat(None, b) if s is None else \
-            streams["fitness"].multinomial(s, w, size=(b, rows)).astype(np.float64)
+            streams["fitness"].multinomial(s, w, size=(b, k)).astype(np.float64)
         yield from zip(counts, fitness, streams["pick"].random(b).tolist())
 
 
-def selnb(params, f, d, a, eps):
+def selnb(params, f, d, a):
     """Tolerance-t selection for one run towards the ideal f under D, on the
-    mutator a at eps: returns that run's selnb_step, with the run's constants
-    (f's values, the weights, the fitness scale, k, the row width, t and a's
+    mutator a: returns that run's selnb_step, with the run's constants (f's
+    values, the weights, the fitness scale, k, the row width, t and a's
     table) read once here."""
     fv, w, t, k, table_of = f.values, d.weights, params.t, a.k, a.table
     # f's values in every table row: a broadcast subtract costs about twice
     # a same-shape one
-    fv_rows = np.tile(fv, (k + 1, 1))
+    fv_rows = np.tile(fv, (k, 1))
     scale = 4.0 if params.s is None else params.s * 4.0  # see _fitness
     row_bytes = np.dtype((np.void, fv.nbytes))  # one table row as one bytes object
 
@@ -194,26 +193,27 @@ def selnb(params, f, d, a, eps):
         candidates, distinct candidates, the loss row of the next table or,
         when bottomed, of the incumbent).
 
-        Every row of the (k+1)-row table gets its weighted loss against its
-        own count row (against D's weights for exact fitness).  Drawn rows
-        with identical bytes are one candidate, scored by its first row; a
-        row equal to the incumbent joins the incumbent's candidate, scored
-        by row k.  A candidate is beneficial when its fitness beats the
-        incumbent's by t and neutral when it is within t.  The next table is
-        picked frequency-weighted, by draw count, from the beneficial tier
-        if nonempty, else from the neutral tier; outcome is "beneficial",
+        Every row of the k-row table gets its weighted loss against its own
+        count row (against D's weights for exact fitness).  Drawn rows with
+        identical bytes are one candidate, scored by its first row; a row
+        equal to the last, the incumbent, joins the incumbent's candidate,
+        scored by the last row whether or not that row is drawn.  A
+        candidate is beneficial when its fitness beats the incumbent's by t
+        and neutral when it is within t.  The next table is picked
+        frequency-weighted, by draw count, from the beneficial tier if
+        nonempty, else from the neutral tier; outcome is "beneficial",
         "neutral" or, with both tiers empty, "bottom".
 
         Neighbourhoods are a handful of rows, so the bookkeeping runs on
         Python ints and floats, in table-row order.
         """
         counts, fitness, u = draws
-        table = table_of(phi, eps)
+        table = table_of(phi)
         costs = _loss(fv_rows, table)
         sums = np.vecdot(w if fitness is None else fitness, costs).tolist()
         keys = table.view(row_bytes).ravel().tolist()
-        mine = keys[k]
-        v_r = _fitness(sums[k], scale)
+        mine = keys[-1]
+        v_r = _fitness(sums[-1], scale)
         bar = v_r + t
         groups = {}  # row bytes -> [first row drawn, draws, scored row]
         # a candidate's tiers follow from its fitness, so it joins them when
@@ -226,7 +226,7 @@ def selnb(params, f, d, a, eps):
                     grp[1] += c
                     continue
                 if key == mine:
-                    grp = groups[key] = [j, c, k]
+                    grp = groups[key] = [j, c, k - 1]
                     v = v_r
                 else:
                     grp = groups[key] = [j, c, j]
@@ -240,7 +240,7 @@ def selnb(params, f, d, a, eps):
         elif neut:
             tier, outcome = neut, "neutral"
         else:
-            return None, v_r, "bottom", 0, 0, len(groups), costs[k]
+            return None, v_r, "bottom", 0, 0, len(groups), costs[-1]
         # the first candidate whose running draw count passes u times the
         # tier's, or the last if rounding lets none pass
         x, drawn = u * sum([grp[1] for grp in tier]), 0
@@ -294,10 +294,9 @@ def evolve_run(a, params, f, d, eps, g, r0, streams):
     r0, on the per-purpose `streams` of evolve_streams."""
     if not (is_int(g) and g >= 1):  # a bool would pass as 1
         raise UsageError(f"generation count g must be an integer >= 1, got {g!r}")
-    phi = r0.values + 0.0  # + 0.0 turns -0.0 into 0.0, as a zero step row does
-    w = d.weights
+    phi, w = r0.values, d.weights
     start = lperf(f, r0, d)
-    step = selnb(params, f, d, a, eps)
+    step = selnb(params, f, d, a)
     # the selected loss rows of up to one draw block
     block = min(_block_size(a, params, d), g)
     chosen = np.empty((block, len(phi)))
@@ -334,19 +333,16 @@ def disjunction_params(n, eps):
 
 
 def _disjunction_steps(domain, gamma):
-    """The (n+2, 2^n) step table: gamma*[x_i = 1] for each coordinate i, a
-    zero row and -gamma."""
+    """The (n+2, 2^n) step table: gamma*[x_i = 1] for each coordinate i,
+    -gamma, then the zero row of phi itself."""
     ups = [gamma * domain.coordinate(i) for i in range(1, domain.n + 1)]
-    return np.vstack(ups + [np.zeros(domain.size), np.full(domain.size, -gamma)])
+    return np.vstack(ups + [np.full(domain.size, -gamma), np.zeros(domain.size)])
 
 
 def disjunction_mutator(n, eps):
-    """Uniform mutator over the n+2 disjunction neighbours of phi at gamma(n, eps):
-    clamp(phi + gamma*[x_i = 1]) for each i, phi itself and clamp(phi - gamma).
-
-    The step table is built once, at construction; the eps passed per-call
-    by the selection loop does not rescale it.
-    """
+    """Uniform mutator over the n+2 disjunction neighbours of phi at gamma(n, eps),
+    bound at construction: clamp(phi + gamma*[x_i = 1]) for each i,
+    clamp(phi - gamma), then phi itself."""
     gamma, _ = disjunction_params(n, eps)
     return StepMutator(_disjunction_steps(Domain(n), gamma))
 
@@ -406,6 +402,7 @@ def evolve_lsq_params(theta, eps, neigh_size):
 
 def disjunction_lsq_params(n, eps, theta=None):
     """evolve_lsq_params over the n + 2 neighbours of disjunction_mutator(n, eps),
-    at gain theta or, by default, gamma/8."""
+    at gain theta or, by default, gamma/8; returns (params, g, theta)."""
     gamma, _ = disjunction_params(n, eps)
-    return evolve_lsq_params(gamma / 8.0 if theta is None else theta, eps, n + 2)
+    theta = gamma / 8.0 if theta is None else theta
+    return (*evolve_lsq_params(theta, eps, n + 2), theta)

@@ -102,9 +102,6 @@ class BoolFn:
             and np.array_equal(other.values, self.values)
         )
 
-    def __hash__(self):
-        return hash(("BoolFn", self.domain.n, self.values.tobytes()))
-
     def __neg__(self):
         return BoolFn(self.domain, -self.values)
 
@@ -135,9 +132,6 @@ class RealFn:
             and other.domain == self.domain
             and np.array_equal(other.values, self.values)
         )
-
-    def __hash__(self):
-        return hash(("RealFn", self.domain.n, self.values.tobytes()))
 
     def __neg__(self):
         return RealFn(self.domain, -self.values)
@@ -175,9 +169,6 @@ class Dist:
             and other.domain == self.domain
             and np.array_equal(other.weights, self.weights)
         )
-
-    def __hash__(self):
-        return hash(("Dist", self.domain.n, self.weights.tobytes()))
 
 
 class FnSet:

@@ -436,7 +436,7 @@ def _learn_one(cfg, k, master):
 
 
 def _evolve_params(cfg):
-    """(selection params, generations g) of an evolve config.  An --epsilon
+    """(selection params, generations g, gain theta) of an evolve config.  An --epsilon
     whose default theta = gamma/8 gives no usable parameters is a usage error
     that names it."""
     try:
@@ -456,12 +456,13 @@ def _evolve_one(cfg, k, master):
     target = make_disjunction(domain, [i + 1 for i in range(cfg.n) if bits >> i & 1])
     dist = _build_dist(cfg, domain, master, k)
     mutator = disjunction_mutator(cfg.n, cfg.epsilon)
-    params, g = _evolve_params(cfg)
+    params, g, theta = _evolve_params(cfg)
     r0 = RealFn(domain, np.full(domain.size, -1.0))
     trace = evolve_run(mutator, params, target, dist, cfg.epsilon, g, r0,
                        evolve_streams(master, k))
     summary = {
         "seed": master,
+        "k": mutator.k, "g": g, "p": params.p, "s": params.s, "t": params.t, "theta": theta,
         "reached_target": trace.reached_target,
         "monotone_within_slack": trace.monotone_within_slack,
         "monotone_vs_start": trace.monotone_vs_start,

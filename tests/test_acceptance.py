@@ -238,7 +238,7 @@ def test_criterion_06_disjunction_neighborhood_gains_or_is_done():
                 need = min(base + gain, 1.0 - eps)
                 best = max(
                     lperf(f, RealFn(domain, row), d)
-                    for row in mutator.table(phi.values, eps)[:-1]  # the last row is phi again
+                    for row in mutator.table(phi.values)  # the n+2 neighbours, phi last
                 )
                 total += 1
                 worst_slack = min(worst_slack, best - need)

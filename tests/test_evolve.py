@@ -81,24 +81,40 @@ def _row_counts(mut, p, d, seed, g):
 
 def test_neighborhood_mutator_table_and_frequencies(domain3, uniform3):
     base = np.array([np.full(8, v) for v in (-0.5, 0.0, 0.5)])
-    mut = NeighborhoodMutator(lambda phi, eps: base, 3)
+    mut = NeighborhoodMutator(lambda phi: base, 4)
     phi = np.ones(8)
-    # the three neighbours, then the incumbent as row 3
-    np.testing.assert_array_equal(mut.table(phi, 0.1), np.vstack([base, phi]))
+    # the three other neighbours, then the incumbent as row 3
+    np.testing.assert_array_equal(mut.table(phi), np.vstack([base, phi]))
     counts = _row_counts(mut, 30, uniform3, 5, 1000)
-    assert len(counts) == 3  # the incumbent, row 3, is never drawn
+    assert len(counts) == 4  # the incumbent, row 3, is drawn like the others
     assert counts.sum() == 30_000
-    for j in range(3):
-        assert abs(counts[j] / 30_000 - 1 / 3) < 0.02
+    for j in range(4):
+        assert abs(counts[j] / 30_000 - 1 / 4) < 0.02
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_neighborhood_mutator_draws_its_appended_incumbent_at_rate_1_over_k(k, domain3,
+                                                                              uniform3):
+    # every other row is -f, far below the incumbent f: a generation of one
+    # draw is neutral when it draws the incumbent and bottoms otherwise
+    f = random_bool_fn(domain3, make_rng(16, 0, "f"))
+    mut = NeighborhoodMutator(lambda phi: np.tile(-f.values, (k - 1, 1)), k)
+    params = SelNBParams(t=0.1, p=1, s=None)
+    step = selnb(params, f, uniform3, mut)
+    g = 8000
+    outcomes = [step(f.values, draws)[2] for draws in
+                generation_draws(mut, params, uniform3, g, evolve_streams(17, 0))]
+    assert outcomes.count("neutral") + outcomes.count("bottom") == g
+    assert abs(outcomes.count("neutral") / g - 1 / k) < 0.02
 
 
 def test_neighborhood_mutator_height_is_fixed():
-    mut = NeighborhoodMutator(lambda phi, eps: np.zeros((len(phi) // 4, 8)), 2)
-    assert mut.table(np.zeros(8), 0.1).shape == (3, 8)
-    with pytest.raises(UsageError, match="3 rows.*k = 2"):
-        mut.table(np.zeros(12), 0.1)
+    mut = NeighborhoodMutator(lambda phi: np.zeros((len(phi) // 4, len(phi))), 3)
+    assert mut.table(np.zeros(8)).shape == (3, 8)
+    with pytest.raises(UsageError, match="4 rows with phi.*k = 3"):
+        mut.table(np.zeros(12))
     with pytest.raises(UsageError):
-        NeighborhoodMutator(lambda phi, eps: np.zeros((0, 8)), 0)
+        NeighborhoodMutator(lambda phi: np.zeros((0, 8)), 0)
     assert disjunction_mutator(3, 0.25).k == 5
 
 
@@ -118,7 +134,7 @@ class _Recording:
 def _block(k, params, d):
     """The block rule: BLOCK generations, or fewer when the index block, the
     fitness count rows or the selected loss rows would pass BLOCK_BYTES."""
-    rows = 1 if params.s is None else k + 1
+    rows = 1 if params.s is None else k
     return max(1, min(BLOCK, BLOCK_BYTES // (8 * max(params.p, rows * len(d.weights)))))
 
 
@@ -134,18 +150,18 @@ def test_generation_draws_come_in_blocks_under_a_megabyte(n, s):
     g = 600
     draws = list(generation_draws(mut, params, dist_uniform(domain), g, streams))
     assert len(draws) == g
-    k, rows = n + 2, n + 3
+    k = n + 2
     for counts, fitness, pick in draws:
         assert len(counts) == k and sum(counts) == params.p and 0 <= pick < 1
         assert fitness is None if s is None else \
-            fitness.shape == (rows, domain.size) and (fitness.sum(axis=1) == s).all()
+            fitness.shape == (k, domain.size) and (fitness.sum(axis=1) == s).all()
     block = _block(k, params, dist_uniform(domain))
-    assert block == (256 if n == 3 else 9)
+    assert block == (256 if n == 3 else 10)
     lengths = [block] * (g // block) + [g % block] * (g % block > 0)
     assert logs["mutate"] == [("integers", (b, params.p)) for b in lengths]
     assert logs["pick"] == [("random", b) for b in lengths]
     assert logs["fitness"] == ([] if s is None else
-                               [("multinomial", (b, rows)) for b in lengths])
+                               [("multinomial", (b, k)) for b in lengths])
     for name, size in sum(logs.values(), []):
         assert 8 * np.prod(size) * (domain.size if name == "multinomial" else 1) < 1 << 20
 
@@ -164,9 +180,9 @@ def test_block_size_bounds_the_selected_loss_rows_at_exact_fitness():
     streams["mutate"] = _Recording(streams["mutate"], log)
     assert len(list(generation_draws(mut, params, d, 70, streams))) == 70
     assert log == [("integers", (b, params.p)) for b in (32, 32, 6)]
-    # a sampled s scores k + 1 rows a generation, which bound the block already
+    # a sampled s scores k rows a generation, which bound the block already
     sampled = SelNBParams(t=0.1, p=50, s=1000)
-    assert _block_size(mut, sampled, d) == BLOCK_BYTES // (8 * (mut.k + 1) * domain.size) == 2
+    assert _block_size(mut, sampled, d) == BLOCK_BYTES // (8 * mut.k * domain.size) == 2
 
 
 def test_selnb_validation():
@@ -187,11 +203,11 @@ def test_selnb_validation():
 def test_selnb_step_picks_beneficial(domain3, uniform3):
     f = random_bool_fn(domain3, make_rng(8, 0, "f"))
     better, worse = f.values, -f.values * 0.5
-    mut = NeighborhoodMutator(lambda phi, eps: np.array([better, worse]), 2)
+    mut = NeighborhoodMutator(lambda phi: np.array([better, worse]), 3)
     phi0 = np.zeros(8)
     params = SelNBParams(t=0.01, p=40, s=None)
     for seed in range(10):
-        nxt, _, outcome, bene, _, _, _ = selnb(params, f, uniform3, mut, 0.1)(
+        nxt, _, outcome, bene, _, _, _ = selnb(params, f, uniform3, mut)(
             phi0, _draws(mut, params, uniform3, seed))
         assert outcome == "beneficial"
         assert bene == 1
@@ -201,12 +217,12 @@ def test_selnb_step_picks_beneficial(domain3, uniform3):
 def test_selnb_step_neutral_keeps_incumbent_reachable(domain3, uniform3):
     f = random_bool_fn(domain3, make_rng(9, 0, "f"))
     phi0 = np.zeros(8)
-    mut = NeighborhoodMutator(lambda phi, eps: phi[None], 1)  # only itself
+    mut = NeighborhoodMutator(lambda phi: phi[None], 2)  # a copy of itself, then itself
     params = SelNBParams(t=0.05, p=5, s=None)
-    nxt, v_incumbent, outcome, _, _, distinct, _ = selnb(params, f, uniform3, mut, 0.1)(
+    nxt, v_incumbent, outcome, _, _, distinct, _ = selnb(params, f, uniform3, mut)(
         phi0, _draws(mut, params, uniform3, 0))
     assert outcome == "neutral"
-    assert distinct == 1  # the neighbour and the incumbent are one candidate
+    assert distinct == 1  # the copy and the incumbent are one candidate
     np.testing.assert_array_equal(nxt, phi0)
     assert v_incumbent == pytest.approx(0.5)
 
@@ -215,24 +231,34 @@ def test_selnb_step_bottom_returns_none(domain3, uniform3):
     f = random_bool_fn(domain3, make_rng(10, 0, "f"))
     phi0 = f.values  # already perfect, fitness 1
     drop = -f.values[None]  # fitness -1, below any tolerance
-    mut = NeighborhoodMutator(lambda phi, eps: drop, 1)
-    params = SelNBParams(t=0.1, p=8, s=None)
-    nxt, _, outcome, _, _, distinct, cost = selnb(params, f, uniform3, mut, 0.1)(
-        phi0, _draws(mut, params, uniform3, 0))
-    assert nxt is None
-    assert outcome == "bottom"
-    assert distinct == 1
-    assert not cost.any()  # the incumbent's loss row: phi0 is f
+    mut = NeighborhoodMutator(lambda phi: drop, 2)
+    params = SelNBParams(t=0.1, p=1, s=None)
+    step = selnb(params, f, uniform3, mut)
+    # one draw: the incumbent, neutral to itself, or the drop, and then bottom
+    outcomes = set()
+    for seed in range(20):
+        draws = _draws(mut, params, uniform3, seed)
+        nxt, _, outcome, _, _, distinct, cost = step(phi0, draws)
+        outcomes.add(outcome)
+        assert distinct == 1
+        assert not cost.any()  # the incumbent's loss row: phi0 is f
+        if draws[0][-1]:
+            assert outcome == "neutral"
+            np.testing.assert_array_equal(nxt, phi0)
+        else:
+            assert nxt is None
+            assert outcome == "bottom"
+    assert outcomes == {"neutral", "bottom"}
 
 
 def test_selnb_step_exact_mode_never_drops_beyond_tolerance(domain3, uniform3):
     rng = make_rng(11, 0, "f")
     f = random_bool_fn(domain3, rng)
     neigh = np.array([random_real_fn(domain3, rng).values for _ in range(6)])
-    mut = NeighborhoodMutator(lambda phi, eps: neigh, 6)
+    mut = NeighborhoodMutator(lambda phi: neigh, 7)
     params = SelNBParams(t=0.07, p=12, s=None)
     phi = random_real_fn(domain3, rng).values
-    step = selnb(params, f, uniform3, mut, 0.1)
+    step = selnb(params, f, uniform3, mut)
     for seed in range(50):
         nxt, v_incumbent, *_ = step(phi, _draws(mut, params, uniform3, seed))
         if nxt is None:
@@ -251,13 +277,13 @@ def test_selnb_step_weights_by_frequency(domain3, uniform3):
     assert lperf(f, RealFn(domain3, va), uniform3) == pytest.approx(
         lperf(f, RealFn(domain3, vb), uniform3)
     )
-    skewed = NeighborhoodMutator(lambda phi, eps: np.array([va, va, va, vb]), 4)
+    skewed = NeighborhoodMutator(lambda phi: np.array([va, va, va, vb]), 5)
     phi0 = np.zeros(8)
     # p large enough that both candidates show up in every sample
     params = SelNBParams(t=0.05, p=64, s=None)
     picks_a = 0
     trials = 600
-    step = selnb(params, f, uniform3, skewed, 0.1)
+    step = selnb(params, f, uniform3, skewed)
     for seed in range(trials):
         nxt, _, outcome, bene, *_ = step(phi0, _draws(skewed, params, uniform3, seed))
         assert outcome == "beneficial" and bene == 2
@@ -276,7 +302,7 @@ def _reference_draws(k, params, d, g, streams):
         b = min(block, g - start)
         idx = streams["mutate"].integers(0, k, size=(b, p))
         fitness = None if s is None else streams["fitness"].multinomial(s, d.weights,
-                                                                         size=(b, k + 1))
+                                                                         size=(b, k))
         picks = streams["pick"].random(b)
         for i in range(b):
             counts = [0] * k
@@ -285,14 +311,14 @@ def _reference_draws(k, params, d, g, streams):
             yield counts, None if s is None else fitness[i], float(picks[i])
 
 
-def _reference_step(params, f, d, steps, phi, draws):
-    """One generation as a dict keyed by row bytes, each candidate scored on
-    its own: the selection rule written out row by row.  Returns (the next
-    table or None, (the incumbent's fitness, outcome, beneficial, neutral and
-    distinct candidates))."""
+def _reference_step(params, f, d, table, draws):
+    """One generation on the (k, 2^n) table, the incumbent as its last row,
+    as a dict keyed by row bytes, each candidate scored on its own: the
+    selection rule written out row by row.  Returns (the next table or None,
+    (the incumbent's fitness, outcome, beneficial, neutral and distinct
+    candidates))."""
     counts, fitness, u = draws
-    k = len(steps)
-    table = list(np.clip(phi + steps, -1.0, 1.0)) + [phi]
+    k = len(table)
 
     def score(j):
         loss = (table[j] - f.values) ** 2
@@ -301,13 +327,13 @@ def _reference_step(params, f, d, steps, phi, draws):
         w = fitness[j].astype(np.float64)
         return 1.0 - 2.0 * float(np.dot(w, loss)) / (params.s * 4.0)
 
-    v_r = score(k)
+    v_r = score(k - 1)
     groups = {}  # row bytes -> [row, draws, fitness]
     for j in range(k):
         if counts[j]:
             key = table[j].tobytes()
             if key not in groups:
-                groups[key] = [table[j], 0, v_r if key == phi.tobytes() else score(j)]
+                groups[key] = [table[j], 0, v_r if key == table[-1].tobytes() else score(j)]
             groups[key][1] += counts[j]
     bene = [grp for grp in groups.values() if grp[2] >= v_r + params.t]
     neut = [grp for grp in groups.values() if abs(grp[2] - v_r) < params.t]
@@ -351,14 +377,15 @@ def _selection_case(draw):
 def test_selnb_step_matches_a_row_by_row_reference(case, s, t, p, seed):
     f, d, phi, steps = case
     params = SelNBParams(t=t, p=p, s=s)
-    mut = NeighborhoodMutator(lambda phi, eps: np.clip(phi + steps, -1.0, 1.0), len(steps))
+    mut = NeighborhoodMutator(lambda phi: np.clip(phi + steps, -1.0, 1.0), len(steps) + 1)
     streams, ref_streams = evolve_streams(seed, 0), evolve_streams(seed, 0)
     draws = generation_draws(mut, params, d, 3, streams)
-    ref_draws = _reference_draws(len(steps), params, d, 3, ref_streams)
-    step = selnb(params, f, d, mut, 0.1)
+    ref_draws = _reference_draws(len(steps) + 1, params, d, 3, ref_streams)
+    step = selnb(params, f, d, mut)
     for _ in range(3):
         got, *info, cost = step(phi, next(draws))
-        want, want_info = _reference_step(params, f, d, steps, phi, next(ref_draws))
+        table = np.vstack([np.clip(phi + steps, -1.0, 1.0), phi])
+        want, want_info = _reference_step(params, f, d, table, next(ref_draws))
         assert tuple(info) == want_info
         assert _stream_states(streams) == _stream_states(ref_streams)
         # the loss row of the next table, or of the incumbent when bottomed
@@ -370,11 +397,11 @@ def test_selnb_step_matches_a_row_by_row_reference(case, s, t, p, seed):
         phi = got
 
 
-# the 1.0 in the ids is the share of draws that go to a neighbour: all of them
+# the 1.0 in the ids is the share of draws that go to a table row: all of them
 @pytest.mark.parametrize("s", [pytest.param(s, id=f"1.0-{s}") for s in (None, 400)])
 def test_selnb_step_on_a_negative_zero_incumbent_matches_the_reference(s):
-    # the zero step row is phi + 0.0, which turns -0.0 into 0.0; the incumbent
-    # row keeps phi's bytes, so the two are separate candidates
+    # the incumbent's row, the last, is phi + 0.0, which turns -0.0 into 0.0:
+    # the table holds the incumbent once, and not phi's own bytes
     n, eps = 3, 0.25
     domain = Domain(n)
     d = dist_random(domain, make_rng(4, 0, "d"))
@@ -382,15 +409,15 @@ def test_selnb_step_on_a_negative_zero_incumbent_matches_the_reference(s):
     gamma, gain = disjunction_params(n, eps)
     mut = disjunction_mutator(n, eps)
     phi = np.array([-0.0, 0.0, -0.0, 0.5, -0.0, -1.0, 1.0, -0.0])
-    table = mut.table(phi, eps)
-    assert table[n + 2].tobytes() == phi.tobytes()
-    assert table[n].tobytes() == (phi + 0.0).tobytes() != phi.tobytes()
+    table = mut.table(phi)
+    assert len(table) == n + 2
+    assert table[n + 1].tobytes() == (phi + 0.0).tobytes() != phi.tobytes()
     params = SelNBParams(t=gain, p=12, s=s)
-    step = selnb(params, f, d, mut, eps)
+    step = selnb(params, f, d, mut)
     for seed in range(20):
         got, *info, _ = step(phi, _draws(mut, params, d, seed))
         want, want_info = _reference_step(
-            params, f, d, _disjunction_steps(domain, gamma), phi,
+            params, f, d, np.clip(phi + _disjunction_steps(domain, gamma), -1.0, 1.0),
             next(_reference_draws(mut.k, params, d, 1, evolve_streams(seed, 0))))
         assert tuple(info) == want_info
         assert (got is None and want is None) or got.tobytes() == want.tobytes()
@@ -406,8 +433,8 @@ def _reference_run(params, f, d, steps, eps, g, phi, streams):
     start, columns = true_perf(phi), {name: [] for name in names}
     draws = _reference_draws(len(steps), params, d, g, streams)
     for gen in range(1, g + 1):
-        nxt, (v_r, outcome, bene, neut, _) = _reference_step(params, f, d, steps, phi,
-                                                              next(draws))
+        table = np.clip(phi + steps, -1.0, 1.0)
+        nxt, (v_r, outcome, bene, neut, _) = _reference_step(params, f, d, table, next(draws))
         phi = phi if nxt is None else nxt
         for name, value in zip(names, (true_perf(phi), v_r, outcome, bene, neut)):
             columns[name].append(value)
@@ -417,7 +444,7 @@ def _reference_run(params, f, d, steps, eps, g, phi, streams):
 
 
 @pytest.mark.parametrize("n, eps, g, pool, dist, bottoms", [
-    # the 1.0 in the ids is the share of draws that go to a neighbour: all of them
+    # the 1.0 in the ids is the share of draws that go to a table row: all of them
     *[pytest.param(3, 0.25, 2000, (60, s), dist, False, id=f"{dist}-1.0-{s}")
       for s in (None, 400) for dist in ("uniform", "random")],
     # two draws of five rows often miss the incumbent's: the run bottoms early
@@ -431,7 +458,7 @@ def test_evolve_run_matches_the_chained_reference_steps(n, eps, g, pool, dist, b
     f = make_disjunction(domain, [1, 3])
     gamma, gain = disjunction_params(n, eps)
     if pool == "lsq":
-        params, _ = disjunction_lsq_params(n, eps)
+        params, _, _ = disjunction_lsq_params(n, eps)
         assert (params.p, params.s) == (76, 7964684847)
     else:
         params = SelNBParams(t=gain, p=pool[0], s=pool[1])
@@ -439,7 +466,7 @@ def test_evolve_run_matches_the_chained_reference_steps(n, eps, g, pool, dist, b
     streams, ref_streams = evolve_streams(5, 0), evolve_streams(5, 0)
     trace = evolve_run(disjunction_mutator(n, eps), params, f, d, eps, g, r0, streams)
     want = _reference_run(params, f, d, _disjunction_steps(domain, gamma), eps, g,
-                          r0.values + 0.0, ref_streams)
+                          r0.values, ref_streams)
     assert list(trace.columns) == list(want.columns) == [
         "generation", "true_perf", "empirical_perf", "outcome", "bene_count", "neut_count"]
     for name, column in want.columns.items():
@@ -475,13 +502,17 @@ def test_evolve_run_bottom_marks_failure(domain3, uniform3):
     f = random_bool_fn(domain3, make_rng(13, 0, "f"))
     r0 = f
     drop = -f.values[None]
-    mut = NeighborhoodMutator(lambda phi, eps: drop, 1)
-    params = SelNBParams(t=0.05, p=4, s=None)
-    trace = evolve_run(mut, params, f, uniform3, 0.1, 5, r0, evolve_streams(0, 0))
+    mut = NeighborhoodMutator(lambda phi: drop, 2)
+    params = SelNBParams(t=0.05, p=1, s=None)
+    # the run stays neutral while its one draw is the incumbent and bottoms
+    # at the first draw of the drop
+    first = 1 + [c[0] for c, _, _ in generation_draws(mut, params, uniform3, 20,
+                                                     evolve_streams(0, 0))].index(1)
+    trace = evolve_run(mut, params, f, uniform3, 0.1, 20, r0, evolve_streams(0, 0))
     assert trace.bottomed
     assert not trace.reached_target
-    assert len(trace) == 1
-    assert trace.columns["outcome"] == ["bottom"]
+    assert len(trace) == first
+    assert trace.columns["outcome"] == ["neutral"] * (first - 1) + ["bottom"]
     with pytest.raises(UsageError):
         evolve_run(mut, params, f, uniform3, 0.1, 0, r0, evolve_streams(0, 0))
 
@@ -493,7 +524,7 @@ def test_evolve_run_keeps_its_loss_row_buffer_within_block_bytes():
     domain = Domain(16)
     d, f = dist_uniform(domain), make_disjunction(domain, [1])
     r0 = RealFn(domain, np.full(domain.size, -1.0))
-    mut = NeighborhoodMutator(lambda phi, eps: phi[None], 1)  # only itself: all neutral
+    mut = NeighborhoodMutator(lambda phi: phi[None], 2)  # a copy of itself: all neutral
     params = SelNBParams(t=0.05, p=1, s=None)
     tracemalloc.start()
     try:
@@ -583,15 +614,15 @@ def test_disjunction_neighborhood_structure(domain3):
     eps = 0.25
     gamma, _ = disjunction_params(3, eps)
     phi = np.zeros(8)
-    out = disjunction_mutator(3, eps).table(phi, eps)[:-1]  # the last row is phi again
-    assert out.shape == (5, 8)  # n coordinate moves, phi itself, the down-shift
+    out = disjunction_mutator(3, eps).table(phi)
+    assert out.shape == (5, 8)  # n coordinate moves, the down-shift, phi itself
     for i in (1, 2, 3):
         lifted = out[i - 1]
         mask = domain3.coordinate(i).astype(bool)
         np.testing.assert_allclose(lifted[mask], gamma)
         np.testing.assert_allclose(lifted[~mask], 0.0)
-    np.testing.assert_array_equal(out[3], phi)
-    np.testing.assert_allclose(out[4], -gamma)
+    np.testing.assert_allclose(out[3], -gamma)
+    np.testing.assert_array_equal(out[4], phi)
     with pytest.raises(UsageError):
         disjunction_mutator(3, 0.0)
 
@@ -600,23 +631,42 @@ def test_disjunction_neighborhood_saturates(domain3):
     eps = 0.25
     gamma, _ = disjunction_params(3, eps)
     top = np.ones(8)
-    out = disjunction_mutator(3, eps).table(top, eps)[:-1]
+    out = disjunction_mutator(3, eps).table(top)
     for i in range(3):
         np.testing.assert_array_equal(out[i], top)  # clamped
-    np.testing.assert_allclose(out[4], 1.0 - gamma)
+    np.testing.assert_allclose(out[3], 1.0 - gamma)
+    np.testing.assert_array_equal(out[4], top)
 
 
 def test_disjunction_mutator_binds_gamma_at_construction(domain3):
     mut = disjunction_mutator(3, 0.25)
     gamma, _ = disjunction_params(3, 0.25)
     phi = np.zeros(8)
-    table = mut.table(phi, 0.9)  # eps must not rescale
-    # the n+2 neighbours, then the incumbent
-    np.testing.assert_array_equal(table[:5], mut.table(phi, 0.25)[:-1])
-    np.testing.assert_array_equal(table[:5], np.clip(phi + _disjunction_steps(domain3, gamma),
-                                                     -1.0, 1.0))
-    np.testing.assert_array_equal(table[5], phi)
+    table = mut.table(phi)
+    # the n+2 neighbours, the incumbent last
+    np.testing.assert_array_equal(table, np.clip(phi + _disjunction_steps(domain3, gamma),
+                                                 -1.0, 1.0))
+    np.testing.assert_array_equal(table[4], phi)
     assert table.max() == gamma
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_disjunction_table_is_the_neighbourhood_with_the_incumbent_once_and_last(n):
+    eps = 0.25
+    domain = Domain(n)
+    gamma, _ = disjunction_params(n, eps)
+    mut = disjunction_mutator(n, eps)
+    # an interior phi: no move clamps, so every move changes it
+    phi = make_rng(18, n, "phi").uniform(-1.0 + 2 * gamma, 1.0 - 2 * gamma, domain.size)
+    table = mut.table(phi)
+    assert mut.k == len(table) == n + 2
+    want = [np.clip(phi + gamma * domain.coordinate(i), -1.0, 1.0) for i in range(1, n + 1)]
+    want += [np.clip(phi - gamma, -1.0, 1.0), phi]
+    assert [row.tobytes() for row in table] == [row.tobytes() for row in want]
+    assert all(row.tobytes() != table[-1].tobytes() for row in table[:-1])
+    # a generation draws and scores those n+2 rows and no other
+    counts, fitness, _ = _draws(mut, SelNBParams(t=0.1, p=10, s=1000), dist_uniform(domain), 0)
+    assert len(counts) == n + 2 and fitness.shape == (n + 2, domain.size)
 
 
 def test_sq_neighborhood_size_and_membership(domain3, uniform3):
@@ -693,7 +743,7 @@ def test_evolve_counts_must_be_integers_at_least_1(bad, domain3, uniform3):
     with pytest.raises(UsageError, match=re.escape(message)):
         evolve_lsq_params(0.01, 0.1, bad)
     f = random_bool_fn(domain3, make_rng(13, 0, "f"))
-    mut = NeighborhoodMutator(lambda phi, eps: -f.values[None], 1)
+    mut = NeighborhoodMutator(lambda phi: -f.values[None], 2)
     params = SelNBParams(t=0.05, p=4, s=None)
     message = f"generation count g must be an integer >= 1, got {bad!r}"
     with pytest.raises(UsageError, match=re.escape(message)):
@@ -704,5 +754,5 @@ def test_evolve_counts_must_be_integers_at_least_1(bad, domain3, uniform3):
 def test_disjunction_lsq_params_use_the_mutator_height(n, eps, theta):
     gamma, _ = disjunction_params(n, eps)
     k = disjunction_mutator(n, eps).k
-    assert disjunction_lsq_params(n, eps, theta) == \
-        evolve_lsq_params(gamma / 8.0 if theta is None else theta, eps, k)
+    used = gamma / 8.0 if theta is None else theta
+    assert disjunction_lsq_params(n, eps, theta) == (*evolve_lsq_params(used, eps, k), used)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import sqlab
 from sqlab import cli, harness, sqcore
 from sqlab.errors import InvariantBreachError, UsageError
+from sqlab.evolve import evolve_lsq_params
 from sqlab.fnspace import MAX_CLASS_N, MAX_N, Domain, dist_random, dist_to_text, random_real_fn
 from sqlab.oracles import MAX_SAMPLE_SIZE, SQOracle
 from sqlab.rng import make_rng
@@ -298,6 +299,24 @@ def test_evolve_outcome_histogram_in_the_manifest(tmp_path):
         assert counts == [sum(r["outcome"] == o for r in rows)
                           for o in ("beneficial", "neutral", "bottom")]
 
+
+
+@pytest.mark.parametrize("theta", [None, 0.01])
+def test_evolve_manifest_records_the_selection_parameters(tmp_path, theta):
+    # k, g, p, s, t and the theta used: --theta as given, or gamma/8 by default
+    data = dict(command="evolve", n=3, epsilon=0.3, seeds="0,1", out=str(tmp_path / "e"))
+    if theta is not None:
+        data["theta"] = theta
+    harness.execute(harness.make_config(data))
+    results = json.loads((tmp_path / "e" / "manifest.json").read_text())["results"]
+    used = 0.3 ** 1.5 / 21.0 / 8.0 if theta is None else theta
+    params, g = evolve_lsq_params(used, 0.3, 5)
+    assert len(results) == 2
+    for r in results:
+        assert (r["k"], r["g"], r["p"], r["s"]) == (5, g, params.p, params.s)
+        # manifest floats are printed at 12 significant digits
+        assert (r["t"], r["theta"]) == (float(f"{params.t:.12g}"), float(f"{used:.12g}"))
+        assert r["generations"] <= g
 
 def test_dim_and_agnostic_runs(tmp_path):
     arts, sums = harness.run_config(
