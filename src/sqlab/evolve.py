@@ -16,8 +16,10 @@ then pick frequency-weighted from the beneficial tier if nonempty, else
 from the neutral tier, else fail the run.
 
 A run draws from three streams, one per purpose (mutation rows, fitness
-count rows, the pick uniform), each in blocks of generations: per-call
-draws, not arithmetic, dominate a generation's cost.
+count rows, the pick uniform), each in blocks of generations, and selects
+a block at a time, in one loop on buffers allocated once a run: per-call
+draws and per-call interpreter work, not arithmetic, dominate a
+generation's cost.
 
 Empirical fitness draws a multinomial count vector over the (explicit)
 domain, which is distribution-identical to averaging s i.i.d. point draws
@@ -27,13 +29,12 @@ but costs O(2^n) regardless of s -- the prescribed sample sizes reach 1e9+.
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
-from .errors import ThetaExceedsEpsError, UsageError
-from .fnspace import Domain, is_int, sign_of
+from .errors import DomainMismatchError, ThetaExceedsEpsError, UsageError
+from .fnspace import Domain, _check_domains, is_int, sign_of
 from .fnspace import project_unit  # noqa: F401 -- unused here; perfbench's tracer patches it
 from .rng import make_rng
 
@@ -57,9 +58,12 @@ def lperf(f, phi, d):
 
 
 class _Mutator:
-    """A uniform draw from a neighbourhood of fixed height k.  table(phi)
-    gives the (k, 2^n) table of the neighbours of the incumbent table phi,
-    the incumbent itself as the last row."""
+    """A uniform draw from a neighbourhood of fixed height k.  table(phi, out)
+    writes the (k, 2^n) table of the neighbours of the incumbent table phi,
+    the incumbent itself as the last row, into out.  `width` is the row
+    length the mutator was built for, or None when only its table can tell."""
+
+    width = None
 
     def __init__(self, k):
         if k < 1:
@@ -69,18 +73,25 @@ class _Mutator:
 
 class NeighborhoodMutator(_Mutator):
     """neigh_fn(phi) returns the (k-1, 2^n) table of the other neighbours of
-    phi, and phi follows them as row k-1."""
+    phi, and phi's own bytes follow them as row k-1.  neigh_fn must be a
+    function of phi's values: evolve_run calls it again only when the
+    incumbent's bytes change."""
 
     def __init__(self, neigh_fn, k):
         super().__init__(k)
         self.neigh_fn = neigh_fn
 
-    def table(self, phi):
-        table = np.concatenate((self.neigh_fn(phi), phi[None]))
-        if len(table) != self.k:
-            raise UsageError(f"the neighbourhood has {len(table)} rows with phi; this "
+    def table(self, phi, out):
+        rows = self.neigh_fn(phi)
+        shape = np.shape(rows)
+        if shape[0] + 1 != self.k:
+            raise UsageError(f"the neighbourhood has {shape[0] + 1} rows with phi; this "
                              f"mutator was built for k = {self.k}")
-        return table
+        if shape[1:] != out.shape[1:]:
+            raise DomainMismatchError(f"the neighbourhood's rows have shape {shape[1:]}, "
+                                      f"its table's {out.shape[1:]}")
+        out[:-1] = rows
+        out[-1] = phi
 
 
 class StepMutator(_Mutator):
@@ -92,19 +103,18 @@ class StepMutator(_Mutator):
 
     def __init__(self, steps):
         super().__init__(len(steps))
-        self.steps = steps
+        self.steps = steps + 0.0  # no -0.0 step: see selnb's rebuild rule
+        self.width = steps.shape[1]
 
-    def table(self, phi):
-        """phi copied into every row of a fresh array, the steps added and the
-        sums clamped in place (np.clip's wrapper costs more than the work).
-        A broadcast add costs about twice a same-shape one, and the broadcast
-        copy much less."""
-        out = np.empty(self.steps.shape)
+    def table(self, phi, out):
+        """phi copied into every row of out, the steps added and the sums
+        clamped in place (np.clip's wrapper costs more than the work).  A
+        broadcast add costs about twice the broadcast copy and a same-shape
+        add together."""
         out[...] = phi
-        np.add(out, self.steps, out=out)
+        np.add(out, self.steps, out)
         np.maximum(out, self._lo, out=out)
         np.minimum(out, self._hi, out=out)
-        return out
 
 
 @dataclass
@@ -152,11 +162,12 @@ def _row_counts(a, p, b, streams):
 
 
 def generation_draws(a, params, d, g, streams):
-    """Yield the random draws of g generations, one tuple per generation.
+    """Yield the random draws of g generations, one draw block at a time.
 
-    A tuple is (counts, fitness, pick): the k table rows' draw counts; the
-    (k, 2^n) float64 multinomial point-count rows that score each table row
-    (None for exact fitness); and the pick uniform.
+    A block of b generations is (counts, fitness, picks): b lists of the k
+    table rows' draw counts; the (b, k, 2^n) float64 multinomial point-count
+    rows that score each table row (None for exact fitness); and b pick
+    uniforms, as a list.
     Each stream is drawn in blocks of up to BLOCK generations, all with the
     same block boundaries, so a run's draws depend on (a, params, d, g,
     streams) alone.
@@ -169,89 +180,142 @@ def generation_draws(a, params, d, g, streams):
         # resident set at the per-generation draws' level
         counts = _row_counts(a, p, b, streams)  # frees its index block on return
         fitness = None  # frees the last block's rows before the next is drawn
-        fitness = repeat(None, b) if s is None else \
-            streams["fitness"].multinomial(s, w, size=(b, k)).astype(np.float64)
-        yield from zip(counts, fitness, streams["pick"].random(b).tolist())
+        if s is not None:
+            fitness = streams["fitness"].multinomial(s, w, size=(b, k)).astype(np.float64)
+        yield counts, fitness, streams["pick"].random(b).tolist()
 
 
 def selnb(params, f, d, a):
     """Tolerance-t selection for one run towards the ideal f under D, on the
-    mutator a: returns that run's selnb_step, with the run's constants (f's
-    values, the weights, the fitness scale, k, the row width, t and a's
-    table) read once here."""
+    mutator a: returns that run's block runner, with the run's constants (f's
+    values, the weights, the fitness scale, k and t) read and its table
+    buffers allocated once here.
+
+    run(phi, counts, fitness, picks, losses) runs the generations of one
+    draw block of generation_draws from the incumbent table phi, and writes
+    the loss row of each generation's selected table (the incumbent's when
+    the generation bottomed) into the rows of losses.  It returns (the next
+    incumbent as a fresh array, or None when the block bottomed; the block's
+    columns: the incumbent's fitness estimate, outcome, beneficial, neutral
+    and distinct candidates, one entry a generation up to a bottom).
+
+    One generation: every row of the k-row table gets its weighted loss
+    against its own count row (against D's weights for exact fitness).
+    Drawn rows with identical bytes are one candidate, scored by its first
+    drawn row; a row equal to the last, the incumbent, joins the incumbent's
+    candidate, scored by the last row whether or not that row is drawn.  A
+    candidate is beneficial when its fitness beats the incumbent's by t and
+    neutral when it is within t.  The next table is picked
+    frequency-weighted, by draw count, from the beneficial tier if nonempty,
+    else from the neutral tier; outcome is "beneficial", "neutral" or, with
+    both tiers empty, "bottom".
+
+    The table, its loss rows, its row keys and, for exact fitness, its
+    fitness sums are rebuilt only when the incumbent's bytes differ from the
+    table's last row.  That is exact: a NeighborhoodMutator's last row holds
+    phi's own bytes, and its neigh_fn is a function of phi's values; a
+    StepMutator's last row is clamp(phi + 0), and clamp(clamp(phi + 0) + s)
+    == clamp(phi + s) for phi in [-1, 1] and steps s without -0.0.
+
+    Neighbourhoods are a handful of rows, so the bookkeeping runs on Python
+    ints and floats, in table-row order.
+    """
     fv, w, t, k, table_of = f.values, d.weights, params.t, a.k, a.table
+    exact = params.s is None
+    scale = 4.0 if exact else params.s * 4.0  # see _fitness
     # f's values in every table row: a broadcast subtract costs about twice
     # a same-shape one
     fv_rows = np.tile(fv, (k, 1))
-    scale = 4.0 if params.s is None else params.s * 4.0  # see _fitness
-    row_bytes = np.dtype((np.void, fv.nbytes))  # one table row as one bytes object
+    costs = np.empty_like(fv_rows)
+    # two table buffers, so a table is built from a row of the other one;
+    # the buffers, their rows, their loss rows and their rows' bytes (one
+    # void item a row) are views made once here, not once a generation
+    tables = list(np.empty((2, k, len(fv))))
+    table_rows = [list(table) for table in tables]
+    row_keys = [table.view(np.dtype((np.void, fv.nbytes))).ravel() for table in tables]
+    cost_rows = list(costs)
+    rows = range(k)
 
-    def selnb_step(phi, draws):
-        """One generation from the incumbent table phi, on that generation's
-        `draws` from generation_draws: (the next table or None, the
-        incumbent's fitness estimate, outcome, beneficial and neutral
-        candidates, distinct candidates, the loss row of the next table or,
-        when bottomed, of the incumbent).
+    def build(phi, cur):
+        """Write the table of phi into buffer cur and its loss rows into
+        costs; returns its row keys and, for exact fitness, its weighted
+        loss sums and the incumbent's fitness."""
+        table = tables[cur]
+        table_of(phi, table)
+        np.subtract(table, fv_rows, costs)
+        np.multiply(costs, costs, costs)
+        keys = row_keys[cur].tolist()
+        if not exact:
+            return keys, None, None
+        sums = np.vecdot(w, costs).tolist()
+        return keys, sums, 1.0 - 2.0 * sums[-1] / scale
 
-        Every row of the k-row table gets its weighted loss against its own
-        count row (against D's weights for exact fitness).  Drawn rows with
-        identical bytes are one candidate, scored by its first row; a row
-        equal to the last, the incumbent, joins the incumbent's candidate,
-        scored by the last row whether or not that row is drawn.  A
-        candidate is beneficial when its fitness beats the incumbent's by t
-        and neutral when it is within t.  The next table is picked
-        frequency-weighted, by draw count, from the beneficial tier if
-        nonempty, else from the neutral tier; outcome is "beneficial",
-        "neutral" or, with both tiers empty, "bottom".
+    # the current table's buffer, and what build returned for it (no keys
+    # before the first call)
+    state = [0, None, None, None]
 
-        Neighbourhoods are a handful of rows, so the bookkeeping runs on
-        Python ints and floats, in table-row order.
-        """
-        counts, fitness, u = draws
-        table = table_of(phi)
-        costs = _loss(fv_rows, table)
-        sums = np.vecdot(w if fitness is None else fitness, costs).tolist()
-        keys = table.view(row_bytes).ravel().tolist()
+    def run(phi, counts, fitness, picks, losses):
+        cur, keys, sums, v_r = state
+        if keys is None or phi.tobytes() != keys[-1]:
+            keys, sums, v_r = build(phi, cur)
         mine = keys[-1]
-        v_r = _fitness(sums[-1], scale)
-        bar = v_r + t
-        groups = {}  # row bytes -> [first row drawn, draws, scored row]
-        # a candidate's tiers follow from its fitness, so it joins them when
-        # first drawn; two separate tests: rounding can let a row pass both
-        bene, neut = [], []
-        for j, c, key in zip(range(k), counts, keys):
-            if c:
-                grp = groups.get(key)
-                if grp is not None:
-                    grp[1] += c
-                    continue
-                if key == mine:
-                    grp = groups[key] = [j, c, k - 1]
-                    v = v_r
-                else:
-                    grp = groups[key] = [j, c, j]
-                    v = _fitness(sums[j], scale)
-                if v >= bar:
-                    bene.append(grp)
-                if abs(v - v_r) < t:
-                    neut.append(grp)
-        if bene:
-            tier, outcome = bene, "beneficial"
-        elif neut:
-            tier, outcome = neut, "neutral"
-        else:
-            return None, v_r, "bottom", 0, 0, len(groups), costs[-1]
-        # the first candidate whose running draw count passes u times the
-        # tier's, or the last if rounding lets none pass
-        x, drawn = u * sum([grp[1] for grp in tier]), 0
-        for grp in tier:
-            drawn += grp[1]
-            if drawn > x:
+        empirical, outcomes, benes, neuts, distinct = columns = [], [], [], [], []
+        for i, c in enumerate(counts):
+            if not exact:
+                sums = np.vecdot(fitness[i], costs).tolist()
+                v_r = 1.0 - 2.0 * sums[-1] / scale
+            bar = v_r + t
+            groups = {}  # row bytes -> [first row drawn, draws]
+            # a candidate's tiers follow from its fitness, so it joins them
+            # when first drawn; two separate tests: rounding can let a row
+            # pass both
+            bene, neut = [], []
+            for j, cj, key in zip(rows, c, keys):
+                if cj:
+                    grp = groups.get(key)
+                    if grp is not None:
+                        grp[1] += cj
+                        continue
+                    grp = groups[key] = [j, cj]
+                    v = v_r if key == mine else 1.0 - 2.0 * sums[j] / scale
+                    if v >= bar:
+                        bene.append(grp)
+                    if abs(v - v_r) < t:
+                        neut.append(grp)
+            empirical.append(v_r)
+            distinct.append(len(groups))
+            if bene:
+                tier, outcome = bene, "beneficial"
+            elif neut:
+                tier, outcome = neut, "neutral"
+            else:
+                losses[i] = cost_rows[-1]
+                outcomes.append("bottom")
+                benes.append(0)
+                neuts.append(0)
+                phi = None
                 break
-        j, _, r = grp
-        return table[j], v_r, outcome, len(bene), len(neut), len(groups), costs[r]
+            outcomes.append(outcome)
+            benes.append(len(bene))
+            neuts.append(len(neut))
+            # the first candidate whose running draw count passes u times the
+            # tier's, or the last if rounding lets none pass
+            x, drawn = picks[i] * sum([grp[1] for grp in tier]), 0
+            for grp in tier:
+                drawn += grp[1]
+                if drawn > x:
+                    break
+            j = grp[0]
+            losses[i] = cost_rows[j]
+            phi = table_rows[cur][j]
+            if keys[j] != mine:
+                cur = 1 - cur
+                keys, sums, v_r = build(phi, cur)
+                mine = keys[-1]
+        state[:] = cur, keys, sums, v_r
+        return None if phi is None else phi.copy(), columns
 
-    return selnb_step
+    return run
 
 
 class EvolutionTrace:
@@ -266,7 +330,9 @@ class EvolutionTrace:
     step bottomed out).
     reached_target is judged on the final generation's true fitness;
     monotone_vs_start audits the no-regression clause exactly, while
-    monotone_within_slack allows per-step slack t.  `outcomes` counts the
+    monotone_within_slack allows per-step slack t: slack_breaches counts the
+    generations whose true perf dropped by more than t + 1e-12, and the
+    flag is slack_breaches == 0.  `outcomes` counts the
     beneficial, neutral and bottom generations.
     """
 
@@ -280,7 +346,8 @@ class EvolutionTrace:
         self.final_perf = float(trail[-1]) if len(trail) else start_perf
         self.reached_target = (not self.bottomed) and self.final_perf > 1 - eps
         path = np.concatenate(([start_perf], trail))
-        self.monotone_within_slack = bool(np.all(path[1:] >= path[:-1] - t - 1e-12))
+        self.slack_breaches = int(np.count_nonzero(path[1:] < path[:-1] - t - 1e-12))
+        self.monotone_within_slack = self.slack_breaches == 0
         self.monotone_vs_start = bool(np.all(trail >= start_perf - 1e-12))
         tally = Counter(outcome)
         self.outcomes = {k: tally[k] for k in ("beneficial", "neutral", "bottom")}
@@ -294,29 +361,28 @@ def evolve_run(a, params, f, d, eps, g, r0, streams):
     r0, on the per-purpose `streams` of evolve_streams."""
     if not (is_int(g) and g >= 1):  # a bool would pass as 1
         raise UsageError(f"generation count g must be an integer >= 1, got {g!r}")
+    _check_domains(d, f, r0)
+    if a.width not in (None, d.domain.size):
+        raise DomainMismatchError(f"mutator rows of {a.width} points used with distribution "
+                                  f"over n={d.domain.n} ({d.domain.size} points)")
     phi, w = r0.values, d.weights
     start = lperf(f, r0, d)
-    step = selnb(params, f, d, a)
-    # the selected loss rows of up to one draw block
-    block = min(_block_size(a, params, d), g)
-    chosen = np.empty((block, len(phi)))
+    run = selnb(params, f, d, a)
+    # the selected loss rows of one draw block
+    chosen = np.empty((min(_block_size(a, params, d), g), len(phi)))
     true_perf = np.empty(g)
-    empirical, outcomes, bene, neut = [], [], [], []
-    done = 0  # generations whose true_perf is filled
-    for gen, draws in enumerate(generation_draws(a, params, d, g, streams), 1):
-        nxt, v_r, outcome, b, nt, _, cost = step(phi, draws)
-        chosen[gen - done - 1] = cost
-        empirical.append(v_r)
-        outcomes.append(outcome)
-        bene.append(b)
-        neut.append(nt)
-        if nxt is None or gen - done == block or gen == g:
-            # the exact fitness of the block's selected rows, from one vecdot
-            true_perf[done:gen] = _fitness(np.vecdot(w, chosen[:gen - done]), 4.0)
-            done = gen
-        if nxt is None:
+    empirical, outcomes, bene, neut = columns = [], [], [], []
+    done = 0  # generations run
+    for counts, fitness, picks in generation_draws(a, params, d, g, streams):
+        phi, block = run(phi, counts, fitness, picks, chosen)
+        b = len(block[0])
+        # the exact fitness of the block's selected rows, from one vecdot
+        true_perf[done:done + b] = _fitness(np.vecdot(w, chosen[:b]), 4.0)
+        done += b
+        for column, part in zip(columns, block):
+            column += part
+        if phi is None:
             break
-        phi = nxt
     return EvolutionTrace({"true_perf": true_perf[:done], "empirical_perf": empirical,
                            "outcome": outcomes, "bene_count": bene, "neut_count": neut},
                           start, eps, params.t)

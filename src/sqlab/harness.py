@@ -465,6 +465,7 @@ def _evolve_one(cfg, k, master):
         "k": mutator.k, "g": g, "p": params.p, "s": params.s, "t": params.t, "theta": theta,
         "reached_target": trace.reached_target,
         "monotone_within_slack": trace.monotone_within_slack,
+        "slack_breaches": trace.slack_breaches,
         "monotone_vs_start": trace.monotone_vs_start,
         "final_perf": trace.final_perf,
         "generations": len(trace),

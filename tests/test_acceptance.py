@@ -228,6 +228,7 @@ def test_criterion_06_disjunction_neighborhood_gains_or_is_done():
         for eps in (0.2, 0.1):
             _, gain = disjunction_params(n, eps)
             mutator = disjunction_mutator(n, eps)
+            table = np.empty((mutator.k, domain.size))
             for j in range(200):
                 rng = make_rng(7000 + j, n * 10 + int(eps * 10), "triple")
                 d = dist_random(domain, rng)
@@ -236,10 +237,8 @@ def test_criterion_06_disjunction_neighborhood_gains_or_is_done():
                 phi = random_real_fn(domain, rng)
                 base = lperf(f, phi, d)
                 need = min(base + gain, 1.0 - eps)
-                best = max(
-                    lperf(f, RealFn(domain, row), d)
-                    for row in mutator.table(phi.values)  # the n+2 neighbours, phi last
-                )
+                mutator.table(phi.values, table)  # the n+2 neighbours, phi last
+                best = max(lperf(f, RealFn(domain, row), d) for row in table)
                 total += 1
                 worst_slack = min(worst_slack, best - need)
                 bad += best < need - 1e-12

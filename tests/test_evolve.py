@@ -1,13 +1,14 @@
 import math
 import re
 import tracemalloc
+from itertools import repeat
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlab.errors import ThetaExceedsEpsError, UsageError
+from sqlab.errors import DomainMismatchError, ThetaExceedsEpsError, UsageError
 from sqlab.evolve import (
     BLOCK,
     BLOCK_BYTES,
@@ -15,6 +16,7 @@ from sqlab.evolve import (
     EvolutionTrace,
     NeighborhoodMutator,
     SelNBParams,
+    StepMutator,
     disjunction_lsq_params,
     disjunction_mutator,
     disjunction_params,
@@ -67,16 +69,49 @@ def test_lperf_quadratic_distance_identity(domain3, uniform3):
         assert gap == pytest.approx(float(uniform3.weights @ (diff * diff)), abs=1e-12)
 
 
+def _generations(blocks):
+    """The (counts, fitness count rows or None, pick) of each generation in
+    generation_draws' blocks."""
+    for counts, fitness, picks in blocks:
+        yield from zip(counts, repeat(None) if fitness is None else fitness, picks)
+
+
 def _draws(mut, params, d, seed):
     """The draws of one generation on the streams of run (seed, 0)."""
-    return next(generation_draws(mut, params, d, 1, evolve_streams(seed, 0)))
+    return next(_generations(generation_draws(mut, params, d, 1, evolve_streams(seed, 0))))
+
+
+def _stepper(params, f, d, mut):
+    """selnb's block runner driven one generation at a time: step(phi, draws)
+    gives (the next incumbent or None, the incumbent's fitness estimate,
+    outcome, beneficial, neutral and distinct candidates, the loss row the
+    runner wrote)."""
+    run = selnb(params, f, d, mut)
+
+    def step(phi, draws):
+        counts, fitness, u = draws
+        losses = np.full((1, len(phi)), np.nan)
+        nxt, columns = run(phi, [counts], None if fitness is None else fitness[None], [u],
+                           losses)
+        assert [len(column) for column in columns] == [1] * 5
+        return (nxt, *(column[0] for column in columns), losses[0])
+
+    return step
+
+
+def _table(mut, phi):
+    """The mutator's table of phi, in a fresh buffer."""
+    out = np.full((mut.k, len(phi)), np.nan)
+    mut.table(phi, out)
+    return out
 
 
 def _row_counts(mut, p, d, seed, g):
     """Draws per table row, summed over g generations of p draws each."""
     params = SelNBParams(t=0.1, p=p, s=None)
-    return np.sum([c for c, _, _ in generation_draws(mut, params, d, g,
-                                                     evolve_streams(seed, 0))], axis=0)
+    return np.sum([c for c, _, _ in _generations(generation_draws(mut, params, d, g,
+                                                                  evolve_streams(seed, 0)))],
+                  axis=0)
 
 
 def test_neighborhood_mutator_table_and_frequencies(domain3, uniform3):
@@ -84,7 +119,7 @@ def test_neighborhood_mutator_table_and_frequencies(domain3, uniform3):
     mut = NeighborhoodMutator(lambda phi: base, 4)
     phi = np.ones(8)
     # the three other neighbours, then the incumbent as row 3
-    np.testing.assert_array_equal(mut.table(phi), np.vstack([base, phi]))
+    np.testing.assert_array_equal(_table(mut, phi), np.vstack([base, phi]))
     counts = _row_counts(mut, 30, uniform3, 5, 1000)
     assert len(counts) == 4  # the incumbent, row 3, is drawn like the others
     assert counts.sum() == 30_000
@@ -100,19 +135,19 @@ def test_neighborhood_mutator_draws_its_appended_incumbent_at_rate_1_over_k(k, d
     f = random_bool_fn(domain3, make_rng(16, 0, "f"))
     mut = NeighborhoodMutator(lambda phi: np.tile(-f.values, (k - 1, 1)), k)
     params = SelNBParams(t=0.1, p=1, s=None)
-    step = selnb(params, f, uniform3, mut)
+    step = _stepper(params, f, uniform3, mut)
     g = 8000
     outcomes = [step(f.values, draws)[2] for draws in
-                generation_draws(mut, params, uniform3, g, evolve_streams(17, 0))]
+                _generations(generation_draws(mut, params, uniform3, g, evolve_streams(17, 0)))]
     assert outcomes.count("neutral") + outcomes.count("bottom") == g
     assert abs(outcomes.count("neutral") / g - 1 / k) < 0.02
 
 
 def test_neighborhood_mutator_height_is_fixed():
     mut = NeighborhoodMutator(lambda phi: np.zeros((len(phi) // 4, len(phi))), 3)
-    assert mut.table(np.zeros(8)).shape == (3, 8)
+    assert _table(mut, np.zeros(8)).shape == (3, 8)
     with pytest.raises(UsageError, match="4 rows with phi.*k = 3"):
-        mut.table(np.zeros(12))
+        _table(mut, np.zeros(12))
     with pytest.raises(UsageError):
         NeighborhoodMutator(lambda phi: np.zeros((0, 8)), 0)
     assert disjunction_mutator(3, 0.25).k == 5
@@ -148,7 +183,8 @@ def test_generation_draws_come_in_blocks_under_a_megabyte(n, s):
                for purpose, rng in evolve_streams(0, 0).items()}
     assert tuple(streams) == STREAMS == ("mutate", "fitness", "pick")
     g = 600
-    draws = list(generation_draws(mut, params, dist_uniform(domain), g, streams))
+    blocks = list(generation_draws(mut, params, dist_uniform(domain), g, streams))
+    draws = list(_generations(blocks))
     assert len(draws) == g
     k = n + 2
     for counts, fitness, pick in draws:
@@ -158,6 +194,7 @@ def test_generation_draws_come_in_blocks_under_a_megabyte(n, s):
     block = _block(k, params, dist_uniform(domain))
     assert block == (256 if n == 3 else 10)
     lengths = [block] * (g // block) + [g % block] * (g % block > 0)
+    assert [len(picks) for _, _, picks in blocks] == lengths
     assert logs["mutate"] == [("integers", (b, params.p)) for b in lengths]
     assert logs["pick"] == [("random", b) for b in lengths]
     assert logs["fitness"] == ([] if s is None else
@@ -178,7 +215,7 @@ def test_block_size_bounds_the_selected_loss_rows_at_exact_fitness():
     log = []
     streams = evolve_streams(0, 0)
     streams["mutate"] = _Recording(streams["mutate"], log)
-    assert len(list(generation_draws(mut, params, d, 70, streams))) == 70
+    assert len(list(_generations(generation_draws(mut, params, d, 70, streams)))) == 70
     assert log == [("integers", (b, params.p)) for b in (32, 32, 6)]
     # a sampled s scores k rows a generation, which bound the block already
     sampled = SelNBParams(t=0.1, p=50, s=1000)
@@ -207,7 +244,7 @@ def test_selnb_step_picks_beneficial(domain3, uniform3):
     phi0 = np.zeros(8)
     params = SelNBParams(t=0.01, p=40, s=None)
     for seed in range(10):
-        nxt, _, outcome, bene, _, _, _ = selnb(params, f, uniform3, mut)(
+        nxt, _, outcome, bene, _, _, _ = _stepper(params, f, uniform3, mut)(
             phi0, _draws(mut, params, uniform3, seed))
         assert outcome == "beneficial"
         assert bene == 1
@@ -219,7 +256,7 @@ def test_selnb_step_neutral_keeps_incumbent_reachable(domain3, uniform3):
     phi0 = np.zeros(8)
     mut = NeighborhoodMutator(lambda phi: phi[None], 2)  # a copy of itself, then itself
     params = SelNBParams(t=0.05, p=5, s=None)
-    nxt, v_incumbent, outcome, _, _, distinct, _ = selnb(params, f, uniform3, mut)(
+    nxt, v_incumbent, outcome, _, _, distinct, _ = _stepper(params, f, uniform3, mut)(
         phi0, _draws(mut, params, uniform3, 0))
     assert outcome == "neutral"
     assert distinct == 1  # the copy and the incumbent are one candidate
@@ -233,7 +270,7 @@ def test_selnb_step_bottom_returns_none(domain3, uniform3):
     drop = -f.values[None]  # fitness -1, below any tolerance
     mut = NeighborhoodMutator(lambda phi: drop, 2)
     params = SelNBParams(t=0.1, p=1, s=None)
-    step = selnb(params, f, uniform3, mut)
+    step = _stepper(params, f, uniform3, mut)
     # one draw: the incumbent, neutral to itself, or the drop, and then bottom
     outcomes = set()
     for seed in range(20):
@@ -258,7 +295,7 @@ def test_selnb_step_exact_mode_never_drops_beyond_tolerance(domain3, uniform3):
     mut = NeighborhoodMutator(lambda phi: neigh, 7)
     params = SelNBParams(t=0.07, p=12, s=None)
     phi = random_real_fn(domain3, rng).values
-    step = selnb(params, f, uniform3, mut)
+    step = _stepper(params, f, uniform3, mut)
     for seed in range(50):
         nxt, v_incumbent, *_ = step(phi, _draws(mut, params, uniform3, seed))
         if nxt is None:
@@ -283,7 +320,7 @@ def test_selnb_step_weights_by_frequency(domain3, uniform3):
     params = SelNBParams(t=0.05, p=64, s=None)
     picks_a = 0
     trials = 600
-    step = selnb(params, f, uniform3, skewed)
+    step = _stepper(params, f, uniform3, skewed)
     for seed in range(trials):
         nxt, _, outcome, bene, *_ = step(phi0, _draws(skewed, params, uniform3, seed))
         assert outcome == "beneficial" and bene == 2
@@ -379,9 +416,9 @@ def test_selnb_step_matches_a_row_by_row_reference(case, s, t, p, seed):
     params = SelNBParams(t=t, p=p, s=s)
     mut = NeighborhoodMutator(lambda phi: np.clip(phi + steps, -1.0, 1.0), len(steps) + 1)
     streams, ref_streams = evolve_streams(seed, 0), evolve_streams(seed, 0)
-    draws = generation_draws(mut, params, d, 3, streams)
+    draws = _generations(generation_draws(mut, params, d, 3, streams))
     ref_draws = _reference_draws(len(steps) + 1, params, d, 3, ref_streams)
-    step = selnb(params, f, d, mut)
+    step = _stepper(params, f, d, mut)
     for _ in range(3):
         got, *info, cost = step(phi, next(draws))
         table = np.vstack([np.clip(phi + steps, -1.0, 1.0), phi])
@@ -409,11 +446,11 @@ def test_selnb_step_on_a_negative_zero_incumbent_matches_the_reference(s):
     gamma, gain = disjunction_params(n, eps)
     mut = disjunction_mutator(n, eps)
     phi = np.array([-0.0, 0.0, -0.0, 0.5, -0.0, -1.0, 1.0, -0.0])
-    table = mut.table(phi)
+    table = _table(mut, phi)
     assert len(table) == n + 2
     assert table[n + 1].tobytes() == (phi + 0.0).tobytes() != phi.tobytes()
     params = SelNBParams(t=gain, p=12, s=s)
-    step = selnb(params, f, d, mut)
+    step = _stepper(params, f, d, mut)
     for seed in range(20):
         got, *info, _ = step(phi, _draws(mut, params, d, seed))
         want, want_info = _reference_step(
@@ -423,24 +460,46 @@ def test_selnb_step_on_a_negative_zero_incumbent_matches_the_reference(s):
         assert (got is None and want is None) or got.tobytes() == want.tobytes()
 
 
-def _reference_run(params, f, d, steps, eps, g, phi, streams):
-    """evolve_run as a chain of _reference_step generations, each appended
-    to the columns as it is taken."""
+def _reference_run(params, f, d, table_of, k, eps, g, phi, streams):
+    """evolve_run as a chain of _reference_step generations on the k-row
+    tables table_of(phi), each appended to the columns as it is taken.
+    Returns the trace and the number of generations whose pick differs in
+    bytes from the table's last row."""
     def true_perf(row):
         return 1.0 - 2.0 * float(np.dot(d.weights, (row - f.values) ** 2)) / 4.0
 
     names = ("true_perf", "empirical_perf", "outcome", "bene_count", "neut_count")
     start, columns = true_perf(phi), {name: [] for name in names}
-    draws = _reference_draws(len(steps), params, d, g, streams)
+    moves = 0
+    draws = _reference_draws(k, params, d, g, streams)
     for gen in range(1, g + 1):
-        table = np.clip(phi + steps, -1.0, 1.0)
+        table = table_of(phi)
         nxt, (v_r, outcome, bene, neut, _) = _reference_step(params, f, d, table, next(draws))
+        moves += nxt is not None and nxt.tobytes() != table[-1].tobytes()
         phi = phi if nxt is None else nxt
         for name, value in zip(names, (true_perf(phi), v_r, outcome, bene, neut)):
             columns[name].append(value)
         if nxt is None:
             break
-    return EvolutionTrace(columns, start, eps, params.t)
+    return EvolutionTrace(columns, start, eps, params.t), moves
+
+
+def _clamped(steps):
+    """The table function clamp(phi + steps), one row per step."""
+    return lambda phi: np.clip(phi + steps, -1.0, 1.0)
+
+
+def _assert_same_run(trace, want, streams, ref_streams):
+    """The trace equals the reference's, column by column and flag by flag,
+    and both left their streams in the same state."""
+    assert list(trace.columns) == list(want.columns) == [
+        "generation", "true_perf", "empirical_perf", "outcome", "bene_count", "neut_count"]
+    for name, column in want.columns.items():
+        assert trace.columns[name] == column, name
+    for flag in ("start_perf", "final_perf", "bottomed", "reached_target",
+                 "monotone_within_slack", "slack_breaches", "monotone_vs_start"):
+        assert getattr(trace, flag) == getattr(want, flag), flag
+    assert _stream_states(streams) == _stream_states(ref_streams)
 
 
 @pytest.mark.parametrize("n, eps, g, pool, dist, bottoms", [
@@ -465,20 +524,166 @@ def test_evolve_run_matches_the_chained_reference_steps(n, eps, g, pool, dist, b
     r0 = RealFn(domain, np.full(domain.size, -1.0))
     streams, ref_streams = evolve_streams(5, 0), evolve_streams(5, 0)
     trace = evolve_run(disjunction_mutator(n, eps), params, f, d, eps, g, r0, streams)
-    want = _reference_run(params, f, d, _disjunction_steps(domain, gamma), eps, g,
-                          r0.values, ref_streams)
-    assert list(trace.columns) == list(want.columns) == [
-        "generation", "true_perf", "empirical_perf", "outcome", "bene_count", "neut_count"]
-    for name, column in want.columns.items():
-        assert trace.columns[name] == column, name
+    want, _ = _reference_run(params, f, d, _clamped(_disjunction_steps(domain, gamma)), n + 2,
+                             eps, g, r0.values, ref_streams)
+    _assert_same_run(trace, want, streams, ref_streams)
     if bottoms:
         assert want.bottomed and len(trace) < g
     else:
         assert not want.bottomed and len(trace) == g
-    for flag in ("start_perf", "final_perf", "bottomed", "reached_target",
-                 "monotone_within_slack", "monotone_vs_start"):
-        assert getattr(trace, flag) == getattr(want, flag), flag
-    assert _stream_states(streams) == _stream_states(ref_streams)
+
+
+@pytest.mark.parametrize("s", [None, 400])
+def test_evolve_run_matches_the_reference_one_generation_past_a_block(s):
+    n, eps = 3, 0.25
+    domain = Domain(n)
+    d = dist_random(domain, make_rng(3, 0, "d"))
+    f = make_disjunction(domain, [1, 3])
+    gamma, gain = disjunction_params(n, eps)
+    mut = disjunction_mutator(n, eps)
+    params = SelNBParams(t=gain, p=60, s=s)
+    g = _block_size(mut, params, d) + 1
+    assert g == BLOCK + 1
+    r0 = RealFn(domain, np.full(domain.size, -1.0))
+    streams, ref_streams = evolve_streams(7, 0), evolve_streams(7, 0)
+    trace = evolve_run(mut, params, f, d, eps, g, r0, streams)
+    want, _ = _reference_run(params, f, d, _clamped(_disjunction_steps(domain, gamma)), n + 2,
+                             eps, g, r0.values, ref_streams)
+    _assert_same_run(trace, want, streams, ref_streams)
+    assert not want.bottomed and len(trace) == g
+
+
+@pytest.mark.parametrize("n, s", [(15, None), (13, 1000)])
+def test_evolve_run_matches_the_reference_when_a_later_block_bottoms_at_once(n, s):
+    # the drop, then two copies of the incumbent: one draw a generation keeps
+    # the incumbent, or draws the drop and bottoms.  n is large enough for a
+    # block of 4 generations
+    domain = Domain(n)
+    d, f = dist_uniform(domain), make_disjunction(domain, [1])
+    neigh = lambda phi: np.vstack([-f.values, phi, phi])
+    mut = NeighborhoodMutator(neigh, 4)
+    params = SelNBParams(t=0.05, p=1, s=s)
+    block = _block_size(mut, params, d)
+    assert block == 4
+    g = 5 * block
+
+    def first_drop(seed):
+        draws = _generations(generation_draws(mut, params, d, g, evolve_streams(seed, 0)))
+        return next((gen for gen, (counts, _, _) in enumerate(draws) if counts[0]), 0)
+
+    # the first seed whose first draw of the drop opens a block after the first
+    seed = next(seed for seed in range(200) if first_drop(seed) % block == 0 < first_drop(seed))
+    streams, ref_streams = evolve_streams(seed, 0), evolve_streams(seed, 0)
+    trace = evolve_run(mut, params, f, d, 0.1, g, f, streams)
+    want, _ = _reference_run(params, f, d, lambda phi: np.vstack([neigh(phi), phi]), 4, 0.1,
+                             g, f.values, ref_streams)
+    _assert_same_run(trace, want, streams, ref_streams)
+    assert want.bottomed and len(trace) == first_drop(seed) + 1
+    assert (len(trace) - 1) % block == 0
+    assert trace.columns["outcome"] == ["neutral"] * (len(trace) - 1) + ["bottom"]
+
+
+@pytest.mark.parametrize("s", [None, 400])
+def test_a_neighbourhood_is_built_once_per_incumbent(s):
+    # neigh_fn runs once at the start, then once for each generation whose
+    # pick differs in bytes from the incumbent row, across blocks
+    n, eps = 3, 0.25
+    domain = Domain(n)
+    d = dist_random(domain, make_rng(3, 0, "d"))
+    f = make_disjunction(domain, [1, 3])
+    gamma, _ = disjunction_params(n, eps)
+    moves = _disjunction_steps(domain, gamma)[:-1]  # phi's own bytes come last
+    calls = []
+
+    def neigh(phi):
+        calls.append(phi.tobytes())
+        return np.clip(phi + moves, -1.0, 1.0)
+
+    mut = NeighborhoodMutator(neigh, n + 2)
+    # a tolerance past most steps' gain: neutral picks keep the incumbent
+    params = SelNBParams(t=0.01, p=60, s=s)
+    g = 2 * _block_size(mut, params, d) + 50
+    r0 = RealFn(domain, np.full(domain.size, -1.0))
+    streams, ref_streams = evolve_streams(6, 0), evolve_streams(6, 0)
+    trace = evolve_run(mut, params, f, d, eps, g, r0, streams)
+    want, changes = _reference_run(params, f, d,
+                                   lambda phi: np.vstack([_clamped(moves)(phi), phi]), n + 2,
+                                   eps, g, r0.values, ref_streams)
+    _assert_same_run(trace, want, streams, ref_streams)
+    assert len(trace) == g and 0 < changes < g  # the incumbent both moves and stays
+    assert len(calls) == 1 + changes
+    assert calls[0] == r0.values.tobytes()
+    assert all(a != b for a, b in zip(calls, calls[1:]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 3), data=st.data())
+def test_a_table_is_the_table_of_its_own_last_row(n, data):
+    # the rule that lets the runner keep its table when a pick keeps the
+    # incumbent, on signed zeros in phi, in the steps and in the zero step
+    size = 1 << n
+    phi = np.array(data.draw(st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]),
+                                      min_size=size, max_size=size)))
+    step = st.sampled_from([-3.0, -0.25, -0.0, 0.0, 0.25, 3.0])
+    moves = data.draw(st.lists(st.lists(step, min_size=size, max_size=size),
+                               min_size=1, max_size=4))
+    zero = data.draw(st.lists(st.sampled_from([-0.0, 0.0]), min_size=size, max_size=size))
+    steps = np.array(moves + [zero])
+    for mut in (StepMutator(steps), NeighborhoodMutator(_clamped(steps[:-1]), len(steps))):
+        table = _table(mut, phi)
+        assert _table(mut, table[-1]).tobytes() == table.tobytes()
+    # a StepMutator reads its steps as values: a -0.0 step is the zero step
+    assert _table(StepMutator(steps), phi).tobytes() == \
+        np.clip(phi + (steps + 0.0), -1.0, 1.0).tobytes()
+
+
+def test_the_runner_returns_no_view_of_a_buffer_it_writes_again():
+    # three blocks on one runner: what the first call returned, and the loss
+    # rows it wrote, stay as they were while the next two rebuild its tables
+    n, eps = 3, 0.25
+    domain = Domain(n)
+    d = dist_uniform(domain)
+    f = make_disjunction(domain, [1, 3])
+    gamma, gain = disjunction_params(n, eps)
+    mut = disjunction_mutator(n, eps)
+    params = SelNBParams(t=gain, p=30, s=400)
+    run = selnb(params, f, d, mut)
+    phi = np.full(domain.size, -1.0)
+    returned = []
+    for counts, fitness, picks in generation_draws(mut, params, d, 3 * BLOCK,
+                                                   evolve_streams(9, 0)):
+        losses = np.empty((len(picks), domain.size))
+        phi, columns = run(phi, counts, fitness, picks, losses)
+        assert phi is not None and [len(column) for column in columns] == [BLOCK] * 5
+        returned.append((phi, losses, columns,
+                         (phi.copy(), losses.copy(), [list(c) for c in columns])))
+    assert len({phi.tobytes() for phi, *_ in returned}) == 3  # the incumbent moved each time
+    for phi, losses, columns, (phi0, losses0, columns0) in returned:
+        assert phi.tobytes() == phi0.tobytes()
+        assert losses.tobytes() == losses0.tobytes()
+        assert list(columns) == columns0
+    # the last loss row of a block is its incumbent's
+    assert returned[0][1][-1].tobytes() == ((returned[0][0] - f.values) ** 2).tobytes()
+
+
+def test_evolve_run_on_mismatched_domains_names_both_sizes():
+    d3, d4 = Domain(3), Domain(4)
+    f, d = make_disjunction(d4, [1]), dist_uniform(d4)
+    r0 = RealFn(d4, np.full(16, -1.0))
+    params = SelNBParams(t=0.01, p=4, s=None)
+    streams = evolve_streams(0, 0)
+    # a mutator built for n = 3 used to die on a broadcast of 16 entries into (5, 8)
+    with pytest.raises(DomainMismatchError, match=r"rows of 8 points .* n=4 \(16 points\)"):
+        evolve_run(disjunction_mutator(3, 0.25), params, f, d, 0.25, 10, r0, streams)
+    mut = disjunction_mutator(4, 0.25)
+    with pytest.raises(DomainMismatchError, match="over n=3 used with distribution over n=4"):
+        evolve_run(mut, params, make_disjunction(d3, [1]), d, 0.25, 10, r0, streams)
+    with pytest.raises(DomainMismatchError, match="over n=3 used with distribution over n=4"):
+        evolve_run(mut, params, f, d, 0.25, 10, RealFn(d3, np.zeros(8)), streams)
+    # a neighbourhood's width shows only in its rows
+    narrow = NeighborhoodMutator(lambda phi: np.zeros((1, 8)), 2)
+    with pytest.raises(DomainMismatchError, match=r"rows have shape \(8,\), its table's \(16,\)"):
+        evolve_run(narrow, params, f, d, 0.25, 10, r0, streams)
 
 
 def test_evolve_run_reaches_target_with_exact_fitness(domain3, uniform3):
@@ -506,8 +711,8 @@ def test_evolve_run_bottom_marks_failure(domain3, uniform3):
     params = SelNBParams(t=0.05, p=1, s=None)
     # the run stays neutral while its one draw is the incumbent and bottoms
     # at the first draw of the drop
-    first = 1 + [c[0] for c, _, _ in generation_draws(mut, params, uniform3, 20,
-                                                     evolve_streams(0, 0))].index(1)
+    first = 1 + [c[0] for c, _, _ in _generations(generation_draws(
+        mut, params, uniform3, 20, evolve_streams(0, 0)))].index(1)
     trace = evolve_run(mut, params, f, uniform3, 0.1, 20, r0, evolve_streams(0, 0))
     assert trace.bottomed
     assert not trace.reached_target
@@ -533,8 +738,9 @@ def test_evolve_run_keeps_its_loss_row_buffer_within_block_bytes():
     finally:
         tracemalloc.stop()
     assert len(trace) == 64 and trace.outcomes["neutral"] == 64
-    # about 8 MiB: the step's table, its bytes and loss rows, the buffer and a
-    # few 2^n vectors; a buffer of all 64 generations would alone take 32 MiB
+    # about 8 MiB: the runner's two tables, its loss rows and row keys, the
+    # buffer and a few 2^n vectors; a buffer of all 64 generations would
+    # alone take 32 MiB
     assert peak < 16 * BLOCK_BYTES
 
 def test_evolution_trace_monotonicity_flags():
@@ -542,8 +748,10 @@ def test_evolution_trace_monotonicity_flags():
     tr = EvolutionTrace(columns, start_perf=0.1, eps=0.5, t=0.06)
     assert tr.monotone_vs_start  # never below the start
     assert tr.monotone_within_slack  # 0.4 -> 0.35 within t
+    assert tr.slack_breaches == 0
     tr2 = EvolutionTrace(columns, start_perf=0.1, eps=0.5, t=0.01)
     assert not tr2.monotone_within_slack
+    assert tr2.slack_breaches == 1
     tr3 = EvolutionTrace(columns, start_perf=0.39, eps=0.5, t=0.06)
     assert not tr3.monotone_vs_start
 
@@ -560,6 +768,7 @@ def _reference_flags(trail, outcome, start_perf, eps, t):
         "reached_target": (not bottomed) and final > 1 - eps,
         "monotone_within_slack": all(path[i + 1] >= path[i] - t - 1e-12
                                      for i in range(len(path) - 1)),
+        "slack_breaches": sum(path[i + 1] < path[i] - t - 1e-12 for i in range(len(path) - 1)),
         "monotone_vs_start": all(v >= start_perf - 1e-12 for v in trail),
         "outcomes": {o: outcome.count(o) for o in ("beneficial", "neutral", "bottom")},
     }
@@ -614,7 +823,7 @@ def test_disjunction_neighborhood_structure(domain3):
     eps = 0.25
     gamma, _ = disjunction_params(3, eps)
     phi = np.zeros(8)
-    out = disjunction_mutator(3, eps).table(phi)
+    out = _table(disjunction_mutator(3, eps), phi)
     assert out.shape == (5, 8)  # n coordinate moves, the down-shift, phi itself
     for i in (1, 2, 3):
         lifted = out[i - 1]
@@ -631,7 +840,7 @@ def test_disjunction_neighborhood_saturates(domain3):
     eps = 0.25
     gamma, _ = disjunction_params(3, eps)
     top = np.ones(8)
-    out = disjunction_mutator(3, eps).table(top)
+    out = _table(disjunction_mutator(3, eps), top)
     for i in range(3):
         np.testing.assert_array_equal(out[i], top)  # clamped
     np.testing.assert_allclose(out[3], 1.0 - gamma)
@@ -642,7 +851,7 @@ def test_disjunction_mutator_binds_gamma_at_construction(domain3):
     mut = disjunction_mutator(3, 0.25)
     gamma, _ = disjunction_params(3, 0.25)
     phi = np.zeros(8)
-    table = mut.table(phi)
+    table = _table(mut, phi)
     # the n+2 neighbours, the incumbent last
     np.testing.assert_array_equal(table, np.clip(phi + _disjunction_steps(domain3, gamma),
                                                  -1.0, 1.0))
@@ -658,7 +867,7 @@ def test_disjunction_table_is_the_neighbourhood_with_the_incumbent_once_and_last
     mut = disjunction_mutator(n, eps)
     # an interior phi: no move clamps, so every move changes it
     phi = make_rng(18, n, "phi").uniform(-1.0 + 2 * gamma, 1.0 - 2 * gamma, domain.size)
-    table = mut.table(phi)
+    table = _table(mut, phi)
     assert mut.k == len(table) == n + 2
     want = [np.clip(phi + gamma * domain.coordinate(i), -1.0, 1.0) for i in range(1, n + 1)]
     want += [np.clip(phi - gamma, -1.0, 1.0), phi]

@@ -317,6 +317,9 @@ def test_evolve_manifest_records_the_selection_parameters(tmp_path, theta):
         # manifest floats are printed at 12 significant digits
         assert (r["t"], r["theta"]) == (float(f"{params.t:.12g}"), float(f"{used:.12g}"))
         assert r["generations"] <= g
+        # the generations whose true perf dropped by more than t, and the flag they decide
+        assert type(r["slack_breaches"]) is int and 0 <= r["slack_breaches"] <= g
+        assert r["monotone_within_slack"] == (r["slack_breaches"] == 0)
 
 def test_dim_and_agnostic_runs(tmp_path):
     arts, sums = harness.run_config(
