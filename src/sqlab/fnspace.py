@@ -291,27 +291,21 @@ def _index_set(domain, T):
 
 
 # A class over {0,1}^n has one member per index set T; member t (the bitmask of
-# T) is its row t.  In the +-1 domain, with literal lit_i = +1 iff
-# x_i = 1, each member folds one op over the literals of T from a start row:
-# the product for parities, the minimum for conjunctions (+1 iff every x_i = 1)
-# and the maximum for disjunctions (+1 iff some x_i = 1).  The start row is the
-# op's identity on +-1, so for T = S u U with S and U disjoint, member T is
-# op(member S, member U), exactly.
-_CLASS_OPS = {
-    "parities": (np.multiply, 1.0),
-    "conjunctions": (np.minimum, 1.0),
-    "disjunctions": (np.maximum, -1.0),
+# T) is its row t, and its entry at point p is one test of p against t: a
+# conjunction is +1 iff every x_i = 1 for i in T (p & t == t), a disjunction
+# iff some x_i = 1 (p & t != 0), and a parity chi_T = prod (2*x_i - 1) iff an
+# even number of i in T have x_i = 0 (popcount(~p & t) even).
+_MEMBER_TESTS = {
+    "parities": lambda p, t: np.bitwise_count(~p & t) & 1 == 0,
+    "conjunctions": lambda p, t: p & t == t,
+    "disjunctions": lambda p, t: p & t != 0,
 }
 
 
-def _fold(kind, n, variables):
+def _member(kind, n, t):
     """Read-only +-1 row over {0,1}^n of the member of class `kind` whose index
-    set is `variables`."""
-    op, start = _CLASS_OPS[kind]
-    points = np.arange(1 << n)
-    row = np.full(1 << n, start)
-    for i in variables:
-        op(row, np.where(points >> (i - 1) & 1, 1.0, -1.0), out=row)  # lit_i
+    set has the bitmask t."""
+    row = np.where(_MEMBER_TESTS[kind](np.arange(1 << n), t), 1.0, -1.0)
     row.flags.writeable = False
     return row
 
@@ -346,7 +340,7 @@ def _butterflies(x, step):
 
 def _signed_hadamard(a, b):
     # a, b <- a + b, b - a: the Walsh-Hadamard butterfly with chi_T's sign
-    # folded in, as a member with i in T takes lit_i = -1 where x_i = 0
+    # taken in, as chi_T has a factor -1 where x_i = 0 for each i in T
     diff = b - a
     a += b
     b[...] = diff
@@ -372,8 +366,8 @@ class ClassSet(FnSet):
     integer vectors small enough to sum exactly.  `gram(w)` reads every
     entry from c = correlate(w), c[U] = E_D[member U], with one lookup:
     c[S ^ T] for parities, 1 + 2c[S | T] - c[S] - c[T] for conjunctions and
-    1 - 2c[S | T] + c[S] + c[T] for disjunctions.  `row(i)` folds the op
-    over member i's literals, as make_parity and its siblings do.
+    1 - 2c[S | T] + c[S] + c[T] for disjunctions.  `row(i)` tests the
+    points against member i's mask, as make_parity and its siblings do.
     """
 
     __slots__ = ("_kind",)
@@ -387,8 +381,7 @@ class ClassSet(FnSet):
         return self.domain.size, self.domain.size
 
     def row(self, i):
-        t, n = range(len(self))[i], self.domain.n
-        return _fold(self._kind, n, [k + 1 for k in range(n) if t >> k & 1])
+        return _member(self._kind, self.domain.n, range(len(self))[i])
 
     def gram(self, w):
         # chi_S chi_T = chi_{S ^ T}.  A conjunction, or a disjunction negated (which
@@ -452,7 +445,8 @@ class StackSet(FnSet):
 
 def _class_member(kind, domain, T):
     """BoolFn of the one member of class `kind` with index set T."""
-    return BoolFn(domain, _fold(kind, domain.n, _index_set(domain, T)))
+    t = sum(1 << (i - 1) for i in _index_set(domain, T))
+    return BoolFn(domain, _member(kind, domain.n, t))
 
 
 def make_parity(domain, T):

@@ -167,8 +167,9 @@ class LearnerTrace:
 
 def _first_hit(fs, values, v, threshold):
     """(j, gamma) for the first row j of the FnSet `fs` with |gamma = values[j] -
-    row j @ v| >= threshold, else (None, None).  One pass reads every row."""
-    diffs = values - fs.correlate(v)
+    row j @ v| >= threshold, else (None, None).  One pass reads every row; v is
+    None for the zero vector, whose products are 0 and take no pass."""
+    diffs = values if v is None else values - fs.correlate(v)
     hits = np.flatnonzero(np.abs(diffs) >= threshold)
     if hits.size:
         return int(hits[0]), float(diffs[hits[0]])
@@ -183,7 +184,8 @@ def projected_learner(gen, oracle, tau):
     every member at tolerance `tau` and picks the FIRST g whose answer v(g)
     satisfies |v(g) - <psi_i, g>_D| >= 3*tau; then psi_{i+1} is the clamp of
     psi_i + gamma_i*g with gamma_i = v(g) - <psi_i, g>_D.  Halts with
-    "converged" when no member qualifies, outputting sign(psi_i).
+    "converged" when no member qualifies, outputting sign(psi_i).  Round 0
+    takes <psi_0, g>_D = 0 for every g, and so asks the set for no transform.
 
     psi is a read-only float64 table from start to end, and the generator
     gets it as one; the output alone is a validated function.  A valid oracle
@@ -219,7 +221,7 @@ def projected_learner(gen, oracle, tau):
                              f"value >= 4*tau = {4 * tau}")
         values = oracle.correlational_many(fs, tau)
         queries += len(fs)
-        j, gamma_i = _first_hit(fs, values, psi * w, 3 * tau)
+        j, gamma_i = _first_hit(fs, values, psi * w if updates else None, 3 * tau)
         rows.append({"iteration": i, "chosen": j, "gamma": gamma_i,
                      "potential": float(np.dot(w, (f - psi) ** 2)), "queries": queries})
         if j is None:

@@ -249,24 +249,34 @@ def _kron_reference(kind, n, T=None):
     return out * scale + shift
 
 
-@pytest.mark.parametrize("n", [9, 10])
+def _assert_frozen_row(got, want):
+    assert got.flags.c_contiguous and not got.flags.writeable
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [9, 10, 16, 20])
 @pytest.mark.parametrize("kind", sorted(_BUILDERS))
 def test_class_tables_are_byte_identical_to_the_kronecker_build(kind, n):
     build_class, build_member = _BUILDERS[kind]
-    want = _kron_reference(kind, n)
-    assert class_table(kind, n).tobytes() == want.tobytes()
     cclass = build_class(n)
-    for i, want_row in enumerate(want):
-        got = cclass.row(i)
-        assert got.flags.c_contiguous and not got.flags.writeable
-        assert got.dtype == np.float64 and got.tobytes() == want_row.tobytes()
-    if n == 10:
+    if n <= 10:
+        want = _kron_reference(kind, n)
+        assert class_table(kind, n).tobytes() == want.tobytes()
+        for i, want_row in enumerate(want):
+            _assert_frozen_row(cclass.row(i), want_row)
+    if n >= 10:
+        # sampled members, past the full table too: the empty and the full set,
+        # sets that hold variable n (bit n - 1 of the mask), and random sets
         rng = make_rng(20, 0, "test")
         d = Domain(n)
-        for _ in range(8):
-            T = [i for i in range(1, n + 1) if rng.random() < 0.5]
-            row = build_member(d, T).values
-            assert row.tobytes() == _kron_reference(kind, n, T)[0].tobytes()
+        full = list(range(1, n + 1))
+        sets = [[i for i in full if rng.random() < 0.5] for _ in range(8)]
+        sets += [[], full, [n], [1, n], full[1:]]
+        for T in sets:
+            want_row = _kron_reference(kind, n, T)[0]
+            _assert_frozen_row(build_member(d, T).values, want_row)
+            _assert_frozen_row(cclass.row(sum(1 << (i - 1) for i in T)), want_row)
+        _assert_frozen_row(cclass.row(-1), _kron_reference(kind, n, full)[0])
 
 
 @pytest.mark.parametrize("kind", sorted(_BUILDERS))

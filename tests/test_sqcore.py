@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from sqlab.errors import InvalidToleranceError, QueryBudgetError, QueryRangeError, UsageError
 from sqlab.fnspace import (
     BoolFn,
+    ClassSet,
     Dist,
     Domain,
     FnSet,
@@ -256,6 +258,54 @@ def test_learn_pool_is_the_class_and_its_truths_are_computed_once(domain3):
     truths = [truth for _, _, truth in oracle.batches]
     assert len(truths) == len(trace.rows)
     assert all(t is truths[0] for t in truths)
+
+
+class CountingClass(ClassSet):
+    """A built-in class that counts its transforms."""
+
+    calls = 0
+
+    def correlate(self, x):
+        self.calls += 1
+        return super().correlate(x)
+
+
+def _reference_rows(fs, f, d, tau):
+    """The learner's trace rows against an exact oracle, with every round's
+    <psi_i, g>_D read through a transform, round 0's too."""
+    w = d.weights
+    values = fs.correlate(f.values * w)
+    psi = np.zeros(d.domain.size)
+    rows = []
+    for i in itertools.count():
+        diffs = values - fs.correlate(psi * w)
+        hits = np.flatnonzero(np.abs(diffs) >= 3 * tau)
+        j, gamma = (int(hits[0]), float(diffs[hits[0]])) if hits.size else (None, None)
+        rows.append({"iteration": i, "chosen": j, "gamma": gamma,
+                     "potential": float(np.dot(w, (f.values - psi) ** 2)),
+                     "queries": (i + 1) * len(fs)})
+        if j is None:
+            return rows
+        psi = np.clip(psi + gamma * fs.row(j), -1.0, 1.0)
+
+
+@pytest.mark.parametrize("kind, n, tau, updates", [
+    ("parities", 6, 0.3, 0),  # no parity is 0.9-correlated with the target
+    ("conjunctions", 8, 0.05, 3),
+    ("disjunctions", 8, 0.05, 3),
+])
+def test_round_0_asks_the_set_for_no_transform(kind, n, tau, updates):
+    # psi_0 = 0: an R-round run transforms the set R times, once for the
+    # oracle's truths and once in each round after the first
+    d = dist_random(Domain(n), make_rng(40, 0, "dist"))
+    f = random_bool_fn(d.domain, make_rng(40, 0, "target"))
+    cclass = CountingClass(kind, n)
+    _, trace = projected_learner(class_pool_generator(cclass, 4 * tau), SQOracle(f, d), tau)
+    assert trace.halt_reason == "converged" and trace.updates == updates
+    assert len(trace.rows) == updates + 1 == cclass.calls
+    reference = CountingClass(kind, n)
+    assert trace.rows == _reference_rows(reference, f, d, tau)
+    assert reference.calls == len(trace.rows) + 1
 
 
 class GeneralRounds(SQAlgorithm):
