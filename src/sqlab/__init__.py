@@ -12,8 +12,7 @@ the package itself holds only ``__version__``.  Modules:
                     liar) and the one check of a round of queries;
 * ``sqcore``     -- distinguishing-set extraction, the projected iterative
                     learner, baselines, the weak agnostic learner;
-* ``dimensions`` -- pairwise-correlation dimensions, covers, shifted sets,
-                    the parity witness;
+* ``dimensions`` -- the weak (pairwise-correlation) SQ dimension;
 * ``evolve``     -- fitness, tolerance-t selection, mutators, evolution runs;
 * ``harness``    -- config, seeded batch runs, deterministic exports.
 """

@@ -1,46 +1,18 @@
-"""Hardness dimensions for SQ learning.
+"""The weak SQ dimension of a set of functions.
 
-Each helper takes any fnspace.FnSet (a table, a built-in class, a shifted set
-or a distinguishing set G(psi)) and reads it through its row, correlate and
-gram.  The central quantity is the largest d such that d of the supplied
-functions have pairwise |<f_i, f_j>_D| <= 1/d ("weak dimension", computed
-exactly via max-clique on a threshold graph for up to EXACT_CAP functions,
-and greedily as a lower bound beyond).  On top of it:
-
-* greedy covering numbers (upper bounds on the size of a set of bounded
-  functions gamma-correlating with every member);
-* a norm-scaling lower bound converting the weak dimension of arbitrary
-  bounded sets into a covering lower bound;
-* shifted sets (class members minus a reference psi, keeping only members
-  disagreeing with sign(psi) on more than eps mass) and the induced
-  shift-parameterized dimension estimate;
-* the parity construction: all parities on at most k of n variables, each
-  within L1 distance 1 - 2^(1-k) of its monotone conjunction, pairwise
-  orthogonal under the uniform distribution.
+sq_dim takes any fnspace.FnSet (a table, a built-in class or a distinguishing
+set G(psi)) and reads it through its gram: the largest d such that d of the
+supplied functions have pairwise |<f_i, f_j>_D| <= 1/d, computed exactly via
+max-clique on a threshold graph for up to EXACT_CAP functions, and greedily as
+a lower bound beyond.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    InvariantBreachError,
-    NormRangeError,
-    PoolInsufficientError,
-    UsageError,
-)
-from .fnspace import (
-    ATOL,
-    Domain,
-    FnSet,
-    dist_uniform,
-    disagreement,
-    l1_distance,
-    make_conjunction,
-    make_parity,
-    sign_of,
-)
+from .errors import InvariantBreachError
+from .fnspace import ATOL
 
 EXACT_CAP = 30  # the most functions an exact sq_dim scan takes; more take the greedy bound
 # an exact scan builds the masks of this many candidate values at a time: a build
@@ -53,7 +25,7 @@ MASK_SLICE = 8
 @dataclass
 class DimReport:
     value: int
-    certainty: str  # exact | lower-bound | upper-bound
+    certainty: str  # exact | lower-bound
     witness: list
     params: dict = field(default_factory=dict)
     # sq_dim's clique_searches and clique_nodes: run statistics, not part of the result
@@ -231,146 +203,3 @@ def sq_dim(f, d):
     return DimReport(value, certainty, witness, {"mode": mode},
                      {"clique_searches": searches, "clique_nodes": nodes})
 
-
-def sqd_upper(f, d, gamma, pool):
-    """Greedy covering number: pool functions gamma-correlating with all of f.
-
-    Returns the chosen pool indices as an upper bound on the smallest
-    approximating set restricted to the pool.  Member i's coverage is one
-    pool.correlate of its row times D's weights.
-    """
-    if not 0 < gamma < math.inf:
-        raise UsageError(f"gamma must be positive and finite, got {gamma}")
-    if pool.sup > 1 + ATOL:
-        raise UsageError(f"pool functions must map into [-1, 1], got sup {pool.sup:.6g}")
-    k = len(f)
-    if k == 0:
-        return DimReport(0, "upper-bound", [], {"gamma": gamma})
-    if len(pool) == 0:
-        raise PoolInsufficientError(f"empty pool cannot cover {k} members")
-    # cov[i, j]: pool member j gamma-correlates with member i
-    cov = np.abs([pool.correlate(f.row(i) * d.weights) for i in range(k)]) >= gamma - ATOL
-    uncovered = np.ones(k, dtype=bool)
-    chosen = []
-    while uncovered.any():
-        counts = cov[uncovered].sum(axis=0)
-        j = int(np.argmax(counts))
-        if counts[j] == 0:
-            raise PoolInsufficientError(f"pool cannot cover rows "
-                                        f"{np.flatnonzero(uncovered).tolist()} at gamma={gamma}")
-        chosen.append(j)
-        uncovered &= ~cov[:, j]
-    return DimReport(len(chosen), "upper-bound", chosen, {"gamma": gamma})
-
-
-def sqd_lower_scaling(f, d, m, M):
-    """Covering lower bound for sets with norms in [m, M].
-
-    With dim the size of any verified weak-dimension witness (sq_dim's:
-    exact up to EXACT_CAP functions, greedy beyond), a set of functions
-    gamma-correlating with every member needs >= (dim*m^2)^(1/3)/2 members
-    at gamma = M*(dim*m^2)^(-1/3).  The norms are the diagonal of f's Gram.
-    """
-    if not (M >= 1 >= m > 0):
-        raise UsageError(f"need M >= 1 >= m > 0, got m={m}, M={M}")
-    if len(f) == 0:
-        raise UsageError("sqd_lower_scaling needs a nonempty set: gamma divides by its dimension")
-    norms = np.sqrt(np.maximum(f.gram(d.weights).diagonal(), 0.0))
-    for i, nm in enumerate(norms):
-        if nm < m - ATOL or nm > M + ATOL:
-            raise NormRangeError(f"row {i} has norm {nm}, outside [{m}, {M}]")
-    base = sq_dim(f, d)
-    scale = (base.value * m * m) ** (1.0 / 3.0)
-    bound = scale / 2.0
-    return DimReport(
-        math.ceil(bound - ATOL),
-        "lower-bound",
-        base.witness,
-        {"gamma": M / scale, "bound": bound, "base_dim": base.value},
-    )
-
-
-def shifted_set(c, psi, d, eps):
-    """(members of c disagreeing with sign(psi) on > eps mass, shifted by
-    -psi; the list of their row indices in c).
-
-    May be empty (that is a signal, not an error).  Every member keeps norm
-    >= sqrt(eps): each point of disagreement contributes at least 1 to the
-    squared difference.  The rows of `c` are read one at a time.
-    """
-    if not 0 < eps < 1:
-        raise UsageError(f"eps must be in (0, 1), got {eps}")
-    s = sign_of(psi).values
-    far = [j for j in range(len(c)) if d.weights[c.row(j) != s].sum() > eps]
-    rows = [c.row(j) - psi.values for j in far]
-    return FnSet(psi.domain, np.reshape(rows, (len(far), psi.domain.size))), far
-
-
-def sq_sdim_estimate(c, d, eps, psi_family):
-    """Max over supplied psi of the shifted set's weak dimension: a lower
-    bound, as the size of any verified witness is; the witness is row
-    indices of c (see shifted_set)."""
-    psi_family = list(psi_family)
-    if not psi_family:
-        raise UsageError("psi_family must be nonempty")
-    best_value, best_idx, best_witness = 0, None, []
-    for idx, psi in enumerate(psi_family):
-        fs, kept = shifted_set(c, psi, d, eps)
-        if len(fs) == 0:
-            continue
-        rep = sq_dim(fs, d)
-        if rep.value > best_value:
-            best_value = rep.value
-            best_idx = idx
-            best_witness = [kept[j] for j in rep.witness]
-    return DimReport(
-        best_value,
-        "lower-bound",
-        best_witness,
-        {"eps": eps, "psi_index": best_idx, "family_size": len(psi_family)},
-    )
-
-
-def parity_witness(n, k):
-    """All parities on 1..k of n variables, with their conjunction-distance check.
-
-    Each parity chi_T sits at L1 distance exactly 1 - 2^(1-|T|) from the
-    monotone conjunction on T (disagreement 1/2 - 2^(-|T|)), and distinct
-    parities are orthogonal under uniform, so the whole set is its own
-    dimension witness: value = sum_{1<=i<=k} C(n, i).  Every pair is checked
-    to correlate within ATOL of 0.
-    """
-    if k > n:
-        raise UsageError(f"k must be at most n, got k={k} > n={n}")
-    if k < 1:
-        raise UsageError("k must be at least 1")
-    domain = Domain(n)
-    uniform = dist_uniform(domain)
-    rows = []
-    for bits in range(1, 2 ** n):
-        size = int(bin(bits).count("1"))
-        if size > k:
-            continue
-        subset = [i + 1 for i in range(n) if bits >> i & 1]
-        chi = make_parity(domain, subset)
-        conj = make_conjunction(domain, subset)
-        dis = disagreement(chi, conj, uniform)
-        l1 = l1_distance(chi, conj, uniform)
-        if abs(dis - (0.5 - 2.0 ** -size)) > ATOL:
-            raise InvariantBreachError(
-                f"parity on {subset}: disagreement {dis} != 1/2 - 2^-{size}")
-        if abs(l1 - (1.0 - 2.0 ** (1 - size))) > ATOL:
-            raise InvariantBreachError(
-                f"parity on {subset}: L1 distance {l1} != 1 - 2^(1-{size})")
-        rows.append(chi.values)
-    fs = FnSet(domain, rows)
-    absgram = _abs_gram(fs, uniform)
-    witness = list(range(len(fs)))
-    _check_pairwise(absgram, witness, 0.0)
-    report = DimReport(
-        len(fs),
-        "exact",
-        witness,
-        {"n": n, "k": k, "l1_radius": 1.0 - 2.0 ** (1 - k)},
-    )
-    return fs, report

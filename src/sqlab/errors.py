@@ -26,14 +26,6 @@ class QueryBudgetError(LabError):
     pass
 
 
-class PoolInsufficientError(LabError):
-    pass
-
-
-class NormRangeError(LabError):
-    pass
-
-
 class ThetaExceedsEpsError(LabError):
     pass
 

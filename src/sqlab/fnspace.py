@@ -2,7 +2,7 @@
 
 Boolean (+/-1) functions, real [-1,1]-valued functions, distributions and
 sets of functions (an FnSet, one row per function: a concept class, a
-candidate set, a shifted set) are dense tables over {0,1}^n, but for a built-in
+candidate set, a round of queries) are dense tables over {0,1}^n, but for a built-in
 class (ClassSet) and a stack of sets (StackSet), which keep none.  Point index
 p encodes the bit vector with coordinate x_i = (p >> (i-1)) & 1 for i in 1..n
 (variable 1 is the least significant bit).  All values are immutable after construction.
@@ -247,22 +247,10 @@ def _check_domains(d, *fns):
             )
 
 
-def inner_product(phi, psi, d):
-    """<phi, psi>_D = E_D[phi * psi]."""
-    _check_domains(d, phi, psi)
-    return float(np.dot(phi.values * d.weights, psi.values))
-
-
 def disagreement(f, g, d):
     """Pr_D[f != g]; satisfies <f,g>_D = 1 - 2*disagreement."""
     _check_domains(d, f, g)
     return float(d.weights[f.values != g.values].sum())
-
-
-def l1_distance(phi, psi, d):
-    """L1-distance E_D[|phi - psi|], in [0, 2]."""
-    _check_domains(d, phi, psi)
-    return float(np.dot(d.weights, np.abs(phi.values - psi.values)))
 
 
 def project_unit(values, domain):

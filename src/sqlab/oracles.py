@@ -198,7 +198,9 @@ class SQOracle:
         values = self._answer(truth, tau, fs)
         values.flags.writeable = False
         self.query_count += len(values)
-        if len(values):
+        if values is truth and len(values):  # exact answers are the truth: no gap to measure
+            self.query_log.append(Batch(tau, len(values), 0.0, 0))
+        elif len(values):
             gaps = np.abs(values - truth)
             self.query_log.append(Batch(tau, len(values), float(np.max(gaps)),
                                         int(np.count_nonzero(gaps > tau))))

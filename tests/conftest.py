@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sqlab.fnspace import ATOL, BoolFn, Domain, FnSet, dist_uniform
+from sqlab.fnspace import ATOL, BoolFn, Domain, FnSet, dist_uniform, sign_of
 from sqlab.oracles import SQOracle
 from sqlab.rng import make_rng
 
@@ -101,6 +101,41 @@ def greedy_extension(fs, d, witness, threshold):
         if j not in out and all(absgram[j, c] <= threshold + ATOL for c in out):
             out.append(j)
     return out
+
+
+def inner_product(phi, psi, d):
+    """<phi, psi>_D = E_D[phi * psi]: the reference sum of two functions' tables."""
+    return float(np.dot(phi.values * d.weights, psi.values))
+
+
+def l1_distance(phi, psi, d):
+    """E_D[|phi - psi|], in [0, 2]: the reference L1 distance of two functions."""
+    return float(np.dot(d.weights, np.abs(phi.values - psi.values)))
+
+
+def shifted_set(c, psi, d, eps):
+    """The members of the table FnSet `c` that disagree with sign(psi) on more
+    than eps of D's mass, each minus psi: entries in [-2, 2], each member of
+    norm at least sqrt(eps)."""
+    s = sign_of(psi).values
+    rows = [row - psi.values for row in c.matrix if d.weights[row != s].sum() > eps]
+    return FnSet(psi.domain, np.reshape(rows, (len(rows), psi.domain.size)))
+
+
+def sqd_upper(f, d, gamma, pool):
+    """Greedy cover: pool indices, each taken as the one that gamma-correlates
+    under `d` with the most members of the FnSet `f` left uncovered, until every
+    member is covered.  Its length bounds the smallest cover from the pool."""
+    cov = np.abs([pool.correlate(f.row(i) * d.weights) for i in range(len(f))]) >= gamma - ATOL
+    uncovered = np.ones(len(f), dtype=bool)
+    chosen = []
+    while uncovered.any():
+        counts = cov[uncovered].sum(axis=0)
+        j = int(np.argmax(counts))
+        assert counts[j] > 0, f"the pool covers no row of {np.flatnonzero(uncovered)}"
+        chosen.append(j)
+        uncovered &= ~cov[:, j]
+    return chosen
 
 
 def _cell_mean(pos, neg, y, w):

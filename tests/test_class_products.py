@@ -6,8 +6,8 @@ to rounding, within 1e-12 * sum|x|.  Where both sides are exact they agree
 byte for byte: on integer vectors whose every partial sum is an integer
 below 2^53, and on unit vectors, whose products are the table's columns.
 `row` holds the table's own entries, byte for byte; a class keeps no
-`matrix`.  `gram` and the dimension helpers on it agree with the dense Gram
-and the helpers on the dense table, and a distinguishing set G(psi) built on
+`matrix`.  `gram` and `sq_dim` on it agree with the dense Gram
+and `sq_dim` on the dense table, and a distinguishing set G(psi) built on
 it, its Gram and the learner that it drives, with those built on the dense
 table.
 """
@@ -19,13 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlab import harness
-from sqlab.dimensions import (shifted_set, sq_dim, sq_sdim_estimate, sqd_lower_scaling,
-                               sqd_upper)
+from sqlab.dimensions import sq_dim
 from sqlab.fnspace import (
     ATOL,
     Domain,
     FnSet,
-    RealFn,
     conjunction_class,
     disagreement,
     disjunction_class,
@@ -171,27 +169,12 @@ def test_dimension_helpers_on_a_class_or_a_stack_equal_them_on_the_dense_table()
             for seed in (None, 0, 1):
                 d = _dist("uniform" if seed is None else "random", domain, seed)
                 where = (kind, n, seed)
-                psis = [random_real_fn(domain, make_rng(j, n, "psi")) for j in range(3)]
-                # the reports' float params derive from integers and the inputs alone,
-                # so they are equal, not only within 1e-12
-                for call in (lambda s: sq_dim(s, d), lambda s: sqd_upper(s, d, 0.4, s),
-                             lambda s: sqd_lower_scaling(s, d, 0.5, 1.0),
-                             lambda s: sq_sdim_estimate(s, d, 0.2, psis)):
-                    assert call(fs) == call(dense), where
-                for psi in psis:
-                    (got, got_kept), (want, want_kept) = (shifted_set(c, psi, d, 0.2)
-                                                          for c in (fs, dense))
-                    assert got_kept == want_kept and len(got_kept) > 0, where
-                    assert _same_bits(got.matrix, want.matrix), where
-                gset = build_gpsi(ExhaustiveCSQ(fs, 0.1), psis[0], d)
+                assert sq_dim(fs, d) == sq_dim(dense, d), where
+                psi = random_real_fn(domain, make_rng(0, n, "psi"))
+                gset = build_gpsi(ExhaustiveCSQ(fs, 0.1), psi, d)
                 rows = rows_of(gset)
                 assert sq_dim(gset, d) == sq_dim(table_set(rows), d)
                 assert np.all(np.abs(gset.gram(d.weights) - (rows * d.weights) @ rows.T) <= TOL)
-            # every parity but the constant disagrees with +1 on half the mass
-            if kind == "parities":
-                empty, kept = shifted_set(fs, RealFn(domain, np.ones(1 << n)), dist_uniform(domain),
-                                          0.5)
-                assert kept == [] and empty.matrix.shape == (0, 1 << n)
 
 
 def _learn(fs, target, dist, tau):

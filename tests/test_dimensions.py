@@ -5,45 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlab.dimensions import (
-    DimReport,
-    parity_witness,
-    shifted_set,
-    sq_dim,
-    sq_sdim_estimate,
-    sqd_lower_scaling,
-    sqd_upper,
-)
-from sqlab.dimensions import (EXACT_CAP, _abs_gram, _check_pairwise, _clique_search,
-                              _greedy_witness, _threshold_masks)
-from sqlab.errors import (InvariantBreachError, NormRangeError, PoolInsufficientError,
-                          UsageError)
-from sqlab.fnspace import (
-    ATOL,
-    Domain,
-    FnSet,
-    RealFn,
-    dist_random,
-    dist_uniform,
-    parity_class,
-    random_real_fn,
-    sign_of,
-)
+from sqlab.dimensions import (EXACT_CAP, DimReport, _abs_gram, _check_pairwise, _clique_search,
+                              _greedy_witness, _threshold_masks, sq_dim)
+from sqlab.errors import InvariantBreachError, UsageError
+from sqlab.fnspace import ATOL, Domain, FnSet, dist_random, dist_uniform, parity_class
 from sqlab.rng import make_rng
 
-from conftest import class_table, dense_class, greedy_extension, random_bool_fn
-
-
-def _half_pool(fs, idx):
-    return FnSet(fs.domain, fs.matrix[list(idx)] / 2.0)
+from conftest import class_table, random_bool_fn
 
 
 def _fnset(fns):
     return FnSet(fns[0].domain, [f.values for f in fns])
-
-
-def _one_member(cclass, i):
-    return FnSet(cclass.domain, cclass.matrix[[i]])
 
 
 def test_fnset_validation(domain3):
@@ -78,6 +50,8 @@ def test_sq_dim_trivial_sets(domain3, uniform3):
     assert sq_dim(single, uniform3).value == 1
     dup = _fnset([f, f])
     assert sq_dim(dup, uniform3).value == 1  # |<f,f>| = 1 > 1/2
+    empty = sq_dim(FnSet(domain3, np.empty((0, 8))), uniform3)
+    assert (empty.value, empty.witness) == (0, [])
 
 
 def test_sq_dim_negation_invariance(domain3, uniform3):
@@ -108,146 +82,6 @@ def test_sq_dim_exact_cap(uniform3, domain3):
         assert rep.value == len(rep.witness) >= 1
         _check_pairwise(absgram[:k, :k], rep.witness, 1.0 / rep.value)
     assert rep.witness == _greedy_witness(absgram)
-
-
-def test_sqd_upper_parities_cover_only_themselves(domain3, uniform3):
-    parities = dense_class("parities", 3)
-    fs = FnSet(domain3, parities.matrix)
-    rep = sqd_upper(fs, uniform3, 0.5, parities)
-    assert rep.value == len(fs)  # orthogonal members: one pool fn each
-    rep1 = sqd_upper(_fnset([parities[3]]), uniform3, 0.5, parities)
-    assert rep1.value == 1
-
-
-def test_sqd_upper_insufficient_pool(domain3, uniform3):
-    fs = FnSet(domain3, class_table("parities", 3)[:4])
-    blind = FnSet(domain3, np.zeros((1, 8)))
-    with pytest.raises(PoolInsufficientError):
-        sqd_upper(fs, uniform3, 0.5, blind)
-    for gamma in (0.0, -0.5, float("nan"), float("inf")):
-        with pytest.raises(UsageError, match="gamma must be positive and finite"):
-            sqd_upper(fs, uniform3, gamma, blind)
-    with pytest.raises(UsageError, match="1.5"):  # the pool's sup, outside the unit ball
-        sqd_upper(fs, uniform3, 0.5, FnSet(domain3, np.full((1, 8), 1.5)))
-
-
-def test_sqd_lower_scaling_boolean_example(domain3, uniform3):
-    fs = FnSet(domain3, class_table("parities", 3))
-    rep = sqd_lower_scaling(fs, uniform3, 1.0, 1.0)
-    # base dim 8, unit norms: bound = 8^(1/3)/2 = 1, at gamma = 1/2
-    assert rep.value == 1
-    assert rep.params["bound"] == pytest.approx(1.0, abs=1e-12)
-    assert rep.params["gamma"] == pytest.approx(0.5, abs=1e-12)
-    assert rep.params["base_dim"] == 8
-
-
-def test_sqd_lower_scaling_norm_validation(domain3, uniform3):
-    small = FnSet(domain3, [np.ones(8), np.full(8, 0.5)])
-    with pytest.raises(NormRangeError, match="^row 1 has norm 0.5, outside"):
-        sqd_lower_scaling(small, uniform3, 0.9, 1.0)
-    with pytest.raises(UsageError):
-        sqd_lower_scaling(small, uniform3, 0.5, 0.9)  # M < 1
-    # no parity is more than 1/2-far from sign(0) = +1: the shifted set is empty
-    empty, kept = shifted_set(dense_class("parities", 3), RealFn(domain3, np.zeros(8)), uniform3,
-                              0.9)
-    assert len(empty) == 0 and kept == []
-    with pytest.raises(UsageError, match="nonempty"):
-        sqd_lower_scaling(empty, uniform3, 0.5, 1.0)
-
-
-def test_shifted_set_zero_psi_keeps_far_members(domain3, uniform3):
-    cclass = dense_class("parities", 3)
-    zero = RealFn(domain3, np.zeros(8))
-    fs, kept = shifted_set(cclass, zero, uniform3, 0.1)
-    # every nonconstant parity is 1/2-far from sign(0) = +1; chi_empty is not
-    assert len(fs) == 7
-    assert kept == list(range(1, 8))
-    np.testing.assert_array_equal(fs.matrix, cclass.matrix[1:] - zero.values)
-
-
-def test_shifted_set_self_psi_is_empty(domain3, uniform3):
-    cclass = dense_class("parities", 3)
-    fs, _ = shifted_set(_one_member(cclass, 3), cclass[3], uniform3, 0.1)
-    assert len(fs) == 0
-    assert sq_dim(fs, uniform3).value == 0
-
-
-def test_shifted_set_member_norms(domain3, uniform3):
-    rng = make_rng(4, 0, "psi")
-    eps = 0.2
-    for _ in range(10):
-        psi = random_real_fn(domain3, rng)
-        fs, _ = shifted_set(dense_class("parities", 3), psi, uniform3, eps)
-        if len(fs) == 0:
-            continue
-        norms = np.sqrt((fs.matrix**2 * uniform3.weights).sum(axis=1))
-        assert norms.min() >= np.sqrt(eps) - 1e-12
-
-
-def test_sq_sdim_estimate_zero_family(domain3, uniform3):
-    zero = RealFn(domain3, np.zeros(8))
-    rep = sq_sdim_estimate(dense_class("parities", 3), uniform3, 0.1, [zero])
-    # sign(0) = +1 coincides with chi_empty, so only the 7 others survive
-    assert rep.value == 7
-    assert rep.certainty == "lower-bound"
-    assert rep.params["psi_index"] == 0
-    assert 0 not in rep.witness
-
-
-def test_sq_sdim_estimate_monotone_in_family(domain3, uniform3):
-    cclass = dense_class("parities", 3)
-    rng = make_rng(5, 0, "psi")
-    # shift candidates: zero, every class member, and three random tables
-    family = [RealFn(domain3, np.zeros(8))] + [RealFn(domain3, row) for row in cclass.matrix]
-    family += [RealFn(domain3, rng.uniform(-1.0, 1.0, 8)) for _ in range(3)]
-    small = sq_sdim_estimate(cclass, uniform3, 0.1, family[:2])
-    big = sq_sdim_estimate(cclass, uniform3, 0.1, family)
-    assert big.value >= small.value
-    assert big.params["family_size"] == len(family)
-    single = sq_sdim_estimate(_one_member(cclass, 3), uniform3, 0.1, [cclass[3]])
-    assert single.value == 0 and single.params["psi_index"] is None
-
-
-def test_parity_witness_counts_and_radius():
-    fs, rep = parity_witness(5, 2)
-    assert rep.value == len(fs) == 15  # C(5,1) + C(5,2)
-    assert rep.certainty == "exact"
-    assert rep.params["l1_radius"] == pytest.approx(0.5)
-    fs3, rep3 = parity_witness(3, 3)
-    assert rep3.value == 7
-    uniform = dist_uniform(Domain(3))
-    gram = fs3.matrix * uniform.weights @ fs3.matrix.T
-    np.testing.assert_allclose(gram - np.eye(7), 0.0, atol=1e-12)
-
-
-def test_parity_witness_validation():
-    with pytest.raises(UsageError):
-        parity_witness(3, 4)
-    with pytest.raises(UsageError):
-        parity_witness(3, 0)
-    # parities are orthogonal under uniform: every pair passes the check at 0
-    _, rep = parity_witness(4, 2)
-    assert rep.value == 10
-
-
-def test_duality_cover_on_maximizer(uniform3, domain3):
-    # the witness pool, halved, covers the shifted set it came from
-    eps = 0.4
-    cclass = dense_class("conjunctions", 3)
-    best = None
-    for j in range(20):
-        psi = random_real_fn(domain3, make_rng(100 + j, 0, "psi"))
-        fs, _ = shifted_set(cclass, psi, uniform3, eps)
-        if len(fs) == 0:
-            continue
-        rep = sq_dim(fs, uniform3)
-        if best is None or rep.value > best[1].value:
-            best = (fs, rep)
-    fs, rep = best
-    ext = greedy_extension(fs, uniform3, rep.witness, 1.0 / rep.value)
-    d = len(ext)
-    cover = sqd_upper(fs, uniform3, 1.0 / (2 * d), _half_pool(fs, ext))
-    assert cover.value <= d
 
 
 def _brute_clique(adj):

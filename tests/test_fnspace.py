@@ -24,21 +24,18 @@ from sqlab.fnspace import (
     dist_random,
     dist_to_text,
     dist_uniform,
-    inner_product,
-    l1_distance,
     make_conjunction,
     make_disjunction,
     make_parity,
     parity_class,
     project_unit,
-    random_real_fn,
     sign_of,
 )
 from sqlab.oracles import SQOracle
 from sqlab.rng import make_rng
 from sqlab.sqcore import class_pool_generator, weak_agnostic_learner
 
-from conftest import butterflies_in_place, class_table, random_bool_fn, rows_of
+from conftest import butterflies_in_place, class_table, inner_product, random_bool_fn, rows_of
 
 
 def test_domain_bitstring_roundtrip():
@@ -95,35 +92,22 @@ def test_dist_validation(domain3):
 
 
 def test_inner_product_identities(domain3, uniform3):
+    # for +-1 functions <f, g>_D = 1 - 2 * disagreement, and <f, f>_D = 1
     rng = make_rng(3, 0, "test")
     f = random_bool_fn(domain3, rng)
     g = random_bool_fn(domain3, rng)
-    assert inner_product(f, f, uniform3) == pytest.approx(1.0, abs=1e-12)
-    got = inner_product(f, g, uniform3)
-    assert got == pytest.approx(1.0 - 2.0 * disagreement(f, g, uniform3), abs=1e-12)
+    assert disagreement(f, f, uniform3) == 0.0
     want = float(np.dot(uniform3.weights, f.values * g.values))
-    assert got == pytest.approx(want, abs=1e-12)
-
-
-def test_norm_and_l1(domain3, uniform3):
-    rng = make_rng(4, 0, "test")
-    phi = random_real_fn(domain3, rng)
-    psi = random_real_fn(domain3, rng)
-    # the squared D-norm of phi is <phi, phi>_D
-    assert inner_product(phi, phi, uniform3) == pytest.approx(
-        np.dot(uniform3.weights, phi.values**2), abs=1e-12
-    )
-    assert l1_distance(phi, psi, uniform3) == pytest.approx(
-        np.dot(uniform3.weights, np.abs(phi.values - psi.values)), abs=1e-12
-    )
-    assert 0.0 <= l1_distance(phi, psi, uniform3) <= 2.0
+    assert 1.0 - 2.0 * disagreement(f, g, uniform3) == pytest.approx(want, abs=1e-12)
 
 
 def test_domain_mismatch_raises(uniform3):
     f = BoolFn(Domain(2), np.ones(4))
     g = BoolFn(Domain(3), np.ones(8))
     with pytest.raises(DomainMismatchError):
-        inner_product(f, g, uniform3)
+        disagreement(f, g, uniform3)
+    with pytest.raises(DomainMismatchError):
+        disagreement(g, f, uniform3)
 
 
 def test_project_unit_and_sign(domain3):

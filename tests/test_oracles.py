@@ -20,8 +20,6 @@ from sqlab.fnspace import (
     RealFn,
     dist_random,
     dist_uniform,
-    inner_product,
-    l1_distance,
     parity_class,
     random_real_fn,
 )
@@ -29,7 +27,8 @@ from sqlab.oracles import MAX_SAMPLE_SIZE, MODES, Batch, SQOracle
 from sqlab.rng import make_rng
 from sqlab.sqcore import weak_agnostic_learner
 
-from conftest import RecordingOracle, decompose, random_bool_fn, table_set
+from conftest import (RecordingOracle, decompose, inner_product, l1_distance, random_bool_fn,
+                      table_set)
 
 
 def _setup(n=3, seed=0):
@@ -218,21 +217,25 @@ def test_batch_truth_reused_for_the_same_fn_set():
 
 
 def test_audit_is_the_worst_logged_gap():
+    # an exact batch logs the gap 0 without measuring it, the other modes measure
+    # theirs: in every mode the log is the one recomputed from the true values
     domain, target, dist, rng = _setup()
     mat = rng.uniform(-1, 1, (6, domain.size))
-    for mode in ("exact", "grid_adversary", "noisy", "liar"):
-        orc = RecordingOracle(target, dist, mode=mode, seed=2)
-        orc.correlational_many(FnSet(domain, mat), 0.05)
+    fs = FnSet(domain, mat)
+    for mode in MODES:
+        orc = RecordingOracle(target, dist, mode=mode, seed=2, sample_size=5)
+        orc.correlational_many(fs, 0.05)
         orc.query(table_set(mat[:1]), 0.2)
         orc.correlational_many(FnSet(domain, mat[:0]), 0.3)
-        want = max(abs(value - truth) - tau for tau, value, truth in orc.answers)
-        assert orc.audit() == want, mode
+        orc.correlational_many(fs, 0.1)  # the same set again: its true values are reused
         # the empty batch leaves no record
-        assert [(b.tau, b.queries) for b in orc.query_log] == [(0.05, 6), (0.2, 1)], mode
-    orc = RecordingOracle(target, dist, mode="empirical", seed=2, sample_size=5)
-    orc.correlational_many(FnSet(domain, mat), 0.05)
-    assert orc.audit() is None
-    assert orc.probabilistic and len(orc.answers) == 6
+        assert [(b.tau, b.queries) for b in orc.query_log] == [(0.05, 6), (0.2, 1), (0.1, 6)], mode
+        gaps = [(tau, np.abs(v - t)) for tau, v, t in orc.batches if len(v)]
+        assert orc.query_log == [Batch(tau, len(g), float(g.max()), int(np.sum(g > tau)))
+                                 for tau, g in gaps], mode
+        want = max(abs(value - truth) - tau for tau, value, truth in orc.answers)
+        assert orc.audit() == (None if mode == "empirical" else want), mode
+        assert orc.probabilistic == (mode == "empirical") and len(orc.answers) == 13
 
 
 def test_answers_are_read_only_and_kept_once():

@@ -18,7 +18,6 @@ from sqlab.fnspace import (
     conjunction_class,
     disagreement,
     dist_random,
-    inner_product,
     make_parity,
     parity_class,
     project_unit,
@@ -44,6 +43,7 @@ from conftest import (
     class_table,
     decompose,
     dense_class,
+    inner_product,
     random_bool_fn,
     rows_of,
 )
