@@ -54,6 +54,7 @@ def _fitness(x, scale):
 
 def lperf(f, phi, d):
     """Fitness 1 - 2*E_D[(f - phi)^2]/4, in [-1, 1]."""
+    _check_domains(d, f, phi)
     return _fitness(np.vecdot(d.weights, _loss(f.values, phi.values[None])).item(), 4.0)
 
 
@@ -121,7 +122,7 @@ class StepMutator(_Mutator):
 class SelNBParams:
     t: float
     p: int
-    s: Optional[int]  # None = exact fitness (the s -> infinity mode)
+    s: Optional[int]  # None = exact fitness: the s -> infinity mode, scored on D's weights
 
     def __post_init__(self):
         # NaN fails the comparison too
@@ -165,9 +166,10 @@ def generation_draws(a, params, d, g, streams):
     """Yield the random draws of g generations, one draw block at a time.
 
     A block of b generations is (counts, fitness, picks): b lists of the k
-    table rows' draw counts; the (b, k, 2^n) float64 multinomial point-count
-    rows that score each table row (None for exact fitness); and b pick
-    uniforms, as a list.
+    table rows' draw counts; the (b, k, 2^n) float64 point-count rows that
+    score each table row, multinomial draws of s points each or, for exact
+    fitness, D's weights in every row (a read-only broadcast view that draws
+    nothing); and b pick uniforms, as a list.
     Each stream is drawn in blocks of up to BLOCK generations, all with the
     same block boundaries, so a run's draws depend on (a, params, d, g,
     streams) alone.
@@ -180,8 +182,8 @@ def generation_draws(a, params, d, g, streams):
         # resident set at the per-generation draws' level
         counts = _row_counts(a, p, b, streams)  # frees its index block on return
         fitness = None  # frees the last block's rows before the next is drawn
-        if s is not None:
-            fitness = streams["fitness"].multinomial(s, w, size=(b, k)).astype(np.float64)
+        fitness = (np.broadcast_to(w, (b, k, len(w))) if s is None else
+                   streams["fitness"].multinomial(s, w, size=(b, k)).astype(np.float64))
         yield counts, fitness, streams["pick"].random(b).tolist()
 
 
@@ -200,7 +202,8 @@ def selnb(params, f, d, a):
     and distinct candidates, one entry a generation up to a bottom).
 
     One generation: every row of the k-row table gets its weighted loss
-    against its own count row (against D's weights for exact fitness).
+    against its own count row, scaled by 4 times that row's total (see
+    _fitness): s, or 1 for exact fitness, whose count rows are D's weights.
     Drawn rows with identical bytes are one candidate, scored by its first
     drawn row; a row equal to the last, the incumbent, joins the incumbent's
     candidate, scored by the last row whether or not that row is drawn.  A
@@ -210,19 +213,18 @@ def selnb(params, f, d, a):
     else from the neutral tier; outcome is "beneficial", "neutral" or, with
     both tiers empty, "bottom".
 
-    The table, its loss rows, its row keys and, for exact fitness, its
-    fitness sums are rebuilt only when the incumbent's bytes differ from the
-    table's last row.  That is exact: a NeighborhoodMutator's last row holds
-    phi's own bytes, and its neigh_fn is a function of phi's values; a
-    StepMutator's last row is clamp(phi + 0), and clamp(clamp(phi + 0) + s)
-    == clamp(phi + s) for phi in [-1, 1] and steps s without -0.0.
+    The table, its loss rows and its row keys are rebuilt only when the
+    incumbent's bytes differ from the table's last row.  That is exact: a
+    NeighborhoodMutator's last row holds phi's own bytes, and its neigh_fn
+    is a function of phi's values; a StepMutator's last row is
+    clamp(phi + 0), and clamp(clamp(phi + 0) + s) == clamp(phi + s) for phi
+    in [-1, 1] and steps s without -0.0.
 
     Neighbourhoods are a handful of rows, so the bookkeeping runs on Python
     ints and floats, in table-row order.
     """
-    fv, w, t, k, table_of = f.values, d.weights, params.t, a.k, a.table
-    exact = params.s is None
-    scale = 4.0 if exact else params.s * 4.0  # see _fitness
+    fv, t, k, table_of = f.values, params.t, a.k, a.table
+    scale = 4.0 * (params.s or 1)  # see _fitness
     # f's values in every table row: a broadcast subtract costs about twice
     # a same-shape one
     fv_rows = np.tile(fv, (k, 1))
@@ -238,32 +240,25 @@ def selnb(params, f, d, a):
 
     def build(phi, cur):
         """Write the table of phi into buffer cur and its loss rows into
-        costs; returns its row keys and, for exact fitness, its weighted
-        loss sums and the incumbent's fitness."""
+        costs; returns its row keys."""
         table = tables[cur]
         table_of(phi, table)
         np.subtract(table, fv_rows, costs)
         np.multiply(costs, costs, costs)
-        keys = row_keys[cur].tolist()
-        if not exact:
-            return keys, None, None
-        sums = np.vecdot(w, costs).tolist()
-        return keys, sums, 1.0 - 2.0 * sums[-1] / scale
+        return row_keys[cur].tolist()
 
-    # the current table's buffer, and what build returned for it (no keys
-    # before the first call)
-    state = [0, None, None, None]
+    # the current table's buffer and its row keys (None before the first build)
+    state = [0, None]
 
     def run(phi, counts, fitness, picks, losses):
-        cur, keys, sums, v_r = state
+        cur, keys = state
         if keys is None or phi.tobytes() != keys[-1]:
-            keys, sums, v_r = build(phi, cur)
+            keys = build(phi, cur)
         mine = keys[-1]
         empirical, outcomes, benes, neuts, distinct = columns = [], [], [], [], []
         for i, c in enumerate(counts):
-            if not exact:
-                sums = np.vecdot(fitness[i], costs).tolist()
-                v_r = 1.0 - 2.0 * sums[-1] / scale
+            sums = np.vecdot(fitness[i], costs).tolist()
+            v_r = 1.0 - 2.0 * sums[-1] / scale
             bar = v_r + t
             groups = {}  # row bytes -> [first row drawn, draws]
             # a candidate's tiers follow from its fitness, so it joins them
@@ -310,9 +305,9 @@ def selnb(params, f, d, a):
             phi = table_rows[cur][j]
             if keys[j] != mine:
                 cur = 1 - cur
-                keys, sums, v_r = build(phi, cur)
+                keys = build(phi, cur)
                 mine = keys[-1]
-        state[:] = cur, keys, sums, v_r
+        state[:] = cur, keys
         return None if phi is None else phi.copy(), columns
 
     return run
@@ -361,7 +356,6 @@ def evolve_run(a, params, f, d, eps, g, r0, streams):
     r0, on the per-purpose `streams` of evolve_streams."""
     if not (is_int(g) and g >= 1):  # a bool would pass as 1
         raise UsageError(f"generation count g must be an integer >= 1, got {g!r}")
-    _check_domains(d, f, r0)
     if a.width not in (None, d.domain.size):
         raise DomainMismatchError(f"mutator rows of {a.width} points used with distribution "
                                   f"over n={d.domain.n} ({d.domain.size} points)")

@@ -1,7 +1,6 @@
 import math
 import re
 import tracemalloc
-from itertools import repeat
 
 import numpy as np
 import pytest
@@ -70,10 +69,10 @@ def test_lperf_quadratic_distance_identity(domain3, uniform3):
 
 
 def _generations(blocks):
-    """The (counts, fitness count rows or None, pick) of each generation in
+    """The (counts, fitness count rows, pick) of each generation in
     generation_draws' blocks."""
-    for counts, fitness, picks in blocks:
-        yield from zip(counts, repeat(None) if fitness is None else fitness, picks)
+    for block in blocks:
+        yield from zip(*block)
 
 
 def _draws(mut, params, d, seed):
@@ -91,8 +90,7 @@ def _stepper(params, f, d, mut):
     def step(phi, draws):
         counts, fitness, u = draws
         losses = np.full((1, len(phi)), np.nan)
-        nxt, columns = run(phi, [counts], None if fitness is None else fitness[None], [u],
-                           losses)
+        nxt, columns = run(phi, [counts], fitness[None], [u], losses)
         assert [len(column) for column in columns] == [1] * 5
         return (nxt, *(column[0] for column in columns), losses[0])
 
@@ -183,15 +181,25 @@ def test_generation_draws_come_in_blocks_under_a_megabyte(n, s):
                for purpose, rng in evolve_streams(0, 0).items()}
     assert tuple(streams) == STREAMS == ("mutate", "fitness", "pick")
     g = 600
-    blocks = list(generation_draws(mut, params, dist_uniform(domain), g, streams))
+    # a random D, so a row of its weights is not one number repeated
+    d = dist_random(domain, make_rng(0, 0, "d"))
+    blocks = list(generation_draws(mut, params, d, g, streams))
     draws = list(_generations(blocks))
     assert len(draws) == g
     k = n + 2
     for counts, fitness, pick in draws:
         assert len(counts) == k and sum(counts) == params.p and 0 <= pick < 1
-        assert fitness is None if s is None else \
-            fitness.shape == (k, domain.size) and (fitness.sum(axis=1) == s).all()
-    block = _block(k, params, dist_uniform(domain))
+        assert fitness.shape == (k, domain.size)
+        if s is None:
+            assert (fitness == d.weights).all()
+        else:
+            assert (fitness.sum(axis=1) == s).all()
+    if s is None:
+        # exact fitness scores on D's weights: a read-only view, one row
+        # repeated over the block's generations and table rows
+        for _, fitness, _ in blocks:
+            assert not fitness.flags.writeable and fitness.strides[:2] == (0, 0)
+    block = _block(k, params, d)
     assert block == (256 if n == 3 else 10)
     lengths = [block] * (g // block) + [g % block] * (g % block > 0)
     assert [len(picks) for _, _, picks in blocks] == lengths
@@ -533,6 +541,34 @@ def test_evolve_run_matches_the_chained_reference_steps(n, eps, g, pool, dist, b
         assert not want.bottomed and len(trace) == g
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("dist", ["uniform", "random"])
+def test_the_exact_score_is_the_true_fitness(n, dist):
+    """Exact fitness scores a generation's incumbent on D's weights, so its
+    estimate is, bit for bit, the start's true fitness at generation 1 and
+    the true fitness of the row selected a generation before after that.
+    The runner's sums and evolve_run's true perfs are separate vecdots."""
+    eps = 0.25
+    domain = Domain(n)
+    mut = disjunction_mutator(n, eps)
+    _, gain = disjunction_params(n, eps)
+    params = SelNBParams(t=gain, p=3 * mut.k, s=None)
+    generations = 0
+    for seed in range(4):
+        rng = make_rng(seed, n, "exact-score")
+        d = dist_uniform(domain) if dist == "uniform" else dist_random(domain, rng)
+        f = make_disjunction(domain, [i for i in range(1, n + 1) if rng.random() < 0.5])
+        # a random start, so the scores are not a few lattice values
+        r0 = random_real_fn(domain, rng)
+        trace = evolve_run(mut, params, f, d, eps, 2000, r0, evolve_streams(seed, n))
+        empirical = np.array(trace.columns["empirical_perf"])
+        true = np.array(trace.columns["true_perf"])
+        assert empirical[0] == trace.start_perf
+        assert empirical[1:].tobytes() == true[:-1].tobytes()
+        generations += len(trace)
+    assert generations > 4 * 1000
+
+
 @pytest.mark.parametrize("s", [None, 400])
 def test_evolve_run_matches_the_reference_one_generation_past_a_block(s):
     n, eps = 3, 0.25
@@ -680,6 +716,14 @@ def test_evolve_run_on_mismatched_domains_names_both_sizes():
         evolve_run(mut, params, make_disjunction(d3, [1]), d, 0.25, 10, r0, streams)
     with pytest.raises(DomainMismatchError, match="over n=3 used with distribution over n=4"):
         evolve_run(mut, params, f, d, 0.25, 10, RealFn(d3, np.zeros(8)), streams)
+    # lperf names the mismatch too, where numpy would fail a broadcast of 8
+    # entries against 16
+    for fn, phi in [(make_disjunction(d3, [1]), r0), (f, RealFn(d3, np.zeros(8))),
+                    (make_disjunction(d3, [1]), RealFn(d3, np.zeros(8)))]:
+        with pytest.raises(DomainMismatchError, match="over n=3 used with distribution over n=4"):
+            lperf(fn, phi, d)
+    with pytest.raises(DomainMismatchError, match="over n=4 used with distribution over n=3"):
+        lperf(f, r0, dist_uniform(d3))
     # a neighbourhood's width shows only in its rows
     narrow = NeighborhoodMutator(lambda phi: np.zeros((1, 8)), 2)
     with pytest.raises(DomainMismatchError, match=r"rows have shape \(8,\), its table's \(16,\)"):
