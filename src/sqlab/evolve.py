@@ -187,19 +187,19 @@ def generation_draws(a, params, d, g, streams):
         yield counts, fitness, streams["pick"].random(b).tolist()
 
 
-def selnb(params, f, d, a):
-    """Tolerance-t selection for one run towards the ideal f under D, on the
-    mutator a: returns that run's block runner, with the run's constants (f's
-    values, the weights, the fitness scale, k and t) read and its table
-    buffers allocated once here.
+def selnb(params, f, a):
+    """Tolerance-t selection for one run towards the ideal f, on the mutator
+    a: returns that run's block runner, with the run's constants (f's values,
+    the fitness scale, k and t) read and its table buffers allocated once
+    here.  D enters only through the count rows of generation_draws.
 
     run(phi, counts, fitness, picks, losses) runs the generations of one
     draw block of generation_draws from the incumbent table phi, and writes
     the loss row of each generation's selected table (the incumbent's when
     the generation bottomed) into the rows of losses.  It returns (the next
     incumbent as a fresh array, or None when the block bottomed; the block's
-    columns: the incumbent's fitness estimate, outcome, beneficial, neutral
-    and distinct candidates, one entry a generation up to a bottom).
+    columns: the incumbent's fitness estimate, outcome, beneficial and
+    neutral candidates, one entry a generation up to a bottom).
 
     One generation: every row of the k-row table gets its weighted loss
     against its own count row, scaled by 4 times that row's total (see
@@ -255,7 +255,7 @@ def selnb(params, f, d, a):
         if keys is None or phi.tobytes() != keys[-1]:
             keys = build(phi, cur)
         mine = keys[-1]
-        empirical, outcomes, benes, neuts, distinct = columns = [], [], [], [], []
+        empirical, outcomes, benes, neuts = columns = [], [], [], []
         for i, c in enumerate(counts):
             sums = np.vecdot(fitness[i], costs).tolist()
             v_r = 1.0 - 2.0 * sums[-1] / scale
@@ -278,7 +278,6 @@ def selnb(params, f, d, a):
                     if abs(v - v_r) < t:
                         neut.append(grp)
             empirical.append(v_r)
-            distinct.append(len(groups))
             if bene:
                 tier, outcome = bene, "beneficial"
             elif neut:
@@ -361,7 +360,7 @@ def evolve_run(a, params, f, d, eps, g, r0, streams):
                                   f"over n={d.domain.n} ({d.domain.size} points)")
     phi, w = r0.values, d.weights
     start = lperf(f, r0, d)
-    run = selnb(params, f, d, a)
+    run = selnb(params, f, a)
     # the selected loss rows of one draw block
     chosen = np.empty((min(_block_size(a, params, d), g), len(phi)))
     true_perf = np.empty(g)
@@ -373,7 +372,7 @@ def evolve_run(a, params, f, d, eps, g, r0, streams):
         # the exact fitness of the block's selected rows, from one vecdot
         true_perf[done:done + b] = _fitness(np.vecdot(w, chosen[:b]), 4.0)
         done += b
-        for column, part in zip(columns, block):
+        for column, part in zip(columns, block, strict=True):
             column += part
         if phi is None:
             break

@@ -46,9 +46,6 @@ class Domain:
     def __eq__(self, other):
         return isinstance(other, Domain) and other.n == self.n
 
-    def __hash__(self):
-        return hash(("Domain", self.n))
-
     def __repr__(self):
         return f"Domain(n={self.n})"
 
@@ -126,16 +123,6 @@ class RealFn:
         self.values = np.clip(arr, -1.0, 1.0)  # a fresh array: no copy to freeze
         self.values.flags.writeable = False
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RealFn)
-            and other.domain == self.domain
-            and np.array_equal(other.values, self.values)
-        )
-
-    def __neg__(self):
-        return RealFn(self.domain, -self.values)
-
 
 class Dist:
     """Probability distribution over the domain, dense weight vector."""
@@ -163,13 +150,6 @@ class Dist:
         self.weights = arr / total  # a fresh array: no copy to freeze
         self.weights.flags.writeable = False
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Dist)
-            and other.domain == self.domain
-            and np.array_equal(other.weights, self.weights)
-        )
-
 
 class FnSet:
     """Ordered set of real-valued functions over one domain.
@@ -178,10 +158,9 @@ class FnSet:
     Its consumers read any FnSet one way, through `shape`, `row(i)`,
     `correlate(x)` (every row times the vector x) and `gram(w)`; only this
     module reads `matrix`.  `sup` is the largest |entry| (0 for an empty
-    set), measured by the one scan a table from outside gets here: its
-    shape and min/max, which also rejects NaN and +-inf.  A table
-    that is +-1 by construction (a class file of 1 and -1 entries) skips the
-    scan through from_signs; a ClassSet and a StackSet keep no table.
+    set), measured by the one scan every table gets here: its shape and
+    min/max, which also rejects NaN and +-inf.  A read-only table is kept
+    without a copy.  A ClassSet and a StackSet keep no table.
     Indexing and iteration build the BoolFn of a row on demand, so they hold
     for +-1 rows (a concept class).  Row order is deterministic and defines
     tie-breaking downstream; reports name a row by its index.
@@ -198,20 +177,9 @@ class FnSet:
         # min and max are NaN if any entry is, and NaN fails every comparison
         if not -np.inf < lo <= hi < np.inf:
             raise UsageError(f"function matrix entries must be finite, got [{lo}, {hi}]")
-        self._fill(domain, mat, max(-lo, hi))
-
-    @classmethod
-    def from_signs(cls, domain, table):
-        """FnSet of a read-only float64 (k, 2^n) table of +-1 entries, taken as
-        it is: the caller's construction stands for the scan."""
-        fs = cls.__new__(cls)
-        fs._fill(domain, table, 1.0)
-        return fs
-
-    def _fill(self, domain, matrix, sup):
         self.domain = domain
-        self.matrix = matrix
-        self.sup = float(sup)
+        self.matrix = mat
+        self.sup = float(max(-lo, hi))
 
     @property
     def shape(self):
@@ -361,7 +329,7 @@ class ClassSet(FnSet):
     __slots__ = ("_kind",)
 
     def __init__(self, kind, n):
-        self._fill(Domain(n), None, 1.0)
+        self.domain, self.matrix, self.sup = Domain(n), None, 1.0
         self._kind = kind
 
     @property
@@ -410,7 +378,7 @@ class StackSet(FnSet):
     __slots__ = ("_parts", "_starts")
 
     def __init__(self, parts):
-        self._fill(parts[0].domain, None, max(p.sup for p in parts))
+        self.domain, self.matrix, self.sup = parts[0].domain, None, max(p.sup for p in parts)
         self._parts = parts
         self._starts = np.cumsum([0] + [len(p) for p in parts])
 

@@ -356,8 +356,9 @@ def _build_class(cfg, domain):
     lines = [s for s in map(str.strip, raw) if s and not s.startswith("#")]
     if not lines:
         raise UsageError(f"class file {path} contains no functions")
-    # A file of 1 and -1 entries takes the vectorised pass; any other text goes
-    # to the float64 parse, which decides its values and messages.  comments=None:
+    # A file of 1 and -1 entries takes the vectorised pass, whose table is +-1 by
+    # construction and skips the +-1 check; any other text goes to the float64
+    # parse, which decides its values and messages.  comments=None:
     # a `#` after a value is a bad entry, not a comment.
     signs = _sign_table(lines)
     mat = signs
@@ -369,13 +370,11 @@ def _build_class(cfg, domain):
     if mat.shape[1] != domain.size:
         raise UsageError(f"class file {path}: its lines have {mat.shape[1]} entries, but "
                          f"--n {domain.n} needs 2^{domain.n} = {domain.size}")
-    if signs is not None:
-        return FnSet.from_signs(domain, signs)
     try:
         cclass = FnSet(domain, mat)
     except UsageError as e:
         raise UsageError(f"class file {path}: {e}") from None
-    if not np.all(np.abs(mat) == 1.0):
+    if signs is None and not np.all(np.abs(mat) == 1.0):
         raise UsageError(f"class file {path}: entries must be exactly -1 or +1")
     return cclass
 

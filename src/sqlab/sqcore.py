@@ -127,7 +127,7 @@ def build_gpsi(alg, psi, d, budget=100_000):
     hypothesis = alg.run(ask)
     ends = np.vstack([sign_of(psi).values, hypothesis.values])
     ends.flags.writeable = False  # ours alone: FnSet keeps it without a copy
-    return StackSet(rounds + [FnSet.from_signs(d.domain, ends)])
+    return StackSet(rounds + [FnSet(d.domain, ends)])
 
 
 def gpsi_generator(alg, d, budget=100_000):

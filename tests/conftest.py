@@ -61,7 +61,7 @@ def butterflies_in_place(x, step):
 def dense_class(kind, n):
     """The table FnSet of class `kind` over n variables (class_table): the
     dense reference for a built-in ClassSet, which keeps no table."""
-    return FnSet.from_signs(Domain(n), class_table(kind, n))
+    return FnSet(Domain(n), class_table(kind, n))
 
 
 def table_set(table):

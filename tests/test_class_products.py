@@ -112,7 +112,7 @@ def test_empirical_answers_on_a_class_equal_its_dense_table_bit_for_bit(
     target = phi if agnostic else sign_of(phi)
     ref = class_table(kind, n)
     want, _ = one_by_one(target, dist, ref, 0.1, "empirical", seed, sample_size)
-    for fs in (BUILDERS[kind](n), FnSet.from_signs(domain, ref)):
+    for fs in (BUILDERS[kind](n), FnSet(domain, ref)):
         oracle = SQOracle(target, dist, mode="empirical", seed=seed, sample_size=sample_size)
         assert _same_bits(oracle.correlational_many(fs, 0.1), np.array(want)), type(fs)
 
@@ -208,7 +208,7 @@ def test_learners_on_class_transforms_match_the_dense_table_run_for_run():
     for n in (8, 9, 10):
         domain = Domain(n)
         for kind, build in BUILDERS.items():
-            fs, dense = build(n), FnSet.from_signs(domain, class_table(kind, n))
+            fs, dense = build(n), FnSet(domain, class_table(kind, n))
             for seed in range(2):
                 dist = dist_random(domain, make_rng(seed, n, "dist"))
                 target = dense[int(make_rng(seed, n, "target").integers(len(dense)))]

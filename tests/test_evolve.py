@@ -80,18 +80,18 @@ def _draws(mut, params, d, seed):
     return next(_generations(generation_draws(mut, params, d, 1, evolve_streams(seed, 0))))
 
 
-def _stepper(params, f, d, mut):
+def _stepper(params, f, mut):
     """selnb's block runner driven one generation at a time: step(phi, draws)
     gives (the next incumbent or None, the incumbent's fitness estimate,
-    outcome, beneficial, neutral and distinct candidates, the loss row the
-    runner wrote)."""
-    run = selnb(params, f, d, mut)
+    outcome, beneficial and neutral candidates, the loss row the runner
+    wrote).  The draws carry D, through their count rows."""
+    run = selnb(params, f, mut)
 
     def step(phi, draws):
         counts, fitness, u = draws
         losses = np.full((1, len(phi)), np.nan)
         nxt, columns = run(phi, [counts], fitness[None], [u], losses)
-        assert [len(column) for column in columns] == [1] * 5
+        assert [len(column) for column in columns] == [1] * 4
         return (nxt, *(column[0] for column in columns), losses[0])
 
     return step
@@ -133,7 +133,7 @@ def test_neighborhood_mutator_draws_its_appended_incumbent_at_rate_1_over_k(k, d
     f = random_bool_fn(domain3, make_rng(16, 0, "f"))
     mut = NeighborhoodMutator(lambda phi: np.tile(-f.values, (k - 1, 1)), k)
     params = SelNBParams(t=0.1, p=1, s=None)
-    step = _stepper(params, f, uniform3, mut)
+    step = _stepper(params, f, mut)
     g = 8000
     outcomes = [step(f.values, draws)[2] for draws in
                 _generations(generation_draws(mut, params, uniform3, g, evolve_streams(17, 0)))]
@@ -252,7 +252,7 @@ def test_selnb_step_picks_beneficial(domain3, uniform3):
     phi0 = np.zeros(8)
     params = SelNBParams(t=0.01, p=40, s=None)
     for seed in range(10):
-        nxt, _, outcome, bene, _, _, _ = _stepper(params, f, uniform3, mut)(
+        nxt, _, outcome, bene, _, _ = _stepper(params, f, mut)(
             phi0, _draws(mut, params, uniform3, seed))
         assert outcome == "beneficial"
         assert bene == 1
@@ -264,10 +264,10 @@ def test_selnb_step_neutral_keeps_incumbent_reachable(domain3, uniform3):
     phi0 = np.zeros(8)
     mut = NeighborhoodMutator(lambda phi: phi[None], 2)  # a copy of itself, then itself
     params = SelNBParams(t=0.05, p=5, s=None)
-    nxt, v_incumbent, outcome, _, _, distinct, _ = _stepper(params, f, uniform3, mut)(
+    nxt, v_incumbent, outcome, _, neut, _ = _stepper(params, f, mut)(
         phi0, _draws(mut, params, uniform3, 0))
     assert outcome == "neutral"
-    assert distinct == 1  # the copy and the incumbent are one candidate
+    assert neut == 1  # the copy and the incumbent are one candidate
     np.testing.assert_array_equal(nxt, phi0)
     assert v_incumbent == pytest.approx(0.5)
 
@@ -278,14 +278,14 @@ def test_selnb_step_bottom_returns_none(domain3, uniform3):
     drop = -f.values[None]  # fitness -1, below any tolerance
     mut = NeighborhoodMutator(lambda phi: drop, 2)
     params = SelNBParams(t=0.1, p=1, s=None)
-    step = _stepper(params, f, uniform3, mut)
+    step = _stepper(params, f, mut)
     # one draw: the incumbent, neutral to itself, or the drop, and then bottom
     outcomes = set()
     for seed in range(20):
         draws = _draws(mut, params, uniform3, seed)
-        nxt, _, outcome, _, _, distinct, cost = step(phi0, draws)
+        nxt, _, outcome, _, neut, cost = step(phi0, draws)
         outcomes.add(outcome)
-        assert distinct == 1
+        assert neut == (1 if outcome == "neutral" else 0)  # the incumbent alone, or none
         assert not cost.any()  # the incumbent's loss row: phi0 is f
         if draws[0][-1]:
             assert outcome == "neutral"
@@ -303,7 +303,7 @@ def test_selnb_step_exact_mode_never_drops_beyond_tolerance(domain3, uniform3):
     mut = NeighborhoodMutator(lambda phi: neigh, 7)
     params = SelNBParams(t=0.07, p=12, s=None)
     phi = random_real_fn(domain3, rng).values
-    step = _stepper(params, f, uniform3, mut)
+    step = _stepper(params, f, mut)
     for seed in range(50):
         nxt, v_incumbent, *_ = step(phi, _draws(mut, params, uniform3, seed))
         if nxt is None:
@@ -328,7 +328,7 @@ def test_selnb_step_weights_by_frequency(domain3, uniform3):
     params = SelNBParams(t=0.05, p=64, s=None)
     picks_a = 0
     trials = 600
-    step = _stepper(params, f, uniform3, skewed)
+    step = _stepper(params, f, skewed)
     for seed in range(trials):
         nxt, _, outcome, bene, *_ = step(phi0, _draws(skewed, params, uniform3, seed))
         assert outcome == "beneficial" and bene == 2
@@ -360,8 +360,7 @@ def _reference_step(params, f, d, table, draws):
     """One generation on the (k, 2^n) table, the incumbent as its last row,
     as a dict keyed by row bytes, each candidate scored on its own: the
     selection rule written out row by row.  Returns (the next table or None,
-    (the incumbent's fitness, outcome, beneficial, neutral and distinct
-    candidates))."""
+    (the incumbent's fitness, outcome, beneficial and neutral candidates))."""
     counts, fitness, u = draws
     k = len(table)
 
@@ -383,11 +382,11 @@ def _reference_step(params, f, d, table, draws):
     bene = [grp for grp in groups.values() if grp[2] >= v_r + params.t]
     neut = [grp for grp in groups.values() if abs(grp[2] - v_r) < params.t]
     if not bene and not neut:
-        return None, (v_r, "bottom", 0, 0, len(groups))
+        return None, (v_r, "bottom", 0, 0)
     tier, outcome = (bene, "beneficial") if bene else (neut, "neutral")
     weights = np.array([grp[1] for grp in tier])
     pick = np.searchsorted(np.cumsum(weights), u * weights.sum(), side="right")
-    info = (v_r, outcome, len(bene), len(neut), len(groups))
+    info = (v_r, outcome, len(bene), len(neut))
     return tier[min(int(pick), len(tier) - 1)][0], info
 
 
@@ -426,7 +425,7 @@ def test_selnb_step_matches_a_row_by_row_reference(case, s, t, p, seed):
     streams, ref_streams = evolve_streams(seed, 0), evolve_streams(seed, 0)
     draws = _generations(generation_draws(mut, params, d, 3, streams))
     ref_draws = _reference_draws(len(steps) + 1, params, d, 3, ref_streams)
-    step = _stepper(params, f, d, mut)
+    step = _stepper(params, f, mut)
     for _ in range(3):
         got, *info, cost = step(phi, next(draws))
         table = np.vstack([np.clip(phi + steps, -1.0, 1.0), phi])
@@ -458,7 +457,7 @@ def test_selnb_step_on_a_negative_zero_incumbent_matches_the_reference(s):
     assert len(table) == n + 2
     assert table[n + 1].tobytes() == (phi + 0.0).tobytes() != phi.tobytes()
     params = SelNBParams(t=gain, p=12, s=s)
-    step = _stepper(params, f, d, mut)
+    step = _stepper(params, f, mut)
     for seed in range(20):
         got, *info, _ = step(phi, _draws(mut, params, d, seed))
         want, want_info = _reference_step(
@@ -482,7 +481,7 @@ def _reference_run(params, f, d, table_of, k, eps, g, phi, streams):
     draws = _reference_draws(k, params, d, g, streams)
     for gen in range(1, g + 1):
         table = table_of(phi)
-        nxt, (v_r, outcome, bene, neut, _) = _reference_step(params, f, d, table, next(draws))
+        nxt, (v_r, outcome, bene, neut) = _reference_step(params, f, d, table, next(draws))
         moves += nxt is not None and nxt.tobytes() != table[-1].tobytes()
         phi = phi if nxt is None else nxt
         for name, value in zip(names, (true_perf(phi), v_r, outcome, bene, neut)):
@@ -683,14 +682,14 @@ def test_the_runner_returns_no_view_of_a_buffer_it_writes_again():
     gamma, gain = disjunction_params(n, eps)
     mut = disjunction_mutator(n, eps)
     params = SelNBParams(t=gain, p=30, s=400)
-    run = selnb(params, f, d, mut)
+    run = selnb(params, f, mut)
     phi = np.full(domain.size, -1.0)
     returned = []
     for counts, fitness, picks in generation_draws(mut, params, d, 3 * BLOCK,
                                                    evolve_streams(9, 0)):
         losses = np.empty((len(picks), domain.size))
         phi, columns = run(phi, counts, fitness, picks, losses)
-        assert phi is not None and [len(column) for column in columns] == [BLOCK] * 5
+        assert phi is not None and [len(column) for column in columns] == [BLOCK] * 4
         returned.append((phi, losses, columns,
                          (phi.copy(), losses.copy(), [list(c) for c in columns])))
     assert len({phi.tobytes() for phi, *_ in returned}) == 3  # the incumbent moved each time

@@ -603,6 +603,21 @@ def test_a_distribution_file_over_another_n_is_a_usage_error(tmp_path, command):
     assert same.exit_code == 0, same.output
 
 
+def test_a_seeded_random_distribution_is_the_same_in_every_run():
+    # run k builds its D from (its seed, k): random:7 gives every run the D of
+    # (7, 0), and plain random a D of its own
+    domain = Domain(4)
+
+    def weights(dist):
+        cfg = _cfg(n=4, seeds="3,5,9", dist=dist)
+        return [harness._build_dist(cfg, domain, master, k).weights.tobytes()
+                for k, master in enumerate(cfg.seeds)]
+
+    want = dist_random(domain, make_rng(7, 0, "dist")).weights.tobytes()
+    assert weights("random:7") == [want] * 3
+    assert len(set(weights("random"))) == 3
+
+
 def test_a_distribution_file_that_repeats_a_point_is_a_usage_error(tmp_path):
     path = tmp_path / "d2.txt"
     path.write_text("00 0.7\n10 0.25\n01 0.25\n11 0.25\n00 0.25\n")
